@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .cluster import ClusterSpec, make_cluster
 from .estimator import CompletionError, ReferenceSet, fingerprint_and_match
-from .jobs import Job
+from .jobs import Entity, EntityPolicy, Job
 from .matrices import ThroughputMatrix, effective_throughput
 from . import policies
 from .mechanism import write_round_log
@@ -83,16 +83,26 @@ def _dump_json(path: Path, doc: dict):
         f.write("\n")
 
 
+def _fail(code: int, message):
+    click.echo(f"error: {message}", err=True)
+    sys.exit(code)
+
+
+def _read_json(path):
+    """Parse a JSON file; an unreadable or malformed file exits with EXIT_IO."""
+    try:
+        with open(path) as f:
+            return json.load(f)
+    except (OSError, ValueError) as e:  # JSONDecodeError is a ValueError
+        _fail(EXIT_IO, f"{path}: {e}")
+
+
 def _load_cluster(cluster_file, preset_counts=None) -> ClusterSpec:
     if cluster_file is None:
         return make_cluster(preset_counts or DEFAULT_CLUSTER,
                             costs=DEFAULT_COSTS,
                             workers_per_server=DEFAULT_SERVERS)
-    try:
-        with open(cluster_file) as f:
-            return ClusterSpec.from_json(json.load(f))
-    except OSError as e:
-        raise click.ClickException(f"cannot read cluster file: {e}") from e
+    return ClusterSpec.from_json(_read_json(cluster_file))
 
 
 @click.group()
@@ -118,7 +128,9 @@ def main(ctx, seed, round_duration, cluster_file, preset, out_dir, dump_lp):
                    cluster_file=cluster_file, preset_counts=preset_counts,
                    out_dir=Path(out_dir), dump_lp=dump_lp)
     if dump_lp:
+        previous = policies.lp_debug_sink
         policies.lp_debug_sink = lambda text: click.echo(text, err=True)
+        ctx.call_on_close(lambda: setattr(policies, "lp_debug_sink", previous))
 
 
 @main.command("generate-trace")
@@ -184,44 +196,39 @@ def cmd_solve(ctx, policy_text, thr_file, jobs_file):
         spec = parse_policy(policy_text)
     except ValueError as e:
         raise click.UsageError(str(e))
-    try:
-        T = ThroughputMatrix.load(thr_file)
-        with open(jobs_file) as f:
-            jobs_doc = json.load(f)
-    except OSError as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(EXIT_IO)
+    thr_doc, jobs_doc = _read_json(thr_file), _read_json(jobs_file)
     # The jobs file is either a bare list of jobs or, for hierarchical
     # policies, {"jobs": [...], "entities": [{"id", "weight", "policy"}...]}.
-    entities = None
-    if isinstance(jobs_doc, dict):
-        job_docs = jobs_doc["jobs"]
-        from .jobs import Entity, EntityPolicy
-        entities = [Entity(int(d["id"]), float(d.get("weight", 1.0)),
-                           EntityPolicy(d.get("policy", "fairness")))
-                    for d in jobs_doc.get("entities", [])] or None
-    else:
-        job_docs = jobs_doc
-    jobs = [Job(id=int(d["id"]), name=d.get("name", ""),
-                num_steps=int(d.get("num_steps", 1)),
-                steps_done=float(d.get("steps_done", 0.0)),
-                scale_factor=int(d.get("scale_factor", 1)),
-                weight=float(d.get("weight", 1.0)),
-                entity_id=d.get("entity_id"),
-                slo_seconds=d.get("slo_seconds"),
-                arrival_time=float(d.get("arrival_time", 0.0)),
-                elapsed_time=float(d.get("elapsed_time", 0.0)),
-                isolated_elapsed_time=float(d.get("isolated_elapsed_time", 0.0)))
-            for d in job_docs]
+    try:
+        T = ThroughputMatrix.from_json(thr_doc)
+        entities = None
+        if isinstance(jobs_doc, dict):
+            job_docs = jobs_doc["jobs"]
+            entities = [Entity(int(d["id"]), float(d.get("weight", 1.0)),
+                               EntityPolicy(d.get("policy", "fairness")))
+                        for d in jobs_doc.get("entities", [])] or None
+        else:
+            job_docs = jobs_doc
+        jobs = [Job(id=int(d["id"]), name=d.get("name", ""),
+                    num_steps=int(d.get("num_steps", 1)),
+                    steps_done=float(d.get("steps_done", 0.0)),
+                    scale_factor=int(d.get("scale_factor", 1)),
+                    weight=float(d.get("weight", 1.0)),
+                    entity_id=d.get("entity_id"),
+                    slo_seconds=d.get("slo_seconds"),
+                    arrival_time=float(d.get("arrival_time", 0.0)),
+                    elapsed_time=float(d.get("elapsed_time", 0.0)),
+                    isolated_elapsed_time=float(d.get("isolated_elapsed_time", 0.0)))
+                for d in job_docs]
+    except KeyError as e:
+        _fail(EXIT_USAGE, f"missing key {e} in the throughputs or jobs file")
     t0 = time.perf_counter()
     try:
         result = solve_policy(spec, jobs, T.cluster, T, entities=entities)
     except InfeasibleSloError as e:
-        click.echo(f"infeasible SLOs for jobs: {e.job_ids}", err=True)
-        sys.exit(EXIT_INFEASIBLE)
+        _fail(EXIT_INFEASIBLE, f"infeasible SLOs for jobs: {e.job_ids}")
     except (PolicyInfeasibleError, PolicyError) as e:
-        click.echo(f"infeasible: {e}", err=True)
-        sys.exit(EXIT_INFEASIBLE)
+        _fail(EXIT_INFEASIBLE, f"infeasible: {e}")
     solve_s = time.perf_counter() - t0
 
     X = result.allocation
@@ -383,20 +390,16 @@ def cmd_simulate(ctx, policy_text, trace_file, num_jobs, lambdas, mode, seeds,
 @click.pass_context
 def cmd_estimate(ctx, refs_file, meas_file, rank, reg, iters):
     """Complete partial colocation measurements and match reference jobs."""
+    refs_doc, meas_doc = _read_json(refs_file), _read_json(meas_file)
     try:
-        with open(refs_file) as f:
-            refs_doc = json.load(f)
-        with open(meas_file) as f:
-            meas_doc = json.load(f)
-    except OSError as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(EXIT_IO)
-    if "rows" in refs_doc:
-        refs = ReferenceSet.from_throughputs(ThroughputMatrix.from_json(refs_doc))
-        names = refs.names
-    else:
-        names = refs_doc["names"]
-        refs = ReferenceSet(names, np.array(refs_doc["matrix"], dtype=float))
+        if "rows" in refs_doc:
+            refs = ReferenceSet.from_throughputs(ThroughputMatrix.from_json(refs_doc))
+        else:
+            refs = ReferenceSet(refs_doc["names"],
+                                np.array(refs_doc["matrix"], dtype=float))
+    except (KeyError, ValueError) as e:
+        _fail(EXIT_USAGE, f"{refs_file}: bad reference set ({type(e).__name__}: {e})")
+    index = {ref_name: k for k, ref_name in enumerate(refs.names)}
     out = {"hyperparameters": {"rank": rank, "reg": reg, "iters": iters,
                                "seed": ctx.obj["seed"]},
            "matches": {}, "completed_rows": {}}
@@ -404,7 +407,9 @@ def cmd_estimate(ctx, refs_file, meas_file, rank, reg, iters):
         vec = np.zeros(refs.size)
         mask = np.zeros(refs.size, dtype=bool)
         for ref_name, value in row_doc.items():
-            k = names.index(ref_name)
+            if ref_name not in index:
+                _fail(EXIT_USAGE, f"{name}: unknown reference {ref_name!r}")
+            k = index[ref_name]
             vec[k] = float(value)
             mask[k] = True
         try:
@@ -412,9 +417,8 @@ def cmd_estimate(ctx, refs_file, meas_file, rank, reg, iters):
                 vec, mask, refs, rank=rank, reg=reg, iters=iters,
                 seed=ctx.obj["seed"])
         except CompletionError as e:
-            click.echo(f"error: {name}: {e}", err=True)
-            sys.exit(EXIT_INFEASIBLE)
-        out["matches"][name] = names[match]
+            _fail(EXIT_INFEASIBLE, f"{name}: {e}")
+        out["matches"][name] = refs.names[match]
         out["completed_rows"][name] = [round(v, 6) for v in fingerprint]
     out_dir = ctx.obj["out_dir"]
     out_dir.mkdir(parents=True, exist_ok=True)

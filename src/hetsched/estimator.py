@@ -2,6 +2,9 @@
 pre-profiled reference jobs, nearest-reference matching for new jobs, and
 online refinement from observed rates.
 
+Completion is alternating least squares with every restart and every row
+of a factor updated in one batched solve per half-step.
+
 Pairwise colocated throughputs are normalized by each job's isolated
 throughput on the same configuration, so entries live in [0, ~1.2] and the
 matrix is approximately low rank.
@@ -32,8 +35,12 @@ def complete_matrix(partial: np.ndarray, mask: np.ndarray, rank: int = DEFAULT_R
     Minimizes the squared error on observed cells (mask True) with L2
     regularization on both factors.  ALS is non-convex, so several seeded
     uniform(0,1) starts are run and the factorization with the lowest final
-    objective wins.  Observed cells are copied through unchanged in the
-    returned matrix.  Deterministic for a fixed seed.
+    objective wins (the first on ties).  Observed cells are copied through
+    unchanged in the returned matrix.  Deterministic for a fixed seed.
+
+    Given V every row of U is an independent ridge regression (and vice
+    versa), so one batched solve over all restarts and rows gives the same
+    iterates as updating the rows one at a time.
     """
     partial = np.asarray(partial, dtype=float)
     mask = np.asarray(mask, dtype=bool)
@@ -44,43 +51,36 @@ def complete_matrix(partial: np.ndarray, mask: np.ndarray, rank: int = DEFAULT_R
     if np.any(mask.sum(axis=1) == 0) or np.any(mask.sum(axis=0) == 0):
         raise CompletionError("every row and column needs at least one observation")
 
-    best = None
+    n, p = partial.shape
+    U, V = [], []
     for attempt in range(max(1, restarts)):
-        completed, history = _als_once(partial, mask, rank, reg, iters,
-                                       seed + attempt)
-        if best is None or history[-1] < best[1][-1]:
-            best = (completed, history)
-    completed, history = best
-    completed = completed.copy()
+        rng = np.random.default_rng(seed + attempt)
+        U.append(rng.uniform(0.0, 1.0, size=(n, rank)))
+        V.append(rng.uniform(0.0, 1.0, size=(p, rank)))
+    U, V = np.stack(U), np.stack(V)  # (restarts, n or p, rank)
+    weight = mask.astype(float)
+    observed = np.where(mask, partial, 0.0)
+    eye = reg * np.eye(rank)
+    Us, Vs = [U], [V]
+    for _ in range(iters):
+        gram = np.einsum("ij,sjk,sjl->sikl", weight, V, V) + eye
+        U = np.linalg.solve(gram, (observed @ V)[..., None])[..., 0]
+        gram = np.einsum("ij,sik,sil->sjkl", weight, U, U) + eye
+        V = np.linalg.solve(gram, (observed.T @ U)[..., None])[..., 0]
+        Us.append(U)
+        Vs.append(V)
+
+    # Objective of every iterate of every restart: (iters + 1, restarts).
+    Us, Vs = np.stack(Us), np.stack(Vs)
+    err = np.where(mask, Us @ Vs.swapaxes(-1, -2) - partial, 0.0)
+    history = (err * err).sum(axis=(-2, -1)) \
+        + reg * ((Us * Us).sum(axis=(-2, -1)) + (Vs * Vs).sum(axis=(-2, -1)))
+    best = int(np.argmin(history[-1]))  # argmin keeps the first restart on ties
+    completed = U[best] @ V[best].T
     completed[mask] = partial[mask]
     if return_history:
-        return completed, history
+        return completed, history[:, best].tolist()
     return completed
-
-
-def _als_once(partial, mask, rank, reg, iters, seed):
-    n, p = partial.shape
-    rng = np.random.default_rng(seed)
-    U = rng.uniform(0.0, 1.0, size=(n, rank))
-    V = rng.uniform(0.0, 1.0, size=(p, rank))
-    eye = reg * np.eye(rank)
-
-    def objective():
-        err = (U @ V.T - partial)[mask]
-        return float(err @ err) + reg * float((U * U).sum() + (V * V).sum())
-
-    history = [objective()]
-    for _ in range(iters):
-        for i in range(n):
-            cols = mask[i]
-            Vi = V[cols]
-            U[i] = np.linalg.solve(Vi.T @ Vi + eye, Vi.T @ partial[i, cols])
-        for j in range(p):
-            rows_ = mask[:, j]
-            Uj = U[rows_]
-            V[j] = np.linalg.solve(Uj.T @ Uj + eye, Uj.T @ partial[rows_, j])
-        history.append(objective())
-    return U @ V.T, history
 
 
 @dataclass
@@ -187,10 +187,3 @@ class OnlineEstimates:
             self.values[key] = (1 - self.alpha) * self.values[key] \
                 + self.alpha * float(measured)
             self.counts[key] += 1
-
-
-def refine_online(estimates: OnlineEstimates, observations) -> OnlineEstimates:
-    """Fold a stream of (key, measured steps/sec) into the running means."""
-    for key, measured in observations:
-        estimates.observe(key, measured)
-    return estimates

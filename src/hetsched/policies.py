@@ -378,7 +378,8 @@ def build_makespan(jobs, cluster: ClusterSpec, T: ThroughputMatrix,
     if X is None:
         # lo itself was feasible; recover its witness.
         ok, X = feasible(value)
-        assert ok
+        if not ok:
+            raise PolicyError(f"makespan bound {value} was not feasible on re-solve")
     return value, X
 
 
@@ -422,7 +423,8 @@ def build_ftf(jobs, cluster: ClusterSpec, T: ThroughputMatrix,
     value, X = bisect(feasible, lo, hi, rel_tol=rel_tol)
     if X is None:
         ok, X = feasible(value)
-        assert ok
+        if not ok:
+            raise PolicyError(f"FTF bound {value} was not feasible on re-solve")
     return value, X
 
 

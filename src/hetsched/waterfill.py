@@ -20,7 +20,7 @@ from .jobs import Entity, EntityPolicy, Job
 from .lp import LinearProgram, Relation, solve_lp
 from .matrices import AllocationMatrix, ThroughputMatrix, effective_throughput
 from .milp import MixedIntegerProgram, solve_milp
-from .policies import PolicyInfeasibleError, ProblemSpace
+from .policies import PolicyError, PolicyInfeasibleError, ProblemSpace
 
 # Strictness slack for "can improve" as a fraction of each job's largest
 # throughput (LPs cannot express strict inequalities).  The constraint
@@ -195,7 +195,8 @@ def find_bottlenecks(jobs, X_prev: AllocationMatrix, T: ThroughputMatrix,
     space.add_validity(lp, extra=n_z)
 
     res = solve_milp(MixedIntegerProgram(lp, set(range(space.n_cells, n))))
-    assert res.optimal, "bottleneck MILP must be feasible (X_prev is a witness)"
+    if not res.optimal:  # X_prev is a witness, so only the solver can fail here
+        raise PolicyError(f"bottleneck MILP not solved: {res.status.value}")
     stuck = {j.id for k, j in enumerate(active)
              if round(res.x[space.n_cells + k]) == 0}
     for j in active:
@@ -243,9 +244,9 @@ def hierarchical_waterfill(entities, jobs, cluster: ClusterSpec,
         if all(j.id in done for j in jobs):
             break
 
-    assert X is not None
-    result = WaterfillResult(X, iterations)
-    return result
+    if X is None:
+        raise PolicyInfeasibleError("water filling needs a job with positive weight")
+    return WaterfillResult(X, iterations)
 
 
 def single_level_waterfill(jobs, cluster: ClusterSpec,

@@ -76,20 +76,36 @@ def random_instance(rng: np.random.Generator, max_jobs: int = 3,
 # Exact inner solvers on the last type (vectorized over grid points)
 # ---------------------------------------------------------------------------
 
+def _jobs_major(*arrays):
+    """(P, M) inputs as contiguous (M, P) arrays, so every step of the
+    bisections below runs over long rows of grid points."""
+    return [np.ascontiguousarray(np.transpose(a)) for a in arrays]
+
+
+def _sum_jobs(a: np.ndarray) -> np.ndarray:
+    """Column sums of an (M, P) array, adding the jobs in order."""
+    total = a[0].copy()
+    for row in a[1:]:
+        total += row
+    return total
+
+
 def waterfill_level(p: np.ndarray, q: np.ndarray, caps: np.ndarray,
                     C: float) -> np.ndarray:
     """Per grid point, maximize min_m (p_m + q_m v_m) subject to
     sum v <= C, 0 <= v <= caps.  Shapes: (P, M).  Returns (P,) levels."""
+    p, q, caps = _jobs_major(p, q, caps)
     lam_max = np.where(q > 0, p + q * caps, p)
-    hi = lam_max.min(axis=1)
-    lo = p.min(axis=1)
+    hi = lam_max.min(axis=0)
+    lo = p.min(axis=0)
     lo = np.minimum(lo, hi)
+    movable = q > 0
+    q_safe = np.where(movable, q, 1.0)
     for _ in range(45):
         mid = 0.5 * (lo + hi)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            need = np.where(q > 0, (mid[:, None] - p) / np.where(q > 0, q, 1.0), 0.0)
+        need = np.where(movable, (mid - p) / q_safe, 0.0)
         need = np.clip(need, 0.0, caps)
-        ok = need.sum(axis=1) <= C + 1e-12
+        ok = _sum_jobs(need) <= C + 1e-12
         lo = np.where(ok, mid, lo)
         hi = np.where(ok, hi, mid)
     return lo
@@ -116,34 +132,39 @@ def min_max_rho_level(rho_num_const: np.ndarray, steps: np.ndarray,
                       caps: np.ndarray, C: float) -> np.ndarray:
     """Per grid point, minimize max_m (t_m + steps_m/theta_m)/denom_m where
     theta_m = p_m + q_m v_m, by bisecting the bound and checking the exact
-    transportation feasibility on the last type."""
+    transportation feasibility on the last type.  Shapes of p, q and caps:
+    (P, M)."""
     P, M = p.shape
     lo_bound = (rho_num_const / denom).max()
+    t, steps, denom = (np.asarray(a, dtype=float)[:, None]
+                       for a in (rho_num_const, steps, denom))
+    p, q, caps = _jobs_major(p, q, caps)
 
     # Feasible starting bound: scale every cap so the shared capacity holds,
     # then take the worst rho at that concrete allocation.
-    cap_sum = caps.sum(axis=1, keepdims=True)
+    cap_sum = _sum_jobs(caps)
     scale = np.minimum(1.0, C / np.where(cap_sum > 0, cap_sum, 1.0))
     theta_feas = p + q * caps * scale
     bad = theta_feas <= 0
     with np.errstate(divide="ignore"):
-        rho_feas = (rho_num_const + steps / np.where(bad, 1.0, theta_feas)) / denom
+        rho_feas = (t + steps / np.where(bad, 1.0, theta_feas)) / denom
     rho_feas = np.where(bad, np.inf, rho_feas)
     lo = np.full(P, lo_bound)
-    hi = rho_feas.max(axis=1) + 1e-9
+    hi = rho_feas.max(axis=0) + 1e-9
     infeasible = ~np.isfinite(hi)
     hi = np.where(infeasible, lo_bound + 1.0, hi)
+    movable = q > 0
+    q_safe = np.where(movable, q, 1.0)
     for _ in range(45):
         mid = 0.5 * (lo + hi)
-        budget = mid[:, None] * denom - rho_num_const
-        req = np.where(budget > 1e-15, steps / np.where(budget > 1e-15, budget, 1.0),
-                       np.inf)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            need = np.where(q > 0, (req - p) / np.where(q > 0, q, 1.0), np.inf)
+        budget = mid * denom - t
+        positive = budget > 1e-15
+        req = np.where(positive, steps / np.where(positive, budget, 1.0), np.inf)
+        need = np.where(movable, (req - p) / q_safe, np.inf)
         need = np.where(req <= p + 1e-15, 0.0, need)
         ok_each = need <= caps + 1e-12
         need = np.clip(need, 0.0, caps)
-        ok = ok_each.all(axis=1) & (need.sum(axis=1) <= C + 1e-12)
+        ok = ok_each.all(axis=0) & (_sum_jobs(need) <= C + 1e-12)
         hi = np.where(ok, mid, hi)
         lo = np.where(ok, lo, mid)
     return np.where(infeasible, np.inf, hi)
@@ -348,3 +369,48 @@ def oracle_cost(inst: OracleInstance, slo: bool = False) -> float:
             if d > 1e-12:
                 best = max(best, float(num @ x) / d)
     return best
+
+
+# ---------------------------------------------------------------------------
+# Per-row alternating least squares (reference for the batched estimator)
+# ---------------------------------------------------------------------------
+
+def _als_once(partial, mask, rank, reg, iters, seed):
+    n, p = partial.shape
+    rng = np.random.default_rng(seed)
+    U = rng.uniform(0.0, 1.0, size=(n, rank))
+    V = rng.uniform(0.0, 1.0, size=(p, rank))
+    eye = reg * np.eye(rank)
+
+    def objective():
+        err = (U @ V.T - partial)[mask]
+        return float(err @ err) + reg * float((U * U).sum() + (V * V).sum())
+
+    history = [objective()]
+    for _ in range(iters):
+        for i in range(n):
+            cols = mask[i]
+            Vi = V[cols]
+            U[i] = np.linalg.solve(Vi.T @ Vi + eye, Vi.T @ partial[i, cols])
+        for j in range(p):
+            rows_ = mask[:, j]
+            Uj = U[rows_]
+            V[j] = np.linalg.solve(Uj.T @ Uj + eye, Uj.T @ partial[rows_, j])
+        history.append(objective())
+    return U @ V.T, history
+
+
+def reference_complete_matrix(partial, mask, rank=3, reg=1e-2, iters=50,
+                              seed=0, restarts=3):
+    """Row-at-a-time ALS with seeded restarts; the lowest final objective
+    wins, the first restart on ties.  Returns (completed, history)."""
+    best = None
+    for attempt in range(max(1, restarts)):
+        completed, history = _als_once(partial, mask, rank, reg, iters,
+                                       seed + attempt)
+        if best is None or history[-1] < best[1][-1]:
+            best = (completed, history)
+    completed, history = best
+    completed = completed.copy()
+    completed[mask] = partial[mask]
+    return completed, history

@@ -123,6 +123,36 @@ class TestSolve:
         assert res.exit_code == 0
         assert "maximize" in res.output
 
+    def test_dump_lp_scoped_to_its_invocation(self, runner, tmp_path):
+        thr, jobs = write_three_job_instance(tmp_path)
+        args = ["--out", str(tmp_path), "solve", "--policy", "las",
+                "--throughputs", str(thr), "--jobs", str(jobs)]
+        dumped = runner.invoke(main, ["--dump-lp"] + args)
+        assert dumped.exit_code == 0 and "maximize" in dumped.output
+        plain = runner.invoke(main, args)
+        assert plain.exit_code == 0, plain.output
+        assert "maximize" not in plain.output
+
+    def test_malformed_json_exit_code(self, runner, tmp_path):
+        thr, _ = write_three_job_instance(tmp_path)
+        jobs = tmp_path / "bad.json"
+        jobs.write_text("[{\"id\": 0,")
+        res = runner.invoke(main, ["--out", str(tmp_path), "solve",
+                                   "--policy", "las", "--throughputs", str(thr),
+                                   "--jobs", str(jobs)])
+        assert res.exit_code == 4
+        assert "bad.json" in res.output
+
+    def test_missing_job_id_exit_code(self, runner, tmp_path):
+        thr, _ = write_three_job_instance(tmp_path)
+        jobs = tmp_path / "jobs.json"
+        jobs.write_text(json.dumps({"jobs": [{"num_steps": 10}]}))
+        res = runner.invoke(main, ["--out", str(tmp_path), "solve",
+                                   "--policy", "las", "--throughputs", str(thr),
+                                   "--jobs", str(jobs)])
+        assert res.exit_code == 2
+        assert "'id'" in res.output and "Traceback" not in res.output
+
 
 class TestSimulate:
     def test_summary_has_mean_and_stddev(self, runner, tmp_path):
@@ -193,6 +223,32 @@ class TestEstimate:
         doc = json.loads((tmp_path / "estimates.json").read_text())
         assert doc["matches"]["newjob"] == "ref-2"
         assert doc["hyperparameters"]["rank"] == 3
+
+    def _estimate(self, runner, tmp_path, refs_doc, meas_doc):
+        refs = tmp_path / "refs.json"
+        refs.write_text(refs_doc if isinstance(refs_doc, str) else json.dumps(refs_doc))
+        meas = tmp_path / "meas.json"
+        meas.write_text(json.dumps(meas_doc))
+        return runner.invoke(main, ["--out", str(tmp_path), "estimate",
+                                    "--references", str(refs),
+                                    "--measurements", str(meas)])
+
+    def test_malformed_json_exit_code(self, runner, tmp_path):
+        res = self._estimate(runner, tmp_path, '{"names": ["r0"', {})
+        assert res.exit_code == 4
+
+    def test_unknown_reference_exit_code(self, runner, tmp_path):
+        res = self._estimate(runner, tmp_path,
+                             {"names": ["r0", "r1"], "matrix": np.eye(2).tolist()},
+                             {"newjob": {"r0": 0.5, "r9": 0.4}})
+        assert res.exit_code == 2
+        assert "'r9'" in res.output and "Traceback" not in res.output
+
+    def test_missing_names_exit_code(self, runner, tmp_path):
+        res = self._estimate(runner, tmp_path, {"matrix": np.eye(2).tolist()},
+                             {"newjob": {"r0": 0.5}})
+        assert res.exit_code == 2
+        assert "'names'" in res.output
 
     def test_under_observed_row_errors(self, runner, tmp_path):
         names = ["r0", "r1", "r2"]

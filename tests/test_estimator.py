@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from hetsched.estimator import (CompletionError, OnlineEstimates, ReferenceSet,
-                                complete_matrix, fingerprint_and_match,
-                                refine_online)
+from hetsched.estimator import (DEFAULT_ITERS, DEFAULT_RANK, DEFAULT_REG,
+                                CompletionError, OnlineEstimates, ReferenceSet,
+                                complete_matrix, fingerprint_and_match)
+
+from oracles import reference_complete_matrix
 
 
 def low_rank(rng, n, p, rank):
@@ -128,6 +130,47 @@ class TestFingerprint:
         assert refs_p.names[match_p] == refs.names[match]
 
 
+class TestBatchedAlsMatchesPerRowReference:
+    """The batched ALS against the row-at-a-time loop it replaced, on the
+    9x8 stacked matrices `fingerprint_and_match` completes (8 references
+    plus one partially observed row)."""
+
+    INSTANCES = 120
+    RESTARTS = 3
+
+    def instances(self):
+        for k in range(self.INSTANCES):
+            rng = np.random.default_rng(1000 + k)
+            refs = reference_set(rng)
+            observed = rng.random(refs.size) < 0.3
+            observed[rng.choice(refs.size, size=2, replace=False)] = True
+            meas = np.where(observed, rng.uniform(0.05, 1.1, refs.size), 0.0)
+            stacked = np.vstack([refs.R, meas])
+            mask = np.vstack([np.ones_like(refs.R, dtype=bool), observed])
+            yield k, refs, meas, observed, stacked, mask
+
+    def test_completion_and_match_agree(self):
+        for seed, refs, meas, observed, stacked, mask in self.instances():
+            want, _ = reference_complete_matrix(
+                stacked, mask, rank=DEFAULT_RANK, reg=DEFAULT_REG,
+                iters=DEFAULT_ITERS, seed=seed, restarts=self.RESTARTS)
+            got = complete_matrix(stacked, mask, seed=seed,
+                                  restarts=self.RESTARTS)
+            assert np.max(np.abs(got - want)) <= 1e-10, seed
+            match, _ = fingerprint_and_match(meas, observed, refs, seed=seed)
+            want_match = int(np.argmin(np.linalg.norm(refs.R - want[-1], axis=1)))
+            assert match == want_match, seed
+
+    def test_every_restart_nonincreasing(self):
+        # Restarts are independent, so restart `a` of a run seeded `s` is the
+        # single-restart run seeded `s + a`.
+        for seed, _, _, _, stacked, mask in self.instances():
+            for attempt in range(self.RESTARTS):
+                _, history = complete_matrix(stacked, mask, seed=seed + attempt,
+                                             restarts=1, return_history=True)
+                assert np.all(np.diff(history) <= 1e-12), (seed, attempt)
+
+
 class TestOnlineRefinement:
     def test_converges_toward_observations(self):
         est = OnlineEstimates()
@@ -135,7 +178,7 @@ class TestOnlineRefinement:
         est.counts[("a", "b")] = 1
         prev = 2.0
         for _ in range(20):
-            refine_online(est, [(("a", "b"), 1.0)])
+            est.observe(("a", "b"), 1.0)
             now = est.get(("a", "b"))
             assert now <= prev + 1e-12
             prev = now
@@ -144,12 +187,13 @@ class TestOnlineRefinement:
     def test_no_observations_no_change(self):
         est = OnlineEstimates()
         est.values[("a", "b")] = 2.0
-        refine_online(est, [])
+        est.observe(("a", "c"), 5.0)
         assert est.get(("a", "b")) == 2.0
 
     def test_alpha_one_keeps_last(self):
         est = OnlineEstimates(alpha=1.0)
-        refine_online(est, [(("k",), 5.0), (("k",), 3.0)])
+        for measured in (5.0, 3.0):
+            est.observe(("k",), measured)
         assert est.get(("k",)) == 3.0
 
 

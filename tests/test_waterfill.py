@@ -7,7 +7,8 @@ from hetsched.cluster import make_cluster
 from hetsched.jobs import Entity, EntityPolicy, Job, JobCombination
 from hetsched.lp import LinearProgram, Relation, Status, solve_lp
 from hetsched.matrices import AllocationMatrix, ThroughputMatrix, effective_throughput
-from hetsched.policies import ProblemSpace, parse_policy, solve_policy
+from hetsched.policies import (PolicyInfeasibleError, ProblemSpace, parse_policy,
+                               solve_policy)
 from hetsched.waterfill import (DELTA_FRACTION, assign_job_weights,
                                 find_bottlenecks, hierarchical_waterfill,
                                 max_gain, single_level_waterfill)
@@ -195,3 +196,12 @@ def test_las_water_filling_flag_lifts_non_bottlenecks():
            for j in jobs}
     assert thr[0] == pytest.approx(1.0, abs=1e-4)
     assert thr[1] == pytest.approx(1.0, abs=1e-4)
+
+
+def test_no_weighted_job_is_a_policy_error():
+    # A job whose entity is not listed gets no weight, so no level LP runs.
+    cluster = make_cluster({"gpu": 1})
+    T = singles(cluster, [[1.0]])
+    with pytest.raises(PolicyInfeasibleError):
+        hierarchical_waterfill([Entity(0, 1.0)], [Job(id=0, num_steps=100, entity_id=7)],
+                               cluster, T)
