@@ -88,12 +88,17 @@ def _fail(code: int, message):
     sys.exit(code)
 
 
-def _read_json(path):
-    """Parse a JSON file; an unreadable or malformed file exits with EXIT_IO."""
+def _json_file(path):
+    with open(path) as f:
+        return json.load(f)
+
+
+def _read(path, load=_json_file):
+    """Return load(path), by default the file's JSON; an unreadable or
+    malformed file exits with EXIT_IO."""
     try:
-        with open(path) as f:
-            return json.load(f)
-    except (OSError, ValueError) as e:  # JSONDecodeError is a ValueError
+        return load(path)
+    except (OSError, ValueError, LookupError, TypeError) as e:
         _fail(EXIT_IO, f"{path}: {e}")
 
 
@@ -102,7 +107,7 @@ def _load_cluster(cluster_file, preset_counts=None) -> ClusterSpec:
         return make_cluster(preset_counts or DEFAULT_CLUSTER,
                             costs=DEFAULT_COSTS,
                             workers_per_server=DEFAULT_SERVERS)
-    return ClusterSpec.from_json(_read_json(cluster_file))
+    return ClusterSpec.from_json(_read(cluster_file))
 
 
 @click.group()
@@ -196,7 +201,7 @@ def cmd_solve(ctx, policy_text, thr_file, jobs_file):
         spec = parse_policy(policy_text)
     except ValueError as e:
         raise click.UsageError(str(e))
-    thr_doc, jobs_doc = _read_json(thr_file), _read_json(jobs_file)
+    thr_doc, jobs_doc = _read(thr_file), _read(jobs_file)
     # The jobs file is either a bare list of jobs or, for hierarchical
     # policies, {"jobs": [...], "entities": [{"id", "weight", "policy"}...]}.
     try:
@@ -222,6 +227,8 @@ def cmd_solve(ctx, policy_text, thr_file, jobs_file):
                 for d in job_docs]
     except KeyError as e:
         _fail(EXIT_USAGE, f"missing key {e} in the throughputs or jobs file")
+    except (TypeError, ValueError) as e:
+        _fail(EXIT_USAGE, f"bad value in the throughputs or jobs file: {e}")
     t0 = time.perf_counter()
     try:
         result = solve_policy(spec, jobs, T.cluster, T, entities=entities)
@@ -298,6 +305,7 @@ def cmd_simulate(ctx, policy_text, trace_file, num_jobs, lambdas, mode, seeds,
     lambda_list = [float(x) for x in lambdas.split(",")] if lambdas else [None]
     if trace_file is not None and lambdas:
         raise click.UsageError("--lambda sweeps generate traces; drop --trace")
+    given_trace = _read(trace_file, Trace.load) if trace_file else None
     templates = load_catalog(catalog_file)
     cluster = _load_cluster(ctx.obj["cluster_file"], ctx.obj["preset_counts"])
     out_dir = ctx.obj["out_dir"]
@@ -326,11 +334,8 @@ def cmd_simulate(ctx, policy_text, trace_file, num_jobs, lambdas, mode, seeds,
         for label, agnostic in variants:
             per_seed = []
             for seed in seed_list:
-                if trace_file:
-                    trace = Trace.load(trace_file)
-                else:
-                    trace = generate_trace(mode, num_jobs, templates, seed=seed,
-                                           lambda_rate=lam)
+                trace = given_trace or generate_trace(
+                    mode, num_jobs, templates, seed=seed, lambda_rate=lam)
                 cfg = SimConfig(cluster=cluster, policy=spec,
                                 round_duration=ctx.obj["round_duration"],
                                 recompute_every=recompute_every,
@@ -390,7 +395,7 @@ def cmd_simulate(ctx, policy_text, trace_file, num_jobs, lambdas, mode, seeds,
 @click.pass_context
 def cmd_estimate(ctx, refs_file, meas_file, rank, reg, iters):
     """Complete partial colocation measurements and match reference jobs."""
-    refs_doc, meas_doc = _read_json(refs_file), _read_json(meas_file)
+    refs_doc, meas_doc = _read(refs_file), _read(meas_file)
     try:
         if "rows" in refs_doc:
             refs = ReferenceSet.from_throughputs(ThroughputMatrix.from_json(refs_doc))

@@ -71,18 +71,6 @@ class ClusterSpec:
     def total_workers(self) -> int:
         return sum(t.num_workers for t in self.types)
 
-    def type_by_name(self, name: str) -> AcceleratorType:
-        for t in self.types:
-            if t.name == name:
-                return t
-        raise KeyError(name)
-
-    def config_by_key(self, key: str) -> ResourceConfiguration:
-        for cfg in self.configurations:
-            if cfg.key(self) == key:
-                return cfg
-        raise KeyError(key)
-
     def to_json(self) -> dict:
         return {
             "types": [

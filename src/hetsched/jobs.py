@@ -4,7 +4,7 @@ allocation matrices)."""
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class EntityPolicy(str, enum.Enum):
@@ -83,9 +83,6 @@ class JobCombination:
 
     def contains(self, job_id: int) -> bool:
         return job_id in self.members
-
-    def conflicts_with(self, other: "JobCombination") -> bool:
-        return bool(set(self.members) & set(other.members))
 
     def member_index(self, job_id: int) -> int:
         return self.members.index(job_id)

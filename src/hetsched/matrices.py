@@ -269,21 +269,6 @@ def isolated_allocation(T: ThroughputMatrix, n: int) -> AllocationMatrix:
     return X
 
 
-def fastest_type_allocation(T: ThroughputMatrix, job_id: int) -> AllocationMatrix:
-    """Full allocation on the configuration maximizing the job's singleton
-    throughput; zero elsewhere."""
-    r = T.singleton_row(job_id)
-    best_c, best_v = None, -1.0
-    for c in range(T.num_configs):
-        if T.feasible(r, c) and T.value(r, c, job_id) > best_v:
-            best_c, best_v = c, T.value(r, c, job_id)
-    if best_c is None:
-        raise ValueError(f"job {job_id} has no feasible configuration")
-    X = AllocationMatrix.zeros(T)
-    X.values[r, best_c] = 1.0
-    return X
-
-
 def prune_combinations(T: ThroughputMatrix, threshold: float = 1.0) -> ThroughputMatrix:
     """Drop pair rows whose summed normalized throughput never beats
     `threshold` on any configuration.

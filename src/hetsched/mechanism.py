@@ -15,14 +15,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cluster import ClusterSpec, Placement
+from .cluster import ClusterSpec
 from .jobs import JobCombination
 from .matrices import AllocationMatrix, ThroughputMatrix
 
 DEFAULT_ROUND_DURATION = 360.0  # seconds; a six-minute quantum
 
 
-def _config_key(cluster: ClusterSpec, cfg) -> tuple:
+def _config_key(cfg) -> tuple:
     return (cfg.type_id, cfg.placement.value)
 
 
@@ -60,27 +60,15 @@ class RoundLedger:
                                if not (set(m) & gone)}
 
 
-class PriorityMatrix:
-    """Target-over-received ratios: zero where the target allocation is zero,
-    infinite where a positive target has received no time yet."""
-
-    def __init__(self, rows, configs, values: np.ndarray):
-        self.rows = tuple(rows)
-        self.configs = tuple(configs)
-        self.values = values
-
-    def priority(self, r: int, c: int) -> float:
-        return self.values[r, c]
-
-
-def compute_priorities(X_opt: AllocationMatrix, ledger: RoundLedger) -> PriorityMatrix:
+def compute_priorities(X_opt: AllocationMatrix, ledger: RoundLedger) -> np.ndarray:
+    """(R, C) target-over-received ratios: zero where the target allocation
+    is zero, infinite where a positive target has received no time yet."""
     T = X_opt.T
-    cluster = T.cluster
     R, C = T.num_rows, T.num_configs
     received = np.zeros((R, C))
     for r, combo in enumerate(T.rows):
         for c, cfg in enumerate(T.configs):
-            received[r, c] = ledger.seconds(combo, _config_key(cluster, cfg))
+            received[r, c] = ledger.seconds(combo, _config_key(cfg))
     col_totals = received.sum(axis=0)
     with np.errstate(invalid="ignore", divide="ignore"):
         f = np.where(col_totals > 0, received / np.where(col_totals > 0, col_totals, 1.0), 0.0)
@@ -94,7 +82,7 @@ def compute_priorities(X_opt: AllocationMatrix, ledger: RoundLedger) -> Priority
                 values[r, c] = math.inf
             else:
                 values[r, c] = x / f[r, c]
-    return PriorityMatrix(T.rows, T.configs, values)
+    return values
 
 
 @dataclass
@@ -131,7 +119,7 @@ class RoundPlan:
         }
 
 
-def plan_round(priorities: PriorityMatrix, jobs: dict, cluster: ClusterSpec,
+def plan_round(priorities: np.ndarray, jobs: dict, cluster: ClusterSpec,
                ledger: RoundLedger, T: ThroughputMatrix,
                work_conserving: bool = True) -> RoundPlan:
     """Greedy highest-priority-first selection of combinations for one round.
@@ -172,11 +160,11 @@ def plan_round(priorities: PriorityMatrix, jobs: dict, cluster: ClusterSpec,
                 continue
             take(r, c)
 
-    cells = [(-priorities.values[r, c],
+    cells = [(-priorities[r, c],
               (ledger.rounds_since_scheduled(T.rows[r]), T.rows[r].members, c),
               r, c)
              for r in range(T.num_rows) for c in range(T.num_configs)
-             if priorities.values[r, c] > 0]
+             if priorities[r, c] > 0]
     sweep(cells)
 
     if work_conserving:
@@ -272,7 +260,7 @@ def place(plan: RoundPlan, cluster: ClusterSpec, jobs: dict) -> RoundPlan:
 
 
 def settle_round(plan: RoundPlan, ledger: RoundLedger, elapsed: float,
-                 cluster: ClusterSpec, T: ThroughputMatrix):
+                 T: ThroughputMatrix):
     """Credit elapsed seconds to every scheduled combination and advance the
     round counter; unscheduled combinations are untouched and therefore gain
     priority next round."""
@@ -280,7 +268,7 @@ def settle_round(plan: RoundPlan, ledger: RoundLedger, elapsed: float,
         raise ValueError("elapsed must lie within the round duration")
     for a in plan.assignments:
         cfg = T.configs[a.config_index]
-        ledger.add(a.combo, _config_key(cluster, cfg), elapsed)
+        ledger.add(a.combo, _config_key(cfg), elapsed)
         ledger.last_scheduled[a.combo.members] = ledger.rounds_total
     ledger.rounds_total += 1
 

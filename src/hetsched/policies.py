@@ -4,8 +4,9 @@ matrices.
 Every policy searches for the fraction of wall-clock time each job (or job
 combination) should spend on each resource configuration, maximizing or
 minimizing an objective expressed through effective throughputs.  Max-min
-objectives are compiled to epigraph LPs; makespan and finish-time fairness
-are solved by bisection over a feasibility LP; the cost policies reduce a
+objectives (max-min fairness, min-makespan and the water-filling level) are
+compiled to one epigraph LP by `max_min_lp`; only finish-time fairness is
+solved by bisection over a feasibility LP; the cost policies reduce a
 linear-fractional objective to one LP.
 """
 
@@ -26,7 +27,6 @@ from .search import RatioUnboundedError, bisect, maximize_ratio
 
 class PolicyKind(str, enum.Enum):
     MAX_MIN_FAIRNESS = "las"
-    MAX_MIN_FAIRNESS_WEIGHTED = "wlas"
     FIFO = "fifo"
     SHORTEST_JOB_FIRST = "sjf"
     MIN_MAKESPAN = "makespan"
@@ -37,25 +37,23 @@ class PolicyKind(str, enum.Enum):
     HIERARCHICAL = "hier"
 
 
+# "wlas" names weighted max-min fairness, which "las" already is: both read
+# each job's weight.
+_ALIASES = {"wlas": "las"}
+
+
 @dataclass
 class PolicySpec:
-    """Policy kind plus options.
-
-    `placement_aware` is descriptive: the solve is placement-aware whenever
-    the throughput matrix carries consolidated/unconsolidated columns, which
-    follows from the cluster spec.
-    """
+    """Policy kind plus the options that change a solve.  Placement
+    awareness follows from the cluster spec, and entities' internal policies
+    come from the trace or the jobs file."""
 
     kind: PolicyKind
     space_sharing: bool = False
-    placement_aware: bool = False
     water_filling: bool = False
-    entity_policies: tuple = ()
 
     def label(self) -> str:
         text = self.kind.value
-        if self.entity_policies:
-            text += ":" + "/".join(self.entity_policies)
         if self.space_sharing:
             text += "+ss"
         if self.water_filling:
@@ -64,29 +62,28 @@ class PolicySpec:
 
 
 def parse_policy(text: str) -> PolicySpec:
-    """Parse a policy string such as "las", "las+ss", "hier:fair/fifo+wf"."""
+    """Parse a policy string such as "las", "las+ss", "hier:fair/fifo+wf".
+
+    The entity-policy list after "hier:" is checked but selects nothing.
+    """
     parts = text.strip().split("+")
     head, flags = parts[0], set(parts[1:])
-    unknown = flags - {"ss", "wf", "pa"}
+    unknown = flags - {"ss", "wf"}
     if unknown:
         raise ValueError(f"unknown policy flags: {sorted(unknown)}")
-    entity_policies = ()
-    if head.startswith("hier"):
-        kind = PolicyKind.HIERARCHICAL
-        if ":" in head:
-            entity_policies = tuple(head.split(":", 1)[1].split("/"))
-            bad = set(entity_policies) - {"fair", "fifo"}
-            if bad:
-                raise ValueError(f"unknown entity policies: {sorted(bad)}")
-    else:
-        try:
-            kind = PolicyKind(head)
-        except ValueError:
-            raise ValueError(f"unknown policy {head!r}") from None
+    name, colon, entity_policies = head.partition(":")
+    try:
+        kind = PolicyKind(_ALIASES.get(name, name))
+    except ValueError:
+        raise ValueError(f"unknown policy {head!r}") from None
+    if colon:
+        if kind is not PolicyKind.HIERARCHICAL:
+            raise ValueError(f"unknown policy {head!r}")
+        bad = set(entity_policies.split("/")) - {"fair", "fifo"}
+        if bad:
+            raise ValueError(f"unknown entity policies: {sorted(bad)}")
     return PolicySpec(kind, space_sharing="ss" in flags,
-                      placement_aware="pa" in flags,
-                      water_filling="wf" in flags,
-                      entity_policies=entity_policies)
+                      water_filling="wf" in flags)
 
 
 # Optional hook for --dump-lp style debugging: a callable fed the text of
@@ -233,12 +230,12 @@ class ProblemSpace:
 # Single-LP policies
 # ---------------------------------------------------------------------------
 
-def build_las(jobs, cluster: ClusterSpec, T: ThroughputMatrix,
-              weights: dict | None = None):
-    """Epigraph LP for weighted max-min fairness over normalized effective
-    throughputs, scaled by each job's worker count."""
-    space = ProblemSpace(jobs, T)
-    weights = weights or {j.id: j.weight for j in space.jobs}
+def max_min_lp(space: ProblemSpace, scales: dict,
+               floors: dict | None = None) -> LinearProgram:
+    """Epigraph LP: maximize lam subject to
+    scales[j] * thr_j(X) - lam >= floors[j] for every job in `scales` (in
+    `space.jobs` order), then the validity rows.  Variable `space.n_cells`
+    is lam; floors default to zero."""
     n = space.n_cells + 1
     lam = space.n_cells
     obj = np.zeros(n)
@@ -247,24 +244,54 @@ def build_las(jobs, cluster: ClusterSpec, T: ThroughputMatrix,
     lower[lam] = -np.inf
     lp = LinearProgram(n, obj, maximize=True, lower=lower, upper=upper)
     for j in space.jobs:
+        if j.id not in scales:
+            continue
+        row = space.pad(scales[j.id] * space.coeffs[j.id], extra=1)
+        row[lam] = -1.0
+        lp.add_constraint(row, Relation.GE, floors[j.id] if floors else 0.0)
+    space.add_validity(lp, extra=1)
+    return lp
+
+
+def _weighted_sum_lp(space: ProblemSpace, weights: dict) -> LinearProgram:
+    """Maximize sum_j weights[j] * thr_j(X), accumulated in `weights`
+    order, over valid allocations."""
+    obj = np.zeros(space.n_cells)
+    for job_id, w in weights.items():
+        obj += w * space.coeffs[job_id]
+    lower, upper = space.cell_bounds()
+    lp = LinearProgram(space.n_cells, obj, maximize=True, lower=lower, upper=upper)
+    space.add_validity(lp)
+    return lp
+
+
+def _solve(label: str, lp: LinearProgram, space: ProblemSpace):
+    """Solve a built policy LP; returns (AllocationMatrix, objective)."""
+    _debug_lp(label, lp)
+    res = solve_lp(lp)
+    if not res.optimal:
+        raise PolicyInfeasibleError(f"{label} LP returned {res.status}")
+    return space.allocation(res.x), res.objective_value
+
+
+def build_las(jobs, cluster: ClusterSpec, T: ThroughputMatrix,
+              weights: dict | None = None):
+    """Epigraph LP for weighted max-min fairness over normalized effective
+    throughputs, scaled by each job's worker count."""
+    space = ProblemSpace(jobs, T)
+    weights = weights or {j.id: j.weight for j in space.jobs}
+    scales = {}
+    for j in space.jobs:
         w = weights[j.id]
         if w <= 0:
             raise ValueError(f"job {j.id}: weight must be positive")
-        scale = j.scale_factor / (w * space.equal_norm[j.id])
-        row = space.pad(scale * space.coeffs[j.id], extra=1)
-        row[lam] = -1.0
-        lp.add_constraint(row, Relation.GE, 0.0)
-    space.add_validity(lp, extra=1)
-    return lp, space
+        scales[j.id] = j.scale_factor / (w * space.equal_norm[j.id])
+    return max_min_lp(space, scales), space
 
 
 def solve_las(jobs, cluster, T, weights=None):
     lp, space = build_las(jobs, cluster, T, weights)
-    _debug_lp("max-min fairness", lp)
-    res = solve_lp(lp)
-    if not res.optimal:
-        raise PolicyInfeasibleError(f"max-min LP returned {res.status}")
-    return space.allocation(res.x), res.objective_value
+    return _solve("max-min fairness", lp, space)
 
 
 def build_fifo(jobs, cluster: ClusterSpec, T: ThroughputMatrix):
@@ -274,39 +301,24 @@ def build_fifo(jobs, cluster: ClusterSpec, T: ThroughputMatrix):
     space = ProblemSpace(jobs, T)
     order = sorted(space.jobs, key=lambda j: (j.arrival_time, j.id))
     M = len(order)
-    obj = np.zeros(space.n_cells)
+    weights = {}
     for rank, j in enumerate(order):
         fastest = T.max_throughput(j.id)
         if fastest <= 0:
             raise ZeroThroughputError(f"job {j.id} has no feasible configuration")
-        obj += (M - rank) / fastest * space.coeffs[j.id]
-    lower, upper = space.cell_bounds()
-    lp = LinearProgram(space.n_cells, obj, maximize=True, lower=lower, upper=upper)
-    space.add_validity(lp)
-    return lp, space
+        weights[j.id] = (M - rank) / fastest
+    return _weighted_sum_lp(space, weights), space
 
 
 def solve_fifo(jobs, cluster, T):
     lp, space = build_fifo(jobs, cluster, T)
-    _debug_lp("fifo", lp)
-    res = solve_lp(lp)
-    if not res.optimal:
-        raise PolicyInfeasibleError(f"FIFO LP returned {res.status}")
-    return space.allocation(res.x), res.objective_value
+    return _solve("fifo", lp, space)
 
 
 def solve_max_total_throughput(jobs, cluster, T):
     space = ProblemSpace(jobs, T)
-    obj = np.zeros(space.n_cells)
-    for j in space.jobs:
-        obj += space.coeffs[j.id]
-    lower, upper = space.cell_bounds()
-    lp = LinearProgram(space.n_cells, obj, maximize=True, lower=lower, upper=upper)
-    space.add_validity(lp)
-    res = solve_lp(lp)
-    if not res.optimal:
-        raise PolicyInfeasibleError(f"throughput LP returned {res.status}")
-    return space.allocation(res.x), res.objective_value
+    lp = _weighted_sum_lp(space, {j.id: 1.0 for j in space.jobs})
+    return _solve("throughput", lp, space)
 
 
 def solve_sjf(jobs, cluster, T):
@@ -326,62 +338,25 @@ def solve_sjf(jobs, cluster, T):
     return space.single_job_allocation(job_id), duration
 
 
+def build_makespan(jobs, cluster: ClusterSpec, T: ThroughputMatrix):
+    """Min-makespan as one max-min LP.
+
+    The makespan min_X max_j remaining_j / thr_j(X) is the reciprocal of
+    max_X min_j thr_j(X) / remaining_j.  Each row is scaled by a reference
+    horizon H, the longest equal-share finishing time, so the optimum
+    lam* = H / makespan is of order one instead of near the solver's
+    feasibility tolerance.  Returns (makespan_seconds, AllocationMatrix).
+    """
+    space = ProblemSpace(jobs, T)
+    H = max(j.remaining_steps / space.equal_norm[j.id] for j in space.jobs)
+    lp = max_min_lp(space, {j.id: H / j.remaining_steps for j in space.jobs})
+    X, lam = _solve("min makespan", lp, space)
+    return float(H / lam), X
+
+
 # ---------------------------------------------------------------------------
 # Bisection policies
 # ---------------------------------------------------------------------------
-
-def build_makespan(jobs, cluster: ClusterSpec, T: ThroughputMatrix,
-                   rel_tol: float = 1e-3, bracket: tuple | None = None):
-    """Binary search for the smallest horizon in which every job can finish.
-
-    The feasibility probe at horizon M requires each job's effective
-    throughput to reach remaining_steps / M together with the validity
-    constraints.  Returns (makespan_seconds, AllocationMatrix).
-    """
-    space = ProblemSpace(jobs, T)
-    best = {}
-    for j in space.jobs:
-        thr = space.standalone_best(j.id)
-        if thr <= 0:
-            raise ZeroThroughputError(f"job {j.id} infeasible everywhere")
-        best[j.id] = thr
-
-    total_workers = cluster.total_workers
-    lo = max(j.remaining_steps / (best[j.id] * total_workers) for j in space.jobs)
-    hi_default = sum(j.remaining_steps / best[j.id] for j in space.jobs)
-    hi = hi_default
-    if bracket is not None:
-        blo, bhi = bracket
-        lo = max(lo, blo)
-        hi = min(hi, bhi) if bhi > lo else hi
-
-    def feasible(M: float):
-        if M <= 0:
-            return False, None
-        lower, upper = space.cell_bounds()
-        lp = LinearProgram(space.n_cells, np.zeros(space.n_cells),
-                           maximize=True, lower=lower, upper=upper)
-        for j in space.jobs:
-            lp.add_constraint(space.coeffs[j.id], Relation.GE,
-                              j.remaining_steps / M)
-        space.add_validity(lp)
-        res = solve_lp(lp)
-        return res.optimal, (space.allocation(res.x) if res.optimal else None)
-
-    from .search import BracketError
-    try:
-        value, X = bisect(feasible, lo, hi * (1 + 1e-9), rel_tol=rel_tol)
-    except BracketError:
-        # A caller-supplied upper hint (e.g. the previous round's makespan)
-        # can go stale; fall back to the safe sequential bound.
-        value, X = bisect(feasible, lo, hi_default * (1 + 1e-9), rel_tol=rel_tol)
-    if X is None:
-        # lo itself was feasible; recover its witness.
-        ok, X = feasible(value)
-        if not ok:
-            raise PolicyError(f"makespan bound {value} was not feasible on re-solve")
-    return value, X
-
 
 def build_ftf(jobs, cluster: ClusterSpec, T: ThroughputMatrix,
               n_active: int | None = None, rel_tol: float = 1e-3):
@@ -518,8 +493,7 @@ class PolicyResult:
 
 def solve_policy(spec: PolicySpec, jobs, cluster: ClusterSpec,
                  T: ThroughputMatrix, entities=None,
-                 n_active: int | None = None,
-                 makespan_bracket: tuple | None = None) -> PolicyResult:
+                 n_active: int | None = None) -> PolicyResult:
     """Dispatch to the policy builders and return a validated allocation."""
     from . import waterfill
 
@@ -534,8 +508,7 @@ def solve_policy(spec: PolicySpec, jobs, cluster: ClusterSpec,
             raise PolicyError("hierarchical policy requires entity ids on all jobs")
         result = waterfill.hierarchical_waterfill(entities, jobs, cluster, T)
         out = PolicyResult(result.allocation, result.objective)
-    elif spec.kind in (PolicyKind.MAX_MIN_FAIRNESS,
-                       PolicyKind.MAX_MIN_FAIRNESS_WEIGHTED):
+    elif spec.kind is PolicyKind.MAX_MIN_FAIRNESS:
         if spec.water_filling:
             result = waterfill.single_level_waterfill(jobs, cluster, T)
             out = PolicyResult(result.allocation, result.objective)
@@ -549,7 +522,7 @@ def solve_policy(spec: PolicySpec, jobs, cluster: ClusterSpec,
         X, obj = solve_sjf(jobs, cluster, T)
         out = PolicyResult(X, obj)
     elif spec.kind is PolicyKind.MIN_MAKESPAN:
-        value, X = build_makespan(jobs, cluster, T, bracket=makespan_bracket)
+        value, X = build_makespan(jobs, cluster, T)
         out = PolicyResult(X, value)
     elif spec.kind is PolicyKind.FINISH_TIME_FAIRNESS:
         value, X = build_ftf(jobs, cluster, T, n_active=n_active)

@@ -23,7 +23,7 @@ from .jobs import Job, JobCombination
 from .matrices import AllocationMatrix, ThroughputMatrix, prune_combinations
 from .mechanism import (RoundLedger, compute_priorities, place, plan_round,
                         settle_round)
-from .policies import PolicyKind, PolicySpec, solve_policy
+from .policies import PolicySpec, solve_policy
 from .traces import JobTemplate, Trace, colocation_factor
 
 PREEMPTION_OVERHEAD = 5.0  # seconds to restore + checkpoint around a switch
@@ -88,6 +88,7 @@ class MetricsReport:
     utilization: float
     rounds: int
     policy_solves: int
+    unfinished_jobs: int  # still active or pending when max_rounds stopped the run
     solve_seconds: float  # wall clock; excluded from deterministic outputs
 
     @property
@@ -101,8 +102,9 @@ class MetricsReport:
 
     @property
     def avg_steady_jct(self) -> float:
-        jcts = self.steady_state_jcts()
-        return float(np.mean(jcts)) if jcts else 0.0
+        if not self.records:
+            return 0.0
+        return float(np.mean(self.steady_state_jcts()))
 
     @property
     def slo_violation_fraction(self) -> float:
@@ -122,6 +124,7 @@ class MetricsReport:
             "slo_violation_fraction": self.slo_violation_fraction,
             "rounds": self.rounds,
             "policy_solves": self.policy_solves,
+            "unfinished_jobs": self.unfinished_jobs,
         }
 
 
@@ -317,7 +320,6 @@ class Simulation:
         total_worker_rounds = 0
         solves = 0
         solve_seconds = 0.0
-        prev_makespan: float | None = None
 
         def activate(entry, job_id):
             template = self.templates[entry.template]
@@ -389,19 +391,13 @@ class Simulation:
                     j.isolated_elapsed_time = j.elapsed_time
                     snapshot.append(j)
                 t0 = time.perf_counter()
-                bracket = None
-                if cfg.policy.kind is PolicyKind.MIN_MAKESPAN and prev_makespan:
-                    bracket = (0.0, prev_makespan * 1.05)
                 result = solve_policy(cfg.policy, snapshot, cfg.cluster, T_policy,
                                       entities=self.entities or None,
-                                      n_active=len(snapshot),
-                                      makespan_bracket=bracket)
+                                      n_active=len(snapshot))
                 solve_seconds += time.perf_counter() - t0
                 solves += 1
                 if cfg.agnostic:
                     result.allocation = self._spread_agnostic(result.allocation)
-                if cfg.policy.kind is PolicyKind.MIN_MAKESPAN:
-                    prev_makespan = result.objective
                 # Allocation rows come from the policy matrix; map onto the
                 # execution matrix (identical rows unless space sharing was
                 # disabled inside the policy).
@@ -437,7 +433,6 @@ class Simulation:
                     thr = T_exec.value(r, a.config_index, m)
                     if self.cfg.estimator is not None and a.combo.is_pair:
                         # Online refinement: observe the true colocation rate.
-                        other = active[partner[0]]
                         iso = self._singleton_cell(st, T_exec.configs[a.config_index])
                         if iso and iso[0] > 0:
                             self.estimates.observe((m, partner[0]), thr / iso[0])
@@ -471,7 +466,7 @@ class Simulation:
             if cfg.collect_round_log:
                 self.round_log.append(plan.to_json(T_exec, round_idx))
 
-            settle_round(plan, ledger, cfg.round_duration, cfg.cluster, T_exec)
+            settle_round(plan, ledger, cfg.round_duration, T_exec)
             now += cfg.round_duration
             round_idx += 1
 
@@ -508,7 +503,9 @@ class Simulation:
         return MetricsReport(records=sorted(records, key=lambda r: r.job_id),
                              makespan=makespan, total_cost=cost_total,
                              utilization=utilization, rounds=round_idx,
-                             policy_solves=solves, solve_seconds=solve_seconds)
+                             policy_solves=solves,
+                             unfinished_jobs=len(active) + total_jobs - pending_idx,
+                             solve_seconds=solve_seconds)
 
 
 def run_simulation(config: SimConfig, trace: Trace, templates: list) -> MetricsReport:

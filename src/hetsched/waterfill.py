@@ -20,7 +20,8 @@ from .jobs import Entity, EntityPolicy, Job
 from .lp import LinearProgram, Relation, solve_lp
 from .matrices import AllocationMatrix, ThroughputMatrix, effective_throughput
 from .milp import MixedIntegerProgram, solve_milp
-from .policies import PolicyError, PolicyInfeasibleError, ProblemSpace
+from .policies import (PolicyError, PolicyInfeasibleError, ProblemSpace,
+                       max_min_lp)
 
 # Strictness slack for "can improve" as a fraction of each job's largest
 # throughput (LPs cannot express strict inequalities).  The constraint
@@ -86,31 +87,24 @@ def _scaled_coeff(space: ProblemSpace, job: Job) -> np.ndarray:
 
 
 def _level_lp(space: ProblemSpace, weights: dict, t_prev: dict,
-              thr_prev: dict) -> tuple:
-    """Max-min LP of one water-filling iteration: raise every weighted job's
-    scaled normalized throughput above its previous level, without letting
-    any job's raw throughput drop."""
-    n = space.n_cells + 1
-    lam = space.n_cells
-    obj = np.zeros(n)
-    obj[lam] = 1.0
-    lower, upper = space.cell_bounds(extra=1)
-    lower[lam] = -np.inf
-    lp = LinearProgram(n, obj, maximize=True, lower=lower, upper=upper)
+              thr_prev: dict) -> float:
+    """Water level of one iteration: the max-min LP raising every weighted
+    job's scaled normalized throughput above its previous level, plus carry
+    rows that keep any job's raw throughput from dropping."""
+    weighted = [j for j in space.jobs if weights[j.id] > 0]
+    lp = max_min_lp(
+        space,
+        {j.id: j.scale_factor / (weights[j.id] * space.equal_norm[j.id])
+         for j in weighted},
+        {j.id: t_prev[j.id] / weights[j.id] for j in weighted})
     for j in space.jobs:
-        w = weights[j.id]
-        if w > 0:
-            row = space.pad(_scaled_coeff(space, j) / w, extra=1)
-            row[lam] = -1.0
-            lp.add_constraint(row, Relation.GE, t_prev[j.id] / w)
         if thr_prev[j.id] > 0:
             lp.add_constraint(space.pad(space.coeffs[j.id], extra=1),
                               Relation.GE, thr_prev[j.id])
-    space.add_validity(lp, extra=1)
     res = solve_lp(lp)
     if not res.optimal:
         raise PolicyInfeasibleError(f"water-filling LP returned {res.status}")
-    return res.objective_value, res.x
+    return res.objective_value
 
 
 def _tighten_lp(space: ProblemSpace, weights: dict, t_prev: dict,
@@ -225,7 +219,7 @@ def hierarchical_waterfill(entities, jobs, cluster: ClusterSpec,
         weights = assign_job_weights(entities, jobs, done)
         if all(w <= 0 for w in weights.values()):
             break
-        level, x = _level_lp(space, weights, t_prev, thr_prev)
+        level = _level_lp(space, weights, t_prev, thr_prev)
         X = _tighten_lp(space, weights, t_prev, thr_prev, level)
         thr = space.throughputs(X)
         normalized = {j.id: thr[j.id] / space.equal_norm[j.id] for j in jobs}

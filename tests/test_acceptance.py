@@ -224,7 +224,7 @@ def test_criterion_5_mechanism_fidelity():
         for _ in range(rounds):
             pr = compute_priorities(X, ledger)
             plan = plan_round(pr, jobs, cluster, ledger, T)
-            settle_round(plan, ledger, 360.0, cluster, T)
+            settle_round(plan, ledger, 360.0, T)
         F = np.zeros((3, 3))
         for r, combo in enumerate(T.rows):
             for c, cfg in enumerate(T.configs):

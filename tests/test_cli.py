@@ -92,7 +92,7 @@ class TestSolve:
                                    "--throughputs", str(thr), "--jobs", str(jobs)])
         assert res.exit_code == 0, res.output
         doc = json.loads((tmp_path / "allocation.json").read_text())
-        assert doc["objective"] == pytest.approx(100.0, abs=0.2)
+        assert doc["objective"] == pytest.approx(100.0, rel=1e-9)
 
     def test_impossible_slo_exit_code(self, runner, tmp_path):
         cluster = make_cluster({"gpu": 1}, costs={"gpu": 1.0})
@@ -117,11 +117,14 @@ class TestSolve:
 
     def test_dump_lp_flag(self, runner, tmp_path):
         thr, jobs = write_three_job_instance(tmp_path)
-        res = runner.invoke(main, ["--out", str(tmp_path), "--dump-lp", "solve",
-                                   "--policy", "las", "--throughputs", str(thr),
-                                   "--jobs", str(jobs)])
-        assert res.exit_code == 0
-        assert "maximize" in res.output
+        for policy, label in (("las", "# max-min fairness"),
+                              ("makespan", "# min makespan")):
+            res = runner.invoke(main, ["--out", str(tmp_path), "--dump-lp",
+                                       "solve", "--policy", policy,
+                                       "--throughputs", str(thr),
+                                       "--jobs", str(jobs)])
+            assert res.exit_code == 0, res.output
+            assert label in res.output and "maximize" in res.output, policy
 
     def test_dump_lp_scoped_to_its_invocation(self, runner, tmp_path):
         thr, jobs = write_three_job_instance(tmp_path)
@@ -153,8 +156,36 @@ class TestSolve:
         assert res.exit_code == 2
         assert "'id'" in res.output and "Traceback" not in res.output
 
+    @pytest.mark.parametrize("jobs_doc", [
+        [{"id": "zero"}],
+        [{"id": None}],
+        {"jobs": [{"id": 0, "entity_id": 0}],
+         "entities": [{"id": 0, "policy": "lottery"}]},
+    ], ids=["non-numeric", "null", "unknown-entity-policy"])
+    def test_bad_value_exit_code(self, runner, tmp_path, jobs_doc):
+        thr, _ = write_three_job_instance(tmp_path)
+        jobs = tmp_path / "jobs.json"
+        jobs.write_text(json.dumps(jobs_doc))
+        res = runner.invoke(main, ["--out", str(tmp_path), "solve",
+                                   "--policy", "hier:fair",
+                                   "--throughputs", str(thr),
+                                   "--jobs", str(jobs)])
+        assert res.exit_code == 2, res.output
+        assert "error:" in res.output and "Traceback" not in res.output
+
 
 class TestSimulate:
+    @pytest.mark.parametrize("content", [None, "not json\n", "{}\n"],
+                             ids=["missing", "malformed", "no-header"])
+    def test_bad_trace_exit_code(self, runner, tmp_path, content):
+        trace = tmp_path / "trace.jsonl"
+        if content is not None:
+            trace.write_text(content)
+        res = runner.invoke(main, ["--out", str(tmp_path), "simulate",
+                                   "--policy", "las", "--trace", str(trace)])
+        assert res.exit_code == 4, res.output
+        assert "trace.jsonl" in res.output
+
     def test_summary_has_mean_and_stddev(self, runner, tmp_path):
         res = runner.invoke(main, ["--out", str(tmp_path), "simulate",
                                    "--policy", "las", "--jobs", "8",

@@ -26,7 +26,7 @@ def empirical_fractions(X, jobs, cluster, T, rounds, work_conserving=True):
         pr = compute_priorities(X, ledger)
         plan = plan_round(pr, jobs, cluster, ledger, T,
                           work_conserving=work_conserving)
-        settle_round(plan, ledger, 360.0, cluster, T)
+        settle_round(plan, ledger, 360.0, T)
     F = np.zeros_like(X.values)
     for r, combo in enumerate(T.rows):
         for c, cfg in enumerate(T.configs):
@@ -59,9 +59,9 @@ class TestPriorities:
         ledger.add(T.rows[1], (0, "sole"), 360.0)
         pr = compute_priorities(X, ledger)
         # f = 0.5 each for rows 0/1: priorities X/f.
-        assert pr.values[0, 0] == pytest.approx(1.2)
-        assert pr.values[1, 0] == pytest.approx(0.8)
-        assert pr.values[2, 0] == 0.0  # X == 0
+        assert pr[0, 0] == pytest.approx(1.2)
+        assert pr[1, 0] == pytest.approx(0.8)
+        assert pr[2, 0] == 0.0  # X == 0
 
     def test_never_ran_is_infinite(self):
         cluster = make_cluster({"gpu": 1})
@@ -70,15 +70,15 @@ class TestPriorities:
         ledger = RoundLedger(360.0)
         ledger.add(T.rows[0], (0, "sole"), 720.0)
         pr = compute_priorities(X, ledger)
-        assert pr.values[1, 0] == math.inf
-        assert pr.values[0, 0] == pytest.approx(0.4)  # f = 1.0
+        assert pr[1, 0] == math.inf
+        assert pr[0, 0] == pytest.approx(0.4)  # f = 1.0
 
     def test_fresh_ledger_all_infinite(self):
         cluster = make_cluster({"gpu": 1})
         T = singles(cluster, [[1.0]])
         X = AllocationMatrix(T, np.array([[0.5]]))
         pr = compute_priorities(X, RoundLedger(360.0))
-        assert pr.values[0, 0] == math.inf
+        assert pr[0, 0] == math.inf
 
 
 class TestPlanRound:
@@ -120,7 +120,7 @@ class TestPlanRound:
             pr = compute_priorities(X, ledger)
             plan = plan_round(pr, jobs, cluster, ledger, T)
             scheduled.append(sorted(plan.jobs_scheduled()))
-            settle_round(plan, ledger, 360.0, cluster, T)
+            settle_round(plan, ledger, 360.0, T)
         # The 8-worker job and the 4-worker job must alternate: neither can
         # run alongside the other, and skipped rounds raise priority.
         assert [0] in scheduled and [1] in scheduled
@@ -150,7 +150,7 @@ class TestPlanRound:
                               work_conserving=False)
             # Demand saturates capacity here, so no worker should idle.
             assert all(v == 0 for v in plan.idle_workers.values())
-            settle_round(plan, ledger, 360.0, cluster, T)
+            settle_round(plan, ledger, 360.0, T)
 
 
 class TestConvergence:
@@ -204,7 +204,7 @@ class TestConvergence:
                 for m in plan.jobs_scheduled():
                     max_gap[m] = max(max_gap[m], rnd - last_run[m])
                     last_run[m] = rnd
-                settle_round(plan, ledger, 360.0, cluster, T)
+                settle_round(plan, ledger, 360.0, T)
             for i in jobs:
                 bound = math.ceil(1.0 / X.values[i].max()) * 4
                 assert max_gap[i] <= bound
@@ -264,9 +264,9 @@ class TestSettle:
         jobs = {0: Job(id=0, num_steps=10)}
         ledger = RoundLedger(360.0)
         plan = plan_round(compute_priorities(X, ledger), jobs, cluster, ledger, T)
-        settle_round(plan, ledger, 360.0, cluster, T)
+        settle_round(plan, ledger, 360.0, T)
         assert ledger.seconds(T.rows[0], (0, "sole")) == 360.0
-        settle_round(plan, ledger, 360.0, cluster, T)
+        settle_round(plan, ledger, 360.0, T)
         assert ledger.seconds(T.rows[0], (0, "sole")) == 720.0
         assert ledger.rounds_total == 2
 
@@ -275,7 +275,7 @@ class TestSettle:
         T = singles(cluster, [[1.0]])
         ledger = RoundLedger(360.0)
         from hetsched.mechanism import RoundPlan
-        settle_round(RoundPlan([], {0: 1}), ledger, 360.0, cluster, T)
+        settle_round(RoundPlan([], {0: 1}), ledger, 360.0, T)
         assert ledger.time == {}
         assert ledger.rounds_total == 1
 

@@ -130,14 +130,14 @@ class TestMakespan:
         cluster = make_cluster({"gpu": 1})
         T = singles(cluster, [[1.0]])
         M, X = build_makespan([Job(id=0, num_steps=100)], cluster, T)
-        assert M == pytest.approx(100.0, abs=0.1)
+        assert M == pytest.approx(100.0, rel=1e-9)
 
     def test_two_identical_jobs_serialize(self):
         cluster = make_cluster({"gpu": 1})
         T = singles(cluster, [[1.0], [1.0]])
         jobs = [Job(id=i, num_steps=100) for i in range(2)]
         M, X = build_makespan(jobs, cluster, T)
-        assert M == pytest.approx(200.0, abs=0.2)
+        assert M == pytest.approx(200.0, rel=1e-9)
 
     def test_matches_grid_oracle(self):
         inst = OracleInstance(T=np.array([[2.0, 1.0], [1.0, 1.0]]),
@@ -148,6 +148,8 @@ class TestMakespan:
         T = singles(cluster, inst.T.tolist())
         jobs = [Job(id=i, num_steps=int(inst.steps[i])) for i in range(2)]
         M, _ = build_makespan(jobs, cluster, T)
+        # Job 0 alone on A and job 1 alone on B both finish at exactly 100.
+        assert M == pytest.approx(100.0, rel=1e-9)
         assert M == pytest.approx(oracle_makespan(inst), rel=0.01)
 
     def test_remaining_steps_used(self):
@@ -155,7 +157,7 @@ class TestMakespan:
         T = singles(cluster, [[1.0]])
         job = Job(id=0, num_steps=100, steps_done=50.0)
         M, _ = build_makespan([job], cluster, T)
-        assert M == pytest.approx(50.0, abs=0.1)
+        assert M == pytest.approx(50.0, rel=1e-9)
 
 
 class TestFtf:
@@ -259,7 +261,10 @@ class TestDispatchAndParsing:
         assert spec.space_sharing and spec.water_filling
         spec = parse_policy("hier:fair/fifo")
         assert spec.kind is PolicyKind.HIERARCHICAL
-        assert spec.entity_policies == ("fair", "fifo")
+        assert parse_policy("wlas") == parse_policy("las")
+        for bad in ("hier:fair/bogus", "las:fair", "las+pa"):
+            with pytest.raises(ValueError):
+                parse_policy(bad)
         assert parse_policy("cost_slo").kind is PolicyKind.MIN_COST_SLO
         with pytest.raises(ValueError):
             parse_policy("nonsense")

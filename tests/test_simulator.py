@@ -63,6 +63,20 @@ class TestSingleJob:
         assert rep.records[0].jct == pytest.approx(3600.0, abs=360.0 + 5.0)
         assert rep.makespan == rep.records[0].completion
 
+    def test_round_limit_reports_unfinished_jobs(self):
+        # Two long jobs run and a third has not arrived when the round limit
+        # stops the run: all three are reported, none is silently dropped.
+        cluster = make_cluster({"gpu": 1})
+        trace = Trace([TraceEntry(0.0, "flat", 10 ** 6),
+                       TraceEntry(0.0, "flat", 10 ** 6),
+                       TraceEntry(10 ** 5, "flat", 10)], "continuous", 0)
+        cfg = SimConfig(cluster=cluster, policy=parse_policy("las"), seed=0,
+                        max_rounds=3)
+        rep = run_simulation(cfg, trace, [flat_template()])
+        assert rep.rounds == 3 and rep.records == []
+        assert rep.unfinished_jobs == 3
+        assert rep.summary()["unfinished_jobs"] == 3
+
     def test_deterministic_reports(self):
         catalog = make_template_catalog(0)
         cluster = make_cluster({"V100": 2, "P100": 2, "K80": 2})
