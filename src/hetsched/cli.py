@@ -1,7 +1,8 @@
 """Command-line front end: trace generation, one-shot policy solves,
 simulation sweeps, and throughput estimation.
 
-Exit codes: 0 success, 2 usage error, 3 infeasible model, 4 I/O error.
+Exit codes: 0 success, 2 usage error, 3 infeasible model or solver
+failure, 4 I/O error.
 All emitted files are listed (with content hashes) in a run manifest;
 metrics files contain only simulated quantities so identical seeds produce
 byte-identical output.
@@ -23,6 +24,7 @@ from . import __version__
 from .cluster import ClusterSpec, make_cluster
 from .estimator import CompletionError, ReferenceSet, fingerprint_and_match
 from .jobs import Entity, EntityPolicy, Job
+from .lp import IterationLimitError
 from .matrices import ThroughputMatrix, effective_throughput
 from . import policies
 from .mechanism import write_round_log
@@ -107,7 +109,13 @@ def _load_cluster(cluster_file, preset_counts=None) -> ClusterSpec:
         return make_cluster(preset_counts or DEFAULT_CLUSTER,
                             costs=DEFAULT_COSTS,
                             workers_per_server=DEFAULT_SERVERS)
-    return ClusterSpec.from_json(_read(cluster_file))
+    doc = _read(cluster_file)
+    try:
+        return ClusterSpec.from_json(doc)
+    except KeyError as e:
+        _fail(EXIT_USAGE, f"{cluster_file}: missing key {e} in the cluster spec")
+    except (TypeError, ValueError) as e:
+        _fail(EXIT_USAGE, f"{cluster_file}: bad value in the cluster spec: {e}")
 
 
 @click.group()
@@ -236,6 +244,8 @@ def cmd_solve(ctx, policy_text, thr_file, jobs_file):
         _fail(EXIT_INFEASIBLE, f"infeasible SLOs for jobs: {e.job_ids}")
     except (PolicyInfeasibleError, PolicyError) as e:
         _fail(EXIT_INFEASIBLE, f"infeasible: {e}")
+    except IterationLimitError as e:
+        _fail(EXIT_INFEASIBLE, f"solver failed: {e}")
     solve_s = time.perf_counter() - t0
 
     X = result.allocation
@@ -341,9 +351,15 @@ def cmd_simulate(ctx, policy_text, trace_file, num_jobs, lambdas, mode, seeds,
                                 recompute_every=recompute_every,
                                 agnostic=agnostic, estimator=estimator,
                                 seed=seed, collect_round_log=round_log)
-                sim = Simulation(cfg, trace, templates)
+                try:
+                    sim = Simulation(cfg, trace, templates)
+                except ValueError as e:
+                    _fail(EXIT_USAGE, e)
                 t0 = time.perf_counter()
-                report = sim.run()
+                try:
+                    report = sim.run()
+                except (PolicyError, IterationLimitError) as e:
+                    _fail(EXIT_INFEASIBLE, f"seed {seed}: solve failed: {e}")
                 wall = time.perf_counter() - t0
                 tag = f"{label}_seed{seed}" + (f"_lam{lam:g}" if lam else "")
                 csv_path = out_dir / f"metrics_{tag}.csv"
@@ -362,6 +378,11 @@ def cmd_simulate(ctx, policy_text, trace_file, num_jobs, lambdas, mode, seeds,
                     manifest.add_output(log_path)
                 per_seed.append(report)
             jcts = [r.avg_steady_jct for r in per_seed]
+            unfinished = sum(r.unfinished_jobs for r in per_seed)
+            if unfinished:
+                click.echo(f"warning: {unfinished} job(s) unfinished when the "
+                           f"round limit stopped the {label} run"
+                           + (f" at lambda {lam:g}" if lam else ""), err=True)
             summary_rows.append({
                 "variant": label,
                 "lambda": lam if lam is not None else "",
@@ -374,6 +395,7 @@ def cmd_simulate(ctx, policy_text, trace_file, num_jobs, lambdas, mode, seeds,
                 "mean_utilization": float(np.mean([r.utilization for r in per_seed])),
                 "slo_violation_fraction": float(np.mean(
                     [r.slo_violation_fraction for r in per_seed])),
+                "unfinished_jobs": unfinished,
             })
     summary_path = out_dir / "summary.json"
     _dump_json(summary_path, {"rows": summary_rows,

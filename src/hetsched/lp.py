@@ -3,7 +3,10 @@
 Solves  max/min c'x  subject to  A_i x (<=|>=|=) b_i  and  lo <= x <= hi.
 The solver is deterministic for a fixed input: Dantzig pricing with
 lowest-index tie-breaking, falling back to Bland's rule after a run of
-degenerate pivots so cycling is impossible.
+degenerate pivots so cycling is impossible.  Pivots and solutions are
+bit-identical to the reference kernel kept in the test suite
+(``tests/oracles.py``): only the bookkeeping around the floating-point
+operations that decide a pivot differs from it.
 """
 
 from __future__ import annotations
@@ -15,9 +18,27 @@ import numpy as np
 
 FEAS_TOL = 1e-7
 OPT_TOL = 1e-7
+# Phase 1 prices to a much tighter tolerance than phase 2: its objective
+# value IS the feasibility verdict, so a pricing tolerance comparable to the
+# infeasibility threshold would let near-threshold systems through (or
+# reject feasible ones).
+PHASE1_OPT_TOL = 1e-10
+# Starting basic values below this are roundoff and start at zero; ratio-test
+# ties and degenerate steps are judged at the same width.
+ROUNDOFF_TOL = 1e-12
+# Entries of a returned solution below this are reported as zero.
+ZERO_TOL = 1e-11
+# Smallest pivot that may drive a leftover artificial out of the basis.
+PIVOT_TOL = 1e-9
+# Bounds closer than this fix the variable.
+FIXED_TOL = 1e-15
 # Consecutive degenerate pivots tolerated before switching to Bland's rule.
 DEGENERATE_LIMIT = 40
 REFACTOR_EVERY = 100
+# Pivot budget per simplex phase: MAX_ITER_BASE + MAX_ITER_PER_DIM * (rows
+# + columns) of the standardized problem.
+MAX_ITER_BASE = 5000
+MAX_ITER_PER_DIM = 40
 
 
 class Relation(str, enum.Enum):
@@ -34,6 +55,10 @@ class Status(enum.Enum):
 
 class DimensionError(ValueError):
     """A constraint or bound vector does not match the variable count."""
+
+
+class IterationLimitError(RuntimeError):
+    """A simplex phase used up its pivot budget without reaching a verdict."""
 
 
 @dataclass
@@ -116,6 +141,27 @@ def solve_lp(lp: LinearProgram) -> SolveResult:
     return SolveResult(Status.OPTIMAL, x, value)
 
 
+def _row_dots(rows, coeffs: np.ndarray, cols: np.ndarray,
+              v: np.ndarray) -> np.ndarray:
+    """coeffs[:, cols] @ v, entry i bit-identical to the 1-D dot
+    ``rows[i][cols] @ v`` (coeffs stacks the rows).
+
+    A row with at most one nonzero product sums exactly in any order, so
+    only rows with several go through the 1-D dot, whose summation order
+    and fused multiply-adds are BLAS's own.
+    """
+    out = np.zeros(len(coeffs))
+    nz = v.nonzero()[0]
+    if nz.size:
+        prod = coeffs[:, cols[nz]] * v[nz]
+        terms = np.count_nonzero(prod, axis=1)
+        one = terms == 1
+        out[one] = prod[one].sum(axis=1)
+        for i in (terms > 1).nonzero()[0]:
+            out[i] = rows[i][cols] @ v
+    return out
+
+
 class _Standardized:
     """Conversion of a LinearProgram to  min c'u, A u = b, u >= 0.
 
@@ -127,10 +173,9 @@ class _Standardized:
     def __init__(self, lp: LinearProgram):
         self.lp = lp
         n = lp.num_vars
-        self.fixed = np.isclose(lp.lower, lp.upper, rtol=0.0, atol=0.0) | (
-            np.abs(lp.upper - lp.lower) < 1e-15)
+        self.fixed = (lp.lower == lp.upper) | (np.abs(lp.upper - lp.lower) < FIXED_TOL)
         self.fixed_vals = np.where(self.fixed, lp.lower, 0.0)
-        self.keep = np.flatnonzero(~self.fixed)
+        self.keep = (~self.fixed).nonzero()[0]
 
         lower = lp.lower[self.keep]
         upper = lp.upper[self.keep]
@@ -139,46 +184,43 @@ class _Standardized:
         # Column layout of the standardized variables: one column per kept
         # variable (shifted by its finite lower bound), plus a mirror column
         # for each free variable's negative part.
-        self.shift = np.where(np.isfinite(lower), lower, 0.0)
-        self.free = ~np.isfinite(lower)
+        finite = np.isfinite(lower)
+        self.shift = np.where(finite, lower, 0.0)
         self.n_main = nk
-        self.neg_cols = np.flatnonzero(self.free)
+        self.neg_cols = (~finite).nonzero()[0]
 
-        rows = []
-        rhs = []
-        rels = []
-        for coeffs, rel, b in lp.constraints:
-            ck = coeffs[self.keep]
-            rows.append(ck)
-            rhs.append(b - float(coeffs[self.fixed] @ self.fixed_vals[self.fixed])
-                       - float(ck @ self.shift))
-            rels.append(rel)
+        if lp.constraints:
+            rows, rels, rhs = zip(*lp.constraints)
+            coeffs = np.array(rows)
+            rhs = np.array(rhs)
+        else:
+            rows, rels, coeffs, rhs = (), (), np.empty((0, n)), np.empty(0)
+        fixed_cols = self.fixed.nonzero()[0]
+        rhs = (rhs - _row_dots(rows, coeffs, fixed_cols, self.fixed_vals[fixed_cols])
+               - _row_dots(rows, coeffs, self.keep, self.shift))
         # Upper-bound rows (after the shift, u <= hi - lo).
         ub = upper - self.shift
-        for idx in np.flatnonzero(np.isfinite(ub)):
-            row = np.zeros(nk)
-            row[idx] = 1.0
-            rows.append(row)
-            rhs.append(float(ub[idx]))
-            rels.append(Relation.LE)
+        ub_cols = np.isfinite(ub).nonzero()[0]
 
-        m = len(rows)
-        ncols = nk + len(self.neg_cols)
-        A = np.zeros((m, ncols))
-        for i, row in enumerate(rows):
-            A[i, :nk] = row
-            A[i, nk:] = -row[self.neg_cols]
-        b = np.asarray(rhs, dtype=float)
+        m0 = len(rels)
+        m = m0 + len(ub_cols)
+        A = np.zeros((m, nk + len(self.neg_cols)))
+        A[:m0, :nk] = coeffs[:, self.keep]
+        A[np.arange(m0, m), ub_cols] = 1.0
+        A[:, nk:] = -A[:, self.neg_cols]
 
         c_full = lp.objective[self.keep].astype(float)
         if lp.maximize:
             c_full = -c_full
-        c = np.zeros(ncols)
+        c = np.zeros(A.shape[1])
         c[:nk] = c_full
         c[nk:] = -c_full[self.neg_cols]
 
-        self.A, self.b, self.c = A, b, c
-        self.rels = rels
+        self.A, self.b, self.c = A, np.concatenate([rhs, ub[ub_cols]]), c
+        self.le = np.ones(m, dtype=bool)
+        self.le[:m0] = [rel is Relation.LE for rel in rels]
+        self.ge = np.zeros(m, dtype=bool)
+        self.ge[:m0] = [rel is Relation.GE for rel in rels]
 
     def recover(self, u: np.ndarray) -> np.ndarray:
         x = self.fixed_vals.copy()
@@ -189,7 +231,7 @@ class _Standardized:
         return np.clip(x, self.lp.lower, self.lp.upper)
 
     def solve(self):
-        A, b, rels = self.A, self.b, list(self.rels)
+        A, b = self.A, self.b
         m, n = A.shape
         if m == 0:
             # No constraints: optimum at the (shifted) origin unless some
@@ -198,48 +240,35 @@ class _Standardized:
                 return Status.UNBOUNDED, None
             return Status.OPTIMAL, np.zeros(n)
 
-        A = A.copy()
-        b = b.copy()
+        # Rows with a negative right-hand side are negated, which swaps LE
+        # and GE.
         neg = b < 0
-        A[neg] *= -1.0
-        b[neg] = -b[neg]
-        flip = {Relation.LE: Relation.GE, Relation.GE: Relation.LE, Relation.EQ: Relation.EQ}
-        rels = [flip[r] if neg[i] else r for i, r in enumerate(rels)]
+        b = np.where(neg, -b, b)
+        le = np.where(neg, self.ge, self.le)
+        ge = np.where(neg, self.le, self.ge)
 
-        # Slack / surplus columns, then artificials where no basic slack exists.
-        slack_cols = []
-        art_rows = []
-        for i, rel in enumerate(rels):
-            if rel is Relation.LE:
-                slack_cols.append((i, 1.0, True))
-            elif rel is Relation.GE:
-                slack_cols.append((i, -1.0, False))
-                art_rows.append(i)
-            else:
-                art_rows.append(i)
-
-        n_slack = len(slack_cols)
-        n_art = len(art_rows)
-        total = n + n_slack + n_art
+        # Slack / surplus columns, then artificials where no basic slack
+        # exists.  The starting basis (the LE slacks and the artificials) is
+        # the identity.
+        slack_rows = (le | ge).nonzero()[0]
+        art_rows = (~le).nonzero()[0]
+        art_start = n + len(slack_rows)
+        total = art_start + len(art_rows)
+        slack_cols = np.arange(n, art_start)
+        art_cols = np.arange(art_start, total)
         T = np.zeros((m, total))
         T[:, :n] = A
-        basis = [-1] * m
-        for k, (i, sign, basic) in enumerate(slack_cols):
-            T[i, n + k] = sign
-            if basic:
-                basis[i] = n + k
-        for k, i in enumerate(art_rows):
-            T[i, n + n_slack + k] = 1.0
-            basis[i] = n + n_slack + k
+        T[neg, :n] *= -1.0
+        T[slack_rows, slack_cols] = np.where(le[slack_rows], 1.0, -1.0)
+        T[art_rows, art_cols] = 1.0
+        basis = np.empty(m, dtype=np.intp)
+        basis[slack_rows] = slack_cols
+        basis[art_rows] = art_cols
 
-        art_start = n + n_slack
         c1 = np.zeros(total)
         c1[art_start:] = 1.0
-        # Phase 1 runs to much tighter optimality than phase 2: its objective
-        # value IS the feasibility verdict, so a pricing tolerance comparable
-        # to the infeasibility threshold would let near-threshold systems
-        # through (or reject feasible ones).
-        status, x_all, basis = _simplex(T, b, c1, basis, opt_tol=1e-10)
+        status, x_all, basis = _simplex(T, b, c1, basis, PHASE1_OPT_TOL,
+                                        Binv=np.eye(m))
         if status is not Status.OPTIMAL:
             return Status.INFEASIBLE, None
         # Absolute residual threshold: scaling it by the rhs magnitude would
@@ -251,20 +280,23 @@ class _Standardized:
 
         # Drive leftover artificials out of the basis; drop dependent rows.
         keep_rows = np.ones(m, dtype=bool)
-        for i in range(m):
-            if basis[i] >= art_start:
-                Binv_row = _basis_inverse(T, basis)[i]
-                coeffs = Binv_row @ T[:, :art_start]
-                j = next((jj for jj in range(art_start) if abs(coeffs[jj]) > 1e-9
-                          and jj not in basis), None)
-                if j is None:
-                    keep_rows[i] = False
-                else:
-                    basis[i] = j
-        if not np.all(keep_rows):
+        Binv = None
+        for i in (basis >= art_start).nonzero()[0]:
+            if Binv is None:  # the basis changed since the last inverse
+                Binv = _basis_inverse(T, basis)
+            coeffs = Binv[i] @ T[:, :art_start]
+            entering = np.abs(coeffs) > PIVOT_TOL
+            entering[basis[basis < art_start]] = False
+            j = entering.nonzero()[0]
+            if j.size:
+                basis[i] = j[0]
+                Binv = None
+            else:
+                keep_rows[i] = False
+        if not keep_rows.all():
             T = T[keep_rows]
             b = b[keep_rows]
-            basis = [bv for bv, k in zip(basis, keep_rows) if k]
+            basis = basis[keep_rows]
 
         T2 = T[:, :art_start]
         c2 = np.zeros(art_start)
@@ -279,23 +311,32 @@ def _basis_inverse(A: np.ndarray, basis) -> np.ndarray:
     return np.linalg.inv(A[:, basis])
 
 
-def _simplex(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list,
-             opt_tol: float = OPT_TOL):
+def _simplex(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: np.ndarray,
+             opt_tol: float = OPT_TOL, Binv: np.ndarray | None = None):
     """Revised simplex (min c'x, Ax=b, x>=0) from a starting basis.
 
-    Returns (status, x, basis).  The basis inverse is maintained with
-    rank-one pivot updates and refactorized periodically.
+    `Binv`, when given, is the exact inverse of the starting basis.  Returns
+    (status, x, basis).  The basis inverse is maintained with rank-one pivot
+    updates and refactorized periodically.
     """
     m, n = A.shape
-    basis = list(basis)
-    Binv = _basis_inverse(A, basis)
-    xb = Binv @ b
+    basis = basis.copy()
+    if Binv is None:
+        Binv = _basis_inverse(A, basis)
+        xb = Binv @ b
+    else:
+        xb = b.copy()
     # Roundoff guard: phase-1 starting bases are exactly feasible.
-    xb[np.abs(xb) < 1e-12] = 0.0
+    xb[np.abs(xb) < ROUNDOFF_TOL] = 0.0
 
     bland = False
     degenerate_run = 0
-    max_iter = 5000 + 40 * (m + n)
+    max_iter = MAX_ITER_BASE + MAX_ITER_PER_DIM * (m + n)
+    # Buffers reused by every pivot.
+    pos = np.empty(m, dtype=bool)
+    ratios = np.empty(m)
+    step_d = np.empty(m)
+    update = np.empty((m, m))
 
     for it in range(max_iter):
         if it > 0 and it % REFACTOR_EVERY == 0:
@@ -307,29 +348,31 @@ def _simplex(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list,
         reduced[basis] = 0.0
 
         if bland:
-            candidates = np.flatnonzero(reduced < -opt_tol)
-            if candidates.size == 0:
+            improving = reduced < -opt_tol
+            enter = improving.argmax()
+            if not improving[enter]:
                 break
-            enter = int(candidates[0])
         else:
-            enter = int(np.argmin(reduced))
+            enter = reduced.argmin()
             if reduced[enter] >= -opt_tol:
                 break
 
         d = Binv @ A[:, enter]
-        pos = d > FEAS_TOL
-        if not np.any(pos):
-            return Status.UNBOUNDED, None, basis
-        ratios = np.full(m, np.inf)
-        ratios[pos] = xb[pos] / d[pos]
+        np.greater(d, FEAS_TOL, out=pos)
+        ratios.fill(np.inf)
+        np.divide(xb, d, out=ratios, where=pos)
         min_ratio = ratios.min()
-        tied = np.flatnonzero(ratios <= min_ratio + 1e-12)
+        # Unbounded when no entry of d is positive; only an all-inf ratio
+        # vector can mean that, so the test runs only then.
+        if min_ratio == np.inf and not pos.any():
+            return Status.UNBOUNDED, None, basis
+        tied = (ratios <= min_ratio + ROUNDOFF_TOL).nonzero()[0]
         # Leaving rule: among minimum-ratio rows pick the smallest basis index
         # (Bland-compatible, deterministic).
-        leave = int(min(tied, key=lambda i: basis[i]))
+        leave = tied[0] if len(tied) == 1 else tied[basis[tied].argmin()]
 
         step = ratios[leave]
-        if step <= 1e-12:
+        if step <= ROUNDOFF_TOL:
             degenerate_run += 1
             if degenerate_run > DEGENERATE_LIMIT:
                 bland = True
@@ -337,18 +380,18 @@ def _simplex(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list,
             degenerate_run = 0
 
         # Pivot: update basis, xb, and Binv in place (rank-one update).
-        piv = d[leave]
-        xb = xb - step * d
+        xb -= np.multiply(d, step, out=step_d)
         xb[leave] = step
-        Binv[leave] /= piv
-        d_rest = d.copy()
-        d_rest[leave] = 0.0
-        Binv -= np.outer(d_rest, Binv[leave])
+        pivot_row = Binv[leave]
+        pivot_row /= d[leave]
+        d[leave] = 0.0
+        Binv -= np.multiply(d[:, None], pivot_row, out=update)
         basis[leave] = enter
     else:
-        raise RuntimeError("simplex iteration limit exceeded")
+        raise IterationLimitError(
+            f"simplex iteration limit exceeded ({max_iter} pivots)")
 
     x = np.zeros(n)
     x[basis] = xb
-    x[np.abs(x) < 1e-11] = 0.0
+    x[np.abs(x) < ZERO_TOL] = 0.0
     return Status.OPTIMAL, x, basis

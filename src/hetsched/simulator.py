@@ -156,6 +156,9 @@ class Simulation:
         self.cfg = config
         self.trace = trace
         self.templates = {t.name: t for t in templates}
+        unknown = sorted({e.template for e in trace.entries} - self.templates.keys())
+        if unknown:
+            raise ValueError(f"trace names unknown templates: {', '.join(unknown)}")
         self.tier_of_type = {t.id: min(t.id, 2) for t in config.cluster.types}
         self.entities = list(trace.entities)
         self.rng = np.random.default_rng(config.seed)

@@ -9,6 +9,11 @@ scale factor 1 and one worker per type so the grid is the whole story.
 
 The ratio (cost) objective is handled by exact vertex enumeration instead:
 a linear-fractional optimum lies at a vertex of the allocation polytope.
+
+The module also keeps the first, plainer versions of two library kernels
+as references that the optimized ones must match: row-at-a-time ALS
+(`reference_complete_matrix`) and the two-phase simplex
+(`reference_solve_lp`).
 """
 
 from __future__ import annotations
@@ -18,6 +23,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from hetsched.lp import (DEGENERATE_LIMIT, FEAS_TOL, OPT_TOL, REFACTOR_EVERY,
+                         LinearProgram, Relation, SolveResult, Status)
 
 GRID = 0.01
 REFINE = 0.001
@@ -414,3 +422,258 @@ def reference_complete_matrix(partial, mask, rank=3, reg=1e-2, iters=50,
     completed = completed.copy()
     completed[mask] = partial[mask]
     return completed, history
+
+
+# -- reference LP kernel -----------------------------------------------------
+# The two-phase revised simplex as hetsched.lp first wrote it: one Python
+# pass per constraint row to standardize, a fresh basis inverse for phase 1,
+# and per-pivot temporaries.  hetsched.lp must pivot exactly like it and
+# return bit-identical solutions.
+
+def reference_solve_lp(lp: LinearProgram) -> SolveResult:
+    """Solve the LP; returns an optimal basic feasible solution when one exists."""
+    prob = _Standardized(lp)
+    status, x_std = prob.solve()
+    if status is not Status.OPTIMAL:
+        return SolveResult(status)
+    x = prob.recover(x_std)
+    value = float(lp.objective @ x)
+    return SolveResult(Status.OPTIMAL, x, value)
+
+
+class _Standardized:
+    """Conversion of a LinearProgram to  min c'u, A u = b, u >= 0.
+
+    Fixed variables (lo == hi) are eliminated up front.  Finite lower bounds
+    are shifted out; free variables are split into positive/negative parts;
+    finite upper bounds become extra rows.
+    """
+
+    def __init__(self, lp: LinearProgram):
+        self.lp = lp
+        n = lp.num_vars
+        self.fixed = np.isclose(lp.lower, lp.upper, rtol=0.0, atol=0.0) | (
+            np.abs(lp.upper - lp.lower) < 1e-15)
+        self.fixed_vals = np.where(self.fixed, lp.lower, 0.0)
+        self.keep = np.flatnonzero(~self.fixed)
+
+        lower = lp.lower[self.keep]
+        upper = lp.upper[self.keep]
+        nk = len(self.keep)
+
+        # Column layout of the standardized variables: one column per kept
+        # variable (shifted by its finite lower bound), plus a mirror column
+        # for each free variable's negative part.
+        self.shift = np.where(np.isfinite(lower), lower, 0.0)
+        self.free = ~np.isfinite(lower)
+        self.n_main = nk
+        self.neg_cols = np.flatnonzero(self.free)
+
+        rows = []
+        rhs = []
+        rels = []
+        for coeffs, rel, b in lp.constraints:
+            ck = coeffs[self.keep]
+            rows.append(ck)
+            rhs.append(b - float(coeffs[self.fixed] @ self.fixed_vals[self.fixed])
+                       - float(ck @ self.shift))
+            rels.append(rel)
+        # Upper-bound rows (after the shift, u <= hi - lo).
+        ub = upper - self.shift
+        for idx in np.flatnonzero(np.isfinite(ub)):
+            row = np.zeros(nk)
+            row[idx] = 1.0
+            rows.append(row)
+            rhs.append(float(ub[idx]))
+            rels.append(Relation.LE)
+
+        m = len(rows)
+        ncols = nk + len(self.neg_cols)
+        A = np.zeros((m, ncols))
+        for i, row in enumerate(rows):
+            A[i, :nk] = row
+            A[i, nk:] = -row[self.neg_cols]
+        b = np.asarray(rhs, dtype=float)
+
+        c_full = lp.objective[self.keep].astype(float)
+        if lp.maximize:
+            c_full = -c_full
+        c = np.zeros(ncols)
+        c[:nk] = c_full
+        c[nk:] = -c_full[self.neg_cols]
+
+        self.A, self.b, self.c = A, b, c
+        self.rels = rels
+
+    def recover(self, u: np.ndarray) -> np.ndarray:
+        x = self.fixed_vals.copy()
+        vals = u[: self.n_main].copy()
+        vals[self.neg_cols] -= u[self.n_main:]
+        x[self.keep] = vals + self.shift
+        # Clip roundoff that strays just outside the box.
+        return np.clip(x, self.lp.lower, self.lp.upper)
+
+    def solve(self):
+        A, b, rels = self.A, self.b, list(self.rels)
+        m, n = A.shape
+        if m == 0:
+            # No constraints: optimum at the (shifted) origin unless some
+            # cost is negative with no upper row, which means unbounded.
+            if np.any(self.c < -OPT_TOL):
+                return Status.UNBOUNDED, None
+            return Status.OPTIMAL, np.zeros(n)
+
+        A = A.copy()
+        b = b.copy()
+        neg = b < 0
+        A[neg] *= -1.0
+        b[neg] = -b[neg]
+        flip = {Relation.LE: Relation.GE, Relation.GE: Relation.LE, Relation.EQ: Relation.EQ}
+        rels = [flip[r] if neg[i] else r for i, r in enumerate(rels)]
+
+        # Slack / surplus columns, then artificials where no basic slack exists.
+        slack_cols = []
+        art_rows = []
+        for i, rel in enumerate(rels):
+            if rel is Relation.LE:
+                slack_cols.append((i, 1.0, True))
+            elif rel is Relation.GE:
+                slack_cols.append((i, -1.0, False))
+                art_rows.append(i)
+            else:
+                art_rows.append(i)
+
+        n_slack = len(slack_cols)
+        n_art = len(art_rows)
+        total = n + n_slack + n_art
+        T = np.zeros((m, total))
+        T[:, :n] = A
+        basis = [-1] * m
+        for k, (i, sign, basic) in enumerate(slack_cols):
+            T[i, n + k] = sign
+            if basic:
+                basis[i] = n + k
+        for k, i in enumerate(art_rows):
+            T[i, n + n_slack + k] = 1.0
+            basis[i] = n + n_slack + k
+
+        art_start = n + n_slack
+        c1 = np.zeros(total)
+        c1[art_start:] = 1.0
+        # Phase 1 runs to much tighter optimality than phase 2: its objective
+        # value IS the feasibility verdict, so a pricing tolerance comparable
+        # to the infeasibility threshold would let near-threshold systems
+        # through (or reject feasible ones).
+        status, x_all, basis = _simplex(T, b, c1, basis, opt_tol=1e-10)
+        if status is not Status.OPTIMAL:
+            return Status.INFEASIBLE, None
+        # Absolute residual threshold: scaling it by the rhs magnitude would
+        # make the verdict depend on how the caller formulated the rows (a
+        # big-M variant of the same system would pass where the direct form
+        # fails).
+        if float(c1 @ x_all) > FEAS_TOL:
+            return Status.INFEASIBLE, None
+
+        # Drive leftover artificials out of the basis; drop dependent rows.
+        keep_rows = np.ones(m, dtype=bool)
+        for i in range(m):
+            if basis[i] >= art_start:
+                Binv_row = _basis_inverse(T, basis)[i]
+                coeffs = Binv_row @ T[:, :art_start]
+                j = next((jj for jj in range(art_start) if abs(coeffs[jj]) > 1e-9
+                          and jj not in basis), None)
+                if j is None:
+                    keep_rows[i] = False
+                else:
+                    basis[i] = j
+        if not np.all(keep_rows):
+            T = T[keep_rows]
+            b = b[keep_rows]
+            basis = [bv for bv, k in zip(basis, keep_rows) if k]
+
+        T2 = T[:, :art_start]
+        c2 = np.zeros(art_start)
+        c2[:n] = self.c
+        status, x_all, basis = _simplex(T2, b, c2, basis)
+        if status is not Status.OPTIMAL:
+            return status, None
+        return Status.OPTIMAL, x_all[:n]
+
+
+def _basis_inverse(A: np.ndarray, basis) -> np.ndarray:
+    return np.linalg.inv(A[:, basis])
+
+
+def _simplex(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list,
+             opt_tol: float = OPT_TOL):
+    """Revised simplex (min c'x, Ax=b, x>=0) from a starting basis.
+
+    Returns (status, x, basis).  The basis inverse is maintained with
+    rank-one pivot updates and refactorized periodically.
+    """
+    m, n = A.shape
+    basis = list(basis)
+    Binv = _basis_inverse(A, basis)
+    xb = Binv @ b
+    # Roundoff guard: phase-1 starting bases are exactly feasible.
+    xb[np.abs(xb) < 1e-12] = 0.0
+
+    bland = False
+    degenerate_run = 0
+    max_iter = 5000 + 40 * (m + n)
+
+    for it in range(max_iter):
+        if it > 0 and it % REFACTOR_EVERY == 0:
+            Binv = _basis_inverse(A, basis)
+            xb = Binv @ b
+
+        y = c[basis] @ Binv
+        reduced = c - y @ A
+        reduced[basis] = 0.0
+
+        if bland:
+            candidates = np.flatnonzero(reduced < -opt_tol)
+            if candidates.size == 0:
+                break
+            enter = int(candidates[0])
+        else:
+            enter = int(np.argmin(reduced))
+            if reduced[enter] >= -opt_tol:
+                break
+
+        d = Binv @ A[:, enter]
+        pos = d > FEAS_TOL
+        if not np.any(pos):
+            return Status.UNBOUNDED, None, basis
+        ratios = np.full(m, np.inf)
+        ratios[pos] = xb[pos] / d[pos]
+        min_ratio = ratios.min()
+        tied = np.flatnonzero(ratios <= min_ratio + 1e-12)
+        # Leaving rule: among minimum-ratio rows pick the smallest basis index
+        # (Bland-compatible, deterministic).
+        leave = int(min(tied, key=lambda i: basis[i]))
+
+        step = ratios[leave]
+        if step <= 1e-12:
+            degenerate_run += 1
+            if degenerate_run > DEGENERATE_LIMIT:
+                bland = True
+        else:
+            degenerate_run = 0
+
+        # Pivot: update basis, xb, and Binv in place (rank-one update).
+        piv = d[leave]
+        xb = xb - step * d
+        xb[leave] = step
+        Binv[leave] /= piv
+        d_rest = d.copy()
+        d_rest[leave] = 0.0
+        Binv -= np.outer(d_rest, Binv[leave])
+        basis[leave] = enter
+    else:
+        raise RuntimeError("simplex iteration limit exceeded")
+
+    x = np.zeros(n)
+    x[basis] = xb
+    x[np.abs(x) < 1e-11] = 0.0
+    return Status.OPTIMAL, x, basis

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 from pathlib import Path
@@ -6,10 +7,14 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import hetsched.cli
+import hetsched.lp
 from hetsched.cli import main
 from hetsched.cluster import make_cluster
 from hetsched.jobs import Job, JobCombination
 from hetsched.matrices import AllocationMatrix, ThroughputMatrix
+from hetsched.simulator import SimConfig
+from hetsched.traces import Trace, TraceEntry
 
 
 @pytest.fixture
@@ -126,6 +131,17 @@ class TestSolve:
             assert res.exit_code == 0, res.output
             assert label in res.output and "maximize" in res.output, policy
 
+    def test_iteration_limit_exit_code(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setattr(hetsched.lp, "MAX_ITER_BASE", 0)
+        monkeypatch.setattr(hetsched.lp, "MAX_ITER_PER_DIM", 0)
+        thr, jobs = write_three_job_instance(tmp_path)
+        res = runner.invoke(main, ["--out", str(tmp_path), "solve",
+                                   "--policy", "las", "--throughputs", str(thr),
+                                   "--jobs", str(jobs)])
+        assert res.exit_code == 3, res.output
+        assert "error:" in res.output and "iteration limit" in res.output
+        assert "Traceback" not in res.output
+
     def test_dump_lp_scoped_to_its_invocation(self, runner, tmp_path):
         thr, jobs = write_three_job_instance(tmp_path)
         args = ["--out", str(tmp_path), "solve", "--policy", "las",
@@ -195,6 +211,49 @@ class TestSimulate:
         row = doc["rows"][0]
         assert "mean_steady_jct_s" in row and "stddev_steady_jct_s" in row
         assert row["seeds"] == 3
+        assert row["unfinished_jobs"] == 0
+        assert "warning:" not in res.stderr
+
+    def test_round_limit_warns_and_reports_unfinished(self, runner, tmp_path,
+                                                      monkeypatch):
+        monkeypatch.setattr(hetsched.cli, "SimConfig",
+                            functools.partial(SimConfig, max_rounds=2))
+        res = runner.invoke(main, ["--out", str(tmp_path), "simulate",
+                                   "--policy", "las", "--jobs", "8",
+                                   "--mode", "static", "--seeds", "1,2"])
+        assert res.exit_code == 0, res.output
+        row = json.loads((tmp_path / "summary.json").read_text())["rows"][0]
+        assert row["unfinished_jobs"] == 16  # 8 per seed, summed over seeds
+        assert "warning: 16 job(s) unfinished" in res.stderr
+
+    def test_iteration_limit_exit_code(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setattr(hetsched.lp, "MAX_ITER_BASE", 0)
+        monkeypatch.setattr(hetsched.lp, "MAX_ITER_PER_DIM", 0)
+        res = runner.invoke(main, ["--out", str(tmp_path), "simulate",
+                                   "--policy", "las", "--jobs", "3",
+                                   "--lambda", "0.01"])
+        assert res.exit_code == 3, res.output
+        assert "error:" in res.output and "iteration limit" in res.output
+        assert "Traceback" not in res.output
+
+    def test_cluster_missing_key_exit_code(self, runner, tmp_path):
+        cluster = tmp_path / "cluster.json"
+        cluster.write_text(json.dumps({"types": [{"name": "x"}]}))
+        res = runner.invoke(main, ["--out", str(tmp_path), "--cluster",
+                                   str(cluster), "simulate", "--policy", "las",
+                                   "--jobs", "2", "--lambda", "0.01"])
+        assert res.exit_code == 2, res.output
+        assert "error:" in res.output and "'num_workers'" in res.output
+        assert "Traceback" not in res.output
+
+    def test_unknown_template_exit_code(self, runner, tmp_path):
+        trace = tmp_path / "trace.jsonl"
+        Trace([TraceEntry(0.0, "nope", 10)], "static", 0).save(trace)
+        res = runner.invoke(main, ["--out", str(tmp_path), "simulate",
+                                   "--policy", "las", "--trace", str(trace)])
+        assert res.exit_code == 2, res.output
+        assert "error:" in res.output and "nope" in res.output
+        assert "Traceback" not in res.output
 
     def test_baseline_flag_adds_rows(self, runner, tmp_path):
         res = runner.invoke(main, ["--out", str(tmp_path), "simulate",

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hetsched.lp import (DimensionError, LinearProgram, Relation, Status,
-                         solve_lp)
+import hetsched.lp
+from hetsched.lp import (DimensionError, IterationLimitError, LinearProgram,
+                         Relation, Status, solve_lp)
+from oracles import reference_solve_lp
 
 
 def test_one_variable_box():
@@ -125,3 +127,130 @@ def test_dump_format():
     lp.add_constraint([1.0, 1.0], "<=", 1.5)
     text = lp.dump()
     assert "maximize" in text and "<=" in text and "x0" in text
+
+
+def test_iteration_limit_is_typed(monkeypatch):
+    monkeypatch.setattr(hetsched.lp, "MAX_ITER_BASE", 1)
+    monkeypatch.setattr(hetsched.lp, "MAX_ITER_PER_DIM", 0)
+    lp = LinearProgram(2, [1.0, 1.0], maximize=True, upper=np.array([1.0, 1.0]))
+    with pytest.raises(IterationLimitError, match="iteration limit"):
+        solve_lp(lp)
+    assert issubclass(IterationLimitError, RuntimeError)
+
+
+def _random_lp(rng) -> LinearProgram:
+    """A small LP mixing LE/GE/EQ rows, right-hand sides of both signs and
+    default, boxed, free, fixed and shifted variables.  Half the instances
+    use small integers, whose ties and degenerate vertices exercise the
+    tie-breaking rules."""
+    n = int(rng.integers(1, 8))
+    m = int(rng.integers(0, 8))
+    integer = rng.random() < 0.5
+    kind = rng.integers(0, 5, size=n)
+    if np.all(kind == 3):
+        # With every variable fixed, an equality row leaves phase 2 with no
+        # column, and both kernels fail on it alike; keep one variable.
+        kind[0] = 0
+    base = rng.integers(-3, 3, size=n).astype(float)
+    if not integer:
+        base += np.round(rng.uniform(0.0, 1.0, size=n), 2)
+    width = rng.integers(1, 4, size=n).astype(float)
+    lower = np.zeros(n)
+    upper = np.full(n, np.inf)
+    boxed, free, fixed, shifted = (kind == 1), (kind == 2), (kind == 3), (kind == 4)
+    lower[boxed], upper[boxed] = base[boxed], base[boxed] + width[boxed]
+    lower[free] = -np.inf
+    upper[free & (rng.random(n) < 0.3)] = 4.0
+    lower[fixed] = upper[fixed] = base[fixed]
+    lower[shifted] = base[shifted]
+    if integer:
+        coeffs = rng.integers(-2, 3, size=(m, n)).astype(float)
+        rhs = rng.integers(-2, 6, size=m).astype(float)
+        c = rng.integers(-3, 4, size=n).astype(float)
+    else:
+        coeffs = np.round(rng.uniform(-2.0, 2.0, size=(m, n)), 3)
+        rhs = np.round(rng.uniform(-2.0, 5.0, size=m), 3)
+        c = np.round(rng.uniform(-3.0, 3.0, size=n), 3)
+    lp = LinearProgram(n, c, maximize=bool(rng.random() < 0.5),
+                       lower=lower, upper=upper)
+    for row, rel, b in zip(coeffs, rng.choice(["<=", ">=", "="], size=m,
+                                              p=[0.55, 0.3, 0.15]), rhs):
+        lp.add_constraint(row, rel, b)
+    return lp
+
+
+def _bottleneck_relaxation(rng) -> LinearProgram:
+    """A B&B relaxation of the water-filling bottleneck MILP: time shares
+    per (job, type) cell with infeasible cells fixed at 0, carry rows
+    thr_j >= prev_j, big-M rows per binary z_j, and the validity rows.  Each
+    binary is pinned to 1 (most), pinned to 0, or left relaxed in [0, 1]."""
+    jobs, types = int(rng.integers(2, 6)), int(rng.integers(1, 4))
+    cells = jobs * types
+    thr = np.round(rng.uniform(0.5, 4.0, size=(jobs, types)), 3)
+    thr[rng.random((jobs, types)) < 0.15] = 0.0
+    workers = rng.integers(1, 3, size=types).astype(float)
+    share = np.minimum(1.0 / types, workers / jobs) * rng.uniform(0.3, 1.0, size=jobs)[:, None]
+    prev = (thr * share).sum(axis=1)
+    n = cells + jobs
+    lower, upper = np.zeros(n), np.full(n, np.inf)
+    upper[:cells][thr.ravel() == 0.0] = 0.0
+    upper[cells:] = 1.0
+    pin = rng.choice([1.0, 0.0, np.nan], size=jobs, p=[0.7, 0.15, 0.15])
+    lower[cells:] = np.where(np.isnan(pin), 0.0, pin)
+    upper[cells:] = np.where(np.isnan(pin), 1.0, pin)
+    obj = np.zeros(n)
+    obj[cells:] = 1.0
+    lp = LinearProgram(n, obj, maximize=True, lower=lower, upper=upper)
+    for j in range(jobs):
+        row = np.zeros(n)
+        row[j * types:(j + 1) * types] = thr[j]
+        lp.add_constraint(row, ">=", prev[j])
+        big = row.max() if row.max() > 0 else 1.0
+        up = row.copy()
+        up[cells + j] = -(big + 0.1 * big)
+        lp.add_constraint(up, ">=", prev[j] - big)
+        cap = row.copy()
+        cap[cells + j] = -big
+        lp.add_constraint(cap, "<=", prev[j])
+    for j in range(jobs):
+        row = np.zeros(n)
+        row[j * types:(j + 1) * types] = 1.0
+        lp.add_constraint(row, "<=", 1.0)
+    for t in range(types):
+        row = np.zeros(n)
+        row[t:cells:types] = 1.0
+        lp.add_constraint(row, "<=", workers[t])
+    return lp
+
+
+def _assert_same_as_reference(lp):
+    ref = reference_solve_lp(lp)
+    res = solve_lp(lp)
+    assert res.status is ref.status
+    if ref.optimal:
+        assert np.array_equal(res.x, ref.x)
+        assert np.array_equal(res.objective_value, ref.objective_value)
+    return ref.status
+
+
+def test_bit_identical_to_reference_kernel():
+    statuses = []
+    multi_term_fixed_rows = 0
+    for seed in range(240):
+        lp = _random_lp(np.random.default_rng(seed))
+        statuses.append(_assert_same_as_reference(lp))
+        fixed = lp.lower == lp.upper
+        multi_term_fixed_rows += any(
+            np.count_nonzero(row[fixed] * lp.lower[fixed]) > 1
+            for row, _, _ in lp.constraints)
+    # The instances cover every verdict and the fixed-variable rows whose
+    # right-hand side shift sums several products.
+    assert {statuses.count(s) >= 10 for s in Status} == {True}
+    assert multi_term_fixed_rows >= 10
+
+
+def test_bit_identical_on_bottleneck_relaxations():
+    statuses = [_assert_same_as_reference(
+        _bottleneck_relaxation(np.random.default_rng(1000 + seed)))
+        for seed in range(120)]
+    assert statuses.count(Status.OPTIMAL) >= 60

@@ -77,6 +77,14 @@ class TestSingleJob:
         assert rep.unfinished_jobs == 3
         assert rep.summary()["unfinished_jobs"] == 3
 
+    def test_unknown_template_rejected_up_front(self):
+        trace = Trace([TraceEntry(0.0, "flat", 10), TraceEntry(0.0, "nope", 10),
+                       TraceEntry(0.0, "gone", 10)], "static", 0)
+        cfg = SimConfig(cluster=make_cluster({"gpu": 1}),
+                        policy=parse_policy("las"), seed=0)
+        with pytest.raises(ValueError, match="unknown templates: gone, nope"):
+            Simulation(cfg, trace, [flat_template()])
+
     def test_deterministic_reports(self):
         catalog = make_template_catalog(0)
         cluster = make_cluster({"V100": 2, "P100": 2, "K80": 2})
