@@ -118,22 +118,16 @@ class ReferenceSet:
         n = len(ids)
         R = np.full((n, n), np.nan)
         np.fill_diagonal(R, 1.0)
-        for r, combo in enumerate(T.rows):
-            if not combo.is_pair:
-                continue
-            a, b = combo.members
-            for c in range(T.num_configs):
-                if not T.feasible(r, c):
-                    continue
-                ia, ib = T.singleton_row(a), T.singleton_row(b)
-                if not (T.feasible(ia, c) and T.feasible(ib, c)):
-                    continue
-                iso_a, iso_b = T.value(ia, c, a), T.value(ib, c, b)
-                if iso_a <= 0 or iso_b <= 0:
-                    continue
-                R[index[a], index[b]] = T.value(r, c, a) / iso_a
-                R[index[b], index[a]] = T.value(r, c, b) / iso_b
-                break
+        iso = T.thr[:, :, 0]
+        usable = T.feasible & (iso > 0)
+        for r in T.is_pair.nonzero()[0]:
+            a, b = T.rows[r].members
+            ia, ib = T.singleton_row(a), T.singleton_row(b)
+            ok = T.feasible[r] & usable[ia] & usable[ib]
+            if ok.any():
+                c = ok.argmax()
+                R[index[a], index[b]] = T.thr[r, c, 0] / iso[ia, c]
+                R[index[b], index[a]] = T.thr[r, c, 1] / iso[ib, c]
         if np.any(np.isnan(R)):
             raise ValueError("reference throughputs must cover every pair")
         return cls(names, R)

@@ -230,15 +230,18 @@ class _Standardized:
         # Clip roundoff that strays just outside the box.
         return np.clip(x, self.lp.lower, self.lp.upper)
 
+    def _without_rows(self):
+        """No constraints: optimum at the (shifted) origin unless some cost
+        is negative with no upper row, which means unbounded."""
+        if np.any(self.c < -OPT_TOL):
+            return Status.UNBOUNDED, None
+        return Status.OPTIMAL, np.zeros(len(self.c))
+
     def solve(self):
         A, b = self.A, self.b
         m, n = A.shape
         if m == 0:
-            # No constraints: optimum at the (shifted) origin unless some
-            # cost is negative with no upper row, which means unbounded.
-            if np.any(self.c < -OPT_TOL):
-                return Status.UNBOUNDED, None
-            return Status.OPTIMAL, np.zeros(n)
+            return self._without_rows()
 
         # Rows with a negative right-hand side are negated, which swaps LE
         # and GE.
@@ -293,6 +296,10 @@ class _Standardized:
                 Binv = None
             else:
                 keep_rows[i] = False
+        if not keep_rows.any():
+            # Every row was an equality on fixed variables alone: no column
+            # or row is left for phase 2.
+            return self._without_rows()
         if not keep_rows.all():
             T = T[keep_rows]
             b = b[keep_rows]

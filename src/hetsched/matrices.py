@@ -2,9 +2,22 @@
 computation every policy consumes.
 
 Rows are job combinations (singletons, optionally pairs when space sharing),
-columns are resource configurations.  A throughput entry holds one value per
-combination member, in member order; ``None`` marks a configuration the
-combination cannot run on at all.
+columns are resource configurations.  A `ThroughputMatrix` holds its cells
+as arrays, built once:
+
+- ``thr[r, c, i]``: member i's steps/second in row r on configuration c,
+  members in ``rows[r].members`` order; 0.0 where the cell is infeasible
+  and in slot 1 of a singleton row.
+- ``feasible[r, c]``: whether combination r can run on configuration c.
+- ``coeffs[k, r * C + c]``: job ``job_ids[k]``'s own rate in every cell,
+  cells in row-major order, zero where the job is absent or the cell
+  infeasible; ``job_index`` maps a job id to k.  A job's effective
+  throughput under X is the sum of ``coeffs[k] * X.ravel()``.
+- ``member_of[k, r]``: whether job ``job_ids[k]`` is a member of row r.
+
+The nested-cell form, ``cells[r][c]`` a tuple of per-member rates or None
+where infeasible, is parsed only by `ThroughputMatrix.from_cells` (which
+`from_json` uses); the `entries` property renders the arrays back into it.
 """
 
 from __future__ import annotations
@@ -27,23 +40,77 @@ class UnknownJobError(KeyError):
     pass
 
 
+def inorder_sum(a: np.ndarray) -> np.ndarray:
+    """Sums along the last axis, added left to right as a Python loop adds
+    them; ``np.sum`` and ``@`` group the terms differently, which can move
+    the last bit."""
+    if a.shape[-1] == 0:
+        return np.zeros(a.shape[:-1])
+    return np.cumsum(a, axis=-1)[..., -1]
+
+
 class ThroughputMatrix:
-    def __init__(self, cluster: ClusterSpec, rows, entries):
-        """entries[r][c] is a tuple of per-member steps/second, or None when
-        the combination cannot run on that configuration."""
+    def __init__(self, cluster: ClusterSpec, rows, thr, feasible):
+        """thr is (rows, configs, 2) steps/second per member; feasible is
+        (rows, configs).  Rates of infeasible cells and of a singleton's
+        second slot are ignored."""
         self.cluster = cluster
         self.configs = cluster.configurations
         self.rows = tuple(rows)
         self._row_index = {combo: r for r, combo in enumerate(self.rows)}
         if len(self._row_index) != len(self.rows):
             raise ValueError("duplicate combination rows")
-        self.entries = []
-        for r, combo in enumerate(self.rows):
-            row = []
-            for c in range(len(self.configs)):
-                cell = entries[r][c]
+        R, C = len(self.rows), len(self.configs)
+        thr = np.asarray(thr, dtype=float)
+        feasible = np.array(feasible, dtype=bool)
+        if thr.shape != (R, C, 2) or feasible.shape != (R, C):
+            raise MatrixShapeError(
+                f"throughput arrays {thr.shape} and {feasible.shape} do not "
+                f"match {R} rows x {C} configurations")
+        self.is_pair = np.array([combo.is_pair for combo in self.rows], dtype=bool)
+        used = feasible[:, :, None] & np.stack(
+            [np.ones(R, dtype=bool), self.is_pair], axis=1)[:, None, :]
+        bad = used & ~(np.isfinite(thr) & (thr >= 0))
+        if bad.any():
+            combo = self.rows[int(bad.any(axis=(1, 2)).argmax())]
+            raise ValueError(f"row {combo}: throughput must be finite and "
+                             "nonnegative")
+        self.thr = np.where(used, thr, 0.0)
+        self.feasible = feasible
+        self.type_of = np.array([cfg.type_id for cfg in self.configs], dtype=np.intp)
+
+        self.job_ids = list(dict.fromkeys(m for combo in self.rows
+                                          for m in combo.members))
+        self._job_index = {job_id: k for k, job_id in enumerate(self.job_ids)}
+        first = np.array([self._job_index[combo.members[0]] for combo in self.rows],
+                         dtype=np.intp)
+        last = np.array([self._job_index[combo.members[-1]] for combo in self.rows],
+                        dtype=np.intp)
+        r = np.arange(R)
+        self.member_of = np.zeros((len(self.job_ids), R), dtype=bool)
+        self.member_of[first, r] = True
+        self.member_of[last, r] = True
+        coeffs = np.zeros((len(self.job_ids), R, C))
+        coeffs[first, r] = self.thr[:, :, 0]
+        coeffs[last[self.is_pair], r[self.is_pair]] = self.thr[self.is_pair, :, 1]
+        self.coeffs = coeffs.reshape(len(self.job_ids), R * C)
+        # Policies share views of these arrays; none may write to them.
+        for a in (self.thr, self.feasible, self.coeffs, self.member_of):
+            a.flags.writeable = False
+
+    @classmethod
+    def from_cells(cls, cluster: ClusterSpec, rows, cells) -> "ThroughputMatrix":
+        """Matrix from nested cells: cells[r][c] is a tuple of per-member
+        steps/second (a bare number for a singleton), or None when the
+        combination cannot run on that configuration."""
+        rows = tuple(rows)
+        C = len(cluster.configurations)
+        thr = np.zeros((len(rows), C, 2))
+        feasible = np.zeros((len(rows), C), dtype=bool)
+        for r, combo in enumerate(rows):
+            for c in range(C):
+                cell = cells[r][c]
                 if cell is None:
-                    row.append(None)
                     continue
                 vals = tuple(float(v) for v in (cell if isinstance(cell, (tuple, list))
                                                 else (cell,)))
@@ -51,10 +118,17 @@ class ThroughputMatrix:
                     raise ValueError(
                         f"row {combo} config {c}: expected {len(combo.members)} "
                         f"throughput values, got {len(vals)}")
-                if any(v < 0 for v in vals):
-                    raise ValueError(f"row {combo}: negative throughput")
-                row.append(vals)
-            self.entries.append(row)
+                thr[r, c, :len(vals)] = vals
+                feasible[r, c] = True
+        return cls(cluster, rows, thr, feasible)
+
+    @property
+    def entries(self) -> list:
+        """Nested-cell view of the arrays, in the form `from_cells` takes."""
+        return [[tuple(cell[:len(combo.members)]) if ok else None
+                 for cell, ok in zip(thr_row, feas_row)]
+                for combo, thr_row, feas_row in zip(self.rows, self.thr.tolist(),
+                                                    self.feasible.tolist())]
 
     @property
     def num_rows(self) -> int:
@@ -70,54 +144,24 @@ class ThroughputMatrix:
         except KeyError:
             raise UnknownJobError(f"no row for combination {combo}") from None
 
-    def feasible(self, r: int, c: int) -> bool:
-        return self.entries[r][c] is not None
-
-    def value(self, r: int, c: int, job_id: int) -> float:
-        cell = self.entries[r][c]
-        if cell is None:
-            return 0.0
-        return cell[self.rows[r].member_index(job_id)]
-
-    def job_ids(self):
-        seen = []
-        for combo in self.rows:
-            for m in combo.members:
-                if m not in seen:
-                    seen.append(m)
-        return seen
-
-    def combos_containing(self, job_id: int):
-        return [r for r, combo in enumerate(self.rows) if combo.contains(job_id)]
-
     def singleton_row(self, job_id: int) -> int:
         return self.row_index(JobCombination.of(job_id))
 
-    def job_coefficients(self, job_id: int) -> np.ndarray:
-        """Flat (num_rows * num_configs) vector of job `job_id`'s own
-        throughput in every cell it participates in; zero elsewhere."""
-        if not any(combo.contains(job_id) for combo in self.rows):
-            raise UnknownJobError(f"job {job_id} not present in matrix")
-        coeffs = np.zeros(self.num_rows * self.num_configs)
-        for r in self.combos_containing(job_id):
-            for c in range(self.num_configs):
-                if self.feasible(r, c):
-                    coeffs[r * self.num_configs + c] = self.value(r, c, job_id)
-        return coeffs
+    def job_index(self, job_id: int) -> int:
+        """The job's row in `coeffs` and `member_of`."""
+        try:
+            return self._job_index[job_id]
+        except KeyError:
+            raise UnknownJobError(f"job {job_id} not present in matrix") from None
 
     def max_throughput(self, job_id: int) -> float:
         """Largest throughput the job attains in any feasible cell."""
-        best = 0.0
-        for r in self.combos_containing(job_id):
-            for c in range(self.num_configs):
-                if self.feasible(r, c):
-                    best = max(best, self.value(r, c, job_id))
-        return best
+        return float(self.coeffs[self.job_index(job_id)].max())
 
     def with_rows(self, rows) -> "ThroughputMatrix":
         idx = [self.row_index(combo) for combo in rows]
-        return ThroughputMatrix(self.cluster, rows,
-                                [self.entries[r] for r in idx])
+        return ThroughputMatrix(self.cluster, rows, self.thr[idx],
+                                self.feasible[idx])
 
     def singletons_only(self) -> "ThroughputMatrix":
         return self.with_rows([c for c in self.rows if not c.is_pair])
@@ -125,10 +169,9 @@ class ThroughputMatrix:
     def to_json(self, extra: dict | None = None) -> dict:
         doc = self.cluster.to_json()
         doc["rows"] = []
-        for r, combo in enumerate(self.rows):
+        for combo, row in zip(self.rows, self.entries):
             thr = {}
-            for c, cfg in enumerate(self.configs):
-                cell = self.entries[r][c]
+            for cfg, cell in zip(self.configs, row):
                 thr[cfg.key(self.cluster)] = None if cell is None else list(cell)
             doc["rows"].append({"members": list(combo.members), "throughputs": thr})
         if extra:
@@ -138,18 +181,11 @@ class ThroughputMatrix:
     @classmethod
     def from_json(cls, doc: dict) -> "ThroughputMatrix":
         cluster = ClusterSpec.from_json(doc)
-        configs = cluster.configurations
-        rows = []
-        entries = []
-        for rdoc in doc["rows"]:
-            combo = JobCombination(tuple(rdoc["members"]))
-            rows.append(combo)
-            row = []
-            for cfg in configs:
-                cell = rdoc["throughputs"].get(cfg.key(cluster))
-                row.append(None if cell is None else tuple(cell))
-            entries.append(row)
-        return cls(cluster, rows, entries)
+        keys = [cfg.key(cluster) for cfg in cluster.configurations]
+        rows = [JobCombination(tuple(rdoc["members"])) for rdoc in doc["rows"]]
+        cells = [[rdoc["throughputs"].get(key) for key in keys]
+                 for rdoc in doc["rows"]]
+        return cls.from_cells(cluster, rows, cells)
 
     @classmethod
     def load(cls, path) -> "ThroughputMatrix":
@@ -179,36 +215,32 @@ class AllocationMatrix:
     def zeros(cls, T: ThroughputMatrix) -> "AllocationMatrix":
         return cls(T, np.zeros((T.num_rows, T.num_configs)))
 
-    def row(self, combo: JobCombination) -> np.ndarray:
-        return self.values[self.T.row_index(combo)]
-
-    def job_time_fraction(self, job_id: int) -> float:
-        return float(sum(self.values[r].sum() for r in self.T.combos_containing(job_id)))
-
     def validate(self, jobs: dict, eps: float = EPS):
         """Raise if any allocation-matrix invariant is violated.
 
         jobs maps job id -> Job (scale factors are needed for the worker
-        capacity check).
+        capacity check, which sums every configuration of a type).
         """
+        T = self.T
         if np.any(self.values < -eps) or np.any(self.values > 1 + eps):
             raise ValueError("allocation entries must lie in [0, 1]")
-        for r in range(self.T.num_rows):
-            for c in range(self.T.num_configs):
-                if not self.T.feasible(r, c) and self.values[r, c] > eps:
-                    raise ValueError(
-                        f"positive allocation on infeasible cell {self.rows[r]},{c}")
-        for job_id in self.T.job_ids():
-            if self.job_time_fraction(job_id) > 1 + eps:
-                raise ValueError(f"job {job_id} total time fraction exceeds 1")
-        for c, cfg in enumerate(self.configs):
-            used = 0.0
-            for r, combo in enumerate(self.rows):
-                sf = jobs[combo.members[0]].scale_factor
-                used += self.values[r, c] * sf
-            cap = self.T.cluster.types[cfg.type_id].num_workers
-            if used > cap + eps:
-                raise ValueError(f"configuration {cfg.key(self.T.cluster)} oversubscribed")
+        bad = ~T.feasible & (self.values > eps)
+        if bad.any():
+            r, c = np.argwhere(bad)[0]
+            raise ValueError(
+                f"positive allocation on infeasible cell {self.rows[r]},{c}")
+        over = inorder_sum(T.member_of * self.values.sum(axis=1)) > 1 + eps
+        if over.any():
+            raise ValueError(f"job {T.job_ids[over.argmax()]} total time "
+                             "fraction exceeds 1")
+        sf = np.array([jobs[combo.members[0]].scale_factor for combo in self.rows],
+                      dtype=float)
+        types = T.cluster.types
+        used = np.bincount(T.type_of, weights=sf @ self.values,
+                           minlength=len(types))
+        for t in types:
+            if used[t.id] > t.num_workers + eps:
+                raise ValueError(f"accelerator type {t.name} oversubscribed")
 
     def to_json(self) -> dict:
         doc = {"rows": []}
@@ -226,15 +258,7 @@ def effective_throughput(job_id: int, X: AllocationMatrix,
     """Time-weighted average steps/second of a job under allocation X."""
     if X.T is not T and (X.rows != T.rows or X.configs != T.configs):
         raise MatrixShapeError("allocation and throughput matrices do not align")
-    combos = T.combos_containing(job_id)
-    if not combos:
-        raise UnknownJobError(f"job {job_id} not present in matrix")
-    total = 0.0
-    for r in combos:
-        for c in range(T.num_configs):
-            if T.feasible(r, c):
-                total += T.value(r, c, job_id) * X.values[r, c]
-    return total
+    return float(inorder_sum(T.coeffs[T.job_index(job_id)] * X.values.ravel()))
 
 
 def equal_share_allocation(T: ThroughputMatrix) -> AllocationMatrix:
@@ -245,18 +269,10 @@ def equal_share_allocation(T: ThroughputMatrix) -> AllocationMatrix:
     sums to one and no feasible placement is left unrepresented.
     """
     cluster = T.cluster
-    total = cluster.total_workers
+    workers = np.array([cluster.types[t].num_workers for t in T.type_of])
+    cols_per_type = np.bincount(T.type_of)[T.type_of]
     values = np.zeros((T.num_rows, T.num_configs))
-    per_type_cols: dict[int, list] = {}
-    for c, cfg in enumerate(T.configs):
-        per_type_cols.setdefault(cfg.type_id, []).append(c)
-    for r, combo in enumerate(T.rows):
-        if combo.is_pair:
-            continue
-        for t in cluster.types:
-            cols = per_type_cols[t.id]
-            for c in cols:
-                values[r, c] = t.num_workers / total / len(cols)
+    values[~T.is_pair] = workers / cluster.total_workers / cols_per_type
     return AllocationMatrix(T, values)
 
 
@@ -274,25 +290,16 @@ def prune_combinations(T: ThroughputMatrix, threshold: float = 1.0) -> Throughpu
     `threshold` on any configuration.
 
     The normalized sum on a configuration is each member's pair throughput
-    divided by that member's own singleton throughput there; a pair is worth
-    keeping only if it outperforms time-slicing the two jobs (sum > 1).
+    divided by that member's own singleton throughput there (members whose
+    singleton rate is zero add nothing); a pair is worth keeping only if it
+    outperforms time-slicing the two jobs (sum > 1).
     """
-    kept = []
-    for r, combo in enumerate(T.rows):
-        if not combo.is_pair:
-            kept.append(combo)
-            continue
-        best = 0.0
-        for c in range(T.num_configs):
-            if not T.feasible(r, c):
-                continue
-            norm_sum = 0.0
-            for job_id in combo.members:
-                iso_r = T.singleton_row(job_id)
-                iso = T.value(iso_r, c, job_id) if T.feasible(iso_r, c) else 0.0
-                if iso > 0:
-                    norm_sum += T.value(r, c, job_id) / iso
-            best = max(best, norm_sum)
-        if best > threshold:
-            kept.append(combo)
-    return T.with_rows(kept)
+    pairs = T.is_pair.nonzero()[0]
+    iso_rows = np.array([[T.singleton_row(m) for m in T.rows[r].members]
+                         for r in pairs], dtype=np.intp).reshape(-1, 2)
+    iso = T.thr[:, :, 0][iso_rows].transpose(0, 2, 1)
+    norm = np.divide(T.thr[pairs], iso, out=np.zeros_like(iso), where=iso > 0)
+    norm_sum = np.where(T.feasible[pairs], norm[..., 0] + norm[..., 1], 0.0)
+    keep = ~T.is_pair
+    keep[pairs] = (norm_sum > threshold).any(axis=1)
+    return T.with_rows([combo for combo, k in zip(T.rows, keep) if k])

@@ -64,24 +64,16 @@ def compute_priorities(X_opt: AllocationMatrix, ledger: RoundLedger) -> np.ndarr
     """(R, C) target-over-received ratios: zero where the target allocation
     is zero, infinite where a positive target has received no time yet."""
     T = X_opt.T
-    R, C = T.num_rows, T.num_configs
-    received = np.zeros((R, C))
-    for r, combo in enumerate(T.rows):
-        for c, cfg in enumerate(T.configs):
-            received[r, c] = ledger.seconds(combo, _config_key(cfg))
+    keys = [_config_key(cfg) for cfg in T.configs]
+    received = np.array([[ledger.seconds(combo, key) for key in keys]
+                         for combo in T.rows]).reshape(T.num_rows, T.num_configs)
     col_totals = received.sum(axis=0)
     with np.errstate(invalid="ignore", divide="ignore"):
         f = np.where(col_totals > 0, received / np.where(col_totals > 0, col_totals, 1.0), 0.0)
-    values = np.zeros((R, C))
-    for r in range(R):
-        for c in range(C):
-            x = X_opt.values[r, c]
-            if x <= 0:
-                values[r, c] = 0.0
-            elif f[r, c] <= 0:
-                values[r, c] = math.inf
-            else:
-                values[r, c] = x / f[r, c]
+    x = X_opt.values
+    values = np.where(x > 0, np.inf, 0.0)
+    ratio = (x > 0) & (f > 0)
+    values[ratio] = x[ratio] / f[ratio]
     return values
 
 
@@ -133,6 +125,7 @@ def plan_round(priorities: np.ndarray, jobs: dict, cluster: ClusterSpec,
     """
     remaining = {t.id: t.num_workers for t in cluster.types}
     eligible = [True] * T.num_rows
+    since = [ledger.rounds_since_scheduled(combo) for combo in T.rows]
     rows_of_job: dict[int, list] = {}
     for r, combo in enumerate(T.rows):
         for m in combo.members:
@@ -160,12 +153,9 @@ def plan_round(priorities: np.ndarray, jobs: dict, cluster: ClusterSpec,
                 continue
             take(r, c)
 
-    cells = [(-priorities[r, c],
-              (ledger.rounds_since_scheduled(T.rows[r]), T.rows[r].members, c),
-              r, c)
-             for r in range(T.num_rows) for c in range(T.num_configs)
-             if priorities[r, c] > 0]
-    sweep(cells)
+    rs, cs = np.nonzero(priorities > 0)
+    sweep([(-priorities[r, c], (since[r], T.rows[r].members, c), r, c)
+           for r, c in zip(rs.tolist(), cs.tolist())])
 
     if work_conserving:
         # Hand leftover workers to unscheduled combinations with feasible
@@ -174,13 +164,9 @@ def plan_round(priorities: np.ndarray, jobs: dict, cluster: ClusterSpec,
         # systematically favoring one (the target allocation, not the
         # filler, is what should express type preferences).
         C = T.num_configs
-        leftovers = [((ledger.rounds_since_scheduled(T.rows[r]),
-                       T.rows[r].members, (c - ledger.rounds_total) % C),
-                      0,
-                      r, c)
-                     for r in range(T.num_rows) if eligible[r]
-                     for c in range(T.num_configs) if T.feasible(r, c)]
-        sweep(leftovers)
+        rs, cs = np.nonzero(T.feasible)
+        sweep([((since[r], T.rows[r].members, (c - ledger.rounds_total) % C), 0, r, c)
+               for r, c in zip(rs.tolist(), cs.tolist()) if eligible[r]])
 
     return RoundPlan(chosen, dict(remaining))
 

@@ -21,7 +21,7 @@ from .cluster import ClusterSpec
 from .lp import LinearProgram, Relation, solve_lp
 from .matrices import (AllocationMatrix, ThroughputMatrix,
                        equal_share_allocation, effective_throughput,
-                       isolated_allocation)
+                       inorder_sum, isolated_allocation)
 from .search import RatioUnboundedError, bisect, maximize_ratio
 
 
@@ -124,14 +124,16 @@ class ProblemSpace:
 
     Variables 0..R*C-1 are the allocation cells in row-major order; builders
     may append extra scalar variables (an epigraph bound, binary flags).
+    The cell bounds, the validity rows and each job's coefficient row and
+    equal-share throughput are compiled once from the matrix's arrays.
     """
 
     def __init__(self, jobs, T: ThroughputMatrix):
         self.T = T
         self.jobs = list(jobs)
         self.by_id = {j.id: j for j in self.jobs}
-        missing = [j.id for j in self.jobs
-                   if not any(c.contains(j.id) for c in T.rows)]
+        present = set(T.job_ids)
+        missing = [j.id for j in self.jobs if j.id not in present]
         if missing:
             raise MissingThroughputError(f"no throughput rows for jobs {missing}")
         for combo in T.rows:
@@ -140,29 +142,33 @@ class ProblemSpace:
             if len(sfs) > 1:
                 raise ValueError(f"pair {combo} mixes scale factors {sfs}")
         self.n_cells = T.num_rows * T.num_configs
-        self.coeffs = {j.id: T.job_coefficients(j.id) for j in self.jobs}
-        Xeq = equal_share_allocation(T)
+        ks = [T.job_index(j.id) for j in self.jobs]
+        self.coeffs = {j.id: T.coeffs[k] for j, k in zip(self.jobs, ks)}
+        norms = inorder_sum(T.coeffs[ks] * equal_share_allocation(T).values.ravel())
         self.equal_norm = {}
-        for j in self.jobs:
-            norm = effective_throughput(j.id, Xeq, T)
+        for j, norm in zip(self.jobs, norms.tolist()):
             if norm <= 0:
                 raise ZeroThroughputError(
                     f"job {j.id} has zero throughput on every configuration")
             self.equal_norm[j.id] = norm
 
-    def row_scale_factor(self, r: int) -> int:
-        members = self.T.rows[r].members
-        job = self.by_id.get(members[0])
-        return job.scale_factor if job is not None else 1
+        # A row's workers are its first member's scale factor (1 when that
+        # job is not scheduled here).
+        self.row_sf = np.array([
+            float(self.by_id[combo.members[0]].scale_factor)
+            if combo.members[0] in self.by_id else 1.0 for combo in T.rows])
+        self._upper = np.where(T.feasible.ravel(), np.inf, 0.0)
+        # Per-job time budgets, then per-type worker capacity.
+        budget = np.repeat(T.member_of[ks], T.num_configs, axis=1).astype(float)
+        types = T.cluster.types
+        capacity = np.where(T.type_of == np.arange(len(types))[:, None, None],
+                            self.row_sf[:, None], 0.0)
+        self.validity = np.vstack([budget, capacity.reshape(len(types), self.n_cells)])
+        self.validity_rhs = [1.0] * len(ks) + [float(t.num_workers) for t in types]
 
     def cell_bounds(self, extra: int = 0):
         lower = np.zeros(self.n_cells + extra)
-        upper = np.full(self.n_cells + extra, np.inf)
-        C = self.T.num_configs
-        for r in range(self.T.num_rows):
-            for c in range(C):
-                if not self.T.feasible(r, c):
-                    upper[r * C + c] = 0.0
+        upper = np.concatenate([self._upper, np.full(extra, np.inf)])
         return lower, upper
 
     def pad(self, cell_coeffs: np.ndarray, extra: int = 0) -> np.ndarray:
@@ -172,20 +178,8 @@ class ProblemSpace:
 
     def add_validity(self, lp: LinearProgram, extra: int = 0):
         """Per-job time budget and per-type worker capacity rows."""
-        C = self.T.num_configs
-        for j in self.jobs:
-            row = np.zeros(self.n_cells)
-            for r in self.T.combos_containing(j.id):
-                row[r * C: (r + 1) * C] = 1.0
-            lp.add_constraint(self.pad(row, extra), Relation.LE, 1.0)
-        for t in self.T.cluster.types:
-            row = np.zeros(self.n_cells)
-            for c, cfg in enumerate(self.T.configs):
-                if cfg.type_id != t.id:
-                    continue
-                for r in range(self.T.num_rows):
-                    row[r * C + c] = self.row_scale_factor(r)
-            lp.add_constraint(self.pad(row, extra), Relation.LE, float(t.num_workers))
+        for row, rhs in zip(self.validity, self.validity_rhs):
+            lp.add_constraint(self.pad(row, extra), Relation.LE, rhs)
 
     def allocation(self, x: np.ndarray) -> AllocationMatrix:
         values = np.clip(x[: self.n_cells], 0.0, 1.0)
@@ -202,19 +196,15 @@ class ProblemSpace:
         return res.objective_value if res.optimal else 0.0
 
     def _single_job_lp(self, job_id: int) -> LinearProgram:
-        C = self.T.num_configs
-        r = self.T.singleton_row(job_id)
-        sf = self.by_id[job_id].scale_factor
-        coeffs = np.array([self.T.value(r, c, job_id) if self.T.feasible(r, c)
-                           else 0.0 for c in range(C)])
-        upper = np.array([np.inf if self.T.feasible(r, c) else 0.0
-                          for c in range(C)])
-        lp = LinearProgram(C, coeffs, maximize=True, upper=upper)
-        lp.add_constraint(np.ones(C), Relation.LE, 1.0)
-        for t in self.T.cluster.types:
-            row = np.array([float(sf) if cfg.type_id == t.id else 0.0
-                            for cfg in self.T.configs])
-            lp.add_constraint(row, Relation.LE, float(t.num_workers))
+        T = self.T
+        r = T.singleton_row(job_id)
+        sf = float(self.by_id[job_id].scale_factor)
+        lp = LinearProgram(T.num_configs, T.thr[r, :, 0], maximize=True,
+                           upper=np.where(T.feasible[r], np.inf, 0.0))
+        lp.add_constraint(np.ones(T.num_configs), Relation.LE, 1.0)
+        for t in T.cluster.types:
+            lp.add_constraint(np.where(T.type_of == t.id, sf, 0.0), Relation.LE,
+                              float(t.num_workers))
         return lp
 
     def single_job_allocation(self, job_id: int) -> AllocationMatrix:
@@ -418,15 +408,11 @@ def build_cost(jobs, cluster: ClusterSpec, T: ThroughputMatrix,
     violations lists jobs whose already-elapsed SLO had to be clamped.
     """
     space = ProblemSpace(jobs, T)
-    C = T.num_configs
     num = np.zeros(space.n_cells)
     for j in space.jobs:
         num += space.coeffs[j.id]
-    den = np.zeros(space.n_cells)
-    for r in range(T.num_rows):
-        sf = space.row_scale_factor(r)
-        for c, cfg in enumerate(T.configs):
-            den[r * C + c] = cluster.types[cfg.type_id].cost_per_hour * sf
+    den = np.outer(space.row_sf, [cluster.types[cfg.type_id].cost_per_hour
+                                  for cfg in T.configs]).ravel()
 
     constraints = []
     lower, upper = space.cell_bounds()
@@ -463,9 +449,7 @@ def build_cost(jobs, cluster: ClusterSpec, T: ThroughputMatrix,
     except RatioUnboundedError:
         # A zero-cost configuration can absorb all work: fall back to
         # maximizing throughput over the free cells only.
-        free = np.array([den[i] <= 0 for i in range(space.n_cells)])
-        upper2 = upper.copy()
-        upper2[~free] = 0.0
+        upper2 = np.where(den <= 0, upper, 0.0)
         lp = LinearProgram(space.n_cells, num, maximize=True,
                            lower=lower, upper=upper2)
         for coeffs, rel, rhs in constraints:

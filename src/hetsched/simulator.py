@@ -174,15 +174,14 @@ class Simulation:
 
     # -- throughput construction ------------------------------------------
 
-    def _singleton_cell(self, state: _ActiveJob, cfg) -> tuple | None:
+    def _singleton_rate(self, state: _ActiveJob, cfg) -> float | None:
         t = self.cfg.cluster.types[cfg.type_id]
         sf = state.job.scale_factor
         if sf > t.num_workers:
             return None
         consolidated = cfg.placement in (Placement.SOLE, Placement.CONSOLIDATED)
-        thr = state.template.isolated_throughput(self.tier_of_type[t.id], sf,
-                                                 consolidated)
-        return (thr,)
+        return state.template.isolated_throughput(self.tier_of_type[t.id], sf,
+                                                  consolidated)
 
     def _pair_factor(self, a: _ActiveJob, b: _ActiveJob) -> float:
         """Normalized throughput of a when colocated with b (oracle or
@@ -200,38 +199,35 @@ class Simulation:
 
     def build_matrix(self, states: list, estimated: bool,
                      prune: bool = True) -> ThroughputMatrix:
-        rows = []
-        entries = []
         configs = self.cfg.cluster.configurations
-        cells = {}
-        for st in states:
-            row = []
-            for cfg in configs:
-                row.append(self._singleton_cell(st, cfg))
-            rows.append(JobCombination.of(st.job.id))
-            entries.append(row)
-            cells[st.job.id] = row
+        rates = [[self._singleton_rate(st, cfg) for cfg in configs] for st in states]
+        feasible = np.array([[v is not None for v in row] for row in rates],
+                            dtype=bool).reshape(len(states), len(configs))
+        rate = np.array([[0.0 if v is None else v for v in row] for row in rates],
+                        dtype=float).reshape(feasible.shape)
+        rows = [JobCombination.of(st.job.id) for st in states]
+        # Each pair row's two states and colocated factors, in the
+        # combination's member order (lower job id first).
+        members, factors = [], []
         if self.cfg.policy.space_sharing:
+            factor = self._pair_factor if estimated else self._true_pair_factor
             for i, a in enumerate(states):
-                for b in states[i + 1:]:
+                for j in range(i + 1, len(states)):
+                    b = states[j]
                     if a.job.scale_factor != b.job.scale_factor:
                         continue
-                    fa = self._pair_factor(a, b) if estimated \
-                        else self._true_pair_factor(a, b)
-                    fb = self._pair_factor(b, a) if estimated \
-                        else self._true_pair_factor(b, a)
-                    row = []
-                    for c, cfg in enumerate(configs):
-                        ca, cb = cells[a.job.id][c], cells[b.job.id][c]
-                        if ca is None or cb is None:
-                            row.append(None)
-                        else:
-                            pair = {a.job.id: ca[0] * fa, b.job.id: cb[0] * fb}
-                            combo = JobCombination.of(a.job.id, b.job.id)
-                            row.append(tuple(pair[m] for m in combo.members))
                     rows.append(JobCombination.of(a.job.id, b.job.id))
-                    entries.append(row)
-        T = ThroughputMatrix(self.cfg.cluster, rows, entries)
+                    ends = [(i, factor(a, b)), (j, factor(b, a))]
+                    if a.job.id > b.job.id:
+                        ends.reverse()
+                    members.append([k for k, _ in ends])
+                    factors.append([f for _, f in ends])
+        members = np.array(members, dtype=np.intp).reshape(-1, 2)
+        factors = np.array(factors, dtype=float).reshape(-1, 2)
+        thr = np.concatenate([np.stack([rate, np.zeros_like(rate)], axis=-1),
+                              rate[members].transpose(0, 2, 1) * factors[:, None, :]])
+        T = ThroughputMatrix(self.cfg.cluster, rows, thr,
+                             np.concatenate([feasible, feasible[members].all(axis=1)]))
         if self.cfg.policy.space_sharing and prune:
             T = prune_combinations(T)
         return T
@@ -246,45 +242,33 @@ class Simulation:
         Row totals are preserved and per-type capacity stays satisfied.
         """
         T = X.T
+        types = T.cluster.types
+        # Feasible columns of the same type as each cell, in the cell's row.
+        same_type = T.type_of[:, None] == T.type_of[None, :]
+        per_type = T.feasible.astype(int) @ same_type.astype(int)
+        workers = np.array([types[t].num_workers for t in T.type_of], dtype=float)
+        weights = np.divide(workers, per_type, out=np.zeros(per_type.shape),
+                            where=T.feasible)
+        total = X.values.sum(axis=1)
+        live = total > 0
         values = np.zeros_like(X.values)
-        for r in range(T.num_rows):
-            total = X.values[r].sum()
-            if total <= 0:
-                continue
-            weights = np.array([
-                T.cluster.types[cfg.type_id].num_workers if T.feasible(r, c) else 0.0
-                for c, cfg in enumerate(T.configs)])
-            per_type_cols = {}
-            for c, cfg in enumerate(T.configs):
-                if T.feasible(r, c):
-                    per_type_cols.setdefault(cfg.type_id, []).append(c)
-            for cols in per_type_cols.values():
-                for c in cols:
-                    weights[c] /= len(cols)
-            values[r] = total * weights / weights.sum()
+        values[live] = (total[live, None] * weights[live]
+                        / weights[live].sum(axis=1)[:, None])
         return AllocationMatrix(T, values)
 
     def _agnostic_matrix(self, T: ThroughputMatrix) -> ThroughputMatrix:
         """Rank-1 view for heterogeneity-agnostic baselines: each job's worst
         feasible singleton throughput replicated across all configurations."""
-        worst = {}
-        for combo in T.rows:
-            if combo.is_pair:
-                continue
-            r = T.row_index(combo)
-            vals = [T.value(r, c, combo.members[0])
-                    for c in range(T.num_configs) if T.feasible(r, c)]
-            worst[combo.members[0]] = min(vals) if vals else 0.0
-        entries = []
+        singles = (~T.is_pair).nonzero()[0]
+        worst = np.where(T.feasible[singles], T.thr[singles, :, 0], np.inf).min(axis=1)
+        worst[np.isinf(worst)] = 0.0
+        worst_of = dict(zip((T.rows[r].members[0] for r in singles), worst.tolist()))
+        rates = np.zeros((T.num_rows, 2))
         for r, combo in enumerate(T.rows):
-            row = []
-            for c in range(T.num_configs):
-                if not T.feasible(r, c):
-                    row.append(None)
-                else:
-                    row.append(tuple(worst[m] for m in combo.members))
-            entries.append(row)
-        return ThroughputMatrix(T.cluster, list(T.rows), entries)
+            rates[r, :len(combo.members)] = [worst_of[m] for m in combo.members]
+        return ThroughputMatrix(T.cluster, T.rows,
+                                np.broadcast_to(rates[:, None, :], T.thr.shape),
+                                T.feasible)
 
     # -- estimator hooks ---------------------------------------------------
 
@@ -433,12 +417,12 @@ class Simulation:
                                 or partner != st.prev_partner)
                     overhead = cfg.preemption_overhead if switched else 0.0
                     effective = max(cfg.round_duration - overhead, 0.0)
-                    thr = T_exec.value(r, a.config_index, m)
+                    thr = float(T_exec.thr[r, a.config_index, a.combo.member_index(m)])
                     if self.cfg.estimator is not None and a.combo.is_pair:
                         # Online refinement: observe the true colocation rate.
-                        iso = self._singleton_cell(st, T_exec.configs[a.config_index])
-                        if iso and iso[0] > 0:
-                            self.estimates.observe((m, partner[0]), thr / iso[0])
+                        iso = self._singleton_rate(st, T_exec.configs[a.config_index])
+                        if iso is not None and iso > 0:
+                            self.estimates.observe((m, partner[0]), thr / iso)
                     job = st.job
                     gained = thr * effective
                     if job.steps_done + gained >= job.num_steps - 1e-9 and thr > 0:

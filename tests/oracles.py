@@ -10,10 +10,10 @@ scale factor 1 and one worker per type so the grid is the whole story.
 The ratio (cost) objective is handled by exact vertex enumeration instead:
 a linear-fractional optimum lies at a vertex of the allocation polytope.
 
-The module also keeps the first, plainer versions of two library kernels
-as references that the optimized ones must match: row-at-a-time ALS
-(`reference_complete_matrix`) and the two-phase simplex
-(`reference_solve_lp`).
+The module also keeps the first, plainer versions of library kernels as
+references that the optimized ones must match: row-at-a-time ALS
+(`reference_complete_matrix`), the two-phase simplex (`reference_solve_lp`)
+and the cell-at-a-time throughput-matrix walks (`CellMatrix`).
 """
 
 from __future__ import annotations
@@ -677,3 +677,133 @@ def _simplex(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list,
     x[basis] = xb
     x[np.abs(x) < 1e-11] = 0.0
     return Status.OPTIMAL, x, basis
+
+
+# ---------------------------------------------------------------------------
+# Cell-at-a-time throughput matrix
+# ---------------------------------------------------------------------------
+
+class CellMatrix:
+    """A throughput matrix as nested cells, walked one cell at a time:
+    cells[r][c] is a tuple of per-member rates, or None where combination r
+    cannot run on configuration c.  Each method is the per-cell loop the
+    array code replaced, with the same accumulation order."""
+
+    def __init__(self, cluster, rows, cells):
+        self.cluster = cluster
+        self.configs = cluster.configurations
+        self.rows = list(rows)
+        self.cells = cells
+        self.C = len(self.configs)
+
+    def feasible(self, r: int, c: int) -> bool:
+        return self.cells[r][c] is not None
+
+    def value(self, r: int, c: int, job_id: int) -> float:
+        cell = self.cells[r][c]
+        if cell is None:
+            return 0.0
+        return float(cell[self.rows[r].member_index(job_id)])
+
+    def combos_containing(self, job_id: int) -> list:
+        return [r for r, combo in enumerate(self.rows) if combo.contains(job_id)]
+
+    def singleton_row(self, job_id: int) -> int:
+        return next(r for r, combo in enumerate(self.rows)
+                    if combo.members == (job_id,))
+
+    def job_coefficients(self, job_id: int) -> np.ndarray:
+        coeffs = np.zeros(len(self.rows) * self.C)
+        for r in self.combos_containing(job_id):
+            for c in range(self.C):
+                if self.feasible(r, c):
+                    coeffs[r * self.C + c] = self.value(r, c, job_id)
+        return coeffs
+
+    def max_throughput(self, job_id: int) -> float:
+        best = 0.0
+        for r in self.combos_containing(job_id):
+            for c in range(self.C):
+                if self.feasible(r, c):
+                    best = max(best, self.value(r, c, job_id))
+        return best
+
+    def effective_throughput(self, job_id: int, X: np.ndarray) -> float:
+        total = 0.0
+        for r in self.combos_containing(job_id):
+            for c in range(self.C):
+                if self.feasible(r, c):
+                    total += self.value(r, c, job_id) * X[r, c]
+        return total
+
+    def equal_share(self) -> np.ndarray:
+        total = self.cluster.total_workers
+        values = np.zeros((len(self.rows), self.C))
+        per_type_cols: dict = {}
+        for c, cfg in enumerate(self.configs):
+            per_type_cols.setdefault(cfg.type_id, []).append(c)
+        for r, combo in enumerate(self.rows):
+            if combo.is_pair:
+                continue
+            for t in self.cluster.types:
+                cols = per_type_cols[t.id]
+                for c in cols:
+                    values[r, c] = t.num_workers / total / len(cols)
+        return values
+
+    def equal_norm(self, job_id: int) -> float:
+        return self.effective_throughput(job_id, self.equal_share())
+
+    def cell_bounds(self):
+        lower = np.zeros(len(self.rows) * self.C)
+        upper = np.full(len(self.rows) * self.C, np.inf)
+        for r in range(len(self.rows)):
+            for c in range(self.C):
+                if not self.feasible(r, c):
+                    upper[r * self.C + c] = 0.0
+        return lower, upper
+
+    def validity_rows(self, jobs) -> list:
+        """(coeffs, rhs) of the per-job time budgets, in `jobs` order, then
+        the per-type worker capacities; a row's workers are its first
+        member's scale factor, or 1 when that job is not in `jobs`."""
+        by_id = {j.id: j for j in jobs}
+        n = len(self.rows) * self.C
+        out = []
+        for j in jobs:
+            row = np.zeros(n)
+            for r in self.combos_containing(j.id):
+                row[r * self.C: (r + 1) * self.C] = 1.0
+            out.append((row, 1.0))
+        for t in self.cluster.types:
+            row = np.zeros(n)
+            for c, cfg in enumerate(self.configs):
+                if cfg.type_id != t.id:
+                    continue
+                for r, combo in enumerate(self.rows):
+                    job = by_id.get(combo.members[0])
+                    row[r * self.C + c] = job.scale_factor if job is not None else 1
+            out.append((row, float(t.num_workers)))
+        return out
+
+    def prune(self, threshold: float = 1.0) -> list:
+        """Rows kept by pair pruning."""
+        kept = []
+        for r, combo in enumerate(self.rows):
+            if not combo.is_pair:
+                kept.append(combo)
+                continue
+            best = 0.0
+            for c in range(self.C):
+                if not self.feasible(r, c):
+                    continue
+                norm_sum = 0.0
+                for job_id in combo.members:
+                    iso_r = self.singleton_row(job_id)
+                    iso = self.value(iso_r, c, job_id) if self.feasible(iso_r, c) else 0.0
+                    if iso > 0:
+                        norm_sum += self.value(r, c, job_id) / iso
+                best = max(best, norm_sum)
+            if best > threshold:
+                kept.append(combo)
+        return kept

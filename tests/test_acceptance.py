@@ -34,7 +34,7 @@ from oracles import (OracleInstance, oracle_cost, oracle_ftf, oracle_las,
 def singles(cluster, T_rows):
     rows = [JobCombination.of(i) for i in range(len(T_rows))]
     entries = [[(float(v),) if v > 0 else None for v in row] for row in T_rows]
-    return ThroughputMatrix(cluster, rows, entries)
+    return ThroughputMatrix.from_cells(cluster, rows, entries)
 
 
 def inst_to_matrix(inst):
@@ -334,7 +334,7 @@ def test_criterion_6c_colocation_dominance():
                      float(vals[pair_members[1], j] * f2)) for j in range(J)]
         rows.append(JobCombination.of(*pair_members))
         entries.append(pair_row)
-        T = ThroughputMatrix(cluster, rows, entries)
+        T = ThroughputMatrix.from_cells(cluster, rows, entries)
         jobs = [Job(id=m, num_steps=100) for m in range(M)]
         plain = solve_policy(parse_policy("las"), jobs, cluster, T)
         shared = solve_policy(parse_policy("las+ss"), jobs, cluster, T)

@@ -25,8 +25,8 @@ def runner():
 def write_three_job_instance(tmp_path):
     cluster = make_cluster({"V100": 1, "K80": 1})
     rows = [JobCombination.of(i) for i in range(3)]
-    T = ThroughputMatrix(cluster, rows,
-                         [[(4.0,), (1.0,)], [(3.0,), (1.0,)], [(2.0,), (1.0,)]])
+    T = ThroughputMatrix.from_cells(cluster, rows,
+                                    [[(4.0,), (1.0,)], [(3.0,), (1.0,)], [(2.0,), (1.0,)]])
     thr = tmp_path / "thr.json"
     T.save(thr)
     jobs = tmp_path / "jobs.json"
@@ -87,7 +87,7 @@ class TestSolve:
 
     def test_makespan_single_job(self, runner, tmp_path):
         cluster = make_cluster({"gpu": 1})
-        T = ThroughputMatrix(cluster, [JobCombination.of(0)], [[(1.0,)]])
+        T = ThroughputMatrix.from_cells(cluster, [JobCombination.of(0)], [[(1.0,)]])
         thr = tmp_path / "thr.json"
         T.save(thr)
         jobs = tmp_path / "jobs.json"
@@ -101,7 +101,7 @@ class TestSolve:
 
     def test_impossible_slo_exit_code(self, runner, tmp_path):
         cluster = make_cluster({"gpu": 1}, costs={"gpu": 1.0})
-        T = ThroughputMatrix(cluster, [JobCombination.of(0)], [[(1.0,)]])
+        T = ThroughputMatrix.from_cells(cluster, [JobCombination.of(0)], [[(1.0,)]])
         thr = tmp_path / "thr.json"
         T.save(thr)
         jobs = tmp_path / "jobs.json"
@@ -188,6 +188,20 @@ class TestSolve:
                                    "--jobs", str(jobs)])
         assert res.exit_code == 2, res.output
         assert "error:" in res.output and "Traceback" not in res.output
+
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    def test_non_finite_throughput_exit_code(self, runner, tmp_path, value):
+        thr, jobs = write_three_job_instance(tmp_path)
+        thr.write_text(thr.read_text().replace("4.0", value, 1))
+        for policy in ("las", "fifo", "makespan"):
+            res = runner.invoke(main, ["--out", str(tmp_path), "solve",
+                                       "--policy", policy,
+                                       "--throughputs", str(thr),
+                                       "--jobs", str(jobs)])
+            assert res.exit_code == 2, (policy, res.output)
+            assert "error: bad value" in res.output and "must be finite" in res.output
+            assert "Traceback" not in res.output
 
 
 class TestSimulate:
@@ -326,6 +340,17 @@ class TestEstimate:
     def test_malformed_json_exit_code(self, runner, tmp_path):
         res = self._estimate(runner, tmp_path, '{"names": ["r0"', {})
         assert res.exit_code == 4
+
+    def test_non_finite_reference_throughput_exit_code(self, runner, tmp_path):
+        cell = lambda *v: {"g": list(v)}
+        refs = {"types": [{"name": "g", "num_workers": 1}],
+                "rows": [{"members": [0], "throughputs": cell(1.0)},
+                         {"members": [1], "throughputs": cell(1.0)},
+                         {"members": [0, 1], "throughputs": cell(0.5, float("nan"))}]}
+        res = self._estimate(runner, tmp_path, refs, {"newjob": {"job-0": 0.5}})
+        assert res.exit_code == 2, res.output
+        assert "error:" in res.output and "must be finite" in res.output
+        assert "Traceback" not in res.output
 
     def test_unknown_reference_exit_code(self, runner, tmp_path):
         res = self._estimate(runner, tmp_path,

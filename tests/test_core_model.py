@@ -7,10 +7,13 @@ from hypothesis import given, settings, strategies as st
 from hetsched.cluster import (AcceleratorType, ClusterSpec, Placement,
                               make_cluster)
 from hetsched.jobs import Job, JobCombination
+from hetsched.lp import LinearProgram
 from hetsched.matrices import (AllocationMatrix, ThroughputMatrix,
                                effective_throughput, equal_share_allocation,
                                isolated_allocation,
                                prune_combinations)
+from hetsched.policies import ProblemSpace
+from oracles import CellMatrix
 
 
 @pytest.fixture
@@ -19,7 +22,7 @@ def two_type_cluster():
 
 
 def build_matrix(cluster, rows, entries):
-    return ThroughputMatrix(cluster, rows, entries)
+    return ThroughputMatrix.from_cells(cluster, rows, entries)
 
 
 def test_cluster_configurations_placement_aware():
@@ -106,7 +109,7 @@ def test_isolated_is_equal_share_over_n(two_type_cluster):
 def test_equal_share_placement_aware_splits_columns():
     cluster = make_cluster({"V100": 2, "K80": 2}, placement_aware=True)
     rows = [JobCombination.of(0)]
-    T = ThroughputMatrix(cluster, rows, [[(4.0,), (3.0,), (1.0,), (0.9,)]])
+    T = ThroughputMatrix.from_cells(cluster, rows, [[(4.0,), (3.0,), (1.0,), (0.9,)]])
     X = equal_share_allocation(T)
     assert np.allclose(X.values, [[0.25, 0.25, 0.25, 0.25]])
     assert X.values.sum() == pytest.approx(1.0)
@@ -156,6 +159,18 @@ def test_scale_factor_capacity(two_type_cluster):
         AllocationMatrix(T, np.array([[0.9, 0.0]])).validate(jobs)
 
 
+def test_capacity_checked_per_accelerator_type():
+    # Each placement column alone fits two 2-worker jobs on 2 V100s; the
+    # type as a whole does not.
+    cluster = make_cluster({"V100": 2}, placement_aware=True)
+    rows = [JobCombination.of(0), JobCombination.of(1)]
+    T = build_matrix(cluster, rows, [[(2.0,), (1.0,)]] * 2)
+    jobs = {0: Job(id=0, scale_factor=2), 1: Job(id=1, scale_factor=2)}
+    with pytest.raises(ValueError, match="V100 oversubscribed"):
+        AllocationMatrix(T, np.array([[1.0, 0.0], [0.0, 1.0]])).validate(jobs)
+    AllocationMatrix(T, np.array([[0.5, 0.0], [0.0, 0.5]])).validate(jobs)
+
+
 def test_matrix_json_round_trip(tmp_path):
     cluster = make_cluster({"V100": 2, "K80": 4}, placement_aware=True,
                            costs={"V100": 3.0, "K80": 0.5},
@@ -166,7 +181,7 @@ def test_matrix_json_round_trip(tmp_path):
         [(3.0,), (2.5,), (1.1,), (1.0,)],
         [(2.0, 1.5), None, (0.5, 0.4), None],
     ]
-    T = ThroughputMatrix(cluster, rows, entries)
+    T = ThroughputMatrix.from_cells(cluster, rows, entries)
     path = tmp_path / "matrix.json"
     T.save(path)
     T2 = ThroughputMatrix.load(path)
@@ -183,7 +198,7 @@ def test_matrix_json_round_trip(tmp_path):
 
 def test_reference_flag_passthrough(tmp_path):
     cluster = make_cluster({"V100": 1})
-    T = ThroughputMatrix(cluster, [JobCombination.of(0)], [[(1.0,)]])
+    T = ThroughputMatrix.from_cells(cluster, [JobCombination.of(0)], [[(1.0,)]])
     path = tmp_path / "ref.json"
     T.save(path, extra={"reference": True})
     assert json.loads(path.read_text())["reference"] is True
@@ -195,3 +210,71 @@ def test_effective_throughput_unknown_job(two_type_cluster):
     X = AllocationMatrix.zeros(T)
     with pytest.raises(UnknownJobError):
         effective_throughput(99, X, T)
+
+
+def _random_cells(rng):
+    """Cluster, rows, nested cells and jobs: one to three types, placement
+    aware or not, scale factors 1, 2 and 4, pairs of equal scale factor,
+    infeasible cells and zero-rate feasible cells.  Every singleton has a
+    positive rate somewhere, so every job has an equal-share throughput."""
+    counts = {name: int(rng.integers(1, 9))
+              for name in ("V100", "P100", "K80")[: int(rng.integers(1, 4))]}
+    cluster = make_cluster(counts, placement_aware=bool(rng.random() < 0.5))
+    C = len(cluster.configurations)
+    n = int(rng.integers(1, 7))
+    jobs = [Job(id=int(i), scale_factor=int(rng.choice([1, 2, 4])))
+            for i in rng.permutation(10)[:n]]
+
+    def rate():
+        return 0.0 if rng.random() < 0.1 else round(float(rng.uniform(0.1, 5.0)), 3)
+
+    rows, cells = [], []
+    for j in jobs:
+        row = [None if rng.random() < 0.2 else (rate(),) for _ in range(C)]
+        row[int(rng.integers(C))] = (round(float(rng.uniform(0.1, 5.0)), 3),)
+        rows.append(JobCombination.of(j.id))
+        cells.append(row)
+    for a in range(n):
+        for b in range(a + 1, n):
+            if jobs[a].scale_factor == jobs[b].scale_factor and rng.random() < 0.7:
+                rows.append(JobCombination.of(jobs[a].id, jobs[b].id))
+                cells.append([None if rng.random() < 0.25 else (rate(), rate())
+                              for _ in range(C)])
+    return cluster, rows, cells, jobs
+
+
+def test_arrays_match_per_cell_reference():
+    pairs = infeasible = zero = placement = 0
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        cluster, rows, cells, jobs = _random_cells(rng)
+        T = ThroughputMatrix.from_cells(cluster, rows, cells)
+        ref = CellMatrix(cluster, rows, cells)
+        X = AllocationMatrix(T, rng.uniform(0.0, 1.0, size=(T.num_rows, T.num_configs)))
+        for j in jobs:
+            assert np.array_equal(T.coeffs[T.job_index(j.id)], ref.job_coefficients(j.id))
+            assert effective_throughput(j.id, X, T) == ref.effective_throughput(j.id, X.values)
+            assert T.max_throughput(j.id) == ref.max_throughput(j.id)
+        assert np.array_equal(equal_share_allocation(T).values, ref.equal_share())
+        # The LP pieces, for every job and for a subset (whose rows' other
+        # members fall back to one worker in the capacity rows).
+        for space_jobs in (jobs, jobs[: max(1, len(jobs) // 2)]):
+            space = ProblemSpace(space_jobs, T)
+            for j in space_jobs:
+                assert space.equal_norm[j.id] == ref.equal_norm(j.id)
+            lower, upper = space.cell_bounds()
+            ref_lower, ref_upper = ref.cell_bounds()
+            assert np.array_equal(lower, ref_lower) and np.array_equal(upper, ref_upper)
+            lp = LinearProgram(space.n_cells, np.zeros(space.n_cells))
+            space.add_validity(lp)
+            expected = ref.validity_rows(space_jobs)
+            assert len(lp.constraints) == len(expected)
+            for (row, _, rhs), (ref_row, ref_rhs) in zip(lp.constraints, expected):
+                assert np.array_equal(row, ref_row) and rhs == ref_rhs
+        for threshold in (0.8, 1.0, 1.3):
+            assert list(prune_combinations(T, threshold).rows) == ref.prune(threshold)
+        pairs += any(c.is_pair for c in rows)
+        infeasible += any(cell is None for row in cells for cell in row)
+        zero += any(cell is not None and 0.0 in cell for row in cells for cell in row)
+        placement += cluster.placement_aware
+    assert min(pairs, infeasible, zero, placement) >= 50

@@ -212,7 +212,7 @@ class TestReferenceSetLoading:
             for j in range(i + 1, 3):
                 rows.append(JobCombination.of(i, j))
                 entries.append([(iso[i] * fac[i][j], iso[j] * fac[j][i])])
-        T = ThroughputMatrix(cluster, rows, entries)
+        T = ThroughputMatrix.from_cells(cluster, rows, entries)
         refs = ReferenceSet.from_throughputs(T)
         assert np.allclose(refs.R, fac)
 
@@ -223,6 +223,6 @@ class TestReferenceSetLoading:
 
         cluster = make_cluster({"P100": 1})
         rows = [JobCombination.of(0), JobCombination.of(1)]
-        T = ThroughputMatrix(cluster, rows, [[(1.0,)], [(1.0,)]])
+        T = ThroughputMatrix.from_cells(cluster, rows, [[(1.0,)], [(1.0,)]])
         with pytest.raises(ValueError):
             ReferenceSet.from_throughputs(T)

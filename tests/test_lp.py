@@ -56,6 +56,21 @@ def test_fixed_variable_elimination():
     assert res.objective_value == pytest.approx(2.0, abs=1e-7)
 
 
+def test_all_fixed_with_equality_row():
+    # Phase 1 drops the equality row, which leaves phase 2 nothing to price.
+    lp = LinearProgram(1, [1.0], lower=np.array([1.0]), upper=np.array([1.0]))
+    lp.add_constraint([1.0], "=", 1.0)
+    res = solve_lp(lp)
+    assert res.optimal and res.x[0] == 1.0 and res.objective_value == 1.0
+    lp = LinearProgram(2, [1.0, 1.0], lower=np.array([1.0, 0.0]),
+                       upper=np.array([1.0, np.inf]))
+    lp.add_constraint([1.0, 0.0], "=", 1.0)
+    assert solve_lp(lp).status is Status.UNBOUNDED
+    lp = LinearProgram(1, [1.0], lower=np.array([1.0]), upper=np.array([1.0]))
+    lp.add_constraint([1.0], "=", 2.0)
+    assert solve_lp(lp).status is Status.INFEASIBLE
+
+
 def test_dimension_mismatch():
     lp = LinearProgram(2, [1.0, 1.0])
     with pytest.raises(DimensionError):
@@ -147,10 +162,6 @@ def _random_lp(rng) -> LinearProgram:
     m = int(rng.integers(0, 8))
     integer = rng.random() < 0.5
     kind = rng.integers(0, 5, size=n)
-    if np.all(kind == 3):
-        # With every variable fixed, an equality row leaves phase 2 with no
-        # column, and both kernels fail on it alike; keep one variable.
-        kind[0] = 0
     base = rng.integers(-3, 3, size=n).astype(float)
     if not integer:
         base += np.round(rng.uniform(0.0, 1.0, size=n), 2)
@@ -233,13 +244,38 @@ def _assert_same_as_reference(lp):
     return ref.status
 
 
+def _assert_all_fixed_verdict(lp):
+    """An LP whose variables are all fixed is optimal at the fixed point
+    exactly when every row holds there.  The reference kernel fails on
+    equality rows here (phase 2 is left with no column), so the verdict is
+    checked directly."""
+    x = lp.lower
+    holds = [{Relation.LE: lhs <= rhs + 1e-9, Relation.GE: lhs >= rhs - 1e-9,
+              Relation.EQ: abs(lhs - rhs) <= 1e-9}[rel]
+             for lhs, rel, rhs in ((float(row @ x), rel, rhs)
+                                   for row, rel, rhs in lp.constraints)]
+    res = solve_lp(lp)
+    if all(holds):
+        assert res.optimal
+        assert np.array_equal(res.x, x)
+        assert res.objective_value == float(lp.objective @ x)
+    else:
+        assert res.status is Status.INFEASIBLE
+    return res.status
+
+
 def test_bit_identical_to_reference_kernel():
     statuses = []
     multi_term_fixed_rows = 0
+    all_fixed = []
     for seed in range(240):
         lp = _random_lp(np.random.default_rng(seed))
-        statuses.append(_assert_same_as_reference(lp))
         fixed = lp.lower == lp.upper
+        if fixed.all():
+            statuses.append(_assert_all_fixed_verdict(lp))
+            all_fixed.append(any(rel is Relation.EQ for _, rel, _ in lp.constraints))
+            continue
+        statuses.append(_assert_same_as_reference(lp))
         multi_term_fixed_rows += any(
             np.count_nonzero(row[fixed] * lp.lower[fixed]) > 1
             for row, _, _ in lp.constraints)
@@ -247,6 +283,8 @@ def test_bit_identical_to_reference_kernel():
     # right-hand side shift sums several products.
     assert {statuses.count(s) >= 10 for s in Status} == {True}
     assert multi_term_fixed_rows >= 10
+    # All-fixed instances occur, some of them with an equality row.
+    assert len(all_fixed) >= 5 and any(all_fixed)
 
 
 def test_bit_identical_on_bottleneck_relaxations():

@@ -13,7 +13,7 @@ from hetsched.mechanism import (RoundLedger, compute_priorities, place,
 def singles(cluster, T_rows):
     rows = [JobCombination.of(i) for i in range(len(T_rows))]
     entries = [[(float(v),) if v > 0 else None for v in row] for row in T_rows]
-    return ThroughputMatrix(cluster, rows, entries)
+    return ThroughputMatrix.from_cells(cluster, rows, entries)
 
 
 def key(cfg):
@@ -85,7 +85,7 @@ class TestPlanRound:
     def test_conflict_removal(self):
         cluster = make_cluster({"gpu": 1})
         rows = [JobCombination.of(0), JobCombination.of(0, 1)]
-        T = ThroughputMatrix(cluster, rows, [[(1.0,)], [(0.6, 0.6)]])
+        T = ThroughputMatrix.from_cells(cluster, rows, [[(1.0,)], [(0.6, 0.6)]])
         X = AllocationMatrix(T, np.array([[0.4], [0.2]]))
         jobs = {0: Job(id=0, num_steps=10), 1: Job(id=1, num_steps=10)}
         ledger = RoundLedger(360.0)
@@ -99,7 +99,7 @@ class TestPlanRound:
         cluster = make_cluster({"gpu": 4})
         rows = [JobCombination.of(0), JobCombination.of(1),
                 JobCombination.of(0, 1)]
-        T = ThroughputMatrix(cluster, rows, [[(1.0,)], [(1.0,)], [(0.9, 0.9)]])
+        T = ThroughputMatrix.from_cells(cluster, rows, [[(1.0,)], [(1.0,)], [(0.9, 0.9)]])
         X = AllocationMatrix(T, np.array([[0.5], [0.5], [0.5]]))
         jobs = {0: Job(id=0, num_steps=10), 1: Job(id=1, num_steps=10)}
         plan = plan_round(compute_priorities(X, RoundLedger(360.0)), jobs,
@@ -110,7 +110,7 @@ class TestPlanRound:
     def test_large_job_waits_for_capacity(self):
         cluster = make_cluster({"gpu": 8})
         rows = [JobCombination.of(0), JobCombination.of(1)]
-        T = ThroughputMatrix(cluster, rows, [[(8.0,)], [(4.0,)]])
+        T = ThroughputMatrix.from_cells(cluster, rows, [[(8.0,)], [(4.0,)]])
         X = AllocationMatrix(T, np.array([[0.5], [0.5]]))
         jobs = {0: Job(id=0, num_steps=10 ** 9, scale_factor=8),
                 1: Job(id=1, num_steps=10 ** 9, scale_factor=4)}
@@ -214,7 +214,7 @@ class TestPlacement:
     def test_eight_gpu_job_consolidated(self):
         cluster = make_cluster({"gpu": 16}, workers_per_server={"gpu": 8})
         rows = [JobCombination.of(0)]
-        T = ThroughputMatrix(cluster, rows, [[(8.0,)]])
+        T = ThroughputMatrix.from_cells(cluster, rows, [[(8.0,)]])
         jobs = {0: Job(id=0, num_steps=10, scale_factor=8)}
         X = AllocationMatrix(T, np.array([[0.5]]))
         plan = plan_round(compute_priorities(X, RoundLedger(360.0)), jobs,
@@ -228,7 +228,7 @@ class TestPlacement:
     def test_spread_when_fragmented(self):
         cluster = make_cluster({"gpu": 4}, workers_per_server={"gpu": 2})
         rows = [JobCombination.of(0)]
-        T = ThroughputMatrix(cluster, rows, [[(4.0,)]])
+        T = ThroughputMatrix.from_cells(cluster, rows, [[(4.0,)]])
         jobs = {0: Job(id=0, num_steps=10, scale_factor=4)}
         X = AllocationMatrix(T, np.array([[0.5]]))
         plan = plan_round(compute_priorities(X, RoundLedger(360.0)), jobs,
@@ -240,7 +240,7 @@ class TestPlacement:
     def test_first_fit_decreasing_packing(self):
         cluster = make_cluster({"gpu": 8}, workers_per_server={"gpu": 4})
         rows = [JobCombination.of(i) for i in range(4)]
-        T = ThroughputMatrix(cluster, rows, [[(1.0,)]] * 4)
+        T = ThroughputMatrix.from_cells(cluster, rows, [[(1.0,)]] * 4)
         jobs = {0: Job(id=0, num_steps=10, scale_factor=4),
                 1: Job(id=1, num_steps=10, scale_factor=2),
                 2: Job(id=2, num_steps=10, scale_factor=1),

@@ -18,7 +18,7 @@ from oracles import OracleInstance, oracle_ftf, oracle_las, oracle_makespan
 def singles(cluster, T_rows):
     rows = [JobCombination.of(i) for i in range(len(T_rows))]
     entries = [[(float(v),) if v > 0 else None for v in row] for row in T_rows]
-    return ThroughputMatrix(cluster, rows, entries)
+    return ThroughputMatrix.from_cells(cluster, rows, entries)
 
 
 @pytest.fixture
@@ -62,7 +62,7 @@ class TestLas:
     def test_zero_throughput_job_rejected(self):
         cluster = make_cluster({"gpu": 1})
         rows = [JobCombination.of(0)]
-        T = ThroughputMatrix(cluster, rows, [[(0.0,)]])
+        T = ThroughputMatrix.from_cells(cluster, rows, [[(0.0,)]])
         with pytest.raises(ZeroThroughputError):
             solve_las([Job(id=0, num_steps=10)], cluster, T)
 
@@ -283,8 +283,8 @@ class TestDispatchAndParsing:
     def test_space_sharing_rows_filtered_when_disabled(self):
         cluster = make_cluster({"gpu": 1})
         rows = [JobCombination.of(0), JobCombination.of(1), JobCombination.of(0, 1)]
-        T = ThroughputMatrix(cluster, rows,
-                             [[(1.0,)], [(1.0,)], [(0.9, 0.9)]])
+        T = ThroughputMatrix.from_cells(cluster, rows,
+                                        [[(1.0,)], [(1.0,)], [(0.9, 0.9)]])
         jobs = [Job(id=0, num_steps=10), Job(id=1, num_steps=10)]
         res = solve_policy(parse_policy("las"), jobs, cluster, T)
         assert all(not c.is_pair for c in res.allocation.rows)
@@ -294,8 +294,8 @@ class TestDispatchAndParsing:
     def test_colocation_dominance_on_fixture(self):
         cluster = make_cluster({"gpu": 1})
         rows = [JobCombination.of(0), JobCombination.of(1), JobCombination.of(0, 1)]
-        T = ThroughputMatrix(cluster, rows,
-                             [[(1.0,)], [(1.0,)], [(0.8, 0.8)]])
+        T = ThroughputMatrix.from_cells(cluster, rows,
+                                        [[(1.0,)], [(1.0,)], [(0.8, 0.8)]])
         jobs = [Job(id=0, num_steps=10), Job(id=1, num_steps=10)]
         plain = solve_policy(parse_policy("las"), jobs, cluster, T)
         shared = solve_policy(parse_policy("las+ss"), jobs, cluster, T)
@@ -307,7 +307,7 @@ class TestScaleFactor:
         cluster = make_cluster({"gpu": 3})
         rows = [JobCombination.of(0), JobCombination.of(1)]
         # Throughput proportional to worker count for the 2-worker job.
-        T = ThroughputMatrix(cluster, rows, [[(1.0,)], [(2.0,)]])
+        T = ThroughputMatrix.from_cells(cluster, rows, [[(1.0,)], [(2.0,)]])
         jobs = [Job(id=0, num_steps=100, scale_factor=1),
                 Job(id=1, num_steps=100, scale_factor=2)]
         X, obj = solve_las(jobs, cluster, T)

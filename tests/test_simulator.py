@@ -118,8 +118,8 @@ class TestAllocationFidelity:
         from hetsched.policies import solve_las
         jobs = [Job(id=i, num_steps=10 ** 9) for i in range(3)]
         rows = [JobCombination.of(i) for i in range(3)]
-        T = ThroughputMatrix(cluster, rows,
-                             [[(4.0,), (1.0,)], [(3.0,), (1.0,)], [(2.0,), (1.0,)]])
+        T = ThroughputMatrix.from_cells(cluster, rows,
+                                        [[(4.0,), (1.0,)], [(3.0,), (1.0,)], [(2.0,), (1.0,)]])
         X, _ = solve_las(jobs, cluster, T)
         # The simulator's own ledger is not exposed; re-run the mechanism to
         # measure received fractions through the run's round log instead.

@@ -1,0 +1,41 @@
+"""The benchmark's tracer (bench/tracing.py) wraps package functions by the
+names their callers bind; a refactor that unbinds one of them must fail
+here rather than in a traced benchmark run."""
+
+import sys
+from pathlib import Path
+
+from hetsched.cluster import make_cluster
+from hetsched.policies import parse_policy
+from hetsched.simulator import SimConfig, Simulation
+from hetsched.traces import JobTemplate, Trace, TraceEntry
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import tracing  # noqa: E402
+
+
+def test_tracer_installs_traces_and_restores():
+    bound = [(owner, attr, owner.__dict__[attr])
+             for owner, attr, _, _ in tracing.TARGETS]
+    templates = [JobTemplate(name=f"t{i}", tier_throughputs=(fast, 1.0, 1.0),
+                             consolidated_efficiency=1.0,
+                             unconsolidated_efficiency=1.0,
+                             coloc_sensitivity=0.3, coloc_aggressiveness=0.3)
+                 for i, fast in enumerate((4.0, 3.0, 2.0))]
+    trace = Trace([TraceEntry(0.0, t.name, 2000) for t in templates], "static", 0)
+    cfg = SimConfig(cluster=make_cluster({"V100": 1, "K80": 1}),
+                    policy=parse_policy("las+ss"), seed=0)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        for owner, attr, fn in bound:
+            assert owner.__dict__[attr] is not fn, attr
+        Simulation(cfg, trace, templates).run()
+    for owner, attr, fn in bound:
+        assert owner.__dict__[attr] is fn, attr
+    names = {span[0] for span in tracer.spans}
+    assert {"simulator.run", "simulator.build_matrix", "matrices.prune",
+            "matrices.throughput_matrix", "matrices.validate",
+            "policies.problem_space", "lp.solve_lp",
+            "mechanism.compute_priorities"} <= names
+    metrics = tracing.layer_metrics(tracer.spans, 0, len(tracer.spans))
+    assert metrics["policies.calls"] > 0 and metrics["lp.calls"] > 0

@@ -17,7 +17,7 @@ from hetsched.waterfill import (DELTA_FRACTION, assign_job_weights,
 def singles(cluster, T_rows):
     rows = [JobCombination.of(i) for i in range(len(T_rows))]
     entries = [[(float(v),) if v > 0 else None for v in row] for row in T_rows]
-    return ThroughputMatrix(cluster, rows, entries)
+    return ThroughputMatrix.from_cells(cluster, rows, entries)
 
 
 @pytest.fixture
