@@ -16,6 +16,9 @@ import numpy as np
 from .lp import LinearProgram, SolveResult, Status, solve_lp
 
 INT_TOL = 1e-6
+# Objective values closer than this count as equal: a node or incumbent must
+# beat the incumbent by more to displace it, and ties go to the lex order.
+OBJ_TOL = 1e-9
 
 
 @dataclass
@@ -70,7 +73,7 @@ def _lex_refine(mip: MixedIntegerProgram, best: SolveResult,
         sub = _branch_and_bound(
             MixedIntegerProgram(sub_lp, mip.binary_vars - set(fixed) - {v}),
             node_limit)
-        if sub.optimal and sense * (sub.objective_value - target) >= -1e-9:
+        if sub.optimal and sense * (sub.objective_value - target) >= -OBJ_TOL:
             fixed[v] = 0.0
             current = sub
         else:
@@ -96,7 +99,7 @@ def _branch_and_bound(mip: MixedIntegerProgram, node_limit: int) -> SolveResult:
     sense = 1.0 if lp.maximize else -1.0
 
     def better(a: float, b: float) -> bool:
-        return sense * (a - b) > 1e-9
+        return sense * (a - b) > OBJ_TOL
 
     incumbent: SolveResult | None = None
     incumbent_key: tuple | None = None
@@ -129,7 +132,7 @@ def _branch_and_bound(mip: MixedIntegerProgram, node_limit: int) -> SolveResult:
         if explored > node_limit:
             break
         if incumbent is not None and not better(bound, incumbent.objective_value) \
-                and abs(bound - incumbent.objective_value) > 1e-9:
+                and abs(bound - incumbent.objective_value) > OBJ_TOL:
             continue  # bound strictly worse than incumbent
 
         frac = {v: res.x[v] for v in binaries
@@ -144,7 +147,7 @@ def _branch_and_bound(mip: MixedIntegerProgram, node_limit: int) -> SolveResult:
                 key = binary_key(cand.x)
                 if incumbent is None or better(cand.objective_value,
                                                incumbent.objective_value) \
-                        or (abs(cand.objective_value - incumbent.objective_value) <= 1e-9
+                        or (abs(cand.objective_value - incumbent.objective_value) <= OBJ_TOL
                             and key < incumbent_key):
                     incumbent, incumbent_key = cand, key
                 continue
@@ -163,7 +166,7 @@ def _branch_and_bound(mip: MixedIntegerProgram, node_limit: int) -> SolveResult:
                 continue
             if incumbent is not None \
                     and not better(child.objective_value, incumbent.objective_value) \
-                    and abs(child.objective_value - incumbent.objective_value) > 1e-9:
+                    and abs(child.objective_value - incumbent.objective_value) > OBJ_TOL:
                 continue
             counter += 1
             heapq.heappush(heap, (-sense * child.objective_value, counter,

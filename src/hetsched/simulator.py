@@ -159,6 +159,12 @@ class Simulation:
         unknown = sorted({e.template for e in trace.entries} - self.templates.keys())
         if unknown:
             raise ValueError(f"trace names unknown templates: {', '.join(unknown)}")
+        # Job ids are positions in arrival order, as `run` assigns them.
+        most = max((t.num_workers for t in config.cluster.types), default=0)
+        for i, e in enumerate(sorted(trace.entries, key=lambda e: e.arrival_time)):
+            if e.scale_factor > most:
+                raise ValueError(f"job {i} requests {e.scale_factor} workers but "
+                                 "no accelerator type has that many")
         self.tier_of_type = {t.id: min(t.id, 2) for t in config.cluster.types}
         self.entities = list(trace.entities)
         self.rng = np.random.default_rng(config.seed)
@@ -326,10 +332,6 @@ class Simulation:
                 for t in cfg.cluster.types)
             iso_thr = equal_thr / n_active
             st.isolated_duration = job.num_steps / iso_thr if iso_thr > 0 else 0.0
-            if all(job.scale_factor > t.num_workers for t in cfg.cluster.types):
-                raise ValueError(
-                    f"job {job_id} requests {job.scale_factor} workers but no "
-                    "accelerator type has that many")
             if self.refs is not None:
                 self._profile_new_job(st)
             active[job_id] = st

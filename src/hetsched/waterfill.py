@@ -3,10 +3,15 @@
 Each iteration splits every entity's weight across its still-active jobs
 according to the entity's internal policy, raises all active jobs' scaled
 normalized throughputs at rates proportional to those weights, then freezes
-the jobs that have hit a bottleneck (detected with a mixed-integer program).
-Frozen jobs keep their achieved throughput through carry-over constraints
-while the remaining jobs keep rising, so the final allocation is Pareto
-efficient at every level of the hierarchy.
+the jobs that have hit a bottleneck.  Frozen jobs keep their achieved
+throughput through carry-over constraints while the remaining jobs keep
+rising, so the final allocation is Pareto efficient at every level of the
+hierarchy.
+
+Bottleneck detection is settled with LPs: one gain LP per active job, then
+one screening LP that asks whether every job able to gain on its own can
+gain at the same time.  A mixed-integer program runs only when the screen
+fails or a gain sits too close to the strictness slack to call.
 """
 
 from __future__ import annotations
@@ -30,6 +35,13 @@ from .policies import (PolicyError, PolicyInfeasibleError, ProblemSpace,
 # 1e-7 solver tolerance; 1e-4 means "improvable by at least 0.01% of the
 # job's best rate", which is far below any scheduling-relevant difference.
 DELTA_FRACTION = 1e-4
+# A job counts as improvable only if its directly computed gain clears this
+# fraction of the slack; gains in [VERIFY_FRACTION * delta, delta) are left to
+# the MILP, where its tolerance and this check could disagree with a screen.
+VERIFY_FRACTION = 0.5
+# Slack under the level and carry rows of the tightening LP, so rounding in
+# the level LP's solution cannot make its own level infeasible.
+TIGHTEN_SLACK = 1e-9
 
 
 @dataclass
@@ -122,10 +134,10 @@ def _tighten_lp(space: ProblemSpace, weights: dict, t_prev: dict,
         w = weights[j.id]
         if w > 0:
             lp.add_constraint(_scaled_coeff(space, j), Relation.GE,
-                              t_prev[j.id] + w * level - 1e-9)
+                              t_prev[j.id] + w * level - TIGHTEN_SLACK)
         if thr_prev[j.id] > 0:
             lp.add_constraint(space.coeffs[j.id], Relation.GE,
-                              thr_prev[j.id] - 1e-9)
+                              thr_prev[j.id] - TIGHTEN_SLACK)
     space.add_validity(lp)
     res = solve_lp(lp)
     if not res.optimal:
@@ -152,16 +164,64 @@ def find_bottlenecks(jobs, X_prev: AllocationMatrix, T: ThroughputMatrix,
                      active_weights: dict) -> set:
     """Jobs whose effective throughput cannot rise without lowering another's.
 
-    Solves a MILP with a binary flag per weighted job that is 1 exactly when
-    the job's throughput can strictly improve while every job keeps at least
-    its previous throughput; the bottlenecks are the flags left at 0.  Each
-    improvable claim is then re-verified with a single-objective LP: the
-    big-M rows can attenuate a sub-slack violation below the solver's
-    feasibility tolerance, so a claim is kept only if the job's directly
-    computed gain clears half the strictness slack.
+    A job is improvable when it can gain at least its strictness slack
+    delta_j = DELTA_FRACTION * Y_j (Y_j its best rate) while every job keeps
+    at least its previous throughput.  The answer is the active jobs left
+    out of the largest set that can improve together, ties going to the
+    lexicographically smallest choice of flags, and then every job whose own
+    gain falls short of VERIFY_FRACTION * delta_j.
+
+    One gain LP per active job (`max_gain`) names the candidates, the jobs
+    that can gain delta_j alone.  If every other gain is below
+    VERIFY_FRACTION * delta_j, one feasibility LP checks that all candidates
+    can gain delta_j at once while every other active job stays capped at
+    its previous throughput.  When it can, the candidates are exactly the
+    improvable jobs: no larger set exists, since any job in one must gain
+    delta_j alone, and the largest set is unique, so no tie is left to
+    break.  With no candidates X_prev itself is the witness.  Otherwise (a
+    gain in [VERIFY_FRACTION * delta_j, delta_j), or candidates that
+    conflict) the bottleneck MILP decides.
     """
     space = ProblemSpace(jobs, T)
     active = [j for j in space.jobs if active_weights.get(j.id, 0.0) > 0]
+    thr_prev = {j.id: effective_throughput(j.id, X_prev, T) for j in space.jobs}
+    delta = {j.id: DELTA_FRACTION * T.max_throughput(j.id) for j in active}
+    gain = {j.id: max_gain(space, thr_prev, j.id) for j in active}
+    cand = {j.id for j in active if gain[j.id] >= delta[j.id]}
+    in_band = any(VERIFY_FRACTION * delta[j.id] <= gain[j.id] < delta[j.id]
+                  for j in active)
+    if not in_band and (not cand or _screen_feasible(space, active, thr_prev,
+                                                     delta, cand)):
+        return {j.id for j in active} - cand
+    return _milp_bottlenecks(space, active, thr_prev, delta, gain)
+
+
+def _screen_feasible(space: ProblemSpace, active: list, thr_prev: dict,
+                     delta: dict, cand: set) -> bool:
+    """Whether every candidate can gain its slack at once while every other
+    active job stays at its previous throughput."""
+    lower, upper = space.cell_bounds()
+    lp = LinearProgram(space.n_cells, np.zeros(space.n_cells), maximize=True,
+                       lower=lower, upper=upper)
+    for j in space.jobs:
+        lp.add_constraint(space.coeffs[j.id], Relation.GE, thr_prev[j.id])
+    for j in active:
+        if j.id in cand:
+            lp.add_constraint(space.coeffs[j.id], Relation.GE,
+                              thr_prev[j.id] + delta[j.id])
+        else:
+            lp.add_constraint(space.coeffs[j.id], Relation.LE, thr_prev[j.id])
+    space.add_validity(lp)
+    return solve_lp(lp).optimal
+
+
+def _milp_bottlenecks(space: ProblemSpace, active: list, thr_prev: dict,
+                      delta: dict, gain: dict) -> set:
+    """The bottleneck MILP: a binary flag per active job that is 1 exactly
+    when the job gains delta_j, maximizing the number of flags.  The big-M
+    rows can attenuate a sub-slack violation below the solver's feasibility
+    tolerance, so a flag at 1 counts only if the job's own gain clears
+    VERIFY_FRACTION of its slack."""
     n_z = len(active)
     n = space.n_cells + n_z
     obj = np.zeros(n)
@@ -169,19 +229,16 @@ def find_bottlenecks(jobs, X_prev: AllocationMatrix, T: ThroughputMatrix,
     lower, upper = space.cell_bounds(extra=n_z)
     upper[space.n_cells:] = 1.0
     lp = LinearProgram(n, obj, maximize=True, lower=lower, upper=upper)
-
-    thr_prev = {j.id: effective_throughput(j.id, X_prev, T) for j in space.jobs}
     for j in space.jobs:
         lp.add_constraint(space.pad(space.coeffs[j.id], extra=n_z),
                           Relation.GE, thr_prev[j.id])
     for k, j in enumerate(active):
-        Y = T.max_throughput(j.id)
-        delta = DELTA_FRACTION * Y
+        Y = space.T.max_throughput(j.id)
         z_col = space.n_cells + k
         # z=1 forces a strict improvement of delta; z=0 caps the job at its
         # previous throughput (combined with the carry row above).
         row = space.pad(space.coeffs[j.id], extra=n_z)
-        row[z_col] = -(Y + delta)
+        row[z_col] = -(Y + delta[j.id])
         lp.add_constraint(row, Relation.GE, thr_prev[j.id] - Y)
         row = space.pad(space.coeffs[j.id], extra=n_z)
         row[z_col] = -Y
@@ -191,15 +248,9 @@ def find_bottlenecks(jobs, X_prev: AllocationMatrix, T: ThroughputMatrix,
     res = solve_milp(MixedIntegerProgram(lp, set(range(space.n_cells, n))))
     if not res.optimal:  # X_prev is a witness, so only the solver can fail here
         raise PolicyError(f"bottleneck MILP not solved: {res.status.value}")
-    stuck = {j.id for k, j in enumerate(active)
-             if round(res.x[space.n_cells + k]) == 0}
-    for j in active:
-        if j.id in stuck:
-            continue
-        delta = DELTA_FRACTION * T.max_throughput(j.id)
-        if max_gain(space, thr_prev, j.id) < 0.5 * delta:
-            stuck.add(j.id)
-    return stuck
+    return {j.id for k, j in enumerate(active)
+            if round(res.x[space.n_cells + k]) == 0
+            or gain[j.id] < VERIFY_FRACTION * delta[j.id]}
 
 
 def hierarchical_waterfill(entities, jobs, cluster: ClusterSpec,

@@ -12,8 +12,10 @@ a linear-fractional optimum lies at a vertex of the allocation polytope.
 
 The module also keeps the first, plainer versions of library kernels as
 references that the optimized ones must match: row-at-a-time ALS
-(`reference_complete_matrix`), the two-phase simplex (`reference_solve_lp`)
-and the cell-at-a-time throughput-matrix walks (`CellMatrix`).
+(`reference_complete_matrix`), the two-phase simplex (`reference_solve_lp`),
+the cell-at-a-time throughput-matrix walks (`CellMatrix`) and bottleneck
+detection by MILP alone (`reference_find_bottlenecks`), with the seeded
+matrices (`random_cells`) on which they are compared.
 """
 
 from __future__ import annotations
@@ -24,8 +26,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from hetsched.cluster import make_cluster
+from hetsched.jobs import Job, JobCombination
 from hetsched.lp import (DEGENERATE_LIMIT, FEAS_TOL, OPT_TOL, REFACTOR_EVERY,
                          LinearProgram, Relation, SolveResult, Status)
+from hetsched.matrices import effective_throughput
+from hetsched.milp import MixedIntegerProgram, solve_milp
+from hetsched.policies import PolicyError, ProblemSpace
+from hetsched.waterfill import DELTA_FRACTION, max_gain
 
 GRID = 0.01
 REFINE = 0.001
@@ -683,6 +691,37 @@ def _simplex(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list,
 # Cell-at-a-time throughput matrix
 # ---------------------------------------------------------------------------
 
+def random_cells(rng: np.random.Generator):
+    """Cluster, rows, nested cells and jobs: one to three types, placement
+    aware or not, scale factors 1, 2 and 4, pairs of equal scale factor,
+    infeasible cells and zero-rate feasible cells.  Every singleton has a
+    positive rate somewhere, so every job has an equal-share throughput."""
+    counts = {name: int(rng.integers(1, 9))
+              for name in ("V100", "P100", "K80")[: int(rng.integers(1, 4))]}
+    cluster = make_cluster(counts, placement_aware=bool(rng.random() < 0.5))
+    C = len(cluster.configurations)
+    n = int(rng.integers(1, 7))
+    jobs = [Job(id=int(i), scale_factor=int(rng.choice([1, 2, 4])))
+            for i in rng.permutation(10)[:n]]
+
+    def rate():
+        return 0.0 if rng.random() < 0.1 else round(float(rng.uniform(0.1, 5.0)), 3)
+
+    rows, cells = [], []
+    for j in jobs:
+        row = [None if rng.random() < 0.2 else (rate(),) for _ in range(C)]
+        row[int(rng.integers(C))] = (round(float(rng.uniform(0.1, 5.0)), 3),)
+        rows.append(JobCombination.of(j.id))
+        cells.append(row)
+    for a in range(n):
+        for b in range(a + 1, n):
+            if jobs[a].scale_factor == jobs[b].scale_factor and rng.random() < 0.7:
+                rows.append(JobCombination.of(jobs[a].id, jobs[b].id))
+                cells.append([None if rng.random() < 0.25 else (rate(), rate())
+                              for _ in range(C)])
+    return cluster, rows, cells, jobs
+
+
 class CellMatrix:
     """A throughput matrix as nested cells, walked one cell at a time:
     cells[r][c] is a tuple of per-member rates, or None where combination r
@@ -807,3 +846,60 @@ class CellMatrix:
             if best > threshold:
                 kept.append(combo)
         return kept
+
+
+# ---------------------------------------------------------------------------
+# Bottleneck detection by MILP alone
+# ---------------------------------------------------------------------------
+
+def reference_find_bottlenecks(jobs, X_prev, T, active_weights: dict) -> set:
+    """Jobs whose effective throughput cannot rise without lowering another's.
+
+    Solves a MILP with a binary flag per weighted job that is 1 exactly when
+    the job's throughput can strictly improve while every job keeps at least
+    its previous throughput; the bottlenecks are the flags left at 0.  Each
+    improvable claim is then re-verified with a single-objective LP: the
+    big-M rows can attenuate a sub-slack violation below the solver's
+    feasibility tolerance, so a claim is kept only if the job's directly
+    computed gain clears half the strictness slack.
+    """
+    space = ProblemSpace(jobs, T)
+    active = [j for j in space.jobs if active_weights.get(j.id, 0.0) > 0]
+    n_z = len(active)
+    n = space.n_cells + n_z
+    obj = np.zeros(n)
+    obj[space.n_cells:] = 1.0
+    lower, upper = space.cell_bounds(extra=n_z)
+    upper[space.n_cells:] = 1.0
+    lp = LinearProgram(n, obj, maximize=True, lower=lower, upper=upper)
+
+    thr_prev = {j.id: effective_throughput(j.id, X_prev, T) for j in space.jobs}
+    for j in space.jobs:
+        lp.add_constraint(space.pad(space.coeffs[j.id], extra=n_z),
+                          Relation.GE, thr_prev[j.id])
+    for k, j in enumerate(active):
+        Y = T.max_throughput(j.id)
+        delta = DELTA_FRACTION * Y
+        z_col = space.n_cells + k
+        # z=1 forces a strict improvement of delta; z=0 caps the job at its
+        # previous throughput (combined with the carry row above).
+        row = space.pad(space.coeffs[j.id], extra=n_z)
+        row[z_col] = -(Y + delta)
+        lp.add_constraint(row, Relation.GE, thr_prev[j.id] - Y)
+        row = space.pad(space.coeffs[j.id], extra=n_z)
+        row[z_col] = -Y
+        lp.add_constraint(row, Relation.LE, thr_prev[j.id])
+    space.add_validity(lp, extra=n_z)
+
+    res = solve_milp(MixedIntegerProgram(lp, set(range(space.n_cells, n))))
+    if not res.optimal:  # X_prev is a witness, so only the solver can fail here
+        raise PolicyError(f"bottleneck MILP not solved: {res.status.value}")
+    stuck = {j.id for k, j in enumerate(active)
+             if round(res.x[space.n_cells + k]) == 0}
+    for j in active:
+        if j.id in stuck:
+            continue
+        delta = DELTA_FRACTION * T.max_throughput(j.id)
+        if max_gain(space, thr_prev, j.id) < 0.5 * delta:
+            stuck.add(j.id)
+    return stuck

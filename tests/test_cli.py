@@ -269,6 +269,21 @@ class TestSimulate:
         assert "error:" in res.output and "nope" in res.output
         assert "Traceback" not in res.output
 
+    def test_oversized_job_exit_code(self, runner, tmp_path):
+        cluster = tmp_path / "cluster.json"
+        cluster.write_text(json.dumps({"types": [
+            {"name": "V100", "num_workers": 4}, {"name": "K80", "num_workers": 6}]}))
+        trace = tmp_path / "trace.jsonl"
+        Trace([TraceEntry(0.0, "model-00", 10),
+               TraceEntry(1.0, "model-01", 10, scale_factor=8)],
+              "static", 0).save(trace)
+        res = runner.invoke(main, ["--out", str(tmp_path), "--cluster",
+                                   str(cluster), "simulate", "--policy",
+                                   "makespan", "--trace", str(trace)])
+        assert res.exit_code == 2, res.output
+        assert "error: job 1 requests 8 workers" in res.output
+        assert "Traceback" not in res.output
+
     def test_baseline_flag_adds_rows(self, runner, tmp_path):
         res = runner.invoke(main, ["--out", str(tmp_path), "simulate",
                                    "--policy", "las", "--jobs", "6",

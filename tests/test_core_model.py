@@ -13,7 +13,7 @@ from hetsched.matrices import (AllocationMatrix, ThroughputMatrix,
                                isolated_allocation,
                                prune_combinations)
 from hetsched.policies import ProblemSpace
-from oracles import CellMatrix
+from oracles import CellMatrix, random_cells
 
 
 @pytest.fixture
@@ -212,42 +212,11 @@ def test_effective_throughput_unknown_job(two_type_cluster):
         effective_throughput(99, X, T)
 
 
-def _random_cells(rng):
-    """Cluster, rows, nested cells and jobs: one to three types, placement
-    aware or not, scale factors 1, 2 and 4, pairs of equal scale factor,
-    infeasible cells and zero-rate feasible cells.  Every singleton has a
-    positive rate somewhere, so every job has an equal-share throughput."""
-    counts = {name: int(rng.integers(1, 9))
-              for name in ("V100", "P100", "K80")[: int(rng.integers(1, 4))]}
-    cluster = make_cluster(counts, placement_aware=bool(rng.random() < 0.5))
-    C = len(cluster.configurations)
-    n = int(rng.integers(1, 7))
-    jobs = [Job(id=int(i), scale_factor=int(rng.choice([1, 2, 4])))
-            for i in rng.permutation(10)[:n]]
-
-    def rate():
-        return 0.0 if rng.random() < 0.1 else round(float(rng.uniform(0.1, 5.0)), 3)
-
-    rows, cells = [], []
-    for j in jobs:
-        row = [None if rng.random() < 0.2 else (rate(),) for _ in range(C)]
-        row[int(rng.integers(C))] = (round(float(rng.uniform(0.1, 5.0)), 3),)
-        rows.append(JobCombination.of(j.id))
-        cells.append(row)
-    for a in range(n):
-        for b in range(a + 1, n):
-            if jobs[a].scale_factor == jobs[b].scale_factor and rng.random() < 0.7:
-                rows.append(JobCombination.of(jobs[a].id, jobs[b].id))
-                cells.append([None if rng.random() < 0.25 else (rate(), rate())
-                              for _ in range(C)])
-    return cluster, rows, cells, jobs
-
-
 def test_arrays_match_per_cell_reference():
     pairs = infeasible = zero = placement = 0
     for seed in range(200):
         rng = np.random.default_rng(seed)
-        cluster, rows, cells, jobs = _random_cells(rng)
+        cluster, rows, cells, jobs = random_cells(rng)
         T = ThroughputMatrix.from_cells(cluster, rows, cells)
         ref = CellMatrix(cluster, rows, cells)
         X = AllocationMatrix(T, rng.uniform(0.0, 1.0, size=(T.num_rows, T.num_configs)))

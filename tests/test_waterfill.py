@@ -3,21 +3,38 @@ import itertools
 import numpy as np
 import pytest
 
+import hetsched.waterfill
 from hetsched.cluster import make_cluster
 from hetsched.jobs import Entity, EntityPolicy, Job, JobCombination
 from hetsched.lp import LinearProgram, Relation, Status, solve_lp
 from hetsched.matrices import AllocationMatrix, ThroughputMatrix, effective_throughput
+from hetsched.milp import solve_milp
 from hetsched.policies import (PolicyInfeasibleError, ProblemSpace, parse_policy,
                                solve_policy)
-from hetsched.waterfill import (DELTA_FRACTION, assign_job_weights,
-                                find_bottlenecks, hierarchical_waterfill,
-                                max_gain, single_level_waterfill)
+from hetsched.waterfill import (DELTA_FRACTION, VERIFY_FRACTION,
+                                assign_job_weights, find_bottlenecks,
+                                hierarchical_waterfill, max_gain,
+                                single_level_waterfill)
+from oracles import random_cells, reference_find_bottlenecks
 
 
 def singles(cluster, T_rows):
     rows = [JobCombination.of(i) for i in range(len(T_rows))]
     entries = [[(float(v),) if v > 0 else None for v in row] for row in T_rows]
     return ThroughputMatrix.from_cells(cluster, rows, entries)
+
+
+@pytest.fixture
+def milp_calls(monkeypatch):
+    """Records every bottleneck MILP that water filling solves."""
+    calls = []
+
+    def spy(mip, *args, **kwargs):
+        calls.append(mip)
+        return solve_milp(mip, *args, **kwargs)
+
+    monkeypatch.setattr(hetsched.waterfill, "solve_milp", spy)
+    return calls
 
 
 @pytest.fixture
@@ -155,6 +172,92 @@ def test_bottlenecks_match_enumeration_random():
         ours = find_bottlenecks(jobs, X_prev, T, weights)
         oracle = enumerate_bottlenecks(jobs, X_prev, T, weights)
         assert ours == oracle
+
+
+def _random_bottleneck_instance(rng):
+    """A `random_cells` matrix with weight-0 jobs and a valid previous
+    allocation: random cells pushed onto the capacity frontier, or a
+    Pareto-efficient point shrunk by a few slacks, where candidates can
+    conflict."""
+    cluster, rows, cells, jobs = random_cells(rng)
+    T = ThroughputMatrix.from_cells(cluster, rows, cells)
+    space = ProblemSpace(jobs, T)
+    if rng.random() < 0.5:
+        x = rng.uniform(0.0, 1.0, size=space.n_cells) * T.feasible.ravel()
+        slack = rng.choice([0.0, rng.uniform(0.0, 0.3)])
+    else:
+        # A Pareto-efficient point, shrunk so the freed room is a few slacks.
+        x = single_level_waterfill(jobs, cluster, T).allocation.values.ravel()
+        slack = rng.uniform(0.0, 3.0) * DELTA_FRACTION
+    rhs = np.array(space.validity_rhs)
+    for row, cap in zip(space.validity, rhs):
+        used = row @ x
+        if used > cap:
+            x[row > 0] *= cap / used
+    x *= (1.0 - slack) / np.max(space.validity @ x / rhs)
+    weights = {j.id: float(rng.choice([0.0, 1.0, 2.0])) for j in jobs}
+    weights[jobs[int(rng.integers(len(jobs)))].id] = 1.0
+    return jobs, AllocationMatrix(T, x.reshape(T.num_rows, T.num_configs)), T, weights
+
+
+def test_bottlenecks_match_reference(milp_calls):
+    pairs = placement = scaled = unweighted = fallback = 0
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        jobs, X_prev, T, weights = _random_bottleneck_instance(rng)
+        before = len(milp_calls)
+        ours = find_bottlenecks(jobs, X_prev, T, weights)
+        fallback += len(milp_calls) > before
+        assert ours == reference_find_bottlenecks(jobs, X_prev, T, weights), seed
+        pairs += any(c.is_pair for c in T.rows)
+        placement += T.cluster.placement_aware
+        scaled += any(j.scale_factor > 1 for j in jobs)
+        unweighted += min(weights.values()) == 0.0
+    assert min(pairs, placement, scaled, unweighted) >= 50
+    # Both the screen and the MILP fallback decide a share of the instances.
+    assert 10 <= fallback <= 190
+
+
+def test_conflicting_candidates_fall_back_to_milp(milp_calls):
+    # One worker with 1.5e-4 of its time free: either job can take the 1e-4
+    # slack alone, but not both, so the screen fails and the MILP keeps the
+    # lexicographically smaller flag vector, freezing job 0.
+    cluster = make_cluster({"gpu": 1})
+    T = singles(cluster, [[1.0], [1.0]])
+    jobs = [Job(id=0, num_steps=10), Job(id=1, num_steps=10)]
+    X_prev = AllocationMatrix(T, np.array([[0.499925], [0.499925]]))
+    weights = {0: 1.0, 1: 1.0}
+    assert find_bottlenecks(jobs, X_prev, T, weights) == {0}
+    assert len(milp_calls) == 1
+
+
+def test_gain_near_slack_falls_back_to_milp(milp_calls):
+    # Job 0 is 0.7e-4 below its time budget: its gain lies in
+    # [VERIFY_FRACTION, 1) times its slack, too close to call with a screen.
+    # Job 1 can gain freely.
+    cluster = make_cluster({"gpu": 2})
+    T = singles(cluster, [[1.0], [1.0]])
+    jobs = [Job(id=0, num_steps=10), Job(id=1, num_steps=10)]
+    X_prev = AllocationMatrix(T, np.array([[1.0 - 0.7e-4], [0.5]]))
+    space = ProblemSpace(jobs, T)
+    thr_prev = space.throughputs(X_prev)
+    delta = DELTA_FRACTION * T.max_throughput(0)
+    assert VERIFY_FRACTION * delta <= max_gain(space, thr_prev, 0) < delta
+    weights = {0: 1.0, 1: 1.0}
+    assert find_bottlenecks(jobs, X_prev, T, weights) == {0}
+    assert len(milp_calls) == 1
+
+
+def test_screen_settles_ordinary_instances(four_job_example, monkeypatch):
+    def no_milp(*args, **kwargs):
+        raise AssertionError("bottleneck MILP called")
+
+    monkeypatch.setattr(hetsched.waterfill, "solve_milp", no_milp)
+    cluster, T, jobs = four_job_example
+    result = single_level_waterfill(jobs, cluster, T)
+    assert [it.bottlenecks for it in result.iterations] == [{0}, {1, 2, 3}]
+    for i in range(4):
+        assert result.normalized[i] == pytest.approx(1.0, abs=1e-3)
 
 
 def test_pareto_on_termination(four_job_example):
