@@ -30,7 +30,7 @@ from . import policies
 from .mechanism import write_round_log
 from .policies import (InfeasibleSloError, PolicyError, PolicyInfeasibleError,
                        parse_policy, solve_policy)
-from .simulator import EstimatorConfig, SimConfig, Simulation
+from .simulator import STEADY_STATE_WINDOW, EstimatorConfig, SimConfig, Simulation
 from .traces import Trace, generate_trace, load_catalog
 
 EXIT_USAGE = 2
@@ -399,7 +399,7 @@ def cmd_simulate(ctx, policy_text, trace_file, num_jobs, lambdas, mode, seeds,
             })
     summary_path = out_dir / "summary.json"
     _dump_json(summary_path, {"rows": summary_rows,
-                              "steady_state_window": 0.10})
+                              "steady_state_window": STEADY_STATE_WINDOW})
     manifest.add_output(summary_path)
     manifest.write()
     click.echo(json.dumps(summary_rows, indent=2, sort_keys=True))

@@ -163,12 +163,11 @@ def fingerprint_and_match(measurements: np.ndarray, observed: np.ndarray,
 
 @dataclass
 class OnlineEstimates:
-    """Exponentially weighted running means of observed throughputs keyed by
-    (combination members, configuration key)."""
+    """Exponentially weighted running means (weight EWMA_ALPHA on the newest
+    value) of observed values; the simulator keys normalized colocated
+    throughputs by (job id, partner id)."""
 
-    alpha: float = EWMA_ALPHA
     values: dict = field(default_factory=dict)
-    counts: dict = field(default_factory=dict)
 
     def get(self, key, default: float | None = None):
         return self.values.get(key, default)
@@ -176,8 +175,6 @@ class OnlineEstimates:
     def observe(self, key, measured: float):
         if key not in self.values:
             self.values[key] = float(measured)
-            self.counts[key] = 1
         else:
-            self.values[key] = (1 - self.alpha) * self.values[key] \
-                + self.alpha * float(measured)
-            self.counts[key] += 1
+            self.values[key] = (1 - EWMA_ALPHA) * self.values[key] \
+                + EWMA_ALPHA * float(measured)

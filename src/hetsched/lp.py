@@ -58,7 +58,8 @@ class DimensionError(ValueError):
 
 
 class IterationLimitError(RuntimeError):
-    """A simplex phase used up its pivot budget without reaching a verdict."""
+    """A simplex phase used up its pivot budget, or a branch-and-bound
+    search its node budget, without reaching a verdict."""
 
 
 @dataclass

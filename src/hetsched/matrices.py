@@ -215,21 +215,21 @@ class AllocationMatrix:
     def zeros(cls, T: ThroughputMatrix) -> "AllocationMatrix":
         return cls(T, np.zeros((T.num_rows, T.num_configs)))
 
-    def validate(self, jobs: dict, eps: float = EPS):
+    def validate(self, jobs: dict):
         """Raise if any allocation-matrix invariant is violated.
 
         jobs maps job id -> Job (scale factors are needed for the worker
         capacity check, which sums every configuration of a type).
         """
         T = self.T
-        if np.any(self.values < -eps) or np.any(self.values > 1 + eps):
+        if np.any(self.values < -EPS) or np.any(self.values > 1 + EPS):
             raise ValueError("allocation entries must lie in [0, 1]")
-        bad = ~T.feasible & (self.values > eps)
+        bad = ~T.feasible & (self.values > EPS)
         if bad.any():
             r, c = np.argwhere(bad)[0]
             raise ValueError(
                 f"positive allocation on infeasible cell {self.rows[r]},{c}")
-        over = inorder_sum(T.member_of * self.values.sum(axis=1)) > 1 + eps
+        over = inorder_sum(T.member_of * self.values.sum(axis=1)) > 1 + EPS
         if over.any():
             raise ValueError(f"job {T.job_ids[over.argmax()]} total time "
                              "fraction exceeds 1")
@@ -239,7 +239,7 @@ class AllocationMatrix:
         used = np.bincount(T.type_of, weights=sf @ self.values,
                            minlength=len(types))
         for t in types:
-            if used[t.id] > t.num_workers + eps:
+            if used[t.id] > t.num_workers + EPS:
                 raise ValueError(f"accelerator type {t.name} oversubscribed")
 
     def to_json(self) -> dict:

@@ -13,12 +13,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lp import LinearProgram, SolveResult, Status, solve_lp
+from .lp import IterationLimitError, LinearProgram, SolveResult, Status, solve_lp
 
 INT_TOL = 1e-6
 # Objective values closer than this count as equal: a node or incumbent must
 # beat the incumbent by more to displace it, and ties go to the lex order.
 OBJ_TOL = 1e-9
+# Nodes one branch-and-bound search may explore before it gives up.
+NODE_LIMIT = 200_000
 
 
 @dataclass
@@ -36,22 +38,21 @@ class MixedIntegerProgram:
             self.base.upper[v] = min(self.base.upper[v], 1.0)
 
 
-def solve_milp(mip: MixedIntegerProgram, node_limit: int = 200_000,
-               lex_tie_break: bool = True) -> SolveResult:
+def solve_milp(mip: MixedIntegerProgram) -> SolveResult:
     """Globally optimal solve over the binary assignments.
 
-    With `lex_tie_break` the returned binary vector is the lexicographically
-    smallest one attaining the optimum, found by re-solving with a prefix of
-    binaries pinned to zero wherever that preserves the objective.
+    The returned binary vector is the lexicographically smallest one
+    attaining the optimum, found by re-solving with a prefix of binaries
+    pinned to zero wherever that preserves the objective.  Raises
+    IterationLimitError when a search passes NODE_LIMIT nodes.
     """
-    result = _branch_and_bound(mip, node_limit)
-    if not (lex_tie_break and result.optimal):
+    result = _branch_and_bound(mip)
+    if not result.optimal:
         return result
-    return _lex_refine(mip, result, node_limit)
+    return _lex_refine(mip, result)
 
 
-def _lex_refine(mip: MixedIntegerProgram, best: SolveResult,
-                node_limit: int) -> SolveResult:
+def _lex_refine(mip: MixedIntegerProgram, best: SolveResult) -> SolveResult:
     lp = mip.base
     binaries = sorted(mip.binary_vars)
     target = best.objective_value
@@ -71,8 +72,7 @@ def _lex_refine(mip: MixedIntegerProgram, best: SolveResult,
         sub_lp = LinearProgram(lp.num_vars, lp.objective, lp.maximize,
                                list(lp.constraints), lo, hi)
         sub = _branch_and_bound(
-            MixedIntegerProgram(sub_lp, mip.binary_vars - set(fixed) - {v}),
-            node_limit)
+            MixedIntegerProgram(sub_lp, mip.binary_vars - set(fixed) - {v}))
         if sub.optimal and sense * (sub.objective_value - target) >= -OBJ_TOL:
             fixed[v] = 0.0
             current = sub
@@ -86,11 +86,11 @@ def _lex_refine(mip: MixedIntegerProgram, best: SolveResult,
         sub_lp = LinearProgram(lp.num_vars, lp.objective, lp.maximize,
                                list(lp.constraints), lo, hi)
         current = _branch_and_bound(
-            MixedIntegerProgram(sub_lp, mip.binary_vars - set(fixed)), node_limit)
+            MixedIntegerProgram(sub_lp, mip.binary_vars - set(fixed)))
     return current
 
 
-def _branch_and_bound(mip: MixedIntegerProgram, node_limit: int) -> SolveResult:
+def _branch_and_bound(mip: MixedIntegerProgram) -> SolveResult:
     lp = mip.base
     binaries = sorted(mip.binary_vars)
     if not binaries:
@@ -129,8 +129,10 @@ def _branch_and_bound(mip: MixedIntegerProgram, node_limit: int) -> SolveResult:
         _, _, fixed, res = heapq.heappop(heap)
         bound = res.objective_value
         explored += 1
-        if explored > node_limit:
-            break
+        if explored > NODE_LIMIT:
+            raise IterationLimitError(
+                f"branch and bound passed {NODE_LIMIT} nodes without a proof "
+                "of optimality")
         if incumbent is not None and not better(bound, incumbent.objective_value) \
                 and abs(bound - incumbent.objective_value) > OBJ_TOL:
             continue  # bound strictly worse than incumbent

@@ -349,7 +349,7 @@ def build_makespan(jobs, cluster: ClusterSpec, T: ThroughputMatrix):
 # ---------------------------------------------------------------------------
 
 def build_ftf(jobs, cluster: ClusterSpec, T: ThroughputMatrix,
-              n_active: int | None = None, rel_tol: float = 1e-3):
+              n_active: int | None = None):
     """Minimize the maximum finish-time-fairness ratio by bisection.
 
     The ratio compares each job's projected finish time under the allocation
@@ -385,7 +385,7 @@ def build_ftf(jobs, cluster: ClusterSpec, T: ThroughputMatrix,
     lo = max(j.elapsed_time / denom[j.id] for j in space.jobs) + 1e-9
     hi = max((j.elapsed_time + j.remaining_steps / iso_thr[j.id]) / denom[j.id]
              for j in space.jobs) + 1e-9
-    value, X = bisect(feasible, lo, hi, rel_tol=rel_tol)
+    value, X = bisect(feasible, lo, hi)
     if X is None:
         ok, X = feasible(value)
         if not ok:

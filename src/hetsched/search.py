@@ -20,22 +20,16 @@ class RatioUnboundedError(ValueError):
     no finite maximum."""
 
 
-def bisect(feasible, lo: float, hi: float, rel_tol: float = DEFAULT_REL_TOL,
-           increasing: bool = True, max_iters: int = MAX_BISECT_ITERS):
+def bisect(feasible, lo: float, hi: float, rel_tol: float = DEFAULT_REL_TOL):
     """Find the feasibility threshold of a monotone predicate.
 
-    `feasible(v)` returns (bool, witness).  With `increasing=True` the
-    predicate is infeasible below the answer and feasible above (the search
-    returns the smallest feasible value); `increasing=False` mirrors that.
-    Returns (value, witness) where witness comes from the last feasible probe.
+    `feasible(v)` returns (bool, witness).  The predicate is infeasible below
+    the answer and feasible above; the search returns the smallest feasible
+    value to within `rel_tol`, as (value, witness) where witness comes from
+    the last feasible probe.
     """
     if not lo < hi:
         raise BracketError(f"need lo < hi, got [{lo}, {hi}]")
-    if not increasing:
-        inner = lambda v: feasible(-v)
-        value, witness = bisect(inner, -hi, -lo, rel_tol, True, max_iters)
-        return -value, witness
-
     ok_lo, wit_lo = feasible(lo)
     if ok_lo:
         # Answer is at or below the lower bracket; lo is already a valid
@@ -45,7 +39,7 @@ def bisect(feasible, lo: float, hi: float, rel_tol: float = DEFAULT_REL_TOL,
     if not ok_hi:
         raise BracketError(f"upper bracket {hi} is not feasible")
 
-    for _ in range(max_iters):
+    for _ in range(MAX_BISECT_ITERS):
         if hi - lo <= rel_tol * max(1.0, abs(hi)):
             break
         mid = 0.5 * (lo + hi)

@@ -34,9 +34,6 @@ STEADY_STATE_WINDOW = 0.10
 class EstimatorConfig:
     reference_names: list
     profile_fraction: float = 0.2
-    rank: int = 3
-    reg: float = 1e-2
-    iters: int = 50
 
 
 @dataclass
@@ -50,7 +47,6 @@ class SimConfig:
     agnostic: bool = False
     estimator: EstimatorConfig | None = None
     seed: int = 0
-    steady_state_window: float = STEADY_STATE_WINDOW
     max_rounds: int = 500_000
     collect_round_log: bool = False
 
@@ -200,43 +196,50 @@ class Simulation:
             return float(self.refs.R[a.match, b.match])
         return colocation_factor(a.template, b.template)
 
-    def _true_pair_factor(self, a: _ActiveJob, b: _ActiveJob) -> float:
-        return colocation_factor(a.template, b.template)
+    def build_matrix(self, states: list) -> tuple:
+        """(T_policy, T_exec): the same rows, built in one pass.
 
-    def build_matrix(self, states: list, estimated: bool,
-                     prune: bool = True) -> ThroughputMatrix:
+        The policy matrix holds the pair factors the scheduler believes
+        (`_pair_factor`) and is pruned on them when space sharing is on.  The
+        execution matrix holds the true colocation rates of the kept rows;
+        without the estimator the two agree, so one matrix serves both.
+        """
         configs = self.cfg.cluster.configurations
         rates = [[self._singleton_rate(st, cfg) for cfg in configs] for st in states]
         feasible = np.array([[v is not None for v in row] for row in rates],
                             dtype=bool).reshape(len(states), len(configs))
         rate = np.array([[0.0 if v is None else v for v in row] for row in rates],
                         dtype=float).reshape(feasible.shape)
-        rows = [JobCombination.of(st.job.id) for st in states]
-        # Each pair row's two states and colocated factors, in the
-        # combination's member order (lower job id first).
-        members, factors = [], []
+        singles = [JobCombination.of(st.job.id) for st in states]
+        # Each pair row's two state indices in the combination's member
+        # order (lower job id first).
+        pairs = []
         if self.cfg.policy.space_sharing:
-            factor = self._pair_factor if estimated else self._true_pair_factor
-            for i, a in enumerate(states):
-                for j in range(i + 1, len(states)):
-                    b = states[j]
-                    if a.job.scale_factor != b.job.scale_factor:
-                        continue
-                    rows.append(JobCombination.of(a.job.id, b.job.id))
-                    ends = [(i, factor(a, b)), (j, factor(b, a))]
-                    if a.job.id > b.job.id:
-                        ends.reverse()
-                    members.append([k for k, _ in ends])
-                    factors.append([f for _, f in ends])
-        members = np.array(members, dtype=np.intp).reshape(-1, 2)
-        factors = np.array(factors, dtype=float).reshape(-1, 2)
-        thr = np.concatenate([np.stack([rate, np.zeros_like(rate)], axis=-1),
-                              rate[members].transpose(0, 2, 1) * factors[:, None, :]])
-        T = ThroughputMatrix(self.cfg.cluster, rows, thr,
-                             np.concatenate([feasible, feasible[members].all(axis=1)]))
-        if self.cfg.policy.space_sharing and prune:
-            T = prune_combinations(T)
-        return T
+            pairs = [(i, j) if states[i].job.id < states[j].job.id else (j, i)
+                     for i in range(len(states)) for j in range(i + 1, len(states))
+                     if states[i].job.scale_factor == states[j].job.scale_factor]
+        pairs = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+
+        def matrix(members, factor) -> ThroughputMatrix:
+            ends = [(states[i], states[j]) for i, j in members.tolist()]
+            factors = np.array([[factor(a, b), factor(b, a)] for a, b in ends],
+                               dtype=float).reshape(-1, 2)
+            rows = singles + [JobCombination.of(a.job.id, b.job.id) for a, b in ends]
+            thr = np.concatenate([np.stack([rate, np.zeros_like(rate)], axis=-1),
+                                  rate[members].transpose(0, 2, 1) * factors[:, None, :]])
+            return ThroughputMatrix(self.cfg.cluster, rows, thr,
+                                    np.concatenate([feasible,
+                                                    feasible[members].all(axis=1)]))
+
+        T_all = matrix(pairs, self._pair_factor)
+        if not self.cfg.policy.space_sharing:
+            return T_all, T_all
+        T_policy = prune_combinations(T_all)
+        if self.refs is None:
+            return T_policy, T_policy
+        kept = [T_all.row_index(c) - len(states) for c in T_policy.rows[len(states):]]
+        return T_policy, matrix(pairs[kept],
+                                lambda a, b: colocation_factor(a.template, b.template))
 
     def _spread_agnostic(self, X: AllocationMatrix) -> AllocationMatrix:
         """Rebalance each row's time uniformly over its feasible cells,
@@ -289,9 +292,7 @@ class Simulation:
         observed = np.zeros(n, dtype=bool)
         observed[picks] = True
         match, _ = fingerprint_and_match(np.where(observed, truth, 0.0), observed,
-                                         self.refs, rank=est.rank, reg=est.reg,
-                                         iters=est.iters,
-                                         seed=self.cfg.seed + state.job.id)
+                                         self.refs, seed=self.cfg.seed + state.job.id)
         state.match = match
 
     # -- main loop ---------------------------------------------------------
@@ -361,18 +362,9 @@ class Simulation:
                 resolve_now = need_resolve or allocation is None
             if resolve_now:
                 states = [active[k] for k in sorted(active)]
-                if cfg.estimator is not None:
-                    # The policy sees estimated pair rates; execution runs the
-                    # same rows at their true rates.
-                    T_policy = self.build_matrix(states, estimated=True)
-                    T_full = self.build_matrix(states, estimated=False, prune=False)
-                    T_exec = T_full.with_rows(T_policy.rows)
-                elif cfg.agnostic:
-                    T_exec = self.build_matrix(states, estimated=False)
+                T_policy, T_exec = self.build_matrix(states)
+                if cfg.agnostic:
                     T_policy = self._agnostic_matrix(T_exec)
-                else:
-                    T_exec = self.build_matrix(states, estimated=False)
-                    T_policy = T_exec
                 snapshot = []
                 for st in states:
                     j = st.job
@@ -387,16 +379,7 @@ class Simulation:
                 solves += 1
                 if cfg.agnostic:
                     result.allocation = self._spread_agnostic(result.allocation)
-                # Allocation rows come from the policy matrix; map onto the
-                # execution matrix (identical rows unless space sharing was
-                # disabled inside the policy).
-                allocation = AllocationMatrix(T_exec, np.zeros((T_exec.num_rows,
-                                                                T_exec.num_configs)))
-                exec_rows = set(T_exec.rows)
-                for r, combo in enumerate(result.allocation.rows):
-                    if combo in exec_rows:
-                        allocation.values[T_exec.row_index(combo)] = \
-                            result.allocation.values[r]
+                allocation = AllocationMatrix(T_exec, result.allocation.values)
                 need_resolve = False
 
             jobs_by_id = {st.job.id: st.job for st in active.values()}
@@ -485,7 +468,6 @@ class Simulation:
                     else:
                         allocation = None
 
-        self.final_states = active
         makespan = max((r.completion for r in records), default=0.0)
         utilization = busy_worker_rounds / total_worker_rounds \
             if total_worker_rounds else 0.0

@@ -175,7 +175,6 @@ class TestOnlineRefinement:
     def test_converges_toward_observations(self):
         est = OnlineEstimates()
         est.values[("a", "b")] = 2.0
-        est.counts[("a", "b")] = 1
         prev = 2.0
         for _ in range(20):
             est.observe(("a", "b"), 1.0)
@@ -189,12 +188,6 @@ class TestOnlineRefinement:
         est.values[("a", "b")] = 2.0
         est.observe(("a", "c"), 5.0)
         assert est.get(("a", "b")) == 2.0
-
-    def test_alpha_one_keeps_last(self):
-        est = OnlineEstimates(alpha=1.0)
-        for measured in (5.0, 3.0):
-            est.observe(("k",), measured)
-        assert est.get(("k",)) == 3.0
 
 
 class TestReferenceSetLoading:

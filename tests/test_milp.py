@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from hetsched.lp import LinearProgram, Status, solve_lp
+import hetsched.milp
+from hetsched.lp import IterationLimitError, LinearProgram, Status, solve_lp
 from hetsched.milp import MixedIntegerProgram, solve_milp
 
 
@@ -80,3 +81,15 @@ def test_matches_enumeration_on_random_instances():
             assert res.objective_value == pytest.approx(best[0], abs=1e-6)
             assert tuple(round(res.x[v]) for v in binaries) == \
                 tuple(int(b) for b in best[1])
+
+
+def test_node_limit_raises(monkeypatch):
+    # The root relaxation is fractional, (1, 0.5), so the search needs more
+    # than one node; past the limit it must not return its incumbent.
+    lp = LinearProgram(2, [1.0, 1.0], maximize=True)
+    lp.add_constraint([2.0, 2.0], "<=", 3.0)
+    mip = MixedIntegerProgram(lp, {0, 1})
+    assert solve_milp(mip).objective_value == pytest.approx(1.0)
+    monkeypatch.setattr(hetsched.milp, "NODE_LIMIT", 1)
+    with pytest.raises(IterationLimitError):
+        solve_milp(mip)

@@ -22,13 +22,6 @@ def test_bad_bracket():
         bisect(lambda v: (v >= 1e9, v), 1, 10)
 
 
-def test_decreasing_direction():
-    # Feasible below 42, infeasible above: search the largest feasible value.
-    value, _ = bisect(lambda v: (v <= 42, v), 1, 1000, rel_tol=1e-4,
-                      increasing=False)
-    assert value == pytest.approx(42, abs=0.2)
-
-
 def test_bracket_widening_invariance():
     v1, _ = bisect(lambda v: (v >= 77, v), 50, 100, rel_tol=1e-4)
     v2, _ = bisect(lambda v: (v >= 77, v), 1, 10000, rel_tol=1e-4)

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import hetsched.simulator as simulator
 from hetsched.cluster import make_cluster
 from hetsched.policies import parse_policy
 from hetsched.simulator import (EstimatorConfig, MetricsReport, SimConfig,
@@ -232,6 +233,33 @@ class TestBaselines:
         fractions = counts / counts.sum(axis=1, keepdims=True)
         assert np.abs(fractions - 0.5).max() <= 0.15
 
+    def test_agnostic_policy_matrix_ignores_estimator(self, monkeypatch):
+        # The agnostic baseline must see type-uniform rates even when the
+        # estimator supplies the pair rates the aware policy would see.
+        catalog = make_template_catalog(0)
+        cluster = make_cluster({"V100": 2, "P100": 2, "K80": 2})
+        from hetsched.traces import generate_trace
+        trace = generate_trace("static", 6, catalog, seed=3, single_worker=True,
+                               duration_mean_minutes=30)
+        cfg = SimConfig(cluster=cluster, policy=parse_policy("las+ss"), seed=3,
+                        agnostic=True, max_rounds=20,
+                        estimator=EstimatorConfig(
+                            reference_names=[t.name for t in catalog[:8]]))
+        seen = []
+        real = simulator.solve_policy
+
+        def spy(spec, jobs, cluster, T, **kwargs):
+            seen.append(T)
+            return real(spec, jobs, cluster, T, **kwargs)
+
+        monkeypatch.setattr(simulator, "solve_policy", spy)
+        Simulation(cfg, trace, catalog).run()
+        assert seen
+        for T in seen:
+            for r in (~T.is_pair).nonzero()[0]:
+                rates = T.thr[r, T.feasible[r], 0]
+                assert np.all(rates == rates[0]), T.rows[r]
+
 
 class TestEstimatorIntegration:
     def test_estimated_run_close_to_oracle(self):
@@ -275,7 +303,7 @@ class TestPlacementAware:
 
 
 class TestWorkBookkeeping:
-    def test_steps_equal_ledger_time_times_rate(self):
+    def test_steps_equal_ledger_time_times_rate(self, monkeypatch):
         # With zero switch overhead and no completions, every job's progress
         # must equal the sum over the round log of round_duration * rate.
         templates = worked_example_templates()
@@ -285,6 +313,14 @@ class TestWorkBookkeeping:
         cfg = SimConfig(cluster=cluster, policy=parse_policy("las"), seed=0,
                         max_rounds=30, preemption_overhead=0.0,
                         collect_round_log=True)
+        jobs = {}
+        real = simulator.solve_policy
+
+        def spy(spec, snapshot, *args, **kwargs):
+            jobs.update((j.id, j) for j in snapshot)
+            return real(spec, snapshot, *args, **kwargs)
+
+        monkeypatch.setattr(simulator, "solve_policy", spy)
         sim = Simulation(cfg, trace, templates)
         sim.run()
         rates = {f"ex-{i}": dict(V100=(4.0, 3.0, 2.0)[i], K80=1.0)
@@ -294,5 +330,6 @@ class TestWorkBookkeeping:
             for a in rec["assignments"]:
                 j = a["jobs"][0]
                 expected[j] += 360.0 * rates[f"ex-{j}"][a["config"]]
-        for i, st in sim.final_states.items():
-            assert st.job.steps_done == pytest.approx(expected[i], rel=1e-9)
+        assert sorted(jobs) == [0, 1, 2]
+        for i, job in jobs.items():
+            assert job.steps_done == pytest.approx(expected[i], rel=1e-9)
