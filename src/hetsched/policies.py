@@ -3,10 +3,13 @@ matrices.
 
 Every policy searches for the fraction of wall-clock time each job (or job
 combination) should spend on each resource configuration, maximizing or
-minimizing an objective expressed through effective throughputs.  Max-min
-objectives (max-min fairness, min-makespan and the water-filling level) are
-compiled to one epigraph LP by `max_min_lp`; only finish-time fairness is
-solved by bisection over a feasibility LP; the cost policies reduce a
+minimizing an objective expressed through effective throughputs.  Each
+policy is a function of the `ProblemSpace` that `solve_policy` compiles once
+per decision, and returns a `PolicyResult`; `solve_policy` finds it in
+`POLICIES` by kind (water filling lives in `waterfill`).  Max-min objectives
+(max-min fairness, min-makespan and the water-filling level) are compiled to
+one epigraph LP by `max_min_lp`; only finish-time fairness is solved by
+bisection over a feasibility LP; the cost policies reduce a
 linear-fractional objective to one LP.
 """
 
@@ -23,6 +26,16 @@ from .matrices import (AllocationMatrix, ThroughputMatrix,
                        equal_share_allocation, effective_throughput,
                        inorder_sum, isolated_allocation)
 from .search import RatioUnboundedError, bisect, maximize_ratio
+
+# SJF switches to a job only when it finishes this many seconds sooner, so
+# exact ties go to the job listed first.
+SJF_TIE_TOL = 1e-12
+# Pad added to both ends of the FTF bisection bracket: the lower end then
+# leaves every job a positive time budget, the upper end is strictly feasible.
+FTF_BRACKET_PAD = 1e-9
+# An SLO is unattainable when the rate it needs exceeds the job's best
+# standalone rate by more than this.
+SLO_RATE_TOL = 1e-9
 
 
 class PolicyKind(str, enum.Enum):
@@ -46,11 +59,19 @@ _ALIASES = {"wlas": "las"}
 class PolicySpec:
     """Policy kind plus the options that change a solve.  Placement
     awareness follows from the cluster spec, and entities' internal policies
-    come from the trace or the jobs file."""
+    come from the trace or the jobs file.  Water filling applies only to
+    max-min fairness, which it switches to water filling, and to the
+    hierarchical policy, which always water-fills."""
 
     kind: PolicyKind
     space_sharing: bool = False
     water_filling: bool = False
+
+    def __post_init__(self):
+        if self.water_filling and self.kind not in (
+                PolicyKind.MAX_MIN_FAIRNESS, PolicyKind.HIERARCHICAL):
+            raise ValueError(
+                f"+wf applies only to las and hier, not {self.kind.value!r}")
 
     def label(self) -> str:
         text = self.kind.value
@@ -186,9 +207,6 @@ class ProblemSpace:
         return AllocationMatrix(self.T, values.reshape(self.T.num_rows,
                                                        self.T.num_configs))
 
-    def throughputs(self, X: AllocationMatrix) -> dict:
-        return {j.id: effective_throughput(j.id, X, self.T) for j in self.jobs}
-
     def standalone_best(self, job_id: int) -> float:
         """Best achievable throughput with the whole cluster to one job."""
         lp = self._single_job_lp(job_id)
@@ -214,6 +232,18 @@ class ProblemSpace:
             r = self.T.singleton_row(job_id)
             X.values[r, :] = res.x
         return X
+
+
+
+
+@dataclass
+class PolicyResult:
+    """What every policy returns: the allocation, the policy's objective
+    value and, under min_cost_slo, the jobs whose deadline had passed."""
+
+    allocation: AllocationMatrix
+    objective: float
+    violations: list = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -255,110 +285,88 @@ def _weighted_sum_lp(space: ProblemSpace, weights: dict) -> LinearProgram:
     return lp
 
 
-def _solve(label: str, lp: LinearProgram, space: ProblemSpace):
-    """Solve a built policy LP; returns (AllocationMatrix, objective)."""
+def _solve(label: str, lp: LinearProgram, space: ProblemSpace) -> PolicyResult:
+    """Solve a built policy LP; the objective is the LP's optimum."""
     _debug_lp(label, lp)
     res = solve_lp(lp)
     if not res.optimal:
         raise PolicyInfeasibleError(f"{label} LP returned {res.status}")
-    return space.allocation(res.x), res.objective_value
+    return PolicyResult(space.allocation(res.x), res.objective_value)
 
 
-def build_las(jobs, cluster: ClusterSpec, T: ThroughputMatrix,
-              weights: dict | None = None):
-    """Epigraph LP for weighted max-min fairness over normalized effective
-    throughputs, scaled by each job's worker count."""
-    space = ProblemSpace(jobs, T)
-    weights = weights or {j.id: j.weight for j in space.jobs}
-    scales = {}
-    for j in space.jobs:
-        w = weights[j.id]
-        if w <= 0:
-            raise ValueError(f"job {j.id}: weight must be positive")
-        scales[j.id] = j.scale_factor / (w * space.equal_norm[j.id])
-    return max_min_lp(space, scales), space
+def max_min_fairness(space: ProblemSpace) -> PolicyResult:
+    """Weighted max-min fairness over normalized effective throughputs,
+    each scaled by the job's worker count over its weight."""
+    return _solve("max-min fairness", max_min_lp(space, {
+        j.id: j.scale_factor / (j.weight * space.equal_norm[j.id])
+        for j in space.jobs}), space)
 
 
-def solve_las(jobs, cluster, T, weights=None):
-    lp, space = build_las(jobs, cluster, T, weights)
-    return _solve("max-min fairness", lp, space)
-
-
-def build_fifo(jobs, cluster: ClusterSpec, T: ThroughputMatrix):
-    """LP preferring earlier arrivals: maximize the sum of throughputs
-    normalized by each job's fastest configuration, weighted M-m by arrival
-    rank."""
-    space = ProblemSpace(jobs, T)
+def fifo(space: ProblemSpace) -> PolicyResult:
+    """Prefer earlier arrivals: maximize the sum of throughputs normalized
+    by each job's fastest configuration, weighted M-m by arrival rank."""
     order = sorted(space.jobs, key=lambda j: (j.arrival_time, j.id))
-    M = len(order)
     weights = {}
     for rank, j in enumerate(order):
-        fastest = T.max_throughput(j.id)
+        fastest = space.T.max_throughput(j.id)
         if fastest <= 0:
             raise ZeroThroughputError(f"job {j.id} has no feasible configuration")
-        weights[j.id] = (M - rank) / fastest
-    return _weighted_sum_lp(space, weights), space
+        weights[j.id] = (len(order) - rank) / fastest
+    return _solve("fifo", _weighted_sum_lp(space, weights), space)
 
 
-def solve_fifo(jobs, cluster, T):
-    lp, space = build_fifo(jobs, cluster, T)
-    return _solve("fifo", lp, space)
+def max_total_throughput(space: ProblemSpace) -> PolicyResult:
+    """Maximize the sum of the jobs' effective throughputs."""
+    return _solve("throughput",
+                  _weighted_sum_lp(space, {j.id: 1.0 for j in space.jobs}), space)
 
 
-def solve_max_total_throughput(jobs, cluster, T):
-    space = ProblemSpace(jobs, T)
-    lp = _weighted_sum_lp(space, {j.id: 1.0 for j in space.jobs})
-    return _solve("throughput", lp, space)
-
-
-def solve_sjf(jobs, cluster, T):
-    """Give the whole cluster to whichever job can finish soonest."""
-    space = ProblemSpace(jobs, T)
+def shortest_job_first(space: ProblemSpace) -> PolicyResult:
+    """Give the whole cluster to whichever job can finish soonest; the
+    objective is that job's duration in seconds."""
     best = None
     for j in space.jobs:
         thr = space.standalone_best(j.id)
         if thr <= 0:
             continue
         duration = j.remaining_steps / thr
-        if best is None or duration < best[0] - 1e-12:
+        if best is None or duration < best[0] - SJF_TIE_TOL:
             best = (duration, j.id)
     if best is None:
         raise ZeroThroughputError("no job can run anywhere")
     duration, job_id = best
-    return space.single_job_allocation(job_id), duration
+    return PolicyResult(space.single_job_allocation(job_id), duration)
 
 
-def build_makespan(jobs, cluster: ClusterSpec, T: ThroughputMatrix):
-    """Min-makespan as one max-min LP.
+def min_makespan(space: ProblemSpace) -> PolicyResult:
+    """Min-makespan as one max-min LP; the objective is the makespan in
+    seconds.
 
     The makespan min_X max_j remaining_j / thr_j(X) is the reciprocal of
     max_X min_j thr_j(X) / remaining_j.  Each row is scaled by a reference
     horizon H, the longest equal-share finishing time, so the optimum
     lam* = H / makespan is of order one instead of near the solver's
-    feasibility tolerance.  Returns (makespan_seconds, AllocationMatrix).
+    feasibility tolerance.
     """
-    space = ProblemSpace(jobs, T)
     H = max(j.remaining_steps / space.equal_norm[j.id] for j in space.jobs)
     lp = max_min_lp(space, {j.id: H / j.remaining_steps for j in space.jobs})
-    X, lam = _solve("min makespan", lp, space)
-    return float(H / lam), X
+    res = _solve("min makespan", lp, space)
+    return PolicyResult(res.allocation, float(H / res.objective))
 
 
 # ---------------------------------------------------------------------------
 # Bisection policies
 # ---------------------------------------------------------------------------
 
-def build_ftf(jobs, cluster: ClusterSpec, T: ThroughputMatrix,
-              n_active: int | None = None):
-    """Minimize the maximum finish-time-fairness ratio by bisection.
+def finish_time_fairness(space: ProblemSpace) -> PolicyResult:
+    """Minimize the maximum finish-time-fairness ratio rho by bisection; the
+    objective is rho.
 
     The ratio compares each job's projected finish time under the allocation
-    with its finish time under an isolated 1/n share.  Returns
-    (rho, AllocationMatrix).
+    with its finish time under an isolated 1/n share, n the number of jobs.
     """
-    space = ProblemSpace(jobs, T)
-    n = n_active if n_active is not None else len(space.jobs)
-    Xiso = isolated_allocation(T, max(n, 1))
+    T = space.T
+    Xiso = isolated_allocation(T, len(space.jobs))
     denom = {}
     iso_thr = {}
     for j in space.jobs:
@@ -382,66 +390,70 @@ def build_ftf(jobs, cluster: ClusterSpec, T: ThroughputMatrix,
         res = solve_lp(lp)
         return res.optimal, (space.allocation(res.x) if res.optimal else None)
 
-    lo = max(j.elapsed_time / denom[j.id] for j in space.jobs) + 1e-9
+    lo = max(j.elapsed_time / denom[j.id] for j in space.jobs) + FTF_BRACKET_PAD
     hi = max((j.elapsed_time + j.remaining_steps / iso_thr[j.id]) / denom[j.id]
-             for j in space.jobs) + 1e-9
+             for j in space.jobs) + FTF_BRACKET_PAD
     value, X = bisect(feasible, lo, hi)
     if X is None:
         ok, X = feasible(value)
         if not ok:
             raise PolicyError(f"FTF bound {value} was not feasible on re-solve")
-    return value, X
+    return PolicyResult(X, value)
 
 
 # ---------------------------------------------------------------------------
 # Cost policies (linear-fractional)
 # ---------------------------------------------------------------------------
 
-def build_cost(jobs, cluster: ClusterSpec, T: ThroughputMatrix,
-               slo: bool = False):
-    """Maximize total effective throughput per dollar.
+def min_cost(space: ProblemSpace) -> PolicyResult:
+    """Maximize total effective throughput per dollar; the objective is
+    steps per dollar."""
+    return _max_steps_per_dollar(space, [], [])
+
+
+def min_cost_slo(space: ProblemSpace) -> PolicyResult:
+    """`min_cost` with every job sustaining enough throughput to meet its
+    deadline.  A job whose deadline has already passed is held at its best
+    standalone rate and listed in the result's violations."""
+    rows, violations, impossible = [], [], []
+    for j in space.jobs:
+        if j.slo_seconds is None or not np.isfinite(j.slo_seconds):
+            continue
+        time_left = j.slo_seconds - j.elapsed_time
+        best = space.standalone_best(j.id)
+        if time_left <= 0:
+            violations.append(j.id)
+            required = best
+        else:
+            required = j.remaining_steps / time_left
+            if required > best + SLO_RATE_TOL:
+                impossible.append(j.id)
+                continue
+        rows.append((space.coeffs[j.id], Relation.GE, required))
+    if impossible:
+        raise InfeasibleSloError(impossible)
+    return _max_steps_per_dollar(space, rows, violations)
+
+
+def _max_steps_per_dollar(space: ProblemSpace, slo_rows: list,
+                          violations: list) -> PolicyResult:
+    """The cost ratio LP over the validity rows plus `slo_rows`.
 
     The denominator charges each cell cost_j * scale_factor once per
     combination row, so a colocated pair is billed for one worker set, not
-    two.  With `slo` every job must additionally sustain enough throughput
-    to meet its deadline.  Returns (X, steps_per_dollar, violations) where
-    violations lists jobs whose already-elapsed SLO had to be clamped.
+    two.
     """
-    space = ProblemSpace(jobs, T)
+    T = space.T
     num = np.zeros(space.n_cells)
     for j in space.jobs:
         num += space.coeffs[j.id]
-    den = np.outer(space.row_sf, [cluster.types[cfg.type_id].cost_per_hour
+    den = np.outer(space.row_sf, [T.cluster.types[cfg.type_id].cost_per_hour
                                   for cfg in T.configs]).ravel()
-
-    constraints = []
     lower, upper = space.cell_bounds()
     shell = LinearProgram(space.n_cells, np.zeros(space.n_cells),
                           maximize=True, lower=lower, upper=upper)
     space.add_validity(shell)
-    constraints.extend(shell.constraints)
-
-    violations = []
-    if slo:
-        impossible = []
-        for j in space.jobs:
-            if j.slo_seconds is None or not np.isfinite(j.slo_seconds):
-                continue
-            time_left = j.slo_seconds - j.elapsed_time
-            best = space.standalone_best(j.id)
-            if time_left <= 0:
-                # Deadline already blown: hold the job at its best standalone
-                # rate and report the violation instead of failing the solve.
-                violations.append(j.id)
-                required = best
-            else:
-                required = j.remaining_steps / time_left
-                if required > best + 1e-9:
-                    impossible.append(j.id)
-                    continue
-            constraints.append((space.coeffs[j.id], Relation.GE, required))
-        if impossible:
-            raise InfeasibleSloError(impossible)
+    constraints = shell.constraints + slo_rows
 
     try:
         res = maximize_ratio(num, den, constraints, space.n_cells,
@@ -449,36 +461,45 @@ def build_cost(jobs, cluster: ClusterSpec, T: ThroughputMatrix,
     except RatioUnboundedError:
         # A zero-cost configuration can absorb all work: fall back to
         # maximizing throughput over the free cells only.
-        upper2 = np.where(den <= 0, upper, 0.0)
-        lp = LinearProgram(space.n_cells, num, maximize=True,
-                           lower=lower, upper=upper2)
+        lp = LinearProgram(space.n_cells, num, maximize=True, lower=lower,
+                           upper=np.where(den <= 0, upper, 0.0))
         for coeffs, rel, rhs in constraints:
             lp.add_constraint(coeffs, rel, rhs)
-        res2 = solve_lp(lp)
-        if not res2.optimal:
+        res = solve_lp(lp)
+        if not res.optimal:
             raise PolicyInfeasibleError(
                 "cost ratio unbounded but zero-cost restriction unsolvable")
-        return space.allocation(res2.x), float("inf"), violations
+        return PolicyResult(space.allocation(res.x), float("inf"), violations)
     if not res.optimal:
         raise PolicyInfeasibleError(f"cost LP returned {res.status}")
-    return space.allocation(res.x), res.objective_value, violations
+    return PolicyResult(space.allocation(res.x), res.objective_value, violations)
 
 
 # ---------------------------------------------------------------------------
 # Dispatch
 # ---------------------------------------------------------------------------
 
-@dataclass
-class PolicyResult:
-    allocation: AllocationMatrix
-    objective: float
-    violations: list = field(default_factory=list)
+# Every policy but the hierarchical one, which also needs the entities.
+POLICIES = {
+    PolicyKind.MAX_MIN_FAIRNESS: max_min_fairness,
+    PolicyKind.FIFO: fifo,
+    PolicyKind.SHORTEST_JOB_FIRST: shortest_job_first,
+    PolicyKind.MIN_MAKESPAN: min_makespan,
+    PolicyKind.FINISH_TIME_FAIRNESS: finish_time_fairness,
+    PolicyKind.MAX_TOTAL_THROUGHPUT: max_total_throughput,
+    PolicyKind.MIN_COST: min_cost,
+    PolicyKind.MIN_COST_SLO: min_cost_slo,
+}
 
 
 def solve_policy(spec: PolicySpec, jobs, cluster: ClusterSpec,
-                 T: ThroughputMatrix, entities=None,
-                 n_active: int | None = None) -> PolicyResult:
-    """Dispatch to the policy builders and return a validated allocation."""
+                 T: ThroughputMatrix, entities=None) -> PolicyResult:
+    """Compile the unfinished jobs' ProblemSpace once, solve the spec's
+    policy over it and return a validated allocation.
+
+    `cluster` is not read (`T.cluster` is the cluster); it stays in the
+    signature for callers that pass the arguments by position.
+    """
     from . import waterfill
 
     if not spec.space_sharing:
@@ -486,40 +507,12 @@ def solve_policy(spec: PolicySpec, jobs, cluster: ClusterSpec,
     jobs = [j for j in jobs if not j.finished]
     if not jobs:
         raise PolicyError("no active jobs")
-
+    space = ProblemSpace(jobs, T)
     if spec.kind is PolicyKind.HIERARCHICAL:
-        if any(j.entity_id is None for j in jobs):
-            raise PolicyError("hierarchical policy requires entity ids on all jobs")
-        result = waterfill.hierarchical_waterfill(entities, jobs, cluster, T)
-        out = PolicyResult(result.allocation, result.objective)
-    elif spec.kind is PolicyKind.MAX_MIN_FAIRNESS:
-        if spec.water_filling:
-            result = waterfill.single_level_waterfill(jobs, cluster, T)
-            out = PolicyResult(result.allocation, result.objective)
-        else:
-            X, obj = solve_las(jobs, cluster, T)
-            out = PolicyResult(X, obj)
-    elif spec.kind is PolicyKind.FIFO:
-        X, obj = solve_fifo(jobs, cluster, T)
-        out = PolicyResult(X, obj)
-    elif spec.kind is PolicyKind.SHORTEST_JOB_FIRST:
-        X, obj = solve_sjf(jobs, cluster, T)
-        out = PolicyResult(X, obj)
-    elif spec.kind is PolicyKind.MIN_MAKESPAN:
-        value, X = build_makespan(jobs, cluster, T)
-        out = PolicyResult(X, value)
-    elif spec.kind is PolicyKind.FINISH_TIME_FAIRNESS:
-        value, X = build_ftf(jobs, cluster, T, n_active=n_active)
-        out = PolicyResult(X, value)
-    elif spec.kind is PolicyKind.MAX_TOTAL_THROUGHPUT:
-        X, obj = solve_max_total_throughput(jobs, cluster, T)
-        out = PolicyResult(X, obj)
-    elif spec.kind in (PolicyKind.MIN_COST, PolicyKind.MIN_COST_SLO):
-        X, obj, violations = build_cost(jobs, cluster, T,
-                                        slo=spec.kind is PolicyKind.MIN_COST_SLO)
-        out = PolicyResult(X, obj, violations)
-    else:  # pragma: no cover
-        raise PolicyError(f"unhandled policy {spec.kind}")
-
-    out.allocation.validate({j.id: j for j in jobs})
+        out = waterfill.hierarchical_waterfill(space, entities)
+    elif spec.water_filling:
+        out = waterfill.single_level_waterfill(space)
+    else:
+        out = POLICIES[spec.kind](space)
+    out.allocation.validate(space.by_id)
     return out

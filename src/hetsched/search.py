@@ -9,6 +9,9 @@ from .lp import LinearProgram, Relation, SolveResult, Status, solve_lp
 
 DEFAULT_REL_TOL = 1e-3
 MAX_BISECT_ITERS = 64
+# A Charnes-Cooper scale t at or below this means the ratio's maximum is
+# approached only in the limit, not attained.
+RATIO_T_TOL = 1e-9
 
 
 class BracketError(ValueError):
@@ -20,13 +23,13 @@ class RatioUnboundedError(ValueError):
     no finite maximum."""
 
 
-def bisect(feasible, lo: float, hi: float, rel_tol: float = DEFAULT_REL_TOL):
+def bisect(feasible, lo: float, hi: float):
     """Find the feasibility threshold of a monotone predicate.
 
     `feasible(v)` returns (bool, witness).  The predicate is infeasible below
     the answer and feasible above; the search returns the smallest feasible
-    value to within `rel_tol`, as (value, witness) where witness comes from
-    the last feasible probe.
+    value to within DEFAULT_REL_TOL (relative to max(1, |hi|)), as
+    (value, witness) where witness comes from the last feasible probe.
     """
     if not lo < hi:
         raise BracketError(f"need lo < hi, got [{lo}, {hi}]")
@@ -40,7 +43,7 @@ def bisect(feasible, lo: float, hi: float, rel_tol: float = DEFAULT_REL_TOL):
         raise BracketError(f"upper bracket {hi} is not feasible")
 
     for _ in range(MAX_BISECT_ITERS):
-        if hi - lo <= rel_tol * max(1.0, abs(hi)):
+        if hi - lo <= DEFAULT_REL_TOL * max(1.0, abs(hi)):
             break
         mid = 0.5 * (lo + hi)
         ok, wit = feasible(mid)
@@ -104,7 +107,7 @@ def maximize_ratio(num_coeffs, den_coeffs, constraints, num_vars: int,
                 "denominator cannot be normalized on the feasible set")
         return SolveResult(res.status)
     t = res.x[n]
-    if t <= 1e-9:
+    if t <= RATIO_T_TOL:
         raise RatioUnboundedError("ratio maximized only in the limit (t = 0)")
     x = res.x[:n] / t
     x = np.clip(x, lower, upper)

@@ -373,8 +373,7 @@ class Simulation:
                     snapshot.append(j)
                 t0 = time.perf_counter()
                 result = solve_policy(cfg.policy, snapshot, cfg.cluster, T_policy,
-                                      entities=self.entities or None,
-                                      n_active=len(snapshot))
+                                      entities=self.entities or None)
                 solve_seconds += time.perf_counter() - t0
                 solves += 1
                 if cfg.agnostic:

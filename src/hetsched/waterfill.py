@@ -6,7 +6,8 @@ normalized throughputs at rates proportional to those weights, then freezes
 the jobs that have hit a bottleneck.  Frozen jobs keep their achieved
 throughput through carry-over constraints while the remaining jobs keep
 rising, so the final allocation is Pareto efficient at every level of the
-hierarchy.
+hierarchy.  Both entry points run over the `ProblemSpace` their caller
+compiled and return a `PolicyResult` that also records every iteration.
 
 Bottleneck detection is settled with LPs: one gain LP per active job, then
 one screening LP that asks whether every job able to gain on its own can
@@ -20,13 +21,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cluster import ClusterSpec
-from .jobs import Entity, EntityPolicy, Job
+from .jobs import EntityPolicy, Job
 from .lp import LinearProgram, Relation, solve_lp
-from .matrices import AllocationMatrix, ThroughputMatrix, effective_throughput
+from .matrices import AllocationMatrix, effective_throughput
 from .milp import MixedIntegerProgram, solve_milp
-from .policies import (PolicyError, PolicyInfeasibleError, ProblemSpace,
-                       max_min_lp)
+from .policies import (PolicyError, PolicyInfeasibleError, PolicyResult,
+                       ProblemSpace, max_min_lp)
 
 # Strictness slack for "can improve" as a fraction of each job's largest
 # throughput (LPs cannot express strict inequalities).  The constraint
@@ -50,24 +50,20 @@ class WaterfillIteration:
     level: float
     allocation: AllocationMatrix
     normalized: dict
-    scaled: dict
     bottlenecks: set
 
 
 @dataclass
-class WaterfillResult:
-    allocation: AllocationMatrix
+class WaterfillResult(PolicyResult):
+    """The last iteration's allocation; the objective is the first
+    iteration's water level, the max-min value of the most constrained job
+    group."""
+
     iterations: list = field(default_factory=list)
 
     @property
-    def objective(self) -> float:
-        # First-iteration water level: the max-min value of the most
-        # constrained job group.
-        return self.iterations[0].level if self.iterations else 0.0
-
-    @property
     def normalized(self) -> dict:
-        return self.iterations[-1].normalized if self.iterations else {}
+        return self.iterations[-1].normalized
 
 
 def assign_job_weights(entities, jobs, done: set) -> dict:
@@ -160,16 +156,17 @@ def max_gain(space: ProblemSpace, thr_prev: dict, job_id: int) -> float:
     return res.objective_value - thr_prev[job_id]
 
 
-def find_bottlenecks(jobs, X_prev: AllocationMatrix, T: ThroughputMatrix,
+def find_bottlenecks(space: ProblemSpace, thr_prev: dict,
                      active_weights: dict) -> set:
     """Jobs whose effective throughput cannot rise without lowering another's.
 
-    A job is improvable when it can gain at least its strictness slack
-    delta_j = DELTA_FRACTION * Y_j (Y_j its best rate) while every job keeps
-    at least its previous throughput.  The answer is the active jobs left
-    out of the largest set that can improve together, ties going to the
-    lexicographically smallest choice of flags, and then every job whose own
-    gain falls short of VERIFY_FRACTION * delta_j.
+    `thr_prev` holds every job's effective throughput under the previous
+    allocation X_prev.  A job is improvable when it can gain at least its
+    strictness slack delta_j = DELTA_FRACTION * Y_j (Y_j its best rate)
+    while every job keeps at least its previous throughput.  The answer is
+    the active jobs left out of the largest set that can improve together,
+    ties going to the lexicographically smallest choice of flags, and then
+    every job whose own gain falls short of VERIFY_FRACTION * delta_j.
 
     One gain LP per active job (`max_gain`) names the candidates, the jobs
     that can gain delta_j alone.  If every other gain is below
@@ -182,10 +179,8 @@ def find_bottlenecks(jobs, X_prev: AllocationMatrix, T: ThroughputMatrix,
     gain in [VERIFY_FRACTION * delta_j, delta_j), or candidates that
     conflict) the bottleneck MILP decides.
     """
-    space = ProblemSpace(jobs, T)
     active = [j for j in space.jobs if active_weights.get(j.id, 0.0) > 0]
-    thr_prev = {j.id: effective_throughput(j.id, X_prev, T) for j in space.jobs}
-    delta = {j.id: DELTA_FRACTION * T.max_throughput(j.id) for j in active}
+    delta = {j.id: DELTA_FRACTION * space.T.max_throughput(j.id) for j in active}
     gain = {j.id: max_gain(space, thr_prev, j.id) for j in active}
     cand = {j.id for j in active if gain[j.id] >= delta[j.id]}
     in_band = any(VERIFY_FRACTION * delta[j.id] <= gain[j.id] < delta[j.id]
@@ -253,58 +248,57 @@ def _milp_bottlenecks(space: ProblemSpace, active: list, thr_prev: dict,
             or gain[j.id] < VERIFY_FRACTION * delta[j.id]}
 
 
-def hierarchical_waterfill(entities, jobs, cluster: ClusterSpec,
-                           T: ThroughputMatrix) -> WaterfillResult:
-    """Iterate level LPs and bottleneck detection until every job is frozen."""
-    jobs = list(jobs)
+def hierarchical_waterfill(space: ProblemSpace, entities) -> WaterfillResult:
+    """Water filling over entities, each splitting its weight over its jobs
+    by its internal policy."""
+    if any(j.entity_id is None for j in space.jobs):
+        raise PolicyError("hierarchical policy requires entity ids on all jobs")
     if entities is None:
         raise PolicyInfeasibleError("hierarchical policy requires entities")
-    space = ProblemSpace(jobs, T)
+    return _fill(space,
+                 lambda done: assign_job_weights(entities, space.jobs, done))
+
+
+def single_level_waterfill(space: ProblemSpace) -> WaterfillResult:
+    """Water filling for flat max-min fairness: each job is its own entity
+    carrying the job's weight."""
+    return _fill(space, lambda done: {
+        j.id: 0.0 if j.id in done else float(j.weight) for j in space.jobs})
+
+
+def _fill(space: ProblemSpace, weights_of) -> WaterfillResult:
+    """Iterate level LPs and bottleneck detection until every job is frozen;
+    `weights_of(done)` gives the job weights once the jobs in `done` are
+    frozen."""
+    jobs = space.jobs
     done: set = set()
     t_prev = {j.id: 0.0 for j in jobs}
     thr_prev = {j.id: 0.0 for j in jobs}
-    X = None
     iterations = []
 
     for _ in range(len(jobs) + 1):
-        weights = assign_job_weights(entities, jobs, done)
+        weights = weights_of(done)
         if all(w <= 0 for w in weights.values()):
             break
         level = _level_lp(space, weights, t_prev, thr_prev)
         X = _tighten_lp(space, weights, t_prev, thr_prev, level)
-        thr = space.throughputs(X)
+        thr = {j.id: effective_throughput(j.id, X, space.T) for j in jobs}
         normalized = {j.id: thr[j.id] / space.equal_norm[j.id] for j in jobs}
-        scaled = {j.id: normalized[j.id] * j.scale_factor for j in jobs}
-        bottlenecks = find_bottlenecks(jobs, X, T, weights)
+        bottlenecks = find_bottlenecks(space, thr, weights)
         if not bottlenecks:
             # Numerically possible only when every weighted job can still
             # move; freeze them all to guarantee termination.
             bottlenecks = {j.id for j in jobs
                            if weights[j.id] > 0 and j.id not in done}
         iterations.append(WaterfillIteration(weights, level, X, normalized,
-                                             scaled, bottlenecks))
+                                             bottlenecks))
         done |= bottlenecks
-        t_prev = dict(scaled)
-        thr_prev = dict(thr)
+        t_prev = {j.id: normalized[j.id] * j.scale_factor for j in jobs}
+        thr_prev = thr
         if all(j.id in done for j in jobs):
             break
 
-    if X is None:
+    if not iterations:
         raise PolicyInfeasibleError("water filling needs a job with positive weight")
-    return WaterfillResult(X, iterations)
-
-
-def single_level_waterfill(jobs, cluster: ClusterSpec,
-                           T: ThroughputMatrix) -> WaterfillResult:
-    """Water filling for flat max-min fairness: each job is its own entity
-    carrying the job's weight."""
-    entities = [Entity(id=j.id, weight=j.weight,
-                       internal_policy=EntityPolicy.FAIRNESS) for j in jobs]
-    shadowed = [Job(id=j.id, name=j.name, num_steps=j.num_steps,
-                    steps_done=j.steps_done, scale_factor=j.scale_factor,
-                    weight=j.weight, entity_id=j.id,
-                    slo_seconds=j.slo_seconds, arrival_time=j.arrival_time,
-                    elapsed_time=j.elapsed_time,
-                    isolated_elapsed_time=j.isolated_elapsed_time)
-                for j in jobs]
-    return hierarchical_waterfill(entities, shadowed, cluster, T)
+    return WaterfillResult(iterations[-1].allocation, iterations[0].level,
+                           iterations=iterations)

@@ -17,9 +17,9 @@ from hetsched.matrices import (AllocationMatrix, ThroughputMatrix,
                                isolated_allocation)
 from hetsched.mechanism import (RoundLedger, compute_priorities, plan_round,
                                 settle_round)
-from hetsched.policies import (build_cost, build_ftf, build_makespan,
-                               parse_policy, solve_fifo, solve_las,
-                               solve_max_total_throughput, solve_policy)
+from hetsched.policies import (ProblemSpace, fifo, finish_time_fairness,
+                               max_min_fairness, min_cost, min_makespan,
+                               parse_policy, solve_policy)
 from hetsched.estimator import complete_matrix
 from hetsched.simulator import EstimatorConfig, SimConfig, run_simulation
 from hetsched.traces import generate_trace, load_catalog
@@ -51,12 +51,17 @@ def inst_to_jobs(inst):
             for i in range(inst.num_jobs)]
 
 
+def throughputs(jobs, X, T):
+    return {j.id: effective_throughput(j.id, X, T) for j in jobs}
+
+
 def test_criterion_1_las_worked_example():
     t0 = time.perf_counter()
     cluster = make_cluster({"V100": 1, "K80": 1})
     T = singles(cluster, [[4.0, 1.0], [3.0, 1.0], [2.0, 1.0]])
     jobs = [Job(id=i, num_steps=1000) for i in range(3)]
-    X, objective = solve_las(jobs, cluster, T)
+    res = max_min_fairness(ProblemSpace(jobs, T))
+    X, objective = res.allocation, res.objective
     elapsed = time.perf_counter() - t0
 
     Xeq = equal_share_allocation(T)
@@ -80,7 +85,7 @@ def test_criterion_2_water_filling_example():
     T = singles(cluster, [[2.0]] * 4)
     jobs = [Job(id=i, num_steps=1000, weight=(3.0 if i == 0 else 1.0))
             for i in range(4)]
-    result = single_level_waterfill(jobs, cluster, T)
+    result = single_level_waterfill(ProblemSpace(jobs, T))
     elapsed = time.perf_counter() - t0
 
     first = result.iterations[0]
@@ -106,15 +111,15 @@ def test_criterion_3_oracle_equivalence():
                                with_history=(i % 3 == 0), with_costs=True)
         cluster, T = inst_to_matrix(inst)
         jobs = inst_to_jobs(inst)
-        weights = {j.id: j.weight for j in jobs}
+        space = ProblemSpace(jobs, T)
 
-        _, las_obj = solve_las(jobs, cluster, T, weights)
+        las_obj = max_min_fairness(space).objective
         gap = abs(las_obj - oracle_las(inst))
         worst["las"] = max(worst["las"], gap)
         assert gap <= 0.01, f"LAS gap {gap} on instance {i}"
         checked["las"] += 1
 
-        _, fifo_obj = solve_fifo(jobs, cluster, T)
+        fifo_obj = fifo(space).objective
         gap = abs(fifo_obj - oracle_fifo(inst))
         worst["fifo"] = max(worst["fifo"], gap)
         assert gap <= 0.01, f"FIFO gap {gap} on instance {i}"
@@ -122,21 +127,21 @@ def test_criterion_3_oracle_equivalence():
 
         fresh = [dataclasses.replace(j, elapsed_time=0.0,
                                      isolated_elapsed_time=0.0) for j in jobs]
-        M, _ = build_makespan(fresh, cluster, T)
+        M = min_makespan(ProblemSpace(fresh, T)).objective
         oM = oracle_makespan(inst)
         rel = abs(M - oM) / oM
         worst["makespan"] = max(worst["makespan"], rel)
         assert rel <= 0.005, f"makespan rel gap {rel} on instance {i}"
         checked["makespan"] += 1
 
-        rho, _ = build_ftf(jobs, cluster, T)
+        rho = finish_time_fairness(space).objective
         orho = oracle_ftf(inst)
         rel = abs(rho - orho) / orho
         worst["ftf"] = max(worst["ftf"], rel)
         assert rel <= 0.005, f"FTF rel gap {rel} on instance {i}"
         checked["ftf"] += 1
 
-        _, ratio, _ = build_cost(jobs, cluster, T)
+        ratio = min_cost(space).objective
         gap = abs(ratio - oracle_cost(inst))
         worst["cost"] = max(worst["cost"], gap)
         assert gap <= 0.01, f"cost gap {gap} on instance {i}"
@@ -202,7 +207,8 @@ def test_criterion_4_bottleneck_milp_vs_enumeration():
         X /= np.maximum(X.sum(axis=1, keepdims=True), 1.0)
         X_prev = AllocationMatrix(T, X)
         weights = {m: 1.0 for m in range(M)}
-        ours = find_bottlenecks(jobs, X_prev, T, weights)
+        ours = find_bottlenecks(ProblemSpace(jobs, T),
+                                throughputs(jobs, X_prev, T), weights)
         reference = _enumerate_bottlenecks(jobs, X_prev, T, weights)
         assert ours == reference, f"instance {i}: {ours} != {reference}"
     elapsed = time.perf_counter() - t0
@@ -261,17 +267,18 @@ def test_criterion_6a_sharing_incentive():
         n = len(jobs)
         Xiso = isolated_allocation(T, n)
         Xeq = equal_share_allocation(T)
-        _, las_obj = solve_las(jobs, cluster, T)
+        space = ProblemSpace(jobs, T)
+        las_obj = max_min_fairness(space).objective
         iso_las = min(effective_throughput(j.id, Xiso, T)
                       / effective_throughput(j.id, Xeq, T) / j.weight
                       * j.scale_factor for j in jobs)
         assert las_obj >= iso_las - 1e-7
-        _, fifo_obj = solve_fifo(jobs, cluster, T)
+        fifo_obj = fifo(space).objective
         order = sorted(jobs, key=lambda j: (j.arrival_time, j.id))
         iso_fifo = sum((len(order) - k) * effective_throughput(j.id, Xiso, T)
                        / T.max_throughput(j.id) for k, j in enumerate(order))
         assert fifo_obj >= iso_fifo - 1e-7
-        M, _ = build_makespan(jobs, cluster, T)
+        M = min_makespan(space).objective
         iso_makespan = max(j.remaining_steps
                            / effective_throughput(j.id, Xiso, T) for j in jobs)
         assert M <= iso_makespan * 1.001 + 1e-6
@@ -348,9 +355,11 @@ def test_criterion_6d_water_filling_pareto():
     for _ in range(500):
         cluster, T, jobs = _random_property_instance(rng, max_jobs=4,
                                                      max_types=2)
-        result = single_level_waterfill(jobs, cluster, T)
+        space = ProblemSpace(jobs, T)
+        result = single_level_waterfill(space)
         weights = {j.id: j.weight for j in jobs}
-        stuck = find_bottlenecks(jobs, result.allocation, T, weights)
+        stuck = find_bottlenecks(space, throughputs(jobs, result.allocation, T),
+                                 weights)
         assert stuck == {j.id for j in jobs}
     print("\nACCEPTANCE 6d: PASS - water filling terminates Pareto-efficient "
           "(no job improvable) on 500 instances")

@@ -120,6 +120,16 @@ class TestSolve:
                                    "--jobs", str(tmp_path / "nope2.json")])
         assert res.exit_code == 4
 
+    @pytest.mark.parametrize("policy", ["fifo+wf", "makespan+wf", "ftf+wf"])
+    def test_water_filling_flag_without_effect_exit_code(self, runner, tmp_path,
+                                                         policy):
+        thr, jobs = write_three_job_instance(tmp_path)
+        res = runner.invoke(main, ["--out", str(tmp_path), "solve",
+                                   "--policy", policy, "--throughputs", str(thr),
+                                   "--jobs", str(jobs)])
+        assert res.exit_code == 2, res.output
+        assert "+wf applies only to las and hier" in res.output
+
     def test_dump_lp_flag(self, runner, tmp_path):
         thr, jobs = write_three_job_instance(tmp_path)
         for policy, label in (("las", "# max-min fairness"),
@@ -215,6 +225,12 @@ class TestSimulate:
                                    "--policy", "las", "--trace", str(trace)])
         assert res.exit_code == 4, res.output
         assert "trace.jsonl" in res.output
+
+    def test_water_filling_flag_without_effect_exit_code(self, runner, tmp_path):
+        res = runner.invoke(main, ["--out", str(tmp_path), "simulate",
+                                   "--policy", "makespan+wf", "--jobs", "2",
+                                   "--lambda", "0.01"])
+        assert res.exit_code == 2, res.output
 
     def test_summary_has_mean_and_stddev(self, runner, tmp_path):
         res = runner.invoke(main, ["--out", str(tmp_path), "simulate",

@@ -7,10 +7,11 @@ from hetsched.matrices import (AllocationMatrix, ThroughputMatrix,
                                effective_throughput, equal_share_allocation,
                                isolated_allocation)
 from hetsched.policies import (InfeasibleSloError, PolicySpec, PolicyKind,
-                               ZeroThroughputError, build_cost, build_ftf,
-                               build_makespan, parse_policy, solve_fifo,
-                               solve_las, solve_max_total_throughput,
-                               solve_policy, solve_sjf)
+                               ProblemSpace, ZeroThroughputError, fifo,
+                               finish_time_fairness, max_min_fairness,
+                               max_total_throughput, min_cost, min_cost_slo,
+                               min_makespan, parse_policy, shortest_job_first,
+                               solve_policy)
 
 from oracles import OracleInstance, oracle_ftf, oracle_las, oracle_makespan
 
@@ -38,16 +39,16 @@ def normalized_throughputs(jobs, X, T):
 class TestLas:
     def test_three_job_worked_example(self, three_job_instance):
         cluster, T, jobs = three_job_instance
-        X, obj = solve_las(jobs, cluster, T)
-        assert obj == pytest.approx(8 / 11, abs=0.01)
-        norm = normalized_throughputs(jobs, X, T)
+        res = max_min_fairness(ProblemSpace(jobs, T))
+        assert res.objective == pytest.approx(8 / 11, abs=0.01)
+        norm = normalized_throughputs(jobs, res.allocation, T)
         assert min(norm.values()) == pytest.approx(8 / 11, abs=1e-6)
 
     def test_symmetric_jobs_equal_split(self):
         cluster = make_cluster({"gpu": 4})
         T = singles(cluster, [[2.0]] * 4)
         jobs = [Job(id=i, num_steps=100) for i in range(4)]
-        X, obj = solve_las(jobs, cluster, T)
+        X = max_min_fairness(ProblemSpace(jobs, T)).allocation
         assert np.allclose(X.values, 1.0, atol=1e-6)
 
     def test_weighted_split_two_to_one(self):
@@ -55,7 +56,7 @@ class TestLas:
         T = singles(cluster, [[1.0], [1.0]])
         jobs = [Job(id=0, num_steps=100, weight=2.0),
                 Job(id=1, num_steps=100, weight=1.0)]
-        X, obj = solve_las(jobs, cluster, T)
+        X = max_min_fairness(ProblemSpace(jobs, T)).allocation
         assert X.values[0, 0] == pytest.approx(2 / 3, abs=1e-6)
         assert X.values[1, 0] == pytest.approx(1 / 3, abs=1e-6)
 
@@ -64,14 +65,14 @@ class TestLas:
         rows = [JobCombination.of(0)]
         T = ThroughputMatrix.from_cells(cluster, rows, [[(0.0,)]])
         with pytest.raises(ZeroThroughputError):
-            solve_las([Job(id=0, num_steps=10)], cluster, T)
+            max_min_fairness(ProblemSpace([Job(id=0, num_steps=10)], T))
 
 
 class TestFifo:
     def test_single_job_takes_fastest(self):
         cluster = make_cluster({"fast": 1, "slow": 1})
         T = singles(cluster, [[4.0, 1.0]])
-        X, _ = solve_fifo([Job(id=0, num_steps=10)], cluster, T)
+        X = fifo(ProblemSpace([Job(id=0, num_steps=10)], T)).allocation
         assert X.values[0, 0] == pytest.approx(1.0, abs=1e-6)
 
     def test_earlier_job_wins_single_worker(self):
@@ -79,7 +80,7 @@ class TestFifo:
         T = singles(cluster, [[2.0], [2.0]])
         jobs = [Job(id=0, num_steps=10, arrival_time=0.0),
                 Job(id=1, num_steps=10, arrival_time=5.0)]
-        X, _ = solve_fifo(jobs, cluster, T)
+        X = fifo(ProblemSpace(jobs, T)).allocation
         assert X.values[0, 0] == pytest.approx(1.0, abs=1e-6)
         assert X.values[1, 0] == pytest.approx(0.0, abs=1e-6)
 
@@ -88,9 +89,9 @@ class TestFifo:
         cluster = make_cluster({"fast": M, "slow": M})
         T = singles(cluster, [[4.0, 1.0]] * M)
         jobs = [Job(id=i, num_steps=10, arrival_time=float(i)) for i in range(M)]
-        X, obj = solve_fifo(jobs, cluster, T)
-        assert obj == pytest.approx(sum(M - m for m in range(M)), abs=1e-6)
-        assert np.allclose(X.values[:, 0], 1.0, atol=1e-6)
+        res = fifo(ProblemSpace(jobs, T))
+        assert res.objective == pytest.approx(sum(M - m for m in range(M)), abs=1e-6)
+        assert np.allclose(res.allocation.values[:, 0], 1.0, atol=1e-6)
 
 
 class TestSjf:
@@ -98,19 +99,19 @@ class TestSjf:
         cluster = make_cluster({"gpu": 1})
         T = singles(cluster, [[1.0], [1.0]])
         jobs = [Job(id=0, num_steps=100), Job(id=1, num_steps=1000)]
-        X, duration = solve_sjf(jobs, cluster, T)
-        assert duration == pytest.approx(100.0)
-        assert X.values[0, 0] == pytest.approx(1.0)
-        assert X.values[1, 0] == pytest.approx(0.0)
+        res = shortest_job_first(ProblemSpace(jobs, T))
+        assert res.objective == pytest.approx(100.0)
+        assert res.allocation.values[0, 0] == pytest.approx(1.0)
+        assert res.allocation.values[1, 0] == pytest.approx(0.0)
 
     def test_duration_not_steps_decides(self):
         cluster = make_cluster({"gpu": 1})
         T = singles(cluster, [[1.0], [0.05]])
         jobs = [Job(id=0, num_steps=100), Job(id=1, num_steps=10)]
-        X, duration = solve_sjf(jobs, cluster, T)
+        res = shortest_job_first(ProblemSpace(jobs, T))
         # job0: 100 s; job1: 200 s.
-        assert duration == pytest.approx(100.0)
-        assert X.values[0, 0] == pytest.approx(1.0)
+        assert res.objective == pytest.approx(100.0)
+        assert res.allocation.values[0, 0] == pytest.approx(1.0)
 
     def test_matches_exhaustive_minimum(self):
         rng = np.random.default_rng(0)
@@ -120,7 +121,7 @@ class TestSjf:
             steps = rng.integers(10, 500, size=3)
             T = singles(cluster, thr.tolist())
             jobs = [Job(id=i, num_steps=int(steps[i])) for i in range(3)]
-            _, duration = solve_sjf(jobs, cluster, T)
+            duration = shortest_job_first(ProblemSpace(jobs, T)).objective
             expected = min(steps[i] / thr[i].max() for i in range(3))
             assert duration == pytest.approx(expected, rel=1e-6)
 
@@ -129,14 +130,14 @@ class TestMakespan:
     def test_single_job_exact(self):
         cluster = make_cluster({"gpu": 1})
         T = singles(cluster, [[1.0]])
-        M, X = build_makespan([Job(id=0, num_steps=100)], cluster, T)
+        M = min_makespan(ProblemSpace([Job(id=0, num_steps=100)], T)).objective
         assert M == pytest.approx(100.0, rel=1e-9)
 
     def test_two_identical_jobs_serialize(self):
         cluster = make_cluster({"gpu": 1})
         T = singles(cluster, [[1.0], [1.0]])
         jobs = [Job(id=i, num_steps=100) for i in range(2)]
-        M, X = build_makespan(jobs, cluster, T)
+        M = min_makespan(ProblemSpace(jobs, T)).objective
         assert M == pytest.approx(200.0, rel=1e-9)
 
     def test_matches_grid_oracle(self):
@@ -147,7 +148,7 @@ class TestMakespan:
         cluster = make_cluster({"A": 1, "B": 1})
         T = singles(cluster, inst.T.tolist())
         jobs = [Job(id=i, num_steps=int(inst.steps[i])) for i in range(2)]
-        M, _ = build_makespan(jobs, cluster, T)
+        M = min_makespan(ProblemSpace(jobs, T)).objective
         # Job 0 alone on A and job 1 alone on B both finish at exactly 100.
         assert M == pytest.approx(100.0, rel=1e-9)
         assert M == pytest.approx(oracle_makespan(inst), rel=0.01)
@@ -156,15 +157,15 @@ class TestMakespan:
         cluster = make_cluster({"gpu": 1})
         T = singles(cluster, [[1.0]])
         job = Job(id=0, num_steps=100, steps_done=50.0)
-        M, _ = build_makespan([job], cluster, T)
+        M = min_makespan(ProblemSpace([job], T)).objective
         assert M == pytest.approx(50.0, rel=1e-9)
 
 
 class TestFtf:
     def test_fresh_jobs_reduce_to_las(self, three_job_instance):
         cluster, T, jobs = three_job_instance
-        rho, Xf = build_ftf(jobs, cluster, T)
-        _, las_obj = solve_las(jobs, cluster, T)
+        rho = finish_time_fairness(ProblemSpace(jobs, T)).objective
+        las_obj = max_min_fairness(ProblemSpace(jobs, T)).objective
         # With no history, minimizing max rho is maximizing min normalized
         # throughput: rho* = iso_share / las_obj with iso = equal/n.
         assert rho == pytest.approx(1 / (3 * las_obj), rel=1e-2)
@@ -172,7 +173,7 @@ class TestFtf:
     def test_single_job_full_cluster(self):
         cluster = make_cluster({"gpu": 1})
         T = singles(cluster, [[2.0]])
-        rho, X = build_ftf([Job(id=0, num_steps=100)], cluster, T)
+        X = finish_time_fairness(ProblemSpace([Job(id=0, num_steps=100)], T)).allocation
         assert X.values[0, 0] == pytest.approx(1.0, abs=1e-3)
 
     def test_matches_grid_oracle_with_history(self):
@@ -189,7 +190,7 @@ class TestFtf:
                         elapsed_time=float(elapsed[i]),
                         isolated_elapsed_time=float(elapsed[i]))
                     for i in range(2)]
-            rho, _ = build_ftf(jobs, cluster, T)
+            rho = finish_time_fairness(ProblemSpace(jobs, T)).objective
             assert rho == pytest.approx(oracle_ftf(inst), rel=0.01)
 
 
@@ -198,22 +199,22 @@ class TestCost:
         cluster = make_cluster({"V100": 1, "K80": 1},
                                costs={"V100": 3.0, "K80": 0.5})
         T = singles(cluster, [[4.0, 1.0]])
-        X, ratio, violations = build_cost([Job(id=0, num_steps=3000)],
-                                          cluster, T)
-        assert ratio == pytest.approx(2.0, abs=1e-6)
-        assert X.values[0, 1] == pytest.approx(1.0, abs=1e-6)
-        assert violations == []
+        res = min_cost(ProblemSpace([Job(id=0, num_steps=3000)], T))
+        assert res.objective == pytest.approx(2.0, abs=1e-6)
+        assert res.allocation.values[0, 1] == pytest.approx(1.0, abs=1e-6)
+        assert res.violations == []
 
     def test_slo_forces_fast_share(self):
         cluster = make_cluster({"V100": 1, "K80": 1},
                                costs={"V100": 3.0, "K80": 0.5})
         T = singles(cluster, [[4.0, 1.0]])
         job = Job(id=0, num_steps=3000, slo_seconds=1000.0)
-        X, ratio, _ = build_cost([job], cluster, T, slo=True)
+        res = min_cost_slo(ProblemSpace([job], T))
+        X = res.allocation
         thr = effective_throughput(0, X, X.T)
         assert thr >= 3.0 - 1e-6
         assert X.values[0, 0] >= 2 / 3 - 1e-6
-        assert ratio < 2.0
+        assert res.objective < 2.0
 
     def test_impossible_slo_lists_jobs(self):
         cluster = make_cluster({"V100": 1}, costs={"V100": 3.0})
@@ -221,35 +222,34 @@ class TestCost:
         jobs = [Job(id=0, num_steps=100, slo_seconds=1e9),
                 Job(id=1, num_steps=10_000, slo_seconds=10.0)]
         with pytest.raises(InfeasibleSloError) as exc:
-            build_cost(jobs, cluster, T, slo=True)
+            min_cost_slo(ProblemSpace(jobs, T))
         assert exc.value.job_ids == [1]
 
     def test_elapsed_slo_clamped_and_flagged(self):
         cluster = make_cluster({"V100": 1}, costs={"V100": 3.0})
         T = singles(cluster, [[1.0]])
         job = Job(id=0, num_steps=100, slo_seconds=100.0, elapsed_time=200.0)
-        X, ratio, violations = build_cost([job], cluster, T, slo=True)
-        assert violations == [0]
+        assert min_cost_slo(ProblemSpace([job], T)).violations == [0]
 
     def test_zero_cost_type_takes_everything(self):
         cluster = make_cluster({"free": 1, "paid": 1},
                                costs={"free": 0.0, "paid": 1.0})
         T = singles(cluster, [[1.0, 2.0]])
-        X, ratio, _ = build_cost([Job(id=0, num_steps=100)], cluster, T)
-        assert ratio == float("inf")
-        assert X.values[0, 0] == pytest.approx(1.0, abs=1e-6)
-        assert X.values[0, 1] == pytest.approx(0.0, abs=1e-6)
+        res = min_cost(ProblemSpace([Job(id=0, num_steps=100)], T))
+        assert res.objective == float("inf")
+        assert res.allocation.values[0, 0] == pytest.approx(1.0, abs=1e-6)
+        assert res.allocation.values[0, 1] == pytest.approx(0.0, abs=1e-6)
 
 
 class TestMaxThroughput:
     def test_two_jobs_two_types(self):
         cluster = make_cluster({"V100": 1, "K80": 1})
         T = singles(cluster, [[4.0, 1.0], [3.0, 1.0]])
-        X, obj = solve_max_total_throughput(
-            [Job(id=0, num_steps=10), Job(id=1, num_steps=10)], cluster, T)
-        assert obj == pytest.approx(5.0, abs=1e-6)
-        assert X.values[0, 0] == pytest.approx(1.0, abs=1e-6)
-        assert X.values[1, 1] == pytest.approx(1.0, abs=1e-6)
+        res = max_total_throughput(ProblemSpace(
+            [Job(id=0, num_steps=10), Job(id=1, num_steps=10)], T))
+        assert res.objective == pytest.approx(5.0, abs=1e-6)
+        assert res.allocation.values[0, 0] == pytest.approx(1.0, abs=1e-6)
+        assert res.allocation.values[1, 1] == pytest.approx(1.0, abs=1e-6)
 
 
 class TestDispatchAndParsing:
@@ -262,7 +262,10 @@ class TestDispatchAndParsing:
         spec = parse_policy("hier:fair/fifo")
         assert spec.kind is PolicyKind.HIERARCHICAL
         assert parse_policy("wlas") == parse_policy("las")
-        for bad in ("hier:fair/bogus", "las:fair", "las+pa"):
+        assert parse_policy("hier:fair+wf").water_filling
+        for bad in ("hier:fair/bogus", "las:fair", "las+pa", "fifo+wf",
+                    "makespan+wf", "ftf+wf", "sjf+wf", "throughput+wf",
+                    "cost+wf", "cost_slo+wf"):
             with pytest.raises(ValueError):
                 parse_policy(bad)
         assert parse_policy("cost_slo").kind is PolicyKind.MIN_COST_SLO
@@ -310,7 +313,7 @@ class TestScaleFactor:
         T = ThroughputMatrix.from_cells(cluster, rows, [[(1.0,)], [(2.0,)]])
         jobs = [Job(id=0, num_steps=100, scale_factor=1),
                 Job(id=1, num_steps=100, scale_factor=2)]
-        X, obj = solve_las(jobs, cluster, T)
+        X = max_min_fairness(ProblemSpace(jobs, T)).allocation
         Xeq = equal_share_allocation(X.T)
         terms = []
         for j in jobs:

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
+import hetsched.search
 from hetsched.lp import Relation
-from hetsched.search import (BracketError, RatioUnboundedError, bisect,
-                             maximize_ratio)
+from hetsched.search import (DEFAULT_REL_TOL, BracketError,
+                             RatioUnboundedError, bisect, maximize_ratio)
 
 
 def test_step_predicate():
-    value, witness = bisect(lambda v: (v >= 100, v), 1, 1000, rel_tol=1e-3)
+    assert DEFAULT_REL_TOL == 1e-3
+    value, witness = bisect(lambda v: (v >= 100, v), 1, 1000)
     assert value == pytest.approx(100, abs=0.15)
     assert witness >= 100
 
@@ -22,9 +24,10 @@ def test_bad_bracket():
         bisect(lambda v: (v >= 1e9, v), 1, 10)
 
 
-def test_bracket_widening_invariance():
-    v1, _ = bisect(lambda v: (v >= 77, v), 50, 100, rel_tol=1e-4)
-    v2, _ = bisect(lambda v: (v >= 77, v), 1, 10000, rel_tol=1e-4)
+def test_bracket_widening_invariance(monkeypatch):
+    monkeypatch.setattr(hetsched.search, "DEFAULT_REL_TOL", 1e-4)
+    v1, _ = bisect(lambda v: (v >= 77, v), 50, 100)
+    v2, _ = bisect(lambda v: (v >= 77, v), 1, 10000)
     assert v1 == pytest.approx(v2, rel=2e-3)
 
 

@@ -116,12 +116,12 @@ class TestAllocationFidelity:
         # Recover the solved allocation and compare to the ledger fractions.
         from hetsched.jobs import Job, JobCombination
         from hetsched.matrices import ThroughputMatrix
-        from hetsched.policies import solve_las
+        from hetsched.policies import ProblemSpace, max_min_fairness
         jobs = [Job(id=i, num_steps=10 ** 9) for i in range(3)]
         rows = [JobCombination.of(i) for i in range(3)]
         T = ThroughputMatrix.from_cells(cluster, rows,
                                         [[(4.0,), (1.0,)], [(3.0,), (1.0,)], [(2.0,), (1.0,)]])
-        X, _ = solve_las(jobs, cluster, T)
+        X = max_min_fairness(ProblemSpace(jobs, T)).allocation
         # The simulator's own ledger is not exposed; re-run the mechanism to
         # measure received fractions through the run's round log instead.
         cfg2 = SimConfig(cluster=cluster, policy=parse_policy("las"), seed=0,

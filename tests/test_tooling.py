@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 from hetsched.cluster import make_cluster
+from hetsched.jobs import Entity, EntityPolicy
 from hetsched.policies import parse_policy
 from hetsched.simulator import SimConfig, Simulation
 from hetsched.traces import JobTemplate, Trace, TraceEntry
@@ -14,14 +15,18 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import tracing  # noqa: E402
 
 
+def three_templates():
+    return [JobTemplate(name=f"t{i}", tier_throughputs=(fast, 1.0, 1.0),
+                        consolidated_efficiency=1.0,
+                        unconsolidated_efficiency=1.0,
+                        coloc_sensitivity=0.3, coloc_aggressiveness=0.3)
+            for i, fast in enumerate((4.0, 3.0, 2.0))]
+
+
 def test_tracer_installs_traces_and_restores():
     bound = [(owner, attr, owner.__dict__[attr])
              for owner, attr, _, _ in tracing.TARGETS]
-    templates = [JobTemplate(name=f"t{i}", tier_throughputs=(fast, 1.0, 1.0),
-                             consolidated_efficiency=1.0,
-                             unconsolidated_efficiency=1.0,
-                             coloc_sensitivity=0.3, coloc_aggressiveness=0.3)
-                 for i, fast in enumerate((4.0, 3.0, 2.0))]
+    templates = three_templates()
     trace = Trace([TraceEntry(0.0, t.name, 2000) for t in templates], "static", 0)
     cfg = SimConfig(cluster=make_cluster({"V100": 1, "K80": 1}),
                     policy=parse_policy("las+ss"), seed=0)
@@ -39,3 +44,23 @@ def test_tracer_installs_traces_and_restores():
             "mechanism.compute_priorities"} <= names
     metrics = tracing.layer_metrics(tracer.spans, 0, len(tracer.spans))
     assert metrics["policies.calls"] > 0 and metrics["lp.calls"] > 0
+
+
+def test_tracer_sees_water_filling_and_one_compile_per_decision():
+    templates = three_templates()
+    entities = [Entity(0, 1.0), Entity(1, 2.0, EntityPolicy.FIFO)]
+    entries = [TraceEntry(600.0 * k, t.name, 2000, entity_id=k % 2)
+               for k, t in enumerate(templates + templates[:1])]
+    trace = Trace(entries, "continuous", 0, entities)
+    cfg = SimConfig(cluster=make_cluster({"V100": 1, "K80": 1}),
+                    policy=parse_policy("hier:fair"), seed=0)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        Simulation(cfg, trace, templates).run()
+    count = {}
+    for span in tracer.spans:
+        count[span[0]] = count.get(span[0], 0) + 1
+    for name in ("waterfill.hierarchical_waterfill",
+                 "waterfill.find_bottlenecks", "waterfill.max_gain"):
+        assert count.get(name, 0) > 0, name
+    assert count["policies.problem_space"] == count["policies.solve_policy"]

@@ -24,6 +24,16 @@ def singles(cluster, T_rows):
     return ThroughputMatrix.from_cells(cluster, rows, entries)
 
 
+def throughputs(jobs, X, T):
+    return {j.id: effective_throughput(j.id, X, T) for j in jobs}
+
+
+def bottlenecks(jobs, X_prev, T, weights):
+    """find_bottlenecks over a fresh space and X_prev's throughputs."""
+    return find_bottlenecks(ProblemSpace(jobs, T), throughputs(jobs, X_prev, T),
+                            weights)
+
+
 @pytest.fixture
 def milp_calls(monkeypatch):
     """Records every bottleneck MILP that water filling solves."""
@@ -48,7 +58,7 @@ def four_job_example():
 
 def test_weighted_four_job_example(four_job_example):
     cluster, T, jobs = four_job_example
-    result = single_level_waterfill(jobs, cluster, T)
+    result = single_level_waterfill(ProblemSpace(jobs, T))
     first = result.iterations[0]
     assert first.normalized[0] == pytest.approx(1.0, abs=1e-3)
     for i in (1, 2, 3):
@@ -66,7 +76,7 @@ def test_fifo_entity_head_of_queue_takes_all():
     entities = [Entity(0, 1.0, EntityPolicy.FIFO)]
     jobs = [Job(id=0, num_steps=100, entity_id=0, arrival_time=0.0),
             Job(id=1, num_steps=100, entity_id=0, arrival_time=5.0)]
-    result = hierarchical_waterfill(entities, jobs, cluster, T)
+    result = hierarchical_waterfill(ProblemSpace(jobs, T), entities)
     assert result.allocation.values[0, 0] == pytest.approx(1.0, abs=1e-6)
     assert result.allocation.values[1, 0] == pytest.approx(0.0, abs=1e-6)
 
@@ -77,7 +87,7 @@ def test_two_entities_weighted_split():
     entities = [Entity(0, 1.0), Entity(1, 2.0)]
     jobs = [Job(id=0, num_steps=100, entity_id=0),
             Job(id=1, num_steps=100, entity_id=1)]
-    result = hierarchical_waterfill(entities, jobs, cluster, T)
+    result = hierarchical_waterfill(ProblemSpace(jobs, T), entities)
     assert result.allocation.values[0, 0] == pytest.approx(1 / 3, abs=1e-4)
     assert result.allocation.values[1, 0] == pytest.approx(2 / 3, abs=1e-4)
 
@@ -142,7 +152,7 @@ def test_bottlenecks_worked_example(four_job_example):
     cluster, T, jobs = four_job_example
     X_prev = AllocationMatrix(T, np.array([[1.0], [1 / 3], [1 / 3], [1 / 3]]))
     weights = {j.id: j.weight for j in jobs}
-    assert find_bottlenecks(jobs, X_prev, T, weights) == {0}
+    assert bottlenecks(jobs, X_prev, T, weights) == {0}
 
 
 def test_bottlenecks_saturated_cluster_all_stuck():
@@ -151,7 +161,7 @@ def test_bottlenecks_saturated_cluster_all_stuck():
     jobs = [Job(id=0, num_steps=10), Job(id=1, num_steps=10)]
     X_prev = AllocationMatrix(T, np.array([[1.0], [1.0]]))
     weights = {0: 1.0, 1: 1.0}
-    assert find_bottlenecks(jobs, X_prev, T, weights) == {0, 1}
+    assert bottlenecks(jobs, X_prev, T, weights) == {0, 1}
 
 
 def test_bottlenecks_match_enumeration_random():
@@ -169,7 +179,7 @@ def test_bottlenecks_match_enumeration_random():
         X /= np.maximum(X.sum(axis=1, keepdims=True), 1.0)  # rows <= 1
         X_prev = AllocationMatrix(T, X)
         weights = {i: 1.0 for i in range(M)}
-        ours = find_bottlenecks(jobs, X_prev, T, weights)
+        ours = bottlenecks(jobs, X_prev, T, weights)
         oracle = enumerate_bottlenecks(jobs, X_prev, T, weights)
         assert ours == oracle
 
@@ -187,7 +197,7 @@ def _random_bottleneck_instance(rng):
         slack = rng.choice([0.0, rng.uniform(0.0, 0.3)])
     else:
         # A Pareto-efficient point, shrunk so the freed room is a few slacks.
-        x = single_level_waterfill(jobs, cluster, T).allocation.values.ravel()
+        x = single_level_waterfill(space).allocation.values.ravel()
         slack = rng.uniform(0.0, 3.0) * DELTA_FRACTION
     rhs = np.array(space.validity_rhs)
     for row, cap in zip(space.validity, rhs):
@@ -206,7 +216,7 @@ def test_bottlenecks_match_reference(milp_calls):
         rng = np.random.default_rng(seed)
         jobs, X_prev, T, weights = _random_bottleneck_instance(rng)
         before = len(milp_calls)
-        ours = find_bottlenecks(jobs, X_prev, T, weights)
+        ours = bottlenecks(jobs, X_prev, T, weights)
         fallback += len(milp_calls) > before
         assert ours == reference_find_bottlenecks(jobs, X_prev, T, weights), seed
         pairs += any(c.is_pair for c in T.rows)
@@ -227,7 +237,7 @@ def test_conflicting_candidates_fall_back_to_milp(milp_calls):
     jobs = [Job(id=0, num_steps=10), Job(id=1, num_steps=10)]
     X_prev = AllocationMatrix(T, np.array([[0.499925], [0.499925]]))
     weights = {0: 1.0, 1: 1.0}
-    assert find_bottlenecks(jobs, X_prev, T, weights) == {0}
+    assert bottlenecks(jobs, X_prev, T, weights) == {0}
     assert len(milp_calls) == 1
 
 
@@ -240,11 +250,11 @@ def test_gain_near_slack_falls_back_to_milp(milp_calls):
     jobs = [Job(id=0, num_steps=10), Job(id=1, num_steps=10)]
     X_prev = AllocationMatrix(T, np.array([[1.0 - 0.7e-4], [0.5]]))
     space = ProblemSpace(jobs, T)
-    thr_prev = space.throughputs(X_prev)
+    thr_prev = throughputs(jobs, X_prev, T)
     delta = DELTA_FRACTION * T.max_throughput(0)
     assert VERIFY_FRACTION * delta <= max_gain(space, thr_prev, 0) < delta
     weights = {0: 1.0, 1: 1.0}
-    assert find_bottlenecks(jobs, X_prev, T, weights) == {0}
+    assert bottlenecks(jobs, X_prev, T, weights) == {0}
     assert len(milp_calls) == 1
 
 
@@ -254,7 +264,7 @@ def test_screen_settles_ordinary_instances(four_job_example, monkeypatch):
 
     monkeypatch.setattr(hetsched.waterfill, "solve_milp", no_milp)
     cluster, T, jobs = four_job_example
-    result = single_level_waterfill(jobs, cluster, T)
+    result = single_level_waterfill(ProblemSpace(jobs, T))
     assert [it.bottlenecks for it in result.iterations] == [{0}, {1, 2, 3}]
     for i in range(4):
         assert result.normalized[i] == pytest.approx(1.0, abs=1e-3)
@@ -262,9 +272,11 @@ def test_screen_settles_ordinary_instances(four_job_example, monkeypatch):
 
 def test_pareto_on_termination(four_job_example):
     cluster, T, jobs = four_job_example
-    result = single_level_waterfill(jobs, cluster, T)
+    space = ProblemSpace(jobs, T)
+    result = single_level_waterfill(space)
     weights = {j.id: j.weight for j in jobs}
-    stuck = find_bottlenecks(jobs, result.allocation, T, weights)
+    stuck = find_bottlenecks(space, throughputs(jobs, result.allocation, T),
+                             weights)
     assert stuck == {j.id for j in jobs}
 
 
@@ -306,5 +318,5 @@ def test_no_weighted_job_is_a_policy_error():
     cluster = make_cluster({"gpu": 1})
     T = singles(cluster, [[1.0]])
     with pytest.raises(PolicyInfeasibleError):
-        hierarchical_waterfill([Entity(0, 1.0)], [Job(id=0, num_steps=100, entity_id=7)],
-                               cluster, T)
+        hierarchical_waterfill(
+            ProblemSpace([Job(id=0, num_steps=100, entity_id=7)], T), [Entity(0, 1.0)])
