@@ -15,6 +15,7 @@ import hashlib
 import json
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import click
@@ -237,6 +238,12 @@ def cmd_solve(ctx, policy_text, thr_file, jobs_file):
         _fail(EXIT_USAGE, f"missing key {e} in the throughputs or jobs file")
     except (TypeError, ValueError) as e:
         _fail(EXIT_USAGE, f"bad value in the throughputs or jobs file: {e}")
+    counts = Counter(j.id for j in jobs)
+    missing = [job_id for job_id in T.job_ids if job_id not in counts]
+    repeated = sorted(job_id for job_id, n in counts.items() if n > 1)
+    if missing or repeated:
+        _fail(EXIT_USAGE, f"{jobs_file}: the jobs do not match the throughput "
+                          f"matrix: missing jobs {missing}, repeated jobs {repeated}")
     t0 = time.perf_counter()
     try:
         result = solve_policy(spec, jobs, T.cluster, T, entities=entities)

@@ -12,6 +12,7 @@ operations that decide a pivot differs from it.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -133,13 +134,30 @@ class SolveResult:
 
 def solve_lp(lp: LinearProgram) -> SolveResult:
     """Solve the LP; returns an optimal basic feasible solution when one exists."""
+    return solve_lp_each(lp, [lp.objective])[0]
+
+
+def solve_lp_each(lp: LinearProgram, objectives) -> list[SolveResult]:
+    """Solve the LP once per objective, keeping its sense, rows and bounds.
+
+    Entry i is exactly what `solve_lp` returns for the LP with objective
+    `objectives[i]`.  Phase 1 does not read the objective, so it runs once
+    and every objective starts its phase 2 from the same feasible basis.
+    """
     prob = _Standardized(lp)
-    status, x_std = prob.solve()
-    if status is not Status.OPTIMAL:
-        return SolveResult(status)
-    x = prob.recover(x_std)
-    value = float(lp.objective @ x)
-    return SolveResult(Status.OPTIMAL, x, value)
+    results = []
+    for objective in objectives:
+        objective = np.asarray(objective, dtype=float)
+        if objective.shape != (lp.num_vars,):
+            raise DimensionError(
+                f"objective has shape {objective.shape}, expected ({lp.num_vars},)")
+        status, x_std = prob.solve(objective)
+        if status is Status.OPTIMAL:
+            x = prob.recover(x_std)
+            results.append(SolveResult(status, x, float(objective @ x)))
+        else:
+            results.append(SolveResult(status))
+    return results
 
 
 def _row_dots(rows, coeffs: np.ndarray, cols: np.ndarray,
@@ -210,18 +228,21 @@ class _Standardized:
         A[np.arange(m0, m), ub_cols] = 1.0
         A[:, nk:] = -A[:, self.neg_cols]
 
-        c_full = lp.objective[self.keep].astype(float)
-        if lp.maximize:
-            c_full = -c_full
-        c = np.zeros(A.shape[1])
-        c[:nk] = c_full
-        c[nk:] = -c_full[self.neg_cols]
-
-        self.A, self.b, self.c = A, np.concatenate([rhs, ub[ub_cols]]), c
+        self.A, self.b = A, np.concatenate([rhs, ub[ub_cols]])
         self.le = np.ones(m, dtype=bool)
         self.le[:m0] = [rel is Relation.LE for rel in rels]
         self.ge = np.zeros(m, dtype=bool)
         self.ge[:m0] = [rel is Relation.GE for rel in rels]
+
+    def cost(self, objective: np.ndarray) -> np.ndarray:
+        """The standardized (minimized) cost vector of an objective."""
+        c_full = objective[self.keep].astype(float)
+        if self.lp.maximize:
+            c_full = -c_full
+        c = np.zeros(self.A.shape[1])
+        c[:self.n_main] = c_full
+        c[self.n_main:] = -c_full[self.neg_cols]
+        return c
 
     def recover(self, u: np.ndarray) -> np.ndarray:
         x = self.fixed_vals.copy()
@@ -231,18 +252,25 @@ class _Standardized:
         # Clip roundoff that strays just outside the box.
         return np.clip(x, self.lp.lower, self.lp.upper)
 
-    def _without_rows(self):
+    @staticmethod
+    def _without_rows(c: np.ndarray):
         """No constraints: optimum at the (shifted) origin unless some cost
         is negative with no upper row, which means unbounded."""
-        if np.any(self.c < -OPT_TOL):
+        if np.any(c < -OPT_TOL):
             return Status.UNBOUNDED, None
-        return Status.OPTIMAL, np.zeros(len(self.c))
+        return Status.OPTIMAL, np.zeros(len(c))
 
-    def solve(self):
+    @functools.cached_property
+    def feasible_start(self):
+        """Phase 1, run once: None when the rows are infeasible, an empty
+        tuple when no row is left for phase 2, and otherwise the phase-2
+        tableau, right-hand side, starting basis, its inverse and its basic
+        values (T2, b, basis, Binv, xb).  None of it depends on the
+        objective."""
         A, b = self.A, self.b
         m, n = A.shape
         if m == 0:
-            return self._without_rows()
+            return ()
 
         # Rows with a negative right-hand side are negated, which swaps LE
         # and GE.
@@ -271,16 +299,16 @@ class _Standardized:
 
         c1 = np.zeros(total)
         c1[art_start:] = 1.0
-        status, x_all, basis = _simplex(T, b, c1, basis, PHASE1_OPT_TOL,
-                                        Binv=np.eye(m))
+        status, x_all, basis = _simplex(T, b, c1, basis, np.eye(m), b.copy(),
+                                        PHASE1_OPT_TOL)
         if status is not Status.OPTIMAL:
-            return Status.INFEASIBLE, None
+            return None
         # Absolute residual threshold: scaling it by the rhs magnitude would
         # make the verdict depend on how the caller formulated the rows (a
         # big-M variant of the same system would pass where the direct form
         # fails).
         if float(c1 @ x_all) > FEAS_TOL:
-            return Status.INFEASIBLE, None
+            return None
 
         # Drive leftover artificials out of the basis; drop dependent rows.
         keep_rows = np.ones(m, dtype=bool)
@@ -300,16 +328,30 @@ class _Standardized:
         if not keep_rows.any():
             # Every row was an equality on fixed variables alone: no column
             # or row is left for phase 2.
-            return self._without_rows()
+            return ()
         if not keep_rows.all():
             T = T[keep_rows]
             b = b[keep_rows]
             basis = basis[keep_rows]
-
         T2 = T[:, :art_start]
-        c2 = np.zeros(art_start)
-        c2[:n] = self.c
-        status, x_all, basis = _simplex(T2, b, c2, basis)
+        Binv = _basis_inverse(T2, basis)
+        return T2, b, basis, Binv, Binv @ b
+
+    def solve(self, objective: np.ndarray):
+        """Phase 2 for one objective from the cached feasible start; returns
+        (status, u) with u None unless optimal."""
+        c = self.cost(objective)
+        start = self.feasible_start
+        if start is None:
+            return Status.INFEASIBLE, None
+        if not start:
+            return self._without_rows(c)
+        T2, b, basis, Binv, xb = start
+        n = self.A.shape[1]
+        c2 = np.zeros(T2.shape[1])
+        c2[:n] = c
+        # Copies: the simplex updates the inverse and basic values in place.
+        status, x_all, _ = _simplex(T2, b, c2, basis, Binv.copy(), xb.copy())
         if status is not Status.OPTIMAL:
             return status, None
         return Status.OPTIMAL, x_all[:n]
@@ -320,20 +362,16 @@ def _basis_inverse(A: np.ndarray, basis) -> np.ndarray:
 
 
 def _simplex(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: np.ndarray,
-             opt_tol: float = OPT_TOL, Binv: np.ndarray | None = None):
+             Binv: np.ndarray, xb: np.ndarray, opt_tol: float = OPT_TOL):
     """Revised simplex (min c'x, Ax=b, x>=0) from a starting basis.
 
-    `Binv`, when given, is the exact inverse of the starting basis.  Returns
-    (status, x, basis).  The basis inverse is maintained with rank-one pivot
-    updates and refactorized periodically.
+    `Binv` is the exact inverse of the starting basis and `xb` its basic
+    values; both are updated in place.  Returns (status, x, basis).  The
+    basis inverse is maintained with rank-one pivot updates and
+    refactorized periodically.
     """
     m, n = A.shape
     basis = basis.copy()
-    if Binv is None:
-        Binv = _basis_inverse(A, basis)
-        xb = Binv @ b
-    else:
-        xb = b.copy()
     # Roundoff guard: phase-1 starting bases are exactly feasible.
     xb[np.abs(xb) < ROUNDOFF_TOL] = 0.0
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cluster import ClusterSpec
-from .lp import LinearProgram, Relation, solve_lp
+from .lp import LinearProgram, Relation, SolveResult, solve_lp
 from .matrices import (AllocationMatrix, ThroughputMatrix,
                        equal_share_allocation, effective_throughput,
                        inorder_sum, isolated_allocation)
@@ -209,11 +209,12 @@ class ProblemSpace:
 
     def standalone_best(self, job_id: int) -> float:
         """Best achievable throughput with the whole cluster to one job."""
-        lp = self._single_job_lp(job_id)
-        res = solve_lp(lp)
+        res = self.standalone(job_id)
         return res.objective_value if res.optimal else 0.0
 
-    def _single_job_lp(self, job_id: int) -> LinearProgram:
+    def standalone(self, job_id: int) -> SolveResult:
+        """The LP that gives one job the whole cluster, maximizing its
+        throughput over its singleton row's time shares, solved."""
         T = self.T
         r = T.singleton_row(job_id)
         sf = float(self.by_id[job_id].scale_factor)
@@ -223,17 +224,14 @@ class ProblemSpace:
         for t in T.cluster.types:
             lp.add_constraint(np.where(T.type_of == t.id, sf, 0.0), Relation.LE,
                               float(t.num_workers))
-        return lp
+        return solve_lp(lp)
 
-    def single_job_allocation(self, job_id: int) -> AllocationMatrix:
-        res = solve_lp(self._single_job_lp(job_id))
+    def single_job_allocation(self, job_id: int, x: np.ndarray) -> AllocationMatrix:
+        """The allocation giving one job the time shares `x` of its
+        singleton row, as solved by `standalone`, and nothing to the rest."""
         X = AllocationMatrix.zeros(self.T)
-        if res.optimal:
-            r = self.T.singleton_row(job_id)
-            X.values[r, :] = res.x
+        X.values[self.T.singleton_row(job_id), :] = x
         return X
-
-
 
 
 @dataclass
@@ -326,16 +324,16 @@ def shortest_job_first(space: ProblemSpace) -> PolicyResult:
     objective is that job's duration in seconds."""
     best = None
     for j in space.jobs:
-        thr = space.standalone_best(j.id)
-        if thr <= 0:
+        res = space.standalone(j.id)
+        if not res.optimal or res.objective_value <= 0:
             continue
-        duration = j.remaining_steps / thr
+        duration = j.remaining_steps / res.objective_value
         if best is None or duration < best[0] - SJF_TIE_TOL:
-            best = (duration, j.id)
+            best = (duration, j.id, res.x)
     if best is None:
         raise ZeroThroughputError("no job can run anywhere")
-    duration, job_id = best
-    return PolicyResult(space.single_job_allocation(job_id), duration)
+    duration, job_id, x = best
+    return PolicyResult(space.single_job_allocation(job_id, x), duration)
 
 
 def min_makespan(space: ProblemSpace) -> PolicyResult:

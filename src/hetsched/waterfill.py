@@ -9,10 +9,11 @@ rising, so the final allocation is Pareto efficient at every level of the
 hierarchy.  Both entry points run over the `ProblemSpace` their caller
 compiled and return a `PolicyResult` that also records every iteration.
 
-Bottleneck detection is settled with LPs: one gain LP per active job, then
-one screening LP that asks whether every job able to gain on its own can
-gain at the same time.  A mixed-integer program runs only when the screen
-fails or a gain sits too close to the strictness slack to call.
+Bottleneck detection is settled with LPs: one gain LP with an objective
+per active job, then one screening LP that asks whether every job able to
+gain on its own can gain at the same time.  A mixed-integer program runs
+only when the screen fails or a gain sits too close to the strictness
+slack to call.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .jobs import EntityPolicy, Job
-from .lp import LinearProgram, Relation, solve_lp
+from .lp import LinearProgram, Relation, solve_lp, solve_lp_each
 from .matrices import AllocationMatrix, effective_throughput
 from .milp import MixedIntegerProgram, solve_milp
 from .policies import (PolicyError, PolicyInfeasibleError, PolicyResult,
@@ -141,19 +142,20 @@ def _tighten_lp(space: ProblemSpace, weights: dict, t_prev: dict,
     return space.allocation(res.x)
 
 
-def max_gain(space: ProblemSpace, thr_prev: dict, job_id: int) -> float:
-    """Largest throughput increase available to one job while every job keeps
-    at least its previous throughput."""
+def max_gain(space: ProblemSpace, thr_prev: dict, job_ids) -> dict:
+    """Largest throughput increase available to each of `job_ids` alone
+    while every job keeps at least its previous throughput.  The gain LPs
+    differ only in their objective, so they are solved as one LP with one
+    objective per job; a job whose LP has no optimum gains 0.0."""
     lower, upper = space.cell_bounds()
-    lp = LinearProgram(space.n_cells, space.coeffs[job_id], maximize=True,
+    lp = LinearProgram(space.n_cells, np.zeros(space.n_cells), maximize=True,
                        lower=lower, upper=upper)
     for j in space.jobs:
         lp.add_constraint(space.coeffs[j.id], Relation.GE, thr_prev[j.id])
     space.add_validity(lp)
-    res = solve_lp(lp)
-    if not res.optimal:
-        return 0.0
-    return res.objective_value - thr_prev[job_id]
+    results = solve_lp_each(lp, [space.coeffs[job_id] for job_id in job_ids])
+    return {job_id: res.objective_value - thr_prev[job_id] if res.optimal else 0.0
+            for job_id, res in zip(job_ids, results)}
 
 
 def find_bottlenecks(space: ProblemSpace, thr_prev: dict,
@@ -168,20 +170,20 @@ def find_bottlenecks(space: ProblemSpace, thr_prev: dict,
     ties going to the lexicographically smallest choice of flags, and then
     every job whose own gain falls short of VERIFY_FRACTION * delta_j.
 
-    One gain LP per active job (`max_gain`) names the candidates, the jobs
-    that can gain delta_j alone.  If every other gain is below
-    VERIFY_FRACTION * delta_j, one feasibility LP checks that all candidates
-    can gain delta_j at once while every other active job stays capped at
-    its previous throughput.  When it can, the candidates are exactly the
-    improvable jobs: no larger set exists, since any job in one must gain
-    delta_j alone, and the largest set is unique, so no tie is left to
-    break.  With no candidates X_prev itself is the witness.  Otherwise (a
-    gain in [VERIFY_FRACTION * delta_j, delta_j), or candidates that
-    conflict) the bottleneck MILP decides.
+    The gain LP (`max_gain`, one objective per active job) names the
+    candidates, the jobs that can gain delta_j alone.  If every other gain
+    is below VERIFY_FRACTION * delta_j, one feasibility LP checks that all
+    candidates can gain delta_j at once while every other active job stays
+    capped at its previous throughput.  When it can, the candidates are
+    exactly the improvable jobs: no larger set exists, since any job in one
+    must gain delta_j alone, and the largest set is unique, so no tie is
+    left to break.  With no candidates X_prev itself is the witness.
+    Otherwise (a gain in [VERIFY_FRACTION * delta_j, delta_j), or
+    candidates that conflict) the bottleneck MILP decides.
     """
     active = [j for j in space.jobs if active_weights.get(j.id, 0.0) > 0]
     delta = {j.id: DELTA_FRACTION * space.T.max_throughput(j.id) for j in active}
-    gain = {j.id: max_gain(space, thr_prev, j.id) for j in active}
+    gain = max_gain(space, thr_prev, [j.id for j in active])
     cand = {j.id for j in active if gain[j.id] >= delta[j.id]}
     in_band = any(VERIFY_FRACTION * delta[j.id] <= gain[j.id] < delta[j.id]
                   for j in active)

@@ -13,9 +13,10 @@ a linear-fractional optimum lies at a vertex of the allocation polytope.
 The module also keeps the first, plainer versions of library kernels as
 references that the optimized ones must match: row-at-a-time ALS
 (`reference_complete_matrix`), the two-phase simplex (`reference_solve_lp`),
-the cell-at-a-time throughput-matrix walks (`CellMatrix`) and bottleneck
-detection by MILP alone (`reference_find_bottlenecks`), with the seeded
-matrices (`random_cells`) on which they are compared.
+the cell-at-a-time throughput-matrix walks (`CellMatrix`), one gain LP
+per job (`reference_max_gain`) and bottleneck detection by MILP alone
+(`reference_find_bottlenecks`), with the seeded matrices (`random_cells`)
+on which they are compared.
 """
 
 from __future__ import annotations
@@ -29,11 +30,11 @@ import numpy as np
 from hetsched.cluster import make_cluster
 from hetsched.jobs import Job, JobCombination
 from hetsched.lp import (DEGENERATE_LIMIT, FEAS_TOL, OPT_TOL, REFACTOR_EVERY,
-                         LinearProgram, Relation, SolveResult, Status)
+                         LinearProgram, Relation, SolveResult, Status, solve_lp)
 from hetsched.matrices import effective_throughput
 from hetsched.milp import MixedIntegerProgram, solve_milp
 from hetsched.policies import PolicyError, ProblemSpace
-from hetsched.waterfill import DELTA_FRACTION, max_gain
+from hetsched.waterfill import DELTA_FRACTION
 
 GRID = 0.01
 REFINE = 0.001
@@ -852,6 +853,21 @@ class CellMatrix:
 # Bottleneck detection by MILP alone
 # ---------------------------------------------------------------------------
 
+def reference_max_gain(space: ProblemSpace, thr_prev: dict, job_id: int) -> float:
+    """Largest throughput increase available to one job while every job keeps
+    at least its previous throughput."""
+    lower, upper = space.cell_bounds()
+    lp = LinearProgram(space.n_cells, space.coeffs[job_id], maximize=True,
+                       lower=lower, upper=upper)
+    for j in space.jobs:
+        lp.add_constraint(space.coeffs[j.id], Relation.GE, thr_prev[j.id])
+    space.add_validity(lp)
+    res = solve_lp(lp)
+    if not res.optimal:
+        return 0.0
+    return res.objective_value - thr_prev[job_id]
+
+
 def reference_find_bottlenecks(jobs, X_prev, T, active_weights: dict) -> set:
     """Jobs whose effective throughput cannot rise without lowering another's.
 
@@ -900,6 +916,6 @@ def reference_find_bottlenecks(jobs, X_prev, T, active_weights: dict) -> set:
         if j.id in stuck:
             continue
         delta = DELTA_FRACTION * T.max_throughput(j.id)
-        if max_gain(space, thr_prev, j.id) < 0.5 * delta:
+        if reference_max_gain(space, thr_prev, j.id) < 0.5 * delta:
             stuck.add(j.id)
     return stuck

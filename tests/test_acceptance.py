@@ -181,12 +181,11 @@ def _enumerate_bottlenecks(jobs, X_prev, T, weights):
             if best is None or cand > best[0]:
                 best = (cand, bits)
     stuck = {j.id for z, j in zip(best[1], active) if z == 0}
-    for j in active:
-        if j.id in stuck:
-            continue
-        delta = DELTA_FRACTION * T.max_throughput(j.id)
-        if max_gain(space, thr_prev, j.id) < 0.5 * delta:
-            stuck.add(j.id)
+    gain = max_gain(space, thr_prev, [j.id for j in active if j.id not in stuck])
+    for job_id, g in gain.items():
+        delta = DELTA_FRACTION * T.max_throughput(job_id)
+        if g < 0.5 * delta:
+            stuck.add(job_id)
     return stuck
 
 

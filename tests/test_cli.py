@@ -199,6 +199,22 @@ class TestSolve:
         assert res.exit_code == 2, res.output
         assert "error:" in res.output and "Traceback" not in res.output
 
+    @pytest.mark.parametrize("ids, named", [
+        ((0,), "missing jobs [1, 2], repeated jobs []"),
+        ((0, 0, 2), "missing jobs [1], repeated jobs [0]"),
+        ((0, 1, 1, 2), "missing jobs [], repeated jobs [1]"),
+    ], ids=["missing", "repeated-and-missing", "repeated"])
+    @pytest.mark.parametrize("policy", ["las", "sjf", "ftf", "makespan"])
+    def test_jobs_not_matching_matrix_exit_code(self, runner, tmp_path, ids,
+                                                named, policy):
+        thr, jobs = write_three_job_instance(tmp_path)
+        jobs.write_text(json.dumps([{"id": i, "num_steps": 10} for i in ids]))
+        res = runner.invoke(main, ["--out", str(tmp_path), "solve",
+                                   "--policy", policy, "--throughputs", str(thr),
+                                   "--jobs", str(jobs)])
+        assert res.exit_code == 2, res.output
+        assert "error:" in res.output and named in res.output
+        assert "Traceback" not in res.output
 
     @pytest.mark.parametrize("value", ["NaN", "Infinity"])
     def test_non_finite_throughput_exit_code(self, runner, tmp_path, value):

@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
 import hetsched.lp
-from hetsched.lp import (DimensionError, IterationLimitError, LinearProgram,
-                         Relation, Status, solve_lp)
+from hetsched.lp import (PHASE1_OPT_TOL, DimensionError, IterationLimitError,
+                         LinearProgram, Relation, Status, solve_lp, solve_lp_each)
 from oracles import reference_solve_lp
 
 
@@ -298,3 +298,80 @@ def test_bit_identical_on_bottleneck_relaxations():
         _bottleneck_relaxation(np.random.default_rng(1000 + seed)))
         for seed in range(120)]
     assert statuses.count(Status.OPTIMAL) >= 60
+
+
+def _random_objectives(rng, n):
+    """2-4 objectives for an n-variable LP: small integers (ties), rounded
+    reals, or all zeros."""
+    objectives = []
+    for _ in range(int(rng.integers(2, 5))):
+        kind = rng.integers(0, 5)
+        if kind == 0:
+            objectives.append(np.zeros(n))
+        elif kind <= 2:
+            objectives.append(rng.integers(-3, 4, size=n).astype(float))
+        else:
+            objectives.append(np.round(rng.uniform(-3.0, 3.0, size=n), 3))
+    return objectives
+
+
+def test_solve_lp_each_matches_solve_lp():
+    statuses = []
+    all_fixed = no_rows = mixed = 0
+    for seed in range(240):
+        lp = _random_lp(np.random.default_rng(seed))
+        objectives = _random_objectives(np.random.default_rng(10_000 + seed),
+                                        lp.num_vars)
+        each = solve_lp_each(lp, objectives)
+        assert len(each) == len(objectives)
+        for objective, res in zip(objectives, each):
+            alone = solve_lp(LinearProgram(
+                lp.num_vars, objective, maximize=lp.maximize,
+                constraints=list(lp.constraints), lower=lp.lower,
+                upper=lp.upper))
+            assert res.status == alone.status, seed
+            assert res.objective_value == alone.objective_value, seed
+            assert (res.x is None) == (alone.x is None), seed
+            if alone.x is not None:
+                assert np.array_equal(res.x, alone.x), seed
+            statuses.append(res.status)
+        all_fixed += bool((lp.lower == lp.upper).all())
+        no_rows += hetsched.lp._Standardized(lp).A.shape[0] == 0
+        mixed += len({res.status for res in each}) > 1
+    # Every verdict occurs, as do LPs with no standardized row, LPs whose
+    # variables are all fixed, and LPs whose objectives get different
+    # verdicts from the one shared phase 1.
+    assert {statuses.count(s) >= 10 for s in Status} == {True}
+    assert all_fixed >= 5 and no_rows >= 5 and mixed >= 10
+
+
+def test_solve_lp_each_runs_phase_one_once(monkeypatch):
+    calls = []
+    simplex = hetsched.lp._simplex
+
+    def spy(A, b, c, basis, Binv, xb, opt_tol=hetsched.lp.OPT_TOL):
+        calls.append(opt_tol)
+        return simplex(A, b, c, basis, Binv, xb, opt_tol)
+
+    monkeypatch.setattr(hetsched.lp, "_simplex", spy)
+    lp = LinearProgram(3, np.zeros(3), maximize=True)
+    lp.add_constraint([1.0, 1.0, 1.0], Relation.LE, 4.0)
+    lp.add_constraint([1.0, 2.0, 0.0], Relation.GE, 1.0)
+    lp.add_constraint([0.0, 1.0, -1.0], Relation.EQ, 0.5)
+    objectives = [np.eye(3)[i] for i in range(3)] + [np.ones(3)]
+    each = solve_lp_each(lp, objectives)
+    assert all(res.optimal for res in each)
+    assert calls.count(PHASE1_OPT_TOL) == 1
+    assert len(calls) == 1 + len(objectives)
+    # Solved one at a time, every objective pays for its own phase 1.
+    calls.clear()
+    for objective in objectives:
+        solve_lp(LinearProgram(3, objective, maximize=True,
+                               constraints=list(lp.constraints)))
+    assert calls.count(PHASE1_OPT_TOL) == len(objectives)
+
+
+def test_solve_lp_each_checks_objective_shape():
+    lp = LinearProgram(2, np.zeros(2))
+    with pytest.raises(DimensionError):
+        solve_lp_each(lp, [np.ones(2), np.ones(3)])

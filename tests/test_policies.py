@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import hetsched.policies
 from hetsched.cluster import make_cluster
 from hetsched.jobs import Job, JobCombination
+from hetsched.lp import solve_lp
 from hetsched.matrices import (AllocationMatrix, ThroughputMatrix,
                                effective_throughput, equal_share_allocation,
                                isolated_allocation)
@@ -112,6 +114,21 @@ class TestSjf:
         # job0: 100 s; job1: 200 s.
         assert res.objective == pytest.approx(100.0)
         assert res.allocation.values[0, 0] == pytest.approx(1.0)
+
+    def test_one_solve_per_job(self, three_job_instance, monkeypatch):
+        cluster, T, _ = three_job_instance
+        jobs = [Job(id=i, num_steps=n) for i, n in enumerate((300, 100, 200))]
+        lps = []
+        monkeypatch.setattr(hetsched.policies, "solve_lp",
+                            lambda lp: lps.append(lp) or solve_lp(lp))
+        res = shortest_job_first(ProblemSpace(jobs, T))
+        assert len(lps) == 3
+        # Job 1 finishes first (100 / 3 s); its allocation is its own LP's
+        # solution, byte for byte.
+        alone = solve_lp(lps[1])
+        assert res.objective == 100 / alone.objective_value
+        assert np.array_equal(res.allocation.values[1], alone.x)
+        assert not res.allocation.values[[0, 2]].any()
 
     def test_matches_exhaustive_minimum(self):
         rng = np.random.default_rng(0)

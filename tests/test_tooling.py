@@ -64,3 +64,11 @@ def test_tracer_sees_water_filling_and_one_compile_per_decision():
                  "waterfill.find_bottlenecks", "waterfill.max_gain"):
         assert count.get(name, 0) > 0, name
     assert count["policies.problem_space"] == count["policies.solve_policy"]
+    # One gain LP per bottleneck check, however many jobs are active.
+    gain_calls = {}
+    for span in tracer.spans:
+        if span[0] == "waterfill.max_gain":
+            gain_calls[span[3]] = gain_calls.get(span[3], 0) + 1
+    for i, span in enumerate(tracer.spans):
+        if span[0] == "waterfill.find_bottlenecks":
+            assert gain_calls.get(i, 0) <= 1, i

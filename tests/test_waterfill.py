@@ -15,7 +15,7 @@ from hetsched.waterfill import (DELTA_FRACTION, VERIFY_FRACTION,
                                 assign_job_weights, find_bottlenecks,
                                 hierarchical_waterfill, max_gain,
                                 single_level_waterfill)
-from oracles import random_cells, reference_find_bottlenecks
+from oracles import random_cells, reference_find_bottlenecks, reference_max_gain
 
 
 def singles(cluster, T_rows):
@@ -139,12 +139,11 @@ def enumerate_bottlenecks(jobs, X_prev, T, weights):
                 best = (cand, bits)
     stuck = {j.id for z, j in zip(best[1], active) if z == 0}
     # Same tolerance-artifact demotion as find_bottlenecks.
-    for j in active:
-        if j.id in stuck:
-            continue
-        delta = DELTA_FRACTION * T.max_throughput(j.id)
-        if max_gain(space, thr_prev, j.id) < 0.5 * delta:
-            stuck.add(j.id)
+    gain = max_gain(space, thr_prev, [j.id for j in active if j.id not in stuck])
+    for job_id, g in gain.items():
+        delta = DELTA_FRACTION * T.max_throughput(job_id)
+        if g < 0.5 * delta:
+            stuck.add(job_id)
     return stuck
 
 
@@ -228,6 +227,22 @@ def test_bottlenecks_match_reference(milp_calls):
     assert 10 <= fallback <= 190
 
 
+def test_max_gain_matches_per_job_reference():
+    # Same 200 instances as test_bottlenecks_match_reference.
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        jobs, X_prev, T, weights = _random_bottleneck_instance(rng)
+        space = ProblemSpace(jobs, T)
+        thr_prev = throughputs(jobs, X_prev, T)
+        ids = [j.id for j in space.jobs]
+        gain = max_gain(space, thr_prev, ids)
+        assert list(gain) == ids
+        for job_id in ids:
+            ref = reference_max_gain(space, thr_prev, job_id)
+            assert np.float64(gain[job_id]).tobytes() == np.float64(ref).tobytes(), \
+                (seed, job_id)
+
+
 def test_conflicting_candidates_fall_back_to_milp(milp_calls):
     # One worker with 1.5e-4 of its time free: either job can take the 1e-4
     # slack alone, but not both, so the screen fails and the MILP keeps the
@@ -252,7 +267,7 @@ def test_gain_near_slack_falls_back_to_milp(milp_calls):
     space = ProblemSpace(jobs, T)
     thr_prev = throughputs(jobs, X_prev, T)
     delta = DELTA_FRACTION * T.max_throughput(0)
-    assert VERIFY_FRACTION * delta <= max_gain(space, thr_prev, 0) < delta
+    assert VERIFY_FRACTION * delta <= max_gain(space, thr_prev, [0])[0] < delta
     weights = {0: 1.0, 1: 1.0}
     assert bottlenecks(jobs, X_prev, T, weights) == {0}
     assert len(milp_calls) == 1
