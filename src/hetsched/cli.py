@@ -241,9 +241,21 @@ def cmd_solve(ctx, policy_text, thr_file, jobs_file):
     counts = Counter(j.id for j in jobs)
     missing = [job_id for job_id in T.job_ids if job_id not in counts]
     repeated = sorted(job_id for job_id, n in counts.items() if n > 1)
-    if missing or repeated:
+    unknown = sorted(counts.keys() - set(T.job_ids))
+    if missing or repeated or unknown:
         _fail(EXIT_USAGE, f"{jobs_file}: the jobs do not match the throughput "
-                          f"matrix: missing jobs {missing}, repeated jobs {repeated}")
+                          f"matrix: missing jobs {missing}, repeated jobs {repeated}, "
+                          f"jobs without rows {unknown}")
+    if spec.kind is policies.PolicyKind.HIERARCHICAL:
+        if entities is None:
+            _fail(EXIT_USAGE, f"{jobs_file}: a hierarchical policy needs the "
+                              "jobs file's \"entities\" list")
+        known = {e.id for e in entities}
+        strays = [j.id for j in jobs if j.entity_id not in known]
+        if strays:
+            _fail(EXIT_USAGE, f"{jobs_file}: a hierarchical policy needs every "
+                              "job's entity_id in the \"entities\" list; jobs "
+                              f"{strays} have none or an unlisted one")
     t0 = time.perf_counter()
     try:
         result = solve_policy(spec, jobs, T.cluster, T, entities=entities)
@@ -324,6 +336,9 @@ def cmd_simulate(ctx, policy_text, trace_file, num_jobs, lambdas, mode, seeds,
         raise click.UsageError("--lambda sweeps generate traces; drop --trace")
     given_trace = _read(trace_file, Trace.load) if trace_file else None
     templates = load_catalog(catalog_file)
+    if not 0 <= references <= len(templates):
+        _fail(EXIT_USAGE, f"--references must lie in [0, {len(templates)}], the "
+                          f"catalog's template count, not {references}")
     cluster = _load_cluster(ctx.obj["cluster_file"], ctx.obj["preset_counts"])
     out_dir = ctx.obj["out_dir"]
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -19,54 +20,40 @@ from .cluster import ClusterSpec
 from .jobs import JobCombination
 from .matrices import AllocationMatrix, ThroughputMatrix
 
-DEFAULT_ROUND_DURATION = 360.0  # seconds; a six-minute quantum
-
-
-def _config_key(cfg) -> tuple:
-    return (cfg.type_id, cfg.placement.value)
-
 
 class RoundLedger:
     """Cumulative seconds each combination has spent on each configuration,
-    persisted across allocation recomputations."""
+    persisted across allocation recomputations.  Configurations are fixed
+    per cluster, so an entry is one vector indexed like `T.configs`."""
 
-    def __init__(self, round_duration: float = DEFAULT_ROUND_DURATION):
-        if round_duration <= 0:
-            raise ValueError("round_duration must be positive")
+    def __init__(self, round_duration: float):
         self.round_duration = float(round_duration)
-        self.time = {}  # (members, (type_id, placement)) -> seconds
+        self.time = {}  # members -> seconds per configuration index
         self.rounds_total = 0
         self.last_scheduled = {}  # members -> round index
 
-    def seconds(self, combo: JobCombination, key: tuple) -> float:
-        return self.time.get((combo.members, key), 0.0)
-
-    def add(self, combo: JobCombination, key: tuple, elapsed: float):
-        if elapsed < 0:
-            raise ValueError("elapsed must be nonnegative")
-        slot = (combo.members, key)
-        self.time[slot] = self.time.get(slot, 0.0) + elapsed
+    def received(self, T: ThroughputMatrix) -> np.ndarray:
+        """(R, C) seconds each row of T has received on each configuration."""
+        none = np.zeros(T.num_configs)
+        return np.array([self.time.get(combo.members, none) for combo in T.rows]
+                        ).reshape(T.num_rows, T.num_configs)
 
     def rounds_since_scheduled(self, combo: JobCombination) -> float:
         last = self.last_scheduled.get(combo.members)
         return math.inf if last is None else self.rounds_total - last
 
     def drop_jobs(self, job_ids):
-        """Forget ledger rows involving departed jobs."""
+        """Forget ledger entries involving departed jobs."""
         gone = set(job_ids)
-        self.time = {slot: v for slot, v in self.time.items()
-                     if not (set(slot[0]) & gone)}
+        self.time = {m: v for m, v in self.time.items() if gone.isdisjoint(m)}
         self.last_scheduled = {m: r for m, r in self.last_scheduled.items()
-                               if not (set(m) & gone)}
+                               if gone.isdisjoint(m)}
 
 
 def compute_priorities(X_opt: AllocationMatrix, ledger: RoundLedger) -> np.ndarray:
     """(R, C) target-over-received ratios: zero where the target allocation
     is zero, infinite where a positive target has received no time yet."""
-    T = X_opt.T
-    keys = [_config_key(cfg) for cfg in T.configs]
-    received = np.array([[ledger.seconds(combo, key) for key in keys]
-                         for combo in T.rows]).reshape(T.num_rows, T.num_configs)
+    received = ledger.received(X_opt.T)
     col_totals = received.sum(axis=0)
     with np.errstate(invalid="ignore", divide="ignore"):
         f = np.where(col_totals > 0, received / np.where(col_totals > 0, col_totals, 1.0), 0.0)
@@ -171,21 +158,8 @@ def plan_round(priorities: np.ndarray, jobs: dict, cluster: ClusterSpec,
     return RoundPlan(chosen, dict(remaining))
 
 
-class ServerPool:
-    """Concrete worker/server layout of a cluster, used for placement."""
-
-    def __init__(self, cluster: ClusterSpec):
-        self.cluster = cluster
-        self.servers = []  # (type_id, server_index, capacity)
-        self.worker_base = {}
-        base = 0
-        for t in cluster.types:
-            self.worker_base[t.id] = base
-            full, rem = divmod(t.num_workers, t.workers_per_server)
-            sizes = [t.workers_per_server] * full + ([rem] if rem else [])
-            for s, size in enumerate(sizes):
-                self.servers.append((t.id, s, size))
-            base += t.num_workers
+class PlacementError(ValueError):
+    """A round plan asks for more workers of a type than the cluster has."""
 
 
 def place(plan: RoundPlan, cluster: ClusterSpec, jobs: dict) -> RoundPlan:
@@ -194,68 +168,52 @@ def place(plan: RoundPlan, cluster: ClusterSpec, jobs: dict) -> RoundPlan:
     Multi-worker assignments that fit on one server are marked consolidated.
     Placement is per round; worker ids are stable (type-major, then server).
     """
-    pool = ServerPool(cluster)
-    free = {}
-    next_slot = {}
-    for t_id, s, cap in pool.servers:
-        free[(t_id, s)] = cap
-        next_slot[(t_id, s)] = 0
-
-    def server_offset(t_id: int, s: int) -> int:
-        t = cluster.types[t_id]
-        return pool.worker_base[t_id] + s * t.workers_per_server
-
-    order = sorted(range(len(plan.assignments)),
-                   key=lambda i: (-jobs[plan.assignments[i].combo.members[0]].scale_factor,
-                                  plan.assignments[i].combo.members))
     configs = cluster.configurations
-    for i in order:
-        a = plan.assignments[i]
-        cfg = configs[a.config_index]
-        t_id = cfg.type_id
+    first_id = list(accumulate((t.num_workers for t in cluster.types), initial=0))
+    # Workers taken so far on each server of each type.
+    taken = {t.id: [0] * -(-t.num_workers // t.workers_per_server)
+             for t in cluster.types}
+    for a in sorted(plan.assignments,
+                    key=lambda a: (-jobs[a.combo.members[0]].scale_factor,
+                                   a.combo.members)):
+        t = cluster.types[configs[a.config_index].type_id]
         sf = jobs[a.combo.members[0]].scale_factor
-        servers = [(t, s) for (t, s, cap) in pool.servers if t == t_id]
+        used = taken[t.id]
+        free = [min(t.workers_per_server, t.num_workers - s * t.workers_per_server)
+                - n for s, n in enumerate(used)]
         # First fit: first server with the whole group free, else spread in
         # server order.
-        one_server = next(((t, s) for (t, s) in servers if free[(t, s)] >= sf), None)
-        workers = []
-        if one_server is not None:
-            t, s = one_server
-            start = server_offset(t, s) + next_slot[(t, s)]
-            workers = list(range(start, start + sf))
-            free[(t, s)] -= sf
-            next_slot[(t, s)] += sf
-            a.consolidated = True
+        whole = next((s for s, f in enumerate(free) if f >= sf), None)
+        if whole is not None:
+            grabs = [(whole, sf)]
         else:
-            need = sf
-            for (t, s) in servers:
-                if need == 0:
-                    break
-                take = min(free[(t, s)], need)
-                if take > 0:
-                    start = server_offset(t, s) + next_slot[(t, s)]
-                    workers.extend(range(start, start + take))
-                    free[(t, s)] -= take
-                    next_slot[(t, s)] += take
-                    need -= take
-            if need > 0:
-                raise AssertionError("placement exceeded type capacity")
-            a.consolidated = sf == 1
-        a.worker_ids = workers
+            grabs, need = [], sf
+            for s, f in enumerate(free):
+                if need and f:
+                    grabs.append((s, min(f, need)))
+                    need -= grabs[-1][1]
+            if need:
+                raise PlacementError(f"{sf} workers of {t.name} requested but "
+                                     f"only {sf - need} are free this round")
+        a.worker_ids = []
+        for s, k in grabs:
+            start = first_id[t.id] + s * t.workers_per_server + used[s]
+            a.worker_ids.extend(range(start, start + k))
+            used[s] += k
+        a.consolidated = whole is not None
     return plan
 
 
-def settle_round(plan: RoundPlan, ledger: RoundLedger, elapsed: float,
-                 T: ThroughputMatrix):
-    """Credit elapsed seconds to every scheduled combination and advance the
-    round counter; unscheduled combinations are untouched and therefore gain
+def settle_round(plan: RoundPlan, ledger: RoundLedger, T: ThroughputMatrix):
+    """Credit one round to every scheduled combination and advance the round
+    counter; unscheduled combinations are untouched and therefore gain
     priority next round."""
-    if elapsed < 0 or elapsed > ledger.round_duration + 1e-9:
-        raise ValueError("elapsed must lie within the round duration")
     for a in plan.assignments:
-        cfg = T.configs[a.config_index]
-        ledger.add(a.combo, _config_key(cfg), elapsed)
-        ledger.last_scheduled[a.combo.members] = ledger.rounds_total
+        members = a.combo.members
+        if members not in ledger.time:
+            ledger.time[members] = np.zeros(T.num_configs)
+        ledger.time[members][a.config_index] += ledger.round_duration
+        ledger.last_scheduled[members] = ledger.rounds_total
     ledger.rounds_total += 1
 
 

@@ -55,11 +55,10 @@ def bisect(feasible, lo: float, hi: float):
 
 
 def maximize_ratio(num_coeffs, den_coeffs, constraints, num_vars: int,
-                   num_const: float = 0.0, den_const: float = 0.0,
                    lower=None, upper=None) -> SolveResult:
-    """Maximize (num'x + num_const) / (den'x + den_const) over a polytope.
+    """Maximize num'x / den'x over a polytope.
 
-    Uses the Charnes-Cooper substitution y = t*x, den'y + den_const*t = 1,
+    Uses the Charnes-Cooper substitution y = t*x, den'y = 1,
     t >= 0, which turns the linear-fractional program into a single LP.  The
     denominator must stay strictly positive on the feasible set; if it can
     vanish while the numerator stays positive the LP is unbounded and a
@@ -73,7 +72,7 @@ def maximize_ratio(num_coeffs, den_coeffs, constraints, num_vars: int,
     # Variables: y_0..y_{n-1}, t.  All bound constraints on x become rows
     # against t so y can be left free.
     n = num_vars
-    obj = np.concatenate([num_coeffs, [num_const]])
+    obj = np.concatenate([num_coeffs, [0.0]])
     cc = LinearProgram(n + 1, obj, maximize=True,
                        lower=np.concatenate([np.full(n, -np.inf), [0.0]]),
                        upper=np.full(n + 1, np.inf))
@@ -89,7 +88,7 @@ def maximize_ratio(num_coeffs, den_coeffs, constraints, num_vars: int,
             row = np.zeros(n + 1)
             row[i], row[n] = 1.0, -lower[i]
             cc.add_constraint(row, Relation.GE, 0.0)
-    den_row = np.concatenate([den_coeffs, [den_const]])
+    den_row = np.concatenate([den_coeffs, [0.0]])
     cc.add_constraint(den_row, Relation.EQ, 1.0)
 
     res = solve_lp(cc)
@@ -111,5 +110,5 @@ def maximize_ratio(num_coeffs, den_coeffs, constraints, num_vars: int,
         raise RatioUnboundedError("ratio maximized only in the limit (t = 0)")
     x = res.x[:n] / t
     x = np.clip(x, lower, upper)
-    value = (float(num_coeffs @ x) + num_const) / (float(den_coeffs @ x) + den_const)
+    value = float(num_coeffs @ x) / float(den_coeffs @ x)
     return SolveResult(Status.OPTIMAL, x, value)

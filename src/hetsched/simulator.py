@@ -149,6 +149,18 @@ class _ActiveJob:
 
 class Simulation:
     def __init__(self, config: SimConfig, trace: Trace, templates: list):
+        if not (math.isfinite(config.round_duration) and config.round_duration > 0):
+            raise ValueError("round duration must be a positive number of seconds, "
+                             f"not {config.round_duration}")
+        if config.recompute_every is not None and config.recompute_every < 1:
+            raise ValueError("recompute interval must be at least one round, "
+                             f"not {config.recompute_every}")
+        est = config.estimator
+        if est is not None and len(est.reference_names) < 2:
+            raise ValueError("the estimator needs at least two reference templates")
+        if est is not None and not 0 <= est.profile_fraction <= 1:
+            raise ValueError(f"profile fraction must lie in [0, 1], not "
+                             f"{est.profile_fraction}")
         self.cfg = config
         self.trace = trace
         self.templates = {t.name: t for t in templates}
@@ -311,7 +323,6 @@ class Simulation:
         T_exec: ThroughputMatrix | None = None
         cost_total = 0.0
         busy_worker_rounds = 0
-        total_worker_rounds = 0
         solves = 0
         solve_seconds = 0.0
 
@@ -388,12 +399,13 @@ class Simulation:
             place(plan, cfg.cluster, jobs_by_id)
 
             completions = []
-            busy = 0
             for a in plan.assignments:
                 r = T_exec.row_index(a.combo)
-                # A pair shares one worker set, so it counts once.
+                # A pair shares one worker set, so it counts and pays once.
                 sf = jobs_by_id[a.combo.members[0]].scale_factor
-                busy += sf
+                busy_worker_rounds += sf
+                t = cfg.cluster.types[T_exec.configs[a.config_index].type_id]
+                cost_total += t.cost_per_hour * sf * cfg.round_duration / 3600.0
                 for m in a.combo.members:
                     st = active[m]
                     partner = tuple(x for x in a.combo.members if x != m)
@@ -426,18 +438,10 @@ class Simulation:
                     st.prev_workers = ()
                     st.prev_partner = ()
 
-            for t in cfg.cluster.types:
-                total_worker_rounds += t.num_workers
-            busy_worker_rounds += busy
-            for a in plan.assignments:
-                t = cfg.cluster.types[T_exec.configs[a.config_index].type_id]
-                sf = jobs_by_id[a.combo.members[0]].scale_factor
-                cost_total += t.cost_per_hour * sf * cfg.round_duration / 3600.0
-
             if cfg.collect_round_log:
                 self.round_log.append(plan.to_json(T_exec, round_idx))
 
-            settle_round(plan, ledger, cfg.round_duration, T_exec)
+            settle_round(plan, ledger, T_exec)
             now += cfg.round_duration
             round_idx += 1
 
@@ -468,6 +472,7 @@ class Simulation:
                         allocation = None
 
         makespan = max((r.completion for r in records), default=0.0)
+        total_worker_rounds = round_idx * cfg.cluster.total_workers
         utilization = busy_worker_rounds / total_worker_rounds \
             if total_worker_rounds else 0.0
         return MetricsReport(records=sorted(records, key=lambda r: r.job_id),

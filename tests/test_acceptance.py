@@ -229,12 +229,8 @@ def test_criterion_5_mechanism_fidelity():
         for _ in range(rounds):
             pr = compute_priorities(X, ledger)
             plan = plan_round(pr, jobs, cluster, ledger, T)
-            settle_round(plan, ledger, 360.0, T)
-        F = np.zeros((3, 3))
-        for r, combo in enumerate(T.rows):
-            for c, cfg in enumerate(T.configs):
-                F[r, c] = ledger.seconds(combo, (cfg.type_id, cfg.placement.value)) \
-                    / (rounds * 360.0)
+            settle_round(plan, ledger, T)
+        F = ledger.received(T) / (rounds * 360.0)
         return np.abs(F - X.values).max()
 
     errs = {R: error_after(R) for R in (10, 20, 50, 200)}

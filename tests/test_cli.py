@@ -203,12 +203,36 @@ class TestSolve:
         ((0,), "missing jobs [1, 2], repeated jobs []"),
         ((0, 0, 2), "missing jobs [1], repeated jobs [0]"),
         ((0, 1, 1, 2), "missing jobs [], repeated jobs [1]"),
-    ], ids=["missing", "repeated-and-missing", "repeated"])
+        ((0, 1, 2, 7), "missing jobs [], repeated jobs [], jobs without rows [7]"),
+    ], ids=["missing", "repeated-and-missing", "repeated", "without-rows"])
     @pytest.mark.parametrize("policy", ["las", "sjf", "ftf", "makespan"])
     def test_jobs_not_matching_matrix_exit_code(self, runner, tmp_path, ids,
                                                 named, policy):
         thr, jobs = write_three_job_instance(tmp_path)
         jobs.write_text(json.dumps([{"id": i, "num_steps": 10} for i in ids]))
+        res = runner.invoke(main, ["--out", str(tmp_path), "solve",
+                                   "--policy", policy, "--throughputs", str(thr),
+                                   "--jobs", str(jobs)])
+        assert res.exit_code == 2, res.output
+        assert "error:" in res.output and named in res.output
+        assert "Traceback" not in res.output
+
+    @pytest.mark.parametrize("policy, jobs_doc, named", [
+        ("hier:fair", {"jobs": [{"id": i, "num_steps": 10} for i in range(3)],
+                       "entities": [{"id": 0}]},
+         "jobs [0, 1, 2] have none or an unlisted one"),
+        ("hier", {"jobs": [{"id": i, "num_steps": 10, "entity_id": i % 2 * 5}
+                           for i in range(3)],
+                  "entities": [{"id": 0}]},
+         "jobs [1] have none or an unlisted one"),
+        ("hier", {"jobs": [{"id": i, "num_steps": 10, "entity_id": 0}
+                           for i in range(3)]},
+         'needs the jobs file\'s "entities" list'),
+    ], ids=["no-entity-id", "unlisted-entity-id", "no-entities"])
+    def test_hierarchical_without_entities_exit_code(self, runner, tmp_path,
+                                                     policy, jobs_doc, named):
+        thr, jobs = write_three_job_instance(tmp_path)
+        jobs.write_text(json.dumps(jobs_doc))
         res = runner.invoke(main, ["--out", str(tmp_path), "solve",
                                    "--policy", policy, "--throughputs", str(thr),
                                    "--jobs", str(jobs)])
@@ -314,6 +338,28 @@ class TestSimulate:
                                    "makespan", "--trace", str(trace)])
         assert res.exit_code == 2, res.output
         assert "error: job 1 requests 8 workers" in res.output
+        assert "Traceback" not in res.output
+
+    @pytest.mark.parametrize("global_args, sim_args, named", [
+        (["--round-duration", "0"], [], "round duration"),
+        (["--round-duration", "-5"], [], "round duration"),
+        (["--round-duration", "nan"], [], "round duration"),
+        ([], ["--recompute-every", "0"], "recompute interval"),
+        ([], ["--recompute-every", "-2"], "recompute interval"),
+        ([], ["--references", "-1"], "--references must lie in [0, 26]"),
+        ([], ["--references", "1"], "at least two reference templates"),
+        ([], ["--references", "8", "--profile-fraction", "nan"],
+         "profile fraction"),
+    ], ids=["duration-zero", "duration-negative", "duration-nan",
+            "recompute-zero", "recompute-negative", "references-negative",
+            "references-one", "profile-fraction-nan"])
+    def test_bad_numeric_option_exit_code(self, runner, tmp_path, global_args,
+                                          sim_args, named):
+        res = runner.invoke(main, ["--out", str(tmp_path), *global_args,
+                                   "simulate", "--policy", "las", "--jobs", "2",
+                                   "--lambda", "0.01", *sim_args])
+        assert res.exit_code == 2, res.output
+        assert "error:" in res.output and named in res.output
         assert "Traceback" not in res.output
 
     def test_baseline_flag_adds_rows(self, runner, tmp_path):

@@ -6,7 +6,8 @@ import pytest
 from hetsched.cluster import make_cluster
 from hetsched.jobs import Job, JobCombination
 from hetsched.matrices import AllocationMatrix, ThroughputMatrix
-from hetsched.mechanism import (RoundLedger, compute_priorities, place,
+from hetsched.mechanism import (Assignment, PlacementError, RoundLedger,
+                                RoundPlan, compute_priorities, place,
                                 plan_round, settle_round)
 
 
@@ -16,8 +17,10 @@ def singles(cluster, T_rows):
     return ThroughputMatrix.from_cells(cluster, rows, entries)
 
 
-def key(cfg):
-    return (cfg.type_id, cfg.placement.value)
+def credit(ledger, T, *rows):
+    """Settle one round in which the given rows ran on configuration 0."""
+    settle_round(RoundPlan([Assignment(T.rows[r], 0) for r in rows], {}),
+                 ledger, T)
 
 
 def empirical_fractions(X, jobs, cluster, T, rounds, work_conserving=True):
@@ -26,12 +29,8 @@ def empirical_fractions(X, jobs, cluster, T, rounds, work_conserving=True):
         pr = compute_priorities(X, ledger)
         plan = plan_round(pr, jobs, cluster, ledger, T,
                           work_conserving=work_conserving)
-        settle_round(plan, ledger, 360.0, T)
-    F = np.zeros_like(X.values)
-    for r, combo in enumerate(T.rows):
-        for c, cfg in enumerate(T.configs):
-            F[r, c] = ledger.seconds(combo, key(cfg)) / (rounds * 360.0)
-    return F
+        settle_round(plan, ledger, T)
+    return ledger.received(T) / (rounds * 360.0)
 
 
 @pytest.fixture
@@ -55,8 +54,7 @@ class TestPriorities:
         T = singles(cluster, [[1.0], [1.0], [1.0]])
         X = AllocationMatrix(T, np.array([[0.6], [0.4], [0.0]]))
         ledger = RoundLedger(360.0)
-        ledger.add(T.rows[0], (0, "sole"), 360.0)
-        ledger.add(T.rows[1], (0, "sole"), 360.0)
+        credit(ledger, T, 0, 1)
         pr = compute_priorities(X, ledger)
         # f = 0.5 each for rows 0/1: priorities X/f.
         assert pr[0, 0] == pytest.approx(1.2)
@@ -68,7 +66,8 @@ class TestPriorities:
         T = singles(cluster, [[1.0], [1.0]])
         X = AllocationMatrix(T, np.array([[0.4], [0.6]]))
         ledger = RoundLedger(360.0)
-        ledger.add(T.rows[0], (0, "sole"), 720.0)
+        credit(ledger, T, 0)
+        credit(ledger, T, 0)
         pr = compute_priorities(X, ledger)
         assert pr[1, 0] == math.inf
         assert pr[0, 0] == pytest.approx(0.4)  # f = 1.0
@@ -89,8 +88,7 @@ class TestPlanRound:
         X = AllocationMatrix(T, np.array([[0.4], [0.2]]))
         jobs = {0: Job(id=0, num_steps=10), 1: Job(id=1, num_steps=10)}
         ledger = RoundLedger(360.0)
-        ledger.add(rows[0], (0, "sole"), 360.0)
-        ledger.add(rows[1], (0, "sole"), 360.0)
+        credit(ledger, T, 0, 1)
         pr = compute_priorities(X, ledger)
         plan = plan_round(pr, jobs, cluster, ledger, T)
         assert [a.combo for a in plan.assignments] == [rows[0]]
@@ -120,7 +118,7 @@ class TestPlanRound:
             pr = compute_priorities(X, ledger)
             plan = plan_round(pr, jobs, cluster, ledger, T)
             scheduled.append(sorted(plan.jobs_scheduled()))
-            settle_round(plan, ledger, 360.0, T)
+            settle_round(plan, ledger, T)
         # The 8-worker job and the 4-worker job must alternate: neither can
         # run alongside the other, and skipped rounds raise priority.
         assert [0] in scheduled and [1] in scheduled
@@ -150,7 +148,7 @@ class TestPlanRound:
                               work_conserving=False)
             # Demand saturates capacity here, so no worker should idle.
             assert all(v == 0 for v in plan.idle_workers.values())
-            settle_round(plan, ledger, 360.0, T)
+            settle_round(plan, ledger, T)
 
 
 class TestConvergence:
@@ -204,7 +202,7 @@ class TestConvergence:
                 for m in plan.jobs_scheduled():
                     max_gap[m] = max(max_gap[m], rnd - last_run[m])
                     last_run[m] = rnd
-                settle_round(plan, ledger, 360.0, T)
+                settle_round(plan, ledger, T)
             for i in jobs:
                 bound = math.ceil(1.0 / X.values[i].max()) * 4
                 assert max_gap[i] <= bound
@@ -235,7 +233,38 @@ class TestPlacement:
                           cluster, RoundLedger(360.0), T)
         place(plan, cluster, jobs)
         assert not plan.assignments[0].consolidated
-        assert len(plan.assignments[0].worker_ids) == 4
+        assert plan.assignments[0].worker_ids == [0, 1, 2, 3]
+
+    def test_spread_fills_leftover_slots_in_server_order(self):
+        cluster = make_cluster({"V100": 2, "K80": 8},
+                               workers_per_server={"V100": 2, "K80": 4})
+        k80 = 1  # configuration index; K80 worker ids start after V100's
+        jobs = {0: Job(id=0, num_steps=10, scale_factor=3),
+                1: Job(id=1, num_steps=10, scale_factor=3),
+                2: Job(id=2, num_steps=10, scale_factor=2),
+                3: Job(id=3, num_steps=10, scale_factor=2)}
+        plan = RoundPlan([Assignment(JobCombination.of(2), k80),
+                          Assignment(JobCombination.of(3), 0),
+                          Assignment(JobCombination.of(0), k80),
+                          Assignment(JobCombination.of(1), k80)], {})
+        place(plan, cluster, jobs)
+        by_job = {a.combo.members[0]: a for a in plan.assignments}
+        assert by_job[0].worker_ids == [2, 3, 4]
+        assert by_job[1].worker_ids == [6, 7, 8]
+        # No K80 server has two free workers left: job 2 takes one from each.
+        assert by_job[2].worker_ids == [5, 9]
+        assert by_job[3].worker_ids == [0, 1]
+        assert [by_job[j].consolidated for j in range(4)] == [True, True, False, True]
+
+    def test_over_capacity_plan_raises(self):
+        cluster = make_cluster({"gpu": 4}, workers_per_server={"gpu": 2})
+        jobs = {0: Job(id=0, num_steps=10, scale_factor=4),
+                1: Job(id=1, num_steps=10, scale_factor=1)}
+        plan = RoundPlan([Assignment(JobCombination.of(0), 0),
+                          Assignment(JobCombination.of(1), 0)], {})
+        with pytest.raises(PlacementError, match="only 0 are free"):
+            place(plan, cluster, jobs)
+        assert issubclass(PlacementError, ValueError)
 
     def test_first_fit_decreasing_packing(self):
         cluster = make_cluster({"gpu": 8}, workers_per_server={"gpu": 4})
@@ -264,18 +293,17 @@ class TestSettle:
         jobs = {0: Job(id=0, num_steps=10)}
         ledger = RoundLedger(360.0)
         plan = plan_round(compute_priorities(X, ledger), jobs, cluster, ledger, T)
-        settle_round(plan, ledger, 360.0, T)
-        assert ledger.seconds(T.rows[0], (0, "sole")) == 360.0
-        settle_round(plan, ledger, 360.0, T)
-        assert ledger.seconds(T.rows[0], (0, "sole")) == 720.0
+        settle_round(plan, ledger, T)
+        assert ledger.received(T)[0, 0] == 360.0
+        settle_round(plan, ledger, T)
+        assert ledger.received(T)[0, 0] == 720.0
         assert ledger.rounds_total == 2
 
     def test_empty_plan_no_change(self):
         cluster = make_cluster({"gpu": 1})
         T = singles(cluster, [[1.0]])
         ledger = RoundLedger(360.0)
-        from hetsched.mechanism import RoundPlan
-        settle_round(RoundPlan([], {0: 1}), ledger, 360.0, T)
+        settle_round(RoundPlan([], {0: 1}), ledger, T)
         assert ledger.time == {}
         assert ledger.rounds_total == 1
 

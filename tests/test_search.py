@@ -32,8 +32,9 @@ def test_bracket_widening_invariance(monkeypatch):
 
 
 def test_ratio_constant_denominator_reduces_to_lp():
-    res = maximize_ratio([1.0], [0.0], [], 1, den_const=1.0,
-                         upper=np.array([1.0]))
+    # x1 is fixed at 1, so the denominator is the constant 1.
+    res = maximize_ratio([1.0, 0.0], [0.0, 1.0], [], 2,
+                         lower=np.array([0.0, 1.0]), upper=np.array([1.0, 1.0]))
     assert res.x[0] == pytest.approx(1.0)
     assert res.objective_value == pytest.approx(1.0)
 
@@ -58,9 +59,10 @@ def test_ratio_matches_grid_search():
     for _ in range(20):
         c = rng.uniform(0.5, 4.0, size=2)
         d = rng.uniform(0.2, 3.0, size=2)
-        cons = [(np.ones(2), Relation.LE, 1.0)]
-        res = maximize_ratio(c, d, cons, 2, den_const=0.1,
-                             upper=np.ones(2))
+        # A third variable fixed at 1 carries the denominator's constant 0.1.
+        cons = [(np.array([1.0, 1.0, 0.0]), Relation.LE, 1.0)]
+        res = maximize_ratio(np.append(c, 0.0), np.append(d, 0.1), cons, 3,
+                             lower=np.array([0.0, 0.0, 1.0]), upper=np.ones(3))
         xs = np.linspace(0, 1, 101)
         best = 0.0
         for a in xs:

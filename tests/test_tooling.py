@@ -3,6 +3,7 @@ names their callers bind; a refactor that unbinds one of them must fail
 here rather than in a traced benchmark run."""
 
 import sys
+from collections import Counter
 from pathlib import Path
 
 from hetsched.cluster import make_cluster
@@ -72,3 +73,21 @@ def test_tracer_sees_water_filling_and_one_compile_per_decision():
     for i, span in enumerate(tracer.spans):
         if span[0] == "waterfill.find_bottlenecks":
             assert gain_calls.get(i, 0) <= 1, i
+
+
+def test_tracer_sees_each_mechanism_step_once_per_round():
+    # mechanism.round_ms_p50 groups the mechanism spans into rounds, one call
+    # of each step per simulated round.  The second arrival leaves the
+    # cluster idle for a while, and idle time is skipped, not simulated.
+    templates = three_templates()
+    trace = Trace([TraceEntry(0.0, "t0", 2000), TraceEntry(50000.0, "t1", 2000)],
+                  "continuous", 0)
+    cfg = SimConfig(cluster=make_cluster({"V100": 1, "K80": 1}),
+                    policy=parse_policy("las"), seed=0)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        report = Simulation(cfg, trace, templates).run()
+    count = Counter(span[0] for span in tracer.spans)
+    assert report.rounds > 0
+    for step in ("compute_priorities", "plan_round", "place", "settle_round"):
+        assert count["mechanism." + step] == report.rounds, step
