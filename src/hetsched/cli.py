@@ -23,7 +23,8 @@ import numpy as np
 
 from . import __version__
 from .cluster import ClusterSpec, make_cluster
-from .estimator import CompletionError, ReferenceSet, fingerprint_and_match
+from .estimator import (DEFAULT_ITERS, DEFAULT_RANK, DEFAULT_REG, CompletionError,
+                        ReferenceSet, fingerprint_and_match)
 from .jobs import Entity, EntityPolicy, Job
 from .lp import IterationLimitError
 from .matrices import ThroughputMatrix, effective_throughput
@@ -105,6 +106,14 @@ def _read(path, load=_json_file):
         _fail(EXIT_IO, f"{path}: {e}")
 
 
+def _numbers(option: str, text: str, convert=float) -> list:
+    """An option's comma-separated numbers; a bad one exits with EXIT_USAGE."""
+    try:
+        return [convert(x) for x in text.split(",")]
+    except ValueError:
+        _fail(EXIT_USAGE, f"{option} takes comma-separated numbers, not {text!r}")
+
+
 def _load_cluster(cluster_file, preset_counts=None) -> ClusterSpec:
     if cluster_file is None:
         return make_cluster(preset_counts or DEFAULT_CLUSTER,
@@ -130,7 +139,9 @@ def _load_cluster(cluster_file, preset_counts=None) -> ClusterSpec:
               help="Named cluster size / round-duration preset.")
 @click.option("--out", "out_dir", type=click.Path(), default="out",
               show_default=True, help="Output directory.")
-@click.option("--dump-lp", is_flag=True, help="Print built LPs before solving.")
+@click.option("--dump-lp", is_flag=True,
+              help="Print the LAS, FIFO, throughput and makespan LPs before "
+                   "solving them; other policies' LPs are not printed.")
 @click.pass_context
 def main(ctx, seed, round_duration, cluster_file, preset, out_dir, dump_lp):
     """Heterogeneity-aware cluster scheduling toolkit."""
@@ -168,18 +179,17 @@ def cmd_generate_trace(ctx, mode, num_jobs, lambda_rate, single_worker,
                        max_scale_factor, duration_mean_minutes, slo_factors,
                        num_entities, entity_policy, catalog_file):
     """Write a workload trace as JSON lines."""
-    if mode == "static" and lambda_rate is not None:
-        raise click.UsageError("--lambda only applies to continuous traces")
-    if mode == "continuous" and lambda_rate is None:
-        raise click.UsageError("continuous traces need --lambda")
     templates = load_catalog(catalog_file)
-    factors = tuple(float(x) for x in slo_factors.split(",")) if slo_factors else None
-    trace = generate_trace(mode, num_jobs, templates, seed=ctx.obj["seed"],
-                           lambda_rate=lambda_rate, single_worker=single_worker,
-                           max_scale_factor=max_scale_factor,
-                           slo_factors=factors, num_entities=num_entities,
-                           entity_policy=entity_policy,
-                           duration_mean_minutes=duration_mean_minutes)
+    factors = tuple(_numbers("--slo-factors", slo_factors)) if slo_factors else None
+    try:
+        trace = generate_trace(mode, num_jobs, templates, seed=ctx.obj["seed"],
+                               lambda_rate=lambda_rate, single_worker=single_worker,
+                               max_scale_factor=max_scale_factor,
+                               slo_factors=factors, num_entities=num_entities,
+                               entity_policy=entity_policy,
+                               duration_mean_minutes=duration_mean_minutes)
+    except ValueError as e:
+        _fail(EXIT_USAGE, e)
     out_dir = ctx.obj["out_dir"]
     out_dir.mkdir(parents=True, exist_ok=True)
     trace_path = out_dir / "trace.jsonl"
@@ -330,12 +340,20 @@ def cmd_simulate(ctx, policy_text, trace_file, num_jobs, lambdas, mode, seeds,
         raise click.UsageError(str(e))
     if trace_file is None and num_jobs is None:
         raise click.UsageError("need --trace or --jobs")
-    seed_list = [int(s) for s in seeds.split(",")] if seeds else [ctx.obj["seed"]]
-    lambda_list = [float(x) for x in lambdas.split(",")] if lambdas else [None]
+    seed_list = _numbers("--seeds", seeds, int) if seeds else [ctx.obj["seed"]]
+    lambda_list = _numbers("--lambda", lambdas) if lambdas else [None]
     if trace_file is not None and lambdas:
         raise click.UsageError("--lambda sweeps generate traces; drop --trace")
     given_trace = _read(trace_file, Trace.load) if trace_file else None
     templates = load_catalog(catalog_file)
+    traces = {}
+    for lam in lambda_list:
+        for seed in seed_list:
+            try:
+                traces[lam, seed] = given_trace or generate_trace(
+                    mode, num_jobs, templates, seed=seed, lambda_rate=lam)
+            except ValueError as e:
+                _fail(EXIT_USAGE, e)
     if not 0 <= references <= len(templates):
         _fail(EXIT_USAGE, f"--references must lie in [0, {len(templates)}], the "
                           f"catalog's template count, not {references}")
@@ -366,8 +384,7 @@ def cmd_simulate(ctx, policy_text, trace_file, num_jobs, lambdas, mode, seeds,
         for label, agnostic in variants:
             per_seed = []
             for seed in seed_list:
-                trace = given_trace or generate_trace(
-                    mode, num_jobs, templates, seed=seed, lambda_rate=lam)
+                trace = traces[lam, seed]
                 cfg = SimConfig(cluster=cluster, policy=spec,
                                 round_duration=ctx.obj["round_duration"],
                                 recompute_every=recompute_every,
@@ -433,9 +450,9 @@ def cmd_simulate(ctx, policy_text, trace_file, num_jobs, lambdas, mode, seeds,
                    "(reference: true) or {names, matrix}.")
 @click.option("--measurements", "meas_file", type=click.Path(), required=True,
               help="Partial measurement rows: {name: {ref_name: value, ...}}.")
-@click.option("--rank", default=3, show_default=True)
-@click.option("--reg", default=1e-2, show_default=True)
-@click.option("--iters", default=50, show_default=True)
+@click.option("--rank", default=DEFAULT_RANK, show_default=True)
+@click.option("--reg", default=DEFAULT_REG, show_default=True)
+@click.option("--iters", default=DEFAULT_ITERS, show_default=True)
 @click.pass_context
 def cmd_estimate(ctx, refs_file, meas_file, rank, reg, iters):
     """Complete partial colocation measurements and match reference jobs."""

@@ -12,6 +12,10 @@ class EntityPolicy(str, enum.Enum):
     FIFO = "fifo"
 
 
+# The short names that policy strings and trace generation use.
+ENTITY_POLICY_NAMES = {"fair": EntityPolicy.FAIRNESS, "fifo": EntityPolicy.FIFO}
+
+
 @dataclass
 class Job:
     """A training job.  Policies treat jobs as read-only snapshots; only the

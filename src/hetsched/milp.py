@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lp import IterationLimitError, LinearProgram, SolveResult, Status, solve_lp
+from .lp import (ROUNDOFF_TOL, IterationLimitError, LinearProgram, SolveResult,
+                 Status, solve_lp)
 
 INT_TOL = 1e-6
 # Objective values closer than this count as equal: a node or incumbent must
@@ -64,30 +65,27 @@ def _lex_refine(mip: MixedIntegerProgram, best: SolveResult) -> SolveResult:
                 int(round(current.x[u])) == fixed[u] for u in fixed):
             fixed[v] = 0.0
             continue
-        lo = lp.lower.copy()
-        hi = lp.upper.copy()
-        for u, val in fixed.items():
-            lo[u] = hi[u] = val
-        lo[v] = hi[v] = 0.0
-        sub_lp = LinearProgram(lp.num_vars, lp.objective, lp.maximize,
-                               list(lp.constraints), lo, hi)
-        sub = _branch_and_bound(
-            MixedIntegerProgram(sub_lp, mip.binary_vars - set(fixed) - {v}))
+        sub = _branch_and_bound(MixedIntegerProgram(
+            _pinned(lp, {**fixed, v: 0.0}), mip.binary_vars - set(fixed) - {v}))
         if sub.optimal and sense * (sub.objective_value - target) >= -OBJ_TOL:
             fixed[v] = 0.0
             current = sub
         else:
             fixed[v] = 1.0
     if any(int(round(current.x[u])) != fixed[u] for u in fixed):
-        lo = lp.lower.copy()
-        hi = lp.upper.copy()
-        for u, val in fixed.items():
-            lo[u] = hi[u] = val
-        sub_lp = LinearProgram(lp.num_vars, lp.objective, lp.maximize,
-                               list(lp.constraints), lo, hi)
         current = _branch_and_bound(
-            MixedIntegerProgram(sub_lp, mip.binary_vars - set(fixed)))
+            MixedIntegerProgram(_pinned(lp, fixed), mip.binary_vars - set(fixed)))
     return current
+
+
+def _pinned(lp: LinearProgram, fixed: dict) -> LinearProgram:
+    """A copy of `lp` with each variable in `fixed` pinned to its value."""
+    lo = lp.lower.copy()
+    hi = lp.upper.copy()
+    for v, val in fixed.items():
+        lo[v] = hi[v] = float(val)
+    return LinearProgram(lp.num_vars, lp.objective, lp.maximize,
+                         list(lp.constraints), lo, hi)
 
 
 def _branch_and_bound(mip: MixedIntegerProgram) -> SolveResult:
@@ -108,13 +106,7 @@ def _branch_and_bound(mip: MixedIntegerProgram) -> SolveResult:
         return tuple(int(round(x[v])) for v in binaries)
 
     def relax(fixed: dict) -> SolveResult:
-        lo = lp.lower.copy()
-        hi = lp.upper.copy()
-        for v, val in fixed.items():
-            lo[v] = hi[v] = float(val)
-        sub = LinearProgram(lp.num_vars, lp.objective, lp.maximize,
-                            list(lp.constraints), lo, hi)
-        return solve_lp(sub)
+        return solve_lp(_pinned(lp, fixed))
 
     root = relax({})
     if root.status is Status.UNBOUNDED:
@@ -153,8 +145,10 @@ def _branch_and_bound(mip: MixedIntegerProgram) -> SolveResult:
                             and key < incumbent_key):
                     incumbent, incumbent_key = cand, key
                 continue
+            # The rounded vector is infeasible: branch on any free binary
+            # that sits off its bounds by more than roundoff.
             frac = {v: res.x[v] for v in binaries if v not in fixed
-                    and min(res.x[v], 1.0 - res.x[v]) > 1e-12}
+                    and min(res.x[v], 1.0 - res.x[v]) > ROUNDOFF_TOL}
             if not frac:
                 continue
 

@@ -16,11 +16,12 @@ linear-fractional objective to one LP.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .cluster import ClusterSpec
+from .jobs import ENTITY_POLICY_NAMES
 from .lp import LinearProgram, Relation, SolveResult, solve_lp
 from .matrices import (AllocationMatrix, ThroughputMatrix,
                        equal_share_allocation, effective_throughput,
@@ -100,7 +101,7 @@ def parse_policy(text: str) -> PolicySpec:
     if colon:
         if kind is not PolicyKind.HIERARCHICAL:
             raise ValueError(f"unknown policy {head!r}")
-        bad = set(entity_policies.split("/")) - {"fair", "fifo"}
+        bad = set(entity_policies.split("/")) - ENTITY_POLICY_NAMES.keys()
         if bad:
             raise ValueError(f"unknown entity policies: {sorted(bad)}")
     return PolicySpec(kind, space_sharing="ss" in flags,
@@ -146,7 +147,8 @@ class ProblemSpace:
     Variables 0..R*C-1 are the allocation cells in row-major order; builders
     may append extra scalar variables (an epigraph bound, binary flags).
     The cell bounds, the validity rows and each job's coefficient row and
-    equal-share throughput are compiled once from the matrix's arrays.
+    equal-share throughput are compiled once from the matrix's arrays, and
+    `lp` builds every LP over the cells from them.
     """
 
     def __init__(self, jobs, T: ThroughputMatrix):
@@ -187,20 +189,27 @@ class ProblemSpace:
         self.validity = np.vstack([budget, capacity.reshape(len(types), self.n_cells)])
         self.validity_rhs = [1.0] * len(ks) + [float(t.num_workers) for t in types]
 
-    def cell_bounds(self, extra: int = 0):
-        lower = np.zeros(self.n_cells + extra)
-        upper = np.concatenate([self._upper, np.full(extra, np.inf)])
-        return lower, upper
-
-    def pad(self, cell_coeffs: np.ndarray, extra: int = 0) -> np.ndarray:
-        if extra == 0:
-            return cell_coeffs
-        return np.concatenate([cell_coeffs, np.zeros(extra)])
-
-    def add_validity(self, lp: LinearProgram, extra: int = 0):
-        """Per-job time budget and per-type worker capacity rows."""
-        for row, rhs in zip(self.validity, self.validity_rhs):
-            lp.add_constraint(self.pad(row, extra), Relation.LE, rhs)
+    def lp(self, objective, rows=(), maximize: bool = True,
+           extra_lower=None) -> LinearProgram:
+        """The LP over the cells plus `len(objective) - n_cells` extra
+        variables: cells nonnegative and pinned to 0 where infeasible, extra
+        variables in [extra_lower (default 0), inf), then `rows`, then
+        the per-job time budget and per-type worker capacity rows.  Each row
+        is a (coeffs, relation, rhs) triple whose coeffs cover the cells
+        alone, padded with zeros, or every variable."""
+        n = len(objective)
+        pad = np.zeros(n - self.n_cells)
+        lower = np.zeros(n)
+        if extra_lower is not None:
+            lower[self.n_cells:] = extra_lower
+        lp = LinearProgram(n, objective, maximize, lower=lower,
+                           upper=np.append(self._upper, np.full(len(pad), np.inf)))
+        validity = [(row, Relation.LE, rhs)
+                    for row, rhs in zip(self.validity, self.validity_rhs)]
+        for coeffs, rel, rhs in [*rows, *validity]:
+            lp.add_constraint(coeffs if len(coeffs) == n else np.append(coeffs, pad),
+                              rel, rhs)
+        return lp
 
     def allocation(self, x: np.ndarray) -> AllocationMatrix:
         values = np.clip(x[: self.n_cells], 0.0, 1.0)
@@ -254,21 +263,12 @@ def max_min_lp(space: ProblemSpace, scales: dict,
     scales[j] * thr_j(X) - lam >= floors[j] for every job in `scales` (in
     `space.jobs` order), then the validity rows.  Variable `space.n_cells`
     is lam; floors default to zero."""
-    n = space.n_cells + 1
-    lam = space.n_cells
-    obj = np.zeros(n)
-    obj[lam] = 1.0
-    lower, upper = space.cell_bounds(extra=1)
-    lower[lam] = -np.inf
-    lp = LinearProgram(n, obj, maximize=True, lower=lower, upper=upper)
-    for j in space.jobs:
-        if j.id not in scales:
-            continue
-        row = space.pad(scales[j.id] * space.coeffs[j.id], extra=1)
-        row[lam] = -1.0
-        lp.add_constraint(row, Relation.GE, floors[j.id] if floors else 0.0)
-    space.add_validity(lp, extra=1)
-    return lp
+    obj = np.zeros(space.n_cells + 1)
+    obj[-1] = 1.0
+    rows = [(np.append(scales[j.id] * space.coeffs[j.id], -1.0), Relation.GE,
+             floors[j.id] if floors else 0.0)
+            for j in space.jobs if j.id in scales]
+    return space.lp(obj, rows, extra_lower=-np.inf)
 
 
 def _weighted_sum_lp(space: ProblemSpace, weights: dict) -> LinearProgram:
@@ -277,10 +277,7 @@ def _weighted_sum_lp(space: ProblemSpace, weights: dict) -> LinearProgram:
     obj = np.zeros(space.n_cells)
     for job_id, w in weights.items():
         obj += w * space.coeffs[job_id]
-    lower, upper = space.cell_bounds()
-    lp = LinearProgram(space.n_cells, obj, maximize=True, lower=lower, upper=upper)
-    space.add_validity(lp)
-    return lp
+    return space.lp(obj)
 
 
 def _solve(label: str, lp: LinearProgram, space: ProblemSpace) -> PolicyResult:
@@ -375,17 +372,12 @@ def finish_time_fairness(space: ProblemSpace) -> PolicyResult:
         denom[j.id] = j.isolated_elapsed_time + j.remaining_steps / thr
 
     def feasible(lam: float):
-        lower, upper = space.cell_bounds()
-        lp = LinearProgram(space.n_cells, np.zeros(space.n_cells),
-                           maximize=True, lower=lower, upper=upper)
-        for j in space.jobs:
-            budget = lam * denom[j.id] - j.elapsed_time
-            if budget <= 0:
-                return False, None
-            lp.add_constraint(space.coeffs[j.id], Relation.GE,
-                              j.remaining_steps / budget)
-        space.add_validity(lp)
-        res = solve_lp(lp)
+        budget = {j.id: lam * denom[j.id] - j.elapsed_time for j in space.jobs}
+        if min(budget.values()) <= 0:
+            return False, None
+        res = solve_lp(space.lp(np.zeros(space.n_cells), [
+            (space.coeffs[j.id], Relation.GE, j.remaining_steps / budget[j.id])
+            for j in space.jobs]))
         return res.optimal, (space.allocation(res.x) if res.optimal else None)
 
     lo = max(j.elapsed_time / denom[j.id] for j in space.jobs) + FTF_BRACKET_PAD
@@ -447,23 +439,15 @@ def _max_steps_per_dollar(space: ProblemSpace, slo_rows: list,
         num += space.coeffs[j.id]
     den = np.outer(space.row_sf, [T.cluster.types[cfg.type_id].cost_per_hour
                                   for cfg in T.configs]).ravel()
-    lower, upper = space.cell_bounds()
-    shell = LinearProgram(space.n_cells, np.zeros(space.n_cells),
-                          maximize=True, lower=lower, upper=upper)
-    space.add_validity(shell)
-    constraints = shell.constraints + slo_rows
-
+    lp = space.lp(num)
+    for row in slo_rows:
+        lp.add_constraint(*row)
     try:
-        res = maximize_ratio(num, den, constraints, space.n_cells,
-                             lower=lower, upper=upper)
+        res = maximize_ratio(lp, den)
     except RatioUnboundedError:
         # A zero-cost configuration can absorb all work: fall back to
         # maximizing throughput over the free cells only.
-        lp = LinearProgram(space.n_cells, num, maximize=True, lower=lower,
-                           upper=np.where(den <= 0, upper, 0.0))
-        for coeffs, rel, rhs in constraints:
-            lp.add_constraint(coeffs, rel, rhs)
-        res = solve_lp(lp)
+        res = solve_lp(replace(lp, upper=np.where(den <= 0, lp.upper, 0.0)))
         if not res.optimal:
             raise PolicyInfeasibleError(
                 "cost ratio unbounded but zero-cost restriction unsolvable")

@@ -3,6 +3,8 @@ reduction (Charnes-Cooper) used by ratio-maximizing policies."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .lp import LinearProgram, Relation, SolveResult, Status, solve_lp
@@ -54,9 +56,8 @@ def bisect(feasible, lo: float, hi: float):
     return hi, witness
 
 
-def maximize_ratio(num_coeffs, den_coeffs, constraints, num_vars: int,
-                   lower=None, upper=None) -> SolveResult:
-    """Maximize num'x / den'x over a polytope.
+def maximize_ratio(lp: LinearProgram, den_coeffs) -> SolveResult:
+    """Maximize lp.objective'x / den'x over the LP's feasible set.
 
     Uses the Charnes-Cooper substitution y = t*x, den'y = 1,
     t >= 0, which turns the linear-fractional program into a single LP.  The
@@ -64,20 +65,19 @@ def maximize_ratio(num_coeffs, den_coeffs, constraints, num_vars: int,
     vanish while the numerator stays positive the LP is unbounded and a
     RatioUnboundedError is raised.
     """
-    num_coeffs = np.asarray(num_coeffs, dtype=float)
+    num_coeffs = lp.objective
     den_coeffs = np.asarray(den_coeffs, dtype=float)
-    lower = np.zeros(num_vars) if lower is None else np.asarray(lower, dtype=float)
-    upper = np.full(num_vars, np.inf) if upper is None else np.asarray(upper, dtype=float)
+    lower, upper = lp.lower, lp.upper
 
     # Variables: y_0..y_{n-1}, t.  All bound constraints on x become rows
     # against t so y can be left free.
-    n = num_vars
+    n = lp.num_vars
     obj = np.concatenate([num_coeffs, [0.0]])
     cc = LinearProgram(n + 1, obj, maximize=True,
                        lower=np.concatenate([np.full(n, -np.inf), [0.0]]),
                        upper=np.full(n + 1, np.inf))
-    for coeffs, rel, rhs in constraints:
-        row = np.concatenate([np.asarray(coeffs, dtype=float), [-float(rhs)]])
+    for coeffs, rel, rhs in lp.constraints:
+        row = np.concatenate([coeffs, [-rhs]])
         cc.add_constraint(row, rel, 0.0)
     for i in range(n):
         if np.isfinite(upper[i]):
@@ -97,11 +97,7 @@ def maximize_ratio(num_coeffs, den_coeffs, constraints, num_vars: int,
     if not res.optimal:
         # Distinguish an empty polytope from a denominator that cannot
         # reach the normalization plane (identically zero, say).
-        probe = LinearProgram(n, np.zeros(n), maximize=True,
-                              lower=lower, upper=upper)
-        for coeffs, rel, rhs in constraints:
-            probe.add_constraint(coeffs, rel, rhs)
-        if solve_lp(probe).optimal:
+        if solve_lp(replace(lp, objective=np.zeros(n), maximize=True)).optimal:
             raise RatioUnboundedError(
                 "denominator cannot be normalized on the feasible set")
         return SolveResult(res.status)

@@ -24,10 +24,14 @@ from .matrices import AllocationMatrix, ThroughputMatrix, prune_combinations
 from .mechanism import (RoundLedger, compute_priorities, place, plan_round,
                         settle_round)
 from .policies import PolicySpec, solve_policy
-from .traces import JobTemplate, Trace, colocation_factor
+from .traces import JobTemplate, Trace, TraceEntry, colocation_factor
 
 PREEMPTION_OVERHEAD = 5.0  # seconds to restore + checkpoint around a switch
 STEADY_STATE_WINDOW = 0.10
+# A job arriving within this many seconds after a round boundary starts at it.
+ARRIVAL_TOL = 1e-9
+# A job within this many steps of its total finishes in the round.
+COMPLETION_TOL = 1e-9
 
 
 @dataclass
@@ -136,6 +140,14 @@ def steady_state_filter(values: list, window: float = STEADY_STATE_WINDOW) -> li
     return out
 
 
+def _job_of(entry: TraceEntry, job_id: int) -> Job:
+    """The job a trace entry describes, with `job_id` its arrival position."""
+    return Job(id=job_id, name=entry.template, num_steps=entry.num_steps,
+               scale_factor=entry.scale_factor, weight=entry.weight,
+               entity_id=entry.entity_id, slo_seconds=entry.slo_seconds,
+               arrival_time=entry.arrival_time)
+
+
 class _ActiveJob:
     def __init__(self, job: Job, template: JobTemplate):
         self.job = job
@@ -169,9 +181,15 @@ class Simulation:
             raise ValueError(f"trace names unknown templates: {', '.join(unknown)}")
         # Job ids are positions in arrival order, as `run` assigns them.
         most = max((t.num_workers for t in config.cluster.types), default=0)
-        for i, e in enumerate(sorted(trace.entries, key=lambda e: e.arrival_time)):
-            if e.scale_factor > most:
-                raise ValueError(f"job {i} requests {e.scale_factor} workers but "
+        entries = trace.entries
+        order = sorted(range(len(entries)), key=lambda n: entries[n].arrival_time)
+        for i, n in enumerate(order):
+            try:
+                job = _job_of(entries[n], i)
+            except ValueError as e:
+                raise ValueError(f"trace entry {n + 1}: {e}") from None
+            if job.scale_factor > most:
+                raise ValueError(f"job {i} requests {job.scale_factor} workers but "
                                  "no accelerator type has that many")
         self.tier_of_type = {t.id: min(t.id, 2) for t in config.cluster.types}
         self.entities = list(trace.entities)
@@ -328,10 +346,7 @@ class Simulation:
 
         def activate(entry, job_id):
             template = self.templates[entry.template]
-            job = Job(id=job_id, name=entry.template, num_steps=entry.num_steps,
-                      scale_factor=entry.scale_factor, weight=entry.weight,
-                      entity_id=entry.entity_id, slo_seconds=entry.slo_seconds,
-                      arrival_time=entry.arrival_time)
+            job = _job_of(entry, job_id)
             st = _ActiveJob(job, template)
             # Isolated 1/n share of the equal-share mix at arrival time; used
             # only as the denominator of the reported finish-time fairness.
@@ -352,7 +367,7 @@ class Simulation:
         while (pending_idx < total_jobs or active) and round_idx < cfg.max_rounds:
             arrived = False
             while pending_idx < total_jobs and \
-                    pending[pending_idx].arrival_time <= now + 1e-9:
+                    pending[pending_idx].arrival_time <= now + ARRIVAL_TOL:
                 activate(pending[pending_idx], pending_idx)
                 pending_idx += 1
                 arrived = True
@@ -421,7 +436,8 @@ class Simulation:
                             self.estimates.observe((m, partner[0]), thr / iso)
                     job = st.job
                     gained = thr * effective
-                    if job.steps_done + gained >= job.num_steps - 1e-9 and thr > 0:
+                    if job.steps_done + gained >= job.num_steps - COMPLETION_TOL \
+                            and thr > 0:
                         need = job.num_steps - job.steps_done
                         finish = now + overhead + need / thr
                         job.steps_done = job.num_steps
@@ -481,7 +497,3 @@ class Simulation:
                              policy_solves=solves,
                              unfinished_jobs=len(active) + total_jobs - pending_idx,
                              solve_seconds=solve_seconds)
-
-
-def run_simulation(config: SimConfig, trace: Trace, templates: list) -> MetricsReport:
-    return Simulation(config, trace, templates).run()

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .jobs import Entity, EntityPolicy
+from .jobs import ENTITY_POLICY_NAMES, Entity, EntityPolicy
 
 NUM_TEMPLATES = 26
 DURATION_MIN_MINUTES = 10 ** 1.5
@@ -178,20 +178,30 @@ def generate_trace(mode: str, num_jobs: int, templates, seed: int = 0,
     """
     if mode not in ("static", "continuous"):
         raise ValueError(f"unknown trace mode {mode!r}")
-    if mode == "continuous" and (lambda_rate is None or lambda_rate <= 0):
-        raise ValueError("continuous mode requires a positive lambda")
+    if mode == "continuous" and (lambda_rate is None or not lambda_rate > 0):
+        raise ValueError(f"continuous mode requires a positive lambda, "
+                         f"not {lambda_rate}")
     if mode == "static" and lambda_rate is not None:
         raise ValueError("static mode does not take a lambda")
+    if num_jobs < 0 or num_entities < 0:
+        raise ValueError(f"the job and entity counts must not be negative, "
+                         f"not {num_jobs} and {num_entities}")
+    if max_scale_factor is not None and max_scale_factor < 1:
+        raise ValueError(f"the largest scale factor must be at least 1, "
+                         f"not {max_scale_factor}")
+    if not (math.isfinite(duration_mean_minutes) and duration_mean_minutes > 0):
+        raise ValueError(f"the mean duration must be a positive number of "
+                         f"minutes, not {duration_mean_minutes}")
+    if slo_factors is not None and not all(f > 0 for f in slo_factors):
+        raise ValueError(f"SLO factors must be positive, not {list(slo_factors)}")
+    policies = [ENTITY_POLICY_NAMES.get(name) for name in entity_policy.split("/")]
+    if None in policies:
+        raise ValueError(f"unknown entity policy in {entity_policy!r}; "
+                         f"choose from {'/'.join(ENTITY_POLICY_NAMES)}")
 
     rng = np.random.default_rng(seed)
-    entities = []
-    if num_entities > 0:
-        policies = entity_policy.split("/")
-        for e in range(num_entities):
-            pol = policies[e % len(policies)]
-            entities.append(Entity(e, float(e + 1),
-                                   EntityPolicy.FAIRNESS if pol == "fair"
-                                   else EntityPolicy.FIFO))
+    entities = [Entity(e, float(e + 1), policies[e % len(policies)])
+                for e in range(num_entities)]
 
     entries = []
     now = 0.0

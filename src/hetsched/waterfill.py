@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jobs import EntityPolicy, Job
-from .lp import LinearProgram, Relation, solve_lp, solve_lp_each
+from .jobs import EntityPolicy
+from .lp import Relation, solve_lp, solve_lp_each
 from .matrices import AllocationMatrix, effective_throughput
 from .milp import MixedIntegerProgram, solve_milp
 from .policies import (PolicyError, PolicyInfeasibleError, PolicyResult,
@@ -91,8 +91,9 @@ def assign_job_weights(entities, jobs, done: set) -> dict:
     return weights
 
 
-def _scaled_coeff(space: ProblemSpace, job: Job) -> np.ndarray:
-    return job.scale_factor / space.equal_norm[job.id] * space.coeffs[job.id]
+def _carry_rows(space: ProblemSpace, thr_prev: dict) -> list:
+    """Rows keeping every job's throughput at or above `thr_prev`."""
+    return [(space.coeffs[j.id], Relation.GE, thr_prev[j.id]) for j in space.jobs]
 
 
 def _level_lp(space: ProblemSpace, weights: dict, t_prev: dict,
@@ -108,8 +109,8 @@ def _level_lp(space: ProblemSpace, weights: dict, t_prev: dict,
         {j.id: t_prev[j.id] / weights[j.id] for j in weighted})
     for j in space.jobs:
         if thr_prev[j.id] > 0:
-            lp.add_constraint(space.pad(space.coeffs[j.id], extra=1),
-                              Relation.GE, thr_prev[j.id])
+            lp.add_constraint(np.append(space.coeffs[j.id], 0.0), Relation.GE,
+                              thr_prev[j.id])
     res = solve_lp(lp)
     if not res.optimal:
         raise PolicyInfeasibleError(f"water-filling LP returned {res.status}")
@@ -124,19 +125,16 @@ def _tighten_lp(space: ProblemSpace, weights: dict, t_prev: dict,
     non-bottlenecked jobs; the lean re-solve pins every weighted job at
     exactly the water level so bottleneck detection sees the true frontier.
     """
-    obj = np.ones(space.n_cells)
-    lower, upper = space.cell_bounds()
-    lp = LinearProgram(space.n_cells, obj, maximize=False, lower=lower, upper=upper)
+    rows = []
     for j in space.jobs:
         w = weights[j.id]
         if w > 0:
-            lp.add_constraint(_scaled_coeff(space, j), Relation.GE,
-                              t_prev[j.id] + w * level - TIGHTEN_SLACK)
+            rows.append((j.scale_factor / space.equal_norm[j.id] * space.coeffs[j.id],
+                         Relation.GE, t_prev[j.id] + w * level - TIGHTEN_SLACK))
         if thr_prev[j.id] > 0:
-            lp.add_constraint(space.coeffs[j.id], Relation.GE,
-                              thr_prev[j.id] - TIGHTEN_SLACK)
-    space.add_validity(lp)
-    res = solve_lp(lp)
+            rows.append((space.coeffs[j.id], Relation.GE,
+                         thr_prev[j.id] - TIGHTEN_SLACK))
+    res = solve_lp(space.lp(np.ones(space.n_cells), rows, maximize=False))
     if not res.optimal:
         raise PolicyInfeasibleError(f"tightening LP returned {res.status}")
     return space.allocation(res.x)
@@ -147,12 +145,7 @@ def max_gain(space: ProblemSpace, thr_prev: dict, job_ids) -> dict:
     while every job keeps at least its previous throughput.  The gain LPs
     differ only in their objective, so they are solved as one LP with one
     objective per job; a job whose LP has no optimum gains 0.0."""
-    lower, upper = space.cell_bounds()
-    lp = LinearProgram(space.n_cells, np.zeros(space.n_cells), maximize=True,
-                       lower=lower, upper=upper)
-    for j in space.jobs:
-        lp.add_constraint(space.coeffs[j.id], Relation.GE, thr_prev[j.id])
-    space.add_validity(lp)
+    lp = space.lp(np.zeros(space.n_cells), _carry_rows(space, thr_prev))
     results = solve_lp_each(lp, [space.coeffs[job_id] for job_id in job_ids])
     return {job_id: res.objective_value - thr_prev[job_id] if res.optimal else 0.0
             for job_id, res in zip(job_ids, results)}
@@ -197,19 +190,11 @@ def _screen_feasible(space: ProblemSpace, active: list, thr_prev: dict,
                      delta: dict, cand: set) -> bool:
     """Whether every candidate can gain its slack at once while every other
     active job stays at its previous throughput."""
-    lower, upper = space.cell_bounds()
-    lp = LinearProgram(space.n_cells, np.zeros(space.n_cells), maximize=True,
-                       lower=lower, upper=upper)
-    for j in space.jobs:
-        lp.add_constraint(space.coeffs[j.id], Relation.GE, thr_prev[j.id])
-    for j in active:
-        if j.id in cand:
-            lp.add_constraint(space.coeffs[j.id], Relation.GE,
-                              thr_prev[j.id] + delta[j.id])
-        else:
-            lp.add_constraint(space.coeffs[j.id], Relation.LE, thr_prev[j.id])
-    space.add_validity(lp)
-    return solve_lp(lp).optimal
+    rows = _carry_rows(space, thr_prev) + [
+        (space.coeffs[j.id], Relation.GE, thr_prev[j.id] + delta[j.id])
+        if j.id in cand else (space.coeffs[j.id], Relation.LE, thr_prev[j.id])
+        for j in active]
+    return solve_lp(space.lp(np.zeros(space.n_cells), rows)).optimal
 
 
 def _milp_bottlenecks(space: ProblemSpace, active: list, thr_prev: dict,
@@ -223,25 +208,19 @@ def _milp_bottlenecks(space: ProblemSpace, active: list, thr_prev: dict,
     n = space.n_cells + n_z
     obj = np.zeros(n)
     obj[space.n_cells:] = 1.0
-    lower, upper = space.cell_bounds(extra=n_z)
-    upper[space.n_cells:] = 1.0
-    lp = LinearProgram(n, obj, maximize=True, lower=lower, upper=upper)
-    for j in space.jobs:
-        lp.add_constraint(space.pad(space.coeffs[j.id], extra=n_z),
-                          Relation.GE, thr_prev[j.id])
+    rows = _carry_rows(space, thr_prev)
     for k, j in enumerate(active):
         Y = space.T.max_throughput(j.id)
-        z_col = space.n_cells + k
         # z=1 forces a strict improvement of delta; z=0 caps the job at its
         # previous throughput (combined with the carry row above).
-        row = space.pad(space.coeffs[j.id], extra=n_z)
-        row[z_col] = -(Y + delta[j.id])
-        lp.add_constraint(row, Relation.GE, thr_prev[j.id] - Y)
-        row = space.pad(space.coeffs[j.id], extra=n_z)
-        row[z_col] = -Y
-        lp.add_constraint(row, Relation.LE, thr_prev[j.id])
-    space.add_validity(lp, extra=n_z)
-
+        flag = np.arange(n_z) == k
+        rows.append((np.append(space.coeffs[j.id],
+                               np.where(flag, -(Y + delta[j.id]), 0.0)),
+                     Relation.GE, thr_prev[j.id] - Y))
+        rows.append((np.append(space.coeffs[j.id], np.where(flag, -Y, 0.0)),
+                     Relation.LE, thr_prev[j.id]))
+    # MixedIntegerProgram bounds the flags to [0, 1].
+    lp = space.lp(obj, rows)
     res = solve_milp(MixedIntegerProgram(lp, set(range(space.n_cells, n))))
     if not res.optimal:  # X_prev is a witness, so only the solver can fail here
         raise PolicyError(f"bottleneck MILP not solved: {res.status.value}")

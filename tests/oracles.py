@@ -853,15 +853,26 @@ class CellMatrix:
 # Bottleneck detection by MILP alone
 # ---------------------------------------------------------------------------
 
+def _cell_upper(space: ProblemSpace, extra: int = 0) -> np.ndarray:
+    """Cell upper bounds (0 where the cell is infeasible), then `extra`
+    unbounded variables."""
+    return np.concatenate([np.where(space.T.feasible.ravel(), np.inf, 0.0),
+                           np.full(extra, np.inf)])
+
+
+def _add_validity(lp: LinearProgram, space: ProblemSpace, extra: int = 0):
+    for row, rhs in zip(space.validity, space.validity_rhs):
+        lp.add_constraint(np.concatenate([row, np.zeros(extra)]), Relation.LE, rhs)
+
+
 def reference_max_gain(space: ProblemSpace, thr_prev: dict, job_id: int) -> float:
     """Largest throughput increase available to one job while every job keeps
     at least its previous throughput."""
-    lower, upper = space.cell_bounds()
     lp = LinearProgram(space.n_cells, space.coeffs[job_id], maximize=True,
-                       lower=lower, upper=upper)
+                       lower=np.zeros(space.n_cells), upper=_cell_upper(space))
     for j in space.jobs:
         lp.add_constraint(space.coeffs[j.id], Relation.GE, thr_prev[j.id])
-    space.add_validity(lp)
+    _add_validity(lp, space)
     res = solve_lp(lp)
     if not res.optimal:
         return 0.0
@@ -885,13 +896,13 @@ def reference_find_bottlenecks(jobs, X_prev, T, active_weights: dict) -> set:
     n = space.n_cells + n_z
     obj = np.zeros(n)
     obj[space.n_cells:] = 1.0
-    lower, upper = space.cell_bounds(extra=n_z)
+    upper = _cell_upper(space, extra=n_z)
     upper[space.n_cells:] = 1.0
-    lp = LinearProgram(n, obj, maximize=True, lower=lower, upper=upper)
+    lp = LinearProgram(n, obj, maximize=True, lower=np.zeros(n), upper=upper)
 
     thr_prev = {j.id: effective_throughput(j.id, X_prev, T) for j in space.jobs}
     for j in space.jobs:
-        lp.add_constraint(space.pad(space.coeffs[j.id], extra=n_z),
+        lp.add_constraint(np.concatenate([space.coeffs[j.id], np.zeros(n_z)]),
                           Relation.GE, thr_prev[j.id])
     for k, j in enumerate(active):
         Y = T.max_throughput(j.id)
@@ -899,13 +910,13 @@ def reference_find_bottlenecks(jobs, X_prev, T, active_weights: dict) -> set:
         z_col = space.n_cells + k
         # z=1 forces a strict improvement of delta; z=0 caps the job at its
         # previous throughput (combined with the carry row above).
-        row = space.pad(space.coeffs[j.id], extra=n_z)
+        row = np.concatenate([space.coeffs[j.id], np.zeros(n_z)])
         row[z_col] = -(Y + delta)
         lp.add_constraint(row, Relation.GE, thr_prev[j.id] - Y)
-        row = space.pad(space.coeffs[j.id], extra=n_z)
+        row = np.concatenate([space.coeffs[j.id], np.zeros(n_z)])
         row[z_col] = -Y
         lp.add_constraint(row, Relation.LE, thr_prev[j.id])
-    space.add_validity(lp, extra=n_z)
+    _add_validity(lp, space, extra=n_z)
 
     res = solve_milp(MixedIntegerProgram(lp, set(range(space.n_cells, n))))
     if not res.optimal:  # X_prev is a witness, so only the solver can fail here

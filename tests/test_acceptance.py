@@ -21,7 +21,7 @@ from hetsched.policies import (ProblemSpace, fifo, finish_time_fairness,
                                max_min_fairness, min_cost, min_makespan,
                                parse_policy, solve_policy)
 from hetsched.estimator import complete_matrix
-from hetsched.simulator import EstimatorConfig, SimConfig, run_simulation
+from hetsched.simulator import EstimatorConfig, SimConfig, Simulation
 from hetsched.traces import generate_trace, load_catalog
 from hetsched.waterfill import (DELTA_FRACTION, find_bottlenecks, max_gain,
                                 single_level_waterfill)
@@ -155,27 +155,24 @@ def test_criterion_3_oracle_equivalence():
 
 
 def _enumerate_bottlenecks(jobs, X_prev, T, weights):
-    from hetsched.lp import LinearProgram, Relation, Status, solve_lp
+    from hetsched.lp import Relation, Status, solve_lp
     from hetsched.policies import ProblemSpace
     space = ProblemSpace(jobs, T)
     active = [j for j in space.jobs if weights.get(j.id, 0.0) > 0]
     thr_prev = {j.id: effective_throughput(j.id, X_prev, T) for j in space.jobs}
     best = None
     for bits in itertools.product((0, 1), repeat=len(active)):
-        lower, upper = space.cell_bounds()
-        lp = LinearProgram(space.n_cells, np.zeros(space.n_cells),
-                           maximize=True, lower=lower, upper=upper)
-        for j in space.jobs:
-            lp.add_constraint(space.coeffs[j.id], Relation.GE, thr_prev[j.id])
+        rows = [(space.coeffs[j.id], Relation.GE, thr_prev[j.id])
+                for j in space.jobs]
         for z, j in zip(bits, active):
             Y = T.max_throughput(j.id)
             if z == 1:
-                lp.add_constraint(space.coeffs[j.id], Relation.GE,
-                                  thr_prev[j.id] + DELTA_FRACTION * Y)
+                rows.append((space.coeffs[j.id], Relation.GE,
+                             thr_prev[j.id] + DELTA_FRACTION * Y))
             else:
-                lp.add_constraint(space.coeffs[j.id], Relation.LE,
-                                  thr_prev[j.id])
-        space.add_validity(lp)
+                rows.append((space.coeffs[j.id], Relation.LE,
+                             thr_prev[j.id]))
+        lp = space.lp(np.zeros(space.n_cells), rows)
         if solve_lp(lp).status is Status.OPTIMAL:
             cand = sum(bits)
             if best is None or cand > best[0]:
@@ -388,7 +385,7 @@ def test_criterion_7_directional_end_to_end():
                 cfg = SimConfig(cluster=cluster, policy=parse_policy("las"),
                                 seed=seed, agnostic=agnostic,
                                 recompute_every=10)
-                jcts.append(run_simulation(cfg, trace, catalog).avg_steady_jct)
+                jcts.append(Simulation(cfg, trace, catalog).run().avg_steady_jct)
             means[label] = float(np.mean(jcts))
         assert means["aware"] < means["agnostic"], \
             f"lambda {lam_h}/h: aware {means['aware']} >= {means['agnostic']}"
@@ -400,10 +397,10 @@ def test_criterion_7_directional_end_to_end():
                             duration_mean_minutes=SWEEP_DURATION_MEAN_MIN)
     cfg_m = SimConfig(cluster=cluster, policy=parse_policy("makespan"),
                       seed=5, recompute_every=20)
-    aware_makespan = run_simulation(cfg_m, strace, catalog).makespan
+    aware_makespan = Simulation(cfg_m, strace, catalog).run().makespan
     cfg_f = SimConfig(cluster=cluster, policy=parse_policy("fifo"), seed=5,
                       agnostic=True, recompute_every=20)
-    fifo_makespan = run_simulation(cfg_f, strace, catalog).makespan
+    fifo_makespan = Simulation(cfg_f, strace, catalog).run().makespan
     ratio = fifo_makespan / aware_makespan
     elapsed = time.perf_counter() - t0
     assert ratio >= 1.2, f"makespan ratio {ratio:.2f} < 1.2"
@@ -427,11 +424,11 @@ def test_criterion_8_estimator():
                                duration_mean_minutes=80)
         base = SimConfig(cluster=cluster, policy=parse_policy("las+ss"),
                          seed=seed)
-        oracle_jcts.append(run_simulation(base, trace, catalog).avg_jct)
+        oracle_jcts.append(Simulation(base, trace, catalog).run().avg_jct)
         est_cfg = dataclasses.replace(
             base, estimator=EstimatorConfig(reference_names=refs,
                                             profile_fraction=0.2))
-        est_jcts.append(run_simulation(est_cfg, trace, catalog).avg_jct)
+        est_jcts.append(Simulation(est_cfg, trace, catalog).run().avg_jct)
     mean_oracle = float(np.mean(oracle_jcts))
     mean_est = float(np.mean(est_jcts))
     rel = abs(mean_est - mean_oracle) / mean_oracle

@@ -67,6 +67,35 @@ class TestGenerateTrace:
         assert res.exit_code == 2
 
 
+SIMULATE = ["simulate", "--policy", "las", "--jobs", "2"]
+GENERATE = ["generate-trace", "--mode", "static", "--jobs", "3"]
+
+
+@pytest.mark.parametrize("args, named", [
+    (SIMULATE + ["--lambda", "0.01", "--seeds", "a,b"], "--seeds"),
+    (SIMULATE + ["--lambda", "x"], "--lambda"),
+    (SIMULATE + ["--lambda", "0"], "positive lambda"),
+    (SIMULATE + ["--lambda", "-1"], "positive lambda"),
+    (["simulate", "--policy", "las", "--jobs", "3"], "positive lambda"),
+    (SIMULATE + ["--mode", "static", "--lambda", "0.01"], "does not take a lambda"),
+    (GENERATE + ["--slo-factors", "a"], "--slo-factors"),
+    (GENERATE + ["--slo-factors", "2,0"], "SLO factors must be positive"),
+    (GENERATE + ["--max-scale-factor", "0"], "scale factor"),
+    (GENERATE + ["--duration-mean-minutes", "-5"], "mean duration"),
+    (GENERATE + ["--entities", "2", "--entity-policy", "bogus"], "entity policy"),
+    (["generate-trace", "--mode", "static", "--jobs", "-2"], "job and entity counts"),
+], ids=["seeds", "lambda-text", "lambda-zero", "lambda-negative",
+        "continuous-without-lambda", "static-with-lambda", "slo-text",
+        "slo-zero", "max-scale-factor", "duration-negative",
+        "entity-policy", "jobs-negative"])
+def test_bad_option_exit_code(runner, tmp_path, args, named):
+    res = runner.invoke(main, ["--out", str(tmp_path), *args])
+    assert res.exit_code == 2, res.output
+    assert "error:" in res.output and named in res.output
+    assert "Traceback" not in res.output
+    assert not (tmp_path / "trace.jsonl").exists()
+
+
 class TestSolve:
     def test_three_job_worked_example(self, runner, tmp_path):
         thr, jobs = write_three_job_instance(tmp_path)
@@ -323,6 +352,18 @@ class TestSimulate:
                                    "--policy", "las", "--trace", str(trace)])
         assert res.exit_code == 2, res.output
         assert "error:" in res.output and "nope" in res.output
+        assert "Traceback" not in res.output
+
+    def test_entry_a_job_would_reject_exit_code(self, runner, tmp_path):
+        trace = tmp_path / "trace.jsonl"
+        Trace([TraceEntry(0.0, "model-00", 10),
+               TraceEntry(0.0, "model-01", 10, slo_seconds=0.0)],
+              "static", 0).save(trace)
+        res = runner.invoke(main, ["--out", str(tmp_path), "simulate",
+                                   "--policy", "las", "--trace", str(trace)])
+        assert res.exit_code == 2, res.output
+        assert "error: trace entry 2: job 1: slo_seconds must be positive" \
+            in res.output
         assert "Traceback" not in res.output
 
     def test_oversized_job_exit_code(self, runner, tmp_path):

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from hetsched.cluster import (AcceleratorType, ClusterSpec, Placement,
                               make_cluster)
 from hetsched.jobs import Job, JobCombination
-from hetsched.lp import LinearProgram
 from hetsched.matrices import (AllocationMatrix, ThroughputMatrix,
                                effective_throughput, equal_share_allocation,
                                isolated_allocation,
@@ -231,11 +230,10 @@ def test_arrays_match_per_cell_reference():
             space = ProblemSpace(space_jobs, T)
             for j in space_jobs:
                 assert space.equal_norm[j.id] == ref.equal_norm(j.id)
-            lower, upper = space.cell_bounds()
+            lp = space.lp(np.zeros(space.n_cells))
             ref_lower, ref_upper = ref.cell_bounds()
-            assert np.array_equal(lower, ref_lower) and np.array_equal(upper, ref_upper)
-            lp = LinearProgram(space.n_cells, np.zeros(space.n_cells))
-            space.add_validity(lp)
+            assert np.array_equal(lp.lower, ref_lower)
+            assert np.array_equal(lp.upper, ref_upper)
             expected = ref.validity_rows(space_jobs)
             assert len(lp.constraints) == len(expected)
             for (row, _, rhs), (ref_row, ref_rhs) in zip(lp.constraints, expected):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import hetsched.search
-from hetsched.lp import Relation
+from hetsched.lp import LinearProgram, Relation
 from hetsched.search import (DEFAULT_REL_TOL, BracketError,
                              RatioUnboundedError, bisect, maximize_ratio)
 
@@ -33,8 +33,8 @@ def test_bracket_widening_invariance(monkeypatch):
 
 def test_ratio_constant_denominator_reduces_to_lp():
     # x1 is fixed at 1, so the denominator is the constant 1.
-    res = maximize_ratio([1.0, 0.0], [0.0, 1.0], [], 2,
-                         lower=np.array([0.0, 1.0]), upper=np.array([1.0, 1.0]))
+    res = maximize_ratio(LinearProgram(2, [1.0, 0.0], lower=np.array([0.0, 1.0]),
+                                       upper=np.array([1.0, 1.0])), [0.0, 1.0])
     assert res.x[0] == pytest.approx(1.0)
     assert res.objective_value == pytest.approx(1.0)
 
@@ -43,15 +43,15 @@ def test_ratio_two_type_cost_example():
     # Throughputs (4, 1), costs (3.0, 0.5) $/hr, one worker each: everything
     # on the cheap slow type wins at 2.0 steps per dollar.
     cons = [(np.array([1.0, 1.0]), Relation.LE, 1.0)]
-    res = maximize_ratio([4.0, 1.0], [3.0, 0.5], cons, 2,
-                         upper=np.array([1.0, 1.0]))
+    res = maximize_ratio(LinearProgram(2, [4.0, 1.0], constraints=cons,
+                                       upper=np.array([1.0, 1.0])), [3.0, 0.5])
     assert res.objective_value == pytest.approx(2.0, abs=1e-6)
     assert res.x[1] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_ratio_zero_denominator_errors():
     with pytest.raises(RatioUnboundedError):
-        maximize_ratio([1.0], [0.0], [], 1, upper=np.array([1.0]))
+        maximize_ratio(LinearProgram(1, [1.0], upper=np.array([1.0])), [0.0])
 
 
 def test_ratio_matches_grid_search():
@@ -61,8 +61,10 @@ def test_ratio_matches_grid_search():
         d = rng.uniform(0.2, 3.0, size=2)
         # A third variable fixed at 1 carries the denominator's constant 0.1.
         cons = [(np.array([1.0, 1.0, 0.0]), Relation.LE, 1.0)]
-        res = maximize_ratio(np.append(c, 0.0), np.append(d, 0.1), cons, 3,
-                             lower=np.array([0.0, 0.0, 1.0]), upper=np.ones(3))
+        res = maximize_ratio(
+            LinearProgram(3, np.append(c, 0.0), constraints=cons,
+                          lower=np.array([0.0, 0.0, 1.0]), upper=np.ones(3)),
+            np.append(d, 0.1))
         xs = np.linspace(0, 1, 101)
         best = 0.0
         for a in xs:

@@ -8,7 +8,7 @@ import hetsched.simulator as simulator
 from hetsched.cluster import make_cluster
 from hetsched.policies import parse_policy
 from hetsched.simulator import (EstimatorConfig, MetricsReport, SimConfig,
-                                Simulation, run_simulation,
+                                Simulation,
                                 steady_state_filter)
 from hetsched.traces import (JobTemplate, Trace, TraceEntry,
                              make_template_catalog)
@@ -59,7 +59,7 @@ class TestSingleJob:
         cluster = make_cluster({"gpu": 1})
         trace = Trace([TraceEntry(0.0, "flat", int(3600 * r))], "static", 0)
         cfg = SimConfig(cluster=cluster, policy=parse_policy("las"), seed=0)
-        rep = run_simulation(cfg, trace, [template])
+        rep = Simulation(cfg, trace, [template]).run()
         assert len(rep.records) == 1
         assert rep.records[0].jct == pytest.approx(3600.0, abs=360.0 + 5.0)
         assert rep.makespan == rep.records[0].completion
@@ -73,7 +73,7 @@ class TestSingleJob:
                        TraceEntry(10 ** 5, "flat", 10)], "continuous", 0)
         cfg = SimConfig(cluster=cluster, policy=parse_policy("las"), seed=0,
                         max_rounds=3)
-        rep = run_simulation(cfg, trace, [flat_template()])
+        rep = Simulation(cfg, trace, [flat_template()]).run()
         assert rep.rounds == 3 and rep.records == []
         assert rep.unfinished_jobs == 3
         assert rep.summary()["unfinished_jobs"] == 3
@@ -86,6 +86,14 @@ class TestSingleJob:
         with pytest.raises(ValueError, match="unknown templates: gone, nope"):
             Simulation(cfg, trace, [flat_template()])
 
+    def test_entry_a_job_would_reject_named_up_front(self):
+        trace = Trace([TraceEntry(5.0, "flat", 10),
+                       TraceEntry(0.0, "flat", 10, slo_seconds=0.0)], "static", 0)
+        cfg = SimConfig(cluster=make_cluster({"gpu": 1}),
+                        policy=parse_policy("las"), seed=0)
+        with pytest.raises(ValueError, match="trace entry 2: job 0: slo_seconds"):
+            Simulation(cfg, trace, [flat_template()])
+
     def test_deterministic_reports(self):
         catalog = make_template_catalog(0)
         cluster = make_cluster({"V100": 2, "P100": 2, "K80": 2})
@@ -94,8 +102,8 @@ class TestSingleJob:
                                lambda_rate=1 / 900.0, max_scale_factor=2,
                                duration_mean_minutes=60)
         cfg = SimConfig(cluster=cluster, policy=parse_policy("las"), seed=9)
-        rep1 = run_simulation(cfg, trace, catalog)
-        rep2 = run_simulation(cfg, trace, catalog)
+        rep1 = Simulation(cfg, trace, catalog).run()
+        rep2 = Simulation(cfg, trace, catalog).run()
         assert [dataclasses.astuple(a) for a in rep1.records] == \
             [dataclasses.astuple(a) for a in rep2.records]
         assert rep1.summary() == rep2.summary()
@@ -165,7 +173,7 @@ class TestAllocationFidelity:
         cluster = make_cluster({"gpu": 1})
         trace = Trace([TraceEntry(0.0, "flat", 1000)], "static", 0)
         cfg = SimConfig(cluster=cluster, policy=parse_policy("las"), seed=0)
-        rep = run_simulation(cfg, trace, [template])
+        rep = Simulation(cfg, trace, [template]).run()
         assert rep.records[0].num_steps == 1000
 
 
@@ -207,7 +215,7 @@ class TestBaselines:
                         trace.entries[i] = dataclasses.replace(e, weight=weight)
                 cfg = SimConfig(cluster=cluster, policy=parse_policy("las"),
                                 seed=seed)
-                rep = run_simulation(cfg, trace, catalog)
+                rep = Simulation(cfg, trace, catalog).run()
                 marked = [r for r in rep.records if r.job_id % 5 == 0]
                 jcts.append(np.mean([r.jct for r in marked]))
             return float(np.mean(jcts))
@@ -271,11 +279,11 @@ class TestEstimatorIntegration:
                                duration_mean_minutes=60)
         refs = [t.name for t in catalog[:8]]
         base = SimConfig(cluster=cluster, policy=parse_policy("las+ss"), seed=2)
-        oracle = run_simulation(base, trace, catalog)
+        oracle = Simulation(base, trace, catalog).run()
         est_cfg = dataclasses.replace(
             base, estimator=EstimatorConfig(reference_names=refs,
                                             profile_fraction=0.2))
-        est = run_simulation(est_cfg, trace, catalog)
+        est = Simulation(est_cfg, trace, catalog).run()
         assert est.avg_jct == pytest.approx(oracle.avg_jct, rel=0.15)
 
 

@@ -1,10 +1,16 @@
 """The benchmark's tracer (bench/tracing.py) wraps package functions by the
 names their callers bind; a refactor that unbinds one of them must fail
-here rather than in a traced benchmark run."""
+here rather than in a traced benchmark run.  Likewise the benchmark's
+driver (bench/run.py) and checks (bench/checks.py) call the package by
+position and read its attributes, so small copies of two workloads run
+through them here."""
 
+import dataclasses
 import sys
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 from hetsched.cluster import make_cluster
 from hetsched.jobs import Entity, EntityPolicy
@@ -13,7 +19,9 @@ from hetsched.simulator import SimConfig, Simulation
 from hetsched.traces import JobTemplate, Trace, TraceEntry
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import run as bench_run  # noqa: E402
 import tracing  # noqa: E402
+import workloads  # noqa: E402
 
 
 def three_templates():
@@ -91,3 +99,13 @@ def test_tracer_sees_each_mechanism_step_once_per_round():
     assert report.rounds > 0
     for step in ("compute_priorities", "plan_round", "place", "settle_round"):
         assert count["mechanism." + step] == report.rounds, step
+
+
+@pytest.mark.parametrize("name", ["hier-wf", "makespan-static"])
+def test_small_bench_workload_simulates_and_passes_its_checks(name):
+    wl = dataclasses.replace(workloads.WORKLOADS[name], traces=1, jobs=6)
+    templates, trace_list, configs, _ = workloads.set_up(wl, 1)
+    timed = bench_run._simulate(bench_run.Pass(), configs, trace_list, templates)
+    checker = bench_run._check(wl, configs, trace_list, templates, timed)
+    assert checker.failures == []
+    assert checker.solves_checked > 0

@@ -104,6 +104,21 @@ class TestGenerateTrace:
         with pytest.raises(ValueError):
             generate_trace("continuous", 10, catalog)
 
+    @pytest.mark.parametrize("num_jobs, kwargs, named", [
+        (10, {"num_entities": 2, "entity_policy": "bogus"}, "entity policy"),
+        (10, {"entity_policy": "fair/bogus"}, "entity policy"),
+        (10, {"slo_factors": (1.5, 0.0)}, "SLO factors"),
+        (10, {"slo_factors": (-2.0,)}, "SLO factors"),
+        (10, {"max_scale_factor": 0}, "scale factor"),
+        (10, {"duration_mean_minutes": -5.0}, "mean duration"),
+        (-2, {}, "job and entity counts"),
+        (10, {"num_entities": -1}, "job and entity counts"),
+    ], ids=["entity-policy", "entity-policy-list", "slo-zero", "slo-negative",
+            "max-scale-factor", "duration", "jobs-negative", "entities-negative"])
+    def test_rejects_bad_inputs(self, catalog, num_jobs, kwargs, named):
+        with pytest.raises(ValueError, match=named):
+            generate_trace("static", num_jobs, catalog, **kwargs)
+
     def test_slo_factors(self, catalog):
         trace = generate_trace("static", 300, catalog, seed=5,
                                slo_factors=(1.2, 2.0, 10.0))

@@ -6,7 +6,7 @@ import pytest
 import hetsched.waterfill
 from hetsched.cluster import make_cluster
 from hetsched.jobs import Entity, EntityPolicy, Job, JobCombination
-from hetsched.lp import LinearProgram, Relation, Status, solve_lp
+from hetsched.lp import Relation, Status, solve_lp
 from hetsched.matrices import AllocationMatrix, ThroughputMatrix, effective_throughput
 from hetsched.milp import solve_milp
 from hetsched.policies import (PolicyInfeasibleError, ProblemSpace, parse_policy,
@@ -118,21 +118,18 @@ def enumerate_bottlenecks(jobs, X_prev, T, weights):
     thr_prev = {j.id: effective_throughput(j.id, X_prev, T) for j in space.jobs}
     best = None
     for bits in itertools.product((0, 1), repeat=len(active)):
-        lp = LinearProgram(space.n_cells, np.zeros(space.n_cells),
-                           maximize=True, lower=space.cell_bounds()[0],
-                           upper=space.cell_bounds()[1])
-        for j in space.jobs:
-            lp.add_constraint(space.coeffs[j.id], Relation.GE, thr_prev[j.id])
+        rows = [(space.coeffs[j.id], Relation.GE, thr_prev[j.id])
+                for j in space.jobs]
         for z, j in zip(bits, active):
             Y = T.max_throughput(j.id)
             delta = DELTA_FRACTION * Y
             if z == 1:
-                lp.add_constraint(space.coeffs[j.id], Relation.GE,
-                                  thr_prev[j.id] + delta)
+                rows.append((space.coeffs[j.id], Relation.GE,
+                             thr_prev[j.id] + delta))
             else:
-                lp.add_constraint(space.coeffs[j.id], Relation.LE,
-                                  thr_prev[j.id])
-        space.add_validity(lp)
+                rows.append((space.coeffs[j.id], Relation.LE,
+                             thr_prev[j.id]))
+        lp = space.lp(np.zeros(space.n_cells), rows)
         if solve_lp(lp).status is Status.OPTIMAL:
             cand = (sum(bits), tuple(-b for b in bits))
             if best is None or cand > best[0]:
