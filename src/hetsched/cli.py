@@ -28,10 +28,10 @@ from .estimator import (DEFAULT_ITERS, DEFAULT_RANK, DEFAULT_REG, CompletionErro
 from .jobs import Entity, EntityPolicy, Job
 from .lp import IterationLimitError
 from .matrices import ThroughputMatrix, effective_throughput
-from . import policies
+from . import lp, policies
 from .mechanism import write_round_log
-from .policies import (InfeasibleSloError, PolicyError, PolicyInfeasibleError,
-                       parse_policy, solve_policy)
+from .policies import (InfeasibleSloError, PolicyError, parse_policy,
+                       solve_policy)
 from .simulator import STEADY_STATE_WINDOW, EstimatorConfig, SimConfig, Simulation
 from .traces import Trace, generate_trace, load_catalog
 
@@ -140,8 +140,7 @@ def _load_cluster(cluster_file, preset_counts=None) -> ClusterSpec:
 @click.option("--out", "out_dir", type=click.Path(), default="out",
               show_default=True, help="Output directory.")
 @click.option("--dump-lp", is_flag=True,
-              help="Print the LAS, FIFO, throughput and makespan LPs before "
-                   "solving them; other policies' LPs are not printed.")
+              help="Print every LP before solving it.")
 @click.pass_context
 def main(ctx, seed, round_duration, cluster_file, preset, out_dir, dump_lp):
     """Heterogeneity-aware cluster scheduling toolkit."""
@@ -153,9 +152,9 @@ def main(ctx, seed, round_duration, cluster_file, preset, out_dir, dump_lp):
                    cluster_file=cluster_file, preset_counts=preset_counts,
                    out_dir=Path(out_dir), dump_lp=dump_lp)
     if dump_lp:
-        previous = policies.lp_debug_sink
-        policies.lp_debug_sink = lambda text: click.echo(text, err=True)
-        ctx.call_on_close(lambda: setattr(policies, "lp_debug_sink", previous))
+        previous = lp.debug_sink
+        lp.debug_sink = lambda text: click.echo(text, err=True)
+        ctx.call_on_close(lambda: setattr(lp, "debug_sink", previous))
 
 
 @main.command("generate-trace")
@@ -271,7 +270,7 @@ def cmd_solve(ctx, policy_text, thr_file, jobs_file):
         result = solve_policy(spec, jobs, T.cluster, T, entities=entities)
     except InfeasibleSloError as e:
         _fail(EXIT_INFEASIBLE, f"infeasible SLOs for jobs: {e.job_ids}")
-    except (PolicyInfeasibleError, PolicyError) as e:
+    except PolicyError as e:
         _fail(EXIT_INFEASIBLE, f"infeasible: {e}")
     except IterationLimitError as e:
         _fail(EXIT_INFEASIBLE, f"solver failed: {e}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -40,6 +40,9 @@ REFACTOR_EVERY = 100
 # + columns) of the standardized problem.
 MAX_ITER_BASE = 5000
 MAX_ITER_PER_DIM = 40
+# Optional hook for --dump-lp debugging: a callable fed the text of every
+# LP before it is solved.
+debug_sink = None
 
 
 class Relation(str, enum.Enum):
@@ -151,6 +154,9 @@ def solve_lp_each(lp: LinearProgram, objectives) -> list[SolveResult]:
         if objective.shape != (lp.num_vars,):
             raise DimensionError(
                 f"objective has shape {objective.shape}, expected ({lp.num_vars},)")
+        if debug_sink is not None:
+            debug_sink(f"# LP: {lp.num_vars} variables, {len(lp.constraints)} "
+                       f"constraints\n{replace(lp, objective=objective).dump()}")
         status, x_std = prob.solve(objective)
         if status is Status.OPTIMAL:
             x = prob.recover(x_std)

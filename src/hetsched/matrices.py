@@ -30,6 +30,9 @@ from .cluster import ClusterSpec
 from .jobs import JobCombination
 
 EPS = 1e-6
+# A pair row is kept only when its members' summed normalized throughput
+# exceeds this on some configuration.
+PAIR_KEEP_THRESHOLD = 1.0
 
 
 class MatrixShapeError(ValueError):
@@ -261,18 +264,20 @@ def effective_throughput(job_id: int, X: AllocationMatrix,
     return float(inorder_sum(T.coeffs[T.job_index(job_id)] * X.values.ravel()))
 
 
-def equal_share_allocation(T: ThroughputMatrix) -> AllocationMatrix:
-    """Every singleton row receives num_workers_j / total_workers per type.
+def equal_shares(cluster: ClusterSpec) -> np.ndarray:
+    """Each configuration's share of the cluster: num_workers_j /
+    total_workers per type, split evenly between a placement-aware type's
+    consolidated and unconsolidated configurations."""
+    type_of = np.array([cfg.type_id for cfg in cluster.configurations])
+    workers = np.array([cluster.types[t].num_workers for t in type_of])
+    return workers / cluster.total_workers / np.bincount(type_of)[type_of]
 
-    When the cluster is placement aware the type's share is split evenly
-    between its consolidated and unconsolidated columns so each row still
-    sums to one and no feasible placement is left unrepresented.
-    """
-    cluster = T.cluster
-    workers = np.array([cluster.types[t].num_workers for t in T.type_of])
-    cols_per_type = np.bincount(T.type_of)[T.type_of]
+
+def equal_share_allocation(T: ThroughputMatrix) -> AllocationMatrix:
+    """Every singleton row receives its `equal_shares`, so each row sums to
+    one and no feasible placement is left unrepresented."""
     values = np.zeros((T.num_rows, T.num_configs))
-    values[~T.is_pair] = workers / cluster.total_workers / cols_per_type
+    values[~T.is_pair] = equal_shares(T.cluster)
     return AllocationMatrix(T, values)
 
 
@@ -285,9 +290,9 @@ def isolated_allocation(T: ThroughputMatrix, n: int) -> AllocationMatrix:
     return X
 
 
-def prune_combinations(T: ThroughputMatrix, threshold: float = 1.0) -> ThroughputMatrix:
+def prune_combinations(T: ThroughputMatrix) -> ThroughputMatrix:
     """Drop pair rows whose summed normalized throughput never beats
-    `threshold` on any configuration.
+    `PAIR_KEEP_THRESHOLD` on any configuration.
 
     The normalized sum on a configuration is each member's pair throughput
     divided by that member's own singleton throughput there (members whose
@@ -301,5 +306,5 @@ def prune_combinations(T: ThroughputMatrix, threshold: float = 1.0) -> Throughpu
     norm = np.divide(T.thr[pairs], iso, out=np.zeros_like(iso), where=iso > 0)
     norm_sum = np.where(T.feasible[pairs], norm[..., 0] + norm[..., 1], 0.0)
     keep = ~T.is_pair
-    keep[pairs] = (norm_sum > threshold).any(axis=1)
+    keep[pairs] = (norm_sum > PAIR_KEEP_THRESHOLD).any(axis=1)
     return T.with_rows([combo for combo, k in zip(T.rows, keep) if k])

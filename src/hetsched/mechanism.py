@@ -68,6 +68,7 @@ def compute_priorities(X_opt: AllocationMatrix, ledger: RoundLedger) -> np.ndarr
 class Assignment:
     combo: JobCombination
     config_index: int
+    workers: int  # the combination's scale factor
     worker_ids: list = field(default_factory=list)
     consolidated: bool = True
 
@@ -111,6 +112,7 @@ def plan_round(priorities: np.ndarray, jobs: dict, cluster: ClusterSpec,
     column index.
     """
     remaining = {t.id: t.num_workers for t in cluster.types}
+    workers = [jobs[combo.members[0]].scale_factor for combo in T.rows]
     eligible = [True] * T.num_rows
     since = [ledger.rounds_since_scheduled(combo) for combo in T.rows]
     rows_of_job: dict[int, list] = {}
@@ -119,12 +121,9 @@ def plan_round(priorities: np.ndarray, jobs: dict, cluster: ClusterSpec,
             rows_of_job.setdefault(m, []).append(r)
     chosen: list[Assignment] = []
 
-    def scale_factor(r: int) -> int:
-        return jobs[T.rows[r].members[0]].scale_factor
-
     def take(r: int, c: int):
-        chosen.append(Assignment(T.rows[r], c))
-        remaining[T.configs[c].type_id] -= scale_factor(r)
+        chosen.append(Assignment(T.rows[r], c, workers[r]))
+        remaining[T.configs[c].type_id] -= workers[r]
         for m in T.rows[r].members:
             for rr in rows_of_job[m]:
                 eligible[rr] = False
@@ -136,7 +135,7 @@ def plan_round(priorities: np.ndarray, jobs: dict, cluster: ClusterSpec,
         for _, _, r, c in sorted(cells):
             if not eligible[r]:
                 continue
-            if remaining[T.configs[c].type_id] < scale_factor(r):
+            if remaining[T.configs[c].type_id] < workers[r]:
                 continue
             take(r, c)
 
@@ -162,44 +161,39 @@ class PlacementError(ValueError):
     """A round plan asks for more workers of a type than the cluster has."""
 
 
-def place(plan: RoundPlan, cluster: ClusterSpec, jobs: dict) -> RoundPlan:
+def place(plan: RoundPlan, cluster: ClusterSpec) -> RoundPlan:
     """Assign concrete worker ids, largest jobs first, first-fit onto servers.
 
     Multi-worker assignments that fit on one server are marked consolidated.
     Placement is per round; worker ids are stable (type-major, then server).
     """
     configs = cluster.configurations
-    first_id = list(accumulate((t.num_workers for t in cluster.types), initial=0))
-    # Workers taken so far on each server of each type.
-    taken = {t.id: [0] * -(-t.num_workers // t.workers_per_server)
-             for t in cluster.types}
-    for a in sorted(plan.assignments,
-                    key=lambda a: (-jobs[a.combo.members[0]].scale_factor,
-                                   a.combo.members)):
+    first_id = accumulate((t.num_workers for t in cluster.types), initial=0)
+    # The free worker ids on each server of each type, lowest first.
+    free = {t.id: [list(range(f + s, f + min(s + t.workers_per_server, t.num_workers)))
+                   for s in range(0, t.num_workers, t.workers_per_server)]
+            for t, f in zip(cluster.types, first_id)}
+    for a in sorted(plan.assignments, key=lambda a: (-a.workers, a.combo.members)):
         t = cluster.types[configs[a.config_index].type_id]
-        sf = jobs[a.combo.members[0]].scale_factor
-        used = taken[t.id]
-        free = [min(t.workers_per_server, t.num_workers - s * t.workers_per_server)
-                - n for s, n in enumerate(used)]
+        sf, servers = a.workers, free[t.id]
         # First fit: first server with the whole group free, else spread in
         # server order.
-        whole = next((s for s, f in enumerate(free) if f >= sf), None)
+        whole = next((s for s, ids in enumerate(servers) if len(ids) >= sf), None)
         if whole is not None:
             grabs = [(whole, sf)]
         else:
             grabs, need = [], sf
-            for s, f in enumerate(free):
-                if need and f:
-                    grabs.append((s, min(f, need)))
+            for s, ids in enumerate(servers):
+                if need and ids:
+                    grabs.append((s, min(len(ids), need)))
                     need -= grabs[-1][1]
             if need:
                 raise PlacementError(f"{sf} workers of {t.name} requested but "
                                      f"only {sf - need} are free this round")
         a.worker_ids = []
         for s, k in grabs:
-            start = first_id[t.id] + s * t.workers_per_server + used[s]
-            a.worker_ids.extend(range(start, start + k))
-            used[s] += k
+            a.worker_ids += servers[s][:k]
+            del servers[s][:k]
         a.consolidated = whole is not None
     return plan
 

@@ -108,16 +108,6 @@ def parse_policy(text: str) -> PolicySpec:
                       water_filling="wf" in flags)
 
 
-# Optional hook for --dump-lp style debugging: a callable fed the text of
-# every LP built by the policy compilers.
-lp_debug_sink = None
-
-
-def _debug_lp(label: str, lp: LinearProgram):
-    if lp_debug_sink is not None:
-        lp_debug_sink(f"# {label}\n{lp.dump()}")
-
-
 class PolicyError(Exception):
     pass
 
@@ -282,7 +272,6 @@ def _weighted_sum_lp(space: ProblemSpace, weights: dict) -> LinearProgram:
 
 def _solve(label: str, lp: LinearProgram, space: ProblemSpace) -> PolicyResult:
     """Solve a built policy LP; the objective is the LP's optimum."""
-    _debug_lp(label, lp)
     res = solve_lp(lp)
     if not res.optimal:
         raise PolicyInfeasibleError(f"{label} LP returned {res.status}")
@@ -384,10 +373,6 @@ def finish_time_fairness(space: ProblemSpace) -> PolicyResult:
     hi = max((j.elapsed_time + j.remaining_steps / iso_thr[j.id]) / denom[j.id]
              for j in space.jobs) + FTF_BRACKET_PAD
     value, X = bisect(feasible, lo, hi)
-    if X is None:
-        ok, X = feasible(value)
-        if not ok:
-            raise PolicyError(f"FTF bound {value} was not feasible on re-solve")
     return PolicyResult(X, value)
 
 

@@ -20,10 +20,11 @@ import numpy as np
 from .cluster import ClusterSpec, Placement
 from .estimator import OnlineEstimates, ReferenceSet, fingerprint_and_match
 from .jobs import Job, JobCombination
-from .matrices import AllocationMatrix, ThroughputMatrix, prune_combinations
+from .matrices import (AllocationMatrix, ThroughputMatrix, equal_shares,
+                       inorder_sum, prune_combinations)
 from .mechanism import (RoundLedger, compute_priorities, place, plan_round,
                         settle_round)
-from .policies import PolicySpec, solve_policy
+from .policies import PolicyKind, PolicySpec, solve_policy
 from .traces import JobTemplate, Trace, TraceEntry, colocation_factor
 
 PREEMPTION_OVERHEAD = 5.0  # seconds to restore + checkpoint around a switch
@@ -149,9 +150,10 @@ def _job_of(entry: TraceEntry, job_id: int) -> Job:
 
 
 class _ActiveJob:
-    def __init__(self, job: Job, template: JobTemplate):
+    def __init__(self, job: Job, template: JobTemplate, rates: np.ndarray):
         self.job = job
         self.template = template
+        self.rates = rates  # standalone steps/second per configuration
         self.prev_workers: tuple = ()
         self.prev_partner: tuple = ()
         self.completion: float | None = None
@@ -191,8 +193,15 @@ class Simulation:
             if job.scale_factor > most:
                 raise ValueError(f"job {i} requests {job.scale_factor} workers but "
                                  "no accelerator type has that many")
-        self.tier_of_type = {t.id: min(t.id, 2) for t in config.cluster.types}
         self.entities = list(trace.entities)
+        if config.policy.kind is PolicyKind.HIERARCHICAL:
+            known = {e.id for e in self.entities}
+            strays = [n + 1 for n, e in enumerate(entries) if e.entity_id not in known]
+            if strays:
+                raise ValueError("a hierarchical policy needs every trace entry's "
+                                 "entity_id among the trace's entities; " + (
+                                     f"entries {strays} have none or an unlisted one"
+                                     if known else "the trace lists none"))
         self.rng = np.random.default_rng(config.seed)
         self.estimates = OnlineEstimates()
         self.refs: ReferenceSet | None = None
@@ -206,14 +215,17 @@ class Simulation:
 
     # -- throughput construction ------------------------------------------
 
-    def _singleton_rate(self, state: _ActiveJob, cfg) -> float | None:
-        t = self.cfg.cluster.types[cfg.type_id]
-        sf = state.job.scale_factor
-        if sf > t.num_workers:
-            return None
-        consolidated = cfg.placement in (Placement.SOLE, Placement.CONSOLIDATED)
-        return state.template.isolated_throughput(self.tier_of_type[t.id], sf,
-                                                  consolidated)
+    def _rates(self, job: Job, template: JobTemplate) -> np.ndarray:
+        """The job's standalone rate on every configuration: its tier's
+        consolidated or unconsolidated rate, 0.0 where its scale factor
+        exceeds the type's workers."""
+        types = self.cfg.cluster.types
+        return np.array([
+            template.isolated_throughput(
+                min(cfg.type_id, 2), job.scale_factor,
+                cfg.placement is not Placement.UNCONSOLIDATED)
+            if job.scale_factor <= types[cfg.type_id].num_workers else 0.0
+            for cfg in self.cfg.cluster.configurations])
 
     def _pair_factor(self, a: _ActiveJob, b: _ActiveJob) -> float:
         """Normalized throughput of a when colocated with b (oracle or
@@ -234,12 +246,12 @@ class Simulation:
         execution matrix holds the true colocation rates of the kept rows;
         without the estimator the two agree, so one matrix serves both.
         """
-        configs = self.cfg.cluster.configurations
-        rates = [[self._singleton_rate(st, cfg) for cfg in configs] for st in states]
-        feasible = np.array([[v is not None for v in row] for row in rates],
-                            dtype=bool).reshape(len(states), len(configs))
-        rate = np.array([[0.0 if v is None else v for v in row] for row in rates],
-                        dtype=float).reshape(feasible.shape)
+        cluster = self.cfg.cluster
+        workers = [cluster.types[cfg.type_id].num_workers
+                   for cfg in cluster.configurations]
+        feasible = (np.array([st.job.scale_factor for st in states])[:, None]
+                    <= np.array(workers)).reshape(len(states), len(workers))
+        rate = np.array([st.rates for st in states]).reshape(feasible.shape)
         singles = [JobCombination.of(st.job.id) for st in states]
         # Each pair row's two state indices in the combination's member
         # order (lower job id first).
@@ -343,21 +355,15 @@ class Simulation:
         busy_worker_rounds = 0
         solves = 0
         solve_seconds = 0.0
+        shares = equal_shares(cfg.cluster)
 
         def activate(entry, job_id):
             template = self.templates[entry.template]
             job = _job_of(entry, job_id)
-            st = _ActiveJob(job, template)
+            st = _ActiveJob(job, template, self._rates(job, template))
             # Isolated 1/n share of the equal-share mix at arrival time; used
             # only as the denominator of the reported finish-time fairness.
-            n_active = len(active) + 1
-            total = cfg.cluster.total_workers
-            equal_thr = sum(
-                t.num_workers / total
-                * template.isolated_throughput(self.tier_of_type[t.id],
-                                               job.scale_factor, True)
-                for t in cfg.cluster.types)
-            iso_thr = equal_thr / n_active
+            iso_thr = float(inorder_sum(st.rates * shares)) / (len(active) + 1)
             st.isolated_duration = job.num_steps / iso_thr if iso_thr > 0 else 0.0
             if self.refs is not None:
                 self._profile_new_job(st)
@@ -411,16 +417,15 @@ class Simulation:
             priorities = compute_priorities(allocation, ledger)
             plan = plan_round(priorities, jobs_by_id, cfg.cluster, ledger, T_exec,
                               work_conserving=cfg.work_conserving)
-            place(plan, cfg.cluster, jobs_by_id)
+            place(plan, cfg.cluster)
 
             completions = []
             for a in plan.assignments:
                 r = T_exec.row_index(a.combo)
                 # A pair shares one worker set, so it counts and pays once.
-                sf = jobs_by_id[a.combo.members[0]].scale_factor
-                busy_worker_rounds += sf
+                busy_worker_rounds += a.workers
                 t = cfg.cluster.types[T_exec.configs[a.config_index].type_id]
-                cost_total += t.cost_per_hour * sf * cfg.round_duration / 3600.0
+                cost_total += t.cost_per_hour * a.workers * cfg.round_duration / 3600.0
                 for m in a.combo.members:
                     st = active[m]
                     partner = tuple(x for x in a.combo.members if x != m)
@@ -431,8 +436,8 @@ class Simulation:
                     thr = float(T_exec.thr[r, a.config_index, a.combo.member_index(m)])
                     if self.cfg.estimator is not None and a.combo.is_pair:
                         # Online refinement: observe the true colocation rate.
-                        iso = self._singleton_rate(st, T_exec.configs[a.config_index])
-                        if iso is not None and iso > 0:
+                        iso = st.rates[a.config_index]
+                        if iso > 0:
                             self.estimates.observe((m, partner[0]), thr / iso)
                     job = st.job
                     gained = thr * effective

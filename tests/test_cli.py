@@ -161,14 +161,30 @@ class TestSolve:
 
     def test_dump_lp_flag(self, runner, tmp_path):
         thr, jobs = write_three_job_instance(tmp_path)
-        for policy, label in (("las", "# max-min fairness"),
-                              ("makespan", "# min makespan")):
+        for policy, label in (("las", "# LP: 7 variables, 8 constraints"),
+                              ("makespan", "# LP: 7 variables, 8 constraints")):
             res = runner.invoke(main, ["--out", str(tmp_path), "--dump-lp",
                                        "solve", "--policy", policy,
                                        "--throughputs", str(thr),
                                        "--jobs", str(jobs)])
             assert res.exit_code == 0, res.output
             assert label in res.output and "maximize" in res.output, policy
+
+    @pytest.mark.parametrize("policy", ["ftf", "sjf", "cost", "las+wf",
+                                        "hier:fair"])
+    def test_dump_lp_prints_every_policys_lps(self, runner, tmp_path, policy):
+        thr, jobs = write_three_job_instance(tmp_path)
+        if policy.startswith("hier"):
+            jobs.write_text(json.dumps({
+                "jobs": [{"id": i, "num_steps": 1000, "entity_id": i % 2}
+                         for i in range(3)],
+                "entities": [{"id": 0, "policy": "fairness"},
+                             {"id": 1, "policy": "fifo"}]}))
+        res = runner.invoke(main, ["--out", str(tmp_path), "--dump-lp", "solve",
+                                   "--policy", policy, "--throughputs", str(thr),
+                                   "--jobs", str(jobs)])
+        assert res.exit_code == 0, res.output
+        assert "# LP: " in res.stderr and "subject to" in res.stderr
 
     def test_iteration_limit_exit_code(self, runner, tmp_path, monkeypatch):
         monkeypatch.setattr(hetsched.lp, "MAX_ITER_BASE", 0)
@@ -300,6 +316,16 @@ class TestSimulate:
                                    "--policy", "makespan+wf", "--jobs", "2",
                                    "--lambda", "0.01"])
         assert res.exit_code == 2, res.output
+
+    def test_hierarchical_policy_without_entities_exit_code(self, runner,
+                                                            tmp_path):
+        res = runner.invoke(main, ["--out", str(tmp_path), "simulate",
+                                   "--policy", "hier:fair", "--jobs", "3",
+                                   "--lambda", "0.01"])
+        assert res.exit_code == 2, res.output
+        assert "error:" in res.output and "entities" in res.output
+        assert "Traceback" not in res.output
+        assert list(tmp_path.glob("metrics_*")) == []
 
     def test_summary_has_mean_and_stddev(self, runner, tmp_path):
         res = runner.invoke(main, ["--out", str(tmp_path), "simulate",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hetsched.matrices
 from hetsched.cluster import (AcceleratorType, ClusterSpec, Placement,
                               make_cluster)
 from hetsched.jobs import Job, JobCombination
@@ -120,17 +121,17 @@ def test_prune_keeps_good_pairs_drops_bad(two_type_cluster):
     # Normalized sum on V100 = 0.8 + 0.6 = 1.4 > 1: kept.
     good = [[(4.0,), (1.0,)], [(3.0,), (1.0,)], [(3.2, 1.8), None]]
     T = build_matrix(two_type_cluster, rows, good)
-    assert prune_combinations(T, 1.0).num_rows == 3
+    assert prune_combinations(T).num_rows == 3
     # Normalized sums 0.8 / 0.9 on the two types: dropped.
     bad = [[(4.0,), (1.0,)], [(3.0,), (1.0,)], [(2.0, 1.2), (0.5, 0.4)]]
     T = build_matrix(two_type_cluster, rows, bad)
-    pruned = prune_combinations(T, 1.0)
+    pruned = prune_combinations(T)
     assert pruned.num_rows == 2
     assert all(not c.is_pair for c in pruned.rows)
     # Pair infeasible everywhere: dropped.
     infeasible = [[(4.0,), (1.0,)], [(3.0,), (1.0,)], [None, None]]
     T = build_matrix(two_type_cluster, rows, infeasible)
-    assert prune_combinations(T, 1.0).num_rows == 2
+    assert prune_combinations(T).num_rows == 2
 
 
 def test_allocation_invariants_validate(two_type_cluster):
@@ -211,7 +212,7 @@ def test_effective_throughput_unknown_job(two_type_cluster):
         effective_throughput(99, X, T)
 
 
-def test_arrays_match_per_cell_reference():
+def test_arrays_match_per_cell_reference(monkeypatch):
     pairs = infeasible = zero = placement = 0
     for seed in range(200):
         rng = np.random.default_rng(seed)
@@ -239,7 +240,8 @@ def test_arrays_match_per_cell_reference():
             for (row, _, rhs), (ref_row, ref_rhs) in zip(lp.constraints, expected):
                 assert np.array_equal(row, ref_row) and rhs == ref_rhs
         for threshold in (0.8, 1.0, 1.3):
-            assert list(prune_combinations(T, threshold).rows) == ref.prune(threshold)
+            monkeypatch.setattr(hetsched.matrices, "PAIR_KEEP_THRESHOLD", threshold)
+            assert list(prune_combinations(T).rows) == ref.prune(threshold)
         pairs += any(c.is_pair for c in rows)
         infeasible += any(cell is None for row in cells for cell in row)
         zero += any(cell is not None and 0.0 in cell for row in cells for cell in row)

@@ -19,7 +19,7 @@ def singles(cluster, T_rows):
 
 def credit(ledger, T, *rows):
     """Settle one round in which the given rows ran on configuration 0."""
-    settle_round(RoundPlan([Assignment(T.rows[r], 0) for r in rows], {}),
+    settle_round(RoundPlan([Assignment(T.rows[r], 0, 1) for r in rows], {}),
                  ledger, T)
 
 
@@ -217,7 +217,7 @@ class TestPlacement:
         X = AllocationMatrix(T, np.array([[0.5]]))
         plan = plan_round(compute_priorities(X, RoundLedger(360.0)), jobs,
                           cluster, RoundLedger(360.0), T)
-        place(plan, cluster, jobs)
+        place(plan, cluster)
         a = plan.assignments[0]
         assert a.consolidated
         assert len(a.worker_ids) == 8
@@ -231,7 +231,7 @@ class TestPlacement:
         X = AllocationMatrix(T, np.array([[0.5]]))
         plan = plan_round(compute_priorities(X, RoundLedger(360.0)), jobs,
                           cluster, RoundLedger(360.0), T)
-        place(plan, cluster, jobs)
+        place(plan, cluster)
         assert not plan.assignments[0].consolidated
         assert plan.assignments[0].worker_ids == [0, 1, 2, 3]
 
@@ -239,15 +239,11 @@ class TestPlacement:
         cluster = make_cluster({"V100": 2, "K80": 8},
                                workers_per_server={"V100": 2, "K80": 4})
         k80 = 1  # configuration index; K80 worker ids start after V100's
-        jobs = {0: Job(id=0, num_steps=10, scale_factor=3),
-                1: Job(id=1, num_steps=10, scale_factor=3),
-                2: Job(id=2, num_steps=10, scale_factor=2),
-                3: Job(id=3, num_steps=10, scale_factor=2)}
-        plan = RoundPlan([Assignment(JobCombination.of(2), k80),
-                          Assignment(JobCombination.of(3), 0),
-                          Assignment(JobCombination.of(0), k80),
-                          Assignment(JobCombination.of(1), k80)], {})
-        place(plan, cluster, jobs)
+        plan = RoundPlan([Assignment(JobCombination.of(2), k80, 2),
+                          Assignment(JobCombination.of(3), 0, 2),
+                          Assignment(JobCombination.of(0), k80, 3),
+                          Assignment(JobCombination.of(1), k80, 3)], {})
+        place(plan, cluster)
         by_job = {a.combo.members[0]: a for a in plan.assignments}
         assert by_job[0].worker_ids == [2, 3, 4]
         assert by_job[1].worker_ids == [6, 7, 8]
@@ -258,12 +254,10 @@ class TestPlacement:
 
     def test_over_capacity_plan_raises(self):
         cluster = make_cluster({"gpu": 4}, workers_per_server={"gpu": 2})
-        jobs = {0: Job(id=0, num_steps=10, scale_factor=4),
-                1: Job(id=1, num_steps=10, scale_factor=1)}
-        plan = RoundPlan([Assignment(JobCombination.of(0), 0),
-                          Assignment(JobCombination.of(1), 0)], {})
+        plan = RoundPlan([Assignment(JobCombination.of(0), 0, 4),
+                          Assignment(JobCombination.of(1), 0, 1)], {})
         with pytest.raises(PlacementError, match="only 0 are free"):
-            place(plan, cluster, jobs)
+            place(plan, cluster)
         assert issubclass(PlacementError, ValueError)
 
     def test_first_fit_decreasing_packing(self):
@@ -277,7 +271,7 @@ class TestPlacement:
         X = AllocationMatrix(T, np.array([[0.5]] * 4))
         plan = plan_round(compute_priorities(X, RoundLedger(360.0)), jobs,
                           cluster, RoundLedger(360.0), T)
-        place(plan, cluster, jobs)
+        place(plan, cluster)
         by_job = {a.combo.members[0]: a for a in plan.assignments}
         assert set(by_job[0].worker_ids) == {0, 1, 2, 3}
         assert set(by_job[1].worker_ids) == {4, 5}
@@ -313,7 +307,7 @@ class TestSettle:
         ledger = RoundLedger(360.0)
         pr = compute_priorities(X, ledger)
         plan = plan_round(pr, jobs, cluster, ledger, T)
-        place(plan, cluster, jobs)
+        place(plan, cluster)
         doc = plan.to_json(T, 7)
         assert doc["round"] == 7
         assert {a["config"] for a in doc["assignments"]} <= {"V100", "P100", "K80"}

@@ -6,6 +6,8 @@ import pytest
 
 import hetsched.simulator as simulator
 from hetsched.cluster import make_cluster
+from hetsched.jobs import Entity, EntityPolicy
+from hetsched.matrices import effective_throughput, equal_share_allocation
 from hetsched.policies import parse_policy
 from hetsched.simulator import (EstimatorConfig, MetricsReport, SimConfig,
                                 Simulation,
@@ -93,6 +95,18 @@ class TestSingleJob:
                         policy=parse_policy("las"), seed=0)
         with pytest.raises(ValueError, match="trace entry 2: job 0: slo_seconds"):
             Simulation(cfg, trace, [flat_template()])
+
+    def test_hierarchical_policy_needs_listed_entities(self):
+        cfg = SimConfig(cluster=make_cluster({"gpu": 1}),
+                        policy=parse_policy("hier:fair"), seed=0)
+        bare = Trace([TraceEntry(0.0, "flat", 10)], "static", 0)
+        with pytest.raises(ValueError, match="the trace lists none"):
+            Simulation(cfg, bare, [flat_template()])
+        stray = Trace([TraceEntry(0.0, "flat", 10, entity_id=0),
+                       TraceEntry(0.0, "flat", 10, entity_id=3)], "static", 0,
+                      [Entity(0, 1.0, EntityPolicy.FAIRNESS)])
+        with pytest.raises(ValueError, match=r"entries \[2\] have none"):
+            Simulation(cfg, stray, [flat_template()])
 
     def test_deterministic_reports(self):
         catalog = make_template_catalog(0)
@@ -285,6 +299,41 @@ class TestEstimatorIntegration:
                                             profile_fraction=0.2))
         est = Simulation(est_cfg, trace, catalog).run()
         assert est.avg_jct == pytest.approx(oracle.avg_jct, rel=0.15)
+
+
+class TestIsolatedDuration:
+    @pytest.mark.parametrize("counts, aware", [
+        ({"V100": 1, "K80": 4}, False),
+        ({"V100": 4, "K80": 4}, True),
+    ], ids=["one-v100", "placement-aware"])
+    def test_matches_equal_share_allocation(self, monkeypatch, counts, aware):
+        # The ftf_rho denominator is the job's steps over its effective
+        # throughput under the policies' equal-share allocation, split
+        # among the jobs active at its arrival.
+        template = JobTemplate(name="t", tier_throughputs=(3.0, 2.0, 1.0),
+                               consolidated_efficiency=0.9,
+                               unconsolidated_efficiency=0.6,
+                               coloc_sensitivity=0.5, coloc_aggressiveness=0.5)
+        cluster = make_cluster(counts, placement_aware=aware,
+                               workers_per_server={"V100": 2, "K80": 2})
+        trace = Trace([TraceEntry(0.0, "t", 300, scale_factor=2),
+                       TraceEntry(0.0, "t", 400, scale_factor=2)], "static", 0)
+        cfg = SimConfig(cluster=cluster, policy=parse_policy("las"), seed=0)
+        matrices = []
+        real = simulator.solve_policy
+
+        def spy(spec, jobs, cluster, T, **kwargs):
+            matrices.append(T)
+            return real(spec, jobs, cluster, T, **kwargs)
+
+        monkeypatch.setattr(simulator, "solve_policy", spy)
+        rep = Simulation(cfg, trace, [template]).run()
+        T = matrices[0]
+        X = equal_share_allocation(T)
+        for r, n_active in zip(rep.records, (1, 2)):
+            iso = effective_throughput(r.job_id, X, T) / n_active
+            assert r.isolated_duration == pytest.approx(r.num_steps / iso,
+                                                        rel=1e-12)
 
 
 class TestPlacementAware:

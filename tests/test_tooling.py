@@ -101,7 +101,8 @@ def test_tracer_sees_each_mechanism_step_once_per_round():
         assert count["mechanism." + step] == report.rounds, step
 
 
-@pytest.mark.parametrize("name", ["hier-wf", "makespan-static"])
+@pytest.mark.parametrize("name", ["las-reset", "ss-estimated", "hier-wf",
+                                  "makespan-static"])
 def test_small_bench_workload_simulates_and_passes_its_checks(name):
     wl = dataclasses.replace(workloads.WORKLOADS[name], traces=1, jobs=6)
     templates, trace_list, configs, _ = workloads.set_up(wl, 1)
