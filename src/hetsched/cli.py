@@ -23,8 +23,8 @@ import numpy as np
 
 from . import __version__
 from .cluster import ClusterSpec, make_cluster
-from .estimator import (DEFAULT_ITERS, DEFAULT_RANK, DEFAULT_REG, CompletionError,
-                        ReferenceSet, fingerprint_and_match)
+from .estimator import (DEFAULT_ITERS, DEFAULT_RANK, DEFAULT_REG, MIN_OBSERVED,
+                        CompletionError, ReferenceSet, fingerprint_and_match)
 from .jobs import Entity, EntityPolicy, Job
 from .lp import IterationLimitError
 from .matrices import ThroughputMatrix, effective_throughput
@@ -468,21 +468,26 @@ def cmd_estimate(ctx, refs_file, meas_file, rank, reg, iters):
     out = {"hyperparameters": {"rank": rank, "reg": reg, "iters": iters,
                                "seed": ctx.obj["seed"]},
            "matches": {}, "completed_rows": {}}
-    for name, row_doc in sorted(meas_doc.items()):
-        vec = np.zeros(refs.size)
-        mask = np.zeros(refs.size, dtype=bool)
-        for ref_name, value in row_doc.items():
+    names = sorted(meas_doc)
+    vecs = np.zeros((len(names), refs.size))
+    masks = np.zeros((len(names), refs.size), dtype=bool)
+    for row, name in enumerate(names):
+        for ref_name, value in meas_doc[name].items():
             if ref_name not in index:
                 _fail(EXIT_USAGE, f"{name}: unknown reference {ref_name!r}")
             k = index[ref_name]
-            vec[k] = float(value)
-            mask[k] = True
-        try:
-            match, fingerprint = fingerprint_and_match(
-                vec, mask, refs, rank=rank, reg=reg, iters=iters,
-                seed=ctx.obj["seed"])
-        except CompletionError as e:
-            _fail(EXIT_INFEASIBLE, f"{name}: {e}")
+            vecs[row, k] = float(value)
+            masks[row, k] = True
+        if masks[row].sum() < MIN_OBSERVED:
+            _fail(EXIT_INFEASIBLE, f"{name}: need at least {MIN_OBSERVED} "
+                                   "observed entries to fingerprint")
+    try:
+        matches, fingerprints = fingerprint_and_match(
+            vecs, masks, refs, [ctx.obj["seed"]] * len(names), rank=rank,
+            reg=reg, iters=iters)
+    except CompletionError as e:
+        _fail(EXIT_INFEASIBLE, str(e))
+    for name, match, fingerprint in zip(names, matches, fingerprints):
         out["matches"][name] = refs.names[match]
         out["completed_rows"][name] = [round(v, 6) for v in fingerprint]
     out_dir = ctx.obj["out_dir"]

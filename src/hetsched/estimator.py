@@ -2,8 +2,9 @@
 pre-profiled reference jobs, nearest-reference matching for new jobs, and
 online refinement from observed rates.
 
-Completion is alternating least squares with every restart and every row
-of a factor updated in one batched solve per half-step.
+Completion is alternating least squares with every matrix of a stack,
+every restart and every row of a factor updated in one batched solve per
+half-step, so all of a trace's new jobs are fingerprinted in one call.
 
 Pairwise colocated throughputs are normalized by each job's isolated
 throughput on the same configuration, so entries live in [0, ~1.2] and the
@@ -20,6 +21,8 @@ DEFAULT_RANK = 3
 DEFAULT_REG = 1e-2
 DEFAULT_ITERS = 50
 EWMA_ALPHA = 0.25
+# Measurements a new job needs before it can be fingerprinted.
+MIN_OBSERVED = 2
 
 
 class CompletionError(ValueError):
@@ -28,9 +31,9 @@ class CompletionError(ValueError):
 
 def complete_matrix(partial: np.ndarray, mask: np.ndarray, rank: int = DEFAULT_RANK,
                     reg: float = DEFAULT_REG, iters: int = DEFAULT_ITERS,
-                    seed: int = 0, restarts: int = 3,
-                    return_history: bool = False):
-    """Alternating least squares low-rank completion.
+                    seed=0, restarts: int = 3) -> np.ndarray:
+    """Alternating least squares low-rank completion of an (n, p) matrix, or
+    of each matrix of an (m, n, p) stack with one seed per matrix.
 
     Minimizes the squared error on observed cells (mask True) with L2
     regularization on both factors.  ALS is non-convex, so several seeded
@@ -39,8 +42,9 @@ def complete_matrix(partial: np.ndarray, mask: np.ndarray, rank: int = DEFAULT_R
     unchanged in the returned matrix.  Deterministic for a fixed seed.
 
     Given V every row of U is an independent ridge regression (and vice
-    versa), so one batched solve over all restarts and rows gives the same
-    iterates as updating the rows one at a time.
+    versa), so one batched solve over all matrices, restarts and rows gives
+    the same iterates as updating the rows one at a time, and completing a
+    stack gives each matrix's completion bit for bit.
     """
     partial = np.asarray(partial, dtype=float)
     mask = np.asarray(mask, dtype=bool)
@@ -48,39 +52,55 @@ def complete_matrix(partial: np.ndarray, mask: np.ndarray, rank: int = DEFAULT_R
         raise CompletionError("matrix and mask shapes differ")
     if rank < 1:
         raise CompletionError("rank must be >= 1")
-    if np.any(mask.sum(axis=1) == 0) or np.any(mask.sum(axis=0) == 0):
+    if np.any(mask.sum(axis=-1) == 0) or np.any(mask.sum(axis=-2) == 0):
         raise CompletionError("every row and column needs at least one observation")
 
-    n, p = partial.shape
-    U, V = [], []
-    for attempt in range(max(1, restarts)):
-        rng = np.random.default_rng(seed + attempt)
-        U.append(rng.uniform(0.0, 1.0, size=(n, rank)))
-        V.append(rng.uniform(0.0, 1.0, size=(p, rank)))
-    U, V = np.stack(U), np.stack(V)  # (restarts, n or p, rank)
+    single = partial.ndim == 2
+    if single:
+        partial, mask = partial[None], mask[None]
+    m, n, p = partial.shape
+    restarts = max(1, restarts)
+    U = np.empty((m, restarts, n, rank))
+    V = np.empty((m, restarts, p, rank))
+    for k, s in enumerate(np.broadcast_to(seed, m).tolist()):
+        for attempt in range(restarts):
+            rng = np.random.default_rng(s + attempt)
+            U[k, attempt] = rng.uniform(0.0, 1.0, size=(n, rank))
+            V[k, attempt] = rng.uniform(0.0, 1.0, size=(p, rank))
     weight = mask.astype(float)
     observed = np.where(mask, partial, 0.0)
     eye = reg * np.eye(rank)
-    Us, Vs = [U], [V]
+    # einsum adds a Gram's (w * a) * b terms in order, starting from zero.
+    # The first `lead` rows are fully observed in every matrix, so they share
+    # one U-step Gram (summed once, for row 0), and their sum is the common
+    # start of every column's V-step Gram, to which the later rows are added
+    # in order.  The weight of ones keeps that sum's products (1 * a) * b.
+    full = mask.all(axis=(0, 2))
+    lead = n if full.all() else int(full.argmin())
+    distinct = np.r_[0:min(lead, 1), lead:n]
+    spread = np.r_[np.zeros(lead, dtype=np.intp), min(lead, 1):len(distinct)]
+    row_weight = weight[:, distinct]
+    ones = np.ones(lead)
     for _ in range(iters):
-        gram = np.einsum("ij,sjk,sjl->sikl", weight, V, V) + eye
-        U = np.linalg.solve(gram, (observed @ V)[..., None])[..., 0]
-        gram = np.einsum("ij,sik,sil->sjkl", weight, U, U) + eye
-        V = np.linalg.solve(gram, (observed.T @ U)[..., None])[..., 0]
-        Us.append(U)
-        Vs.append(V)
+        gram = np.einsum("mij,msjk,msjl->msikl", row_weight, V, V) + eye
+        U = np.linalg.solve(gram[:, :, spread], (observed[:, None] @ V)[..., None])[..., 0]
+        head = U[:, :, :lead]
+        gram = np.repeat(np.einsum("i,msik,msil->mskl", ones, head, head)[:, :, None],
+                         p, axis=2)
+        for i in range(lead, n):
+            u = U[:, :, None, i]
+            gram += (weight[:, None, i, :, None, None] * u[..., :, None]) * u[..., None, :]
+        V = np.linalg.solve(gram + eye,
+                            (observed.swapaxes(-1, -2)[:, None] @ U)[..., None])[..., 0]
 
-    # Objective of every iterate of every restart: (iters + 1, restarts).
-    Us, Vs = np.stack(Us), np.stack(Vs)
-    err = np.where(mask, Us @ Vs.swapaxes(-1, -2) - partial, 0.0)
-    history = (err * err).sum(axis=(-2, -1)) \
-        + reg * ((Us * Us).sum(axis=(-2, -1)) + (Vs * Vs).sum(axis=(-2, -1)))
-    best = int(np.argmin(history[-1]))  # argmin keeps the first restart on ties
-    completed = U[best] @ V[best].T
+    err = np.where(mask[:, None], U @ V.swapaxes(-1, -2) - partial[:, None], 0.0)
+    objective = (err * err).sum(axis=(-2, -1)) \
+        + reg * ((U * U).sum(axis=(-2, -1)) + (V * V).sum(axis=(-2, -1)))
+    best = objective.argmin(axis=-1)  # argmin keeps the first restart on ties
+    stack = np.arange(m)
+    completed = U[stack, best] @ V[stack, best].swapaxes(-1, -2)
     completed[mask] = partial[mask]
-    if return_history:
-        return completed, history[:, best].tolist()
-    return completed
+    return completed[0] if single else completed
 
 
 @dataclass
@@ -134,31 +154,39 @@ class ReferenceSet:
 
 
 def fingerprint_and_match(measurements: np.ndarray, observed: np.ndarray,
-                          refs: ReferenceSet, rank: int = DEFAULT_RANK,
-                          reg: float = DEFAULT_REG, iters: int = DEFAULT_ITERS,
-                          seed: int = 0):
-    """Complete a partially measured colocation row and return the index of
-    the closest reference job (Euclidean distance, ties to the lowest id).
+                          refs: ReferenceSet, seeds, rank: int = DEFAULT_RANK,
+                          reg: float = DEFAULT_REG, iters: int = DEFAULT_ITERS):
+    """Complete partially measured colocation rows and match each to the
+    closest reference job (Euclidean distance, ties to the lowest id).
 
-    `measurements` is the new job's normalized colocated throughput against
-    each reference job, valid where `observed` is True; at least two entries
-    must be observed.
+    `measurements` holds one row per new job: its normalized colocated
+    throughput against each reference job, valid where `observed` is True;
+    every row needs at least `MIN_OBSERVED` observed entries.  Each row is
+    stacked under the reference matrix and completed with its own seed (one
+    per row in `seeds`), all in one `complete_matrix` call.  Returns
+    (matches, fingerprints): each row's reference index and its completed
+    row.
     """
     measurements = np.asarray(measurements, dtype=float)
     observed = np.asarray(observed, dtype=bool)
-    if measurements.shape != (refs.size,) or observed.shape != (refs.size,):
-        raise ValueError("measurement vector must align with the reference set")
-    if observed.sum() < 2:
-        raise CompletionError("need at least two observed entries to fingerprint")
+    m, n = len(measurements), refs.size
+    if measurements.shape != (m, n) or observed.shape != (m, n):
+        raise ValueError("measurement rows must align with the reference set")
+    if len(seeds) != m:
+        raise ValueError(f"{m} measurement rows need {m} seeds, not {len(seeds)}")
+    short = np.flatnonzero(observed.sum(axis=1) < MIN_OBSERVED)
+    if short.size:
+        raise CompletionError(f"row {short[0]}: need at least {MIN_OBSERVED} "
+                              "observed entries to fingerprint")
 
-    stacked = np.vstack([refs.R, np.where(observed, measurements, 0.0)])
-    mask = np.vstack([np.ones_like(refs.R, dtype=bool), observed])
-    completed = complete_matrix(stacked, mask, rank=rank, reg=reg, iters=iters,
-                                seed=seed)
-    fingerprint = completed[-1]
-    dists = np.linalg.norm(refs.R - fingerprint, axis=1)
-    best = int(np.argmin(dists))  # argmin takes the first (lowest id) on ties
-    return best, fingerprint
+    stacked = np.concatenate([np.broadcast_to(refs.R, (m, n, n)),
+                              np.where(observed, measurements, 0.0)[:, None]], axis=1)
+    mask = np.concatenate([np.ones((m, n, n), dtype=bool), observed[:, None]], axis=1)
+    fingerprints = complete_matrix(stacked, mask, rank=rank, reg=reg, iters=iters,
+                                   seed=seeds)[:, -1]
+    dists = np.linalg.norm(refs.R - fingerprints[:, None], axis=-1)
+    # argmin takes the first (lowest id) on ties
+    return dists.argmin(axis=1).tolist(), fingerprints
 
 
 @dataclass

@@ -300,8 +300,13 @@ def prune_combinations(T: ThroughputMatrix) -> ThroughputMatrix:
     outperforms time-slicing the two jobs (sum > 1).
     """
     pairs = T.is_pair.nonzero()[0]
-    iso_rows = np.array([[T.singleton_row(m) for m in T.rows[r].members]
-                         for r in pairs], dtype=np.intp).reshape(-1, 2)
+    single = {combo.members[0]: r for r, combo in enumerate(T.rows)
+              if not combo.is_pair}
+    try:
+        iso_rows = np.array([[single[m] for m in T.rows[r].members]
+                             for r in pairs], dtype=np.intp).reshape(-1, 2)
+    except KeyError as e:
+        raise UnknownJobError(f"pair member {e.args[0]} has no singleton row") from None
     iso = T.thr[:, :, 0][iso_rows].transpose(0, 2, 1)
     norm = np.divide(T.thr[pairs], iso, out=np.zeros_like(iso), where=iso > 0)
     norm_sum = np.where(T.feasible[pairs], norm[..., 0] + norm[..., 1], 0.0)

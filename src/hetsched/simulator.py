@@ -202,8 +202,6 @@ class Simulation:
                                  "entity_id among the trace's entities; " + (
                                      f"entries {strays} have none or an unlisted one"
                                      if known else "the trace lists none"))
-        self.rng = np.random.default_rng(config.seed)
-        self.estimates = OnlineEstimates()
         self.refs: ReferenceSet | None = None
         if config.estimator is not None:
             names = config.estimator.reference_names
@@ -211,7 +209,6 @@ class Simulation:
             R = np.array([[colocation_factor(a, b) for b in ref_templates]
                           for a in ref_templates])
             self.refs = ReferenceSet(list(names), R)
-        self.round_log: list = []
 
     # -- throughput construction ------------------------------------------
 
@@ -323,25 +320,38 @@ class Simulation:
 
     # -- estimator hooks ---------------------------------------------------
 
-    def _profile_new_job(self, state: _ActiveJob):
-        est = self.cfg.estimator
+    def _match_references(self, entries: list) -> list:
+        """Each entry's matched reference index, entry k being job k.
+
+        In arrival order each job is measured against a random
+        `profile_fraction` of the references (at least two), drawn from a
+        generator seeded with `cfg.seed`, and its row is completed with seed
+        `cfg.seed + k`.  A match depends only on the trace, the seed and the
+        references, so all of them are completed in one call before the
+        first round.
+        """
+        rng = np.random.default_rng(self.cfg.seed)
         n = self.refs.size
-        budget = max(2, int(math.ceil(est.profile_fraction * n)))
-        picks = sorted(self.rng.choice(n, size=min(budget, n), replace=False).tolist())
-        truth = np.array([colocation_factor(state.template,
-                                            self.templates[self.refs.names[k]])
-                          for k in range(n)])
-        observed = np.zeros(n, dtype=bool)
-        observed[picks] = True
-        match, _ = fingerprint_and_match(np.where(observed, truth, 0.0), observed,
-                                         self.refs, seed=self.cfg.seed + state.job.id)
-        state.match = match
+        budget = max(2, int(math.ceil(self.cfg.estimator.profile_fraction * n)))
+        observed = np.zeros((len(entries), n), dtype=bool)
+        for k in range(len(entries)):
+            observed[k, rng.choice(n, size=min(budget, n), replace=False)] = True
+        refs = [self.templates[name] for name in self.refs.names]
+        truth = np.array([[colocation_factor(self.templates[e.template], ref)
+                           for ref in refs] for e in entries]).reshape(observed.shape)
+        matches, _ = fingerprint_and_match(
+            np.where(observed, truth, 0.0), observed, self.refs,
+            [self.cfg.seed + k for k in range(len(entries))])
+        return matches
 
     # -- main loop ---------------------------------------------------------
 
     def run(self) -> MetricsReport:
         cfg = self.cfg
         pending = sorted(self.trace.entries, key=lambda e: (e.arrival_time,))
+        self.estimates = OnlineEstimates()
+        self.round_log: list = []
+        matches = None if self.refs is None else self._match_references(pending)
         pending_idx = 0
         active: dict[int, _ActiveJob] = {}
         ledger = RoundLedger(cfg.round_duration)
@@ -365,8 +375,8 @@ class Simulation:
             # only as the denominator of the reported finish-time fairness.
             iso_thr = float(inorder_sum(st.rates * shares)) / (len(active) + 1)
             st.isolated_duration = job.num_steps / iso_thr if iso_thr > 0 else 0.0
-            if self.refs is not None:
-                self._profile_new_job(st)
+            if matches is not None:
+                st.match = matches[job_id]
             active[job_id] = st
 
         total_jobs = len(pending)

@@ -12,7 +12,8 @@ a linear-fractional optimum lies at a vertex of the allocation polytope.
 
 The module also keeps the first, plainer versions of library kernels as
 references that the optimized ones must match: row-at-a-time ALS
-(`reference_complete_matrix`), the two-phase simplex (`reference_solve_lp`),
+(`reference_complete_matrix`), ALS one matrix per call
+(`restart_batched_complete_matrix`), the two-phase simplex (`reference_solve_lp`),
 the cell-at-a-time throughput-matrix walks (`CellMatrix`), one gain LP
 per job (`reference_max_gain`) and bottleneck detection by MILP alone
 (`reference_find_bottlenecks`), with the seeded matrices (`random_cells`)
@@ -28,6 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from hetsched.cluster import make_cluster
+from hetsched.estimator import (DEFAULT_ITERS, DEFAULT_RANK, DEFAULT_REG,
+                                CompletionError)
 from hetsched.jobs import Job, JobCombination
 from hetsched.lp import (DEGENERATE_LIMIT, FEAS_TOL, OPT_TOL, REFACTOR_EVERY,
                          LinearProgram, Relation, SolveResult, Status, solve_lp)
@@ -431,6 +434,65 @@ def reference_complete_matrix(partial, mask, rank=3, reg=1e-2, iters=50,
     completed = completed.copy()
     completed[mask] = partial[mask]
     return completed, history
+
+
+# The library's ALS as it stood when it completed one matrix per call, all
+# restarts and rows batched; the stacked ALS must be bit-identical to it.
+def restart_batched_complete_matrix(partial: np.ndarray, mask: np.ndarray, rank: int = DEFAULT_RANK,
+                    reg: float = DEFAULT_REG, iters: int = DEFAULT_ITERS,
+                    seed: int = 0, restarts: int = 3,
+                    return_history: bool = False):
+    """Alternating least squares low-rank completion.
+
+    Minimizes the squared error on observed cells (mask True) with L2
+    regularization on both factors.  ALS is non-convex, so several seeded
+    uniform(0,1) starts are run and the factorization with the lowest final
+    objective wins (the first on ties).  Observed cells are copied through
+    unchanged in the returned matrix.  Deterministic for a fixed seed.
+
+    Given V every row of U is an independent ridge regression (and vice
+    versa), so one batched solve over all restarts and rows gives the same
+    iterates as updating the rows one at a time.
+    """
+    partial = np.asarray(partial, dtype=float)
+    mask = np.asarray(mask, dtype=bool)
+    if partial.shape != mask.shape:
+        raise CompletionError("matrix and mask shapes differ")
+    if rank < 1:
+        raise CompletionError("rank must be >= 1")
+    if np.any(mask.sum(axis=1) == 0) or np.any(mask.sum(axis=0) == 0):
+        raise CompletionError("every row and column needs at least one observation")
+
+    n, p = partial.shape
+    U, V = [], []
+    for attempt in range(max(1, restarts)):
+        rng = np.random.default_rng(seed + attempt)
+        U.append(rng.uniform(0.0, 1.0, size=(n, rank)))
+        V.append(rng.uniform(0.0, 1.0, size=(p, rank)))
+    U, V = np.stack(U), np.stack(V)  # (restarts, n or p, rank)
+    weight = mask.astype(float)
+    observed = np.where(mask, partial, 0.0)
+    eye = reg * np.eye(rank)
+    Us, Vs = [U], [V]
+    for _ in range(iters):
+        gram = np.einsum("ij,sjk,sjl->sikl", weight, V, V) + eye
+        U = np.linalg.solve(gram, (observed @ V)[..., None])[..., 0]
+        gram = np.einsum("ij,sik,sil->sjkl", weight, U, U) + eye
+        V = np.linalg.solve(gram, (observed.T @ U)[..., None])[..., 0]
+        Us.append(U)
+        Vs.append(V)
+
+    # Objective of every iterate of every restart: (iters + 1, restarts).
+    Us, Vs = np.stack(Us), np.stack(Vs)
+    err = np.where(mask, Us @ Vs.swapaxes(-1, -2) - partial, 0.0)
+    history = (err * err).sum(axis=(-2, -1)) \
+        + reg * ((Us * Us).sum(axis=(-2, -1)) + (Vs * Vs).sum(axis=(-2, -1)))
+    best = int(np.argmin(history[-1]))  # argmin keeps the first restart on ties
+    completed = U[best] @ V[best].T
+    completed[mask] = partial[mask]
+    if return_history:
+        return completed, history[:, best].tolist()
+    return completed
 
 
 # -- reference LP kernel -----------------------------------------------------

@@ -525,6 +525,54 @@ class TestEstimate:
         assert res.exit_code == 2
         assert "'names'" in res.output
 
+    def test_rows_complete_together_as_each_alone(self, runner, tmp_path):
+        rng = np.random.default_rng(4)
+        a = rng.uniform(0.1, 0.9, size=8)
+        b = rng.uniform(0.1, 0.9, size=8)
+        names = [f"ref-{i}" for i in range(8)]
+        refs = {"names": names, "matrix": np.clip(1 - np.outer(a, b), 0.05, 1.0).tolist()}
+        meas = {}
+        for k, count in enumerate((2, 3, 5, 8)):
+            picks = sorted(rng.choice(8, size=count, replace=False).tolist())
+            meas[f"job-{k}"] = {names[i]: float(rng.uniform(0.1, 1.1)) for i in picks}
+
+        def estimate(out, rows):
+            out.mkdir()
+            (out / "refs.json").write_text(json.dumps(refs))
+            (out / "meas.json").write_text(json.dumps(rows))
+            res = runner.invoke(main, ["--seed", "3", "--out", str(out), "estimate",
+                                       "--references", str(out / "refs.json"),
+                                       "--measurements", str(out / "meas.json")])
+            assert res.exit_code == 0, res.output
+            return res.output, (out / "estimates.json").read_text()
+
+        stdout, estimates = estimate(tmp_path / "all", meas)
+        want = {"matches": {}, "completed_rows": {}}
+        for name in meas:
+            _, alone = estimate(tmp_path / name, {name: meas[name]})
+            doc = json.loads(alone)
+            want["hyperparameters"] = doc["hyperparameters"]
+            want["matches"].update(doc["matches"])
+            want["completed_rows"].update(doc["completed_rows"])
+        assert estimates == json.dumps(want, indent=2, sort_keys=True) + "\n"
+        assert stdout == json.dumps(want["matches"], indent=2, sort_keys=True) + "\n"
+        assert len(set(want["matches"].values())) > 1
+
+    def test_under_observed_row_named_before_any_completion(self, runner, tmp_path,
+                                                            monkeypatch):
+        import hetsched.cli as cli
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("completed before every row was validated")
+
+        monkeypatch.setattr(cli, "fingerprint_and_match", unreachable)
+        res = self._estimate(runner, tmp_path,
+                             {"names": ["r0", "r1", "r2"], "matrix": np.eye(3).tolist()},
+                             {"a": {"r0": 0.5, "r1": 0.4}, "b": {"r2": 0.5},
+                              "c": {"r0": 0.5, "r2": 0.4}})
+        assert res.exit_code == 3, res.output
+        assert "b: need at least 2" in res.output and "Traceback" not in res.output
+
     def test_under_observed_row_errors(self, runner, tmp_path):
         names = ["r0", "r1", "r2"]
         refs = tmp_path / "refs.json"

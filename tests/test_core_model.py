@@ -134,6 +134,30 @@ def test_prune_keeps_good_pairs_drops_bad(two_type_cluster):
     assert prune_combinations(T).num_rows == 2
 
 
+def test_prune_finds_singletons_listed_after_pairs(two_type_cluster):
+    singles = [JobCombination.of(j) for j in range(3)]
+    pairs = [JobCombination.of(0, 1), JobCombination.of(0, 2), JobCombination.of(1, 2)]
+    iso = {0: [(4.0,), (1.0,)], 1: [(3.0,), (1.0,)], 2: [(2.0,), (2.0,)]}
+    # Normalized sums: (0,1) 1.4 on V100, (0,2) 0.75 / 0.5, (1,2) 1.2 on K80.
+    cells = {pairs[0]: [(3.2, 1.8), None], pairs[1]: [(2.0, 0.5), (0.25, 0.5)],
+             pairs[2]: [(1.5, 0.5), (0.8, 0.8)]}
+    first = build_matrix(two_type_cluster, singles + pairs,
+                         [iso[j] for j in range(3)] + [cells[c] for c in pairs])
+    last = build_matrix(two_type_cluster, pairs + singles,
+                        [cells[c] for c in pairs] + [iso[j] for j in range(3)])
+    kept = list(prune_combinations(last).rows)
+    assert kept == [pairs[0], pairs[2]] + singles
+    assert sorted(kept) == sorted(prune_combinations(first).rows)
+
+
+def test_prune_needs_every_pair_member_singleton(two_type_cluster):
+    from hetsched.matrices import UnknownJobError
+    rows = [JobCombination.of(0), JobCombination.of(0, 1)]
+    T = build_matrix(two_type_cluster, rows, [[(4.0,), (1.0,)], [(3.2, 1.8), None]])
+    with pytest.raises(UnknownJobError, match="member 1"):
+        prune_combinations(T)
+
+
 def test_allocation_invariants_validate(two_type_cluster):
     rows = [JobCombination.of(0), JobCombination.of(1)]
     T = build_matrix(two_type_cluster, rows, [[(4.0,), (1.0,)]] * 2)

@@ -5,7 +5,7 @@ from hetsched.estimator import (DEFAULT_ITERS, DEFAULT_RANK, DEFAULT_REG,
                                 CompletionError, OnlineEstimates, ReferenceSet,
                                 complete_matrix, fingerprint_and_match)
 
-from oracles import reference_complete_matrix
+from oracles import reference_complete_matrix, restart_batched_complete_matrix
 
 
 def low_rank(rng, n, p, rank):
@@ -54,7 +54,7 @@ class TestCompleteMatrix:
         M = low_rank(rng, 8, 8, 2) + rng.normal(0, 0.01, size=(8, 8))
         mask = rng.random((8, 8)) < 0.6
         mask[np.arange(8), np.arange(8)] = True
-        _, history = complete_matrix(M, mask, rank=3, return_history=True)
+        _, history = reference_complete_matrix(M, mask, rank=3)
         diffs = np.diff(history)
         assert np.all(diffs <= 1e-9)
 
@@ -75,6 +75,13 @@ class TestCompleteMatrix:
         assert np.array_equal(a, b)
 
 
+def match_one(measurements, observed, refs, seed=0):
+    """fingerprint_and_match on a single measurement row."""
+    matches, fingerprints = fingerprint_and_match(
+        np.asarray(measurements)[None], np.asarray(observed)[None], refs, [seed])
+    return matches[0], fingerprints[0]
+
+
 def reference_set(rng, n=8):
     a = rng.uniform(0.1, 0.9, size=n)
     b = rng.uniform(0.1, 0.9, size=n)
@@ -90,7 +97,7 @@ class TestFingerprint:
         observed = np.zeros(refs.size, dtype=bool)
         observed[[0, 4, 6]] = True
         meas = np.where(observed, refs.R[target], 0.0)
-        match, fingerprint = fingerprint_and_match(meas, observed, refs)
+        match, fingerprint = match_one(meas, observed, refs)
         assert match == target
         assert np.allclose(fingerprint[observed], refs.R[target][observed],
                            atol=1e-9)
@@ -98,22 +105,28 @@ class TestFingerprint:
     def test_single_reference(self):
         refs = ReferenceSet(["only"], np.array([[0.8]]))
         with pytest.raises(CompletionError):
-            fingerprint_and_match(np.array([0.8]), np.array([True]), refs)
+            match_one(np.array([0.8]), np.array([True]), refs)
 
     def test_tie_goes_to_lowest_id(self):
         R = np.array([[0.5, 0.5], [0.5, 0.5]])
         refs = ReferenceSet(["a", "b"], R)
-        match, _ = fingerprint_and_match(np.array([0.5, 0.5]),
-                                         np.array([True, True]), refs)
+        match, _ = match_one(np.array([0.5, 0.5]), np.array([True, True]), refs)
         assert match == 0
 
     def test_needs_two_observations(self):
         rng = np.random.default_rng(1)
         refs = reference_set(rng)
-        observed = np.zeros(refs.size, dtype=bool)
-        observed[0] = True
-        with pytest.raises(CompletionError):
-            fingerprint_and_match(refs.R[0] * observed, observed, refs)
+        observed = np.ones((3, refs.size), dtype=bool)
+        observed[1, 1:] = False
+        with pytest.raises(CompletionError, match="row 1:"):
+            fingerprint_and_match(refs.R[:3] * observed, observed, refs, [0, 1, 2])
+
+    def test_one_seed_per_row(self):
+        rng = np.random.default_rng(1)
+        refs = reference_set(rng)
+        observed = np.ones((2, refs.size), dtype=bool)
+        with pytest.raises(ValueError, match="need 2 seeds"):
+            fingerprint_and_match(refs.R[:2], observed, refs, [0])
 
     def test_invariant_under_reference_permutation(self):
         rng = np.random.default_rng(9)
@@ -122,11 +135,11 @@ class TestFingerprint:
         observed = np.zeros(6, dtype=bool)
         observed[[1, 3, 5]] = True
         meas = np.where(observed, refs.R[target], 0.0)
-        match, _ = fingerprint_and_match(meas, observed, refs)
+        match, _ = match_one(meas, observed, refs)
         perm = np.array([5, 4, 3, 2, 1, 0])
         refs_p = ReferenceSet([refs.names[i] for i in perm], refs.R[np.ix_(perm, perm)])
         meas_p = np.where(observed[perm], refs_p.R[np.where(perm == target)[0][0]], 0.0)
-        match_p, _ = fingerprint_and_match(meas_p, observed[perm], refs_p)
+        match_p, _ = match_one(meas_p, observed[perm], refs_p)
         assert refs_p.names[match_p] == refs.names[match]
 
 
@@ -157,7 +170,7 @@ class TestBatchedAlsMatchesPerRowReference:
             got = complete_matrix(stacked, mask, seed=seed,
                                   restarts=self.RESTARTS)
             assert np.max(np.abs(got - want)) <= 1e-10, seed
-            match, _ = fingerprint_and_match(meas, observed, refs, seed=seed)
+            match, _ = match_one(meas, observed, refs, seed=seed)
             want_match = int(np.argmin(np.linalg.norm(refs.R - want[-1], axis=1)))
             assert match == want_match, seed
 
@@ -166,9 +179,63 @@ class TestBatchedAlsMatchesPerRowReference:
         # single-restart run seeded `s + a`.
         for seed, _, _, _, stacked, mask in self.instances():
             for attempt in range(self.RESTARTS):
-                _, history = complete_matrix(stacked, mask, seed=seed + attempt,
-                                             restarts=1, return_history=True)
+                _, history = reference_complete_matrix(
+                    stacked, mask, seed=seed + attempt, restarts=1)
                 assert np.all(np.diff(history) <= 1e-12), (seed, attempt)
+
+
+class TestStackedAlsIsBitIdentical:
+    """The stacked ALS against `restart_batched_complete_matrix`, the ALS as
+    it stood when it completed one matrix per call: every completion must be
+    `np.array_equal` to it."""
+
+    def test_fingerprints_of_estimator_shaped_stacks(self):
+        # 12 stacks of 20 new jobs over 8 references, 2 to 8 observed each.
+        checked = 0
+        for k in range(12):
+            rng = np.random.default_rng(2000 + k)
+            refs = reference_set(rng)
+            observed = np.zeros((20, refs.size), dtype=bool)
+            for row, count in zip(observed, rng.integers(2, refs.size + 1, size=20)):
+                row[rng.choice(refs.size, size=count, replace=False)] = True
+            meas = np.where(observed, rng.uniform(0.05, 1.1, observed.shape), 0.0)
+            seeds = [100 * k + i for i in range(20)]
+            matches, fingerprints = fingerprint_and_match(meas, observed, refs, seeds)
+            for i, seed in enumerate(seeds):
+                stacked = np.vstack([refs.R, meas[i]])
+                mask = np.vstack([np.ones_like(refs.R, dtype=bool), observed[i]])
+                want = restart_batched_complete_matrix(stacked, mask, seed=seed)[-1]
+                assert np.array_equal(fingerprints[i], want), (k, i)
+                assert matches[i] == int(np.argmin(np.linalg.norm(refs.R - want,
+                                                                  axis=1)))
+                checked += 1
+        assert checked >= 200
+
+    def test_random_masks(self):
+        # Stacks of 1 to 4 matrices of rank 1 to 3 whose first `lead` rows
+        # are fully observed in every matrix.
+        checked, leads = 0, set()
+        for k in range(120):
+            rng = np.random.default_rng(3000 + k)
+            m, n, p = rng.integers(1, 5), rng.integers(2, 10), rng.integers(2, 10)
+            rank = int(rng.integers(1, 4))
+            lead = int(rng.integers(0, n))
+            partial = rng.uniform(0.0, 1.0, size=(m, n, p))
+            mask = rng.random((m, n, p)) < 0.5
+            mask[:, :lead] = True
+            mask[:, np.arange(n), rng.integers(0, p, size=n)] = True
+            mask[:, rng.integers(0, n, size=p), np.arange(p)] = True
+            seeds = rng.integers(0, 1000, size=m).tolist()
+            got = complete_matrix(partial, mask, rank=rank, seed=seeds)
+            for i, seed in enumerate(seeds):
+                want = restart_batched_complete_matrix(partial[i], mask[i],
+                                                       rank=rank, seed=seed)
+                assert np.array_equal(got[i], want), (k, i)
+                alone = complete_matrix(partial[i], mask[i], rank=rank, seed=seed)
+                assert np.array_equal(alone, want), (k, i)
+                checked += 1
+            leads.add(lead)
+        assert checked >= 200 and leads == set(range(9))
 
 
 class TestOnlineRefinement:

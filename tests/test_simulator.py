@@ -300,6 +300,58 @@ class TestEstimatorIntegration:
         est = Simulation(est_cfg, trace, catalog).run()
         assert est.avg_jct == pytest.approx(oracle.avg_jct, rel=0.15)
 
+    def estimator_run(self, jobs=14):
+        catalog = make_template_catalog(0)
+        from hetsched.traces import generate_trace
+        trace = generate_trace("continuous", jobs, catalog, seed=1,
+                               lambda_rate=1 / 700.0, single_worker=True,
+                               duration_mean_minutes=60)
+        cfg = SimConfig(cluster=make_cluster({"V100": 2, "P100": 2, "K80": 2}),
+                        policy=parse_policy("las+ss"), seed=1,
+                        collect_round_log=True,
+                        estimator=EstimatorConfig(
+                            reference_names=[t.name for t in catalog[:8]]))
+        return Simulation(cfg, trace, catalog)
+
+    def test_second_run_repeats_the_first(self):
+        sim = self.estimator_run()
+        first = sim.run()
+        first_log = list(sim.round_log)
+        second = sim.run()
+        assert [dataclasses.astuple(r) for r in second.records] == \
+            [dataclasses.astuple(r) for r in first.records]
+        assert sim.round_log == first_log
+        assert second.summary() == first.summary()
+
+    def test_matches_are_per_arrival_fingerprints(self):
+        # Each arrival profiled and completed on its own, as a job at a time:
+        # picks drawn in arrival order, row k completed with seed `seed + k`.
+        from oracles import restart_batched_complete_matrix
+        sim = self.estimator_run(jobs=24)
+        refs = sim.refs
+        entries = sorted(sim.trace.entries, key=lambda e: e.arrival_time)
+        rng = np.random.default_rng(sim.cfg.seed)
+        want = []
+        for k, entry in enumerate(entries):
+            picks = rng.choice(refs.size, size=2, replace=False)
+            observed = np.zeros(refs.size, dtype=bool)
+            observed[picks] = True
+            truth = [simulator.colocation_factor(sim.templates[entry.template],
+                                                 sim.templates[name])
+                     for name in refs.names]
+            stacked = np.vstack([refs.R, np.where(observed, truth, 0.0)])
+            mask = np.vstack([np.ones_like(refs.R, dtype=bool), observed])
+            row = restart_batched_complete_matrix(stacked, mask,
+                                                  seed=sim.cfg.seed + k)[-1]
+            want.append(int(np.argmin(np.linalg.norm(refs.R - row, axis=1))))
+        assert sim._match_references(entries) == want
+        assert len(set(want)) > 1
+
+    def test_empty_trace(self):
+        sim = self.estimator_run()
+        sim.trace = Trace([], "continuous", 0)
+        assert sim.run().records == []
+
 
 class TestIsolatedDuration:
     @pytest.mark.parametrize("counts, aware", [

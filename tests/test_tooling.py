@@ -15,7 +15,7 @@ import pytest
 from hetsched.cluster import make_cluster
 from hetsched.jobs import Entity, EntityPolicy
 from hetsched.policies import parse_policy
-from hetsched.simulator import SimConfig, Simulation
+from hetsched.simulator import EstimatorConfig, SimConfig, Simulation
 from hetsched.traces import JobTemplate, Trace, TraceEntry
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -99,6 +99,26 @@ def test_tracer_sees_each_mechanism_step_once_per_round():
     assert report.rounds > 0
     for step in ("compute_priorities", "plan_round", "place", "settle_round"):
         assert count["mechanism." + step] == report.rounds, step
+
+
+def test_tracer_sees_estimator_matches_inside_the_run():
+    templates = three_templates()
+    trace = Trace([TraceEntry(900.0 * k, t.name, 2000)
+                   for k, t in enumerate(templates * 2)], "continuous", 0)
+    cfg = SimConfig(cluster=make_cluster({"V100": 1, "K80": 1}),
+                    policy=parse_policy("las+ss"), seed=0,
+                    estimator=EstimatorConfig(
+                        reference_names=[t.name for t in templates]))
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        Simulation(cfg, trace, templates).run()
+    spans = tracer.spans
+    matches = [span for span in spans if span[0] == "estimator.match"]
+    assert matches
+    for span in matches:
+        assert spans[span[3]][0] == "simulator.run"
+    metrics = tracing.layer_metrics(spans, 0, len(spans))
+    assert metrics["estimator.match_calls"] == len(matches)
 
 
 @pytest.mark.parametrize("name", ["las-reset", "ss-estimated", "hier-wf",
