@@ -27,7 +27,7 @@ from .estimator import (DEFAULT_ITERS, DEFAULT_RANK, DEFAULT_REG, MIN_OBSERVED,
                         CompletionError, ReferenceSet, fingerprint_and_match)
 from .jobs import Entity, EntityPolicy, Job
 from .lp import IterationLimitError
-from .matrices import ThroughputMatrix, effective_throughput
+from .matrices import MixedPairError, ThroughputMatrix, effective_throughput
 from . import lp, policies
 from .mechanism import write_round_log
 from .policies import (InfeasibleSloError, PolicyError, parse_policy,
@@ -268,6 +268,8 @@ def cmd_solve(ctx, policy_text, thr_file, jobs_file):
     t0 = time.perf_counter()
     try:
         result = solve_policy(spec, jobs, T.cluster, T, entities=entities)
+    except MixedPairError as e:
+        _fail(EXIT_USAGE, f"{thr_file}: {e}")
     except InfeasibleSloError as e:
         _fail(EXIT_INFEASIBLE, f"infeasible SLOs for jobs: {e.job_ids}")
     except PolicyError as e:
@@ -277,7 +279,9 @@ def cmd_solve(ctx, policy_text, thr_file, jobs_file):
     solve_s = time.perf_counter() - t0
 
     X = result.allocation
-    per_job = {str(j.id): effective_throughput(j.id, X, X.T) for j in jobs}
+    # A finished job has no rows in the solved matrix.
+    per_job = {str(j.id): 0.0 if j.finished else effective_throughput(j.id, X, X.T)
+               for j in jobs}
     doc = {"policy": spec.label(), "objective": result.objective,
            "allocation": X.to_json(), "effective_throughputs": per_job,
            "violations": result.violations}

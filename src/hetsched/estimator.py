@@ -20,6 +20,8 @@ import numpy as np
 DEFAULT_RANK = 3
 DEFAULT_REG = 1e-2
 DEFAULT_ITERS = 50
+# Seeded ALS starts per completion; the lowest final objective wins.
+RESTARTS = 3
 EWMA_ALPHA = 0.25
 # Measurements a new job needs before it can be fingerprinted.
 MIN_OBSERVED = 2
@@ -31,7 +33,7 @@ class CompletionError(ValueError):
 
 def complete_matrix(partial: np.ndarray, mask: np.ndarray, rank: int = DEFAULT_RANK,
                     reg: float = DEFAULT_REG, iters: int = DEFAULT_ITERS,
-                    seed=0, restarts: int = 3) -> np.ndarray:
+                    seed=0) -> np.ndarray:
     """Alternating least squares low-rank completion of an (n, p) matrix, or
     of each matrix of an (m, n, p) stack with one seed per matrix.
 
@@ -59,11 +61,10 @@ def complete_matrix(partial: np.ndarray, mask: np.ndarray, rank: int = DEFAULT_R
     if single:
         partial, mask = partial[None], mask[None]
     m, n, p = partial.shape
-    restarts = max(1, restarts)
-    U = np.empty((m, restarts, n, rank))
-    V = np.empty((m, restarts, p, rank))
+    U = np.empty((m, RESTARTS, n, rank))
+    V = np.empty((m, RESTARTS, p, rank))
     for k, s in enumerate(np.broadcast_to(seed, m).tolist()):
-        for attempt in range(restarts):
+        for attempt in range(RESTARTS):
             rng = np.random.default_rng(s + attempt)
             U[k, attempt] = rng.uniform(0.0, 1.0, size=(n, rank))
             V[k, attempt] = rng.uniform(0.0, 1.0, size=(p, rank))
@@ -197,8 +198,8 @@ class OnlineEstimates:
 
     values: dict = field(default_factory=dict)
 
-    def get(self, key, default: float | None = None):
-        return self.values.get(key, default)
+    def get(self, key) -> float | None:
+        return self.values.get(key)
 
     def observe(self, key, measured: float):
         if key not in self.values:

@@ -14,6 +14,8 @@ as arrays, built once:
   infeasible; ``job_index`` maps a job id to k.  A job's effective
   throughput under X is the sum of ``coeffs[k] * X.ravel()``.
 - ``member_of[k, r]``: whether job ``job_ids[k]`` is a member of row r.
+- ``ends[r]``: the ``job_ids`` positions of row r's first and last member
+  (the same for a singleton).
 
 The nested-cell form, ``cells[r][c]`` a tuple of per-member rates or None
 where infeasible, is parsed only by `ThroughputMatrix.from_cells` (which
@@ -41,6 +43,10 @@ class MatrixShapeError(ValueError):
 
 class UnknownJobError(KeyError):
     pass
+
+
+class MixedPairError(ValueError):
+    """A pair row's members need different worker counts."""
 
 
 def inorder_sum(a: np.ndarray) -> np.ndarray:
@@ -89,6 +95,7 @@ class ThroughputMatrix:
                          dtype=np.intp)
         last = np.array([self._job_index[combo.members[-1]] for combo in self.rows],
                         dtype=np.intp)
+        self.ends = np.stack([first, last], axis=1)
         r = np.arange(R)
         self.member_of = np.zeros((len(self.job_ids), R), dtype=bool)
         self.member_of[first, r] = True
@@ -98,7 +105,7 @@ class ThroughputMatrix:
         coeffs[last[self.is_pair], r[self.is_pair]] = self.thr[self.is_pair, :, 1]
         self.coeffs = coeffs.reshape(len(self.job_ids), R * C)
         # Policies share views of these arrays; none may write to them.
-        for a in (self.thr, self.feasible, self.coeffs, self.member_of):
+        for a in (self.thr, self.feasible, self.coeffs, self.member_of, self.ends):
             a.flags.writeable = False
 
     @classmethod
@@ -165,9 +172,6 @@ class ThroughputMatrix:
         idx = [self.row_index(combo) for combo in rows]
         return ThroughputMatrix(self.cluster, rows, self.thr[idx],
                                 self.feasible[idx])
-
-    def singletons_only(self) -> "ThroughputMatrix":
-        return self.with_rows([c for c in self.rows if not c.is_pair])
 
     def to_json(self, extra: dict | None = None) -> dict:
         doc = self.cluster.to_json()
@@ -236,10 +240,8 @@ class AllocationMatrix:
         if over.any():
             raise ValueError(f"job {T.job_ids[over.argmax()]} total time "
                              "fraction exceeds 1")
-        sf = np.array([jobs[combo.members[0]].scale_factor for combo in self.rows],
-                      dtype=float)
         types = T.cluster.types
-        used = np.bincount(T.type_of, weights=sf @ self.values,
+        used = np.bincount(T.type_of, weights=row_workers(T, jobs) @ self.values,
                            minlength=len(types))
         for t in types:
             if used[t.id] > t.num_workers + EPS:
@@ -254,6 +256,22 @@ class AllocationMatrix:
                               for c, cfg in enumerate(self.configs)},
             })
         return doc
+
+
+def row_workers(T: ThroughputMatrix, jobs: dict) -> np.ndarray:
+    """Each row's worker count: its first member's scale factor, or 1 when
+    `jobs` (job id -> Job) does not list that member.  A pair whose listed
+    members differ in scale factor raises `MixedPairError`."""
+    # 0 marks a job that `jobs` does not list.
+    sf = np.array([jobs[job_id].scale_factor if job_id in jobs else 0
+                   for job_id in T.job_ids], dtype=np.intp)
+    first, last = sf[T.ends].T
+    mixed = (first != last) & (first > 0) & (last > 0)
+    if mixed.any():
+        r = int(mixed.argmax())
+        raise MixedPairError(f"pair {T.rows[r]} mixes scale factors "
+                             f"{first[r]} and {last[r]}")
+    return np.maximum(first, 1)
 
 
 def effective_throughput(job_id: int, X: AllocationMatrix,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .cluster import ClusterSpec
 from .jobs import JobCombination
-from .matrices import AllocationMatrix, ThroughputMatrix
+from .matrices import AllocationMatrix, ThroughputMatrix, row_workers
 
 
 class RoundLedger:
@@ -99,10 +99,10 @@ class RoundPlan:
         }
 
 
-def plan_round(priorities: np.ndarray, jobs: dict, cluster: ClusterSpec,
-               ledger: RoundLedger, T: ThroughputMatrix,
-               work_conserving: bool = True) -> RoundPlan:
-    """Greedy highest-priority-first selection of combinations for one round.
+def plan_round(priorities: np.ndarray, jobs: dict, ledger: RoundLedger,
+               T: ThroughputMatrix, work_conserving: bool = True) -> RoundPlan:
+    """Greedy highest-priority-first selection of combinations for one round
+    on `T.cluster`; `jobs` maps job id -> Job for the rows' `row_workers`.
 
     Only cells whose accelerator type still has enough free workers for the
     combination's scale factor are candidates, so a large job simply waits
@@ -111,8 +111,8 @@ def plan_round(priorities: np.ndarray, jobs: dict, cluster: ClusterSpec,
     fewest rounds since last scheduled, then lower combination id, then
     column index.
     """
-    remaining = {t.id: t.num_workers for t in cluster.types}
-    workers = [jobs[combo.members[0]].scale_factor for combo in T.rows]
+    remaining = {t.id: t.num_workers for t in T.cluster.types}
+    workers = row_workers(T, jobs).tolist()
     eligible = [True] * T.num_rows
     since = [ledger.rounds_since_scheduled(combo) for combo in T.rows]
     rows_of_job: dict[int, list] = {}

@@ -25,7 +25,7 @@ from .jobs import ENTITY_POLICY_NAMES
 from .lp import LinearProgram, Relation, SolveResult, solve_lp
 from .matrices import (AllocationMatrix, ThroughputMatrix,
                        equal_share_allocation, effective_throughput,
-                       inorder_sum, isolated_allocation)
+                       inorder_sum, isolated_allocation, row_workers)
 from .search import RatioUnboundedError, bisect, maximize_ratio
 
 # SJF switches to a job only when it finishes this many seconds sooner, so
@@ -149,11 +149,6 @@ class ProblemSpace:
         missing = [j.id for j in self.jobs if j.id not in present]
         if missing:
             raise MissingThroughputError(f"no throughput rows for jobs {missing}")
-        for combo in T.rows:
-            sfs = {self.by_id[m].scale_factor for m in combo.members
-                   if m in self.by_id}
-            if len(sfs) > 1:
-                raise ValueError(f"pair {combo} mixes scale factors {sfs}")
         self.n_cells = T.num_rows * T.num_configs
         ks = [T.job_index(j.id) for j in self.jobs]
         self.coeffs = {j.id: T.coeffs[k] for j, k in zip(self.jobs, ks)}
@@ -165,11 +160,7 @@ class ProblemSpace:
                     f"job {j.id} has zero throughput on every configuration")
             self.equal_norm[j.id] = norm
 
-        # A row's workers are its first member's scale factor (1 when that
-        # job is not scheduled here).
-        self.row_sf = np.array([
-            float(self.by_id[combo.members[0]].scale_factor)
-            if combo.members[0] in self.by_id else 1.0 for combo in T.rows])
+        self.row_sf = row_workers(T, self.by_id).astype(float)
         self._upper = np.where(T.feasible.ravel(), np.inf, 0.0)
         # Per-job time budgets, then per-type worker capacity.
         budget = np.repeat(T.member_of[ks], T.num_configs, axis=1).astype(float)
@@ -459,22 +450,39 @@ POLICIES = {
 }
 
 
+def _runnable(T: ThroughputMatrix, jobs: dict,
+             space_sharing: bool) -> ThroughputMatrix:
+    """T without what cannot run: rows with a finished member (`jobs` maps
+    job id -> Job), pair rows unless space sharing, and cells whose type has
+    fewer workers than the row needs.  T itself when nothing is dropped."""
+    finished = np.array([job_id in jobs and jobs[job_id].finished
+                         for job_id in T.job_ids], dtype=bool)
+    keep = ~finished[T.ends].any(axis=1) & (space_sharing | ~T.is_pair)
+    if not keep.all():
+        T = T.with_rows([combo for combo, k in zip(T.rows, keep) if k])
+    workers = np.array([t.num_workers for t in T.cluster.types])
+    fits = row_workers(T, jobs)[:, None] <= workers[T.type_of]
+    if (fits | ~T.feasible).all():
+        return T
+    return ThroughputMatrix(T.cluster, T.rows, T.thr, T.feasible & fits)
+
+
 def solve_policy(spec: PolicySpec, jobs, cluster: ClusterSpec,
                  T: ThroughputMatrix, entities=None) -> PolicyResult:
-    """Compile the unfinished jobs' ProblemSpace once, solve the spec's
-    policy over it and return a validated allocation.
+    """Compile the unfinished jobs' ProblemSpace once over what of T can
+    run (`_runnable`), solve the spec's policy over it and return a
+    validated allocation over that matrix.
 
     `cluster` is not read (`T.cluster` is the cluster); it stays in the
     signature for callers that pass the arguments by position.
     """
     from . import waterfill
 
-    if not spec.space_sharing:
-        T = T.singletons_only()
+    by_id = {j.id: j for j in jobs}
     jobs = [j for j in jobs if not j.finished]
     if not jobs:
         raise PolicyError("no active jobs")
-    space = ProblemSpace(jobs, T)
+    space = ProblemSpace(jobs, _runnable(T, by_id, spec.space_sharing))
     if spec.kind is PolicyKind.HIERARCHICAL:
         out = waterfill.hierarchical_waterfill(space, entities)
     elif spec.water_filling:

@@ -47,7 +47,6 @@ class SimConfig:
     policy: PolicySpec
     round_duration: float = 360.0
     recompute_every: int | None = None  # rounds; None = on reset events only
-    preemption_overhead: float = PREEMPTION_OVERHEAD
     work_conserving: bool = True
     agnostic: bool = False
     estimator: EstimatorConfig | None = None
@@ -154,8 +153,6 @@ class _ActiveJob:
         self.job = job
         self.template = template
         self.rates = rates  # standalone steps/second per configuration
-        self.prev_workers: tuple = ()
-        self.prev_partner: tuple = ()
         self.completion: float | None = None
         self.isolated_duration: float = 0.0
         self.match: int | None = None  # estimator: matched reference index
@@ -366,6 +363,8 @@ class Simulation:
         solves = 0
         solve_seconds = 0.0
         shares = equal_shares(cfg.cluster)
+        # Job id -> (worker ids, partner) of its assignment last round.
+        last_round: dict = {}
 
         def activate(entry, job_id):
             template = self.templates[entry.template]
@@ -425,11 +424,12 @@ class Simulation:
 
             jobs_by_id = {st.job.id: st.job for st in active.values()}
             priorities = compute_priorities(allocation, ledger)
-            plan = plan_round(priorities, jobs_by_id, cfg.cluster, ledger, T_exec,
+            plan = plan_round(priorities, jobs_by_id, ledger, T_exec,
                               work_conserving=cfg.work_conserving)
             place(plan, cfg.cluster)
 
             completions = []
+            this_round = {}
             for a in plan.assignments:
                 r = T_exec.row_index(a.combo)
                 # A pair shares one worker set, so it counts and pays once.
@@ -439,9 +439,9 @@ class Simulation:
                 for m in a.combo.members:
                     st = active[m]
                     partner = tuple(x for x in a.combo.members if x != m)
-                    switched = (tuple(a.worker_ids) != st.prev_workers
-                                or partner != st.prev_partner)
-                    overhead = cfg.preemption_overhead if switched else 0.0
+                    this_round[m] = (tuple(a.worker_ids), partner)
+                    switched = last_round.get(m) != this_round[m]
+                    overhead = PREEMPTION_OVERHEAD if switched else 0.0
                     effective = max(cfg.round_duration - overhead, 0.0)
                     thr = float(T_exec.thr[r, a.config_index, a.combo.member_index(m)])
                     if self.cfg.estimator is not None and a.combo.is_pair:
@@ -460,14 +460,7 @@ class Simulation:
                         completions.append(m)
                     else:
                         job.steps_done += gained
-                    st.prev_workers = tuple(a.worker_ids)
-                    st.prev_partner = partner
-
-            scheduled_ids = plan.jobs_scheduled()
-            for st in active.values():
-                if st.job.id not in scheduled_ids:
-                    st.prev_workers = ()
-                    st.prev_partner = ()
+            last_round = this_round
 
             if cfg.collect_round_log:
                 self.round_log.append(plan.to_json(T_exec, round_idx))

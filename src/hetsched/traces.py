@@ -56,11 +56,12 @@ def colocation_factor(a: JobTemplate, b: JobTemplate) -> float:
     return float(min(1.0, max(COLOC_FLOOR, raw)))
 
 
-def make_template_catalog(seed: int = 0, count: int = NUM_TEMPLATES) -> list:
-    """Seeded catalog spanning speedup ratios from ~1x to ~10x across tiers."""
+def make_template_catalog(seed: int = 0) -> list:
+    """Seeded catalog of `NUM_TEMPLATES` templates spanning speedup ratios
+    from ~1x to ~10x across tiers."""
     rng = np.random.default_rng(seed)
     templates = []
-    for i in range(count):
+    for i in range(NUM_TEMPLATES):
         slow = float(rng.uniform(0.4, 2.5))
         speedup_fast = float(rng.uniform(1.5, 10.0))
         speedup_mid = float(rng.uniform(1.0, speedup_fast))

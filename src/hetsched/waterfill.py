@@ -232,10 +232,14 @@ def _milp_bottlenecks(space: ProblemSpace, active: list, thr_prev: dict,
 def hierarchical_waterfill(space: ProblemSpace, entities) -> WaterfillResult:
     """Water filling over entities, each splitting its weight over its jobs
     by its internal policy."""
-    if any(j.entity_id is None for j in space.jobs):
-        raise PolicyError("hierarchical policy requires entity ids on all jobs")
     if entities is None:
         raise PolicyInfeasibleError("hierarchical policy requires entities")
+    known = {e.id for e in entities}
+    strays = [j.id for j in space.jobs if j.entity_id not in known]
+    if strays:
+        raise PolicyInfeasibleError(
+            "hierarchical policy requires every job's entity among the "
+            f"entities; jobs {strays} have none or an unlisted one")
     return _fill(space,
                  lambda done: assign_job_weights(entities, space.jobs, done))
 

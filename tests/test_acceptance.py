@@ -225,7 +225,7 @@ def test_criterion_5_mechanism_fidelity():
         ledger = RoundLedger(360.0)
         for _ in range(rounds):
             pr = compute_priorities(X, ledger)
-            plan = plan_round(pr, jobs, cluster, ledger, T)
+            plan = plan_round(pr, jobs, ledger, T)
             settle_round(plan, ledger, T)
         F = ledger.received(T) / (rounds * 360.0)
         return np.abs(F - X.values).max()

@@ -299,6 +299,71 @@ class TestSolve:
             assert "Traceback" not in res.output
 
 
+    def solve(self, runner, tmp_path, policy, T, job_docs):
+        thr, jobs = tmp_path / "thr.json", tmp_path / "jobs.json"
+        T.save(thr)
+        jobs.write_text(json.dumps(job_docs))
+        return runner.invoke(main, ["--out", str(tmp_path), "solve",
+                                    "--policy", policy, "--throughputs", str(thr),
+                                    "--jobs", str(jobs)])
+
+    def test_finished_job_gets_no_rows(self, runner, tmp_path):
+        thr, _ = write_three_job_instance(tmp_path)
+        job_docs = [{"id": i, "num_steps": 1000} for i in range(3)]
+        job_docs[1]["steps_done"] = 1000
+        res = self.solve(runner, tmp_path, "las", ThroughputMatrix.load(thr),
+                         job_docs)
+        assert res.exit_code == 0, res.output
+        doc = json.loads((tmp_path / "allocation.json").read_text())
+        assert [r["members"] for r in doc["allocation"]["rows"]] == [[0], [2]]
+        assert doc["effective_throughputs"]["1"] == 0.0
+        assert doc["effective_throughputs"]["0"] > 0.0
+
+    def test_mixed_scale_factor_pair_exit_code(self, runner, tmp_path):
+        cluster = make_cluster({"gpu": 4})
+        rows = [JobCombination.of(0), JobCombination.of(1), JobCombination.of(0, 1)]
+        T = ThroughputMatrix.from_cells(cluster, rows,
+                                        [[(1.0,)], [(2.0,)], [(0.9, 1.8)]])
+        job_docs = [{"id": 0, "num_steps": 10},
+                    {"id": 1, "num_steps": 10, "scale_factor": 2}]
+        res = self.solve(runner, tmp_path, "las+ss", T, job_docs)
+        assert res.exit_code == 2, res.output
+        assert "error:" in res.output and "pair 0+1" in res.output
+        assert "Traceback" not in res.output
+        # Without space sharing the pair row is dropped before it is read.
+        assert self.solve(runner, tmp_path, "las", T, job_docs).exit_code == 0
+
+    @pytest.mark.parametrize("policy", ["las", "makespan", "throughput"])
+    def test_type_too_small_gets_no_time(self, runner, tmp_path, policy):
+        # Both 4-worker jobs are marked feasible on the 2-worker K80.
+        cluster = make_cluster({"V100": 4, "K80": 2})
+        T = ThroughputMatrix.from_cells(
+            cluster, [JobCombination.of(0), JobCombination.of(1)],
+            [[(4.0,), (1.0,)], [(3.0,), (1.0,)]])
+        res = self.solve(runner, tmp_path, policy, T,
+                         [{"id": i, "num_steps": 1000, "scale_factor": 4}
+                          for i in range(2)])
+        assert res.exit_code == 0, res.output
+        doc = json.loads((tmp_path / "allocation.json").read_text())
+        k80 = [key for key in doc["allocation"]["rows"][0]["fractions"]
+               if key.startswith("K80")]
+        assert k80 and all(row["fractions"][key] == 0.0
+                           for row in doc["allocation"]["rows"] for key in k80)
+
+    @pytest.mark.parametrize("policy", ["ftf", "las", "fifo"])
+    def test_job_fitting_no_type_exit_code(self, runner, tmp_path, policy):
+        cluster = make_cluster({"gpu": 4})
+        T = ThroughputMatrix.from_cells(
+            cluster, [JobCombination.of(0), JobCombination.of(1)],
+            [[(1.0,)], [(8.0,)]])
+        res = self.solve(runner, tmp_path, policy, T,
+                         [{"id": 0, "num_steps": 10},
+                          {"id": 1, "num_steps": 10, "scale_factor": 8}])
+        assert res.exit_code == 3, res.output
+        assert "error:" in res.output and "job 1" in res.output
+        assert "Traceback" not in res.output
+
+
 class TestSimulate:
     @pytest.mark.parametrize("content", [None, "not json\n", "{}\n"],
                              ids=["missing", "malformed", "no-header"])

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from hetsched.estimator import (DEFAULT_ITERS, DEFAULT_RANK, DEFAULT_REG,
-                                CompletionError, OnlineEstimates, ReferenceSet,
-                                complete_matrix, fingerprint_and_match)
+                                RESTARTS, CompletionError, OnlineEstimates,
+                                ReferenceSet, complete_matrix,
+                                fingerprint_and_match)
 
 from oracles import reference_complete_matrix, restart_batched_complete_matrix
 
@@ -149,7 +150,6 @@ class TestBatchedAlsMatchesPerRowReference:
     plus one partially observed row)."""
 
     INSTANCES = 120
-    RESTARTS = 3
 
     def instances(self):
         for k in range(self.INSTANCES):
@@ -166,9 +166,8 @@ class TestBatchedAlsMatchesPerRowReference:
         for seed, refs, meas, observed, stacked, mask in self.instances():
             want, _ = reference_complete_matrix(
                 stacked, mask, rank=DEFAULT_RANK, reg=DEFAULT_REG,
-                iters=DEFAULT_ITERS, seed=seed, restarts=self.RESTARTS)
-            got = complete_matrix(stacked, mask, seed=seed,
-                                  restarts=self.RESTARTS)
+                iters=DEFAULT_ITERS, seed=seed, restarts=RESTARTS)
+            got = complete_matrix(stacked, mask, seed=seed)
             assert np.max(np.abs(got - want)) <= 1e-10, seed
             match, _ = match_one(meas, observed, refs, seed=seed)
             want_match = int(np.argmin(np.linalg.norm(refs.R - want[-1], axis=1)))
@@ -178,7 +177,7 @@ class TestBatchedAlsMatchesPerRowReference:
         # Restarts are independent, so restart `a` of a run seeded `s` is the
         # single-restart run seeded `s + a`.
         for seed, _, _, _, stacked, mask in self.instances():
-            for attempt in range(self.RESTARTS):
+            for attempt in range(RESTARTS):
                 _, history = reference_complete_matrix(
                     stacked, mask, seed=seed + attempt, restarts=1)
                 assert np.all(np.diff(history) <= 1e-12), (seed, attempt)

@@ -27,7 +27,7 @@ def empirical_fractions(X, jobs, cluster, T, rounds, work_conserving=True):
     ledger = RoundLedger(360.0)
     for _ in range(rounds):
         pr = compute_priorities(X, ledger)
-        plan = plan_round(pr, jobs, cluster, ledger, T,
+        plan = plan_round(pr, jobs, ledger, T,
                           work_conserving=work_conserving)
         settle_round(plan, ledger, T)
     return ledger.received(T) / (rounds * 360.0)
@@ -90,7 +90,7 @@ class TestPlanRound:
         ledger = RoundLedger(360.0)
         credit(ledger, T, 0, 1)
         pr = compute_priorities(X, ledger)
-        plan = plan_round(pr, jobs, cluster, ledger, T)
+        plan = plan_round(pr, jobs, ledger, T)
         assert [a.combo for a in plan.assignments] == [rows[0]]
 
     def test_each_job_at_most_once(self):
@@ -101,7 +101,7 @@ class TestPlanRound:
         X = AllocationMatrix(T, np.array([[0.5], [0.5], [0.5]]))
         jobs = {0: Job(id=0, num_steps=10), 1: Job(id=1, num_steps=10)}
         plan = plan_round(compute_priorities(X, RoundLedger(360.0)), jobs,
-                          cluster, RoundLedger(360.0), T)
+                          RoundLedger(360.0), T)
         seen = [m for a in plan.assignments for m in a.combo.members]
         assert len(seen) == len(set(seen))
 
@@ -116,7 +116,7 @@ class TestPlanRound:
         scheduled = []
         for _ in range(4):
             pr = compute_priorities(X, ledger)
-            plan = plan_round(pr, jobs, cluster, ledger, T)
+            plan = plan_round(pr, jobs, ledger, T)
             scheduled.append(sorted(plan.jobs_scheduled()))
             settle_round(plan, ledger, T)
         # The 8-worker job and the 4-worker job must alternate: neither can
@@ -131,21 +131,19 @@ class TestPlanRound:
         X = AllocationMatrix(T, np.array([[1.0], [0.0]]))  # job 1 unallocated
         jobs = {0: Job(id=0, num_steps=10), 1: Job(id=1, num_steps=10)}
         plan = plan_round(compute_priorities(X, RoundLedger(360.0)), jobs,
-                          cluster, RoundLedger(360.0), T, work_conserving=True)
+                          RoundLedger(360.0), T, work_conserving=True)
         assert plan.jobs_scheduled() == {0, 1}
         plan2 = plan_round(compute_priorities(X, RoundLedger(360.0)), jobs,
-                           cluster, RoundLedger(360.0), T, work_conserving=False)
+                           RoundLedger(360.0), T, work_conserving=False)
         assert plan2.jobs_scheduled() == {0}
         assert plan2.idle_workers[0] == 1
 
     def test_no_idle_with_eligible_positive_priority(self, example_allocation):
         T, X, jobs = example_allocation
-        cluster = T.cluster
         ledger = RoundLedger(360.0)
         for _ in range(10):
             pr = compute_priorities(X, ledger)
-            plan = plan_round(pr, jobs, cluster, ledger, T,
-                              work_conserving=False)
+            plan = plan_round(pr, jobs, ledger, T, work_conserving=False)
             # Demand saturates capacity here, so no worker should idle.
             assert all(v == 0 for v in plan.idle_workers.values())
             settle_round(plan, ledger, T)
@@ -198,7 +196,7 @@ class TestConvergence:
             R = 120
             for rnd in range(R):
                 pr = compute_priorities(X, ledger)
-                plan = plan_round(pr, jobs, cluster, ledger, T)
+                plan = plan_round(pr, jobs, ledger, T)
                 for m in plan.jobs_scheduled():
                     max_gap[m] = max(max_gap[m], rnd - last_run[m])
                     last_run[m] = rnd
@@ -216,7 +214,7 @@ class TestPlacement:
         jobs = {0: Job(id=0, num_steps=10, scale_factor=8)}
         X = AllocationMatrix(T, np.array([[0.5]]))
         plan = plan_round(compute_priorities(X, RoundLedger(360.0)), jobs,
-                          cluster, RoundLedger(360.0), T)
+                          RoundLedger(360.0), T)
         place(plan, cluster)
         a = plan.assignments[0]
         assert a.consolidated
@@ -230,7 +228,7 @@ class TestPlacement:
         jobs = {0: Job(id=0, num_steps=10, scale_factor=4)}
         X = AllocationMatrix(T, np.array([[0.5]]))
         plan = plan_round(compute_priorities(X, RoundLedger(360.0)), jobs,
-                          cluster, RoundLedger(360.0), T)
+                          RoundLedger(360.0), T)
         place(plan, cluster)
         assert not plan.assignments[0].consolidated
         assert plan.assignments[0].worker_ids == [0, 1, 2, 3]
@@ -270,7 +268,7 @@ class TestPlacement:
                 3: Job(id=3, num_steps=10, scale_factor=1)}
         X = AllocationMatrix(T, np.array([[0.5]] * 4))
         plan = plan_round(compute_priorities(X, RoundLedger(360.0)), jobs,
-                          cluster, RoundLedger(360.0), T)
+                          RoundLedger(360.0), T)
         place(plan, cluster)
         by_job = {a.combo.members[0]: a for a in plan.assignments}
         assert set(by_job[0].worker_ids) == {0, 1, 2, 3}
@@ -286,7 +284,7 @@ class TestSettle:
         X = AllocationMatrix(T, np.array([[1.0]]))
         jobs = {0: Job(id=0, num_steps=10)}
         ledger = RoundLedger(360.0)
-        plan = plan_round(compute_priorities(X, ledger), jobs, cluster, ledger, T)
+        plan = plan_round(compute_priorities(X, ledger), jobs, ledger, T)
         settle_round(plan, ledger, T)
         assert ledger.received(T)[0, 0] == 360.0
         settle_round(plan, ledger, T)
@@ -306,7 +304,7 @@ class TestSettle:
         cluster = T.cluster
         ledger = RoundLedger(360.0)
         pr = compute_priorities(X, ledger)
-        plan = plan_round(pr, jobs, cluster, ledger, T)
+        plan = plan_round(pr, jobs, ledger, T)
         place(plan, cluster)
         doc = plan.to_json(T, 7)
         assert doc["round"] == 7

@@ -3,14 +3,14 @@ import pytest
 
 import hetsched.policies
 from hetsched.cluster import make_cluster
-from hetsched.jobs import Job, JobCombination
+from hetsched.jobs import Entity, Job, JobCombination
 from hetsched.lp import solve_lp
 from hetsched.matrices import (AllocationMatrix, ThroughputMatrix,
                                effective_throughput, equal_share_allocation,
                                isolated_allocation)
-from hetsched.policies import (InfeasibleSloError, PolicySpec, PolicyKind,
-                               ProblemSpace, ZeroThroughputError, fifo,
-                               finish_time_fairness, max_min_fairness,
+from hetsched.policies import (InfeasibleSloError, PolicyError, PolicySpec,
+                               PolicyKind, ProblemSpace, ZeroThroughputError,
+                               fifo, finish_time_fairness, max_min_fairness,
                                max_total_throughput, min_cost, min_cost_slo,
                                min_makespan, parse_policy, shortest_job_first,
                                solve_policy)
@@ -320,6 +320,16 @@ class TestDispatchAndParsing:
         plain = solve_policy(parse_policy("las"), jobs, cluster, T)
         shared = solve_policy(parse_policy("las+ss"), jobs, cluster, T)
         assert shared.objective >= plain.objective - 1e-9
+
+
+    def test_hierarchical_rejects_unlisted_entity(self, three_job_instance):
+        cluster, T, _ = three_job_instance
+        jobs = [Job(id=0, num_steps=10, entity_id=0),
+                Job(id=1, num_steps=10, entity_id=0),
+                Job(id=2, num_steps=10, entity_id=7)]
+        with pytest.raises(PolicyError, match=r"jobs \[2\]"):
+            solve_policy(parse_policy("hier:fair"), jobs, cluster, T,
+                         entities=[Entity(0)])
 
 
 class TestScaleFactor:

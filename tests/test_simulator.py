@@ -420,8 +420,8 @@ class TestWorkBookkeeping:
         entries = [TraceEntry(0.0, f"ex-{i}", 10 ** 9) for i in range(3)]
         trace = Trace(entries, "static", 0)
         cfg = SimConfig(cluster=cluster, policy=parse_policy("las"), seed=0,
-                        max_rounds=30, preemption_overhead=0.0,
-                        collect_round_log=True)
+                        max_rounds=30, collect_round_log=True)
+        monkeypatch.setattr(simulator, "PREEMPTION_OVERHEAD", 0.0)
         jobs = {}
         real = simulator.solve_policy
 
@@ -442,3 +442,36 @@ class TestWorkBookkeeping:
         assert sorted(jobs) == [0, 1, 2]
         for i, job in jobs.items():
             assert job.steps_done == pytest.approx(expected[i], rel=1e-9)
+
+
+class TestPolicyMatrix:
+    @pytest.mark.parametrize("policy", ["las", "makespan"])
+    def test_solve_reads_the_simulator_matrix_itself(self, monkeypatch, policy):
+        # Simulator matrices hold no pair rows without space sharing, no
+        # finished jobs and no cell too small for its row, so solve_policy
+        # compiles its ProblemSpace over the very matrix it was given.
+        from hetsched.policies import ProblemSpace
+        from hetsched.traces import generate_trace
+
+        catalog = make_template_catalog(0)
+        trace = generate_trace("continuous", 10, catalog, seed=3,
+                               lambda_rate=1 / 600.0, max_scale_factor=4)
+        assert {e.scale_factor for e in trace.entries} - {1}
+        cfg = SimConfig(cluster=make_cluster({"V100": 4, "P100": 2, "K80": 2}),
+                        policy=parse_policy(policy), seed=0, max_rounds=40)
+        given, compiled = [], []
+        real_solve, real_init = simulator.solve_policy, ProblemSpace.__init__
+
+        def solve_spy(spec, jobs, cluster, T, **kwargs):
+            given.append(T)
+            return real_solve(spec, jobs, cluster, T, **kwargs)
+
+        def init_spy(self, jobs, T):
+            compiled.append(T)
+            real_init(self, jobs, T)
+
+        monkeypatch.setattr(simulator, "solve_policy", solve_spy)
+        monkeypatch.setattr(ProblemSpace, "__init__", init_spy)
+        Simulation(cfg, trace, catalog).run()
+        assert len(given) > 1 and len(compiled) == len(given)
+        assert all(a is b for a, b in zip(given, compiled))

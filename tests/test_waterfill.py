@@ -326,7 +326,7 @@ def test_las_water_filling_flag_lifts_non_bottlenecks():
 
 
 def test_no_weighted_job_is_a_policy_error():
-    # A job whose entity is not listed gets no weight, so no level LP runs.
+    # A job whose entity is not listed is rejected before any level LP runs.
     cluster = make_cluster({"gpu": 1})
     T = singles(cluster, [[1.0]])
     with pytest.raises(PolicyInfeasibleError):
