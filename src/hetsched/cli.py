@@ -16,6 +16,7 @@ import json
 import sys
 import time
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 
 import click
@@ -28,16 +29,19 @@ from .estimator import (DEFAULT_ITERS, DEFAULT_RANK, DEFAULT_REG, MIN_OBSERVED,
 from .jobs import Entity, EntityPolicy, Job
 from .lp import IterationLimitError
 from .matrices import MixedPairError, ThroughputMatrix, effective_throughput
-from . import lp, policies
+from . import lp
 from .mechanism import write_round_log
-from .policies import (InfeasibleSloError, PolicyError, parse_policy,
-                       solve_policy)
+from .policies import EntityError, PolicyError, parse_policy, solve_policy
 from .simulator import STEADY_STATE_WINDOW, EstimatorConfig, SimConfig, Simulation
 from .traces import Trace, generate_trace, load_catalog
 
 EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 EXIT_IO = 4
+# The exit code of each library error that ends a solve; the first
+# matching type wins.
+ERROR_EXITS = ((EntityError, EXIT_USAGE), (MixedPairError, EXIT_USAGE),
+               (PolicyError, EXIT_INFEASIBLE), (IterationLimitError, EXIT_INFEASIBLE))
 
 DEFAULT_COSTS = {"V100": 3.0, "P100": 1.5, "K80": 0.5}
 DEFAULT_SERVERS = {"V100": 4, "P100": 4, "K80": 8}
@@ -90,6 +94,16 @@ def _dump_json(path: Path, doc: dict):
 def _fail(code: int, message):
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
+
+
+@contextmanager
+def _exit_on_error(prefix: str = ""):
+    """End the command with the ERROR_EXITS code of a library error raised
+    inside, printing `prefix` and its message."""
+    try:
+        yield
+    except tuple(t for t, _ in ERROR_EXITS) as e:
+        _fail(next(code for t, code in ERROR_EXITS if isinstance(e, t)), f"{prefix}{e}")
 
 
 def _json_file(path):
@@ -255,27 +269,9 @@ def cmd_solve(ctx, policy_text, thr_file, jobs_file):
         _fail(EXIT_USAGE, f"{jobs_file}: the jobs do not match the throughput "
                           f"matrix: missing jobs {missing}, repeated jobs {repeated}, "
                           f"jobs without rows {unknown}")
-    if spec.kind is policies.PolicyKind.HIERARCHICAL:
-        if entities is None:
-            _fail(EXIT_USAGE, f"{jobs_file}: a hierarchical policy needs the "
-                              "jobs file's \"entities\" list")
-        known = {e.id for e in entities}
-        strays = [j.id for j in jobs if j.entity_id not in known]
-        if strays:
-            _fail(EXIT_USAGE, f"{jobs_file}: a hierarchical policy needs every "
-                              "job's entity_id in the \"entities\" list; jobs "
-                              f"{strays} have none or an unlisted one")
     t0 = time.perf_counter()
-    try:
+    with _exit_on_error():
         result = solve_policy(spec, jobs, T.cluster, T, entities=entities)
-    except MixedPairError as e:
-        _fail(EXIT_USAGE, f"{thr_file}: {e}")
-    except InfeasibleSloError as e:
-        _fail(EXIT_INFEASIBLE, f"infeasible SLOs for jobs: {e.job_ids}")
-    except PolicyError as e:
-        _fail(EXIT_INFEASIBLE, f"infeasible: {e}")
-    except IterationLimitError as e:
-        _fail(EXIT_INFEASIBLE, f"solver failed: {e}")
     solve_s = time.perf_counter() - t0
 
     X = result.allocation
@@ -398,10 +394,8 @@ def cmd_simulate(ctx, policy_text, trace_file, num_jobs, lambdas, mode, seeds,
                 except ValueError as e:
                     _fail(EXIT_USAGE, e)
                 t0 = time.perf_counter()
-                try:
+                with _exit_on_error(f"seed {seed}: solve failed: "):
                     report = sim.run()
-                except (PolicyError, IterationLimitError) as e:
-                    _fail(EXIT_INFEASIBLE, f"seed {seed}: solve failed: {e}")
                 wall = time.perf_counter() - t0
                 tag = f"{label}_seed{seed}" + (f"_lam{lam:g}" if lam else "")
                 csv_path = out_dir / f"metrics_{tag}.csv"

@@ -85,9 +85,6 @@ class JobCombination:
     def is_pair(self) -> bool:
         return len(self.members) == 2
 
-    def contains(self, job_id: int) -> bool:
-        return job_id in self.members
-
     def member_index(self, job_id: int) -> int:
         return self.members.index(job_id)
 

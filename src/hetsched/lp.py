@@ -3,10 +3,19 @@
 Solves  max/min c'x  subject to  A_i x (<=|>=|=) b_i  and  lo <= x <= hi.
 The solver is deterministic for a fixed input: Dantzig pricing with
 lowest-index tie-breaking, falling back to Bland's rule after a run of
-degenerate pivots so cycling is impossible.  Pivots and solutions are
-bit-identical to the reference kernel kept in the test suite
-(``tests/oracles.py``): only the bookkeeping around the floating-point
-operations that decide a pivot differs from it.
+degenerate pivots so cycling is impossible.
+
+Phase 1 starts from the slack basis.  Rows with a negative right-hand side,
+and ``>=`` rows with a zero one, are negated first, so only ``=`` rows and
+``>=`` rows with a positive right-hand side need an artificial.  When none
+does (the max-min epigraph rows ``s_j thr_j(X) - lam >= 0`` of LAS and
+min-makespan are all of this kind), the slack basis is feasible: phase 1 is
+skipped and phase 2 starts from it with the identity as its inverse.
+
+Pivots and solutions are bit-identical to the reference kernel kept in the
+test suite (``tests/oracles.py``), which applies the same starting rule:
+only the bookkeeping around the floating-point operations that decide a
+pivot differs from it.
 """
 
 from __future__ import annotations
@@ -268,22 +277,24 @@ class _Standardized:
 
     @functools.cached_property
     def feasible_start(self):
-        """Phase 1, run once: None when the rows are infeasible, an empty
-        tuple when no row is left for phase 2, and otherwise the phase-2
-        tableau, right-hand side, starting basis, its inverse and its basic
-        values (T2, b, basis, Binv, xb).  None of it depends on the
-        objective."""
+        """Phase 1, run once and only when some row needs an artificial:
+        None when the rows are infeasible, an empty tuple when no row is
+        left for phase 2, and otherwise the phase-2 tableau, right-hand
+        side, starting basis, its inverse and its basic values (T2, b,
+        basis, Binv, xb).  None of it depends on the objective."""
         A, b = self.A, self.b
         m, n = A.shape
         if m == 0:
             return ()
 
         # Rows with a negative right-hand side are negated, which swaps LE
-        # and GE.
+        # and GE; so are GE rows with a zero right-hand side, whose slack
+        # then starts basic at 0 and needs no artificial.
         neg = b < 0
+        flip = neg | (self.ge & (b == 0))
         b = np.where(neg, -b, b)
-        le = np.where(neg, self.ge, self.le)
-        ge = np.where(neg, self.le, self.ge)
+        le = np.where(flip, self.ge, self.le)
+        ge = np.where(flip, self.le, self.ge)
 
         # Slack / surplus columns, then artificials where no basic slack
         # exists.  The starting basis (the LE slacks and the artificials) is
@@ -296,12 +307,15 @@ class _Standardized:
         art_cols = np.arange(art_start, total)
         T = np.zeros((m, total))
         T[:, :n] = A
-        T[neg, :n] *= -1.0
+        T[flip, :n] *= -1.0
         T[slack_rows, slack_cols] = np.where(le[slack_rows], 1.0, -1.0)
         T[art_rows, art_cols] = 1.0
         basis = np.empty(m, dtype=np.intp)
         basis[slack_rows] = slack_cols
         basis[art_rows] = art_cols
+        if not art_rows.size:
+            # The slack basis is feasible: no phase 1.
+            return T, b, basis, np.eye(m), b.copy()
 
         c1 = np.zeros(total)
         c1[art_start:] = 1.0

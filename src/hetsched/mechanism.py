@@ -78,12 +78,6 @@ class RoundPlan:
     assignments: list
     idle_workers: dict  # type_id -> count
 
-    def jobs_scheduled(self):
-        out = set()
-        for a in self.assignments:
-            out.update(a.combo.members)
-        return out
-
     def to_json(self, T: ThroughputMatrix, round_index: int) -> dict:
         return {
             "round": round_index,

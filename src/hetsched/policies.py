@@ -131,6 +131,24 @@ class PolicyInfeasibleError(PolicyError):
     pass
 
 
+class EntityError(PolicyError, ValueError):
+    """A hierarchical policy got no entities, or a job whose entity is not
+    among them."""
+
+
+def check_entities(jobs, entities):
+    """The hierarchical policy's input rule: some entities are listed and
+    every job names one of them.  Raises EntityError otherwise."""
+    if not entities:
+        raise EntityError("a hierarchical policy needs entities, and none are listed")
+    known = {e.id for e in entities}
+    strays = [j.id for j in jobs if j.entity_id not in known]
+    if strays:
+        raise EntityError("a hierarchical policy needs every job's entity among "
+                          f"the listed ones; jobs {strays} have none or an "
+                          "unlisted one")
+
+
 class ProblemSpace:
     """Indexing and shared constraints for LPs over allocation cells.
 

@@ -24,7 +24,7 @@ from .matrices import (AllocationMatrix, ThroughputMatrix, equal_shares,
                        inorder_sum, prune_combinations)
 from .mechanism import (RoundLedger, compute_priorities, place, plan_round,
                         settle_round)
-from .policies import PolicyKind, PolicySpec, solve_policy
+from .policies import PolicyKind, PolicySpec, check_entities, solve_policy
 from .traces import JobTemplate, Trace, TraceEntry, colocation_factor
 
 PREEMPTION_OVERHEAD = 5.0  # seconds to restore + checkpoint around a switch
@@ -182,6 +182,7 @@ class Simulation:
         most = max((t.num_workers for t in config.cluster.types), default=0)
         entries = trace.entries
         order = sorted(range(len(entries)), key=lambda n: entries[n].arrival_time)
+        jobs = []
         for i, n in enumerate(order):
             try:
                 job = _job_of(entries[n], i)
@@ -190,15 +191,10 @@ class Simulation:
             if job.scale_factor > most:
                 raise ValueError(f"job {i} requests {job.scale_factor} workers but "
                                  "no accelerator type has that many")
+            jobs.append(job)
         self.entities = list(trace.entities)
         if config.policy.kind is PolicyKind.HIERARCHICAL:
-            known = {e.id for e in self.entities}
-            strays = [n + 1 for n, e in enumerate(entries) if e.entity_id not in known]
-            if strays:
-                raise ValueError("a hierarchical policy needs every trace entry's "
-                                 "entity_id among the trace's entities; " + (
-                                     f"entries {strays} have none or an unlisted one"
-                                     if known else "the trace lists none"))
+            check_entities(jobs, self.entities)
         self.refs: ReferenceSet | None = None
         if config.estimator is not None:
             names = config.estimator.reference_names

@@ -78,16 +78,6 @@ def make_template_catalog(seed: int = 0) -> list:
     return templates
 
 
-def catalog_to_json(templates) -> dict:
-    return {"templates": [
-        {"name": t.name, "tier_throughputs": list(t.tier_throughputs),
-         "consolidated_efficiency": t.consolidated_efficiency,
-         "unconsolidated_efficiency": t.unconsolidated_efficiency,
-         "coloc_sensitivity": t.coloc_sensitivity,
-         "coloc_aggressiveness": t.coloc_aggressiveness}
-        for t in templates]}
-
-
 def catalog_from_json(doc: dict) -> list:
     return [JobTemplate(d["name"], tuple(d["tier_throughputs"]),
                         d["consolidated_efficiency"], d["unconsolidated_efficiency"],

@@ -27,7 +27,7 @@ from .lp import Relation, solve_lp, solve_lp_each
 from .matrices import AllocationMatrix, effective_throughput
 from .milp import MixedIntegerProgram, solve_milp
 from .policies import (PolicyError, PolicyInfeasibleError, PolicyResult,
-                       ProblemSpace, max_min_lp)
+                       ProblemSpace, check_entities, max_min_lp)
 
 # Strictness slack for "can improve" as a fraction of each job's largest
 # throughput (LPs cannot express strict inequalities).  The constraint
@@ -232,14 +232,7 @@ def _milp_bottlenecks(space: ProblemSpace, active: list, thr_prev: dict,
 def hierarchical_waterfill(space: ProblemSpace, entities) -> WaterfillResult:
     """Water filling over entities, each splitting its weight over its jobs
     by its internal policy."""
-    if entities is None:
-        raise PolicyInfeasibleError("hierarchical policy requires entities")
-    known = {e.id for e in entities}
-    strays = [j.id for j in space.jobs if j.entity_id not in known]
-    if strays:
-        raise PolicyInfeasibleError(
-            "hierarchical policy requires every job's entity among the "
-            f"entities; jobs {strays} have none or an unlisted one")
+    check_entities(space.jobs, entities)
     return _fill(space,
                  lambda done: assign_job_weights(entities, space.jobs, done))
 

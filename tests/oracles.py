@@ -596,11 +596,15 @@ class _Standardized:
 
         A = A.copy()
         b = b.copy()
+        # Rows with a negative right-hand side are negated, and so are GE
+        # rows with a zero one: their slack starts basic at 0.
         neg = b < 0
-        A[neg] *= -1.0
+        negate = neg | np.array([r is Relation.GE and b[i] == 0
+                                 for i, r in enumerate(rels)], dtype=bool)
+        A[negate] *= -1.0
         b[neg] = -b[neg]
         flip = {Relation.LE: Relation.GE, Relation.GE: Relation.LE, Relation.EQ: Relation.EQ}
-        rels = [flip[r] if neg[i] else r for i, r in enumerate(rels)]
+        rels = [flip[r] if negate[i] else r for i, r in enumerate(rels)]
 
         # Slack / surplus columns, then artificials where no basic slack exists.
         slack_cols = []
@@ -629,38 +633,40 @@ class _Standardized:
             basis[i] = n + n_slack + k
 
         art_start = n + n_slack
-        c1 = np.zeros(total)
-        c1[art_start:] = 1.0
-        # Phase 1 runs to much tighter optimality than phase 2: its objective
-        # value IS the feasibility verdict, so a pricing tolerance comparable
-        # to the infeasibility threshold would let near-threshold systems
-        # through (or reject feasible ones).
-        status, x_all, basis = _simplex(T, b, c1, basis, opt_tol=1e-10)
-        if status is not Status.OPTIMAL:
-            return Status.INFEASIBLE, None
-        # Absolute residual threshold: scaling it by the rhs magnitude would
-        # make the verdict depend on how the caller formulated the rows (a
-        # big-M variant of the same system would pass where the direct form
-        # fails).
-        if float(c1 @ x_all) > FEAS_TOL:
-            return Status.INFEASIBLE, None
+        # Without artificials the slack basis is feasible: no phase 1.
+        if art_rows:
+            c1 = np.zeros(total)
+            c1[art_start:] = 1.0
+            # Phase 1 runs to much tighter optimality than phase 2: its
+            # objective value IS the feasibility verdict, so a pricing
+            # tolerance comparable to the infeasibility threshold would let
+            # near-threshold systems through (or reject feasible ones).
+            status, x_all, basis = _simplex(T, b, c1, basis, opt_tol=1e-10)
+            if status is not Status.OPTIMAL:
+                return Status.INFEASIBLE, None
+            # Absolute residual threshold: scaling it by the rhs magnitude
+            # would make the verdict depend on how the caller formulated the
+            # rows (a big-M variant of the same system would pass where the
+            # direct form fails).
+            if float(c1 @ x_all) > FEAS_TOL:
+                return Status.INFEASIBLE, None
 
-        # Drive leftover artificials out of the basis; drop dependent rows.
-        keep_rows = np.ones(m, dtype=bool)
-        for i in range(m):
-            if basis[i] >= art_start:
-                Binv_row = _basis_inverse(T, basis)[i]
-                coeffs = Binv_row @ T[:, :art_start]
-                j = next((jj for jj in range(art_start) if abs(coeffs[jj]) > 1e-9
-                          and jj not in basis), None)
-                if j is None:
-                    keep_rows[i] = False
-                else:
-                    basis[i] = j
-        if not np.all(keep_rows):
-            T = T[keep_rows]
-            b = b[keep_rows]
-            basis = [bv for bv, k in zip(basis, keep_rows) if k]
+            # Drive leftover artificials out of the basis; drop dependent rows.
+            keep_rows = np.ones(m, dtype=bool)
+            for i in range(m):
+                if basis[i] >= art_start:
+                    Binv_row = _basis_inverse(T, basis)[i]
+                    coeffs = Binv_row @ T[:, :art_start]
+                    j = next((jj for jj in range(art_start) if abs(coeffs[jj]) > 1e-9
+                              and jj not in basis), None)
+                    if j is None:
+                        keep_rows[i] = False
+                    else:
+                        basis[i] = j
+            if not np.all(keep_rows):
+                T = T[keep_rows]
+                b = b[keep_rows]
+                basis = [bv for bv, k in zip(basis, keep_rows) if k]
 
         T2 = T[:, :art_start]
         c2 = np.zeros(art_start)
@@ -808,7 +814,7 @@ class CellMatrix:
         return float(cell[self.rows[r].member_index(job_id)])
 
     def combos_containing(self, job_id: int) -> list:
-        return [r for r, combo in enumerate(self.rows) if combo.contains(job_id)]
+        return [r for r, combo in enumerate(self.rows) if job_id in combo.members]
 
     def singleton_row(self, job_id: int) -> int:
         return next(r for r, combo in enumerate(self.rows)

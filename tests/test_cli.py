@@ -272,7 +272,7 @@ class TestSolve:
          "jobs [1] have none or an unlisted one"),
         ("hier", {"jobs": [{"id": i, "num_steps": 10, "entity_id": 0}
                            for i in range(3)]},
-         'needs the jobs file\'s "entities" list'),
+         "needs entities, and none are listed"),
     ], ids=["no-entity-id", "unlisted-entity-id", "no-entities"])
     def test_hierarchical_without_entities_exit_code(self, runner, tmp_path,
                                                      policy, jobs_doc, named):

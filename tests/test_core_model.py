@@ -43,7 +43,7 @@ def test_accelerator_type_validation():
 def test_combination_ordering_and_conflicts():
     pair = JobCombination.of(3, 1)
     assert pair.members == (1, 3)
-    assert pair.contains(3) and not pair.contains(2)
+    assert 3 in pair.members and 2 not in pair.members
     with pytest.raises(ValueError):
         JobCombination.of(1, 1)
     with pytest.raises(ValueError):

@@ -4,9 +4,12 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
 import hetsched.lp
+from hetsched.jobs import Job
 from hetsched.lp import (PHASE1_OPT_TOL, DimensionError, IterationLimitError,
                          LinearProgram, Relation, Status, solve_lp, solve_lp_each)
-from oracles import reference_solve_lp
+from hetsched.matrices import ThroughputMatrix
+from hetsched.policies import ProblemSpace, max_min_lp
+from oracles import random_cells, reference_solve_lp
 
 
 def test_one_variable_box():
@@ -298,6 +301,48 @@ def test_bit_identical_on_bottleneck_relaxations():
         _bottleneck_relaxation(np.random.default_rng(1000 + seed)))
         for seed in range(120)]
     assert statuses.count(Status.OPTIMAL) >= 60
+
+
+def _max_min_lps(rng):
+    """The LAS and min-makespan LPs that `ProblemSpace` compiles for a
+    `random_cells` matrix: the max-min epigraph with zero floors, scaled by
+    worker count over weight and equal share, then by a horizon over each
+    job's remaining steps."""
+    cluster, rows, cells, jobs = random_cells(rng)
+    jobs = [Job(id=j.id, scale_factor=j.scale_factor,
+                weight=float(rng.choice([1.0, 2.0])),
+                num_steps=int(rng.integers(1, 10_000))) for j in jobs]
+    space = ProblemSpace(jobs, ThroughputMatrix.from_cells(cluster, rows, cells))
+    las = max_min_lp(space, {j.id: j.scale_factor / (j.weight * space.equal_norm[j.id])
+                             for j in jobs})
+    H = max(j.remaining_steps / space.equal_norm[j.id] for j in jobs)
+    makespan = max_min_lp(space, {j.id: H / j.remaining_steps for j in jobs})
+    return las, makespan
+
+
+def test_bit_identical_on_max_min_lps():
+    for seed in range(150):
+        for lp in _max_min_lps(np.random.default_rng(2000 + seed)):
+            assert _assert_same_as_reference(lp) is Status.OPTIMAL
+
+
+def test_max_min_lps_start_from_the_slack_basis(monkeypatch):
+    """Every row of a zero-floor max-min LP holds at the slack basis, so
+    phase 1 never runs and the phase-2 inverse starts as the identity."""
+    tols = []
+    simplex = hetsched.lp._simplex
+
+    def spy(A, b, c, basis, Binv, xb, opt_tol=hetsched.lp.OPT_TOL):
+        tols.append(opt_tol)
+        return simplex(A, b, c, basis, Binv, xb, opt_tol)
+
+    monkeypatch.setattr(hetsched.lp, "_simplex", spy)
+    for seed in range(40):
+        for lp in _max_min_lps(np.random.default_rng(2000 + seed)):
+            _, _, basis, Binv, _ = hetsched.lp._Standardized(lp).feasible_start
+            assert np.array_equal(Binv, np.eye(len(basis)))
+            assert solve_lp(lp).optimal
+    assert tols and PHASE1_OPT_TOL not in tols
 
 
 def _random_objectives(rng, n):

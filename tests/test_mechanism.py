@@ -17,6 +17,10 @@ def singles(cluster, T_rows):
     return ThroughputMatrix.from_cells(cluster, rows, entries)
 
 
+def jobs_scheduled(plan: RoundPlan) -> set:
+    return {m for a in plan.assignments for m in a.combo.members}
+
+
 def credit(ledger, T, *rows):
     """Settle one round in which the given rows ran on configuration 0."""
     settle_round(RoundPlan([Assignment(T.rows[r], 0, 1) for r in rows], {}),
@@ -117,7 +121,7 @@ class TestPlanRound:
         for _ in range(4):
             pr = compute_priorities(X, ledger)
             plan = plan_round(pr, jobs, ledger, T)
-            scheduled.append(sorted(plan.jobs_scheduled()))
+            scheduled.append(sorted(jobs_scheduled(plan)))
             settle_round(plan, ledger, T)
         # The 8-worker job and the 4-worker job must alternate: neither can
         # run alongside the other, and skipped rounds raise priority.
@@ -132,10 +136,10 @@ class TestPlanRound:
         jobs = {0: Job(id=0, num_steps=10), 1: Job(id=1, num_steps=10)}
         plan = plan_round(compute_priorities(X, RoundLedger(360.0)), jobs,
                           RoundLedger(360.0), T, work_conserving=True)
-        assert plan.jobs_scheduled() == {0, 1}
+        assert jobs_scheduled(plan) == {0, 1}
         plan2 = plan_round(compute_priorities(X, RoundLedger(360.0)), jobs,
                            RoundLedger(360.0), T, work_conserving=False)
-        assert plan2.jobs_scheduled() == {0}
+        assert jobs_scheduled(plan2) == {0}
         assert plan2.idle_workers[0] == 1
 
     def test_no_idle_with_eligible_positive_priority(self, example_allocation):
@@ -197,7 +201,7 @@ class TestConvergence:
             for rnd in range(R):
                 pr = compute_priorities(X, ledger)
                 plan = plan_round(pr, jobs, ledger, T)
-                for m in plan.jobs_scheduled():
+                for m in jobs_scheduled(plan):
                     max_gap[m] = max(max_gap[m], rnd - last_run[m])
                     last_run[m] = rnd
                 settle_round(plan, ledger, T)

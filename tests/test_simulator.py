@@ -8,7 +8,7 @@ import hetsched.simulator as simulator
 from hetsched.cluster import make_cluster
 from hetsched.jobs import Entity, EntityPolicy
 from hetsched.matrices import effective_throughput, equal_share_allocation
-from hetsched.policies import parse_policy
+from hetsched.policies import EntityError, parse_policy
 from hetsched.simulator import (EstimatorConfig, MetricsReport, SimConfig,
                                 Simulation,
                                 steady_state_filter)
@@ -100,12 +100,12 @@ class TestSingleJob:
         cfg = SimConfig(cluster=make_cluster({"gpu": 1}),
                         policy=parse_policy("hier:fair"), seed=0)
         bare = Trace([TraceEntry(0.0, "flat", 10)], "static", 0)
-        with pytest.raises(ValueError, match="the trace lists none"):
+        with pytest.raises(EntityError, match="none are listed"):
             Simulation(cfg, bare, [flat_template()])
         stray = Trace([TraceEntry(0.0, "flat", 10, entity_id=0),
                        TraceEntry(0.0, "flat", 10, entity_id=3)], "static", 0,
                       [Entity(0, 1.0, EntityPolicy.FAIRNESS)])
-        with pytest.raises(ValueError, match=r"entries \[2\] have none"):
+        with pytest.raises(EntityError, match=r"jobs \[1\] have none"):
             Simulation(cfg, stray, [flat_template()])
 
     def test_deterministic_reports(self):

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from hetsched.traces import (DURATION_MAX_MINUTES, DURATION_MIN_MINUTES,
-                             Trace, catalog_from_json, catalog_to_json,
-                             colocation_factor, generate_trace, load_catalog,
-                             make_template_catalog)
+                             Trace, catalog_from_json, colocation_factor,
+                             generate_trace, load_catalog, make_template_catalog)
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +53,16 @@ def test_scaling_efficiency(catalog):
     four_u = t.isolated_throughput(0, 4, False)
     assert one < four_c <= 4 * one
     assert four_u < four_c
+
+
+def catalog_to_json(templates) -> dict:
+    return {"templates": [
+        {"name": t.name, "tier_throughputs": list(t.tier_throughputs),
+         "consolidated_efficiency": t.consolidated_efficiency,
+         "unconsolidated_efficiency": t.unconsolidated_efficiency,
+         "coloc_sensitivity": t.coloc_sensitivity,
+         "coloc_aggressiveness": t.coloc_aggressiveness}
+        for t in templates]}
 
 
 def test_catalog_json_round_trip(catalog, tmp_path):

@@ -9,8 +9,8 @@ from hetsched.jobs import Entity, EntityPolicy, Job, JobCombination
 from hetsched.lp import Relation, Status, solve_lp
 from hetsched.matrices import AllocationMatrix, ThroughputMatrix, effective_throughput
 from hetsched.milp import solve_milp
-from hetsched.policies import (PolicyInfeasibleError, ProblemSpace, parse_policy,
-                               solve_policy)
+from hetsched.policies import (EntityError, PolicyError, ProblemSpace,
+                               parse_policy, solve_policy)
 from hetsched.waterfill import (DELTA_FRACTION, VERIFY_FRACTION,
                                 assign_job_weights, find_bottlenecks,
                                 hierarchical_waterfill, max_gain,
@@ -329,6 +329,7 @@ def test_no_weighted_job_is_a_policy_error():
     # A job whose entity is not listed is rejected before any level LP runs.
     cluster = make_cluster({"gpu": 1})
     T = singles(cluster, [[1.0]])
-    with pytest.raises(PolicyInfeasibleError):
+    assert issubclass(EntityError, PolicyError)
+    with pytest.raises(EntityError):
         hierarchical_waterfill(
             ProblemSpace([Job(id=0, num_steps=100, entity_id=7)], T), [Entity(0, 1.0)])
