@@ -15,7 +15,6 @@ import hashlib
 import json
 import sys
 import time
-from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -31,7 +30,8 @@ from .lp import IterationLimitError
 from .matrices import MixedPairError, ThroughputMatrix, effective_throughput
 from . import lp
 from .mechanism import write_round_log
-from .policies import EntityError, PolicyError, parse_policy, solve_policy
+from .policies import (EntityError, JobListError, PolicyError, parse_policy,
+                       solve_policy)
 from .simulator import STEADY_STATE_WINDOW, EstimatorConfig, SimConfig, Simulation
 from .traces import Trace, generate_trace, load_catalog
 
@@ -40,8 +40,9 @@ EXIT_INFEASIBLE = 3
 EXIT_IO = 4
 # The exit code of each library error that ends a solve; the first
 # matching type wins.
-ERROR_EXITS = ((EntityError, EXIT_USAGE), (MixedPairError, EXIT_USAGE),
-               (PolicyError, EXIT_INFEASIBLE), (IterationLimitError, EXIT_INFEASIBLE))
+ERROR_EXITS = ((EntityError, EXIT_USAGE), (JobListError, EXIT_USAGE),
+               (MixedPairError, EXIT_USAGE), (PolicyError, EXIT_INFEASIBLE),
+               (IterationLimitError, EXIT_INFEASIBLE))
 
 DEFAULT_COSTS = {"V100": 3.0, "P100": 1.5, "K80": 0.5}
 DEFAULT_SERVERS = {"V100": 4, "P100": 4, "K80": 8}
@@ -261,14 +262,6 @@ def cmd_solve(ctx, policy_text, thr_file, jobs_file):
         _fail(EXIT_USAGE, f"missing key {e} in the throughputs or jobs file")
     except (TypeError, ValueError) as e:
         _fail(EXIT_USAGE, f"bad value in the throughputs or jobs file: {e}")
-    counts = Counter(j.id for j in jobs)
-    missing = [job_id for job_id in T.job_ids if job_id not in counts]
-    repeated = sorted(job_id for job_id, n in counts.items() if n > 1)
-    unknown = sorted(counts.keys() - set(T.job_ids))
-    if missing or repeated or unknown:
-        _fail(EXIT_USAGE, f"{jobs_file}: the jobs do not match the throughput "
-                          f"matrix: missing jobs {missing}, repeated jobs {repeated}, "
-                          f"jobs without rows {unknown}")
     t0 = time.perf_counter()
     with _exit_on_error():
         result = solve_policy(spec, jobs, T.cluster, T, entities=entities)

@@ -24,8 +24,6 @@ where infeasible, is parsed only by `ThroughputMatrix.from_cells` (which
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from .cluster import ClusterSpec
@@ -173,7 +171,7 @@ class ThroughputMatrix:
         return ThroughputMatrix(self.cluster, rows, self.thr[idx],
                                 self.feasible[idx])
 
-    def to_json(self, extra: dict | None = None) -> dict:
+    def to_json(self) -> dict:
         doc = self.cluster.to_json()
         doc["rows"] = []
         for combo, row in zip(self.rows, self.entries):
@@ -181,8 +179,6 @@ class ThroughputMatrix:
             for cfg, cell in zip(self.configs, row):
                 thr[cfg.key(self.cluster)] = None if cell is None else list(cell)
             doc["rows"].append({"members": list(combo.members), "throughputs": thr})
-        if extra:
-            doc.update(extra)
         return doc
 
     @classmethod
@@ -193,16 +189,6 @@ class ThroughputMatrix:
         cells = [[rdoc["throughputs"].get(key) for key in keys]
                  for rdoc in doc["rows"]]
         return cls.from_cells(cluster, rows, cells)
-
-    @classmethod
-    def load(cls, path) -> "ThroughputMatrix":
-        with open(path) as f:
-            return cls.from_json(json.load(f))
-
-    def save(self, path, extra: dict | None = None):
-        with open(path, "w") as f:
-            json.dump(self.to_json(extra), f, indent=2, sort_keys=True)
-            f.write("\n")
 
 
 class AllocationMatrix:
@@ -217,10 +203,6 @@ class AllocationMatrix:
         self.rows = T.rows
         self.configs = T.configs
         self.values = values
-
-    @classmethod
-    def zeros(cls, T: ThroughputMatrix) -> "AllocationMatrix":
-        return cls(T, np.zeros((T.num_rows, T.num_configs)))
 
     def validate(self, jobs: dict):
         """Raise if any allocation-matrix invariant is violated.

@@ -10,19 +10,22 @@ per decision, and returns a `PolicyResult`; `solve_policy` finds it in
 (max-min fairness, min-makespan and the water-filling level) are compiled to
 one epigraph LP by `max_min_lp`; only finish-time fairness is solved by
 bisection over a feasibility LP; the cost policies reduce a
-linear-fractional objective to one LP.
+linear-fractional objective to one LP.  Shortest job first and the SLO
+rates solve no LP: a job alone on the cluster runs on its fastest singleton
+cell (`fastest_cell`).
 """
 
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .cluster import ClusterSpec
 from .jobs import ENTITY_POLICY_NAMES
-from .lp import LinearProgram, Relation, SolveResult, solve_lp
+from .lp import OPT_TOL, LinearProgram, Relation, solve_lp
 from .matrices import (AllocationMatrix, ThroughputMatrix,
                        equal_share_allocation, effective_throughput,
                        inorder_sum, isolated_allocation, row_workers)
@@ -112,10 +115,6 @@ class PolicyError(Exception):
     pass
 
 
-class MissingThroughputError(PolicyError):
-    pass
-
-
 class ZeroThroughputError(PolicyError):
     """A job has zero throughput on every configuration, so its equal-share
     normalizer vanishes."""
@@ -131,9 +130,26 @@ class PolicyInfeasibleError(PolicyError):
     pass
 
 
+class JobListError(PolicyError, ValueError):
+    """The jobs given to a solve do not match the throughput matrix's."""
+
+
 class EntityError(PolicyError, ValueError):
     """A hierarchical policy got no entities, or a job whose entity is not
     among them."""
+
+
+def check_jobs(jobs, T: ThroughputMatrix):
+    """A solve's input rule: the jobs, finished ones included, are the
+    matrix's jobs, each listed once.  Raises JobListError otherwise."""
+    counts = Counter(j.id for j in jobs)
+    missing = [job_id for job_id in T.job_ids if job_id not in counts]
+    repeated = sorted(job_id for job_id, n in counts.items() if n > 1)
+    unknown = sorted(counts.keys() - set(T.job_ids))
+    if missing or repeated or unknown:
+        raise JobListError(f"the jobs do not match the throughput matrix: "
+                           f"missing jobs {missing}, repeated jobs {repeated}, "
+                           f"jobs without rows {unknown}")
 
 
 def check_entities(jobs, entities):
@@ -156,17 +172,14 @@ class ProblemSpace:
     may append extra scalar variables (an epigraph bound, binary flags).
     The cell bounds, the validity rows and each job's coefficient row and
     equal-share throughput are compiled once from the matrix's arrays, and
-    `lp` builds every LP over the cells from them.
+    `lp` builds every LP over the cells from them.  Every job must have
+    rows in the matrix (`check_jobs`).
     """
 
     def __init__(self, jobs, T: ThroughputMatrix):
         self.T = T
         self.jobs = list(jobs)
         self.by_id = {j.id: j for j in self.jobs}
-        present = set(T.job_ids)
-        missing = [j.id for j in self.jobs if j.id not in present]
-        if missing:
-            raise MissingThroughputError(f"no throughput rows for jobs {missing}")
         self.n_cells = T.num_rows * T.num_configs
         ks = [T.job_index(j.id) for j in self.jobs]
         self.coeffs = {j.id: T.coeffs[k] for j, k in zip(self.jobs, ks)}
@@ -215,31 +228,24 @@ class ProblemSpace:
         return AllocationMatrix(self.T, values.reshape(self.T.num_rows,
                                                        self.T.num_configs))
 
-    def standalone_best(self, job_id: int) -> float:
-        """Best achievable throughput with the whole cluster to one job."""
-        res = self.standalone(job_id)
-        return res.objective_value if res.optimal else 0.0
 
-    def standalone(self, job_id: int) -> SolveResult:
-        """The LP that gives one job the whole cluster, maximizing its
-        throughput over its singleton row's time shares, solved."""
-        T = self.T
-        r = T.singleton_row(job_id)
-        sf = float(self.by_id[job_id].scale_factor)
-        lp = LinearProgram(T.num_configs, T.thr[r, :, 0], maximize=True,
-                           upper=np.where(T.feasible[r], np.inf, 0.0))
-        lp.add_constraint(np.ones(T.num_configs), Relation.LE, 1.0)
-        for t in T.cluster.types:
-            lp.add_constraint(np.where(T.type_of == t.id, sf, 0.0), Relation.LE,
-                              float(t.num_workers))
-        return solve_lp(lp)
+def fastest_cell(T: ThroughputMatrix, job_id: int) -> tuple[int | None, float]:
+    """The job's best standalone rate and the cell that gives it: the first
+    fastest configuration of its singleton row, as an index into the
+    row-major allocation cells.
 
-    def single_job_allocation(self, job_id: int, x: np.ndarray) -> AllocationMatrix:
-        """The allocation giving one job the time shares `x` of its
-        singleton row, as solved by `standalone`, and nothing to the rest."""
-        X = AllocationMatrix.zeros(self.T)
-        X.values[self.T.singleton_row(job_id), :] = x
-        return X
+    This is the optimum of the LP that gives the job the whole cluster.  In
+    a runnable matrix (`_runnable`) every feasible cell fits its row's
+    workers, so no capacity row binds and only the job's time budget does.
+    A best rate at or below `OPT_TOL` counts as 0 with no cell, as the
+    simplex's pricing would.
+    """
+    r = T.singleton_row(job_id)
+    rates = T.thr[r, :, 0]  # 0.0 where infeasible
+    c = int(rates.argmax())
+    if rates[c] <= OPT_TOL:
+        return None, 0.0
+    return r * T.num_configs + c, float(rates[c])
 
 
 @dataclass
@@ -299,12 +305,9 @@ def fifo(space: ProblemSpace) -> PolicyResult:
     """Prefer earlier arrivals: maximize the sum of throughputs normalized
     by each job's fastest configuration, weighted M-m by arrival rank."""
     order = sorted(space.jobs, key=lambda j: (j.arrival_time, j.id))
-    weights = {}
-    for rank, j in enumerate(order):
-        fastest = space.T.max_throughput(j.id)
-        if fastest <= 0:
-            raise ZeroThroughputError(f"job {j.id} has no feasible configuration")
-        weights[j.id] = (len(order) - rank) / fastest
+    # Positive: `ProblemSpace` rejects a job with no positive singleton cell.
+    weights = {j.id: (len(order) - rank) / space.T.max_throughput(j.id)
+               for rank, j in enumerate(order)}
     return _solve("fifo", _weighted_sum_lp(space, weights), space)
 
 
@@ -316,19 +319,23 @@ def max_total_throughput(space: ProblemSpace) -> PolicyResult:
 
 def shortest_job_first(space: ProblemSpace) -> PolicyResult:
     """Give the whole cluster to whichever job can finish soonest; the
-    objective is that job's duration in seconds."""
+    objective is that job's duration in seconds.  A job alone runs all the
+    time on its fastest singleton cell (`fastest_cell`), so no LP is
+    solved."""
     best = None
     for j in space.jobs:
-        res = space.standalone(j.id)
-        if not res.optimal or res.objective_value <= 0:
+        cell, rate = fastest_cell(space.T, j.id)
+        if rate <= 0:
             continue
-        duration = j.remaining_steps / res.objective_value
+        duration = j.remaining_steps / rate
         if best is None or duration < best[0] - SJF_TIE_TOL:
-            best = (duration, j.id, res.x)
+            best = (duration, cell)
     if best is None:
         raise ZeroThroughputError("no job can run anywhere")
-    duration, job_id, x = best
-    return PolicyResult(space.single_job_allocation(job_id, x), duration)
+    duration, cell = best
+    x = np.zeros(space.n_cells)
+    x[cell] = 1.0
+    return PolicyResult(space.allocation(x), duration)
 
 
 def min_makespan(space: ProblemSpace) -> PolicyResult:
@@ -398,13 +405,14 @@ def min_cost(space: ProblemSpace) -> PolicyResult:
 def min_cost_slo(space: ProblemSpace) -> PolicyResult:
     """`min_cost` with every job sustaining enough throughput to meet its
     deadline.  A job whose deadline has already passed is held at its best
-    standalone rate and listed in the result's violations."""
+    standalone rate (`fastest_cell`) and listed in the result's
+    violations."""
     rows, violations, impossible = [], [], []
     for j in space.jobs:
         if j.slo_seconds is None or not np.isfinite(j.slo_seconds):
             continue
         time_left = j.slo_seconds - j.elapsed_time
-        best = space.standalone_best(j.id)
+        best = fastest_cell(space.T, j.id)[1]
         if time_left <= 0:
             violations.append(j.id)
             required = best
@@ -487,15 +495,17 @@ def _runnable(T: ThroughputMatrix, jobs: dict,
 
 def solve_policy(spec: PolicySpec, jobs, cluster: ClusterSpec,
                  T: ThroughputMatrix, entities=None) -> PolicyResult:
-    """Compile the unfinished jobs' ProblemSpace once over what of T can
-    run (`_runnable`), solve the spec's policy over it and return a
-    validated allocation over that matrix.
+    """Check the jobs against T (`check_jobs`), compile the unfinished
+    jobs' ProblemSpace once over what of T can run (`_runnable`), solve the
+    spec's policy over it and return a validated allocation over that
+    matrix.
 
     `cluster` is not read (`T.cluster` is the cluster); it stays in the
     signature for callers that pass the arguments by position.
     """
     from . import waterfill
 
+    check_jobs(jobs, T)
     by_id = {j.id: j for j in jobs}
     jobs = [j for j in jobs if not j.finished]
     if not jobs:

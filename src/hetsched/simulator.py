@@ -113,20 +113,6 @@ class MetricsReport:
             return 0.0
         return sum(1 for r in with_slo if r.slo_violated) / len(with_slo)
 
-    def summary(self) -> dict:
-        return {
-            "jobs_completed": len(self.records),
-            "avg_jct_seconds": self.avg_jct,
-            "avg_steady_state_jct_seconds": self.avg_steady_jct,
-            "makespan_seconds": self.makespan,
-            "total_cost_dollars": self.total_cost,
-            "mean_utilization": self.utilization,
-            "slo_violation_fraction": self.slo_violation_fraction,
-            "rounds": self.rounds,
-            "policy_solves": self.policy_solves,
-            "unfinished_jobs": self.unfinished_jobs,
-        }
-
 
 def steady_state_filter(values: list, window: float = STEADY_STATE_WINDOW) -> list:
     """Drop the first and last `window` fraction of completions."""

@@ -62,10 +62,6 @@ class WaterfillResult(PolicyResult):
 
     iterations: list = field(default_factory=list)
 
-    @property
-    def normalized(self) -> dict:
-        return self.iterations[-1].normalized
-
 
 def assign_job_weights(entities, jobs, done: set) -> dict:
     """Distribute each entity's weight over its active members.

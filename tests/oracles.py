@@ -15,8 +15,9 @@ references that the optimized ones must match: row-at-a-time ALS
 (`reference_complete_matrix`), ALS one matrix per call
 (`restart_batched_complete_matrix`), the two-phase simplex (`reference_solve_lp`),
 the cell-at-a-time throughput-matrix walks (`CellMatrix`), one gain LP
-per job (`reference_max_gain`) and bottleneck detection by MILP alone
-(`reference_find_bottlenecks`), with the seeded matrices (`random_cells`)
+per job (`reference_max_gain`), bottleneck detection by MILP alone
+(`reference_find_bottlenecks`) and the LP that gives one job the whole
+cluster (`reference_standalone`), with the seeded matrices (`random_cells`)
 on which they are compared.
 """
 
@@ -915,6 +916,26 @@ class CellMatrix:
             if best > threshold:
                 kept.append(combo)
         return kept
+
+
+# ---------------------------------------------------------------------------
+# One job alone on the cluster
+# ---------------------------------------------------------------------------
+
+def reference_standalone(T, job: Job) -> SolveResult:
+    """The LP that gives one job the whole cluster, solved: maximize its
+    rate over its singleton row's time shares under its time budget and
+    each type's worker capacity.  `policies.fastest_cell` is its closed
+    form."""
+    r = T.singleton_row(job.id)
+    sf = float(job.scale_factor)
+    lp = LinearProgram(T.num_configs, T.thr[r, :, 0], maximize=True,
+                       upper=np.where(T.feasible[r], np.inf, 0.0))
+    lp.add_constraint(np.ones(T.num_configs), Relation.LE, 1.0)
+    for t in T.cluster.types:
+        lp.add_constraint(np.where(T.type_of == t.id, sf, 0.0), Relation.LE,
+                          float(t.num_workers))
+    return solve_lp(lp)
 
 
 # ---------------------------------------------------------------------------

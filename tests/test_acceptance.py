@@ -94,7 +94,7 @@ def test_criterion_2_water_filling_example():
         assert first.normalized[i] == pytest.approx(expect_first[i], abs=1e-3)
     assert first.bottlenecks == {0}, "the weight-3 job bottlenecks first"
     for i in range(4):
-        assert result.normalized[i] == pytest.approx(1.0, abs=1e-3)
+        assert result.iterations[-1].normalized[i] == pytest.approx(1.0, abs=1e-3)
     assert elapsed < 5.0
     print(f"\nACCEPTANCE 2: PASS - iteration 1 normalized "
           f"{[round(float(first.normalized[i]), 4) for i in range(4)]}, bottleneck "

@@ -22,13 +22,22 @@ def runner():
     return CliRunner()
 
 
+def save_matrix(T, path):
+    """Write a throughput matrix file as the CLI reads it."""
+    path.write_text(json.dumps(T.to_json(), indent=2, sort_keys=True) + "\n")
+
+
+def load_matrix(path):
+    return ThroughputMatrix.from_json(json.loads(path.read_text()))
+
+
 def write_three_job_instance(tmp_path):
     cluster = make_cluster({"V100": 1, "K80": 1})
     rows = [JobCombination.of(i) for i in range(3)]
     T = ThroughputMatrix.from_cells(cluster, rows,
                                     [[(4.0,), (1.0,)], [(3.0,), (1.0,)], [(2.0,), (1.0,)]])
     thr = tmp_path / "thr.json"
-    T.save(thr)
+    save_matrix(T, thr)
     jobs = tmp_path / "jobs.json"
     jobs.write_text(json.dumps([{"id": i, "num_steps": 1000} for i in range(3)]))
     return thr, jobs
@@ -106,7 +115,7 @@ class TestSolve:
         doc = json.loads((tmp_path / "allocation.json").read_text())
         assert doc["objective"] == pytest.approx(8 / 11, abs=0.01)
         # Allocation round-trips through validation.
-        T = ThroughputMatrix.load(thr)
+        T = load_matrix(thr)
         vals = np.zeros((3, 2))
         for r, row in enumerate(doc["allocation"]["rows"]):
             for c, cfg in enumerate(T.configs):
@@ -118,7 +127,7 @@ class TestSolve:
         cluster = make_cluster({"gpu": 1})
         T = ThroughputMatrix.from_cells(cluster, [JobCombination.of(0)], [[(1.0,)]])
         thr = tmp_path / "thr.json"
-        T.save(thr)
+        save_matrix(T, thr)
         jobs = tmp_path / "jobs.json"
         jobs.write_text(json.dumps([{"id": 0, "num_steps": 100}]))
         res = runner.invoke(main, ["--out", str(tmp_path), "solve",
@@ -132,7 +141,7 @@ class TestSolve:
         cluster = make_cluster({"gpu": 1}, costs={"gpu": 1.0})
         T = ThroughputMatrix.from_cells(cluster, [JobCombination.of(0)], [[(1.0,)]])
         thr = tmp_path / "thr.json"
-        T.save(thr)
+        save_matrix(T, thr)
         jobs = tmp_path / "jobs.json"
         jobs.write_text(json.dumps([{"id": 0, "num_steps": 10_000,
                                      "slo_seconds": 10.0}]))
@@ -170,8 +179,7 @@ class TestSolve:
             assert res.exit_code == 0, res.output
             assert label in res.output and "maximize" in res.output, policy
 
-    @pytest.mark.parametrize("policy", ["ftf", "sjf", "cost", "las+wf",
-                                        "hier:fair"])
+    @pytest.mark.parametrize("policy", ["ftf", "cost", "las+wf", "hier:fair"])
     def test_dump_lp_prints_every_policys_lps(self, runner, tmp_path, policy):
         thr, jobs = write_three_job_instance(tmp_path)
         if policy.startswith("hier"):
@@ -185,6 +193,16 @@ class TestSolve:
                                    "--jobs", str(jobs)])
         assert res.exit_code == 0, res.output
         assert "# LP: " in res.stderr and "subject to" in res.stderr
+
+    def test_dump_lp_prints_no_lp_for_sjf(self, runner, tmp_path):
+        # SJF reads each job's fastest singleton cell and solves no LP.
+        thr, jobs = write_three_job_instance(tmp_path)
+        res = runner.invoke(main, ["--out", str(tmp_path), "--dump-lp", "solve",
+                                   "--policy", "sjf", "--throughputs", str(thr),
+                                   "--jobs", str(jobs)])
+        assert res.exit_code == 0, res.output
+        assert "# LP: " not in res.stderr and "subject to" not in res.stderr
+        assert json.loads(res.stdout)["objective"] == 1000 / 4.0
 
     def test_iteration_limit_exit_code(self, runner, tmp_path, monkeypatch):
         monkeypatch.setattr(hetsched.lp, "MAX_ITER_BASE", 0)
@@ -301,7 +319,7 @@ class TestSolve:
 
     def solve(self, runner, tmp_path, policy, T, job_docs):
         thr, jobs = tmp_path / "thr.json", tmp_path / "jobs.json"
-        T.save(thr)
+        save_matrix(T, thr)
         jobs.write_text(json.dumps(job_docs))
         return runner.invoke(main, ["--out", str(tmp_path), "solve",
                                     "--policy", policy, "--throughputs", str(thr),
@@ -311,7 +329,7 @@ class TestSolve:
         thr, _ = write_three_job_instance(tmp_path)
         job_docs = [{"id": i, "num_steps": 1000} for i in range(3)]
         job_docs[1]["steps_done"] = 1000
-        res = self.solve(runner, tmp_path, "las", ThroughputMatrix.load(thr),
+        res = self.solve(runner, tmp_path, "las", load_matrix(thr),
                          job_docs)
         assert res.exit_code == 0, res.output
         doc = json.loads((tmp_path / "allocation.json").read_text())

@@ -1,21 +1,25 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 import hetsched.policies
 from hetsched.cluster import make_cluster
 from hetsched.jobs import Entity, Job, JobCombination
-from hetsched.lp import solve_lp
+from hetsched.lp import OPT_TOL
 from hetsched.matrices import (AllocationMatrix, ThroughputMatrix,
                                effective_throughput, equal_share_allocation,
                                isolated_allocation)
 from hetsched.policies import (InfeasibleSloError, PolicyError, PolicySpec,
                                PolicyKind, ProblemSpace, ZeroThroughputError,
-                               fifo, finish_time_fairness, max_min_fairness,
+                               _runnable, fastest_cell, fifo,
+                               finish_time_fairness, max_min_fairness,
                                max_total_throughput, min_cost, min_cost_slo,
                                min_makespan, parse_policy, shortest_job_first,
                                solve_policy)
 
-from oracles import OracleInstance, oracle_ftf, oracle_las, oracle_makespan
+from oracles import (OracleInstance, oracle_ftf, oracle_las, oracle_makespan,
+                     random_cells, reference_standalone)
 
 
 def singles(cluster, T_rows):
@@ -71,6 +75,21 @@ class TestLas:
 
 
 class TestFifo:
+    @pytest.mark.parametrize("cells, scale_factor", [
+        ([[(2.0,), (1.0,)], [(0.0,), None]], 1),
+        ([[(2.0,), (1.0,)], [(3.0,), (0.0,)]], 2),
+    ], ids=["zero-rates", "positive-cell-too-small"])
+    def test_job_without_positive_runnable_cell_raises(self, cells, scale_factor):
+        # `ProblemSpace` rejects job 1 before fifo divides by its fastest
+        # rate: it has no positive feasible cell that fits its workers.
+        cluster = make_cluster({"fast": 1, "slow": 2})
+        T = ThroughputMatrix.from_cells(
+            cluster, [JobCombination.of(0), JobCombination.of(1)], cells)
+        jobs = [Job(id=0, num_steps=10), Job(id=1, num_steps=10,
+                                             scale_factor=scale_factor)]
+        with pytest.raises(ZeroThroughputError, match="job 1"):
+            solve_policy(parse_policy("fifo"), jobs, cluster, T)
+
     def test_single_job_takes_fastest(self):
         cluster = make_cluster({"fast": 1, "slow": 1})
         T = singles(cluster, [[4.0, 1.0]])
@@ -115,17 +134,16 @@ class TestSjf:
         assert res.objective == pytest.approx(100.0)
         assert res.allocation.values[0, 0] == pytest.approx(1.0)
 
-    def test_one_solve_per_job(self, three_job_instance, monkeypatch):
+    def test_builds_no_lp(self, three_job_instance, monkeypatch):
         cluster, T, _ = three_job_instance
         jobs = [Job(id=i, num_steps=n) for i, n in enumerate((300, 100, 200))]
         lps = []
-        monkeypatch.setattr(hetsched.policies, "solve_lp",
-                            lambda lp: lps.append(lp) or solve_lp(lp))
+        monkeypatch.setattr(hetsched.policies, "solve_lp", lps.append)
         res = shortest_job_first(ProblemSpace(jobs, T))
-        assert len(lps) == 3
-        # Job 1 finishes first (100 / 3 s); its allocation is its own LP's
-        # solution, byte for byte.
-        alone = solve_lp(lps[1])
+        assert lps == []
+        # Job 1 finishes first (100 / 3 s); its allocation is the solution
+        # of the LP that gives it the whole cluster, byte for byte.
+        alone = reference_standalone(T, jobs[1])
         assert res.objective == 100 / alone.objective_value
         assert np.array_equal(res.allocation.values[1], alone.x)
         assert not res.allocation.values[[0, 2]].any()
@@ -141,6 +159,58 @@ class TestSjf:
             duration = shortest_job_first(ProblemSpace(jobs, T)).objective
             expected = min(steps[i] / thr[i].max() for i in range(3))
             assert duration == pytest.approx(expected, rel=1e-6)
+
+
+class TestFastestCell:
+    """`fastest_cell` is the closed form of the LP that gives one job the
+    whole cluster (`reference_standalone`): the same rate and time shares,
+    bit for bit, on runnable matrices."""
+
+    @staticmethod
+    def runnable_instance(rng):
+        """A `random_cells` matrix through `_runnable`, some singleton rows
+        given a tie for their best rate and some only rates near `OPT_TOL`."""
+        cluster, rows, cells, jobs = random_cells(rng)
+        for r, combo in enumerate(rows):
+            if combo.is_pair:
+                continue
+            if rng.random() < 0.3:
+                best = max(cells[r], key=lambda cell: cell[0] if cell else -1.0)
+                cells[r][int(rng.integers(len(cells[r])))] = best
+            elif rng.random() < 0.2:
+                cells[r] = [None if rng.random() < 0.3 else
+                            (float(rng.choice([0.0, 0.5, 1.0, 1.5])) * OPT_TOL,)
+                            for _ in cells[r]]
+        T = ThroughputMatrix.from_cells(cluster, rows, cells)
+        by_id = {j.id: j for j in jobs}
+        return _runnable(T, by_id, space_sharing=bool(rng.random() < 0.5)), jobs
+
+    def test_matches_the_standalone_lp_bit_for_bit(self):
+        rng = np.random.default_rng(2020)
+        seen = Counter()
+        for _ in range(400):
+            T, jobs = self.runnable_instance(rng)
+            for j in jobs:
+                cell, rate = fastest_cell(T, j.id)
+                ref = reference_standalone(T, j)
+                assert ref.optimal
+                assert np.float64(rate).tobytes() == \
+                    np.float64(ref.objective_value).tobytes()
+                x = np.zeros(T.num_configs)
+                seen["aware"] += T.cluster.placement_aware
+                if cell is None:
+                    seen["no cell"] += 1
+                else:
+                    r, c = divmod(cell, T.num_configs)
+                    assert r == T.singleton_row(j.id)
+                    x[c] = 1.0
+                    seen["tie"] += np.count_nonzero(T.thr[r, :, 0] == rate) > 1
+                    # The LP's capacity row ties its budget row here.
+                    seen["full type"] += (T.cluster.types[T.type_of[c]].num_workers
+                                          == j.scale_factor)
+                assert x.tobytes() == ref.x.tobytes()
+        # Every case the closed form must get right occurred.
+        assert min(seen[k] for k in ("no cell", "tie", "aware", "full type")) > 0, seen
 
 
 class TestMakespan:

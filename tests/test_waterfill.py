@@ -64,7 +64,7 @@ def test_weighted_four_job_example(four_job_example):
     for i in (1, 2, 3):
         assert first.normalized[i] == pytest.approx(1 / 3, abs=1e-3)
     assert first.bottlenecks == {0}
-    final = result.normalized
+    final = result.iterations[-1].normalized
     for i in range(4):
         assert final[i] == pytest.approx(1.0, abs=1e-3)
     assert len(result.iterations) == 2
@@ -279,7 +279,7 @@ def test_screen_settles_ordinary_instances(four_job_example, monkeypatch):
     result = single_level_waterfill(ProblemSpace(jobs, T))
     assert [it.bottlenecks for it in result.iterations] == [{0}, {1, 2, 3}]
     for i in range(4):
-        assert result.normalized[i] == pytest.approx(1.0, abs=1e-3)
+        assert result.iterations[-1].normalized[i] == pytest.approx(1.0, abs=1e-3)
 
 
 def test_pareto_on_termination(four_job_example):
