@@ -71,17 +71,6 @@ class ClusterSpec:
     def total_workers(self) -> int:
         return sum(t.num_workers for t in self.types)
 
-    def to_json(self) -> dict:
-        return {
-            "types": [
-                {"name": t.name, "cost_per_hour": t.cost_per_hour,
-                 "num_workers": t.num_workers,
-                 "workers_per_server": t.workers_per_server}
-                for t in self.types
-            ],
-            "placement_aware": self.placement_aware,
-        }
-
     @classmethod
     def from_json(cls, doc: dict) -> "ClusterSpec":
         types = tuple(

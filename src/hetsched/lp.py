@@ -16,6 +16,15 @@ Pivots and solutions are bit-identical to the reference kernel kept in the
 test suite (``tests/oracles.py``), which applies the same starting rule:
 only the bookkeeping around the floating-point operations that decide a
 pivot differs from it.
+
+`DualStart` is the warm alternative for LPs whose rows are all
+inequalities and that are solved again and again with new right-hand sides
+or appended rows.  It keeps the rows in standard form with one slack per
+row, ``[A | diag(+-1)] u = b``, and a basis of them with its inverse.  A
+zero objective makes every basis dual feasible, so a dual simplex under
+Bland's rule reaches a feasible basis from whatever basis the last solve
+left, paying only for the pivots the change needs instead of a cold phase
+1.  Phase 2 then runs the same primal simplex from that basis.
 """
 
 from __future__ import annotations
@@ -159,20 +168,36 @@ def solve_lp_each(lp: LinearProgram, objectives) -> list[SolveResult]:
     prob = _Standardized(lp)
     results = []
     for objective in objectives:
-        objective = np.asarray(objective, dtype=float)
-        if objective.shape != (lp.num_vars,):
-            raise DimensionError(
-                f"objective has shape {objective.shape}, expected ({lp.num_vars},)")
+        objective = _objective(lp, objective)
         if debug_sink is not None:
-            debug_sink(f"# LP: {lp.num_vars} variables, {len(lp.constraints)} "
-                       f"constraints\n{replace(lp, objective=objective).dump()}")
-        status, x_std = prob.solve(objective)
-        if status is Status.OPTIMAL:
-            x = prob.recover(x_std)
-            results.append(SolveResult(status, x, float(objective @ x)))
-        else:
-            results.append(SolveResult(status))
+            debug_sink(_debug_text(lp, objective))
+        results.append(prob.result(objective, prob.feasible_start))
     return results
+
+
+def dump_each(build, objectives=None) -> None:
+    """Feed `debug_sink` the text of the LP that `build()` returns, once per
+    objective in `objectives` (by default its own), as `solve_lp_each`
+    would.  `build` runs only when a sink is set, so a solver that never
+    builds the LinearProgram can still show it."""
+    if debug_sink is None:
+        return
+    lp = build()
+    for objective in [lp.objective] if objectives is None else objectives:
+        debug_sink(_debug_text(lp, _objective(lp, objective)))
+
+
+def _objective(lp: LinearProgram, objective) -> np.ndarray:
+    objective = np.asarray(objective, dtype=float)
+    if objective.shape != (lp.num_vars,):
+        raise DimensionError(
+            f"objective has shape {objective.shape}, expected ({lp.num_vars},)")
+    return objective
+
+
+def _debug_text(lp: LinearProgram, objective: np.ndarray) -> str:
+    return (f"# LP: {lp.num_vars} variables, {len(lp.constraints)} "
+            f"constraints\n{replace(lp, objective=objective).dump()}")
 
 
 def _row_dots(rows, coeffs: np.ndarray, cols: np.ndarray,
@@ -230,11 +255,15 @@ class _Standardized:
         else:
             rows, rels, coeffs, rhs = (), (), np.empty((0, n)), np.empty(0)
         fixed_cols = self.fixed.nonzero()[0]
-        rhs = (rhs - _row_dots(rows, coeffs, fixed_cols, self.fixed_vals[fixed_cols])
-               - _row_dots(rows, coeffs, self.keep, self.shift))
+        # What the fixed values and the lower-bound shift move each row's
+        # right-hand side by.
+        self.row_shifts = (_row_dots(rows, coeffs, fixed_cols,
+                                     self.fixed_vals[fixed_cols]),
+                           _row_dots(rows, coeffs, self.keep, self.shift))
         # Upper-bound rows (after the shift, u <= hi - lo).
         ub = upper - self.shift
         ub_cols = np.isfinite(ub).nonzero()[0]
+        self.ub = ub[ub_cols]
 
         m0 = len(rels)
         m = m0 + len(ub_cols)
@@ -243,11 +272,24 @@ class _Standardized:
         A[np.arange(m0, m), ub_cols] = 1.0
         A[:, nk:] = -A[:, self.neg_cols]
 
-        self.A, self.b = A, np.concatenate([rhs, ub[ub_cols]])
+        self.A, self.b = A, self.rhs(rhs)
         self.le = np.ones(m, dtype=bool)
         self.le[:m0] = [rel is Relation.LE for rel in rels]
         self.ge = np.zeros(m, dtype=bool)
         self.ge[:m0] = [rel is Relation.GE for rel in rels]
+
+    def rhs(self, rhs) -> np.ndarray:
+        """The standardized right-hand side when the LP's rows have the
+        right-hand sides `rhs`."""
+        fixed, shift = self.row_shifts
+        return np.concatenate([rhs - fixed - shift, self.ub])
+
+    def standardize_rows(self, coeffs: np.ndarray, rhs: np.ndarray):
+        """Extra rows over the LP's variables (`coeffs` stacks them) in the
+        standardized columns, and their shifted right-hand sides."""
+        main = coeffs[:, self.keep]
+        A = np.hstack([main, -main[:, self.neg_cols]])
+        return A, rhs - coeffs @ self.fixed_vals - main @ self.shift
 
     def cost(self, objective: np.ndarray) -> np.ndarray:
         """The standardized (minimized) cost vector of an objective."""
@@ -357,24 +399,27 @@ class _Standardized:
         Binv = _basis_inverse(T2, basis)
         return T2, b, basis, Binv, Binv @ b
 
-    def solve(self, objective: np.ndarray):
-        """Phase 2 for one objective from the cached feasible start; returns
-        (status, u) with u None unless optimal."""
+    def result(self, objective: np.ndarray, start) -> SolveResult:
+        """Phase 2 for one objective from `start`, laid out like
+        `feasible_start` (None for infeasible rows, empty for no rows), as a
+        SolveResult over the LP's own variables."""
         c = self.cost(objective)
-        start = self.feasible_start
         if start is None:
-            return Status.INFEASIBLE, None
+            return SolveResult(Status.INFEASIBLE)
         if not start:
-            return self._without_rows(c)
-        T2, b, basis, Binv, xb = start
-        n = self.A.shape[1]
-        c2 = np.zeros(T2.shape[1])
-        c2[:n] = c
-        # Copies: the simplex updates the inverse and basic values in place.
-        status, x_all, _ = _simplex(T2, b, c2, basis, Binv.copy(), xb.copy())
+            status, u = self._without_rows(c)
+        else:
+            T2, b, basis, Binv, xb = start
+            n = self.A.shape[1]
+            c2 = np.zeros(T2.shape[1])
+            c2[:n] = c
+            # Copies: the simplex updates the inverse and basic values in place.
+            status, x_all, _ = _simplex(T2, b, c2, basis, Binv.copy(), xb.copy())
+            u = x_all[:n] if status is Status.OPTIMAL else None
         if status is not Status.OPTIMAL:
-            return status, None
-        return Status.OPTIMAL, x_all[:n]
+            return SolveResult(status)
+        x = self.recover(u)
+        return SolveResult(status, x, float(objective @ x))
 
 
 def _basis_inverse(A: np.ndarray, basis) -> np.ndarray:
@@ -461,3 +506,140 @@ def _simplex(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: np.ndarray,
     x[basis] = xb
     x[np.abs(x) < ZERO_TOL] = 0.0
     return Status.OPTIMAL, x, basis
+
+
+class DualStart:
+    """The rows of an LP with no equality row, standardized once with one
+    slack per row, ``[A | diag(s)] u = b`` and ``u >= 0`` (s_i = +1 for a
+    ``<=`` row and -1 for a ``>=`` row), and a basis of them with its
+    inverse, at first the slack basis.
+
+    `phase_one` decides feasibility by `solve_lp`'s cold phase 1 and keeps
+    its basis; `restart` decides it by the dual simplex of a zero objective
+    from wherever the basis was left.  Either way `solve_each` then runs
+    phase 2 per objective from the feasible basis found.  `append` adds
+    rows, extending the basis by their slacks.
+    """
+
+    def __init__(self, lp: LinearProgram):
+        if any(rel is Relation.EQ for _, rel, _ in lp.constraints):
+            raise ValueError("an equality row has no slack")
+        self.lp = lp
+        self.prob = _Standardized(lp)
+        self.T = np.hstack([self.prob.A,
+                            np.diag(np.where(self.prob.le, 1.0, -1.0))])
+        self.b = self.prob.b
+        m, n = self.prob.A.shape
+        self.basis = np.arange(n, n + m)
+        # diag(s) is its own inverse.
+        self.Binv = self.T[:, n:].copy()
+        # The phase-2 start for solve_each, laid out like feasible_start.
+        self.start = None
+
+    def phase_one(self) -> bool:
+        """Whether the rows are feasible, by `solve_lp`'s phase 1, so that
+        `solve_each` then returns exactly what `solve_lp_each` does.  Its
+        feasible basis is kept unless phase 1 dropped a row.  Phase 1 negates
+        some rows, T2 = D T with D = diag(+-1), so the basis is the same and
+        its inverse is the phase-1 inverse times D."""
+        self.start = start = self.prob.feasible_start
+        if start and len(start[2]) == len(self.T):
+            T2, _, self.basis, Binv, _ = start
+            d = T2[:, -len(self.T):].diagonal() * self.T[:, -len(self.T):].diagonal()
+            self.Binv = Binv * d
+        return start is not None
+
+    def restart(self, rhs=None) -> bool:
+        """Whether the rows are feasible, by the dual simplex from the current
+        basis, the LP's own rows taking the right-hand sides `rhs` when given
+        (appended rows keep theirs)."""
+        if rhs is not None:
+            b = self.prob.rhs(np.asarray(rhs, dtype=float))
+            self.b = np.concatenate([b, self.b[len(b):]])
+        feasible, self.basis, self.Binv, xb = _dual_simplex(
+            self.T, self.b, self.basis, self.Binv, self.Binv @ self.b)
+        self.start = None
+        if feasible:
+            # An empty start means no rows, as from `feasible_start`.
+            self.start = (self.T, self.b, self.basis, self.Binv, xb) if len(xb) else ()
+        return feasible
+
+    def solve_each(self, objectives) -> list[SolveResult]:
+        """`solve_lp_each` for the rows as they are now, phase 2 starting
+        from the basis the last `phase_one` or `restart` found."""
+        return [self.prob.result(_objective(self.lp, objective), self.start)
+                for objective in objectives]
+
+    def append(self, rows) -> "DualStart":
+        """These rows plus (coeffs, relation, rhs) `rows` over the LP's
+        variables, starting from this basis plus the new rows' slacks.  The
+        new basis is block lower triangular, [[B, 0], [R, S]] with S = diag(s)
+        of the new rows, so its inverse is [[B^-1, 0], [-S R B^-1, S]]."""
+        coeffs, rels, rhs = zip(*rows)
+        rels = [Relation(rel) for rel in rels]
+        if Relation.EQ in rels:
+            raise ValueError("an equality row has no slack")
+        A, b = self.prob.standardize_rows(np.array(coeffs), np.array(rhs, dtype=float))
+        sign = np.array([1.0 if rel is Relation.LE else -1.0 for rel in rels])
+        (m, n), k = self.T.shape, len(rows)
+        rows_k, slacks_k = np.arange(m, m + k), np.arange(n, n + k)
+        out = object.__new__(DualStart)
+        out.lp, out.prob, out.start = self.lp, self.prob, None
+        out.T = np.zeros((m + k, n + k))
+        out.T[:m, :n] = self.T
+        out.T[m:, :A.shape[1]] = A
+        out.T[rows_k, slacks_k] = sign
+        out.b = np.concatenate([self.b, b])
+        out.basis = np.concatenate([self.basis, slacks_k])
+        out.Binv = np.zeros((m + k, m + k))
+        out.Binv[:m, :m] = self.Binv
+        out.Binv[m:, :m] = -sign[:, None] * (out.T[m:, self.basis] @ self.Binv)
+        out.Binv[rows_k, rows_k] = sign
+        return out
+
+
+def _dual_simplex(T: np.ndarray, b: np.ndarray, basis: np.ndarray,
+                  Binv: np.ndarray, xb: np.ndarray):
+    """Dual simplex for a zero objective (T x = b, x >= 0) from a basis with
+    its exact inverse `Binv` and basic values `xb`, both updated in place.
+
+    Every basis is dual feasible for a zero objective, so every ratio test
+    ties and Bland's rule decides: the leaving row is, among rows whose
+    basic value is below -FEAS_TOL, the one whose basic column has the
+    smallest index; the entering column is the lowest-index nonbasic one
+    with a pivot-row entry below -PIVOT_TOL.  Returns (feasible, basis,
+    Binv, xb): feasible once no basic value is below -FEAS_TOL, infeasible
+    when the leaving row has no entering column (its row of B^-1 T x = B^-1 b
+    then has no nonnegative solution).  The pivot budget and refactorization
+    are `_simplex`'s.
+    """
+    m, n = T.shape
+    basis = basis.copy()
+    nonbasic = np.ones(n, dtype=bool)
+    nonbasic[basis] = False
+    max_iter = MAX_ITER_BASE + MAX_ITER_PER_DIM * (m + n)
+    for it in range(max_iter):
+        if it > 0 and it % REFACTOR_EVERY == 0:
+            Binv = _basis_inverse(T, basis)
+            xb = Binv @ b
+        short = (xb < -FEAS_TOL).nonzero()[0]
+        if not short.size:
+            return True, basis, Binv, xb
+        leave = short[basis[short].argmin()]
+        entering = (Binv[leave] @ T < -PIVOT_TOL) & nonbasic
+        enter = entering.argmax()
+        if not entering[enter]:
+            return False, basis, Binv, xb
+        d = Binv @ T[:, enter]
+        step = xb[leave] / d[leave]
+        xb -= d * step
+        xb[leave] = step
+        pivot_row = Binv[leave]
+        pivot_row /= d[leave]
+        d[leave] = 0.0
+        Binv -= np.outer(d, pivot_row)
+        nonbasic[basis[leave]] = True
+        nonbasic[enter] = False
+        basis[leave] = enter
+    raise IterationLimitError(
+        f"dual simplex iteration limit exceeded ({max_iter} pivots)")

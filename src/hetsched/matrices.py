@@ -171,16 +171,6 @@ class ThroughputMatrix:
         return ThroughputMatrix(self.cluster, rows, self.thr[idx],
                                 self.feasible[idx])
 
-    def to_json(self) -> dict:
-        doc = self.cluster.to_json()
-        doc["rows"] = []
-        for combo, row in zip(self.rows, self.entries):
-            thr = {}
-            for cfg, cell in zip(self.configs, row):
-                thr[cfg.key(self.cluster)] = None if cell is None else list(cell)
-            doc["rows"].append({"members": list(combo.members), "throughputs": thr})
-        return doc
-
     @classmethod
     def from_json(cls, doc: dict) -> "ThroughputMatrix":
         cluster = ClusterSpec.from_json(doc)

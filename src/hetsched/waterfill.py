@@ -14,6 +14,16 @@ per active job, then one screening LP that asks whether every job able to
 gain on its own can gain at the same time.  A mixed-integer program runs
 only when the screen fails or a gain sits too close to the strictness
 slack to call.
+
+The gain LPs of one decision share their rows, and only the carry rows'
+right-hand sides change from one iteration to the next; the screen is the
+gain LP plus appended rows.  So the gain rows are standardized once per
+decision (`GainRows`, around an `lp.DualStart`).  The first gain LP runs
+the cold phase 1; every later one restarts from the previous iteration's
+feasible basis with a zero-cost dual simplex, and every screen starts from
+the gain LP's feasible basis plus its new rows' slacks, so neither pays for
+a cold phase 1 again.  The level and tightening LPs, whose optimal vertices
+become the allocation, stay cold.
 """
 
 from __future__ import annotations
@@ -23,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .jobs import EntityPolicy
-from .lp import Relation, solve_lp, solve_lp_each
+from .lp import DualStart, Relation, dump_each, solve_lp, solve_lp_each
 from .matrices import AllocationMatrix, effective_throughput
 from .milp import MixedIntegerProgram, solve_milp
 from .policies import (PolicyError, PolicyInfeasibleError, PolicyResult,
@@ -136,19 +146,58 @@ def _tighten_lp(space: ProblemSpace, weights: dict, t_prev: dict,
     return space.allocation(res.x)
 
 
-def max_gain(space: ProblemSpace, thr_prev: dict, job_ids) -> dict:
+class GainRows:
+    """Bottleneck detection's state within one decision: the gain LP's rows,
+    standardized at the first gain LP, whose cold phase 1 gives the first
+    feasible basis, and whether the basis is feasible for the current carry
+    rows (False before the first gain LP and after a fall back to the cold
+    path)."""
+
+    def __init__(self, space: ProblemSpace):
+        self.space = space
+        self.warm = None
+        self.feasible = False
+
+    def restart(self, thr_prev: dict) -> bool:
+        """Move the basis to one feasible for carry rows at `thr_prev`, by
+        the cold phase 1 the first time and by the dual simplex after that;
+        False when it calls the rows infeasible (X_prev satisfies them, so
+        only numerics can)."""
+        space = self.space
+        if self.warm is None:
+            self.warm = DualStart(_gain_lp(space, thr_prev))
+            self.feasible = self.warm.phase_one()
+        else:
+            self.feasible = self.warm.restart(
+                [thr_prev[j.id] for j in space.jobs] + space.validity_rhs)
+        return self.feasible
+
+
+def _gain_lp(space: ProblemSpace, thr_prev: dict):
+    return space.lp(np.zeros(space.n_cells), _carry_rows(space, thr_prev))
+
+
+def max_gain(space: ProblemSpace, thr_prev: dict, job_ids,
+             gain_rows: GainRows | None = None) -> dict:
     """Largest throughput increase available to each of `job_ids` alone
     while every job keeps at least its previous throughput.  The gain LPs
     differ only in their objective, so they are solved as one LP with one
-    objective per job; a job whose LP has no optimum gains 0.0."""
-    lp = space.lp(np.zeros(space.n_cells), _carry_rows(space, thr_prev))
-    results = solve_lp_each(lp, [space.coeffs[job_id] for job_id in job_ids])
+    objective per job; a job whose LP has no optimum gains 0.0.  Phase 2
+    starts from the feasible basis `gain_rows` (a fresh `GainRows` by
+    default) restarts to, or from a cold phase 1 when it cannot give one."""
+    gain_rows = GainRows(space) if gain_rows is None else gain_rows
+    objectives = [space.coeffs[job_id] for job_id in job_ids]
+    if gain_rows.restart(thr_prev):
+        dump_each(lambda: _gain_lp(space, thr_prev), objectives)
+        results = gain_rows.warm.solve_each(objectives)
+    else:
+        results = solve_lp_each(_gain_lp(space, thr_prev), objectives)
     return {job_id: res.objective_value - thr_prev[job_id] if res.optimal else 0.0
             for job_id, res in zip(job_ids, results)}
 
 
-def find_bottlenecks(space: ProblemSpace, thr_prev: dict,
-                     active_weights: dict) -> set:
+def find_bottlenecks(space: ProblemSpace, thr_prev: dict, active_weights: dict,
+                     gain_rows: GainRows | None = None) -> set:
     """Jobs whose effective throughput cannot rise without lowering another's.
 
     `thr_prev` holds every job's effective throughput under the previous
@@ -168,29 +217,45 @@ def find_bottlenecks(space: ProblemSpace, thr_prev: dict,
     must gain delta_j alone, and the largest set is unique, so no tie is
     left to break.  With no candidates X_prev itself is the witness.
     Otherwise (a gain in [VERIFY_FRACTION * delta_j, delta_j), or
-    candidates that conflict) the bottleneck MILP decides.
+    candidates that conflict) the bottleneck MILP decides.  Both LPs start
+    from the basis in `gain_rows`, the decision's `GainRows` (a fresh one
+    by default).
     """
+    gain_rows = GainRows(space) if gain_rows is None else gain_rows
     active = [j for j in space.jobs if active_weights.get(j.id, 0.0) > 0]
     delta = {j.id: DELTA_FRACTION * space.T.max_throughput(j.id) for j in active}
-    gain = max_gain(space, thr_prev, [j.id for j in active])
+    gain = max_gain(space, thr_prev, [j.id for j in active], gain_rows)
     cand = {j.id for j in active if gain[j.id] >= delta[j.id]}
     in_band = any(VERIFY_FRACTION * delta[j.id] <= gain[j.id] < delta[j.id]
                   for j in active)
     if not in_band and (not cand or _screen_feasible(space, active, thr_prev,
-                                                     delta, cand)):
+                                                     delta, cand, gain_rows)):
         return {j.id for j in active} - cand
     return _milp_bottlenecks(space, active, thr_prev, delta, gain)
 
 
 def _screen_feasible(space: ProblemSpace, active: list, thr_prev: dict,
-                     delta: dict, cand: set) -> bool:
+                     delta: dict, cand: set,
+                     gain_rows: GainRows | None = None) -> bool:
     """Whether every candidate can gain its slack at once while every other
-    active job stays at its previous throughput."""
-    rows = _carry_rows(space, thr_prev) + [
-        (space.coeffs[j.id], Relation.GE, thr_prev[j.id] + delta[j.id])
-        if j.id in cand else (space.coeffs[j.id], Relation.LE, thr_prev[j.id])
-        for j in active]
-    return solve_lp(space.lp(np.zeros(space.n_cells), rows)).optimal
+    active job stays at its previous throughput.  `gain_rows` holds the
+    gain LP's basis for `thr_prev` (by default a fresh `GainRows` finds it);
+    the screen appends its rows to the gain rows and starts from that basis
+    plus their slacks, or runs cold when `gain_rows` has no feasible basis."""
+    if gain_rows is None:
+        gain_rows = GainRows(space)
+        gain_rows.restart(thr_prev)
+    extra = [(space.coeffs[j.id], Relation.GE, thr_prev[j.id] + delta[j.id])
+             if j.id in cand else (space.coeffs[j.id], Relation.LE, thr_prev[j.id])
+             for j in active]
+
+    def screen_lp():
+        return space.lp(np.zeros(space.n_cells), _carry_rows(space, thr_prev) + extra)
+
+    if not gain_rows.feasible:
+        return solve_lp(screen_lp()).optimal
+    dump_each(screen_lp)
+    return gain_rows.warm.append(extra).restart()
 
 
 def _milp_bottlenecks(space: ProblemSpace, active: list, thr_prev: dict,
@@ -249,6 +314,7 @@ def _fill(space: ProblemSpace, weights_of) -> WaterfillResult:
     t_prev = {j.id: 0.0 for j in jobs}
     thr_prev = {j.id: 0.0 for j in jobs}
     iterations = []
+    gain_rows = GainRows(space)
 
     for _ in range(len(jobs) + 1):
         weights = weights_of(done)
@@ -258,7 +324,7 @@ def _fill(space: ProblemSpace, weights_of) -> WaterfillResult:
         X = _tighten_lp(space, weights, t_prev, thr_prev, level)
         thr = {j.id: effective_throughput(j.id, X, space.T) for j in jobs}
         normalized = {j.id: thr[j.id] / space.equal_norm[j.id] for j in jobs}
-        bottlenecks = find_bottlenecks(space, thr, weights)
+        bottlenecks = find_bottlenecks(space, thr, weights, gain_rows)
         if not bottlenecks:
             # Numerically possible only when every weighted job can still
             # move; freeze them all to guarantee termination.

@@ -16,9 +16,11 @@ references that the optimized ones must match: row-at-a-time ALS
 (`restart_batched_complete_matrix`), the two-phase simplex (`reference_solve_lp`),
 the cell-at-a-time throughput-matrix walks (`CellMatrix`), one gain LP
 per job (`reference_max_gain`), bottleneck detection by MILP alone
-(`reference_find_bottlenecks`) and the LP that gives one job the whole
-cluster (`reference_standalone`), with the seeded matrices (`random_cells`)
-on which they are compared.
+(`reference_find_bottlenecks`), water filling's gain and screen LPs each
+from a cold phase 1 (`cold_max_gain`, `cold_screen_feasible`) and the LP
+that gives one job the whole cluster (`reference_standalone`), with the
+seeded matrices (`random_cells`) on which they are compared.  It also
+writes throughput-matrix files as the CLI reads them (`matrix_doc`).
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ from hetsched.estimator import (DEFAULT_ITERS, DEFAULT_RANK, DEFAULT_REG,
                                 CompletionError)
 from hetsched.jobs import Job, JobCombination
 from hetsched.lp import (DEGENERATE_LIMIT, FEAS_TOL, OPT_TOL, REFACTOR_EVERY,
-                         LinearProgram, Relation, SolveResult, Status, solve_lp)
+                         LinearProgram, Relation, SolveResult, Status, solve_lp,
+                         solve_lp_each)
 from hetsched.matrices import effective_throughput
 from hetsched.milp import MixedIntegerProgram, solve_milp
 from hetsched.policies import PolicyError, ProblemSpace
@@ -1019,3 +1022,60 @@ def reference_find_bottlenecks(jobs, X_prev, T, active_weights: dict) -> set:
         if reference_max_gain(space, thr_prev, j.id) < 0.5 * delta:
             stuck.add(j.id)
     return stuck
+
+
+# ---------------------------------------------------------------------------
+# Water filling's bottleneck LPs, each from a cold phase 1
+# ---------------------------------------------------------------------------
+# `hetsched.waterfill` restarts its gain and screen LPs from the last
+# feasible basis.  These are the same LPs built whole and solved cold, with
+# the library's signatures (the per-decision `gain_rows` state is ignored),
+# so a test can swap them in and run the same fill on the cold path.
+
+def _carry(space: ProblemSpace, thr_prev: dict) -> list:
+    return [(space.coeffs[j.id], Relation.GE, thr_prev[j.id]) for j in space.jobs]
+
+
+def cold_max_gain(space: ProblemSpace, thr_prev: dict, job_ids,
+                  gain_rows=None) -> dict:
+    """Each job's largest gain while every job keeps its previous
+    throughput: one LP with one objective per job, through `solve_lp_each`."""
+    lp = space.lp(np.zeros(space.n_cells), _carry(space, thr_prev))
+    results = solve_lp_each(lp, [space.coeffs[job_id] for job_id in job_ids])
+    return {job_id: res.objective_value - thr_prev[job_id] if res.optimal else 0.0
+            for job_id, res in zip(job_ids, results)}
+
+
+def cold_screen_feasible(space: ProblemSpace, active: list, thr_prev: dict,
+                         delta: dict, cand: set, gain_rows=None) -> bool:
+    """Whether every candidate can gain its slack at once while every other
+    active job stays at its previous throughput, through `solve_lp`."""
+    extra = [(space.coeffs[j.id], Relation.GE, thr_prev[j.id] + delta[j.id])
+             if j.id in cand else (space.coeffs[j.id], Relation.LE, thr_prev[j.id])
+             for j in active]
+    lp = space.lp(np.zeros(space.n_cells), _carry(space, thr_prev) + extra)
+    return solve_lp(lp).optimal
+
+
+# ---------------------------------------------------------------------------
+# Throughput-matrix files
+# ---------------------------------------------------------------------------
+
+def matrix_doc(T) -> dict:
+    """The JSON document of a throughput matrix that
+    `ThroughputMatrix.from_json` reads back: the cluster's types and
+    placement flag, then per row its members and per configuration key its
+    rates (None where the row cannot run)."""
+    cluster = T.cluster
+    keys = [cfg.key(cluster) for cfg in T.configs]
+    return {
+        "types": [{"name": t.name, "cost_per_hour": t.cost_per_hour,
+                   "num_workers": t.num_workers,
+                   "workers_per_server": t.workers_per_server}
+                  for t in cluster.types],
+        "placement_aware": cluster.placement_aware,
+        "rows": [{"members": list(combo.members),
+                  "throughputs": {key: None if cell is None else list(cell)
+                                  for key, cell in zip(keys, row)}}
+                 for combo, row in zip(T.rows, T.entries)],
+    }

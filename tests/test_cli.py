@@ -9,12 +9,14 @@ from click.testing import CliRunner
 
 import hetsched.cli
 import hetsched.lp
+import hetsched.waterfill
 from hetsched.cli import main
 from hetsched.cluster import make_cluster
 from hetsched.jobs import Job, JobCombination
 from hetsched.matrices import AllocationMatrix, ThroughputMatrix
 from hetsched.simulator import SimConfig
 from hetsched.traces import Trace, TraceEntry
+from oracles import cold_max_gain, cold_screen_feasible, matrix_doc
 
 
 @pytest.fixture
@@ -24,7 +26,7 @@ def runner():
 
 def save_matrix(T, path):
     """Write a throughput matrix file as the CLI reads it."""
-    path.write_text(json.dumps(T.to_json(), indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(matrix_doc(T), indent=2, sort_keys=True) + "\n")
 
 
 def load_matrix(path):
@@ -193,6 +195,28 @@ class TestSolve:
                                    "--jobs", str(jobs)])
         assert res.exit_code == 0, res.output
         assert "# LP: " in res.stderr and "subject to" in res.stderr
+
+    def test_dump_lp_shows_warm_bottleneck_lps_as_built_cold(self, runner, tmp_path,
+                                                            monkeypatch):
+        # The gain and screen LPs restart from a basis rather than being
+        # built whole, yet --dump-lp prints exactly what the cold path does.
+        thr, jobs = write_three_job_instance(tmp_path)
+        jobs.write_text(json.dumps({
+            "jobs": [{"id": i, "num_steps": 1000, "entity_id": i % 2}
+                     for i in range(3)],
+            "entities": [{"id": 0, "policy": "fairness"},
+                         {"id": 1, "policy": "fifo"}]}))
+        args = ["--out", str(tmp_path), "--dump-lp", "solve", "--policy", "hier",
+                "--throughputs", str(thr), "--jobs", str(jobs)]
+        warm = runner.invoke(main, args)
+        monkeypatch.setattr(hetsched.waterfill, "max_gain", cold_max_gain)
+        monkeypatch.setattr(hetsched.waterfill, "_screen_feasible",
+                            cold_screen_feasible)
+        cold = runner.invoke(main, args)
+        assert warm.exit_code == cold.exit_code == 0, warm.output
+        assert warm.stdout == cold.stdout
+        assert warm.stderr == cold.stderr
+        assert warm.stderr.count("# LP: ") > 4
 
     def test_dump_lp_prints_no_lp_for_sjf(self, runner, tmp_path):
         # SJF reads each job's fastest singleton cell and solves no LP.

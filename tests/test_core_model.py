@@ -13,7 +13,7 @@ from hetsched.matrices import (AllocationMatrix, ThroughputMatrix,
                                isolated_allocation,
                                prune_combinations)
 from hetsched.policies import ProblemSpace
-from oracles import CellMatrix, random_cells
+from oracles import CellMatrix, matrix_doc, random_cells
 
 
 @pytest.fixture
@@ -207,7 +207,7 @@ def test_matrix_json_round_trip(tmp_path):
     ]
     T = ThroughputMatrix.from_cells(cluster, rows, entries)
     path = tmp_path / "matrix.json"
-    path.write_text(json.dumps(T.to_json()))
+    path.write_text(json.dumps(matrix_doc(T)))
     T2 = ThroughputMatrix.from_json(json.loads(path.read_text()))
     assert T2.rows == T.rows
     assert T2.cluster == T.cluster

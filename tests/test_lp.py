@@ -5,8 +5,9 @@ from scipy.optimize import linprog
 
 import hetsched.lp
 from hetsched.jobs import Job
-from hetsched.lp import (PHASE1_OPT_TOL, DimensionError, IterationLimitError,
-                         LinearProgram, Relation, Status, solve_lp, solve_lp_each)
+from hetsched.lp import (OPT_TOL, PHASE1_OPT_TOL, DimensionError, DualStart,
+                         IterationLimitError, LinearProgram, Relation, Status,
+                         solve_lp, solve_lp_each)
 from hetsched.matrices import ThroughputMatrix
 from hetsched.policies import ProblemSpace, max_min_lp
 from oracles import random_cells, reference_solve_lp
@@ -420,3 +421,112 @@ def test_solve_lp_each_checks_objective_shape():
     lp = LinearProgram(2, np.zeros(2))
     with pytest.raises(DimensionError):
         solve_lp_each(lp, [np.ones(2), np.ones(3)])
+
+
+def _equivalence_set():
+    """The LPs every kernel is checked on: 240 random LPs and 120
+    bottleneck-MILP relaxations."""
+    return ([_random_lp(np.random.default_rng(seed)) for seed in range(240)]
+            + [_bottleneck_relaxation(np.random.default_rng(1000 + seed))
+               for seed in range(120)])
+
+
+def _has_equality(lp) -> bool:
+    return any(rel is Relation.EQ for _, rel, _ in lp.constraints)
+
+
+def _with_rows(lp, rows) -> LinearProgram:
+    return LinearProgram(lp.num_vars, lp.objective, maximize=lp.maximize,
+                         constraints=list(rows), lower=lp.lower, upper=lp.upper)
+
+
+def _assert_warm_verdict(ds, feasible, lp):
+    """`feasible` (a DualStart verdict) is solve_lp's on `lp`, and phase 2
+    from the basis found gives solve_lp's status and optimum within
+    OPT_TOL."""
+    ref = solve_lp(lp)
+    assert feasible == (ref.status is not Status.INFEASIBLE)
+    if feasible:
+        res = ds.solve_each([lp.objective])[0]
+        assert res.status is ref.status
+        if ref.optimal:
+            assert abs(res.objective_value - ref.objective_value) <= OPT_TOL
+    return feasible
+
+
+def test_dual_simplex_verdicts_match_solve_lp():
+    """From the slack basis, restarted after the right-hand sides change, and
+    after appended rows, the zero-cost dual simplex decides feasibility as
+    solve_lp does.  LPs with an equality row have no slack basis and are
+    left out."""
+    verdicts = {"slack": [], "rhs": [], "appended": []}
+    equality = 0
+    for k, lp in enumerate(_equivalence_set()):
+        if _has_equality(lp):
+            equality += 1
+            continue
+        rng = np.random.default_rng(5000 + k)
+        ds = DualStart(lp)
+        verdicts["slack"].append(_assert_warm_verdict(ds, ds.restart(), lp))
+
+        rows = [(row, rel, rhs + float(rng.integers(-2, 3)))
+                for row, rel, rhs in lp.constraints]
+        verdicts["rhs"].append(_assert_warm_verdict(
+            ds, ds.restart([rhs for _, _, rhs in rows]), _with_rows(lp, rows)))
+
+        extra = [(rng.integers(-2, 3, size=lp.num_vars).astype(float),
+                  Relation(rng.choice(["<=", ">="])), float(rng.integers(-2, 6)))
+                 for _ in range(int(rng.integers(1, 4)))]
+        screen = ds.append(extra)
+        verdicts["appended"].append(_assert_warm_verdict(
+            screen, screen.restart(), _with_rows(lp, rows + extra)))
+    assert equality == 104
+    for kind, seen in verdicts.items():
+        assert len(seen) == 256
+        assert seen.count(True) >= 30 and seen.count(False) >= 30, kind
+
+
+def test_phase_one_start_is_solve_lp_each():
+    """After `phase_one`, phase 2 runs from solve_lp's own feasible start, so
+    every result is bit-identical to solve_lp_each's; the basis it keeps,
+    mapped to the slack layout, is feasible with its exact inverse."""
+    kept = 0
+    for k, lp in enumerate(_equivalence_set()):
+        if _has_equality(lp):
+            continue
+        objectives = _random_objectives(np.random.default_rng(10_000 + k),
+                                        lp.num_vars)
+        ds = DualStart(lp)
+        feasible = ds.phase_one()
+        for res, ref in zip(ds.solve_each(objectives), solve_lp_each(lp, objectives)):
+            assert res.status is ref.status
+            assert res.objective_value == ref.objective_value
+            assert (res.x is None) == (ref.x is None)
+            if ref.x is not None:
+                assert np.array_equal(res.x, ref.x)
+        if feasible and len(ds.T) and ds.start[2] is ds.basis:
+            kept += 1
+            assert np.allclose(ds.Binv @ ds.T[:, ds.basis], np.eye(len(ds.T)))
+            basis = ds.basis.copy()
+            assert ds.restart() and np.array_equal(ds.basis, basis)
+    assert kept >= 100
+
+
+def test_dual_start_rejects_equality_rows():
+    lp = LinearProgram(2, np.zeros(2))
+    lp.add_constraint([1.0, 1.0], Relation.EQ, 1.0)
+    with pytest.raises(ValueError, match="equality"):
+        DualStart(lp)
+    lp = LinearProgram(2, np.zeros(2))
+    lp.add_constraint([1.0, 1.0], Relation.LE, 1.0)
+    with pytest.raises(ValueError, match="equality"):
+        DualStart(lp).append([(np.ones(2), Relation.EQ, 0.5)])
+
+
+def test_dual_simplex_iteration_limit_is_typed(monkeypatch):
+    monkeypatch.setattr(hetsched.lp, "MAX_ITER_BASE", 0)
+    monkeypatch.setattr(hetsched.lp, "MAX_ITER_PER_DIM", 0)
+    lp = LinearProgram(2, np.zeros(2))
+    lp.add_constraint([1.0, 1.0], Relation.GE, 1.0)
+    with pytest.raises(IterationLimitError, match="iteration limit"):
+        DualStart(lp).restart()

@@ -1,12 +1,14 @@
+import functools
 import itertools
 
 import numpy as np
 import pytest
 
+import hetsched.lp
 import hetsched.waterfill
 from hetsched.cluster import make_cluster
 from hetsched.jobs import Entity, EntityPolicy, Job, JobCombination
-from hetsched.lp import Relation, Status, solve_lp
+from hetsched.lp import Relation, Status, solve_lp, solve_lp_each
 from hetsched.matrices import AllocationMatrix, ThroughputMatrix, effective_throughput
 from hetsched.milp import solve_milp
 from hetsched.policies import (EntityError, PolicyError, ProblemSpace,
@@ -15,7 +17,8 @@ from hetsched.waterfill import (DELTA_FRACTION, VERIFY_FRACTION,
                                 assign_job_weights, find_bottlenecks,
                                 hierarchical_waterfill, max_gain,
                                 single_level_waterfill)
-from oracles import random_cells, reference_find_bottlenecks, reference_max_gain
+from oracles import (cold_max_gain, cold_screen_feasible, random_cells,
+                     reference_find_bottlenecks, reference_max_gain)
 
 
 def singles(cluster, T_rows):
@@ -333,3 +336,147 @@ def test_no_weighted_job_is_a_policy_error():
     with pytest.raises(EntityError):
         hierarchical_waterfill(
             ProblemSpace([Job(id=0, num_steps=100, entity_id=7)], T), [Entity(0, 1.0)])
+
+
+def _random_fill_instance(rng):
+    """A `random_cells` space whose jobs carry weights, arrival times and
+    one of one to three entities, each fair or FIFO with weight 1 to 3."""
+    cluster, rows, cells, jobs = random_cells(rng)
+    policies = [EntityPolicy.FAIRNESS, EntityPolicy.FIFO]
+    entities = [Entity(e, float(rng.integers(1, 4)), policies[int(rng.integers(2))])
+                for e in range(int(rng.integers(1, 4)))]
+    jobs = [Job(id=j.id, num_steps=100, scale_factor=j.scale_factor,
+                weight=float(rng.integers(1, 3)),
+                entity_id=int(rng.integers(len(entities))),
+                arrival_time=float(rng.integers(3)))
+            for j in jobs]
+    return ProblemSpace(jobs, ThroughputMatrix.from_cells(cluster, rows, cells)), entities
+
+
+def _fills(space, entities):
+    return [(hierarchical_waterfill, (space, entities)),
+            (single_level_waterfill, (space,))]
+
+
+def _cold_fill(monkeypatch, fill, args):
+    """`fill(*args)` with every gain and screen LP solved from a cold phase 1."""
+    with monkeypatch.context() as m:
+        m.setattr(hetsched.waterfill, "max_gain", cold_max_gain)
+        m.setattr(hetsched.waterfill, "_screen_feasible", cold_screen_feasible)
+        return fill(*args)
+
+
+def _assert_same_fill(ours, ref):
+    assert len(ours.iterations) == len(ref.iterations)
+    for a, b in zip(ours.iterations, ref.iterations):
+        assert a.weights == b.weights
+        assert a.level == b.level
+        assert a.allocation.values.tobytes() == b.allocation.values.tobytes()
+        assert a.bottlenecks == b.bottlenecks
+
+
+@pytest.fixture
+def warm_calls(monkeypatch):
+    """Counts the dual-simplex restarts of the gain rows and of the screens."""
+    calls = {"gain": 0, "screen": 0}
+    restart = hetsched.lp.DualStart.restart
+
+    def spy(self, rhs=None):
+        # Only the gain rows restart with new right-hand sides.
+        calls["gain" if rhs is not None else "screen"] += 1
+        return restart(self, rhs)
+
+    monkeypatch.setattr(hetsched.lp.DualStart, "restart", spy)
+    return calls
+
+
+def test_fill_matches_cold_bottleneck_lps(monkeypatch, warm_calls):
+    """Restarting the gain and screen LPs from the last feasible basis
+    changes no iteration of either water filling: weights, level, allocation
+    bytes and bottlenecks all equal those of the cold path, and so does the
+    text of every LP that --dump-lp would print."""
+    dumped = []
+    monkeypatch.setattr(hetsched.lp, "debug_sink", dumped.append)
+    for seed in range(80):
+        space, entities = _random_fill_instance(np.random.default_rng(seed))
+        for fill, args in _fills(space, entities):
+            dumped.clear()
+            ours = fill(*args)
+            warm_text = list(dumped)
+            dumped.clear()
+            _assert_same_fill(ours, _cold_fill(monkeypatch, fill, args))
+            assert warm_text == dumped
+    assert warm_calls["gain"] >= 100 and warm_calls["screen"] >= 100
+
+
+def test_gain_rows_called_infeasible_fall_back_to_cold(monkeypatch):
+    """Should the dual simplex call the gain rows infeasible (X_prev satisfies
+    them, so only roundoff could), that iteration's gain and screen LPs run
+    cold, and the fill is unchanged."""
+    restart = hetsched.lp.DualStart.restart
+    cold = []
+
+    def gain_rows_infeasible(self, rhs=None):
+        verdict = restart(self, rhs)
+        return verdict and rhs is None
+
+    def spy_each(lp, objectives):
+        cold.append(lp)
+        return solve_lp_each(lp, objectives)
+
+    for seed in range(20):
+        space, entities = _random_fill_instance(np.random.default_rng(seed))
+        for fill, args in _fills(space, entities):
+            with monkeypatch.context() as m:
+                m.setattr(hetsched.lp.DualStart, "restart", gain_rows_infeasible)
+                m.setattr(hetsched.waterfill, "solve_lp_each", spy_each)
+                ours = fill(*args)
+            _assert_same_fill(ours, _cold_fill(monkeypatch, fill, args))
+    assert len(cold) >= 10
+
+
+def test_gain_rows_standardized_once_and_restarted_warm(monkeypatch, milp_calls):
+    """Within one fill the gain rows are standardized once, and the only
+    gain or screen LP that enters phase 1 is the first gain LP: every later
+    one restarts from the last feasible basis."""
+    built = []
+
+    class CountingDualStart(hetsched.lp.DualStart):
+        def __init__(self, lp):
+            built.append(lp)
+            super().__init__(lp)
+
+    entered = []
+    phase_one = hetsched.lp._Standardized.feasible_start.func
+
+    def spy_phase_one(self):
+        entered.append(self.lp)
+        return phase_one(self)
+
+    prop = functools.cached_property(spy_phase_one)
+    prop.__set_name__(hetsched.lp._Standardized, "feasible_start")
+    cold = []  # the level and tightening LPs
+
+    def spy_solve_lp(lp):
+        cold.append(lp)
+        return solve_lp(lp)
+
+    monkeypatch.setattr(hetsched.waterfill, "DualStart", CountingDualStart)
+    monkeypatch.setattr(hetsched.lp._Standardized, "feasible_start", prop)
+    monkeypatch.setattr(hetsched.waterfill, "solve_lp", spy_solve_lp)
+    monkeypatch.setattr(hetsched.waterfill, "solve_lp_each", None)
+    checked = later = 0
+    for seed in range(40):
+        space, entities = _random_fill_instance(np.random.default_rng(seed))
+        built.clear(), entered.clear(), cold.clear()
+        before = len(milp_calls)
+        result = hierarchical_waterfill(space, entities)
+        if len(milp_calls) > before:  # B&B relaxations enter phase 1 too
+            continue
+        checked += 1
+        later += len(result.iterations) - 1
+        assert len(built) == 1
+        # Two cold LPs per iteration: no screen fell back to solve_lp.
+        assert len(cold) == 2 * len(result.iterations)
+        assert [lp for lp in entered if not any(lp is c for c in cold)] == built
+    assert checked >= 20 and later >= 20
