@@ -478,6 +478,8 @@ def cmd_estimate(ctx, refs_file, meas_file, rank, reg, iters):
             reg=reg, iters=iters)
     except CompletionError as e:
         _fail(EXIT_INFEASIBLE, str(e))
+    except ValueError as e:
+        _fail(EXIT_USAGE, str(e))
     for name, match, fingerprint in zip(names, matches, fingerprints):
         out["matches"][name] = refs.names[match]
         out["completed_rows"][name] = [round(v, 6) for v in fingerprint]

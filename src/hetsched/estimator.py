@@ -48,12 +48,13 @@ def complete_matrix(partial: np.ndarray, mask: np.ndarray, rank: int = DEFAULT_R
     the same iterates as updating the rows one at a time, and completing a
     stack gives each matrix's completion bit for bit.
     """
+    if not (rank >= 1 and np.isfinite(reg) and reg > 0 and iters >= 1):
+        raise ValueError(f"need rank >= 1, a finite reg > 0 and iters >= 1, "
+                         f"not rank {rank}, reg {reg}, iters {iters}")
     partial = np.asarray(partial, dtype=float)
     mask = np.asarray(mask, dtype=bool)
     if partial.shape != mask.shape:
         raise CompletionError("matrix and mask shapes differ")
-    if rank < 1:
-        raise CompletionError("rank must be >= 1")
     if np.any(mask.sum(axis=-1) == 0) or np.any(mask.sum(axis=-2) == 0):
         raise CompletionError("every row and column needs at least one observation")
 

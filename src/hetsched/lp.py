@@ -17,20 +17,23 @@ test suite (``tests/oracles.py``), which applies the same starting rule:
 only the bookkeeping around the floating-point operations that decide a
 pivot differs from it.
 
-`DualStart` is the warm alternative for LPs whose rows are all
-inequalities and that are solved again and again with new right-hand sides
-or appended rows.  It keeps the rows in standard form with one slack per
-row, ``[A | diag(+-1)] u = b``, and a basis of them with its inverse.  A
-zero objective makes every basis dual feasible, so a dual simplex under
-Bland's rule reaches a feasible basis from whatever basis the last solve
-left, paying only for the pivots the change needs instead of a cold phase
-1.  Phase 2 then runs the same primal simplex from that basis.
+One object, `_Standardized`, holds an LP's rows in standard form and the
+basis its last solve left, for cold and warm solves alike.  Phase 1 keeps
+its row-signed tableau and feasible basis; `solve_lp_each` runs phase 2
+from it once per objective.  Rows solved again and again with new
+right-hand sides or appended rows restart from the kept basis instead of a
+cold phase 1: a new right-hand side is negated where phase 1 negated the
+row, and appended rows start with their slacks basic.  A zero objective
+makes every basis dual feasible, so a dual simplex under Bland's rule
+reaches a feasible basis paying only for the pivots the change needs
+(Koberstein, PhD thesis, 2005).  Phase 2 then runs the same primal simplex
+from that basis.
 """
 
 from __future__ import annotations
 
+import copy
 import enum
-import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -165,14 +168,10 @@ def solve_lp_each(lp: LinearProgram, objectives) -> list[SolveResult]:
     `objectives[i]`.  Phase 1 does not read the objective, so it runs once
     and every objective starts its phase 2 from the same feasible basis.
     """
+    dump_each(lambda: lp, objectives)
     prob = _Standardized(lp)
-    results = []
-    for objective in objectives:
-        objective = _objective(lp, objective)
-        if debug_sink is not None:
-            debug_sink(_debug_text(lp, objective))
-        results.append(prob.result(objective, prob.feasible_start))
-    return results
+    prob.phase_one()
+    return prob.solve_each(objectives)
 
 
 def dump_each(build, objectives=None) -> None:
@@ -222,11 +221,16 @@ def _row_dots(rows, coeffs: np.ndarray, cols: np.ndarray,
 
 
 class _Standardized:
-    """Conversion of a LinearProgram to  min c'u, A u = b, u >= 0.
+    """An LP's rows in standard form,  min c'u, A u = b, u >= 0, and the
+    basis a cold or warm solve of them left.
 
     Fixed variables (lo == hi) are eliminated up front.  Finite lower bounds
     are shifted out; free variables are split into positive/negative parts;
-    finite upper bounds become extra rows.
+    finite upper bounds become extra rows.  `phase_one` adds a slack column
+    per inequality row and negates some rows, keeping the tableau `T`, its
+    right-hand side `b`, the negated rows `flip` and a feasible basis with
+    its inverse and basic values.  `restart`, `append` and `solve_each` all
+    start from that state.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -317,26 +321,22 @@ class _Standardized:
             return Status.UNBOUNDED, None
         return Status.OPTIMAL, np.zeros(len(c))
 
-    @functools.cached_property
-    def feasible_start(self):
-        """Phase 1, run once and only when some row needs an artificial:
-        None when the rows are infeasible, an empty tuple when no row is
-        left for phase 2, and otherwise the phase-2 tableau, right-hand
-        side, starting basis, its inverse and its basic values (T2, b,
-        basis, Binv, xb).  None of it depends on the objective."""
+    def phase_one(self) -> bool:
+        """Whether the rows are feasible, by the cold phase 1, which runs
+        only when some row needs an artificial.  It keeps the state
+        described in the class docstring, none of which depends on the
+        objective, and sets `dropped` when it drops a dependent row."""
         A, b = self.A, self.b
         m, n = A.shape
-        if m == 0:
-            return ()
 
         # Rows with a negative right-hand side are negated, which swaps LE
         # and GE; so are GE rows with a zero right-hand side, whose slack
         # then starts basic at 0 and needs no artificial.
         neg = b < 0
-        flip = neg | (self.ge & (b == 0))
+        self.flip = neg | (self.ge & (b == 0))
         b = np.where(neg, -b, b)
-        le = np.where(flip, self.ge, self.le)
-        ge = np.where(flip, self.le, self.ge)
+        le = np.where(self.flip, self.ge, self.le)
+        ge = np.where(self.flip, self.le, self.ge)
 
         # Slack / surplus columns, then artificials where no basic slack
         # exists.  The starting basis (the LE slacks and the artificials) is
@@ -349,72 +349,115 @@ class _Standardized:
         art_cols = np.arange(art_start, total)
         T = np.zeros((m, total))
         T[:, :n] = A
-        T[flip, :n] *= -1.0
+        T[self.flip, :n] *= -1.0
         T[slack_rows, slack_cols] = np.where(le[slack_rows], 1.0, -1.0)
         T[art_rows, art_cols] = 1.0
         basis = np.empty(m, dtype=np.intp)
         basis[slack_rows] = slack_cols
         basis[art_rows] = art_cols
-        if not art_rows.size:
+        self.dropped = False
+        if art_rows.size:
+            c1 = np.zeros(total)
+            c1[art_start:] = 1.0
+            status, x_all, basis = _simplex(T, b, c1, basis, np.eye(m), b.copy(),
+                                            PHASE1_OPT_TOL)
+            # Absolute residual threshold: scaling it by the rhs magnitude
+            # would make the verdict depend on how the caller formulated the
+            # rows (a big-M variant of the same system would pass where the
+            # direct form fails).
+            if status is not Status.OPTIMAL or float(c1 @ x_all) > FEAS_TOL:
+                self.feasible = False
+                return False
+
+            # Drive leftover artificials out of the basis; drop dependent rows.
+            keep_rows = np.ones(m, dtype=bool)
+            Binv = None
+            for i in (basis >= art_start).nonzero()[0]:
+                if Binv is None:  # the basis changed since the last inverse
+                    Binv = _basis_inverse(T, basis)
+                coeffs = Binv[i] @ T[:, :art_start]
+                entering = np.abs(coeffs) > PIVOT_TOL
+                entering[basis[basis < art_start]] = False
+                j = entering.nonzero()[0]
+                if j.size:
+                    basis[i] = j[0]
+                    Binv = None
+                else:
+                    keep_rows[i] = False
+            if not keep_rows.all():
+                self.dropped = True
+                T, b, basis = T[keep_rows], b[keep_rows], basis[keep_rows]
+            T = T[:, :art_start]
+            Binv = _basis_inverse(T, basis)
+            xb = Binv @ b
+        else:
             # The slack basis is feasible: no phase 1.
-            return T, b, basis, np.eye(m), b.copy()
+            Binv, xb = np.eye(m), b.copy()
+        self.feasible = True
+        self.T, self.b, self.basis, self.Binv, self.xb = T, b, basis, Binv, xb
+        return True
 
-        c1 = np.zeros(total)
-        c1[art_start:] = 1.0
-        status, x_all, basis = _simplex(T, b, c1, basis, np.eye(m), b.copy(),
-                                        PHASE1_OPT_TOL)
-        if status is not Status.OPTIMAL:
-            return None
-        # Absolute residual threshold: scaling it by the rhs magnitude would
-        # make the verdict depend on how the caller formulated the rows (a
-        # big-M variant of the same system would pass where the direct form
-        # fails).
-        if float(c1 @ x_all) > FEAS_TOL:
-            return None
+    def restart(self, rhs=None) -> bool:
+        """Whether the rows are feasible, by the dual simplex from the basis
+        the state holds, the LP's own rows taking the right-hand sides `rhs`
+        when given (negated where phase 1 negated the row; appended rows
+        keep theirs)."""
+        if rhs is not None:
+            if self.dropped:
+                raise ValueError("phase 1 dropped a dependent equality row, "
+                                 "so new right-hand sides cannot restart")
+            b = self.rhs(np.asarray(rhs, dtype=float))
+            self.b = np.concatenate([np.where(self.flip, -b, b), self.b[len(b):]])
+        self.feasible, self.basis, self.Binv, self.xb = _dual_simplex(
+            self.T, self.b, self.basis, self.Binv, self.Binv @ self.b)
+        return self.feasible
 
-        # Drive leftover artificials out of the basis; drop dependent rows.
-        keep_rows = np.ones(m, dtype=bool)
-        Binv = None
-        for i in (basis >= art_start).nonzero()[0]:
-            if Binv is None:  # the basis changed since the last inverse
-                Binv = _basis_inverse(T, basis)
-            coeffs = Binv[i] @ T[:, :art_start]
-            entering = np.abs(coeffs) > PIVOT_TOL
-            entering[basis[basis < art_start]] = False
-            j = entering.nonzero()[0]
-            if j.size:
-                basis[i] = j[0]
-                Binv = None
-            else:
-                keep_rows[i] = False
-        if not keep_rows.any():
-            # Every row was an equality on fixed variables alone: no column
-            # or row is left for phase 2.
-            return ()
-        if not keep_rows.all():
-            T = T[keep_rows]
-            b = b[keep_rows]
-            basis = basis[keep_rows]
-        T2 = T[:, :art_start]
-        Binv = _basis_inverse(T2, basis)
-        return T2, b, basis, Binv, Binv @ b
+    def append(self, rows) -> "_Standardized":
+        """A copy with the (coeffs, relation, rhs) `rows` over the LP's
+        variables appended, each with its own slack, whose basis is this one
+        plus the new slacks; `restart` then decides it.  That basis is block
+        lower triangular, [[B, 0], [R, S]] with S = diag(+-1) of the new
+        slacks, so its inverse is [[B^-1, 0], [-S R B^-1, S]]."""
+        coeffs, rels, rhs = zip(*rows)
+        rels = [Relation(rel) for rel in rels]
+        if Relation.EQ in rels:
+            raise ValueError("an equality row has no slack")
+        A, b = self.standardize_rows(np.array(coeffs), np.array(rhs, dtype=float))
+        sign = np.array([1.0 if rel is Relation.LE else -1.0 for rel in rels])
+        (m, n), k = self.T.shape, len(rows)
+        rows_k, slacks_k = np.arange(m, m + k), np.arange(n, n + k)
+        out = copy.copy(self)
+        out.T = np.zeros((m + k, n + k))
+        out.T[:m, :n] = self.T
+        out.T[m:, :A.shape[1]] = A
+        out.T[rows_k, slacks_k] = sign
+        out.b = np.concatenate([self.b, b])
+        out.basis = np.concatenate([self.basis, slacks_k])
+        out.Binv = np.zeros((m + k, m + k))
+        out.Binv[:m, :m] = self.Binv
+        out.Binv[m:, :m] = -sign[:, None] * (out.T[m:, self.basis] @ self.Binv)
+        out.Binv[rows_k, rows_k] = sign
+        return out
 
-    def result(self, objective: np.ndarray, start) -> SolveResult:
-        """Phase 2 for one objective from `start`, laid out like
-        `feasible_start` (None for infeasible rows, empty for no rows), as a
-        SolveResult over the LP's own variables."""
+    def solve_each(self, objectives) -> list[SolveResult]:
+        """Phase 2 per objective from the basis the last phase 1 or restart
+        found, as SolveResults over the LP's own variables."""
+        return [self._result(_objective(self.lp, objective))
+                for objective in objectives]
+
+    def _result(self, objective: np.ndarray) -> SolveResult:
         c = self.cost(objective)
-        if start is None:
+        if not self.feasible:
             return SolveResult(Status.INFEASIBLE)
-        if not start:
+        if not len(self.basis):
             status, u = self._without_rows(c)
         else:
-            T2, b, basis, Binv, xb = start
             n = self.A.shape[1]
-            c2 = np.zeros(T2.shape[1])
+            c2 = np.zeros(self.T.shape[1])
             c2[:n] = c
             # Copies: the simplex updates the inverse and basic values in place.
-            status, x_all, _ = _simplex(T2, b, c2, basis, Binv.copy(), xb.copy())
+            status, x_all, _ = _simplex(self.T, self.b, c2, self.basis,
+                                        self.Binv.copy(), self.xb.copy())
             u = x_all[:n] if status is Status.OPTIMAL else None
         if status is not Status.OPTIMAL:
             return SolveResult(status)
@@ -506,96 +549,6 @@ def _simplex(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: np.ndarray,
     x[basis] = xb
     x[np.abs(x) < ZERO_TOL] = 0.0
     return Status.OPTIMAL, x, basis
-
-
-class DualStart:
-    """The rows of an LP with no equality row, standardized once with one
-    slack per row, ``[A | diag(s)] u = b`` and ``u >= 0`` (s_i = +1 for a
-    ``<=`` row and -1 for a ``>=`` row), and a basis of them with its
-    inverse, at first the slack basis.
-
-    `phase_one` decides feasibility by `solve_lp`'s cold phase 1 and keeps
-    its basis; `restart` decides it by the dual simplex of a zero objective
-    from wherever the basis was left.  Either way `solve_each` then runs
-    phase 2 per objective from the feasible basis found.  `append` adds
-    rows, extending the basis by their slacks.
-    """
-
-    def __init__(self, lp: LinearProgram):
-        if any(rel is Relation.EQ for _, rel, _ in lp.constraints):
-            raise ValueError("an equality row has no slack")
-        self.lp = lp
-        self.prob = _Standardized(lp)
-        self.T = np.hstack([self.prob.A,
-                            np.diag(np.where(self.prob.le, 1.0, -1.0))])
-        self.b = self.prob.b
-        m, n = self.prob.A.shape
-        self.basis = np.arange(n, n + m)
-        # diag(s) is its own inverse.
-        self.Binv = self.T[:, n:].copy()
-        # The phase-2 start for solve_each, laid out like feasible_start.
-        self.start = None
-
-    def phase_one(self) -> bool:
-        """Whether the rows are feasible, by `solve_lp`'s phase 1, so that
-        `solve_each` then returns exactly what `solve_lp_each` does.  Its
-        feasible basis is kept unless phase 1 dropped a row.  Phase 1 negates
-        some rows, T2 = D T with D = diag(+-1), so the basis is the same and
-        its inverse is the phase-1 inverse times D."""
-        self.start = start = self.prob.feasible_start
-        if start and len(start[2]) == len(self.T):
-            T2, _, self.basis, Binv, _ = start
-            d = T2[:, -len(self.T):].diagonal() * self.T[:, -len(self.T):].diagonal()
-            self.Binv = Binv * d
-        return start is not None
-
-    def restart(self, rhs=None) -> bool:
-        """Whether the rows are feasible, by the dual simplex from the current
-        basis, the LP's own rows taking the right-hand sides `rhs` when given
-        (appended rows keep theirs)."""
-        if rhs is not None:
-            b = self.prob.rhs(np.asarray(rhs, dtype=float))
-            self.b = np.concatenate([b, self.b[len(b):]])
-        feasible, self.basis, self.Binv, xb = _dual_simplex(
-            self.T, self.b, self.basis, self.Binv, self.Binv @ self.b)
-        self.start = None
-        if feasible:
-            # An empty start means no rows, as from `feasible_start`.
-            self.start = (self.T, self.b, self.basis, self.Binv, xb) if len(xb) else ()
-        return feasible
-
-    def solve_each(self, objectives) -> list[SolveResult]:
-        """`solve_lp_each` for the rows as they are now, phase 2 starting
-        from the basis the last `phase_one` or `restart` found."""
-        return [self.prob.result(_objective(self.lp, objective), self.start)
-                for objective in objectives]
-
-    def append(self, rows) -> "DualStart":
-        """These rows plus (coeffs, relation, rhs) `rows` over the LP's
-        variables, starting from this basis plus the new rows' slacks.  The
-        new basis is block lower triangular, [[B, 0], [R, S]] with S = diag(s)
-        of the new rows, so its inverse is [[B^-1, 0], [-S R B^-1, S]]."""
-        coeffs, rels, rhs = zip(*rows)
-        rels = [Relation(rel) for rel in rels]
-        if Relation.EQ in rels:
-            raise ValueError("an equality row has no slack")
-        A, b = self.prob.standardize_rows(np.array(coeffs), np.array(rhs, dtype=float))
-        sign = np.array([1.0 if rel is Relation.LE else -1.0 for rel in rels])
-        (m, n), k = self.T.shape, len(rows)
-        rows_k, slacks_k = np.arange(m, m + k), np.arange(n, n + k)
-        out = object.__new__(DualStart)
-        out.lp, out.prob, out.start = self.lp, self.prob, None
-        out.T = np.zeros((m + k, n + k))
-        out.T[:m, :n] = self.T
-        out.T[m:, :A.shape[1]] = A
-        out.T[rows_k, slacks_k] = sign
-        out.b = np.concatenate([self.b, b])
-        out.basis = np.concatenate([self.basis, slacks_k])
-        out.Binv = np.zeros((m + k, m + k))
-        out.Binv[:m, :m] = self.Binv
-        out.Binv[m:, :m] = -sign[:, None] * (out.T[m:, self.basis] @ self.Binv)
-        out.Binv[rows_k, rows_k] = sign
-        return out
 
 
 def _dual_simplex(T: np.ndarray, b: np.ndarray, basis: np.ndarray,

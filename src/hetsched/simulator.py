@@ -95,16 +95,13 @@ class MetricsReport:
     def avg_jct(self) -> float:
         return float(np.mean([r.jct for r in self.records])) if self.records else 0.0
 
-    def steady_state_jcts(self, window: float = STEADY_STATE_WINDOW) -> list:
-        return steady_state_filter([r.jct for r in
-                                    sorted(self.records, key=lambda r: r.completion)],
-                                   window)
-
     @property
     def avg_steady_jct(self) -> float:
         if not self.records:
             return 0.0
-        return float(np.mean(self.steady_state_jcts()))
+        return float(np.mean(steady_state_filter(
+            [r.jct for r in sorted(self.records, key=lambda r: r.completion)],
+            STEADY_STATE_WINDOW)))
 
     @property
     def slo_violation_fraction(self) -> float:
@@ -114,7 +111,7 @@ class MetricsReport:
         return sum(1 for r in with_slo if r.slo_violated) / len(with_slo)
 
 
-def steady_state_filter(values: list, window: float = STEADY_STATE_WINDOW) -> list:
+def steady_state_filter(values: list, window: float) -> list:
     """Drop the first and last `window` fraction of completions."""
     if window < 0 or window >= 0.5:
         raise ValueError("window must lie in [0, 0.5)")

@@ -23,7 +23,6 @@ import numpy as np
 
 from .jobs import ENTITY_POLICY_NAMES, Entity, EntityPolicy
 
-NUM_TEMPLATES = 26
 DURATION_MIN_MINUTES = 10 ** 1.5
 DURATION_MAX_MINUTES = 1e4
 DURATION_MEAN_MINUTES = 10 ** 2.5
@@ -54,28 +53,6 @@ def colocation_factor(a: JobTemplate, b: JobTemplate) -> float:
     """Normalized throughput of `a` when sharing a worker with `b`."""
     raw = 1.0 - a.coloc_sensitivity * b.coloc_aggressiveness
     return float(min(1.0, max(COLOC_FLOOR, raw)))
-
-
-def make_template_catalog(seed: int = 0) -> list:
-    """Seeded catalog of `NUM_TEMPLATES` templates spanning speedup ratios
-    from ~1x to ~10x across tiers."""
-    rng = np.random.default_rng(seed)
-    templates = []
-    for i in range(NUM_TEMPLATES):
-        slow = float(rng.uniform(0.4, 2.5))
-        speedup_fast = float(rng.uniform(1.5, 10.0))
-        speedup_mid = float(rng.uniform(1.0, speedup_fast))
-        templates.append(JobTemplate(
-            name=f"model-{i:02d}",
-            tier_throughputs=(round(slow * speedup_fast, 4),
-                              round(slow * speedup_mid, 4),
-                              round(slow, 4)),
-            consolidated_efficiency=round(float(rng.uniform(0.82, 0.99)), 4),
-            unconsolidated_efficiency=round(float(rng.uniform(0.45, 0.80)), 4),
-            coloc_sensitivity=round(float(rng.uniform(0.1, 0.9)), 4),
-            coloc_aggressiveness=round(float(rng.uniform(0.1, 0.9)), 4),
-        ))
-    return templates
 
 
 def catalog_from_json(doc: dict) -> list:
@@ -132,14 +109,12 @@ class Trace:
         return cls(entries, header["mode"], header["seed"], entities)
 
 
-def _truncated_exponential_minutes(rng: np.random.Generator,
-                                   mean: float = DURATION_MEAN_MINUTES,
-                                   lo: float = DURATION_MIN_MINUTES,
-                                   hi: float = DURATION_MAX_MINUTES) -> float:
-    # Inverse-CDF sampling of an exponential restricted to [lo, hi].
+def _truncated_exponential_minutes(rng: np.random.Generator, mean: float) -> float:
+    # Inverse-CDF sampling of an exponential restricted to
+    # [DURATION_MIN_MINUTES, DURATION_MAX_MINUTES].
     u = rng.random()
-    z = 1.0 - math.exp(-(hi - lo) / mean)
-    return lo - mean * math.log(1.0 - u * z)
+    z = 1.0 - math.exp(-(DURATION_MAX_MINUTES - DURATION_MIN_MINUTES) / mean)
+    return DURATION_MIN_MINUTES - mean * math.log(1.0 - u * z)
 
 
 def _sample_scale_factor(rng: np.random.Generator) -> int:

@@ -17,13 +17,14 @@ slack to call.
 
 The gain LPs of one decision share their rows, and only the carry rows'
 right-hand sides change from one iteration to the next; the screen is the
-gain LP plus appended rows.  So the gain rows are standardized once per
-decision (`GainRows`, around an `lp.DualStart`).  The first gain LP runs
-the cold phase 1; every later one restarts from the previous iteration's
-feasible basis with a zero-cost dual simplex, and every screen starts from
-the gain LP's feasible basis plus its new rows' slacks, so neither pays for
-a cold phase 1 again.  The level and tightening LPs, whose optimal vertices
-become the allocation, stay cold.
+gain LP plus appended rows.  So one `GainRows` per decision keeps the gain
+rows as one `lp._Standardized`, and `GainRows.restart` is the only way to
+a feasible basis of them.  It restarts from the previous iteration's basis
+with a zero-cost dual simplex when it can, and otherwise rebuilds the rows
+cold through phase 1.  Every screen starts from the gain LP's feasible
+basis plus its new rows' slacks, so it never pays for a cold phase 1.  The
+level and tightening LPs, whose optimal vertices become the allocation,
+stay cold.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .jobs import EntityPolicy
-from .lp import DualStart, Relation, dump_each, solve_lp, solve_lp_each
+from .lp import Relation, _Standardized, dump_each, solve_lp
 from .matrices import AllocationMatrix, effective_throughput
 from .milp import MixedIntegerProgram, solve_milp
 from .policies import (PolicyError, PolicyInfeasibleError, PolicyResult,
@@ -147,30 +148,27 @@ def _tighten_lp(space: ProblemSpace, weights: dict, t_prev: dict,
 
 
 class GainRows:
-    """Bottleneck detection's state within one decision: the gain LP's rows,
-    standardized at the first gain LP, whose cold phase 1 gives the first
-    feasible basis, and whether the basis is feasible for the current carry
-    rows (False before the first gain LP and after a fall back to the cold
-    path)."""
+    """Bottleneck detection's state within one decision: the gain LP's rows
+    as one `lp._Standardized`, at the basis the last gain LP left."""
 
     def __init__(self, space: ProblemSpace):
         self.space = space
-        self.warm = None
-        self.feasible = False
+        self.state = None
 
-    def restart(self, thr_prev: dict) -> bool:
-        """Move the basis to one feasible for carry rows at `thr_prev`, by
-        the cold phase 1 the first time and by the dual simplex after that;
-        False when it calls the rows infeasible (X_prev satisfies them, so
+    def restart(self, thr_prev: dict) -> _Standardized:
+        """The gain rows with carry rows at `thr_prev`, moved to a feasible
+        basis by the dual simplex from the last one.  They are rebuilt cold
+        through phase 1 instead at the decision's first gain LP, after a
+        phase 1 that dropped a row or found no feasible basis, and when the
+        dual simplex calls the rows infeasible (X_prev satisfies them, so
         only numerics can)."""
-        space = self.space
-        if self.warm is None:
-            self.warm = DualStart(_gain_lp(space, thr_prev))
-            self.feasible = self.warm.phase_one()
-        else:
-            self.feasible = self.warm.restart(
-                [thr_prev[j.id] for j in space.jobs] + space.validity_rhs)
-        return self.feasible
+        space, state = self.space, self.state
+        if (state is None or state.dropped or not state.feasible
+                or not state.restart([thr_prev[j.id] for j in space.jobs]
+                                     + space.validity_rhs)):
+            self.state = state = _Standardized(_gain_lp(space, thr_prev))
+            state.phase_one()
+        return state
 
 
 def _gain_lp(space: ProblemSpace, thr_prev: dict):
@@ -184,16 +182,13 @@ def max_gain(space: ProblemSpace, thr_prev: dict, job_ids,
     differ only in their objective, so they are solved as one LP with one
     objective per job; a job whose LP has no optimum gains 0.0.  Phase 2
     starts from the feasible basis `gain_rows` (a fresh `GainRows` by
-    default) restarts to, or from a cold phase 1 when it cannot give one."""
+    default) restarts to."""
     gain_rows = GainRows(space) if gain_rows is None else gain_rows
     objectives = [space.coeffs[job_id] for job_id in job_ids]
-    if gain_rows.restart(thr_prev):
-        dump_each(lambda: _gain_lp(space, thr_prev), objectives)
-        results = gain_rows.warm.solve_each(objectives)
-    else:
-        results = solve_lp_each(_gain_lp(space, thr_prev), objectives)
+    state = gain_rows.restart(thr_prev)
+    dump_each(lambda: _gain_lp(space, thr_prev), objectives)
     return {job_id: res.objective_value - thr_prev[job_id] if res.optimal else 0.0
-            for job_id, res in zip(job_ids, results)}
+            for job_id, res in zip(job_ids, state.solve_each(objectives))}
 
 
 def find_bottlenecks(space: ProblemSpace, thr_prev: dict, active_weights: dict,
@@ -235,27 +230,17 @@ def find_bottlenecks(space: ProblemSpace, thr_prev: dict, active_weights: dict,
 
 
 def _screen_feasible(space: ProblemSpace, active: list, thr_prev: dict,
-                     delta: dict, cand: set,
-                     gain_rows: GainRows | None = None) -> bool:
+                     delta: dict, cand: set, gain_rows: GainRows) -> bool:
     """Whether every candidate can gain its slack at once while every other
-    active job stays at its previous throughput.  `gain_rows` holds the
-    gain LP's basis for `thr_prev` (by default a fresh `GainRows` finds it);
-    the screen appends its rows to the gain rows and starts from that basis
-    plus their slacks, or runs cold when `gain_rows` has no feasible basis."""
-    if gain_rows is None:
-        gain_rows = GainRows(space)
-        gain_rows.restart(thr_prev)
+    active job stays at its previous throughput.  The screen's rows are
+    appended to the gain rows, and the dual simplex starts from the gain
+    LP's basis for `thr_prev` in `gain_rows` plus their slacks."""
     extra = [(space.coeffs[j.id], Relation.GE, thr_prev[j.id] + delta[j.id])
              if j.id in cand else (space.coeffs[j.id], Relation.LE, thr_prev[j.id])
              for j in active]
-
-    def screen_lp():
-        return space.lp(np.zeros(space.n_cells), _carry_rows(space, thr_prev) + extra)
-
-    if not gain_rows.feasible:
-        return solve_lp(screen_lp()).optimal
-    dump_each(screen_lp)
-    return gain_rows.warm.append(extra).restart()
+    dump_each(lambda: space.lp(np.zeros(space.n_cells),
+                               _carry_rows(space, thr_prev) + extra))
+    return gain_rows.state.append(extra).restart()
 
 
 def _milp_bottlenecks(space: ProblemSpace, active: list, thr_prev: dict,

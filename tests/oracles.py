@@ -20,7 +20,8 @@ per job (`reference_max_gain`), bottleneck detection by MILP alone
 from a cold phase 1 (`cold_max_gain`, `cold_screen_feasible`) and the LP
 that gives one job the whole cluster (`reference_standalone`), with the
 seeded matrices (`random_cells`) on which they are compared.  It also
-writes throughput-matrix files as the CLI reads them (`matrix_doc`).
+writes throughput-matrix files as the CLI reads them (`matrix_doc`) and
+generates the template catalog the package ships (`make_template_catalog`).
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from hetsched.lp import (DEGENERATE_LIMIT, FEAS_TOL, OPT_TOL, REFACTOR_EVERY,
 from hetsched.matrices import effective_throughput
 from hetsched.milp import MixedIntegerProgram, solve_milp
 from hetsched.policies import PolicyError, ProblemSpace
+from hetsched.traces import JobTemplate
 from hetsched.waterfill import DELTA_FRACTION
 
 GRID = 0.01
@@ -1055,6 +1057,36 @@ def cold_screen_feasible(space: ProblemSpace, active: list, thr_prev: dict,
              for j in active]
     lp = space.lp(np.zeros(space.n_cells), _carry(space, thr_prev) + extra)
     return solve_lp(lp).optimal
+
+
+# ---------------------------------------------------------------------------
+# The synthetic template catalog
+# ---------------------------------------------------------------------------
+
+NUM_TEMPLATES = 26
+
+
+def make_template_catalog(seed: int) -> list:
+    """Seeded catalog of `NUM_TEMPLATES` templates spanning speedup ratios
+    from ~1x to ~10x across tiers.  Seed 0 gives the shipped
+    `hetsched/data/templates.json`."""
+    rng = np.random.default_rng(seed)
+    templates = []
+    for i in range(NUM_TEMPLATES):
+        slow = float(rng.uniform(0.4, 2.5))
+        speedup_fast = float(rng.uniform(1.5, 10.0))
+        speedup_mid = float(rng.uniform(1.0, speedup_fast))
+        templates.append(JobTemplate(
+            name=f"model-{i:02d}",
+            tier_throughputs=(round(slow * speedup_fast, 4),
+                              round(slow * speedup_mid, 4),
+                              round(slow, 4)),
+            consolidated_efficiency=round(float(rng.uniform(0.82, 0.99)), 4),
+            unconsolidated_efficiency=round(float(rng.uniform(0.45, 0.80)), 4),
+            coloc_sensitivity=round(float(rng.uniform(0.1, 0.9)), 4),
+            coloc_aggressiveness=round(float(rng.uniform(0.1, 0.9)), 4),
+        ))
+    return templates
 
 
 # ---------------------------------------------------------------------------

@@ -604,6 +604,25 @@ class TestEstimate:
                                     "--references", str(refs),
                                     "--measurements", str(meas)])
 
+    @pytest.mark.parametrize("option", [("--reg", "0"), ("--reg", "nan"),
+                                        ("--reg", "inf"), ("--reg", "-1"),
+                                        ("--iters", "0"), ("--iters", "-3"),
+                                        ("--rank", "0")],
+                             ids=["reg-zero", "reg-nan", "reg-inf", "reg-negative",
+                                  "iters-zero", "iters-negative", "rank-zero"])
+    def test_bad_hyperparameter_exit_code(self, runner, tmp_path, option):
+        refs = tmp_path / "refs.json"
+        refs.write_text(json.dumps({"names": ["r0", "r1", "r2"],
+                                    "matrix": np.full((3, 3), 0.5).tolist()}))
+        meas = tmp_path / "meas.json"
+        meas.write_text(json.dumps({"newjob": {"r0": 0.4, "r2": 0.6}}))
+        res = runner.invoke(main, ["--out", str(tmp_path), "estimate",
+                                   "--references", str(refs),
+                                   "--measurements", str(meas), *option])
+        assert res.exit_code == 2, res.output
+        assert "error:" in res.output and "Traceback" not in res.output
+        assert not (tmp_path / "estimates.json").exists()
+
     def test_malformed_json_exit_code(self, runner, tmp_path):
         res = self._estimate(runner, tmp_path, '{"names": ["r0"', {})
         assert res.exit_code == 4

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,7 +7,7 @@ from scipy.optimize import linprog
 
 import hetsched.lp
 from hetsched.jobs import Job
-from hetsched.lp import (OPT_TOL, PHASE1_OPT_TOL, DimensionError, DualStart,
+from hetsched.lp import (OPT_TOL, PHASE1_OPT_TOL, DimensionError,
                          IterationLimitError, LinearProgram, Relation, Status,
                          solve_lp, solve_lp_each)
 from hetsched.matrices import ThroughputMatrix
@@ -340,8 +342,9 @@ def test_max_min_lps_start_from_the_slack_basis(monkeypatch):
     monkeypatch.setattr(hetsched.lp, "_simplex", spy)
     for seed in range(40):
         for lp in _max_min_lps(np.random.default_rng(2000 + seed)):
-            _, _, basis, Binv, _ = hetsched.lp._Standardized(lp).feasible_start
-            assert np.array_equal(Binv, np.eye(len(basis)))
+            prob = hetsched.lp._Standardized(lp)
+            assert prob.phase_one()
+            assert np.array_equal(prob.Binv, np.eye(len(prob.basis)))
             assert solve_lp(lp).optimal
     assert tols and PHASE1_OPT_TOL not in tols
 
@@ -441,9 +444,9 @@ def _with_rows(lp, rows) -> LinearProgram:
 
 
 def _assert_warm_verdict(ds, feasible, lp):
-    """`feasible` (a DualStart verdict) is solve_lp's on `lp`, and phase 2
-    from the basis found gives solve_lp's status and optimum within
-    OPT_TOL."""
+    """`feasible` (a warm verdict of the rows `ds`) is solve_lp's on `lp`,
+    and phase 2 from the basis found gives solve_lp's status and optimum
+    within OPT_TOL."""
     ref = solve_lp(lp)
     assert feasible == (ref.status is not Status.INFEASIBLE)
     if feasible:
@@ -454,20 +457,30 @@ def _assert_warm_verdict(ds, feasible, lp):
     return feasible
 
 
-def test_dual_simplex_verdicts_match_solve_lp():
-    """From the slack basis, restarted after the right-hand sides change, and
-    after appended rows, the zero-cost dual simplex decides feasibility as
-    solve_lp does.  LPs with an equality row have no slack basis and are
-    left out."""
-    verdicts = {"slack": [], "rhs": [], "appended": []}
-    equality = 0
+def _warm_verdicts():
+    """The warm verdicts on the equivalence set's LPs with no equality row,
+    each checked by `_assert_warm_verdict`, and the number of LPs whose
+    phase 1 negated a row.  An LP's rows start from phase 1 at right-hand
+    sides that a point of its box meets with equality, so there is always a
+    feasible basis to restart from.  They then restart to the LP's own
+    right-hand sides ("own"), to shifted ones ("rhs"), and with rows
+    appended ("appended").  LPs with an equality row are left out: phase 1
+    may drop a dependent one, and then no new right-hand side can restart."""
+    verdicts = {"own": [], "rhs": [], "appended": []}
+    equality = negated = 0
     for k, lp in enumerate(_equivalence_set()):
         if _has_equality(lp):
             equality += 1
             continue
         rng = np.random.default_rng(5000 + k)
-        ds = DualStart(lp)
-        verdicts["slack"].append(_assert_warm_verdict(ds, ds.restart(), lp))
+        x0 = np.clip(np.random.default_rng(7000 + k).uniform(-2.0, 4.0, lp.num_vars),
+                     lp.lower, lp.upper)
+        ds = hetsched.lp._Standardized(_with_rows(
+            lp, [(row, rel, float(row @ x0)) for row, rel, _ in lp.constraints]))
+        assert ds.phase_one() and not ds.dropped
+        negated += bool(ds.flip.any())
+        verdicts["own"].append(_assert_warm_verdict(
+            ds, ds.restart([rhs for _, _, rhs in lp.constraints]), lp))
 
         rows = [(row, rel, rhs + float(rng.integers(-2, 3)))
                 for row, rel, rhs in lp.constraints]
@@ -484,19 +497,47 @@ def test_dual_simplex_verdicts_match_solve_lp():
     for kind, seen in verdicts.items():
         assert len(seen) == 256
         assert seen.count(True) >= 30 and seen.count(False) >= 30, kind
+    return verdicts, negated
+
+
+def test_dual_simplex_verdicts_match_solve_lp():
+    """Restarted from a phase-1 basis after the right-hand sides change, and
+    after appended rows, the zero-cost dual simplex decides feasibility as
+    solve_lp does."""
+    _, negated = _warm_verdicts()
+    # A restart negates a new right-hand side where phase 1 negated the row.
+    assert negated >= 100
+
+
+def test_warm_verdicts_match_solve_lp_when_refactorizing(monkeypatch):
+    """With the basis inverse refactorized every other pivot, both simplex
+    kernels still reach solve_lp's verdicts on the same restarts."""
+    callers = []
+    basis_inverse = hetsched.lp._basis_inverse
+
+    def spy(A, basis):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return basis_inverse(A, basis)
+
+    monkeypatch.setattr(hetsched.lp, "REFACTOR_EVERY", 2)
+    monkeypatch.setattr(hetsched.lp, "_basis_inverse", spy)
+    _warm_verdicts()
+    assert callers.count("_dual_simplex") >= 100
+    assert callers.count("_simplex") >= 100
 
 
 def test_phase_one_start_is_solve_lp_each():
-    """After `phase_one`, phase 2 runs from solve_lp's own feasible start, so
-    every result is bit-identical to solve_lp_each's; the basis it keeps,
-    mapped to the slack layout, is feasible with its exact inverse."""
+    """After `phase_one`, `solve_each` runs phase 2 from solve_lp's own
+    feasible start, so every result is bit-identical to solve_lp_each's; the
+    basis it keeps is feasible with its exact inverse, so a restart from it
+    makes no pivot."""
     kept = 0
     for k, lp in enumerate(_equivalence_set()):
         if _has_equality(lp):
             continue
         objectives = _random_objectives(np.random.default_rng(10_000 + k),
                                         lp.num_vars)
-        ds = DualStart(lp)
+        ds = hetsched.lp._Standardized(lp)
         feasible = ds.phase_one()
         for res, ref in zip(ds.solve_each(objectives), solve_lp_each(lp, objectives)):
             assert res.status is ref.status
@@ -504,7 +545,7 @@ def test_phase_one_start_is_solve_lp_each():
             assert (res.x is None) == (ref.x is None)
             if ref.x is not None:
                 assert np.array_equal(res.x, ref.x)
-        if feasible and len(ds.T) and ds.start[2] is ds.basis:
+        if feasible and len(ds.basis) and not ds.dropped:
             kept += 1
             assert np.allclose(ds.Binv @ ds.T[:, ds.basis], np.eye(len(ds.T)))
             basis = ds.basis.copy()
@@ -513,20 +554,30 @@ def test_phase_one_start_is_solve_lp_each():
 
 
 def test_dual_start_rejects_equality_rows():
+    """New right-hand sides need every row phase 1 saw, so they are refused
+    once it drops a dependent equality row; an appended row needs a slack,
+    so an equality row is refused there."""
     lp = LinearProgram(2, np.zeros(2))
     lp.add_constraint([1.0, 1.0], Relation.EQ, 1.0)
+    lp.add_constraint([2.0, 2.0], Relation.EQ, 2.0)
+    prob = hetsched.lp._Standardized(lp)
+    assert prob.phase_one() and prob.dropped
     with pytest.raises(ValueError, match="equality"):
-        DualStart(lp)
+        prob.restart([1.0, 2.0])
     lp = LinearProgram(2, np.zeros(2))
     lp.add_constraint([1.0, 1.0], Relation.LE, 1.0)
+    prob = hetsched.lp._Standardized(lp)
+    assert prob.phase_one()
     with pytest.raises(ValueError, match="equality"):
-        DualStart(lp).append([(np.ones(2), Relation.EQ, 0.5)])
+        prob.append([(np.ones(2), Relation.EQ, 0.5)])
 
 
 def test_dual_simplex_iteration_limit_is_typed(monkeypatch):
-    monkeypatch.setattr(hetsched.lp, "MAX_ITER_BASE", 0)
-    monkeypatch.setattr(hetsched.lp, "MAX_ITER_PER_DIM", 0)
     lp = LinearProgram(2, np.zeros(2))
     lp.add_constraint([1.0, 1.0], Relation.GE, 1.0)
-    with pytest.raises(IterationLimitError, match="iteration limit"):
-        DualStart(lp).restart()
+    prob = hetsched.lp._Standardized(lp)
+    assert prob.phase_one()
+    monkeypatch.setattr(hetsched.lp, "MAX_ITER_BASE", 0)
+    monkeypatch.setattr(hetsched.lp, "MAX_ITER_PER_DIM", 0)
+    with pytest.raises(IterationLimitError, match="dual simplex iteration limit"):
+        prob.restart([2.0])

@@ -12,8 +12,8 @@ from hetsched.policies import EntityError, parse_policy
 from hetsched.simulator import (EstimatorConfig, MetricsReport, SimConfig,
                                 Simulation,
                                 steady_state_filter)
-from hetsched.traces import (JobTemplate, Trace, TraceEntry,
-                             make_template_catalog)
+from hetsched.traces import JobTemplate, Trace, TraceEntry
+from oracles import make_template_catalog
 
 
 def flat_template(name="flat", thr=1.0):

@@ -6,7 +6,8 @@ import pytest
 
 from hetsched.traces import (DURATION_MAX_MINUTES, DURATION_MIN_MINUTES,
                              Trace, catalog_from_json, colocation_factor,
-                             generate_trace, load_catalog, make_template_catalog)
+                             generate_trace, load_catalog)
+from oracles import make_template_catalog
 
 
 @pytest.fixture(scope="module")

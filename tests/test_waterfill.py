@@ -1,4 +1,3 @@
-import functools
 import itertools
 
 import numpy as np
@@ -8,7 +7,7 @@ import hetsched.lp
 import hetsched.waterfill
 from hetsched.cluster import make_cluster
 from hetsched.jobs import Entity, EntityPolicy, Job, JobCombination
-from hetsched.lp import Relation, Status, solve_lp, solve_lp_each
+from hetsched.lp import Relation, Status, solve_lp
 from hetsched.matrices import AllocationMatrix, ThroughputMatrix, effective_throughput
 from hetsched.milp import solve_milp
 from hetsched.policies import (EntityError, PolicyError, ProblemSpace,
@@ -377,16 +376,18 @@ def _assert_same_fill(ours, ref):
 
 @pytest.fixture
 def warm_calls(monkeypatch):
-    """Counts the dual-simplex restarts of the gain rows and of the screens."""
-    calls = {"gain": 0, "screen": 0}
-    restart = hetsched.lp.DualStart.restart
+    """Counts the dual-simplex restarts of the gain rows and of the screens,
+    and the gain restarts whose phase 1 negated a row."""
+    calls = {"gain": 0, "screen": 0, "negated": 0}
+    restart = hetsched.lp._Standardized.restart
 
     def spy(self, rhs=None):
         # Only the gain rows restart with new right-hand sides.
         calls["gain" if rhs is not None else "screen"] += 1
+        calls["negated"] += rhs is not None and bool(self.flip.any())
         return restart(self, rhs)
 
-    monkeypatch.setattr(hetsched.lp.DualStart, "restart", spy)
+    monkeypatch.setattr(hetsched.lp._Standardized, "restart", spy)
     return calls
 
 
@@ -407,32 +408,42 @@ def test_fill_matches_cold_bottleneck_lps(monkeypatch, warm_calls):
             _assert_same_fill(ours, _cold_fill(monkeypatch, fill, args))
             assert warm_text == dumped
     assert warm_calls["gain"] >= 100 and warm_calls["screen"] >= 100
+    # A gain restart negates the new carry right-hand sides where phase 1
+    # negated the row (a job at zero throughput, whose carry row reads >= 0).
+    assert warm_calls["negated"] >= 50
+
+
 
 
 def test_gain_rows_called_infeasible_fall_back_to_cold(monkeypatch):
     """Should the dual simplex call the gain rows infeasible (X_prev satisfies
-    them, so only roundoff could), that iteration's gain and screen LPs run
-    cold, and the fill is unchanged."""
-    restart = hetsched.lp.DualStart.restart
-    cold = []
+    them, so only roundoff could), that iteration's gain rows are rebuilt
+    cold through phase 1, and the fill is unchanged."""
+    restart = hetsched.lp._Standardized.restart
+    built = []
 
     def gain_rows_infeasible(self, rhs=None):
         verdict = restart(self, rhs)
         return verdict and rhs is None
 
-    def spy_each(lp, objectives):
-        cold.append(lp)
-        return solve_lp_each(lp, objectives)
+    class CountingStandardized(hetsched.lp._Standardized):
+        def __init__(self, lp):
+            built.append(lp)
+            super().__init__(lp)
 
+    cold = 0
     for seed in range(20):
         space, entities = _random_fill_instance(np.random.default_rng(seed))
         for fill, args in _fills(space, entities):
+            built.clear()
             with monkeypatch.context() as m:
-                m.setattr(hetsched.lp.DualStart, "restart", gain_rows_infeasible)
-                m.setattr(hetsched.waterfill, "solve_lp_each", spy_each)
+                m.setattr(hetsched.lp._Standardized, "restart", gain_rows_infeasible)
+                m.setattr(hetsched.waterfill, "_Standardized", CountingStandardized)
                 ours = fill(*args)
+            # Every build after the fill's first gain LP is a fall back.
+            cold += len(built) - 1
             _assert_same_fill(ours, _cold_fill(monkeypatch, fill, args))
-    assert len(cold) >= 10
+    assert cold >= 10
 
 
 def test_gain_rows_standardized_once_and_restarted_warm(monkeypatch, milp_calls):
@@ -441,30 +452,29 @@ def test_gain_rows_standardized_once_and_restarted_warm(monkeypatch, milp_calls)
     one restarts from the last feasible basis."""
     built = []
 
-    class CountingDualStart(hetsched.lp.DualStart):
+    class CountingStandardized(hetsched.lp._Standardized):
         def __init__(self, lp):
             built.append(lp)
             super().__init__(lp)
 
     entered = []
-    phase_one = hetsched.lp._Standardized.feasible_start.func
+    phase_one = hetsched.lp._Standardized.phase_one
 
     def spy_phase_one(self):
         entered.append(self.lp)
         return phase_one(self)
 
-    prop = functools.cached_property(spy_phase_one)
-    prop.__set_name__(hetsched.lp._Standardized, "feasible_start")
     cold = []  # the level and tightening LPs
 
     def spy_solve_lp(lp):
         cold.append(lp)
         return solve_lp(lp)
 
-    monkeypatch.setattr(hetsched.waterfill, "DualStart", CountingDualStart)
-    monkeypatch.setattr(hetsched.lp._Standardized, "feasible_start", prop)
+    monkeypatch.setattr(hetsched.waterfill, "_Standardized", CountingStandardized)
+    monkeypatch.setattr(hetsched.lp._Standardized, "phase_one", spy_phase_one)
     monkeypatch.setattr(hetsched.waterfill, "solve_lp", spy_solve_lp)
-    monkeypatch.setattr(hetsched.waterfill, "solve_lp_each", None)
+    # The gain rows reach phase 1 only through `GainRows`.
+    assert not hasattr(hetsched.waterfill, "solve_lp_each")
     checked = later = 0
     for seed in range(40):
         space, entities = _random_fill_instance(np.random.default_rng(seed))
