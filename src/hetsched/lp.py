@@ -1,9 +1,11 @@
 """Dense linear-program solver: two-phase revised simplex.
 
 Solves  max/min c'x  subject to  A_i x (<=|>=|=) b_i  and  lo <= x <= hi.
-The solver is deterministic for a fixed input: Dantzig pricing with
-lowest-index tie-breaking, falling back to Bland's rule after a run of
-degenerate pivots so cycling is impossible.
+A `LinearProgram` stacks its rows in one (m, num_vars) array, `constraints`,
+beside their `relations` and right-hand sides `rhs`.  The solver is
+deterministic for a fixed input: Dantzig pricing with lowest-index
+tie-breaking, falling back to Bland's rule after a run of degenerate pivots
+so cycling is impossible.
 
 Phase 1 starts from the slack basis.  Rows with a negative right-hand side,
 and ``>=`` rows with a zero one, are negated first, so only ``=`` rows and
@@ -18,9 +20,10 @@ only the bookkeeping around the floating-point operations that decide a
 pivot differs from it.
 
 One object, `_Standardized`, holds an LP's rows in standard form and the
-basis its last solve left, for cold and warm solves alike.  Phase 1 keeps
-its row-signed tableau and feasible basis; `solve_lp_each` runs phase 2
-from it once per objective.  Rows solved again and again with new
+basis its last solve left, for cold and warm solves alike; the LP's own
+rows, its upper-bound rows and appended rows share `standardize_rows`.
+Phase 1 keeps its row-signed tableau and feasible basis; `solve_lp_each`
+runs phase 2 from it once per objective.  Rows solved again and again with new
 right-hand sides or appended rows restart from the kept basis instead of a
 cold phase 1: a new right-hand side is negated where phase 1 negated the
 row, and appended rows start with their slacks basic.  A zero objective
@@ -34,7 +37,7 @@ from __future__ import annotations
 
 import copy
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -91,49 +94,65 @@ class IterationLimitError(RuntimeError):
 class LinearProgram:
     """max/min objective'x with linear constraints and box bounds.
 
-    `constraints` holds (coeffs, relation, rhs) triples.  Bounds default to
-    x >= 0 with no upper limit; entries may be +-inf.
+    The rows are stacked: `constraints` is an (m, num_vars) array of their
+    coefficients, `relations` their m relations and `rhs` their m
+    right-hand sides (no rows by default).  Bounds default to x >= 0 with no
+    upper limit; entries may be +-inf.
     """
 
     num_vars: int
     objective: np.ndarray
     maximize: bool = True
-    constraints: list = field(default_factory=list)
+    constraints: np.ndarray | None = None
+    relations: list | None = None
+    rhs: np.ndarray | None = None
     lower: np.ndarray | None = None
     upper: np.ndarray | None = None
 
     def __post_init__(self):
-        self.objective = np.asarray(self.objective, dtype=float)
-        if self.objective.shape != (self.num_vars,):
-            raise DimensionError(
-                f"objective has shape {self.objective.shape}, expected ({self.num_vars},)")
+        n = self.num_vars
+        self.objective = _objective(self, self.objective)
+        self.constraints = np.asarray(
+            np.empty((0, n)) if self.constraints is None else self.constraints,
+            dtype=float)
+        self.relations = [Relation(rel) for rel in self.relations or ()]
+        self.rhs = np.asarray(() if self.rhs is None else self.rhs, dtype=float)
         if self.lower is None:
-            self.lower = np.zeros(self.num_vars)
+            self.lower = np.zeros(n)
         else:
             self.lower = np.asarray(self.lower, dtype=float)
         if self.upper is None:
-            self.upper = np.full(self.num_vars, np.inf)
+            self.upper = np.full(n, np.inf)
         else:
             self.upper = np.asarray(self.upper, dtype=float)
-        if self.lower.shape != (self.num_vars,) or self.upper.shape != (self.num_vars,):
-            raise DimensionError("bound vectors must match num_vars")
+        m = len(self.relations)
+        shapes = [a.shape for a in (self.constraints, self.rhs, self.lower, self.upper)]
+        if shapes != [(m, n), (m,), (n,), (n,)]:
+            raise DimensionError(
+                f"constraints, rhs, lower and upper have shapes {shapes}, but "
+                f"{m} rows over {n} variables need {[(m, n), (m,), (n,), (n,)]}")
         if np.any(self.lower > self.upper + FEAS_TOL):
             raise ValueError("lower bound exceeds upper bound")
 
+    def add_rows(self, coeffs, relations, rhs):
+        """Append the rows `coeffs` stacks over every variable, with their
+        relations and right-hand sides."""
+        rows = LinearProgram(self.num_vars, self.objective, constraints=coeffs,
+                             relations=relations, rhs=rhs)  # checks the shapes
+        self.constraints = np.vstack([self.constraints, rows.constraints])
+        self.relations = self.relations + rows.relations
+        self.rhs = np.concatenate([self.rhs, rows.rhs])
+
     def add_constraint(self, coeffs, relation: Relation | str, rhs: float):
-        coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape != (self.num_vars,):
-            raise DimensionError(
-                f"constraint has shape {coeffs.shape}, expected ({self.num_vars},)")
-        self.constraints.append((coeffs, Relation(relation), float(rhs)))
+        """Append one row."""
+        self.add_rows([coeffs], [relation], [rhs])
 
     def dump(self) -> str:
         """Plain-text rendering for --dump-lp debugging."""
         lines = [("maximize  " if self.maximize else "minimize  ")
-                 + _linear_str(self.objective)]
-        lines.append("subject to")
-        for coeffs, rel, rhs in self.constraints:
-            lines.append(f"  {_linear_str(coeffs)} {rel.value} {rhs:g}")
+                 + _linear_str(self.objective), "subject to"]
+        lines += [f"  {_linear_str(row)} {rel.value} {b:g}"
+                  for row, rel, b in zip(self.constraints, self.relations, self.rhs)]
         lines.append("bounds")
         for i in range(self.num_vars):
             lines.append(f"  {self.lower[i]:g} <= x{i} <= {self.upper[i]:g}")
@@ -183,7 +202,8 @@ def dump_each(build, objectives=None) -> None:
         return
     lp = build()
     for objective in [lp.objective] if objectives is None else objectives:
-        debug_sink(_debug_text(lp, _objective(lp, objective)))
+        debug_sink(f"# LP: {lp.num_vars} variables, {len(lp.constraints)} constraints\n"
+                   + replace(lp, objective=_objective(lp, objective)).dump())
 
 
 def _objective(lp: LinearProgram, objective) -> np.ndarray:
@@ -194,15 +214,9 @@ def _objective(lp: LinearProgram, objective) -> np.ndarray:
     return objective
 
 
-def _debug_text(lp: LinearProgram, objective: np.ndarray) -> str:
-    return (f"# LP: {lp.num_vars} variables, {len(lp.constraints)} "
-            f"constraints\n{replace(lp, objective=objective).dump()}")
-
-
-def _row_dots(rows, coeffs: np.ndarray, cols: np.ndarray,
-              v: np.ndarray) -> np.ndarray:
+def _row_dots(coeffs: np.ndarray, cols: np.ndarray, v: np.ndarray) -> np.ndarray:
     """coeffs[:, cols] @ v, entry i bit-identical to the 1-D dot
-    ``rows[i][cols] @ v`` (coeffs stacks the rows).
+    ``coeffs[i, cols] @ v``.
 
     A row with at most one nonzero product sums exactly in any order, so
     only rows with several go through the 1-D dot, whose summation order
@@ -216,7 +230,7 @@ def _row_dots(rows, coeffs: np.ndarray, cols: np.ndarray,
         one = terms == 1
         out[one] = prod[one].sum(axis=1)
         for i in (terms > 1).nonzero()[0]:
-            out[i] = rows[i][cols] @ v
+            out[i] = coeffs[i, cols] @ v
     return out
 
 
@@ -235,65 +249,48 @@ class _Standardized:
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
-        n = lp.num_vars
         self.fixed = (lp.lower == lp.upper) | (np.abs(lp.upper - lp.lower) < FIXED_TOL)
         self.fixed_vals = np.where(self.fixed, lp.lower, 0.0)
         self.keep = (~self.fixed).nonzero()[0]
 
-        lower = lp.lower[self.keep]
-        upper = lp.upper[self.keep]
-        nk = len(self.keep)
-
         # Column layout of the standardized variables: one column per kept
         # variable (shifted by its finite lower bound), plus a mirror column
         # for each free variable's negative part.
+        lower = lp.lower[self.keep]
         finite = np.isfinite(lower)
         self.shift = np.where(finite, lower, 0.0)
-        self.n_main = nk
+        self.n_main = len(self.keep)
         self.neg_cols = (~finite).nonzero()[0]
 
-        if lp.constraints:
-            rows, rels, rhs = zip(*lp.constraints)
-            coeffs = np.array(rows)
-            rhs = np.array(rhs)
-        else:
-            rows, rels, coeffs, rhs = (), (), np.empty((0, n)), np.empty(0)
+        # The LP's rows, then an upper-bound row x_i <= hi_i per kept
+        # variable with a finite one (after the shift, u_i <= hi_i - lo_i).
+        ub_vars = self.keep[np.isfinite(lp.upper[self.keep] - self.shift)]
+        bounds = np.zeros((len(ub_vars), lp.num_vars))
+        bounds[np.arange(len(ub_vars)), ub_vars] = 1.0
+        self.upper_rhs = lp.upper[ub_vars]
+        self.A, self.row_shifts = self.standardize_rows(
+            np.vstack([lp.constraints, bounds]))
+        self.b = self.rhs(lp.rhs)
+        rels = lp.relations + [Relation.LE] * len(ub_vars)
+        self.le = np.array([rel is Relation.LE for rel in rels], dtype=bool)
+        self.ge = np.array([rel is Relation.GE for rel in rels], dtype=bool)
+
+    def standardize_rows(self, coeffs: np.ndarray):
+        """Rows over the LP's variables (`coeffs` stacks them) in the
+        standardized columns, and what the fixed values and the lower-bound
+        shift move each row's right-hand side by: a right-hand side b
+        becomes b - fixed - shift."""
+        main = coeffs[:, self.keep]
         fixed_cols = self.fixed.nonzero()[0]
-        # What the fixed values and the lower-bound shift move each row's
-        # right-hand side by.
-        self.row_shifts = (_row_dots(rows, coeffs, fixed_cols,
-                                     self.fixed_vals[fixed_cols]),
-                           _row_dots(rows, coeffs, self.keep, self.shift))
-        # Upper-bound rows (after the shift, u <= hi - lo).
-        ub = upper - self.shift
-        ub_cols = np.isfinite(ub).nonzero()[0]
-        self.ub = ub[ub_cols]
-
-        m0 = len(rels)
-        m = m0 + len(ub_cols)
-        A = np.zeros((m, nk + len(self.neg_cols)))
-        A[:m0, :nk] = coeffs[:, self.keep]
-        A[np.arange(m0, m), ub_cols] = 1.0
-        A[:, nk:] = -A[:, self.neg_cols]
-
-        self.A, self.b = A, self.rhs(rhs)
-        self.le = np.ones(m, dtype=bool)
-        self.le[:m0] = [rel is Relation.LE for rel in rels]
-        self.ge = np.zeros(m, dtype=bool)
-        self.ge[:m0] = [rel is Relation.GE for rel in rels]
+        return (np.hstack([main, -main[:, self.neg_cols]]),
+                (_row_dots(coeffs, fixed_cols, self.fixed_vals[fixed_cols]),
+                 _row_dots(coeffs, self.keep, self.shift)))
 
     def rhs(self, rhs) -> np.ndarray:
         """The standardized right-hand side when the LP's rows have the
         right-hand sides `rhs`."""
         fixed, shift = self.row_shifts
-        return np.concatenate([rhs - fixed - shift, self.ub])
-
-    def standardize_rows(self, coeffs: np.ndarray, rhs: np.ndarray):
-        """Extra rows over the LP's variables (`coeffs` stacks them) in the
-        standardized columns, and their shifted right-hand sides."""
-        main = coeffs[:, self.keep]
-        A = np.hstack([main, -main[:, self.neg_cols]])
-        return A, rhs - coeffs @ self.fixed_vals - main @ self.shift
+        return np.concatenate([rhs, self.upper_rhs]) - fixed - shift
 
     def cost(self, objective: np.ndarray) -> np.ndarray:
         """The standardized (minimized) cost vector of an objective."""
@@ -412,19 +409,20 @@ class _Standardized:
             self.T, self.b, self.basis, self.Binv, self.Binv @ self.b)
         return self.feasible
 
-    def append(self, rows) -> "_Standardized":
-        """A copy with the (coeffs, relation, rhs) `rows` over the LP's
-        variables appended, each with its own slack, whose basis is this one
-        plus the new slacks; `restart` then decides it.  That basis is block
-        lower triangular, [[B, 0], [R, S]] with S = diag(+-1) of the new
-        slacks, so its inverse is [[B^-1, 0], [-S R B^-1, S]]."""
-        coeffs, rels, rhs = zip(*rows)
-        rels = [Relation(rel) for rel in rels]
+    def append(self, coeffs, relations, rhs) -> "_Standardized":
+        """A copy with the rows `coeffs` stacks over the LP's variables
+        appended, with their relations and right-hand sides, each with its
+        own slack, whose basis is this one plus the new slacks; `restart`
+        then decides it.  That basis is block lower triangular,
+        [[B, 0], [R, S]] with S = diag(+-1) of the new slacks, so its
+        inverse is [[B^-1, 0], [-S R B^-1, S]]."""
+        rels = [Relation(rel) for rel in relations]
         if Relation.EQ in rels:
             raise ValueError("an equality row has no slack")
-        A, b = self.standardize_rows(np.array(coeffs), np.array(rhs, dtype=float))
+        A, (fixed, shift) = self.standardize_rows(np.asarray(coeffs, dtype=float))
+        b = np.asarray(rhs, dtype=float) - fixed - shift
         sign = np.array([1.0 if rel is Relation.LE else -1.0 for rel in rels])
-        (m, n), k = self.T.shape, len(rows)
+        (m, n), k = self.T.shape, len(rels)
         rows_k, slacks_k = np.arange(m, m + k), np.arange(n, n + k)
         out = copy.copy(self)
         out.T = np.zeros((m + k, n + k))

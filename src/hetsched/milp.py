@@ -9,7 +9,7 @@ reproducible across runs.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -79,13 +79,12 @@ def _lex_refine(mip: MixedIntegerProgram, best: SolveResult) -> SolveResult:
 
 
 def _pinned(lp: LinearProgram, fixed: dict) -> LinearProgram:
-    """A copy of `lp` with each variable in `fixed` pinned to its value."""
-    lo = lp.lower.copy()
-    hi = lp.upper.copy()
+    """A copy of `lp`, sharing its rows, with each variable in `fixed`
+    pinned to its value."""
+    lo, hi = lp.lower.copy(), lp.upper.copy()
     for v, val in fixed.items():
         lo[v] = hi[v] = float(val)
-    return LinearProgram(lp.num_vars, lp.objective, lp.maximize,
-                         list(lp.constraints), lo, hi)
+    return replace(lp, lower=lo, upper=hi)
 
 
 def _branch_and_bound(mip: MixedIntegerProgram) -> SolveResult:

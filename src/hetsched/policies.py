@@ -6,7 +6,9 @@ combination) should spend on each resource configuration, maximizing or
 minimizing an objective expressed through effective throughputs.  Each
 policy is a function of the `ProblemSpace` that `solve_policy` compiles once
 per decision, and returns a `PolicyResult`; `solve_policy` finds it in
-`POLICIES` by kind (water filling lives in `waterfill`).  Max-min objectives
+`POLICIES` by kind (water filling lives in `waterfill`).  `ProblemSpace.lp`
+builds every LP over the cells from row blocks, (coeffs, relations, rhs)
+triples whose coeffs stack the block's rows.  Max-min objectives
 (max-min fairness, min-makespan and the water-filling level) are compiled to
 one epigraph LP by `max_min_lp`; only finish-time fairness is solved by
 bisection over a feasibility LP; the cost policies reduce a
@@ -182,8 +184,10 @@ class ProblemSpace:
         self.by_id = {j.id: j for j in self.jobs}
         self.n_cells = T.num_rows * T.num_configs
         ks = [T.job_index(j.id) for j in self.jobs]
-        self.coeffs = {j.id: T.coeffs[k] for j, k in zip(self.jobs, ks)}
-        norms = inorder_sum(T.coeffs[ks] * equal_share_allocation(T).values.ravel())
+        # Each job's coefficient row over the cells, stacked in `jobs` order.
+        self.thr_rows = T.coeffs[ks]
+        self.coeffs = {j.id: row for j, row in zip(self.jobs, self.thr_rows)}
+        norms = inorder_sum(self.thr_rows * equal_share_allocation(T).values.ravel())
         self.equal_norm = {}
         for j, norm in zip(self.jobs, norms.tolist()):
             if norm <= 0:
@@ -201,27 +205,23 @@ class ProblemSpace:
         self.validity = np.vstack([budget, capacity.reshape(len(types), self.n_cells)])
         self.validity_rhs = [1.0] * len(ks) + [float(t.num_workers) for t in types]
 
-    def lp(self, objective, rows=(), maximize: bool = True,
-           extra_lower=None) -> LinearProgram:
+    def lp(self, objective, rows=(), maximize: bool = True) -> LinearProgram:
         """The LP over the cells plus `len(objective) - n_cells` extra
-        variables: cells nonnegative and pinned to 0 where infeasible, extra
-        variables in [extra_lower (default 0), inf), then `rows`, then
-        the per-job time budget and per-type worker capacity rows.  Each row
-        is a (coeffs, relation, rhs) triple whose coeffs cover the cells
-        alone, padded with zeros, or every variable."""
+        variables, all nonnegative and the cells pinned to 0 where
+        infeasible, under the row blocks in `rows` and then the per-job time
+        budget and per-type worker capacity rows.  A block is a (coeffs,
+        relations, rhs) triple: coeffs stacks its rows over the cells alone
+        (the extra variables' entries are 0) or over every variable."""
         n = len(objective)
-        pad = np.zeros(n - self.n_cells)
-        lower = np.zeros(n)
-        if extra_lower is not None:
-            lower[self.n_cells:] = extra_lower
-        lp = LinearProgram(n, objective, maximize, lower=lower,
-                           upper=np.append(self._upper, np.full(len(pad), np.inf)))
-        validity = [(row, Relation.LE, rhs)
-                    for row, rhs in zip(self.validity, self.validity_rhs)]
-        for coeffs, rel, rhs in [*rows, *validity]:
-            lp.add_constraint(coeffs if len(coeffs) == n else np.append(coeffs, pad),
-                              rel, rhs)
-        return lp
+        blocks = [*rows, (self.validity, [Relation.LE] * len(self.validity),
+                          self.validity_rhs)]
+        return LinearProgram(
+            n, objective, maximize,
+            np.vstack([np.column_stack([c, np.zeros((len(c), n - c.shape[1]))])
+                       for c, _, _ in blocks]),
+            [rel for _, rels, _ in blocks for rel in rels],
+            np.concatenate([rhs for _, _, rhs in blocks]),
+            upper=np.append(self._upper, np.full(n - self.n_cells, np.inf)))
 
     def allocation(self, x: np.ndarray) -> AllocationMatrix:
         values = np.clip(x[: self.n_cells], 0.0, 1.0)
@@ -270,10 +270,14 @@ def max_min_lp(space: ProblemSpace, scales: dict,
     is lam; floors default to zero."""
     obj = np.zeros(space.n_cells + 1)
     obj[-1] = 1.0
-    rows = [(np.append(scales[j.id] * space.coeffs[j.id], -1.0), Relation.GE,
-             floors[j.id] if floors else 0.0)
-            for j in space.jobs if j.id in scales]
-    return space.lp(obj, rows, extra_lower=-np.inf)
+    ks = [k for k, j in enumerate(space.jobs) if j.id in scales]
+    ids = [space.jobs[k].id for k in ks]
+    scaled = np.array([scales[i] for i in ids]).reshape(-1, 1) * space.thr_rows[ks]
+    lp = space.lp(obj, [(np.column_stack([scaled, np.full(len(ks), -1.0)]),
+                         [Relation.GE] * len(ks),
+                         [floors[i] if floors else 0.0 for i in ids])])
+    lp.lower[-1] = -np.inf  # lam is free
+    return lp
 
 
 def _weighted_sum_lp(space: ProblemSpace, weights: dict) -> LinearProgram:
@@ -380,9 +384,9 @@ def finish_time_fairness(space: ProblemSpace) -> PolicyResult:
         budget = {j.id: lam * denom[j.id] - j.elapsed_time for j in space.jobs}
         if min(budget.values()) <= 0:
             return False, None
-        res = solve_lp(space.lp(np.zeros(space.n_cells), [
-            (space.coeffs[j.id], Relation.GE, j.remaining_steps / budget[j.id])
-            for j in space.jobs]))
+        res = solve_lp(space.lp(np.zeros(space.n_cells), [(
+            space.thr_rows, [Relation.GE] * len(space.jobs),
+            [j.remaining_steps / budget[j.id] for j in space.jobs])]))
         return res.optimal, (space.allocation(res.x) if res.optimal else None)
 
     lo = max(j.elapsed_time / denom[j.id] for j in space.jobs) + FTF_BRACKET_PAD
@@ -399,7 +403,7 @@ def finish_time_fairness(space: ProblemSpace) -> PolicyResult:
 def min_cost(space: ProblemSpace) -> PolicyResult:
     """Maximize total effective throughput per dollar; the objective is
     steps per dollar."""
-    return _max_steps_per_dollar(space, [], [])
+    return _max_steps_per_dollar(space, {}, [])
 
 
 def min_cost_slo(space: ProblemSpace) -> PolicyResult:
@@ -407,29 +411,30 @@ def min_cost_slo(space: ProblemSpace) -> PolicyResult:
     deadline.  A job whose deadline has already passed is held at its best
     standalone rate (`fastest_cell`) and listed in the result's
     violations."""
-    rows, violations, impossible = [], [], []
-    for j in space.jobs:
+    required, violations, impossible = {}, [], []
+    for k, j in enumerate(space.jobs):
         if j.slo_seconds is None or not np.isfinite(j.slo_seconds):
             continue
         time_left = j.slo_seconds - j.elapsed_time
         best = fastest_cell(space.T, j.id)[1]
         if time_left <= 0:
             violations.append(j.id)
-            required = best
+            rate = best
         else:
-            required = j.remaining_steps / time_left
-            if required > best + SLO_RATE_TOL:
+            rate = j.remaining_steps / time_left
+            if rate > best + SLO_RATE_TOL:
                 impossible.append(j.id)
                 continue
-        rows.append((space.coeffs[j.id], Relation.GE, required))
+        required[k] = rate
     if impossible:
         raise InfeasibleSloError(impossible)
-    return _max_steps_per_dollar(space, rows, violations)
+    return _max_steps_per_dollar(space, required, violations)
 
 
-def _max_steps_per_dollar(space: ProblemSpace, slo_rows: list,
+def _max_steps_per_dollar(space: ProblemSpace, required: dict,
                           violations: list) -> PolicyResult:
-    """The cost ratio LP over the validity rows plus `slo_rows`.
+    """The cost ratio LP over the validity rows, then a row holding the job
+    at each index of `space.jobs` in `required` at or above its rate there.
 
     The denominator charges each cell cost_j * scale_factor once per
     combination row, so a colocated pair is billed for one worker set, not
@@ -442,8 +447,8 @@ def _max_steps_per_dollar(space: ProblemSpace, slo_rows: list,
     den = np.outer(space.row_sf, [T.cluster.types[cfg.type_id].cost_per_hour
                                   for cfg in T.configs]).ravel()
     lp = space.lp(num)
-    for row in slo_rows:
-        lp.add_constraint(*row)
+    lp.add_rows(space.thr_rows[list(required)], [Relation.GE] * len(required),
+                list(required.values()))
     try:
         res = maximize_ratio(lp, den)
     except RatioUnboundedError:

@@ -3,6 +3,7 @@ reduction (Charnes-Cooper) used by ratio-maximizing policies."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -65,31 +66,25 @@ def maximize_ratio(lp: LinearProgram, den_coeffs) -> SolveResult:
     vanish while the numerator stays positive the LP is unbounded and a
     RatioUnboundedError is raised.
     """
-    num_coeffs = lp.objective
-    den_coeffs = np.asarray(den_coeffs, dtype=float)
-    lower, upper = lp.lower, lp.upper
-
-    # Variables: y_0..y_{n-1}, t.  All bound constraints on x become rows
-    # against t so y can be left free.
     n = lp.num_vars
-    obj = np.concatenate([num_coeffs, [0.0]])
-    cc = LinearProgram(n + 1, obj, maximize=True,
-                       lower=np.concatenate([np.full(n, -np.inf), [0.0]]),
-                       upper=np.full(n + 1, np.inf))
-    for coeffs, rel, rhs in lp.constraints:
-        row = np.concatenate([coeffs, [-rhs]])
-        cc.add_constraint(row, rel, 0.0)
-    for i in range(n):
-        if np.isfinite(upper[i]):
-            row = np.zeros(n + 1)
-            row[i], row[n] = 1.0, -upper[i]
-            cc.add_constraint(row, Relation.LE, 0.0)
-        if np.isfinite(lower[i]):
-            row = np.zeros(n + 1)
-            row[i], row[n] = 1.0, -lower[i]
-            cc.add_constraint(row, Relation.GE, 0.0)
-    den_row = np.concatenate([den_coeffs, [0.0]])
-    cc.add_constraint(den_row, Relation.EQ, 1.0)
+    den_coeffs = np.asarray(den_coeffs, dtype=float)
+    # Variables: y_0..y_{n-1}, t.  Each row a'x (rel) b becomes
+    # a'y - b t (rel) 0.  So that y can be left free, each variable's finite
+    # bounds become rows against t, its upper row y_i - hi_i t <= 0 before its
+    # lower row y_i - lo_i t >= 0.  Last comes den'y = 1.
+    bound = np.column_stack([lp.upper, lp.lower]).ravel()
+    finite = np.isfinite(bound)
+    bound_rows = np.zeros((2 * n, n + 1))
+    bound_rows[np.arange(2 * n), np.arange(2 * n) // 2] = 1.0
+    bound_rows[:, n] = -bound
+    cc = LinearProgram(
+        n + 1, np.append(lp.objective, 0.0), True,
+        np.vstack([np.column_stack([lp.constraints, -lp.rhs]), bound_rows[finite],
+                   np.append(den_coeffs, 0.0)]),
+        [*lp.relations, *itertools.compress([Relation.LE, Relation.GE] * n, finite),
+         Relation.EQ],
+        np.append(np.zeros(len(lp.rhs) + finite.sum()), 1.0),
+        np.append(np.full(n, -np.inf), 0.0), np.full(n + 1, np.inf))
 
     res = solve_lp(cc)
     if res.status is Status.UNBOUNDED:
@@ -105,6 +100,6 @@ def maximize_ratio(lp: LinearProgram, den_coeffs) -> SolveResult:
     if t <= RATIO_T_TOL:
         raise RatioUnboundedError("ratio maximized only in the limit (t = 0)")
     x = res.x[:n] / t
-    x = np.clip(x, lower, upper)
-    value = float(num_coeffs @ x) / float(den_coeffs @ x)
+    x = np.clip(x, lp.lower, lp.upper)
+    value = float(lp.objective @ x) / float(den_coeffs @ x)
     return SolveResult(Status.OPTIMAL, x, value)

@@ -98,9 +98,10 @@ def assign_job_weights(entities, jobs, done: set) -> dict:
     return weights
 
 
-def _carry_rows(space: ProblemSpace, thr_prev: dict) -> list:
-    """Rows keeping every job's throughput at or above `thr_prev`."""
-    return [(space.coeffs[j.id], Relation.GE, thr_prev[j.id]) for j in space.jobs]
+def _carry_rows(space: ProblemSpace, thr_prev: dict) -> tuple:
+    """The row block keeping every job's throughput at or above `thr_prev`."""
+    return (space.thr_rows, [Relation.GE] * len(space.jobs),
+            [thr_prev[j.id] for j in space.jobs])
 
 
 def _level_lp(space: ProblemSpace, weights: dict, t_prev: dict,
@@ -114,10 +115,10 @@ def _level_lp(space: ProblemSpace, weights: dict, t_prev: dict,
         {j.id: j.scale_factor / (weights[j.id] * space.equal_norm[j.id])
          for j in weighted},
         {j.id: t_prev[j.id] / weights[j.id] for j in weighted})
-    for j in space.jobs:
-        if thr_prev[j.id] > 0:
-            lp.add_constraint(np.append(space.coeffs[j.id], 0.0), Relation.GE,
-                              thr_prev[j.id])
+    carried = [k for k, j in enumerate(space.jobs) if thr_prev[j.id] > 0]
+    lp.add_rows(np.column_stack([space.thr_rows[carried], np.zeros(len(carried))]),
+                [Relation.GE] * len(carried),
+                [thr_prev[space.jobs[k].id] for k in carried])
     res = solve_lp(lp)
     if not res.optimal:
         raise PolicyInfeasibleError(f"water-filling LP returned {res.status}")
@@ -131,17 +132,20 @@ def _tighten_lp(space: ProblemSpace, weights: dict, t_prev: dict,
     The max-min LP can return a vertex that hands surplus throughput to
     non-bottlenecked jobs; the lean re-solve pins every weighted job at
     exactly the water level so bottleneck detection sees the true frontier.
+    Each job's level row comes before its carry row.
     """
-    rows = []
-    for j in space.jobs:
+    rows, rhs = [], []
+    for j, row in zip(space.jobs, space.thr_rows):
         w = weights[j.id]
         if w > 0:
-            rows.append((j.scale_factor / space.equal_norm[j.id] * space.coeffs[j.id],
-                         Relation.GE, t_prev[j.id] + w * level - TIGHTEN_SLACK))
+            rows.append(j.scale_factor / space.equal_norm[j.id] * row)
+            rhs.append(t_prev[j.id] + w * level - TIGHTEN_SLACK)
         if thr_prev[j.id] > 0:
-            rows.append((space.coeffs[j.id], Relation.GE,
-                         thr_prev[j.id] - TIGHTEN_SLACK))
-    res = solve_lp(space.lp(np.ones(space.n_cells), rows, maximize=False))
+            rows.append(row)
+            rhs.append(thr_prev[j.id] - TIGHTEN_SLACK)
+    block = (np.array(rows).reshape(len(rows), space.n_cells),
+             [Relation.GE] * len(rows), rhs)
+    res = solve_lp(space.lp(np.ones(space.n_cells), [block], maximize=False))
     if not res.optimal:
         raise PolicyInfeasibleError(f"tightening LP returned {res.status}")
     return space.allocation(res.x)
@@ -172,18 +176,16 @@ class GainRows:
 
 
 def _gain_lp(space: ProblemSpace, thr_prev: dict):
-    return space.lp(np.zeros(space.n_cells), _carry_rows(space, thr_prev))
+    return space.lp(np.zeros(space.n_cells), [_carry_rows(space, thr_prev)])
 
 
 def max_gain(space: ProblemSpace, thr_prev: dict, job_ids,
-             gain_rows: GainRows | None = None) -> dict:
+             gain_rows: GainRows) -> dict:
     """Largest throughput increase available to each of `job_ids` alone
     while every job keeps at least its previous throughput.  The gain LPs
     differ only in their objective, so they are solved as one LP with one
     objective per job; a job whose LP has no optimum gains 0.0.  Phase 2
-    starts from the feasible basis `gain_rows` (a fresh `GainRows` by
-    default) restarts to."""
-    gain_rows = GainRows(space) if gain_rows is None else gain_rows
+    starts from the feasible basis `gain_rows` restarts to."""
     objectives = [space.coeffs[job_id] for job_id in job_ids]
     state = gain_rows.restart(thr_prev)
     dump_each(lambda: _gain_lp(space, thr_prev), objectives)
@@ -192,7 +194,7 @@ def max_gain(space: ProblemSpace, thr_prev: dict, job_ids,
 
 
 def find_bottlenecks(space: ProblemSpace, thr_prev: dict, active_weights: dict,
-                     gain_rows: GainRows | None = None) -> set:
+                     gain_rows: GainRows) -> set:
     """Jobs whose effective throughput cannot rise without lowering another's.
 
     `thr_prev` holds every job's effective throughput under the previous
@@ -213,10 +215,8 @@ def find_bottlenecks(space: ProblemSpace, thr_prev: dict, active_weights: dict,
     left to break.  With no candidates X_prev itself is the witness.
     Otherwise (a gain in [VERIFY_FRACTION * delta_j, delta_j), or
     candidates that conflict) the bottleneck MILP decides.  Both LPs start
-    from the basis in `gain_rows`, the decision's `GainRows` (a fresh one
-    by default).
+    from the basis in `gain_rows`, the decision's `GainRows`.
     """
-    gain_rows = GainRows(space) if gain_rows is None else gain_rows
     active = [j for j in space.jobs if active_weights.get(j.id, 0.0) > 0]
     delta = {j.id: DELTA_FRACTION * space.T.max_throughput(j.id) for j in active}
     gain = max_gain(space, thr_prev, [j.id for j in active], gain_rows)
@@ -235,12 +235,14 @@ def _screen_feasible(space: ProblemSpace, active: list, thr_prev: dict,
     active job stays at its previous throughput.  The screen's rows are
     appended to the gain rows, and the dual simplex starts from the gain
     LP's basis for `thr_prev` in `gain_rows` plus their slacks."""
-    extra = [(space.coeffs[j.id], Relation.GE, thr_prev[j.id] + delta[j.id])
-             if j.id in cand else (space.coeffs[j.id], Relation.LE, thr_prev[j.id])
-             for j in active]
+    ids = {j.id for j in active}
+    extra = (space.thr_rows[[k for k, j in enumerate(space.jobs) if j.id in ids]],
+             [Relation.GE if j.id in cand else Relation.LE for j in active],
+             [thr_prev[j.id] + delta[j.id] if j.id in cand else thr_prev[j.id]
+              for j in active])
     dump_each(lambda: space.lp(np.zeros(space.n_cells),
-                               _carry_rows(space, thr_prev) + extra))
-    return gain_rows.state.append(extra).restart()
+                               [_carry_rows(space, thr_prev), extra]))
+    return gain_rows.state.append(*extra).restart()
 
 
 def _milp_bottlenecks(space: ProblemSpace, active: list, thr_prev: dict,
@@ -254,19 +256,18 @@ def _milp_bottlenecks(space: ProblemSpace, active: list, thr_prev: dict,
     n = space.n_cells + n_z
     obj = np.zeros(n)
     obj[space.n_cells:] = 1.0
-    rows = _carry_rows(space, thr_prev)
+    # Per active job: z=1 forces a strict improvement of delta; z=0 caps the
+    # job at its previous throughput (combined with its carry row).
+    flags = np.zeros((2 * n_z, n))
+    rels, rhs = [Relation.GE, Relation.LE] * n_z, []
     for k, j in enumerate(active):
         Y = space.T.max_throughput(j.id)
-        # z=1 forces a strict improvement of delta; z=0 caps the job at its
-        # previous throughput (combined with the carry row above).
-        flag = np.arange(n_z) == k
-        rows.append((np.append(space.coeffs[j.id],
-                               np.where(flag, -(Y + delta[j.id]), 0.0)),
-                     Relation.GE, thr_prev[j.id] - Y))
-        rows.append((np.append(space.coeffs[j.id], np.where(flag, -Y, 0.0)),
-                     Relation.LE, thr_prev[j.id]))
+        flags[2 * k:2 * k + 2, :space.n_cells] = space.coeffs[j.id]
+        flags[2 * k, space.n_cells + k] = -(Y + delta[j.id])
+        flags[2 * k + 1, space.n_cells + k] = -Y
+        rhs += [thr_prev[j.id] - Y, thr_prev[j.id]]
     # MixedIntegerProgram bounds the flags to [0, 1].
-    lp = space.lp(obj, rows)
+    lp = space.lp(obj, [_carry_rows(space, thr_prev), (flags, rels, rhs)])
     res = solve_milp(MixedIntegerProgram(lp, set(range(space.n_cells, n))))
     if not res.optimal:  # X_prev is a witness, so only the solver can fail here
         raise PolicyError(f"bottleneck MILP not solved: {res.status.value}")

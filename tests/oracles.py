@@ -17,8 +17,11 @@ references that the optimized ones must match: row-at-a-time ALS
 the cell-at-a-time throughput-matrix walks (`CellMatrix`), one gain LP
 per job (`reference_max_gain`), bottleneck detection by MILP alone
 (`reference_find_bottlenecks`), water filling's gain and screen LPs each
-from a cold phase 1 (`cold_max_gain`, `cold_screen_feasible`) and the LP
-that gives one job the whole cluster (`reference_standalone`), with the
+from a cold phase 1 (`cold_max_gain`, `cold_screen_feasible`), the LP
+that gives one job the whole cluster (`reference_standalone`) and the LP
+builders adding one row at a time (`reference_space_lp` and the
+`reference_*_lp` builders on top of it, `reference_charnes_cooper`,
+`reference_pinned`), with the
 seeded matrices (`random_cells`) on which they are compared.  It also
 writes throughput-matrix files as the CLI reads them (`matrix_doc`) and
 generates the template catalog the package ships (`make_template_catalog`).
@@ -39,11 +42,11 @@ from hetsched.jobs import Job, JobCombination
 from hetsched.lp import (DEGENERATE_LIMIT, FEAS_TOL, OPT_TOL, REFACTOR_EVERY,
                          LinearProgram, Relation, SolveResult, Status, solve_lp,
                          solve_lp_each)
-from hetsched.matrices import effective_throughput
+from hetsched.matrices import effective_throughput, isolated_allocation
 from hetsched.milp import MixedIntegerProgram, solve_milp
 from hetsched.policies import PolicyError, ProblemSpace
 from hetsched.traces import JobTemplate
-from hetsched.waterfill import DELTA_FRACTION
+from hetsched.waterfill import DELTA_FRACTION, TIGHTEN_SLACK
 
 GRID = 0.01
 REFINE = 0.001
@@ -549,7 +552,7 @@ class _Standardized:
         rows = []
         rhs = []
         rels = []
-        for coeffs, rel, b in lp.constraints:
+        for coeffs, rel, b in zip(lp.constraints, lp.relations, lp.rhs):
             ck = coeffs[self.keep]
             rows.append(ck)
             rhs.append(b - float(coeffs[self.fixed] @ self.fixed_vals[self.fixed])
@@ -973,6 +976,38 @@ def reference_max_gain(space: ProblemSpace, thr_prev: dict, job_id: int) -> floa
     return res.objective_value - thr_prev[job_id]
 
 
+def reference_bottleneck_lp(space: ProblemSpace, active: list,
+                            thr_prev: dict) -> LinearProgram:
+    """The bottleneck MILP's LP, one row at a time: a flag z_j in [0, 1]
+    per active job after the cells, maximizing the flags' sum, under the
+    carry rows, then each active job's big-M rows, then the validity
+    rows."""
+    n_z = len(active)
+    n = space.n_cells + n_z
+    obj = np.zeros(n)
+    obj[space.n_cells:] = 1.0
+    upper = _cell_upper(space, extra=n_z)
+    upper[space.n_cells:] = 1.0
+    lp = LinearProgram(n, obj, maximize=True, lower=np.zeros(n), upper=upper)
+    for j in space.jobs:
+        lp.add_constraint(np.concatenate([space.coeffs[j.id], np.zeros(n_z)]),
+                          Relation.GE, thr_prev[j.id])
+    for k, j in enumerate(active):
+        Y = space.T.max_throughput(j.id)
+        delta = DELTA_FRACTION * Y
+        z_col = space.n_cells + k
+        # z=1 forces a strict improvement of delta; z=0 caps the job at its
+        # previous throughput (combined with the carry row above).
+        row = np.concatenate([space.coeffs[j.id], np.zeros(n_z)])
+        row[z_col] = -(Y + delta)
+        lp.add_constraint(row, Relation.GE, thr_prev[j.id] - Y)
+        row = np.concatenate([space.coeffs[j.id], np.zeros(n_z)])
+        row[z_col] = -Y
+        lp.add_constraint(row, Relation.LE, thr_prev[j.id])
+    _add_validity(lp, space, extra=n_z)
+    return lp
+
+
 def reference_find_bottlenecks(jobs, X_prev, T, active_weights: dict) -> set:
     """Jobs whose effective throughput cannot rise without lowering another's.
 
@@ -986,32 +1021,9 @@ def reference_find_bottlenecks(jobs, X_prev, T, active_weights: dict) -> set:
     """
     space = ProblemSpace(jobs, T)
     active = [j for j in space.jobs if active_weights.get(j.id, 0.0) > 0]
-    n_z = len(active)
-    n = space.n_cells + n_z
-    obj = np.zeros(n)
-    obj[space.n_cells:] = 1.0
-    upper = _cell_upper(space, extra=n_z)
-    upper[space.n_cells:] = 1.0
-    lp = LinearProgram(n, obj, maximize=True, lower=np.zeros(n), upper=upper)
-
     thr_prev = {j.id: effective_throughput(j.id, X_prev, T) for j in space.jobs}
-    for j in space.jobs:
-        lp.add_constraint(np.concatenate([space.coeffs[j.id], np.zeros(n_z)]),
-                          Relation.GE, thr_prev[j.id])
-    for k, j in enumerate(active):
-        Y = T.max_throughput(j.id)
-        delta = DELTA_FRACTION * Y
-        z_col = space.n_cells + k
-        # z=1 forces a strict improvement of delta; z=0 caps the job at its
-        # previous throughput (combined with the carry row above).
-        row = np.concatenate([space.coeffs[j.id], np.zeros(n_z)])
-        row[z_col] = -(Y + delta)
-        lp.add_constraint(row, Relation.GE, thr_prev[j.id] - Y)
-        row = np.concatenate([space.coeffs[j.id], np.zeros(n_z)])
-        row[z_col] = -Y
-        lp.add_constraint(row, Relation.LE, thr_prev[j.id])
-    _add_validity(lp, space, extra=n_z)
-
+    lp = reference_bottleneck_lp(space, active, thr_prev)
+    n = lp.num_vars
     res = solve_milp(MixedIntegerProgram(lp, set(range(space.n_cells, n))))
     if not res.optimal:  # X_prev is a witness, so only the solver can fail here
         raise PolicyError(f"bottleneck MILP not solved: {res.status.value}")
@@ -1034,29 +1046,158 @@ def reference_find_bottlenecks(jobs, X_prev, T, active_weights: dict) -> set:
 # the library's signatures (the per-decision `gain_rows` state is ignored),
 # so a test can swap them in and run the same fill on the cold path.
 
-def _carry(space: ProblemSpace, thr_prev: dict) -> list:
-    return [(space.coeffs[j.id], Relation.GE, thr_prev[j.id]) for j in space.jobs]
+def _carry(space: ProblemSpace, thr_prev: dict) -> tuple:
+    return (space.thr_rows, [Relation.GE] * len(space.jobs),
+            [thr_prev[j.id] for j in space.jobs])
 
 
 def cold_max_gain(space: ProblemSpace, thr_prev: dict, job_ids,
-                  gain_rows=None) -> dict:
+                  gain_rows) -> dict:
     """Each job's largest gain while every job keeps its previous
     throughput: one LP with one objective per job, through `solve_lp_each`."""
-    lp = space.lp(np.zeros(space.n_cells), _carry(space, thr_prev))
+    lp = space.lp(np.zeros(space.n_cells), [_carry(space, thr_prev)])
     results = solve_lp_each(lp, [space.coeffs[job_id] for job_id in job_ids])
     return {job_id: res.objective_value - thr_prev[job_id] if res.optimal else 0.0
             for job_id, res in zip(job_ids, results)}
 
 
 def cold_screen_feasible(space: ProblemSpace, active: list, thr_prev: dict,
-                         delta: dict, cand: set, gain_rows=None) -> bool:
+                         delta: dict, cand: set, gain_rows) -> bool:
     """Whether every candidate can gain its slack at once while every other
     active job stays at its previous throughput, through `solve_lp`."""
+    lp = reference_screen_lp(space, active, thr_prev, delta, cand)
+    return solve_lp(lp).optimal
+
+
+# ---------------------------------------------------------------------------
+# The LP builders, one row at a time
+# ---------------------------------------------------------------------------
+# The library stacks each LP's rows in blocks.  These build the same LPs
+# with `add_constraint`, one row at a time, in the same order and with the
+# same float operations, so a test can require the two byte-identical.
+
+def reference_space_lp(space: ProblemSpace, objective, rows=(),
+                       maximize: bool = True, extra_lower=None) -> LinearProgram:
+    """`ProblemSpace.lp` with `rows` a list of (coeffs, relation, rhs)
+    triples."""
+    n = len(objective)
+    pad = np.zeros(n - space.n_cells)
+    lower = np.zeros(n)
+    if extra_lower is not None:
+        lower[space.n_cells:] = extra_lower
+    lp = LinearProgram(n, objective, maximize, lower=lower,
+                       upper=_cell_upper(space, extra=len(pad)))
+    validity = [(row, Relation.LE, rhs)
+                for row, rhs in zip(space.validity, space.validity_rhs)]
+    for coeffs, rel, rhs in [*rows, *validity]:
+        lp.add_constraint(coeffs if len(coeffs) == n else np.append(coeffs, pad),
+                          rel, rhs)
+    return lp
+
+
+def reference_max_min_lp(space: ProblemSpace, scales: dict,
+                         floors: dict | None = None) -> LinearProgram:
+    obj = np.zeros(space.n_cells + 1)
+    obj[-1] = 1.0
+    rows = [(np.append(scales[j.id] * space.coeffs[j.id], -1.0), Relation.GE,
+             floors[j.id] if floors else 0.0)
+            for j in space.jobs if j.id in scales]
+    return reference_space_lp(space, obj, rows, extra_lower=-np.inf)
+
+
+def reference_ftf_probe(space: ProblemSpace, lam: float) -> LinearProgram:
+    """Finish-time fairness's feasibility LP at ratio `lam`."""
+    Xiso = isolated_allocation(space.T, len(space.jobs))
+    rows = []
+    for j in space.jobs:
+        iso = effective_throughput(j.id, Xiso, space.T)
+        budget = lam * (j.isolated_elapsed_time + j.remaining_steps / iso) \
+            - j.elapsed_time
+        rows.append((space.coeffs[j.id], Relation.GE, j.remaining_steps / budget))
+    return reference_space_lp(space, np.zeros(space.n_cells), rows)
+
+
+def reference_level_lp(space: ProblemSpace, weights: dict, t_prev: dict,
+                       thr_prev: dict) -> LinearProgram:
+    weighted = [j for j in space.jobs if weights[j.id] > 0]
+    lp = reference_max_min_lp(
+        space,
+        {j.id: j.scale_factor / (weights[j.id] * space.equal_norm[j.id])
+         for j in weighted},
+        {j.id: t_prev[j.id] / weights[j.id] for j in weighted})
+    for j in space.jobs:
+        if thr_prev[j.id] > 0:
+            lp.add_constraint(np.append(space.coeffs[j.id], 0.0), Relation.GE,
+                              thr_prev[j.id])
+    return lp
+
+
+def reference_tighten_lp(space: ProblemSpace, weights: dict, t_prev: dict,
+                         thr_prev: dict, level: float) -> LinearProgram:
+    rows = []
+    for j in space.jobs:
+        w = weights[j.id]
+        if w > 0:
+            rows.append((j.scale_factor / space.equal_norm[j.id] * space.coeffs[j.id],
+                         Relation.GE, t_prev[j.id] + w * level - TIGHTEN_SLACK))
+        if thr_prev[j.id] > 0:
+            rows.append((space.coeffs[j.id], Relation.GE,
+                         thr_prev[j.id] - TIGHTEN_SLACK))
+    return reference_space_lp(space, np.ones(space.n_cells), rows, maximize=False)
+
+
+def _carry_triples(space: ProblemSpace, thr_prev: dict) -> list:
+    return [(space.coeffs[j.id], Relation.GE, thr_prev[j.id]) for j in space.jobs]
+
+
+def reference_gain_lp(space: ProblemSpace, thr_prev: dict) -> LinearProgram:
+    return reference_space_lp(space, np.zeros(space.n_cells),
+                              _carry_triples(space, thr_prev))
+
+
+def reference_screen_lp(space: ProblemSpace, active: list, thr_prev: dict,
+                        delta: dict, cand: set) -> LinearProgram:
     extra = [(space.coeffs[j.id], Relation.GE, thr_prev[j.id] + delta[j.id])
              if j.id in cand else (space.coeffs[j.id], Relation.LE, thr_prev[j.id])
              for j in active]
-    lp = space.lp(np.zeros(space.n_cells), _carry(space, thr_prev) + extra)
-    return solve_lp(lp).optimal
+    return reference_space_lp(space, np.zeros(space.n_cells),
+                              _carry_triples(space, thr_prev) + extra)
+
+
+def reference_charnes_cooper(lp: LinearProgram, den_coeffs) -> LinearProgram:
+    """`search.maximize_ratio`'s LP over (y, t): each row a'x (rel) b as
+    a'y - b t (rel) 0, each variable's upper row and then its lower row
+    where finite, then den'y = 1."""
+    n = lp.num_vars
+    cc = LinearProgram(n + 1, np.concatenate([lp.objective, [0.0]]), maximize=True,
+                       lower=np.concatenate([np.full(n, -np.inf), [0.0]]),
+                       upper=np.full(n + 1, np.inf))
+    for coeffs, rel, rhs in zip(lp.constraints, lp.relations, lp.rhs):
+        cc.add_constraint(np.concatenate([coeffs, [-rhs]]), rel, 0.0)
+    for i in range(n):
+        if np.isfinite(lp.upper[i]):
+            row = np.zeros(n + 1)
+            row[i], row[n] = 1.0, -lp.upper[i]
+            cc.add_constraint(row, Relation.LE, 0.0)
+        if np.isfinite(lp.lower[i]):
+            row = np.zeros(n + 1)
+            row[i], row[n] = 1.0, -lp.lower[i]
+            cc.add_constraint(row, Relation.GE, 0.0)
+    cc.add_constraint(np.concatenate([np.asarray(den_coeffs, dtype=float), [0.0]]),
+                      Relation.EQ, 1.0)
+    return cc
+
+
+def reference_pinned(lp: LinearProgram, fixed: dict) -> LinearProgram:
+    """A branch-and-bound node: `lp`'s rows added again, with each variable
+    in `fixed` pinned to its value."""
+    lo, hi = lp.lower.copy(), lp.upper.copy()
+    for v, val in fixed.items():
+        lo[v] = hi[v] = float(val)
+    node = LinearProgram(lp.num_vars, lp.objective, lp.maximize, lower=lo, upper=hi)
+    for coeffs, rel, rhs in zip(lp.constraints, lp.relations, lp.rhs):
+        node.add_constraint(coeffs, rel, rhs)
+    return node
 
 
 # ---------------------------------------------------------------------------

@@ -23,12 +23,13 @@ from hetsched.policies import (ProblemSpace, fifo, finish_time_fairness,
 from hetsched.estimator import complete_matrix
 from hetsched.simulator import EstimatorConfig, SimConfig, Simulation
 from hetsched.traces import generate_trace, load_catalog
-from hetsched.waterfill import (DELTA_FRACTION, find_bottlenecks, max_gain,
-                                single_level_waterfill)
+from hetsched.waterfill import (DELTA_FRACTION, GainRows, find_bottlenecks,
+                                max_gain, single_level_waterfill)
 
 import oracles
 from oracles import (OracleInstance, oracle_cost, oracle_ftf, oracle_las,
-                     oracle_fifo, oracle_makespan, random_instance)
+                     oracle_fifo, oracle_makespan, random_instance,
+                     reference_space_lp)
 
 
 def singles(cluster, T_rows):
@@ -172,13 +173,14 @@ def _enumerate_bottlenecks(jobs, X_prev, T, weights):
             else:
                 rows.append((space.coeffs[j.id], Relation.LE,
                              thr_prev[j.id]))
-        lp = space.lp(np.zeros(space.n_cells), rows)
+        lp = reference_space_lp(space, np.zeros(space.n_cells), rows)
         if solve_lp(lp).status is Status.OPTIMAL:
             cand = sum(bits)
             if best is None or cand > best[0]:
                 best = (cand, bits)
     stuck = {j.id for z, j in zip(best[1], active) if z == 0}
-    gain = max_gain(space, thr_prev, [j.id for j in active if j.id not in stuck])
+    gain = max_gain(space, thr_prev, [j.id for j in active if j.id not in stuck],
+                    GainRows(space))
     for job_id, g in gain.items():
         delta = DELTA_FRACTION * T.max_throughput(job_id)
         if g < 0.5 * delta:
@@ -203,8 +205,9 @@ def test_criterion_4_bottleneck_milp_vs_enumeration():
         X /= np.maximum(X.sum(axis=1, keepdims=True), 1.0)
         X_prev = AllocationMatrix(T, X)
         weights = {m: 1.0 for m in range(M)}
-        ours = find_bottlenecks(ProblemSpace(jobs, T),
-                                throughputs(jobs, X_prev, T), weights)
+        space = ProblemSpace(jobs, T)
+        ours = find_bottlenecks(space, throughputs(jobs, X_prev, T), weights,
+                                GainRows(space))
         reference = _enumerate_bottlenecks(jobs, X_prev, T, weights)
         assert ours == reference, f"instance {i}: {ours} != {reference}"
     elapsed = time.perf_counter() - t0
@@ -351,7 +354,7 @@ def test_criterion_6d_water_filling_pareto():
         result = single_level_waterfill(space)
         weights = {j.id: j.weight for j in jobs}
         stuck = find_bottlenecks(space, throughputs(jobs, result.allocation, T),
-                                 weights)
+                                 weights, GainRows(space))
         assert stuck == {j.id for j in jobs}
     print("\nACCEPTANCE 6d: PASS - water filling terminates Pareto-efficient "
           "(no job improvable) on 500 instances")

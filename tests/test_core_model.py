@@ -253,7 +253,7 @@ def test_arrays_match_per_cell_reference(monkeypatch):
             assert np.array_equal(lp.upper, ref_upper)
             expected = ref.validity_rows(space_jobs)
             assert len(lp.constraints) == len(expected)
-            for (row, _, rhs), (ref_row, ref_rhs) in zip(lp.constraints, expected):
+            for row, rhs, (ref_row, ref_rhs) in zip(lp.constraints, lp.rhs, expected):
                 assert np.array_equal(row, ref_row) and rhs == ref_rhs
         for threshold in (0.8, 1.0, 1.3):
             monkeypatch.setattr(hetsched.matrices, "PAIR_KEEP_THRESHOLD", threshold)

@@ -142,7 +142,7 @@ def test_solution_feasible_and_consistent(data):
                           float(rng.uniform(0.5, 2)))
     res = solve_lp(lp)
     assert res.optimal
-    for coeffs, rel, rhs in lp.constraints:
+    for coeffs, rel, rhs in zip(lp.constraints, lp.relations, lp.rhs):
         lhs = float(coeffs @ res.x)
         assert lhs <= rhs + 1e-7
     assert np.all(res.x >= -1e-9) and np.all(res.x <= 1 + 1e-9)
@@ -265,7 +265,8 @@ def _assert_all_fixed_verdict(lp):
     holds = [{Relation.LE: lhs <= rhs + 1e-9, Relation.GE: lhs >= rhs - 1e-9,
               Relation.EQ: abs(lhs - rhs) <= 1e-9}[rel]
              for lhs, rel, rhs in ((float(row @ x), rel, rhs)
-                                   for row, rel, rhs in lp.constraints)]
+                                   for row, rel, rhs in zip(
+                                       lp.constraints, lp.relations, lp.rhs))]
     res = solve_lp(lp)
     if all(holds):
         assert res.optimal
@@ -285,12 +286,12 @@ def test_bit_identical_to_reference_kernel():
         fixed = lp.lower == lp.upper
         if fixed.all():
             statuses.append(_assert_all_fixed_verdict(lp))
-            all_fixed.append(any(rel is Relation.EQ for _, rel, _ in lp.constraints))
+            all_fixed.append(any(rel is Relation.EQ for rel in lp.relations))
             continue
         statuses.append(_assert_same_as_reference(lp))
         multi_term_fixed_rows += any(
             np.count_nonzero(row[fixed] * lp.lower[fixed]) > 1
-            for row, _, _ in lp.constraints)
+            for row in lp.constraints)
     # The instances cover every verdict and the fixed-variable rows whose
     # right-hand side shift sums several products.
     assert {statuses.count(s) >= 10 for s in Status} == {True}
@@ -376,8 +377,8 @@ def test_solve_lp_each_matches_solve_lp():
         for objective, res in zip(objectives, each):
             alone = solve_lp(LinearProgram(
                 lp.num_vars, objective, maximize=lp.maximize,
-                constraints=list(lp.constraints), lower=lp.lower,
-                upper=lp.upper))
+                constraints=lp.constraints, relations=lp.relations, rhs=lp.rhs,
+                lower=lp.lower, upper=lp.upper))
             assert res.status == alone.status, seed
             assert res.objective_value == alone.objective_value, seed
             assert (res.x is None) == (alone.x is None), seed
@@ -416,7 +417,8 @@ def test_solve_lp_each_runs_phase_one_once(monkeypatch):
     calls.clear()
     for objective in objectives:
         solve_lp(LinearProgram(3, objective, maximize=True,
-                               constraints=list(lp.constraints)))
+                               constraints=lp.constraints,
+                               relations=lp.relations, rhs=lp.rhs))
     assert calls.count(PHASE1_OPT_TOL) == len(objectives)
 
 
@@ -435,12 +437,13 @@ def _equivalence_set():
 
 
 def _has_equality(lp) -> bool:
-    return any(rel is Relation.EQ for _, rel, _ in lp.constraints)
+    return any(rel is Relation.EQ for rel in lp.relations)
 
 
-def _with_rows(lp, rows) -> LinearProgram:
+def _with_rows(lp, coeffs, relations, rhs) -> LinearProgram:
     return LinearProgram(lp.num_vars, lp.objective, maximize=lp.maximize,
-                         constraints=list(rows), lower=lp.lower, upper=lp.upper)
+                         constraints=coeffs, relations=relations, rhs=rhs,
+                         lower=lp.lower, upper=lp.upper)
 
 
 def _assert_warm_verdict(ds, feasible, lp):
@@ -476,23 +479,26 @@ def _warm_verdicts():
         x0 = np.clip(np.random.default_rng(7000 + k).uniform(-2.0, 4.0, lp.num_vars),
                      lp.lower, lp.upper)
         ds = hetsched.lp._Standardized(_with_rows(
-            lp, [(row, rel, float(row @ x0)) for row, rel, _ in lp.constraints]))
+            lp, lp.constraints, lp.relations,
+            [float(row @ x0) for row in lp.constraints]))
         assert ds.phase_one() and not ds.dropped
         negated += bool(ds.flip.any())
         verdicts["own"].append(_assert_warm_verdict(
-            ds, ds.restart([rhs for _, _, rhs in lp.constraints]), lp))
+            ds, ds.restart(lp.rhs), lp))
 
-        rows = [(row, rel, rhs + float(rng.integers(-2, 3)))
-                for row, rel, rhs in lp.constraints]
+        rhs = [b + float(rng.integers(-2, 3)) for b in lp.rhs]
         verdicts["rhs"].append(_assert_warm_verdict(
-            ds, ds.restart([rhs for _, _, rhs in rows]), _with_rows(lp, rows)))
+            ds, ds.restart(rhs), _with_rows(lp, lp.constraints, lp.relations, rhs)))
 
         extra = [(rng.integers(-2, 3, size=lp.num_vars).astype(float),
                   Relation(rng.choice(["<=", ">="])), float(rng.integers(-2, 6)))
                  for _ in range(int(rng.integers(1, 4)))]
-        screen = ds.append(extra)
+        coeffs, rels, extra_rhs = map(list, zip(*extra))
+        screen = ds.append(np.array(coeffs), rels, extra_rhs)
         verdicts["appended"].append(_assert_warm_verdict(
-            screen, screen.restart(), _with_rows(lp, rows + extra)))
+            screen, screen.restart(),
+            _with_rows(lp, np.vstack([lp.constraints, coeffs]),
+                       lp.relations + rels, rhs + extra_rhs)))
     assert equality == 104
     for kind, seen in verdicts.items():
         assert len(seen) == 256
@@ -553,6 +559,35 @@ def test_phase_one_start_is_solve_lp_each():
     assert kept >= 100
 
 
+def test_appended_rows_standardize_as_built_cold():
+    """Rows appended to a `_Standardized` take the path the LP's own rows
+    take, so their standardized coefficients and right-hand sides are bit
+    for bit those of the same rows in the LP built cold with them, on LPs
+    with fixed variables and finite nonzero lower bounds."""
+    checked = shifted = 0
+    for seed in range(240):
+        rng = np.random.default_rng(seed)
+        lp = _random_lp(rng)
+        ds = hetsched.lp._Standardized(lp)
+        if not ds.phase_one():
+            continue
+        k = int(rng.integers(1, 4))
+        coeffs = np.round(rng.uniform(-2.0, 2.0, size=(k, lp.num_vars)), 3)
+        rels = [Relation.LE if rng.random() < 0.6 else Relation.GE for _ in range(k)]
+        rhs = np.round(rng.uniform(-2.0, 5.0, size=k), 3)
+        screen = ds.append(coeffs, rels, rhs)
+        cold = hetsched.lp._Standardized(_with_rows(
+            lp, np.vstack([lp.constraints, coeffs]), lp.relations + rels,
+            np.concatenate([lp.rhs, rhs])))
+        m, rows = len(ds.T), slice(len(lp.rhs), len(lp.rhs) + k)
+        assert screen.T[m:, :cold.A.shape[1]].tobytes() == cold.A[rows].tobytes()
+        assert screen.b[m:].tobytes() == cold.b[rows].tobytes()
+        checked += 1
+        moved = np.concatenate([ds.fixed_vals[ds.fixed], ds.shift])
+        shifted += bool(np.count_nonzero(moved)) and lp.num_vars > 1
+    assert checked >= 100 and shifted >= 50
+
+
 def test_dual_start_rejects_equality_rows():
     """New right-hand sides need every row phase 1 saw, so they are refused
     once it drops a dependent equality row; an appended row needs a slack,
@@ -569,7 +604,7 @@ def test_dual_start_rejects_equality_rows():
     prob = hetsched.lp._Standardized(lp)
     assert prob.phase_one()
     with pytest.raises(ValueError, match="equality"):
-        prob.append([(np.ones(2), Relation.EQ, 0.5)])
+        prob.append(np.ones((1, 2)), [Relation.EQ], [0.5])
 
 
 def test_dual_simplex_iteration_limit_is_typed(monkeypatch):

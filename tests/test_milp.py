@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -17,8 +18,7 @@ def enumerate_oracle(lp: LinearProgram, binaries):
         hi = lp.upper.copy()
         for v, val in zip(binaries, bits):
             lo[v] = hi[v] = val
-        sub = LinearProgram(lp.num_vars, lp.objective, lp.maximize,
-                            list(lp.constraints), lo, hi)
+        sub = dataclasses.replace(lp, lower=lo, upper=hi)
         res = solve_lp(sub)
         if not res.optimal:
             continue

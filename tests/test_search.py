@@ -42,8 +42,8 @@ def test_ratio_constant_denominator_reduces_to_lp():
 def test_ratio_two_type_cost_example():
     # Throughputs (4, 1), costs (3.0, 0.5) $/hr, one worker each: everything
     # on the cheap slow type wins at 2.0 steps per dollar.
-    cons = [(np.array([1.0, 1.0]), Relation.LE, 1.0)]
-    res = maximize_ratio(LinearProgram(2, [4.0, 1.0], constraints=cons,
+    res = maximize_ratio(LinearProgram(2, [4.0, 1.0], constraints=[[1.0, 1.0]],
+                                       relations=[Relation.LE], rhs=[1.0],
                                        upper=np.array([1.0, 1.0])), [3.0, 0.5])
     assert res.objective_value == pytest.approx(2.0, abs=1e-6)
     assert res.x[1] == pytest.approx(1.0, abs=1e-6)
@@ -60,10 +60,9 @@ def test_ratio_matches_grid_search():
         c = rng.uniform(0.5, 4.0, size=2)
         d = rng.uniform(0.2, 3.0, size=2)
         # A third variable fixed at 1 carries the denominator's constant 0.1.
-        cons = [(np.array([1.0, 1.0, 0.0]), Relation.LE, 1.0)]
         res = maximize_ratio(
-            LinearProgram(3, np.append(c, 0.0), constraints=cons,
-                          lower=np.array([0.0, 0.0, 1.0]), upper=np.ones(3)),
+            LinearProgram(3, np.append(c, 0.0), constraints=[[1.0, 1.0, 0.0]],
+                          relations=[Relation.LE], rhs=[1.0], lower=np.array([0.0, 0.0, 1.0]), upper=np.ones(3)),
             np.append(d, 0.1))
         xs = np.linspace(0, 1, 101)
         best = 0.0

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import hetsched.lp
 from hetsched.cluster import make_cluster
 from hetsched.jobs import Entity, EntityPolicy
 from hetsched.policies import parse_policy
@@ -81,6 +82,32 @@ def test_tracer_sees_water_filling_and_one_compile_per_decision():
     for i, span in enumerate(tracer.spans):
         if span[0] == "waterfill.find_bottlenecks":
             assert gain_calls.get(i, 0) <= 1, i
+
+
+@pytest.mark.parametrize("policy", ["las+ss", "makespan", "cost"])
+def test_tracer_lp_sizes_are_those_of_the_largest_lp_solved(policy, monkeypatch):
+    # lp.rows_max and lp.vars_max read each traced LP's `constraints` and
+    # `num_vars`, so they must stay its row and column counts.
+    shapes = []
+    solve_each = hetsched.lp.solve_lp_each
+
+    def spy(lp, objectives):
+        shapes.append(lp.constraints.shape)
+        return solve_each(lp, objectives)
+
+    monkeypatch.setattr(hetsched.lp, "solve_lp_each", spy)
+    templates = three_templates()
+    trace = Trace([TraceEntry(600.0 * k, t.name, 2000)
+                   for k, t in enumerate(templates)], "continuous", 0)
+    cfg = SimConfig(cluster=make_cluster({"V100": 1, "K80": 1}),
+                    policy=parse_policy(policy), seed=0)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        Simulation(cfg, trace, templates).run()
+    metrics = tracing.layer_metrics(tracer.spans, 0, len(tracer.spans))
+    assert shapes and metrics["lp.calls"] == len(shapes)
+    assert metrics["lp.rows_max"] == max(rows for rows, _ in shapes)
+    assert metrics["lp.vars_max"] == max(cols for _, cols in shapes)
 
 
 def test_tracer_sees_each_mechanism_step_once_per_round():

@@ -12,12 +12,13 @@ from hetsched.matrices import AllocationMatrix, ThroughputMatrix, effective_thro
 from hetsched.milp import solve_milp
 from hetsched.policies import (EntityError, PolicyError, ProblemSpace,
                                parse_policy, solve_policy)
-from hetsched.waterfill import (DELTA_FRACTION, VERIFY_FRACTION,
+from hetsched.waterfill import (DELTA_FRACTION, VERIFY_FRACTION, GainRows,
                                 assign_job_weights, find_bottlenecks,
                                 hierarchical_waterfill, max_gain,
                                 single_level_waterfill)
 from oracles import (cold_max_gain, cold_screen_feasible, random_cells,
-                     reference_find_bottlenecks, reference_max_gain)
+                     reference_find_bottlenecks, reference_max_gain,
+                     reference_space_lp)
 
 
 def singles(cluster, T_rows):
@@ -32,8 +33,9 @@ def throughputs(jobs, X, T):
 
 def bottlenecks(jobs, X_prev, T, weights):
     """find_bottlenecks over a fresh space and X_prev's throughputs."""
-    return find_bottlenecks(ProblemSpace(jobs, T), throughputs(jobs, X_prev, T),
-                            weights)
+    space = ProblemSpace(jobs, T)
+    return find_bottlenecks(space, throughputs(jobs, X_prev, T), weights,
+                            GainRows(space))
 
 
 @pytest.fixture
@@ -131,14 +133,15 @@ def enumerate_bottlenecks(jobs, X_prev, T, weights):
             else:
                 rows.append((space.coeffs[j.id], Relation.LE,
                              thr_prev[j.id]))
-        lp = space.lp(np.zeros(space.n_cells), rows)
+        lp = reference_space_lp(space, np.zeros(space.n_cells), rows)
         if solve_lp(lp).status is Status.OPTIMAL:
             cand = (sum(bits), tuple(-b for b in bits))
             if best is None or cand > best[0]:
                 best = (cand, bits)
     stuck = {j.id for z, j in zip(best[1], active) if z == 0}
     # Same tolerance-artifact demotion as find_bottlenecks.
-    gain = max_gain(space, thr_prev, [j.id for j in active if j.id not in stuck])
+    gain = max_gain(space, thr_prev, [j.id for j in active if j.id not in stuck],
+                    GainRows(space))
     for job_id, g in gain.items():
         delta = DELTA_FRACTION * T.max_throughput(job_id)
         if g < 0.5 * delta:
@@ -234,7 +237,7 @@ def test_max_gain_matches_per_job_reference():
         space = ProblemSpace(jobs, T)
         thr_prev = throughputs(jobs, X_prev, T)
         ids = [j.id for j in space.jobs]
-        gain = max_gain(space, thr_prev, ids)
+        gain = max_gain(space, thr_prev, ids, GainRows(space))
         assert list(gain) == ids
         for job_id in ids:
             ref = reference_max_gain(space, thr_prev, job_id)
@@ -266,7 +269,8 @@ def test_gain_near_slack_falls_back_to_milp(milp_calls):
     space = ProblemSpace(jobs, T)
     thr_prev = throughputs(jobs, X_prev, T)
     delta = DELTA_FRACTION * T.max_throughput(0)
-    assert VERIFY_FRACTION * delta <= max_gain(space, thr_prev, [0])[0] < delta
+    assert VERIFY_FRACTION * delta <= max_gain(space, thr_prev, [0],
+                                               GainRows(space))[0] < delta
     weights = {0: 1.0, 1: 1.0}
     assert bottlenecks(jobs, X_prev, T, weights) == {0}
     assert len(milp_calls) == 1
@@ -290,7 +294,7 @@ def test_pareto_on_termination(four_job_example):
     result = single_level_waterfill(space)
     weights = {j.id: j.weight for j in jobs}
     stuck = find_bottlenecks(space, throughputs(jobs, result.allocation, T),
-                             weights)
+                             weights, GainRows(space))
     assert stuck == {j.id for j in jobs}
 
 
