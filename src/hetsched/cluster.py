@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import accumulate
 
 
 class Placement(str, enum.Enum):
@@ -55,17 +56,18 @@ class ClusterSpec:
             raise ValueError("type ids must be 0..len-1 in order")
         if len({t.name for t in self.types}) != len(self.types):
             raise ValueError("type names must be unique")
-
-    @property
-    def configurations(self) -> tuple:
-        configs = []
-        for t in self.types:
-            if self.placement_aware:
-                configs.append(ResourceConfiguration(t.id, Placement.CONSOLIDATED))
-                configs.append(ResourceConfiguration(t.id, Placement.UNCONSOLIDATED))
-            else:
-                configs.append(ResourceConfiguration(t.id, Placement.SOLE))
-        return tuple(configs)
+        # Derived once, as attributes rather than fields, so equality and
+        # hashing still read only the types and the placement flag.
+        placements = ((Placement.CONSOLIDATED, Placement.UNCONSOLIDATED)
+                      if self.placement_aware else (Placement.SOLE,))
+        object.__setattr__(self, "configurations", tuple(
+            ResourceConfiguration(t.id, p) for t in self.types for p in placements))
+        # Per type, each server's worker ids: type-major, then by server.
+        first_ids = accumulate((t.num_workers for t in self.types), initial=0)
+        object.__setattr__(self, "servers", tuple(
+            tuple(range(f + s, f + min(s + t.workers_per_server, t.num_workers))
+                  for s in range(0, t.num_workers, t.workers_per_server))
+            for t, f in zip(self.types, first_ids)))
 
     @property
     def total_workers(self) -> int:

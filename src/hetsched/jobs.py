@@ -85,8 +85,5 @@ class JobCombination:
     def is_pair(self) -> bool:
         return len(self.members) == 2
 
-    def member_index(self, job_id: int) -> int:
-        return self.members.index(job_id)
-
     def __str__(self):
         return "+".join(str(m) for m in self.members)

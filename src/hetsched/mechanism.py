@@ -5,14 +5,20 @@ the element-wise ratio of the target allocation to the time fraction each
 combination has actually received, and each round greedily schedules the
 highest-priority (combination, configuration) cells that fit, never running
 a job in more than one combination per round.
+
+What depends only on the decision is compiled once per decision
+(`CompiledAllocation`): the positive target cells, each row's worker count,
+conflicting rows, rank in `members` order and feasible columns.  The
+`RoundLedger` keeps its seconds as an array aligned to the current matrix
+and remaps itself by combination when the matrix changes, so a round is
+one priority pass over arrays, then greedy walks in sorted order over the
+candidate cells and, to fill idle workers, over the rows left.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
-from itertools import accumulate
 
 import numpy as np
 
@@ -23,50 +29,108 @@ from .matrices import AllocationMatrix, ThroughputMatrix, row_workers
 
 class RoundLedger:
     """Cumulative seconds each combination has spent on each configuration,
-    persisted across allocation recomputations.  Configurations are fixed
-    per cluster, so an entry is one vector indexed like `T.configs`."""
+    and the round it last ran, persisted across allocation recomputations.
+
+    The ledger aligns itself to the matrix it is asked about: `seconds`
+    (R, C) and `last` (R,; -inf for never ran) follow `rows`, the current
+    matrix's rows, and are remapped by combination whenever the rows change.
+    Rows outside the current matrix keep their history in `time` and
+    `last_scheduled` (members -> seconds per configuration / round index),
+    so a pair row that one decision prunes and a later one re-admits picks
+    up where it left off."""
 
     def __init__(self, round_duration: float):
         self.round_duration = float(round_duration)
-        self.time = {}  # members -> seconds per configuration index
         self.rounds_total = 0
-        self.last_scheduled = {}  # members -> round index
+        self.rows = ()
+        self.seconds = np.zeros((0, 0))
+        self.last = np.zeros(0)
+        self.time = {}
+        self.last_scheduled = {}
+
+    def align(self, T: ThroughputMatrix):
+        """Remap `seconds` and `last` to T's rows, by combination."""
+        if T.rows is self.rows or (T.rows == self.rows
+                                   and self.seconds.shape[1] == T.num_configs):
+            self.rows = T.rows
+            return
+        ran = np.flatnonzero(self.last > -np.inf)
+        for r, seconds, last in zip(ran.tolist(), self.seconds[ran],
+                                    self.last[ran].tolist()):
+            self.time[self.rows[r].members] = seconds
+            self.last_scheduled[self.rows[r].members] = last
+        self.rows = T.rows
+        self.seconds = np.zeros((T.num_rows, T.num_configs))
+        self.last = np.full(T.num_rows, -np.inf)
+        for r, combo in enumerate(T.rows):
+            seconds = self.time.pop(combo.members, None)
+            if seconds is not None:
+                self.seconds[r] = seconds
+                self.last[r] = self.last_scheduled.pop(combo.members)
 
     def received(self, T: ThroughputMatrix) -> np.ndarray:
         """(R, C) seconds each row of T has received on each configuration."""
-        none = np.zeros(T.num_configs)
-        return np.array([self.time.get(combo.members, none) for combo in T.rows]
-                        ).reshape(T.num_rows, T.num_configs)
-
-    def rounds_since_scheduled(self, combo: JobCombination) -> float:
-        last = self.last_scheduled.get(combo.members)
-        return math.inf if last is None else self.rounds_total - last
+        self.align(T)
+        return self.seconds
 
     def drop_jobs(self, job_ids):
-        """Forget ledger entries involving departed jobs."""
+        """Forget ledger entries involving departed jobs.  Their rows in the
+        current matrix read as never run, and the next remap drops them."""
         gone = set(job_ids)
         self.time = {m: v for m, v in self.time.items() if gone.isdisjoint(m)}
         self.last_scheduled = {m: r for m, r in self.last_scheduled.items()
                                if gone.isdisjoint(m)}
+        dropped = [r for r, combo in enumerate(self.rows)
+                   if not gone.isdisjoint(combo.members)]
+        self.seconds[dropped] = 0.0
+        self.last[dropped] = -np.inf
 
 
-def compute_priorities(X_opt: AllocationMatrix, ledger: RoundLedger) -> np.ndarray:
+class CompiledAllocation:
+    """Everything the round mechanism reads of one decision, built once
+    from its allocation matrix and its jobs (job id -> Job): the allocation
+    and its positive cells, each row's worker count (`row_workers`) and the
+    rows it conflicts with (those sharing a member, itself included), each
+    row's rank in `members` order, which columns it can run on, and each
+    column's accelerator type."""
+
+    def __init__(self, allocation: AllocationMatrix, jobs: dict):
+        T = self.T = allocation.T
+        self.x = allocation.values
+        self.positive = self.x > 0
+        self.unreceived = np.where(self.positive, np.inf, 0.0)
+        self.workers = row_workers(T, jobs).tolist()
+        rows_of_job: dict[int, list] = {}
+        for r, combo in enumerate(T.rows):
+            for m in combo.members:
+                rows_of_job.setdefault(m, []).append(r)
+        self.conflicts = [[rr for m in combo.members for rr in rows_of_job[m]]
+                          for combo in T.rows]
+        self.rank = [0] * T.num_rows
+        for k, r in enumerate(sorted(range(T.num_rows),
+                                     key=lambda r: T.rows[r].members)):
+            self.rank[r] = k
+        self.feasible = T.feasible.tolist()
+        self.type_of = T.type_of.tolist()
+
+
+def compute_priorities(decision: CompiledAllocation,
+                       ledger: RoundLedger) -> np.ndarray:
     """(R, C) target-over-received ratios: zero where the target allocation
     is zero, infinite where a positive target has received no time yet."""
-    received = ledger.received(X_opt.T)
+    received = ledger.received(decision.T)
     col_totals = received.sum(axis=0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        f = np.where(col_totals > 0, received / np.where(col_totals > 0, col_totals, 1.0), 0.0)
-    x = X_opt.values
-    values = np.where(x > 0, np.inf, 0.0)
-    ratio = (x > 0) & (f > 0)
-    values[ratio] = x[ratio] / f[ratio]
-    return values
+    # A column with no time received is all zeros, so dividing it by one
+    # leaves f at zero there.
+    f = received / np.where(col_totals > 0, col_totals, 1.0)
+    return np.divide(decision.x, f, out=decision.unreceived.copy(),
+                     where=decision.positive & (f > 0))
 
 
 @dataclass
 class Assignment:
     combo: JobCombination
+    row: int  # the combination's row in the decision's matrix
     config_index: int
     workers: int  # the combination's scale factor
     worker_ids: list = field(default_factory=list)
@@ -93,10 +157,10 @@ class RoundPlan:
         }
 
 
-def plan_round(priorities: np.ndarray, jobs: dict, ledger: RoundLedger,
-               T: ThroughputMatrix, work_conserving: bool = True) -> RoundPlan:
+def plan_round(priorities: np.ndarray, decision: CompiledAllocation,
+               ledger: RoundLedger, work_conserving: bool = True) -> RoundPlan:
     """Greedy highest-priority-first selection of combinations for one round
-    on `T.cluster`; `jobs` maps job id -> Job for the rows' `row_workers`.
+    on the decision's cluster.
 
     Only cells whose accelerator type still has enough free workers for the
     combination's scale factor are candidates, so a large job simply waits
@@ -105,37 +169,34 @@ def plan_round(priorities: np.ndarray, jobs: dict, ledger: RoundLedger,
     fewest rounds since last scheduled, then lower combination id, then
     column index.
     """
-    remaining = {t.id: t.num_workers for t in T.cluster.types}
-    workers = row_workers(T, jobs).tolist()
+    T = decision.T
+    ledger.align(T)
+    # Fewest rounds since last scheduled first: the latest last round.
+    since, rank = (-ledger.last).tolist(), decision.rank
+    workers, type_of = decision.workers, decision.type_of
+    remaining = [t.num_workers for t in T.cluster.types]
     eligible = [True] * T.num_rows
-    since = [ledger.rounds_since_scheduled(combo) for combo in T.rows]
-    rows_of_job: dict[int, list] = {}
-    for r, combo in enumerate(T.rows):
-        for m in combo.members:
-            rows_of_job.setdefault(m, []).append(r)
     chosen: list[Assignment] = []
 
     def take(r: int, c: int):
-        chosen.append(Assignment(T.rows[r], c, workers[r]))
-        remaining[T.configs[c].type_id] -= workers[r]
-        for m in T.rows[r].members:
-            for rr in rows_of_job[m]:
-                eligible[rr] = False
+        chosen.append(Assignment(T.rows[r], r, c, workers[r]))
+        remaining[type_of[c]] -= workers[r]
+        for rr in decision.conflicts[r]:
+            eligible[rr] = False
 
-    def sweep(cells):
-        # Priorities are fixed within a round and capacity only shrinks, so a
-        # single descending pass is equivalent to repeated argmax over the
-        # still-feasible cells.
-        for _, _, r, c in sorted(cells):
-            if not eligible[r]:
-                continue
-            if remaining[T.configs[c].type_id] < workers[r]:
-                continue
-            take(r, c)
-
+    # Priorities are fixed within a round and capacity only shrinks, so a
+    # single descending pass is equivalent to repeated argmax over the
+    # still-feasible cells.  Python's sort, not numpy's: on lists this short
+    # it is as fast, and numpy's sort code would add its pages to the
+    # resident set.
     rs, cs = np.nonzero(priorities > 0)
-    sweep([(-priorities[r, c], (since[r], T.rows[r].members, c), r, c)
-           for r, c in zip(rs.tolist(), cs.tolist())])
+    minus_priority = (-priorities[rs, cs]).tolist()
+    rs, cs = rs.tolist(), cs.tolist()
+    cells = zip(minus_priority, [since[r] for r in rs], [rank[r] for r in rs],
+                cs, rs)
+    for _, _, _, c, r in sorted(cells):
+        if eligible[r] and remaining[type_of[c]] >= workers[r]:
+            take(r, c)
 
     if work_conserving:
         # Hand leftover workers to unscheduled combinations with feasible
@@ -144,11 +205,16 @@ def plan_round(priorities: np.ndarray, jobs: dict, ledger: RoundLedger,
         # systematically favoring one (the target allocation, not the
         # filler, is what should express type preferences).
         C = T.num_configs
-        rs, cs = np.nonzero(T.feasible)
-        sweep([((since[r], T.rows[r].members, (c - ledger.rounds_total) % C), 0, r, c)
-               for r, c in zip(rs.tolist(), cs.tolist()) if eligible[r]])
+        rotation = [(ledger.rounds_total + j) % C for j in range(C)]
+        for _, _, r in sorted(zip(since, rank, range(T.num_rows))):
+            if not eligible[r]:
+                continue
+            for c in rotation:
+                if decision.feasible[r][c] and remaining[type_of[c]] >= workers[r]:
+                    take(r, c)
+                    break
 
-    return RoundPlan(chosen, dict(remaining))
+    return RoundPlan(chosen, dict(enumerate(remaining)))
 
 
 class PlacementError(ValueError):
@@ -162,33 +228,29 @@ def place(plan: RoundPlan, cluster: ClusterSpec) -> RoundPlan:
     Placement is per round; worker ids are stable (type-major, then server).
     """
     configs = cluster.configurations
-    first_id = accumulate((t.num_workers for t in cluster.types), initial=0)
     # The free worker ids on each server of each type, lowest first.
-    free = {t.id: [list(range(f + s, f + min(s + t.workers_per_server, t.num_workers)))
-                   for s in range(0, t.num_workers, t.workers_per_server)]
-            for t, f in zip(cluster.types, first_id)}
+    free = [list(servers) for servers in cluster.servers]
     for a in sorted(plan.assignments, key=lambda a: (-a.workers, a.combo.members)):
         t = cluster.types[configs[a.config_index].type_id]
         sf, servers = a.workers, free[t.id]
         # First fit: first server with the whole group free, else spread in
         # server order.
-        whole = next((s for s, ids in enumerate(servers) if len(ids) >= sf), None)
-        if whole is not None:
-            grabs = [(whole, sf)]
+        for s, ids in enumerate(servers):
+            if len(ids) >= sf:
+                a.worker_ids, servers[s] = list(ids[:sf]), ids[sf:]
+                a.consolidated = True
+                break
         else:
-            grabs, need = [], sf
-            for s, ids in enumerate(servers):
-                if need and ids:
-                    grabs.append((s, min(len(ids), need)))
-                    need -= grabs[-1][1]
-            if need:
+            have = sum(map(len, servers))
+            if have < sf:
                 raise PlacementError(f"{sf} workers of {t.name} requested but "
-                                     f"only {sf - need} are free this round")
-        a.worker_ids = []
-        for s, k in grabs:
-            a.worker_ids += servers[s][:k]
-            del servers[s][:k]
-        a.consolidated = whole is not None
+                                     f"only {have} are free this round")
+            a.worker_ids, need = [], sf
+            for s, ids in enumerate(servers):
+                k = min(len(ids), need)
+                a.worker_ids += ids[:k]
+                servers[s], need = ids[k:], need - k
+            a.consolidated = False
     return plan
 
 
@@ -196,12 +258,12 @@ def settle_round(plan: RoundPlan, ledger: RoundLedger, T: ThroughputMatrix):
     """Credit one round to every scheduled combination and advance the round
     counter; unscheduled combinations are untouched and therefore gain
     priority next round."""
-    for a in plan.assignments:
-        members = a.combo.members
-        if members not in ledger.time:
-            ledger.time[members] = np.zeros(T.num_configs)
-        ledger.time[members][a.config_index] += ledger.round_duration
-        ledger.last_scheduled[members] = ledger.rounds_total
+    ledger.align(T)
+    # A plan runs each row at most once, so no cell is credited twice.
+    rows = [a.row for a in plan.assignments]
+    ledger.seconds[rows, [a.config_index for a in plan.assignments]] += \
+        ledger.round_duration
+    ledger.last[rows] = ledger.rounds_total
     ledger.rounds_total += 1
 
 

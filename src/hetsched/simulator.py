@@ -22,8 +22,8 @@ from .estimator import OnlineEstimates, ReferenceSet, fingerprint_and_match
 from .jobs import Job, JobCombination
 from .matrices import (AllocationMatrix, ThroughputMatrix, equal_shares,
                        inorder_sum, prune_combinations)
-from .mechanism import (RoundLedger, compute_priorities, place, plan_round,
-                        settle_round)
+from .mechanism import (CompiledAllocation, RoundLedger, compute_priorities,
+                        place, plan_round, settle_round)
 from .policies import PolicyKind, PolicySpec, check_entities, solve_policy
 from .traces import JobTemplate, Trace, TraceEntry, colocation_factor
 
@@ -337,6 +337,9 @@ class Simulation:
         need_resolve = True
         allocation: AllocationMatrix | None = None
         T_exec: ThroughputMatrix | None = None
+        compiled: AllocationMatrix | None = None  # the allocation `decision` holds
+        cost_of = [cfg.cluster.types[c.type_id].cost_per_hour
+                   for c in cfg.cluster.configurations]
         cost_total = 0.0
         busy_worker_rounds = 0
         solves = 0
@@ -401,28 +404,35 @@ class Simulation:
                 allocation = AllocationMatrix(T_exec, result.allocation.values)
                 need_resolve = False
 
-            jobs_by_id = {st.job.id: st.job for st in active.values()}
-            priorities = compute_priorities(allocation, ledger)
-            plan = plan_round(priorities, jobs_by_id, ledger, T_exec,
-                              work_conserving=cfg.work_conserving)
+            if compiled is not allocation:
+                # A new decision, or a periodic cut of one: compile it once,
+                # with T_exec's rates as nested lists for the lookups below.
+                decision = CompiledAllocation(
+                    allocation, {k: st.job for k, st in active.items()})
+                rates = T_exec.thr.tolist()
+                compiled = allocation
+
+            priorities = compute_priorities(decision, ledger)
+            plan = plan_round(priorities, decision, ledger, cfg.work_conserving)
             place(plan, cfg.cluster)
 
             completions = []
             this_round = {}
             for a in plan.assignments:
-                r = T_exec.row_index(a.combo)
                 # A pair shares one worker set, so it counts and pays once.
                 busy_worker_rounds += a.workers
-                t = cfg.cluster.types[T_exec.configs[a.config_index].type_id]
-                cost_total += t.cost_per_hour * a.workers * cfg.round_duration / 3600.0
-                for m in a.combo.members:
+                cost_total += (cost_of[a.config_index] * a.workers
+                               * cfg.round_duration / 3600.0)
+                members, ids = a.combo.members, tuple(a.worker_ids)
+                cell = rates[a.row][a.config_index]
+                for i, m in enumerate(members):
                     st = active[m]
-                    partner = tuple(x for x in a.combo.members if x != m)
-                    this_round[m] = (tuple(a.worker_ids), partner)
+                    partner = members[:i] + members[i + 1:]
+                    this_round[m] = (ids, partner)
                     switched = last_round.get(m) != this_round[m]
                     overhead = PREEMPTION_OVERHEAD if switched else 0.0
                     effective = max(cfg.round_duration - overhead, 0.0)
-                    thr = float(T_exec.thr[r, a.config_index, a.combo.member_index(m)])
+                    thr = cell[i]
                     if self.cfg.estimator is not None and a.combo.is_pair:
                         # Online refinement: observe the true colocation rate.
                         iso = st.rates[a.config_index]

@@ -22,7 +22,13 @@ that gives one job the whole cluster (`reference_standalone`) and the LP
 builders adding one row at a time (`reference_space_lp` and the
 `reference_*_lp` builders on top of it, `reference_charnes_cooper`,
 `reference_pinned`), with the
-seeded matrices (`random_cells`) on which they are compared.  It also
+seeded matrices (`random_cells`) on which they are compared.  The round
+mechanism as it was before it compiled each decision is kept too: a ledger
+with one dict entry per combination (`ReferenceLedger`), priorities, round
+planning, placement and settling rebuilt from the matrix every round
+(`reference_priorities`, `reference_plan_round`, `reference_place`,
+`reference_settle_round`), and `reference_mechanism` to bind them in the
+simulator.  It also
 writes throughput-matrix files as the CLI reads them (`matrix_doc`) and
 generates the template catalog the package ships (`make_template_catalog`).
 """
@@ -32,6 +38,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -42,7 +49,9 @@ from hetsched.jobs import Job, JobCombination
 from hetsched.lp import (DEGENERATE_LIMIT, FEAS_TOL, OPT_TOL, REFACTOR_EVERY,
                          LinearProgram, Relation, SolveResult, Status, solve_lp,
                          solve_lp_each)
-from hetsched.matrices import effective_throughput, isolated_allocation
+from hetsched.matrices import (effective_throughput, isolated_allocation,
+                               row_workers)
+from hetsched.mechanism import Assignment, PlacementError, RoundPlan
 from hetsched.milp import MixedIntegerProgram, solve_milp
 from hetsched.policies import PolicyError, ProblemSpace
 from hetsched.traces import JobTemplate
@@ -820,7 +829,7 @@ class CellMatrix:
         cell = self.cells[r][c]
         if cell is None:
             return 0.0
-        return float(cell[self.rows[r].member_index(job_id)])
+        return float(cell[self.rows[r].members.index(job_id)])
 
     def combos_containing(self, job_id: int) -> list:
         return [r for r, combo in enumerate(self.rows) if job_id in combo.members]
@@ -1198,6 +1207,147 @@ def reference_pinned(lp: LinearProgram, fixed: dict) -> LinearProgram:
     for coeffs, rel, rhs in zip(lp.constraints, lp.relations, lp.rhs):
         node.add_constraint(coeffs, rel, rhs)
     return node
+
+
+# ---------------------------------------------------------------------------
+# The round mechanism, rebuilt from the matrix every round
+# ---------------------------------------------------------------------------
+
+class ReferenceLedger:
+    """Cumulative seconds each combination has spent on each configuration,
+    one vector indexed like `T.configs` per combination."""
+
+    def __init__(self, round_duration: float):
+        self.round_duration = float(round_duration)
+        self.time = {}  # members -> seconds per configuration index
+        self.rounds_total = 0
+        self.last_scheduled = {}  # members -> round index
+
+    def received(self, T) -> np.ndarray:
+        """(R, C) seconds each row of T has received on each configuration."""
+        none = np.zeros(T.num_configs)
+        return np.array([self.time.get(combo.members, none) for combo in T.rows]
+                        ).reshape(T.num_rows, T.num_configs)
+
+    def rounds_since_scheduled(self, combo: JobCombination) -> float:
+        last = self.last_scheduled.get(combo.members)
+        return math.inf if last is None else self.rounds_total - last
+
+    def drop_jobs(self, job_ids):
+        gone = set(job_ids)
+        self.time = {m: v for m, v in self.time.items() if gone.isdisjoint(m)}
+        self.last_scheduled = {m: r for m, r in self.last_scheduled.items()
+                               if gone.isdisjoint(m)}
+
+
+def reference_priorities(X, ledger: ReferenceLedger) -> np.ndarray:
+    received = ledger.received(X.T)
+    col_totals = received.sum(axis=0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        f = np.where(col_totals > 0, received / np.where(col_totals > 0, col_totals, 1.0), 0.0)
+    x = X.values
+    values = np.where(x > 0, np.inf, 0.0)
+    ratio = (x > 0) & (f > 0)
+    values[ratio] = x[ratio] / f[ratio]
+    return values
+
+
+def reference_plan_round(priorities: np.ndarray, jobs: dict,
+                         ledger: ReferenceLedger, T,
+                         work_conserving: bool = True) -> RoundPlan:
+    """Sorts every candidate cell on (priority, rounds since scheduled,
+    members, column) as tuples, each round."""
+    remaining = {t.id: t.num_workers for t in T.cluster.types}
+    workers = row_workers(T, jobs).tolist()
+    eligible = [True] * T.num_rows
+    since = [ledger.rounds_since_scheduled(combo) for combo in T.rows]
+    rows_of_job: dict[int, list] = {}
+    for r, combo in enumerate(T.rows):
+        for m in combo.members:
+            rows_of_job.setdefault(m, []).append(r)
+    chosen = []
+
+    def take(r: int, c: int):
+        chosen.append(Assignment(T.rows[r], r, c, workers[r]))
+        remaining[T.configs[c].type_id] -= workers[r]
+        for m in T.rows[r].members:
+            for rr in rows_of_job[m]:
+                eligible[rr] = False
+
+    def sweep(cells):
+        for _, _, r, c in sorted(cells):
+            if not eligible[r]:
+                continue
+            if remaining[T.configs[c].type_id] < workers[r]:
+                continue
+            take(r, c)
+
+    rs, cs = np.nonzero(priorities > 0)
+    sweep([(-priorities[r, c], (since[r], T.rows[r].members, c), r, c)
+           for r, c in zip(rs.tolist(), cs.tolist())])
+
+    if work_conserving:
+        C = T.num_configs
+        rs, cs = np.nonzero(T.feasible)
+        sweep([((since[r], T.rows[r].members, (c - ledger.rounds_total) % C), 0, r, c)
+               for r, c in zip(rs.tolist(), cs.tolist()) if eligible[r]])
+
+    return RoundPlan(chosen, dict(remaining))
+
+
+def reference_place(plan: RoundPlan, cluster) -> RoundPlan:
+    """First fit over free-id lists rebuilt for every server each round."""
+    configs = cluster.configurations
+    first_id = accumulate((t.num_workers for t in cluster.types), initial=0)
+    free = {t.id: [list(range(f + s, f + min(s + t.workers_per_server, t.num_workers)))
+                   for s in range(0, t.num_workers, t.workers_per_server)]
+            for t, f in zip(cluster.types, first_id)}
+    for a in sorted(plan.assignments, key=lambda a: (-a.workers, a.combo.members)):
+        t = cluster.types[configs[a.config_index].type_id]
+        sf, servers = a.workers, free[t.id]
+        whole = next((s for s, ids in enumerate(servers) if len(ids) >= sf), None)
+        if whole is not None:
+            grabs = [(whole, sf)]
+        else:
+            grabs, need = [], sf
+            for s, ids in enumerate(servers):
+                if need and ids:
+                    grabs.append((s, min(len(ids), need)))
+                    need -= grabs[-1][1]
+            if need:
+                raise PlacementError(f"{sf} workers of {t.name} requested but "
+                                     f"only {sf - need} are free this round")
+        a.worker_ids = []
+        for s, k in grabs:
+            a.worker_ids += servers[s][:k]
+            del servers[s][:k]
+        a.consolidated = whole is not None
+    return plan
+
+
+def reference_settle_round(plan: RoundPlan, ledger: ReferenceLedger, T):
+    for a in plan.assignments:
+        members = a.combo.members
+        if members not in ledger.time:
+            ledger.time[members] = np.zeros(T.num_configs)
+        ledger.time[members][a.config_index] += ledger.round_duration
+        ledger.last_scheduled[members] = ledger.rounds_total
+    ledger.rounds_total += 1
+
+
+def reference_mechanism() -> dict:
+    """Name -> reference for every mechanism name `hetsched.simulator`
+    binds, called as the simulator calls them; the compiled decision
+    becomes the bare (allocation, jobs) pair that the references read."""
+    return {
+        "RoundLedger": ReferenceLedger,
+        "CompiledAllocation": lambda X, jobs: (X, jobs),
+        "compute_priorities": lambda d, ledger: reference_priorities(d[0], ledger),
+        "plan_round": lambda pr, d, ledger, wc: reference_plan_round(
+            pr, d[1], ledger, d[0].T, wc),
+        "place": reference_place,
+        "settle_round": reference_settle_round,
+    }
 
 
 # ---------------------------------------------------------------------------

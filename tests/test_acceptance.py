@@ -15,8 +15,8 @@ from hetsched.jobs import Entity, EntityPolicy, Job, JobCombination
 from hetsched.matrices import (AllocationMatrix, ThroughputMatrix,
                                effective_throughput, equal_share_allocation,
                                isolated_allocation)
-from hetsched.mechanism import (RoundLedger, compute_priorities, plan_round,
-                                settle_round)
+from hetsched.mechanism import (CompiledAllocation, RoundLedger,
+                                compute_priorities, plan_round, settle_round)
 from hetsched.policies import (ProblemSpace, fifo, finish_time_fairness,
                                max_min_fairness, min_cost, min_makespan,
                                parse_policy, solve_policy)
@@ -225,10 +225,10 @@ def test_criterion_5_mechanism_fidelity():
     jobs = {i: Job(id=i, num_steps=10 ** 9) for i in range(3)}
 
     def error_after(rounds):
-        ledger = RoundLedger(360.0)
+        ledger, decision = RoundLedger(360.0), CompiledAllocation(X, jobs)
         for _ in range(rounds):
-            pr = compute_priorities(X, ledger)
-            plan = plan_round(pr, jobs, ledger, T)
+            pr = compute_priorities(decision, ledger)
+            plan = plan_round(pr, decision, ledger)
             settle_round(plan, ledger, T)
         F = ledger.received(T) / (rounds * 360.0)
         return np.abs(F - X.values).max()

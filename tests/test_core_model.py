@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -31,6 +32,21 @@ def test_cluster_configurations_placement_aware():
     assert placements == [Placement.CONSOLIDATED, Placement.UNCONSOLIDATED]
     plain = make_cluster({"V100": 2})
     assert [c.placement for c in plain.configurations] == [Placement.SOLE]
+
+
+def test_cluster_derived_attributes_built_once_outside_fields():
+    cluster = make_cluster({"V100": 5, "K80": 4}, placement_aware=True,
+                           workers_per_server={"V100": 2, "K80": 4})
+    assert cluster.configurations is cluster.configurations
+    assert cluster.servers == ((range(0, 2), range(2, 4), range(4, 5)),
+                               (range(5, 9),))
+    # Equality, hashing and replace read the fields alone.
+    twin = ClusterSpec(list(cluster.types), True)
+    assert twin == cluster and hash(twin) == hash(cluster)
+    assert [f.name for f in dataclasses.fields(ClusterSpec)] == [
+        "types", "placement_aware"]
+    plain = dataclasses.replace(cluster, placement_aware=False)
+    assert [c.placement for c in plain.configurations] == [Placement.SOLE] * 2
 
 
 def test_accelerator_type_validation():

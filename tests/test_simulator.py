@@ -13,6 +13,7 @@ from hetsched.simulator import (EstimatorConfig, MetricsReport, SimConfig,
                                 Simulation,
                                 steady_state_filter)
 from hetsched.traces import JobTemplate, Trace, TraceEntry
+import oracles
 from oracles import make_template_catalog
 
 
@@ -485,3 +486,51 @@ class TestPolicyMatrix:
         Simulation(cfg, trace, catalog).run()
         assert len(given) > 1 and len(compiled) == len(given)
         assert all(a is b for a, b in zip(given, compiled))
+
+
+class TestReferenceMechanism:
+    def test_periodic_space_sharing_run_matches_reference(self, monkeypatch):
+        # Periodic re-solves with pair rows of one- and two-worker jobs:
+        # completions between re-solves cut their rows from the execution
+        # matrix, and the ledger follows every cut.
+        catalog = make_template_catalog(0)
+        rng = np.random.default_rng(0)
+        entries = []
+        for k in range(16):
+            template = catalog[int(rng.integers(len(catalog)))]
+            entries.append(TraceEntry(
+                900.0 * (k // 3), template.name,
+                int(rng.uniform(1.0, 6.0) * 3600 * template.tier_throughputs[2]),
+                scale_factor=1 + k % 2))
+        cluster = make_cluster({"V100": 2, "P100": 2, "K80": 2},
+                               workers_per_server={"V100": 1, "P100": 2, "K80": 2})
+        cfg = SimConfig(cluster=cluster, policy=parse_policy("las+ss"), seed=0,
+                        recompute_every=3, collect_round_log=True)
+        trace = Trace(entries, "continuous", 0)
+
+        def run():
+            sim = Simulation(cfg, trace, catalog)
+            report = sim.run()
+            return sim.round_log, report
+
+        compiled = []
+        real = simulator.CompiledAllocation
+
+        def spy(allocation, jobs):
+            compiled.append(allocation.T)
+            return real(allocation, jobs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(simulator, "CompiledAllocation", spy)
+            log, report = run()
+        for name, reference in oracles.reference_mechanism().items():
+            monkeypatch.setattr(simulator, name, reference)
+        ref_log, ref_report = run()
+        assert log == ref_log and report.records == ref_report.records
+        assert len(report.records) == len(entries)
+        # Completions cut the matrix between re-solves (each cut compiles
+        # the allocation again), and pairs of both worker counts ran.
+        assert len(compiled) >= report.policy_solves + 3
+        pairs = {len(a["workers"]) for rec in log for a in rec["assignments"]
+                 if len(a["jobs"]) == 2}
+        assert pairs == {1, 2}
