@@ -19,6 +19,20 @@ test suite (``tests/oracles.py``), which applies the same starting rule:
 only the bookkeeping around the floating-point operations that decide a
 pivot differs from it.
 
+Pivots skip work on exact zeros without changing a rounding (the
+hyper-sparsity of Hall and McKinnon, Comput. Optim. Appl. 32, 2005).  On a
+basis of at least SPARSE_PIVOT_ROWS rows whose pivot row of B^-1 is at most
+a quarter nonzeros, `_pivot` updates only the columns that row touches, each
+with the dense update's multiply-then-subtract.  When exactly one basic cost
+is nonzero (the level of a max-min LP), the duals are that cost times one
+row of B^-1, the one product the full sum would round.  A degenerate step
+leaves the basic values alone.  What is skipped would only add or subtract
+an exact zero, so at most the sign of a zero in B^-1 or in the basic values
+differs.  Such a sign reaches a sum only when every term is zero, pricing
+and the ratio test only compare, a refactorization rebuilds both arrays,
+and the returned solution has +0.0 in every zero: every pivot and every
+returned bit is the dense kernel's.
+
 One object, `_Standardized`, holds an LP's rows in standard form and the
 basis its last solve left, for cold and warm solves alike; the LP's own
 rows, its upper-bound rows and appended rows share `standardize_rows`.
@@ -60,6 +74,9 @@ FIXED_TOL = 1e-15
 # Consecutive degenerate pivots tolerated before switching to Bland's rule.
 DEGENERATE_LIMIT = 40
 REFACTOR_EVERY = 100
+# Bases with at least this many rows update only the basis-inverse columns
+# a sparse pivot row touches (`_pivot`).
+SPARSE_PIVOT_ROWS = 48
 # Pivot budget per simplex phase: MAX_ITER_BASE + MAX_ITER_PER_DIM * (rows
 # + columns) of the standardized problem.
 MAX_ITER_BASE = 5000
@@ -453,7 +470,7 @@ class _Standardized:
             n = self.A.shape[1]
             c2 = np.zeros(self.T.shape[1])
             c2[:n] = c
-            # Copies: the simplex updates the inverse and basic values in place.
+            # Copies: the simplex takes the inverse and basic values as scratch.
             status, x_all, _ = _simplex(self.T, self.b, c2, self.basis,
                                         self.Binv.copy(), self.xb.copy())
             u = x_all[:n] if status is Status.OPTIMAL else None
@@ -472,9 +489,10 @@ def _simplex(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: np.ndarray,
     """Revised simplex (min c'x, Ax=b, x>=0) from a starting basis.
 
     `Binv` is the exact inverse of the starting basis and `xb` its basic
-    values; both are updated in place.  Returns (status, x, basis).  The
-    basis inverse is maintained with rank-one pivot updates and
-    refactorized periodically.
+    values.  Both are scratch: pivots overwrite them and a refactorization
+    replaces them, so the caller's arrays hold no usable state afterwards.
+    Returns (status, x, basis).  The basis inverse is maintained with
+    `_pivot`'s rank-one updates and refactorized periodically.
     """
     m, n = A.shape
     basis = basis.copy()
@@ -484,18 +502,26 @@ def _simplex(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: np.ndarray,
     bland = False
     degenerate_run = 0
     max_iter = MAX_ITER_BASE + MAX_ITER_PER_DIM * (m + n)
+    # The basic costs c[basis], kept up to date pivot by pivot.
+    cb = c[basis]
     # Buffers reused by every pivot.
     pos = np.empty(m, dtype=bool)
     ratios = np.empty(m)
-    step_d = np.empty(m)
-    update = np.empty((m, m))
+    buf = np.empty(m)
 
     for it in range(max_iter):
         if it > 0 and it % REFACTOR_EVERY == 0:
             Binv = _basis_inverse(A, basis)
             xb = Binv @ b
 
-        y = c[basis] @ Binv
+        # One nonzero basic cost (the level of a max-min LP) makes y a row
+        # of Binv scaled once, as the product sum rounds it.
+        costed = cb.nonzero()[0]
+        if costed.size == 1:
+            k = costed[0]
+            y = Binv[k] * cb[k]
+        else:
+            y = cb @ Binv
         reduced = c - y @ A
         reduced[basis] = 0.0
 
@@ -513,7 +539,7 @@ def _simplex(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: np.ndarray,
         np.greater(d, FEAS_TOL, out=pos)
         ratios.fill(np.inf)
         np.divide(xb, d, out=ratios, where=pos)
-        min_ratio = ratios.min()
+        min_ratio = np.minimum.reduce(ratios)
         # Unbounded when no entry of d is positive; only an all-inf ratio
         # vector can mean that, so the test runs only then.
         if min_ratio == np.inf and not pos.any():
@@ -531,14 +557,13 @@ def _simplex(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: np.ndarray,
         else:
             degenerate_run = 0
 
-        # Pivot: update basis, xb, and Binv in place (rank-one update).
-        xb -= np.multiply(d, step, out=step_d)
+        # A degenerate step moves no basic value.
+        if step != 0.0:
+            xb -= np.multiply(d, step, out=buf)
         xb[leave] = step
-        pivot_row = Binv[leave]
-        pivot_row /= d[leave]
-        d[leave] = 0.0
-        Binv -= np.multiply(d[:, None], pivot_row, out=update)
+        _pivot(Binv, d, leave, buf)
         basis[leave] = enter
+        cb[leave] = c[enter]
     else:
         raise IterationLimitError(
             f"simplex iteration limit exceeded ({max_iter} pivots)")
@@ -549,10 +574,36 @@ def _simplex(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: np.ndarray,
     return Status.OPTIMAL, x, basis
 
 
+def _pivot(Binv: np.ndarray, d: np.ndarray, leave: int, buf: np.ndarray):
+    """Update `Binv` in place for the basis whose column `leave` takes the
+    entering column with B^-1 a = `d`: the pivot row is divided by
+    d[leave], then d times it is subtracted from every other row.  `d` is
+    left with d[leave] = 0; `buf` is an (m,) buffer.
+
+    When the pivot row has at most a quarter nonzeros on a basis of at least
+    SPARSE_PIVOT_ROWS rows, only the columns it touches are updated, each
+    by the same multiply-then-subtract as the dense update.  A skipped
+    column would subtract d * 0, an exact zero, so the update differs at
+    most in the sign of a zero entry.
+    """
+    pivot_row = Binv[leave]
+    pivot_row /= d[leave]
+    d[leave] = 0.0
+    m = len(d)
+    if m >= SPARSE_PIVOT_ROWS:
+        cols = pivot_row.nonzero()[0]
+        if 4 * cols.size <= m:
+            for j in cols:
+                Binv[:, j] -= np.multiply(d, pivot_row[j], out=buf)
+            return
+    Binv -= np.multiply(d[:, None], pivot_row)
+
+
 def _dual_simplex(T: np.ndarray, b: np.ndarray, basis: np.ndarray,
                   Binv: np.ndarray, xb: np.ndarray):
     """Dual simplex for a zero objective (T x = b, x >= 0) from a basis with
-    its exact inverse `Binv` and basic values `xb`, both updated in place.
+    its exact inverse `Binv` and basic values `xb`, both scratch as in
+    `_simplex`: read the returned ones.
 
     Every basis is dual feasible for a zero objective, so every ratio test
     ties and Bland's rule decides: the leaving row is, among rows whose
@@ -569,6 +620,7 @@ def _dual_simplex(T: np.ndarray, b: np.ndarray, basis: np.ndarray,
     nonbasic = np.ones(n, dtype=bool)
     nonbasic[basis] = False
     max_iter = MAX_ITER_BASE + MAX_ITER_PER_DIM * (m + n)
+    buf = np.empty(m)
     for it in range(max_iter):
         if it > 0 and it % REFACTOR_EVERY == 0:
             Binv = _basis_inverse(T, basis)
@@ -585,10 +637,7 @@ def _dual_simplex(T: np.ndarray, b: np.ndarray, basis: np.ndarray,
         step = xb[leave] / d[leave]
         xb -= d * step
         xb[leave] = step
-        pivot_row = Binv[leave]
-        pivot_row /= d[leave]
-        d[leave] = 0.0
-        Binv -= np.outer(d, pivot_row)
+        _pivot(Binv, d, leave, buf)
         nonbasic[basis[leave]] = True
         nonbasic[enter] = False
         basis[leave] = enter

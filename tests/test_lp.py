@@ -1,3 +1,4 @@
+import inspect
 import sys
 
 import numpy as np
@@ -6,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
 import hetsched.lp
-from hetsched.jobs import Job
+from hetsched.cluster import make_cluster
+from hetsched.jobs import Job, JobCombination
 from hetsched.lp import (OPT_TOL, PHASE1_OPT_TOL, DimensionError,
                          IterationLimitError, LinearProgram, Relation, Status,
                          solve_lp, solve_lp_each)
@@ -251,8 +253,9 @@ def _assert_same_as_reference(lp):
     res = solve_lp(lp)
     assert res.status is ref.status
     if ref.optimal:
-        assert np.array_equal(res.x, ref.x)
-        assert np.array_equal(res.objective_value, ref.objective_value)
+        assert res.x.tobytes() == ref.x.tobytes()
+        assert np.float64(res.objective_value).tobytes() == \
+            np.float64(ref.objective_value).tobytes()
     return ref.status
 
 
@@ -307,12 +310,12 @@ def test_bit_identical_on_bottleneck_relaxations():
     assert statuses.count(Status.OPTIMAL) >= 60
 
 
-def _max_min_lps(rng):
+def _max_min_lps(rng, draw=random_cells):
     """The LAS and min-makespan LPs that `ProblemSpace` compiles for a
-    `random_cells` matrix: the max-min epigraph with zero floors, scaled by
-    worker count over weight and equal share, then by a horizon over each
-    job's remaining steps."""
-    cluster, rows, cells, jobs = random_cells(rng)
+    matrix `draw` makes (a `random_cells` one by default): the max-min
+    epigraph with zero floors, scaled by worker count over weight and equal
+    share, then by a horizon over each job's remaining steps."""
+    cluster, rows, cells, jobs = draw(rng)
     jobs = [Job(id=j.id, scale_factor=j.scale_factor,
                 weight=float(rng.choice([1.0, 2.0])),
                 num_steps=int(rng.integers(1, 10_000))) for j in jobs]
@@ -324,10 +327,108 @@ def _max_min_lps(rng):
     return las, makespan
 
 
+def _many_jobs(rng):
+    """Cluster, rows, cells and jobs as `random_cells` gives them, but 24 to
+    40 jobs without pairs on 4 to 36 workers of each of three types, so the
+    max-min LPs have 50 to 90 rows, as a busy cluster's do."""
+    cluster = make_cluster({name: int(rng.integers(4, 37))
+                            for name in ("V100", "P100", "K80")})
+    C = len(cluster.configurations)
+    jobs = [Job(id=i, scale_factor=int(rng.choice([1, 2, 4], p=[0.7, 0.25, 0.05])))
+            for i in range(int(rng.integers(24, 41)))]
+    cells = []
+    for _ in jobs:
+        row = [None if rng.random() < 0.2 else
+               (0.0 if rng.random() < 0.1 else round(float(rng.uniform(0.1, 5.0)), 3),)
+               for _ in range(C)]
+        row[int(rng.integers(C))] = (round(float(rng.uniform(0.1, 5.0)), 3),)
+        cells.append(row)
+    return cluster, [JobCombination.of(j.id) for j in jobs], cells, jobs
+
+
+def _line_hits(lines: dict, run) -> dict:
+    """How many times each source line ran during `run()`: `lines` maps a
+    name to (function, text of the one line of it to count)."""
+    targets = {}
+    for name, (func, text) in lines.items():
+        source, start = inspect.getsourcelines(func)
+        [k] = [k for k, line in enumerate(source) if text in line]
+        targets[func.__code__, start + k] = name
+    codes = {code for code, _ in targets}
+    hits = dict.fromkeys(lines, 0)
+
+    def local(frame, event, arg):
+        if event == "line" and (frame.f_code, frame.f_lineno) in targets:
+            hits[targets[frame.f_code, frame.f_lineno]] += 1
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code in codes else None)
+    try:
+        run()
+    finally:
+        sys.settrace(previous)
+    return hits
+
+
 def test_bit_identical_on_max_min_lps():
     for seed in range(150):
         for lp in _max_min_lps(np.random.default_rng(2000 + seed)):
             assert _assert_same_as_reference(lp) is Status.OPTIMAL
+
+
+def test_sparse_pivots_bit_identical_on_many_job_max_min_lps():
+    """LAS and min-makespan LPs over 24 to 40 jobs have enough rows for
+    `_pivot` to update only the basis-inverse columns its pivot row
+    touches, and their phase 2 has a single nonzero basic cost (the level)
+    on most pivots.  Both shortcuts return the reference kernel's bytes."""
+    lps = [lp for seed in range(8)
+           for lp in _max_min_lps(np.random.default_rng(3000 + seed), _many_jobs)]
+    rows = [len(hetsched.lp._Standardized(lp).A) for lp in lps]
+    assert min(rows) >= hetsched.lp.SPARSE_PIVOT_ROWS
+    # The column update returns early, once per pivot it makes.
+    hits = _line_hits({"column": (hetsched.lp._pivot, "return"),
+                       "dense": (hetsched.lp._pivot, "Binv -= np.multiply"),
+                       "one_cost": (hetsched.lp._simplex, "y = Binv[k] * cb[k]")},
+                      lambda: [solve_lp(lp) for lp in lps])
+    assert hits["column"] >= 400 and hits["one_cost"] >= 400
+    assert hits["dense"] >= 1
+    for lp in lps:
+        assert _assert_same_as_reference(lp) is Status.OPTIMAL
+
+
+def test_solutions_hold_no_negative_zero(monkeypatch):
+    """Every zero of an `x` that `solve_lp` or `solve_lp_each` returns, and
+    of the standardized `x` the simplex returns, is +0.0.  That is what lets
+    the sparse pivot update differ from the dense one in the sign of a
+    zero: the simplex writes +0.0 over every entry below ZERO_TOL, tiny
+    negative basic values included."""
+    simplex_xs = []
+    simplex = hetsched.lp._simplex
+
+    def spy(*args):
+        status, x, basis = simplex(*args)
+        simplex_xs.append(x)
+        return status, x, basis
+
+    monkeypatch.setattr(hetsched.lp, "_simplex", spy)
+    lps = (_equivalence_set()
+           + [lp for seed in range(40)
+              for lp in _max_min_lps(np.random.default_rng(2000 + seed))]
+           + [lp for seed in range(4)
+              for lp in _max_min_lps(np.random.default_rng(3000 + seed), _many_jobs)])
+    zeros = 0
+    for k, lp in enumerate(lps):
+        objectives = [lp.objective] + _random_objectives(
+            np.random.default_rng(10_000 + k), lp.num_vars)
+        for res in [solve_lp(lp)] + solve_lp_each(lp, objectives):
+            if res.x is not None:
+                assert not np.signbit(res.x[res.x == 0]).any(), k
+                zeros += int(np.count_nonzero(res.x == 0))
+    xs = [x for x in simplex_xs if x is not None]
+    assert len(xs) >= 1000 and zeros >= 1000
+    for x in xs:
+        assert not np.signbit(x[x == 0]).any()
 
 
 def test_max_min_lps_start_from_the_slack_basis(monkeypatch):
