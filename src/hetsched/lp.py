@@ -44,7 +44,10 @@ row, and appended rows start with their slacks basic.  A zero objective
 makes every basis dual feasible, so a dual simplex under Bland's rule
 reaches a feasible basis paying only for the pivots the change needs
 (Koberstein, PhD thesis, 2005).  Phase 2 then runs the same primal simplex
-from that basis.
+from that basis.  A phase 2 may also leave its optimal basis in the state:
+a row appended to an optimum that it already satisfies starts with its
+slack basic and feasible, so phase 2 under a new objective restarts there
+with no phase 1 and no dual pivot.
 """
 
 from __future__ import annotations
@@ -260,8 +263,9 @@ class _Standardized:
     finite upper bounds become extra rows.  `phase_one` adds a slack column
     per inequality row and negates some rows, keeping the tableau `T`, its
     right-hand side `b`, the negated rows `flip` and a feasible basis with
-    its inverse and basic values.  `restart`, `append` and `solve_each` all
-    start from that state.
+    its inverse and basic values.  `restart`, `append`, `solve_each` and
+    `solve` all start from that state; `solve` leaves it at the optimal
+    basis its phase 2 reaches.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -456,11 +460,19 @@ class _Standardized:
 
     def solve_each(self, objectives) -> list[SolveResult]:
         """Phase 2 per objective from the basis the last phase 1 or restart
-        found, as SolveResults over the LP's own variables."""
-        return [self._result(_objective(self.lp, objective))
+        found, as SolveResults over the LP's own variables.  Each starts
+        from copies of the inverse and basic values, so the state keeps
+        that basis."""
+        return [self._result(_objective(self.lp, objective), keep=False)
                 for objective in objectives]
 
-    def _result(self, objective: np.ndarray) -> SolveResult:
+    def solve(self, objective) -> SolveResult:
+        """Phase 2 for one objective, as `solve_each` solves it, leaving the
+        state at the basis it ends on: rows appended afterwards, and the
+        next objective, start from this one's optimum."""
+        return self._result(_objective(self.lp, objective), keep=True)
+
+    def _result(self, objective: np.ndarray, keep: bool) -> SolveResult:
         c = self.cost(objective)
         if not self.feasible:
             return SolveResult(Status.INFEASIBLE)
@@ -470,9 +482,16 @@ class _Standardized:
             n = self.A.shape[1]
             c2 = np.zeros(self.T.shape[1])
             c2[:n] = c
-            # Copies: the simplex takes the inverse and basic values as scratch.
-            status, x_all, _ = _simplex(self.T, self.b, c2, self.basis,
-                                        self.Binv.copy(), self.xb.copy())
+            # The simplex moves the inverse and basic values it is given to
+            # the basis it returns.
+            if keep:
+                Binv, xb = self.Binv, self.xb
+            else:
+                Binv, xb = self.Binv.copy(), self.xb.copy()
+            status, x_all, basis = _simplex(self.T, self.b, c2, self.basis,
+                                            Binv, xb)
+            if keep:
+                self.basis = basis
             u = x_all[:n] if status is Status.OPTIMAL else None
         if status is not Status.OPTIMAL:
             return SolveResult(status)
@@ -489,10 +508,11 @@ def _simplex(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: np.ndarray,
     """Revised simplex (min c'x, Ax=b, x>=0) from a starting basis.
 
     `Binv` is the exact inverse of the starting basis and `xb` its basic
-    values.  Both are scratch: pivots overwrite them and a refactorization
-    replaces them, so the caller's arrays hold no usable state afterwards.
-    Returns (status, x, basis).  The basis inverse is maintained with
-    `_pivot`'s rank-one updates and refactorized periodically.
+    values.  Pivots and refactorizations update both in place, so on return
+    they belong to the returned basis: the optimal one, or the last one
+    before an unbounded ray.  Returns (status, x, basis).  The basis inverse
+    is maintained with `_pivot`'s rank-one updates and refactorized
+    periodically.
     """
     m, n = A.shape
     basis = basis.copy()
@@ -511,8 +531,8 @@ def _simplex(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: np.ndarray,
 
     for it in range(max_iter):
         if it > 0 and it % REFACTOR_EVERY == 0:
-            Binv = _basis_inverse(A, basis)
-            xb = Binv @ b
+            Binv[...] = _basis_inverse(A, basis)
+            xb[...] = Binv @ b
 
         # One nonzero basic cost (the level of a max-min LP) makes y a row
         # of Binv scaled once, as the product sum rounds it.
@@ -602,8 +622,8 @@ def _pivot(Binv: np.ndarray, d: np.ndarray, leave: int, buf: np.ndarray):
 def _dual_simplex(T: np.ndarray, b: np.ndarray, basis: np.ndarray,
                   Binv: np.ndarray, xb: np.ndarray):
     """Dual simplex for a zero objective (T x = b, x >= 0) from a basis with
-    its exact inverse `Binv` and basic values `xb`, both scratch as in
-    `_simplex`: read the returned ones.
+    its exact inverse `Binv` and basic values `xb`.  Both are scratch: a
+    refactorization replaces them, so read the returned ones.
 
     Every basis is dual feasible for a zero objective, so every ratio test
     ties and Bland's rule decides: the leaving row is, among rows whose

@@ -22,20 +22,27 @@ rows as one `lp._Standardized`, and `GainRows.restart` is the only way to
 a feasible basis of them.  It restarts from the previous iteration's basis
 with a zero-cost dual simplex when it can, and otherwise rebuilds the rows
 cold through phase 1.  Every screen starts from the gain LP's feasible
-basis plus its new rows' slacks, so it never pays for a cold phase 1.  The
-level and tightening LPs, whose optimal vertices become the allocation,
-stay cold.
+basis plus its new rows' slacks, so it never pays for a cold phase 1.
+
+Each iteration pays one cold phase 1 of its own, the level LP's.  The
+tightening LP, whose optimal vertex becomes the allocation, is the level
+LP's rows plus one row pinning lam at the level: it is appended to the
+level LP's `lp._Standardized` at its optimum, which already satisfies it,
+and phase 2 under the minimum-total-time objective starts from there.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .jobs import EntityPolicy
-from .lp import Relation, _Standardized, dump_each, solve_lp
-from .matrices import AllocationMatrix, effective_throughput
+from .lp import LinearProgram, Relation, _Standardized, dump_each
+from .matrices import AllocationMatrix, inorder_sum
+# bench/tracing.py wraps these two names where this module binds them.
+from .lp import solve_lp  # noqa: F401
+from .matrices import effective_throughput  # noqa: F401
 from .milp import MixedIntegerProgram, solve_milp
 from .policies import (PolicyError, PolicyInfeasibleError, PolicyResult,
                        ProblemSpace, check_entities, max_min_lp)
@@ -51,8 +58,8 @@ DELTA_FRACTION = 1e-4
 # fraction of the slack; gains in [VERIFY_FRACTION * delta, delta) are left to
 # the MILP, where its tolerance and this check could disagree with a screen.
 VERIFY_FRACTION = 0.5
-# Slack under the level and carry rows of the tightening LP, so rounding in
-# the level LP's solution cannot make its own level infeasible.
+# Slack under the water level where the tightening LP pins lam, so rounding
+# in the level LP's solution cannot make its own level infeasible.
 TIGHTEN_SLACK = 1e-9
 
 
@@ -105,10 +112,11 @@ def _carry_rows(space: ProblemSpace, thr_prev: dict) -> tuple:
 
 
 def _level_lp(space: ProblemSpace, weights: dict, t_prev: dict,
-              thr_prev: dict) -> float:
+              thr_prev: dict) -> tuple:
     """Water level of one iteration: the max-min LP raising every weighted
     job's scaled normalized throughput above its previous level, plus carry
-    rows that keep any job's raw throughput from dropping."""
+    rows that keep any job's raw throughput from dropping.  Returns the LP
+    as an `lp._Standardized` at its optimal basis, and the level."""
     weighted = [j for j in space.jobs if weights[j.id] > 0]
     lp = max_min_lp(
         space,
@@ -119,36 +127,44 @@ def _level_lp(space: ProblemSpace, weights: dict, t_prev: dict,
     lp.add_rows(np.column_stack([space.thr_rows[carried], np.zeros(len(carried))]),
                 [Relation.GE] * len(carried),
                 [thr_prev[space.jobs[k].id] for k in carried])
-    res = solve_lp(lp)
+    dump_each(lambda: lp)
+    state = _Standardized(lp)
+    state.phase_one()
+    res = state.solve(lp.objective)
     if not res.optimal:
         raise PolicyInfeasibleError(f"water-filling LP returned {res.status}")
-    return res.objective_value
+    return state, res.objective_value
 
 
-def _tighten_lp(space: ProblemSpace, weights: dict, t_prev: dict,
-                thr_prev: dict, level: float) -> AllocationMatrix:
+def _tighten(space: ProblemSpace, state: _Standardized,
+             level: float) -> AllocationMatrix:
     """Re-solve at the found water level, minimizing total allocated time.
 
     The max-min LP can return a vertex that hands surplus throughput to
-    non-bottlenecked jobs; the lean re-solve pins every weighted job at
-    exactly the water level so bottleneck detection sees the true frontier.
-    Each job's level row comes before its carry row.
+    non-bottlenecked jobs; the lean re-solve pins lam at the level, so
+    every weighted job's level row holds it at the water level and
+    bottleneck detection sees the true frontier.  The pin row is appended
+    to the level LP's rows at their optimum, which satisfies it with its
+    slack basic, so phase 2 starts there with no phase 1.
     """
-    rows, rhs = [], []
-    for j, row in zip(space.jobs, space.thr_rows):
-        w = weights[j.id]
-        if w > 0:
-            rows.append(j.scale_factor / space.equal_norm[j.id] * row)
-            rhs.append(t_prev[j.id] + w * level - TIGHTEN_SLACK)
-        if thr_prev[j.id] > 0:
-            rows.append(row)
-            rhs.append(thr_prev[j.id] - TIGHTEN_SLACK)
-    block = (np.array(rows).reshape(len(rows), space.n_cells),
-             [Relation.GE] * len(rows), rhs)
-    res = solve_lp(space.lp(np.ones(space.n_cells), [block], maximize=False))
+    pin = (np.eye(1, space.n_cells + 1, space.n_cells), [Relation.GE],
+           [level - TIGHTEN_SLACK])
+    # Maximizing minus the total allocated time minimizes it.
+    lean = np.append(np.full(space.n_cells, -1.0), 0.0)
+    dump_each(lambda: _with_rows(state.lp, *pin), [lean])
+    tight = state.append(*pin)
+    # A restart that finds no feasible basis leaves `solve` infeasible.
+    tight.restart()
+    res = tight.solve(lean)
     if not res.optimal:
         raise PolicyInfeasibleError(f"tightening LP returned {res.status}")
     return space.allocation(res.x)
+
+
+def _with_rows(lp: LinearProgram, coeffs, relations, rhs) -> LinearProgram:
+    out = replace(lp)
+    out.add_rows(coeffs, relations, rhs)
+    return out
 
 
 class GainRows:
@@ -306,9 +322,11 @@ def _fill(space: ProblemSpace, weights_of) -> WaterfillResult:
         weights = weights_of(done)
         if all(w <= 0 for w in weights.values()):
             break
-        level = _level_lp(space, weights, t_prev, thr_prev)
-        X = _tighten_lp(space, weights, t_prev, thr_prev, level)
-        thr = {j.id: effective_throughput(j.id, X, space.T) for j in jobs}
+        state, level = _level_lp(space, weights, t_prev, thr_prev)
+        X = _tighten(space, state, level)
+        # Each job's row summed in order, as effective_throughput sums it.
+        thr = dict(zip([j.id for j in jobs],
+                       inorder_sum(space.thr_rows * X.values.ravel()).tolist()))
         normalized = {j.id: thr[j.id] / space.equal_norm[j.id] for j in jobs}
         bottlenecks = find_bottlenecks(space, thr, weights, gain_rows)
         if not bottlenecks:

@@ -17,7 +17,8 @@ references that the optimized ones must match: row-at-a-time ALS
 the cell-at-a-time throughput-matrix walks (`CellMatrix`), one gain LP
 per job (`reference_max_gain`), bottleneck detection by MILP alone
 (`reference_find_bottlenecks`), water filling's gain and screen LPs each
-from a cold phase 1 (`cold_max_gain`, `cold_screen_feasible`), the LP
+from a cold phase 1 (`cold_max_gain`, `cold_screen_feasible`), its
+tightening LP built whole and solved cold (`reference_tighten_lp`), the LP
 that gives one job the whole cluster (`reference_standalone`) and the LP
 builders adding one row at a time (`reference_space_lp` and the
 `reference_*_lp` builders on top of it, `reference_charnes_cooper`,
@@ -1141,8 +1142,25 @@ def reference_level_lp(space: ProblemSpace, weights: dict, t_prev: dict,
     return lp
 
 
+def reference_level_pin_lp(space: ProblemSpace, weights: dict, t_prev: dict,
+                           thr_prev: dict, level: float) -> LinearProgram:
+    """The tightening LP as water filling solves it: the level LP plus a
+    row pinning lam at the level less TIGHTEN_SLACK, maximizing minus the
+    total allocated time."""
+    lp = reference_level_lp(space, weights, t_prev, thr_prev)
+    lp.objective = np.append(np.full(space.n_cells, -1.0), 0.0)
+    pin = np.zeros(space.n_cells + 1)
+    pin[-1] = 1.0
+    lp.add_constraint(pin, Relation.GE, level - TIGHTEN_SLACK)
+    return lp
+
+
 def reference_tighten_lp(space: ProblemSpace, weights: dict, t_prev: dict,
                          thr_prev: dict, level: float) -> LinearProgram:
+    """The tightening LP built whole, as water filling once solved it cold:
+    minimize the total allocated time while each weighted job keeps its
+    share of the level and each carried job its previous throughput, both
+    less TIGHTEN_SLACK; each job's level row comes before its carry row."""
     rows = []
     for j in space.jobs:
         w = weights[j.id]

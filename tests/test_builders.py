@@ -3,6 +3,9 @@ same LPs one `add_constraint` at a time.  Every builder must give the same
 LP, byte for byte: rows, relations, right-hand sides, bounds, objective and
 sense, on seeded `random_cells` matrices."""
 
+import copy
+from dataclasses import replace
+
 import numpy as np
 
 import hetsched.policies
@@ -17,8 +20,8 @@ from hetsched.search import maximize_ratio
 from oracles import (random_cells, reference_bottleneck_lp,
                      reference_charnes_cooper, reference_ftf_probe,
                      reference_gain_lp, reference_level_lp, reference_max_min_lp,
-                     reference_pinned, reference_screen_lp, reference_space_lp,
-                     reference_tighten_lp)
+                     reference_level_pin_lp, reference_pinned,
+                     reference_screen_lp, reference_space_lp)
 
 
 def assert_same_lp(lp, ref):
@@ -86,6 +89,32 @@ class _State:
         return True
 
 
+class _Standardizing:
+    """Stands in for `lp._Standardized` in water filling: records each LP it
+    is built from, the rows appended to it and the objectives solved, and
+    solves every one at zero."""
+
+    def __init__(self, lp, seen):
+        self.lp, self.seen = lp, seen
+        seen.append(self)
+
+    def phase_one(self):
+        return True
+
+    def append(self, *rows):
+        out = copy.copy(self)
+        out.lp = waterfill._with_rows(self.lp, *rows)
+        self.seen.append(out)
+        return out
+
+    def restart(self):
+        return True
+
+    def solve(self, objective):
+        self.objective = objective
+        return SolveResult(Status.OPTIMAL, np.zeros(self.lp.num_vars), 0.0)
+
+
 def test_policy_builders_match_row_at_a_time(monkeypatch):
     floors = carried = 0
     for seed in range(120):
@@ -122,17 +151,22 @@ def test_policy_builders_match_row_at_a_time(monkeypatch):
         for lam, lp in zip(lams, solve.seen):
             assert_same_lp(lp, reference_ftf_probe(space, lam))
 
-        # Water filling's level and tightening LPs.
+        # Water filling's level LP, then the same rows plus the pin row under
+        # the tightening objective.
         weights, t_prev, thr_prev, level = _fill_state(rng, space)
-        solve = _Solved()
-        monkeypatch.setattr(waterfill, "solve_lp", solve)
-        waterfill._level_lp(space, weights, t_prev, thr_prev)
-        waterfill._tighten_lp(space, weights, t_prev, thr_prev, level)
+        seen = []
+        monkeypatch.setattr(waterfill, "_Standardized",
+                            lambda lp: _Standardizing(lp, seen))
+        state, _ = waterfill._level_lp(space, weights, t_prev, thr_prev)
+        waterfill._tighten(space, state, level)
         monkeypatch.undo()
-        level_lp, tighten_lp = solve.seen
-        assert_same_lp(level_lp, reference_level_lp(space, weights, t_prev, thr_prev))
-        assert_same_lp(tighten_lp, reference_tighten_lp(space, weights, t_prev,
-                                                        thr_prev, level))
+        level_lp, tighten = seen
+        assert_same_lp(level_lp.lp, reference_level_lp(space, weights, t_prev,
+                                                       thr_prev))
+        assert level_lp.objective is level_lp.lp.objective
+        assert_same_lp(replace(tighten.lp, objective=tighten.objective),
+                       reference_level_pin_lp(space, weights, t_prev, thr_prev,
+                                              level))
         carried += any(v > 0 for v in thr_prev.values())
     assert floors >= 80 and carried >= 80
 

@@ -200,6 +200,8 @@ class TestSolve:
                                                             monkeypatch):
         # The gain and screen LPs restart from a basis rather than being
         # built whole, yet --dump-lp prints exactly what the cold path does.
+        # The tightening LP is the level LP's rows plus a pin row, solved
+        # from the level LP's optimum; each iteration prints both LPs.
         thr, jobs = write_three_job_instance(tmp_path)
         jobs.write_text(json.dumps({
             "jobs": [{"id": i, "num_steps": 1000, "entity_id": i % 2}
@@ -208,6 +210,10 @@ class TestSolve:
                          {"id": 1, "policy": "fifo"}]}))
         args = ["--out", str(tmp_path), "--dump-lp", "solve", "--policy", "hier",
                 "--throughputs", str(thr), "--jobs", str(jobs)]
+        fills = []
+        fill = hetsched.waterfill._fill
+        monkeypatch.setattr(hetsched.waterfill, "_fill",
+                            lambda *a: fills.append(fill(*a)) or fills[-1])
         warm = runner.invoke(main, args)
         monkeypatch.setattr(hetsched.waterfill, "max_gain", cold_max_gain)
         monkeypatch.setattr(hetsched.waterfill, "_screen_feasible",
@@ -217,6 +223,22 @@ class TestSolve:
         assert warm.stdout == cold.stdout
         assert warm.stderr == cold.stderr
         assert warm.stderr.count("# LP: ") > 4
+
+        # Six cells, then lam as x6.
+        lps = [("# LP: " + text).splitlines()
+               for text in warm.stderr.split("# LP: ")[1:]]
+        levels = [k for k, lp in enumerate(lps) if lp[1] == "maximize  +1*x6"]
+        assert len(levels) == len(fills[0].iterations) >= 1
+        for k in levels:
+            level, tight = lps[k], lps[k + 1]
+            bounds = level.index("bounds")
+            rows = bounds - 3
+            assert tight[0] == level[0].replace(f"{rows} constraints",
+                                                f"{rows + 1} constraints")
+            assert tight[1] == "maximize  " + " ".join(f"-1*x{i}" for i in range(6))
+            assert tight[2:bounds] == level[2:bounds]
+            assert tight[bounds].startswith("  +1*x6 >= ")
+            assert tight[bounds + 1:] == level[bounds:]
 
     def test_dump_lp_prints_no_lp_for_sjf(self, runner, tmp_path):
         # SJF reads each job's fastest singleton cell and solves no LP.

@@ -660,6 +660,42 @@ def test_phase_one_start_is_solve_lp_each():
     assert kept >= 100
 
 
+@pytest.mark.parametrize("refactor_every", [hetsched.lp.REFACTOR_EVERY, 2])
+def test_solve_leaves_its_optimal_basis(monkeypatch, refactor_every):
+    """`solve` returns what `solve_each` returns and leaves the state at the
+    basis its phase 2 ends on, with that basis's inverse and basic values,
+    also when the inverse is refactorized along the way.  Solving again
+    from there makes no pivot, and so does restarting after a row the
+    optimum satisfies is appended."""
+    monkeypatch.setattr(hetsched.lp, "REFACTOR_EVERY", refactor_every)
+    kept = 0
+    for k, lp in enumerate(_equivalence_set()):
+        if _has_equality(lp):
+            continue
+        objective = _random_objectives(np.random.default_rng(10_000 + k),
+                                       lp.num_vars)[-1]
+        ds = hetsched.lp._Standardized(lp)
+        ds.phase_one()
+        ref = ds.solve_each([objective])[0]
+        res = ds.solve(objective)
+        assert res.status is ref.status and res.objective_value == ref.objective_value
+        if not res.optimal or not len(ds.basis) or ds.dropped:
+            continue
+        kept += 1
+        assert res.x.tobytes() == ref.x.tobytes()
+        assert np.allclose(ds.Binv @ ds.T[:, ds.basis], np.eye(len(ds.T)))
+        assert np.allclose(ds.xb, ds.Binv @ ds.b)
+        basis = ds.basis.copy()
+        assert ds.solve(objective).x.tobytes() == res.x.tobytes()
+        assert np.array_equal(ds.basis, basis)
+        # x_0 >= its optimal value less a margin holds at the optimum.
+        row = np.eye(1, lp.num_vars)
+        grown = ds.append(row, [Relation.GE], [res.x[0] - 1e-6])
+        assert grown.restart()
+        assert np.array_equal(grown.basis[:len(basis)], basis)
+    assert kept >= 50
+
+
 def test_appended_rows_standardize_as_built_cold():
     """Rows appended to a `_Standardized` take the path the LP's own rows
     take, so their standardized coefficients and right-hand sides are bit

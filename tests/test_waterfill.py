@@ -7,18 +7,18 @@ import hetsched.lp
 import hetsched.waterfill
 from hetsched.cluster import make_cluster
 from hetsched.jobs import Entity, EntityPolicy, Job, JobCombination
-from hetsched.lp import Relation, Status, solve_lp
+from hetsched.lp import FEAS_TOL, OPT_TOL, Relation, Status, solve_lp
 from hetsched.matrices import AllocationMatrix, ThroughputMatrix, effective_throughput
 from hetsched.milp import solve_milp
 from hetsched.policies import (EntityError, PolicyError, ProblemSpace,
                                parse_policy, solve_policy)
-from hetsched.waterfill import (DELTA_FRACTION, VERIFY_FRACTION, GainRows,
-                                assign_job_weights, find_bottlenecks,
+from hetsched.waterfill import (DELTA_FRACTION, TIGHTEN_SLACK, VERIFY_FRACTION,
+                                GainRows, assign_job_weights, find_bottlenecks,
                                 hierarchical_waterfill, max_gain,
                                 single_level_waterfill)
 from oracles import (cold_max_gain, cold_screen_feasible, random_cells,
                      reference_find_bottlenecks, reference_max_gain,
-                     reference_space_lp)
+                     reference_space_lp, reference_tighten_lp)
 
 
 def singles(cluster, T_rows):
@@ -369,6 +369,82 @@ def _cold_fill(monkeypatch, fill, args):
         return fill(*args)
 
 
+@pytest.fixture
+def level_calls(monkeypatch):
+    """Records each level LP's (weights, t_prev, thr_prev, level)."""
+    calls = []
+    level_lp = hetsched.waterfill._level_lp
+
+    def spy(space, weights, t_prev, thr_prev):
+        out = level_lp(space, weights, t_prev, thr_prev)
+        calls.append((weights, t_prev, thr_prev, out[1]))
+        return out
+
+    monkeypatch.setattr(hetsched.waterfill, "_level_lp", spy)
+    return calls
+
+
+def test_tightened_in_place_meets_the_cold_tightening_lp(level_calls):
+    """Each iteration's allocation, the tightening vertex reached from the
+    level LP's optimum, keeps every weighted job on its level row at
+    lam = level and every carried job at its previous throughput, and its
+    total allocated time is the cold tightening LP's optimum within
+    OPT_TOL."""
+    iterations = moved = 0
+    for seed in range(40):
+        space, entities = _random_fill_instance(np.random.default_rng(seed))
+        for fill, args in _fills(space, entities):
+            level_calls.clear()
+            result = fill(*args)
+            assert len(level_calls) == len(result.iterations)
+            for (weights, t_prev, thr_prev, level), it in zip(level_calls,
+                                                              result.iterations):
+                X = it.allocation
+                for j in space.jobs:
+                    thr = effective_throughput(j.id, X, X.T)
+                    w = weights[j.id]
+                    if w > 0:
+                        on_level = (j.scale_factor / (w * space.equal_norm[j.id])
+                                    * thr - level)
+                        assert on_level >= t_prev[j.id] / w - TIGHTEN_SLACK - FEAS_TOL
+                    if thr_prev[j.id] > 0:
+                        assert thr >= thr_prev[j.id] - FEAS_TOL
+                cold = solve_lp(reference_tighten_lp(space, weights, t_prev,
+                                                     thr_prev, level))
+                assert cold.optimal
+                gap = abs(X.values.sum() - cold.objective_value)
+                assert gap <= OPT_TOL * cold.objective_value
+                iterations += 1
+                moved += X.values.tobytes() != space.allocation(cold.x).values.tobytes()
+    # Most vertices differ from the cold LP's, so the bounds above carry the test.
+    assert iterations >= 200 and moved >= 100
+
+
+def test_iteration_throughputs_are_effective_throughputs(level_calls):
+    """The throughputs an iteration computes for every job at once are
+    `effective_throughput`'s, byte for byte: each job's row is summed in
+    order either way.  They reach the next level LP as its `thr_prev`, and
+    the iteration's normalized throughputs are divided from them."""
+    carried = normalized = 0
+    for seed in range(40):
+        space, entities = _random_fill_instance(np.random.default_rng(seed))
+        for fill, args in _fills(space, entities):
+            level_calls.clear()
+            result = fill(*args)
+            for k, it in enumerate(result.iterations):
+                for j in space.jobs:
+                    thr = np.float64(effective_throughput(j.id, it.allocation,
+                                                          space.T))
+                    if k + 1 < len(level_calls):
+                        got = np.float64(level_calls[k + 1][2][j.id])
+                        assert got.tobytes() == thr.tobytes()
+                        carried += 1
+                    got = np.float64(it.normalized[j.id])
+                    assert got.tobytes() == (thr / space.equal_norm[j.id]).tobytes()
+                    normalized += 1
+    assert carried >= 300 and normalized >= 500
+
+
 def _assert_same_fill(ours, ref):
     assert len(ours.iterations) == len(ref.iterations)
     for a, b in zip(ours.iterations, ref.iterations):
@@ -451,9 +527,10 @@ def test_gain_rows_called_infeasible_fall_back_to_cold(monkeypatch):
 
 
 def test_gain_rows_standardized_once_and_restarted_warm(monkeypatch, milp_calls):
-    """Within one fill the gain rows are standardized once, and the only
-    gain or screen LP that enters phase 1 is the first gain LP: every later
-    one restarts from the last feasible basis."""
+    """Within one fill the gain rows are standardized once, and one cold
+    phase 1 runs per iteration, the level LP's, plus the fill's first gain
+    LP: the tightening LP restarts from the level LP's optimum, and every
+    later gain or screen LP from the last feasible basis."""
     built = []
 
     class CountingStandardized(hetsched.lp._Standardized):
@@ -468,29 +545,26 @@ def test_gain_rows_standardized_once_and_restarted_warm(monkeypatch, milp_calls)
         entered.append(self.lp)
         return phase_one(self)
 
-    cold = []  # the level and tightening LPs
-
-    def spy_solve_lp(lp):
-        cold.append(lp)
-        return solve_lp(lp)
-
     monkeypatch.setattr(hetsched.waterfill, "_Standardized", CountingStandardized)
     monkeypatch.setattr(hetsched.lp._Standardized, "phase_one", spy_phase_one)
-    monkeypatch.setattr(hetsched.waterfill, "solve_lp", spy_solve_lp)
     # The gain rows reach phase 1 only through `GainRows`.
     assert not hasattr(hetsched.waterfill, "solve_lp_each")
     checked = later = 0
     for seed in range(40):
         space, entities = _random_fill_instance(np.random.default_rng(seed))
-        built.clear(), entered.clear(), cold.clear()
+        built.clear(), entered.clear()
         before = len(milp_calls)
         result = hierarchical_waterfill(space, entities)
         if len(milp_calls) > before:  # B&B relaxations enter phase 1 too
             continue
         checked += 1
         later += len(result.iterations) - 1
-        assert len(built) == 1
-        # Two cold LPs per iteration: no screen fell back to solve_lp.
-        assert len(cold) == 2 * len(result.iterations)
-        assert [lp for lp in entered if not any(lp is c for c in cold)] == built
+        # The level LPs carry lam after the cells; the gain LP has the cells.
+        levels = [lp for lp in built if lp.num_vars == space.n_cells + 1]
+        assert [lp for lp in built if lp.num_vars == space.n_cells] == [built[1]]
+        assert len(levels) == len(result.iterations) == len(built) - 1
+        # One phase 1 per standardized LP: no tightening LP or later gain or
+        # screen LP fell back to a cold solve.
+        assert len(entered) == len(built)
+        assert all(a is b for a, b in zip(entered, built))
     assert checked >= 20 and later >= 20
