@@ -24,6 +24,9 @@ where infeasible, is parsed only by `ThroughputMatrix.from_cells` (which
 
 from __future__ import annotations
 
+from functools import cached_property
+from itertools import compress
+
 import numpy as np
 
 from .cluster import ClusterSpec
@@ -64,9 +67,18 @@ class ThroughputMatrix:
         self.cluster = cluster
         self.configs = cluster.configurations
         self.rows = tuple(rows)
-        self._row_index = {combo: r for r, combo in enumerate(self.rows)}
-        if len(self._row_index) != len(self.rows):
+        self.job_ids = list(dict.fromkeys(m for combo in self.rows
+                                          for m in combo.members))
+        self._job_index = {job_id: k for k, job_id in enumerate(self.job_ids)}
+        first = np.array([self._job_index[combo.members[0]] for combo in self.rows],
+                         dtype=np.intp)
+        last = np.array([self._job_index[combo.members[-1]] for combo in self.rows],
+                        dtype=np.intp)
+        # A row is named by its first and last member (one job for a singleton).
+        if len(set(zip(first.tolist(), last.tolist()))) != len(self.rows):
             raise ValueError("duplicate combination rows")
+        self.ends = np.stack([first, last], axis=1)
+        self.is_pair = first != last
         R, C = len(self.rows), len(self.configs)
         thr = np.asarray(thr, dtype=float)
         feasible = np.array(feasible, dtype=bool)
@@ -74,7 +86,6 @@ class ThroughputMatrix:
             raise MatrixShapeError(
                 f"throughput arrays {thr.shape} and {feasible.shape} do not "
                 f"match {R} rows x {C} configurations")
-        self.is_pair = np.array([combo.is_pair for combo in self.rows], dtype=bool)
         used = feasible[:, :, None] & np.stack(
             [np.ones(R, dtype=bool), self.is_pair], axis=1)[:, None, :]
         bad = used & ~(np.isfinite(thr) & (thr >= 0))
@@ -86,14 +97,6 @@ class ThroughputMatrix:
         self.feasible = feasible
         self.type_of = np.array([cfg.type_id for cfg in self.configs], dtype=np.intp)
 
-        self.job_ids = list(dict.fromkeys(m for combo in self.rows
-                                          for m in combo.members))
-        self._job_index = {job_id: k for k, job_id in enumerate(self.job_ids)}
-        first = np.array([self._job_index[combo.members[0]] for combo in self.rows],
-                         dtype=np.intp)
-        last = np.array([self._job_index[combo.members[-1]] for combo in self.rows],
-                        dtype=np.intp)
-        self.ends = np.stack([first, last], axis=1)
         r = np.arange(R)
         self.member_of = np.zeros((len(self.job_ids), R), dtype=bool)
         self.member_of[first, r] = True
@@ -146,6 +149,10 @@ class ThroughputMatrix:
     def num_configs(self) -> int:
         return len(self.configs)
 
+    @cached_property
+    def _row_index(self) -> dict:
+        return {combo: r for r, combo in enumerate(self.rows)}
+
     def row_index(self, combo: JobCombination) -> int:
         try:
             return self._row_index[combo]
@@ -166,10 +173,10 @@ class ThroughputMatrix:
         """Largest throughput the job attains in any feasible cell."""
         return float(self.coeffs[self.job_index(job_id)].max())
 
-    def with_rows(self, rows) -> "ThroughputMatrix":
-        idx = [self.row_index(combo) for combo in rows]
-        return ThroughputMatrix(self.cluster, rows, self.thr[idx],
-                                self.feasible[idx])
+    def take(self, keep: np.ndarray) -> "ThroughputMatrix":
+        """The matrix of the rows where the boolean mask `keep` is true."""
+        return ThroughputMatrix(self.cluster, compress(self.rows, keep),
+                                self.thr[keep], self.feasible[keep])
 
     @classmethod
     def from_json(cls, doc: dict) -> "ThroughputMatrix":
@@ -290,16 +297,18 @@ def prune_combinations(T: ThroughputMatrix) -> ThroughputMatrix:
     outperforms time-slicing the two jobs (sum > 1).
     """
     pairs = T.is_pair.nonzero()[0]
-    single = {combo.members[0]: r for r, combo in enumerate(T.rows)
-              if not combo.is_pair}
-    try:
-        iso_rows = np.array([[single[m] for m in T.rows[r].members]
-                             for r in pairs], dtype=np.intp).reshape(-1, 2)
-    except KeyError as e:
-        raise UnknownJobError(f"pair member {e.args[0]} has no singleton row") from None
+    ends = T.ends[pairs]
+    # Each job's singleton row (rows are distinct), -1 where it has none.
+    singles = (~T.is_pair).nonzero()[0]
+    single_of = np.full(len(T.job_ids), -1, dtype=np.intp)
+    single_of[T.ends[singles, 0]] = singles
+    iso_rows = single_of[ends]
+    if (iso_rows < 0).any():
+        missing = T.job_ids[ends[iso_rows < 0][0]]
+        raise UnknownJobError(f"pair member {missing} has no singleton row")
     iso = T.thr[:, :, 0][iso_rows].transpose(0, 2, 1)
     norm = np.divide(T.thr[pairs], iso, out=np.zeros_like(iso), where=iso > 0)
     norm_sum = np.where(T.feasible[pairs], norm[..., 0] + norm[..., 1], 0.0)
     keep = ~T.is_pair
     keep[pairs] = (norm_sum > PAIR_KEEP_THRESHOLD).any(axis=1)
-    return T.with_rows([combo for combo, k in zip(T.rows, keep) if k])
+    return T.take(keep)

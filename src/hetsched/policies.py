@@ -490,7 +490,7 @@ def _runnable(T: ThroughputMatrix, jobs: dict,
                          for job_id in T.job_ids], dtype=bool)
     keep = ~finished[T.ends].any(axis=1) & (space_sharing | ~T.is_pair)
     if not keep.all():
-        T = T.with_rows([combo for combo, k in zip(T.rows, keep) if k])
+        T = T.take(keep)
     workers = np.array([t.num_workers for t in T.cluster.types])
     fits = row_workers(T, jobs)[:, None] <= workers[T.type_of]
     if (fits | ~T.feasible).all():

@@ -136,6 +136,7 @@ class _ActiveJob:
         self.job = job
         self.template = template
         self.rates = rates  # standalone steps/second per configuration
+        self.combo = JobCombination.of(job.id)  # its singleton combination
         self.completion: float | None = None
         self.isolated_duration: float = 0.0
         self.match: int | None = None  # estimator: matched reference index
@@ -178,13 +179,20 @@ class Simulation:
         self.entities = list(trace.entities)
         if config.policy.kind is PolicyKind.HIERARCHICAL:
             check_entities(jobs, self.entities)
+        # coloc[kind_of[a], kind_of[b]] is `colocation_factor(a, b)`, over the
+        # templates a run can pair or match.
+        self.kind_of, self.coloc = {}, None
+        refs = list(est.reference_names) if est is not None else []
+        if config.policy.space_sharing or est is not None:
+            self.kind_of = {name: k for k, name in enumerate(
+                dict.fromkeys([e.template for e in entries] + refs))}
+            kinds = [self.templates[name] for name in self.kind_of]
+            self.coloc = np.array([[colocation_factor(a, b) for b in kinds]
+                                   for a in kinds]).reshape(len(kinds), len(kinds))
         self.refs: ReferenceSet | None = None
-        if config.estimator is not None:
-            names = config.estimator.reference_names
-            ref_templates = [self.templates[n] for n in names]
-            R = np.array([[colocation_factor(a, b) for b in ref_templates]
-                          for a in ref_templates])
-            self.refs = ReferenceSet(list(names), R)
+        if est is not None:
+            ref = [self.kind_of[name] for name in refs]
+            self.refs = ReferenceSet(refs, self.coloc[np.ix_(ref, ref)])
 
     # -- throughput construction ------------------------------------------
 
@@ -200,61 +208,66 @@ class Simulation:
             if job.scale_factor <= types[cfg.type_id].num_workers else 0.0
             for cfg in self.cfg.cluster.configurations])
 
-    def _pair_factor(self, a: _ActiveJob, b: _ActiveJob) -> float:
-        """Normalized throughput of a when colocated with b (oracle or
-        estimated, with online-refined observations taking precedence)."""
-        key = (a.job.id, b.job.id)
-        observed = self.estimates.get(key)
-        if observed is not None:
-            return observed
-        if self.refs is not None and a.match is not None and b.match is not None:
-            return float(self.refs.R[a.match, b.match])
-        return colocation_factor(a.template, b.template)
-
     def build_matrix(self, states: list) -> tuple:
-        """(T_policy, T_exec): the same rows, built in one pass.
+        """(T_policy, T_exec) over `states`, given in job-id order.
 
-        The policy matrix holds the pair factors the scheduler believes
-        (`_pair_factor`) and is pruned on them when space sharing is on.  The
-        execution matrix holds the true colocation rates of the kept rows;
-        without the estimator the two agree, so one matrix serves both.
+        The rows are the singletons in `states` order, then (with space
+        sharing) each pair of equal scale factor in `np.triu_indices` order,
+        so a matrix's `job_ids` is the states' order and a pair row's `ends`
+        index `states`.  The policy matrix holds the pair factors the
+        scheduler believes (per direction, an online-observed value, else
+        `refs.R` at the matches or else `coloc`) and is pruned on them; the
+        execution matrix holds its rows at their true `coloc` factors (it is
+        T_policy itself without the estimator).
         """
         cluster = self.cfg.cluster
-        workers = [cluster.types[cfg.type_id].num_workers
-                   for cfg in cluster.configurations]
-        feasible = (np.array([st.job.scale_factor for st in states])[:, None]
-                    <= np.array(workers)).reshape(len(states), len(workers))
+        workers = np.array([cluster.types[cfg.type_id].num_workers
+                            for cfg in cluster.configurations])
+        sf = np.array([st.job.scale_factor for st in states])
+        feasible = (sf[:, None] <= workers).reshape(len(states), len(workers))
         rate = np.array([st.rates for st in states]).reshape(feasible.shape)
-        singles = [JobCombination.of(st.job.id) for st in states]
-        # Each pair row's two state indices in the combination's member
-        # order (lower job id first).
-        pairs = []
-        if self.cfg.policy.space_sharing:
-            pairs = [(i, j) if states[i].job.id < states[j].job.id else (j, i)
-                     for i in range(len(states)) for j in range(i + 1, len(states))
-                     if states[i].job.scale_factor == states[j].job.scale_factor]
-        pairs = np.array(pairs, dtype=np.intp).reshape(-1, 2)
-
-        def matrix(members, factor) -> ThroughputMatrix:
-            ends = [(states[i], states[j]) for i, j in members.tolist()]
-            factors = np.array([[factor(a, b), factor(b, a)] for a, b in ends],
-                               dtype=float).reshape(-1, 2)
-            rows = singles + [JobCombination.of(a.job.id, b.job.id) for a, b in ends]
-            thr = np.concatenate([np.stack([rate, np.zeros_like(rate)], axis=-1),
-                                  rate[members].transpose(0, 2, 1) * factors[:, None, :]])
-            return ThroughputMatrix(self.cfg.cluster, rows, thr,
-                                    np.concatenate([feasible,
-                                                    feasible[members].all(axis=1)]))
-
-        T_all = matrix(pairs, self._pair_factor)
+        single_thr = np.stack([rate, np.zeros_like(rate)], axis=-1)
+        singles = [st.combo for st in states]
         if not self.cfg.policy.space_sharing:
-            return T_all, T_all
-        T_policy = prune_combinations(T_all)
+            T = ThroughputMatrix(cluster, singles, single_thr, feasible)
+            return T, T
+
+        def factors(table, index, pairs):  # table[a, b], table[b, a] per pair
+            a, b = index[pairs].T
+            return np.stack([table[a, b], table[b, a]], axis=1)
+
+        def matrix(rows, pairs, pair_factors) -> ThroughputMatrix:
+            thr = rate[pairs].transpose(0, 2, 1) * pair_factors[:, None, :]
+            return ThroughputMatrix(
+                cluster, rows, np.concatenate([single_thr, thr]),
+                np.concatenate([feasible, feasible[pairs].all(axis=1)]))
+
+        i, j = np.triu_indices(len(states), 1)
+        same = sf[i] == sf[j]
+        pairs = np.stack([i[same], j[same]], axis=1)
+        ids = np.array([st.job.id for st in states])
+        keys = list(map(tuple, ids[pairs].tolist()))
+        # Each pair's combination is made once, while both members are active.
+        made = self._pair_rows
+        rows = [made.get(k) or JobCombination(k) for k in keys]
+        self._pair_rows = dict(zip(keys, rows))
+        kind = np.array([self.kind_of[st.template.name] for st in states],
+                        dtype=np.intp)
+        if self.refs is None:
+            believed = factors(self.coloc, kind, pairs)
+        else:
+            match = np.array([st.match for st in states], dtype=np.intp)
+            believed = factors(self.refs.R, match, pairs)
+        observed = self.estimates.values
+        if observed and keys:
+            seen = np.array([[observed.get((a, b)), observed.get((b, a))]
+                             for a, b in keys], dtype=float)
+            believed = np.where(np.isnan(seen), believed, seen)
+        T_policy = prune_combinations(matrix(singles + rows, pairs, believed))
         if self.refs is None:
             return T_policy, T_policy
-        kept = [T_all.row_index(c) - len(states) for c in T_policy.rows[len(states):]]
-        return T_policy, matrix(pairs[kept],
-                                lambda a, b: colocation_factor(a.template, b.template))
+        kept = T_policy.ends[T_policy.is_pair]
+        return T_policy, matrix(T_policy.rows, kept, factors(self.coloc, kind, kept))
 
     def _spread_agnostic(self, X: AllocationMatrix) -> AllocationMatrix:
         """Rebalance each row's time uniformly over its feasible cells,
@@ -286,10 +299,10 @@ class Simulation:
         singles = (~T.is_pair).nonzero()[0]
         worst = np.where(T.feasible[singles], T.thr[singles, :, 0], np.inf).min(axis=1)
         worst[np.isinf(worst)] = 0.0
-        worst_of = dict(zip((T.rows[r].members[0] for r in singles), worst.tolist()))
-        rates = np.zeros((T.num_rows, 2))
-        for r, combo in enumerate(T.rows):
-            rates[r, :len(combo.members)] = [worst_of[m] for m in combo.members]
+        worst_of = np.zeros(len(T.job_ids))
+        worst_of[T.ends[singles, 0]] = worst
+        rates = worst_of[T.ends]
+        rates[singles, 1] = 0.0
         return ThroughputMatrix(T.cluster, T.rows,
                                 np.broadcast_to(rates[:, None, :], T.thr.shape),
                                 T.feasible)
@@ -312,9 +325,8 @@ class Simulation:
         observed = np.zeros((len(entries), n), dtype=bool)
         for k in range(len(entries)):
             observed[k, rng.choice(n, size=min(budget, n), replace=False)] = True
-        refs = [self.templates[name] for name in self.refs.names]
-        truth = np.array([[colocation_factor(self.templates[e.template], ref)
-                           for ref in refs] for e in entries]).reshape(observed.shape)
+        kinds = np.array([self.kind_of[e.template] for e in entries], dtype=np.intp)
+        truth = self.coloc[kinds][:, [self.kind_of[name] for name in self.refs.names]]
         matches, _ = fingerprint_and_match(
             np.where(observed, truth, 0.0), observed, self.refs,
             [self.cfg.seed + k for k in range(len(entries))])
@@ -326,6 +338,7 @@ class Simulation:
         cfg = self.cfg
         pending = sorted(self.trace.entries, key=lambda e: (e.arrival_time,))
         self.estimates = OnlineEstimates()
+        self._pair_rows: dict = {}  # (id a, id b) -> their pair's combination
         self.round_log: list = []
         matches = None if self.refs is None else self._match_references(pending)
         pending_idx = 0
@@ -473,14 +486,12 @@ class Simulation:
                 if cfg.recompute_every is not None and allocation is not None:
                     # Periodic mode keeps the stale allocation but must stop
                     # scheduling departed jobs: drop their rows.
-                    gone = set(completions)
-                    survivors = [combo for combo in T_exec.rows
-                                 if not (set(combo.members) & gone)]
-                    if survivors:
-                        idx = [T_exec.row_index(c) for c in survivors]
-                        T_exec = T_exec.with_rows(survivors)
+                    keep = ~T_exec.member_of[
+                        np.isin(T_exec.job_ids, completions)].any(axis=0)
+                    if keep.any():
+                        T_exec = T_exec.take(keep)
                         allocation = AllocationMatrix(T_exec,
-                                                      allocation.values[idx])
+                                                      allocation.values[keep])
                     else:
                         allocation = None
 

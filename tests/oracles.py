@@ -14,7 +14,9 @@ The module also keeps the first, plainer versions of library kernels as
 references that the optimized ones must match: row-at-a-time ALS
 (`reference_complete_matrix`), ALS one matrix per call
 (`restart_batched_complete_matrix`), the two-phase simplex (`reference_solve_lp`),
-the cell-at-a-time throughput-matrix walks (`CellMatrix`), one gain LP
+the cell-at-a-time throughput-matrix walks (`CellMatrix`), the
+simulator's matrix build one pair at a time (`reference_build_matrix`,
+with its pair factors from `reference_pair_factor`), one gain LP
 per job (`reference_max_gain`), bottleneck detection by MILP alone
 (`reference_find_bottlenecks`), water filling's gain and screen LPs each
 from a cold phase 1 (`cold_max_gain`, `cold_screen_feasible`), its
@@ -50,12 +52,13 @@ from hetsched.jobs import Job, JobCombination
 from hetsched.lp import (DEGENERATE_LIMIT, FEAS_TOL, OPT_TOL, REFACTOR_EVERY,
                          LinearProgram, Relation, SolveResult, Status, solve_lp,
                          solve_lp_each)
-from hetsched.matrices import (effective_throughput, isolated_allocation,
+from hetsched.matrices import (PAIR_KEEP_THRESHOLD, ThroughputMatrix,
+                               effective_throughput, isolated_allocation,
                                row_workers)
 from hetsched.mechanism import Assignment, PlacementError, RoundPlan
 from hetsched.milp import MixedIntegerProgram, solve_milp
 from hetsched.policies import PolicyError, ProblemSpace
-from hetsched.traces import JobTemplate
+from hetsched.traces import JobTemplate, colocation_factor
 from hetsched.waterfill import DELTA_FRACTION, TIGHTEN_SLACK
 
 GRID = 0.01
@@ -934,6 +937,66 @@ class CellMatrix:
             if best > threshold:
                 kept.append(combo)
         return kept
+
+
+# ---------------------------------------------------------------------------
+# The simulator's matrices, one pair at a time
+# ---------------------------------------------------------------------------
+
+def reference_pair_factor(sim, a, b) -> float:
+    """Normalized throughput of state a when colocated with state b in
+    simulation `sim`: an online-observed value, else the estimated
+    reference factor, else the true colocation factor."""
+    observed = sim.estimates.get((a.job.id, b.job.id))
+    if observed is not None:
+        return observed
+    if sim.refs is not None and a.match is not None and b.match is not None:
+        return float(sim.refs.R[a.match, b.match])
+    return colocation_factor(a.template, b.template)
+
+
+def reference_build_matrix(sim, states: list) -> tuple:
+    """`Simulation.build_matrix` as it was: a double loop over the states
+    for the pairs, two `reference_pair_factor` calls and a new combination
+    per pair, pruning by `CellMatrix.prune` and the kept rows looked up by
+    combination; the execution matrix takes the true factors of the kept
+    pairs."""
+    cluster = sim.cfg.cluster
+    workers = [cluster.types[cfg.type_id].num_workers
+               for cfg in cluster.configurations]
+    feasible = (np.array([st.job.scale_factor for st in states])[:, None]
+                <= np.array(workers)).reshape(len(states), len(workers))
+    rate = np.array([st.rates for st in states]).reshape(feasible.shape)
+    singles = [JobCombination.of(st.job.id) for st in states]
+    pairs = []
+    if sim.cfg.policy.space_sharing:
+        pairs = [(i, j) if states[i].job.id < states[j].job.id else (j, i)
+                 for i in range(len(states)) for j in range(i + 1, len(states))
+                 if states[i].job.scale_factor == states[j].job.scale_factor]
+    pairs = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+
+    def matrix(members, factor) -> ThroughputMatrix:
+        ends = [(states[i], states[j]) for i, j in members.tolist()]
+        factors = np.array([[factor(a, b), factor(b, a)] for a, b in ends],
+                           dtype=float).reshape(-1, 2)
+        rows = singles + [JobCombination.of(a.job.id, b.job.id) for a, b in ends]
+        thr = np.concatenate([np.stack([rate, np.zeros_like(rate)], axis=-1),
+                              rate[members].transpose(0, 2, 1) * factors[:, None, :]])
+        return ThroughputMatrix(cluster, rows, thr,
+                                np.concatenate([feasible,
+                                                feasible[members].all(axis=1)]))
+
+    T_all = matrix(pairs, lambda a, b: reference_pair_factor(sim, a, b))
+    if not sim.cfg.policy.space_sharing:
+        return T_all, T_all
+    rows = CellMatrix(cluster, T_all.rows, T_all.entries).prune(PAIR_KEEP_THRESHOLD)
+    idx = [T_all.row_index(combo) for combo in rows]
+    T_policy = ThroughputMatrix(cluster, rows, T_all.thr[idx], T_all.feasible[idx])
+    if sim.refs is None:
+        return T_policy, T_policy
+    kept = [r - len(states) for r in idx[len(states):]]
+    return T_policy, matrix(pairs[kept],
+                            lambda a, b: colocation_factor(a.template, b.template))
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,15 @@ def test_equal_share_placement_aware_splits_columns():
     assert X.values.sum() == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("members", [[(0,), (0,)], [(0,), (1,), (1, 0), (0, 1)]],
+                         ids=["singleton", "pair"])
+def test_duplicate_rows_rejected(two_type_cluster, members):
+    rows = [JobCombination(m) for m in members]
+    with pytest.raises(ValueError, match="duplicate combination rows"):
+        ThroughputMatrix(two_type_cluster, rows, np.ones((len(rows), 2, 2)),
+                         np.ones((len(rows), 2), dtype=bool))
+
+
 def test_prune_keeps_good_pairs_drops_bad(two_type_cluster):
     rows = [JobCombination.of(0), JobCombination.of(1),
             JobCombination.of(0, 1)]
@@ -245,7 +254,7 @@ def test_effective_throughput_unknown_job(two_type_cluster):
 
 
 def test_arrays_match_per_cell_reference(monkeypatch):
-    pairs = infeasible = zero = placement = 0
+    pairs = infeasible = zero = placement = late = 0
     for seed in range(200):
         rng = np.random.default_rng(seed)
         cluster, rows, cells, jobs = random_cells(rng)
@@ -271,11 +280,28 @@ def test_arrays_match_per_cell_reference(monkeypatch):
             assert len(lp.constraints) == len(expected)
             for row, rhs, (ref_row, ref_rhs) in zip(lp.constraints, lp.rhs, expected):
                 assert np.array_equal(row, ref_row) and rhs == ref_rhs
-        for threshold in (0.8, 1.0, 1.3):
-            monkeypatch.setattr(hetsched.matrices, "PAIR_KEEP_THRESHOLD", threshold)
-            assert list(prune_combinations(T).rows) == ref.prune(threshold)
+        # Pruning in the given row order, with every pair listed before the
+        # singletons, and shuffled.
+        pairs_first = sorted(range(len(rows)), key=lambda r: not rows[r].is_pair)
+        for order in (range(len(rows)), pairs_first, rng.permutation(len(rows))):
+            shuffled = [rows[r] for r in order]
+            shuffled_cells = [cells[r] for r in order]
+            T_order = ThroughputMatrix.from_cells(cluster, shuffled, shuffled_cells)
+            ref_order = CellMatrix(cluster, shuffled, shuffled_cells)
+            for threshold in (0.8, 1.0, 1.3):
+                monkeypatch.setattr(hetsched.matrices, "PAIR_KEEP_THRESHOLD",
+                                    threshold)
+                assert list(prune_combinations(T_order).rows) == \
+                    ref_order.prune(threshold)
+            listed = set()
+            for combo in shuffled:
+                if combo.is_pair:
+                    late += not set(combo.members) <= listed
+                else:
+                    listed.update(combo.members)
         pairs += any(c.is_pair for c in rows)
         infeasible += any(cell is None for row in cells for cell in row)
         zero += any(cell is not None and 0.0 in cell for row in cells for cell in row)
         placement += cluster.placement_aware
-    assert min(pairs, infeasible, zero, placement) >= 50
+    # `late` counts pairs listed before one of their singletons.
+    assert min(pairs, infeasible, zero, placement, late) >= 50

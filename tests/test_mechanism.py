@@ -439,8 +439,7 @@ class TestMatchesReference:
             for ledger in ledgers:
                 ledger.drop_jobs([gone])
             del jobs[gone]
-            keep = [combo for combo in X.rows if gone not in combo.members]
-            T = X.T.with_rows(keep)
+            keep = np.array([gone not in combo.members for combo in X.rows])
             self.run_rounds(rng, AllocationMatrix(
-                T, X.values[[X.T.row_index(c) for c in keep]]), jobs, ledgers, wc)
+                X.T.take(keep), X.values[keep]), jobs, ledgers, wc)
         assert readmitted_with_history >= 30

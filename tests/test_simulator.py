@@ -534,3 +534,57 @@ class TestReferenceMechanism:
         pairs = {len(a["workers"]) for rec in log for a in rec["assignments"]
                  if len(a["jobs"]) == 2}
         assert pairs == {1, 2}
+
+
+class TestMatrixBuild:
+    CASES = {
+        # name: (policy, mixed scale factors, SimConfig fields)
+        "estimated": ("las+ss", False, {"estimator": True}),
+        "oracle": ("las+ss", False, {}),
+        "las": ("las", True, {}),
+        "mixed": ("las+ss", True, {}),
+        "agnostic": ("las+ss", False, {"agnostic": True}),
+        "periodic": ("las+ss", True, {"estimator": True, "recompute_every": 3}),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_matches_per_pair_reference(self, monkeypatch, case):
+        # Both matrices of every decision equal, byte for byte, those of the
+        # per-pair build with its per-direction factor precedence.
+        policy, mixed, fields = self.CASES[case]
+        fields = dict(fields)
+        catalog = make_template_catalog(0)
+        rng = np.random.default_rng(5)
+        entries = []
+        for k in range(14):
+            template = catalog[int(rng.integers(len(catalog)))]
+            entries.append(TraceEntry(
+                900.0 * (k // 4), template.name,
+                int(rng.uniform(1.0, 6.0) * 3600 * template.tier_throughputs[2]),
+                scale_factor=1 + k % 2 if mixed else 1))
+        if fields.pop("estimator", False):
+            fields["estimator"] = EstimatorConfig(
+                reference_names=[t.name for t in catalog[:8]])
+        cfg = SimConfig(cluster=make_cluster({"V100": 2, "P100": 2, "K80": 2}),
+                        policy=parse_policy(policy), seed=1, **fields)
+        real = Simulation.build_matrix
+        overridden = []
+
+        def spy(self, states):
+            got = real(self, states)
+            want = oracles.reference_build_matrix(self, states)
+            assert (got[0] is got[1]) == (want[0] is want[1])
+            for T, ref in zip(got, want):
+                assert T.rows == ref.rows
+                assert T.thr.tobytes() == ref.thr.tobytes()
+                assert T.feasible.tobytes() == ref.feasible.tobytes()
+            overridden.append(any((a.job.id, b.job.id) in self.estimates.values
+                                  for a in states for b in states))
+            return got
+
+        monkeypatch.setattr(Simulation, "build_matrix", spy)
+        report = Simulation(cfg, Trace(entries, "continuous", 0), catalog).run()
+        assert len(report.records) == len(entries) and len(overridden) > 5
+        if cfg.estimator is not None:
+            # Online observations override some factors, but not all.
+            assert any(overridden) and not all(overridden)
