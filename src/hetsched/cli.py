@@ -139,7 +139,7 @@ def _load_cluster(cluster_file, preset_counts=None) -> ClusterSpec:
         return ClusterSpec.from_json(doc)
     except KeyError as e:
         _fail(EXIT_USAGE, f"{cluster_file}: missing key {e} in the cluster spec")
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         _fail(EXIT_USAGE, f"{cluster_file}: bad value in the cluster spec: {e}")
 
 
@@ -260,7 +260,7 @@ def cmd_solve(ctx, policy_text, thr_file, jobs_file):
                 for d in job_docs]
     except KeyError as e:
         _fail(EXIT_USAGE, f"missing key {e} in the throughputs or jobs file")
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         _fail(EXIT_USAGE, f"bad value in the throughputs or jobs file: {e}")
     t0 = time.perf_counter()
     with _exit_on_error():

@@ -4,6 +4,7 @@ allocation matrices)."""
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 
@@ -34,6 +35,10 @@ class Job:
     isolated_elapsed_time: float = 0.0
 
     def __post_init__(self):
+        for name in ("weight", "steps_done", "arrival_time", "elapsed_time",
+                     "isolated_elapsed_time"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"job {self.id}: {name} must be finite")
         if self.num_steps <= 0:
             raise ValueError(f"job {self.id}: num_steps must be positive")
         if self.scale_factor < 1:
@@ -59,8 +64,8 @@ class Entity:
     internal_policy: EntityPolicy = EntityPolicy.FAIRNESS
 
     def __post_init__(self):
-        if self.weight <= 0:
-            raise ValueError(f"entity {self.id}: weight must be positive")
+        if not (math.isfinite(self.weight) and self.weight > 0):
+            raise ValueError(f"entity {self.id}: weight must be positive and finite")
 
 
 @dataclass(frozen=True, order=True)

@@ -3,19 +3,15 @@ computation every policy consumes.
 
 Rows are job combinations (singletons, optionally pairs when space sharing),
 columns are resource configurations.  A `ThroughputMatrix` holds its cells
-as arrays, built once:
+as arrays, built once; no array is indexed by job and row together, and the
+per-job cell rows an LP needs are built by `policies.ProblemSpace`:
 
 - ``thr[r, c, i]``: member i's steps/second in row r on configuration c,
   members in ``rows[r].members`` order; 0.0 where the cell is infeasible
   and in slot 1 of a singleton row.
 - ``feasible[r, c]``: whether combination r can run on configuration c.
-- ``coeffs[k, r * C + c]``: job ``job_ids[k]``'s own rate in every cell,
-  cells in row-major order, zero where the job is absent or the cell
-  infeasible; ``job_index`` maps a job id to k.  A job's effective
-  throughput under X is the sum of ``coeffs[k] * X.ravel()``.
-- ``member_of[k, r]``: whether job ``job_ids[k]`` is a member of row r.
 - ``ends[r]``: the ``job_ids`` positions of row r's first and last member
-  (the same for a singleton).
+  (the same for a singleton); ``job_index`` maps a job id to its position.
 
 The nested-cell form, ``cells[r][c]`` a tuple of per-member rates or None
 where infeasible, is parsed only by `ThroughputMatrix.from_cells` (which
@@ -96,17 +92,8 @@ class ThroughputMatrix:
         self.thr = np.where(used, thr, 0.0)
         self.feasible = feasible
         self.type_of = np.array([cfg.type_id for cfg in self.configs], dtype=np.intp)
-
-        r = np.arange(R)
-        self.member_of = np.zeros((len(self.job_ids), R), dtype=bool)
-        self.member_of[first, r] = True
-        self.member_of[last, r] = True
-        coeffs = np.zeros((len(self.job_ids), R, C))
-        coeffs[first, r] = self.thr[:, :, 0]
-        coeffs[last[self.is_pair], r[self.is_pair]] = self.thr[self.is_pair, :, 1]
-        self.coeffs = coeffs.reshape(len(self.job_ids), R * C)
         # Policies share views of these arrays; none may write to them.
-        for a in (self.thr, self.feasible, self.coeffs, self.member_of, self.ends):
+        for a in (self.thr, self.feasible, self.ends):
             a.flags.writeable = False
 
     @classmethod
@@ -163,15 +150,11 @@ class ThroughputMatrix:
         return self.row_index(JobCombination.of(job_id))
 
     def job_index(self, job_id: int) -> int:
-        """The job's row in `coeffs` and `member_of`."""
+        """The job's position in `job_ids`, the value `ends` holds for it."""
         try:
             return self._job_index[job_id]
         except KeyError:
             raise UnknownJobError(f"job {job_id} not present in matrix") from None
-
-    def max_throughput(self, job_id: int) -> float:
-        """Largest throughput the job attains in any feasible cell."""
-        return float(self.coeffs[self.job_index(job_id)].max())
 
     def take(self, keep: np.ndarray) -> "ThroughputMatrix":
         """The matrix of the rows where the boolean mask `keep` is true."""
@@ -215,7 +198,10 @@ class AllocationMatrix:
             r, c = np.argwhere(bad)[0]
             raise ValueError(
                 f"positive allocation on infeasible cell {self.rows[r]},{c}")
-        over = inorder_sum(T.member_of * self.values.sum(axis=1)) > 1 + EPS
+        # Each job's time over its rows, in row order; a singleton's 2nd end adds 0.
+        share = self.values.sum(axis=1)
+        weights = np.column_stack([share, share * T.is_pair]).ravel()
+        over = np.bincount(T.ends.ravel(), weights, len(T.job_ids)) > 1 + EPS
         if over.any():
             raise ValueError(f"job {T.job_ids[over.argmax()]} total time "
                              "fraction exceeds 1")
@@ -258,7 +244,10 @@ def effective_throughput(job_id: int, X: AllocationMatrix,
     """Time-weighted average steps/second of a job under allocation X."""
     if X.T is not T and (X.rows != T.rows or X.configs != T.configs):
         raise MatrixShapeError("allocation and throughput matrices do not align")
-    return float(inorder_sum(T.coeffs[T.job_index(job_id)] * X.values.ravel()))
+    first, last = (T.ends == T.job_index(job_id)).T
+    mine = first | last
+    rates = np.where(first[mine, None], T.thr[mine, :, 0], T.thr[mine, :, 1])
+    return float(inorder_sum((rates * X.values[mine]).ravel()))
 
 
 def equal_shares(cluster: ClusterSpec) -> np.ndarray:

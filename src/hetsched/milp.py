@@ -9,7 +9,7 @@ reproducible across runs.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,7 +27,7 @@ NODE_LIMIT = 200_000
 @dataclass
 class MixedIntegerProgram:
     base: LinearProgram
-    binary_vars: set = field(default_factory=set)
+    binary_vars: set
 
     def __post_init__(self):
         self.binary_vars = set(int(v) for v in self.binary_vars)

@@ -172,20 +172,29 @@ class ProblemSpace:
 
     Variables 0..R*C-1 are the allocation cells in row-major order; builders
     may append extra scalar variables (an epigraph bound, binary flags).
-    The cell bounds, the validity rows and each job's coefficient row and
-    equal-share throughput are compiled once from the matrix's arrays, and
-    `lp` builds every LP over the cells from them.  Every job must have
-    rows in the matrix (`check_jobs`).
+    The cell bounds, the validity rows and each job's rates over the cells
+    (`thr_rows`, stacked in `jobs` order), best rate and equal-share
+    throughput are compiled once per decision from the matrix's arrays, and
+    `lp` builds every LP over the cells from them.  Every job must have rows
+    in the matrix (`check_jobs`).
     """
 
     def __init__(self, jobs, T: ThroughputMatrix):
         self.T = T
         self.jobs = list(jobs)
         self.by_id = {j.id: j for j in self.jobs}
-        self.n_cells = T.num_rows * T.num_configs
-        ks = [T.job_index(j.id) for j in self.jobs]
-        # Each job's coefficient row over the cells, stacked in `jobs` order.
-        self.thr_rows = T.coeffs[ks]
+        R, C, n = T.num_rows, T.num_configs, len(self.jobs)
+        self.n_cells = R * C
+        # Each row's first and last member's position in `jobs`, n for a job
+        # outside the space; the scatters below drop their row n.
+        pos = np.full(len(T.job_ids), n, dtype=np.intp)
+        pos[[T.job_index(j.id) for j in self.jobs]] = np.arange(n)
+        first, last = pos[T.ends].T
+        r = np.arange(R)
+        thr_rows = np.zeros((n + 1, R, C))
+        thr_rows[first, r] = T.thr[:, :, 0]
+        thr_rows[last[T.is_pair], r[T.is_pair]] = T.thr[T.is_pair, :, 1]
+        self.thr_rows = thr_rows[:n].reshape(n, self.n_cells)
         self.coeffs = {j.id: row for j, row in zip(self.jobs, self.thr_rows)}
         norms = inorder_sum(self.thr_rows * equal_share_allocation(T).values.ravel())
         self.equal_norm = {}
@@ -194,29 +203,33 @@ class ProblemSpace:
                 raise ZeroThroughputError(
                     f"job {j.id} has zero throughput on every configuration")
             self.equal_norm[j.id] = norm
+        self.best = dict(zip(self.by_id, self.thr_rows.max(axis=1).tolist()))
 
         self.row_sf = row_workers(T, self.by_id).astype(float)
         self._upper = np.where(T.feasible.ravel(), np.inf, 0.0)
         # Per-job time budgets, then per-type worker capacity.
-        budget = np.repeat(T.member_of[ks], T.num_configs, axis=1).astype(float)
+        member = np.zeros((n + 1, R), dtype=bool)
+        member[first, r] = member[last, r] = True
+        budget = np.repeat(member[:n], C, axis=1).astype(float)
         types = T.cluster.types
         capacity = np.where(T.type_of == np.arange(len(types))[:, None, None],
                             self.row_sf[:, None], 0.0)
         self.validity = np.vstack([budget, capacity.reshape(len(types), self.n_cells)])
-        self.validity_rhs = [1.0] * len(ks) + [float(t.num_workers) for t in types]
+        self.validity_rhs = [1.0] * n + [float(t.num_workers) for t in types]
 
-    def lp(self, objective, rows=(), maximize: bool = True) -> LinearProgram:
-        """The LP over the cells plus `len(objective) - n_cells` extra
-        variables, all nonnegative and the cells pinned to 0 where
-        infeasible, under the row blocks in `rows` and then the per-job time
-        budget and per-type worker capacity rows.  A block is a (coeffs,
-        relations, rhs) triple: coeffs stacks its rows over the cells alone
-        (the extra variables' entries are 0) or over every variable."""
+    def lp(self, objective, rows=()) -> LinearProgram:
+        """The LP maximizing `objective` over the cells and the
+        `len(objective) - n_cells` extra variables, all nonnegative and the
+        cells pinned to 0 where infeasible, under the row blocks in `rows`
+        and then the per-job time budget and per-type worker capacity rows.
+        A block is a (coeffs, relations, rhs) triple: coeffs stacks its rows
+        over the cells alone (the extra variables' entries are 0) or over
+        every variable."""
         n = len(objective)
         blocks = [*rows, (self.validity, [Relation.LE] * len(self.validity),
                           self.validity_rhs)]
         return LinearProgram(
-            n, objective, maximize,
+            n, objective, True,
             np.vstack([np.column_stack([c, np.zeros((len(c), n - c.shape[1]))])
                        for c, _, _ in blocks]),
             [rel for _, rels, _ in blocks for rel in rels],
@@ -310,7 +323,7 @@ def fifo(space: ProblemSpace) -> PolicyResult:
     by each job's fastest configuration, weighted M-m by arrival rank."""
     order = sorted(space.jobs, key=lambda j: (j.arrival_time, j.id))
     # Positive: `ProblemSpace` rejects a job with no positive singleton cell.
-    weights = {j.id: (len(order) - rank) / space.T.max_throughput(j.id)
+    weights = {j.id: (len(order) - rank) / space.best[j.id]
                for rank, j in enumerate(order)}
     return _solve("fifo", _weighted_sum_lp(space, weights), space)
 

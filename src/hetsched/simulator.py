@@ -486,8 +486,8 @@ class Simulation:
                 if cfg.recompute_every is not None and allocation is not None:
                     # Periodic mode keeps the stale allocation but must stop
                     # scheduling departed jobs: drop their rows.
-                    keep = ~T_exec.member_of[
-                        np.isin(T_exec.job_ids, completions)].any(axis=0)
+                    gone = np.isin(T_exec.job_ids, completions)
+                    keep = ~gone[T_exec.ends].any(axis=1)
                     if keep.any():
                         T_exec = T_exec.take(keep)
                         allocation = AllocationMatrix(T_exec,

@@ -234,7 +234,7 @@ def find_bottlenecks(space: ProblemSpace, thr_prev: dict, active_weights: dict,
     from the basis in `gain_rows`, the decision's `GainRows`.
     """
     active = [j for j in space.jobs if active_weights.get(j.id, 0.0) > 0]
-    delta = {j.id: DELTA_FRACTION * space.T.max_throughput(j.id) for j in active}
+    delta = {j.id: DELTA_FRACTION * space.best[j.id] for j in active}
     gain = max_gain(space, thr_prev, [j.id for j in active], gain_rows)
     cand = {j.id for j in active if gain[j.id] >= delta[j.id]}
     in_band = any(VERIFY_FRACTION * delta[j.id] <= gain[j.id] < delta[j.id]
@@ -277,7 +277,7 @@ def _milp_bottlenecks(space: ProblemSpace, active: list, thr_prev: dict,
     flags = np.zeros((2 * n_z, n))
     rels, rhs = [Relation.GE, Relation.LE] * n_z, []
     for k, j in enumerate(active):
-        Y = space.T.max_throughput(j.id)
+        Y = space.best[j.id]
         flags[2 * k:2 * k + 2, :space.n_cells] = space.coeffs[j.id]
         flags[2 * k, space.n_cells + k] = -(Y + delta[j.id])
         flags[2 * k + 1, space.n_cells + k] = -Y

@@ -1066,7 +1066,7 @@ def reference_bottleneck_lp(space: ProblemSpace, active: list,
         lp.add_constraint(np.concatenate([space.coeffs[j.id], np.zeros(n_z)]),
                           Relation.GE, thr_prev[j.id])
     for k, j in enumerate(active):
-        Y = space.T.max_throughput(j.id)
+        Y = space.best[j.id]
         delta = DELTA_FRACTION * Y
         z_col = space.n_cells + k
         # z=1 forces a strict improvement of delta; z=0 caps the job at its
@@ -1105,7 +1105,7 @@ def reference_find_bottlenecks(jobs, X_prev, T, active_weights: dict) -> set:
     for j in active:
         if j.id in stuck:
             continue
-        delta = DELTA_FRACTION * T.max_throughput(j.id)
+        delta = DELTA_FRACTION * space.best[j.id]
         if reference_max_gain(space, thr_prev, j.id) < 0.5 * delta:
             stuck.add(j.id)
     return stuck

@@ -166,7 +166,7 @@ def _enumerate_bottlenecks(jobs, X_prev, T, weights):
         rows = [(space.coeffs[j.id], Relation.GE, thr_prev[j.id])
                 for j in space.jobs]
         for z, j in zip(bits, active):
-            Y = T.max_throughput(j.id)
+            Y = space.best[j.id]
             if z == 1:
                 rows.append((space.coeffs[j.id], Relation.GE,
                              thr_prev[j.id] + DELTA_FRACTION * Y))
@@ -182,7 +182,7 @@ def _enumerate_bottlenecks(jobs, X_prev, T, weights):
     gain = max_gain(space, thr_prev, [j.id for j in active if j.id not in stuck],
                     GainRows(space))
     for job_id, g in gain.items():
-        delta = DELTA_FRACTION * T.max_throughput(job_id)
+        delta = DELTA_FRACTION * space.best[job_id]
         if g < 0.5 * delta:
             stuck.add(job_id)
     return stuck
@@ -271,7 +271,7 @@ def test_criterion_6a_sharing_incentive():
         fifo_obj = fifo(space).objective
         order = sorted(jobs, key=lambda j: (j.arrival_time, j.id))
         iso_fifo = sum((len(order) - k) * effective_throughput(j.id, Xiso, T)
-                       / T.max_throughput(j.id) for k, j in enumerate(order))
+                       / space.best[j.id] for k, j in enumerate(order))
         assert fifo_obj >= iso_fifo - 1e-7
         M = min_makespan(space).objective
         iso_makespan = max(j.remaining_steps

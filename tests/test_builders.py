@@ -181,7 +181,7 @@ def test_bottleneck_builders_match_row_at_a_time(monkeypatch):
                        reference_gain_lp(space, thr_prev))
 
         active = [j for j in space.jobs if rng.random() < 0.7] or space.jobs[:1]
-        delta = {j.id: waterfill.DELTA_FRACTION * space.T.max_throughput(j.id)
+        delta = {j.id: waterfill.DELTA_FRACTION * space.best[j.id]
                  for j in active}
         cand = {j.id for j in active if rng.random() < 0.5}
         built, state = [], _State()

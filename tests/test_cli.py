@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import json
@@ -308,6 +309,39 @@ class TestSolve:
         assert res.exit_code == 2, res.output
         assert "error:" in res.output and "Traceback" not in res.output
 
+    @pytest.mark.parametrize("policy, job_field, entity_weight, named", [
+        ("las", '"num_steps": 1e400', "1.0", "bad value"),
+        ("las", '"id": 1e400', "1.0", "bad value"),
+        ("ftf", '"elapsed_time": NaN', "1.0", "elapsed_time must be finite"),
+        ("las", '"weight": NaN', "1.0", "weight must be finite"),
+        ("las", '"weight": Infinity', "1.0", "weight must be finite"),
+        ("las", '"steps_done": NaN', "1.0", "steps_done must be finite"),
+        ("las", '"arrival_time": -Infinity', "1.0", "arrival_time must be finite"),
+        ("ftf", '"isolated_elapsed_time": NaN', "1.0",
+         "isolated_elapsed_time must be finite"),
+        ("hier:fair", '"name": ""', "NaN", "weight must be positive and finite"),
+        ("hier:fair", '"name": ""', "Infinity", "weight must be positive and finite"),
+    ], ids=["huge-num-steps", "huge-id", "nan-elapsed", "nan-weight",
+            "inf-weight", "nan-steps-done", "inf-arrival", "nan-isolated",
+            "nan-entity-weight", "inf-entity-weight"])
+    def test_non_finite_number_exit_code(self, runner, tmp_path, policy,
+                                         job_field, entity_weight, named):
+        # Written as text: JSON has no NaN, Infinity or out-of-range
+        # integers, but Python's reader accepts them.  Job 0's last key wins.
+        thr, _ = write_three_job_instance(tmp_path)
+        jobs = tmp_path / "jobs.json"
+        jobs.write_text(
+            '{"jobs": [{"id": 0, "num_steps": 1000, "entity_id": 0, %s}, '
+            '{"id": 1, "num_steps": 1000, "entity_id": 0}, '
+            '{"id": 2, "num_steps": 1000, "entity_id": 0}], '
+            '"entities": [{"id": 0, "weight": %s}]}' % (job_field, entity_weight))
+        res = runner.invoke(main, ["--out", str(tmp_path), "solve",
+                                   "--policy", policy, "--throughputs", str(thr),
+                                   "--jobs", str(jobs)])
+        assert res.exit_code == 2, res.output
+        assert "error:" in res.output and named in res.output
+        assert "Traceback" not in res.output
+
     @pytest.mark.parametrize("ids, named", [
         ((0,), "missing jobs [1, 2], repeated jobs []"),
         ((0, 0, 2), "missing jobs [1], repeated jobs [0]"),
@@ -498,6 +532,32 @@ class TestSimulate:
                                    "--jobs", "2", "--lambda", "0.01"])
         assert res.exit_code == 2, res.output
         assert "error:" in res.output and "'num_workers'" in res.output
+        assert "Traceback" not in res.output
+
+    def test_cluster_huge_number_exit_code(self, runner, tmp_path):
+        cluster = tmp_path / "cluster.json"
+        cluster.write_text('{"types": [{"name": "V100", "num_workers": 1e400}]}')
+        res = runner.invoke(main, ["--out", str(tmp_path), "--cluster",
+                                   str(cluster), "simulate", "--policy", "las",
+                                   "--jobs", "2", "--lambda", "0.01"])
+        assert res.exit_code == 2, res.output
+        assert "error:" in res.output and "bad value in the cluster spec" in res.output
+        assert "Traceback" not in res.output
+
+    @pytest.mark.parametrize("field, named", [
+        ("weight", "weight must be finite"),
+        ("arrival_time", "arrival_time must be finite"),
+    ])
+    def test_non_finite_trace_entry_exit_code(self, runner, tmp_path, field, named):
+        trace = tmp_path / "trace.jsonl"
+        Trace([TraceEntry(0.0, "model-00", 10),
+               dataclasses.replace(TraceEntry(0.0, "model-01", 10),
+                                   **{field: float("nan")})],
+              "static", 0).save(trace)
+        res = runner.invoke(main, ["--out", str(tmp_path), "simulate",
+                                   "--policy", "las", "--trace", str(trace)])
+        assert res.exit_code == 2, res.output
+        assert f"error: trace entry 2: job 1: {named}" in res.output
         assert "Traceback" not in res.output
 
     def test_unknown_template_exit_code(self, runner, tmp_path):

@@ -253,46 +253,68 @@ def test_effective_throughput_unknown_job(two_type_cluster):
         effective_throughput(99, X, T)
 
 
+def _over_budget(ref, T, values):
+    """The first job, in `T.job_ids` order, whose rows' time sums past one,
+    added row by row from the per-cell reference; None when none does."""
+    for job_id in T.job_ids:
+        total = 0.0
+        for r in ref.combos_containing(job_id):
+            total += values[r].sum()
+        if total > 1 + hetsched.matrices.EPS:
+            return job_id
+    return None
+
+
 def test_arrays_match_per_cell_reference(monkeypatch):
-    pairs = infeasible = zero = placement = late = 0
+    pairs = infeasible = zero = placement = late = over = 0
     for seed in range(200):
         rng = np.random.default_rng(seed)
         cluster, rows, cells, jobs = random_cells(rng)
-        T = ThroughputMatrix.from_cells(cluster, rows, cells)
-        ref = CellMatrix(cluster, rows, cells)
-        X = AllocationMatrix(T, rng.uniform(0.0, 1.0, size=(T.num_rows, T.num_configs)))
-        for j in jobs:
-            assert np.array_equal(T.coeffs[T.job_index(j.id)], ref.job_coefficients(j.id))
-            assert effective_throughput(j.id, X, T) == ref.effective_throughput(j.id, X.values)
-            assert T.max_throughput(j.id) == ref.max_throughput(j.id)
-        assert np.array_equal(equal_share_allocation(T).values, ref.equal_share())
-        # The LP pieces, for every job and for a subset (whose rows' other
-        # members fall back to one worker in the capacity rows).
-        for space_jobs in (jobs, jobs[: max(1, len(jobs) // 2)]):
-            space = ProblemSpace(space_jobs, T)
-            for j in space_jobs:
-                assert space.equal_norm[j.id] == ref.equal_norm(j.id)
-            lp = space.lp(np.zeros(space.n_cells))
-            ref_lower, ref_upper = ref.cell_bounds()
-            assert np.array_equal(lp.lower, ref_lower)
-            assert np.array_equal(lp.upper, ref_upper)
-            expected = ref.validity_rows(space_jobs)
-            assert len(lp.constraints) == len(expected)
-            for row, rhs, (ref_row, ref_rhs) in zip(lp.constraints, lp.rhs, expected):
-                assert np.array_equal(row, ref_row) and rhs == ref_rhs
-        # Pruning in the given row order, with every pair listed before the
-        # singletons, and shuffled.
+        # Each piece in the given row order, with every pair listed before
+        # the singletons, and shuffled.
         pairs_first = sorted(range(len(rows)), key=lambda r: not rows[r].is_pair)
         for order in (range(len(rows)), pairs_first, rng.permutation(len(rows))):
             shuffled = [rows[r] for r in order]
             shuffled_cells = [cells[r] for r in order]
-            T_order = ThroughputMatrix.from_cells(cluster, shuffled, shuffled_cells)
-            ref_order = CellMatrix(cluster, shuffled, shuffled_cells)
+            T = ThroughputMatrix.from_cells(cluster, shuffled, shuffled_cells)
+            ref = CellMatrix(cluster, shuffled, shuffled_cells)
+            X = AllocationMatrix(T, rng.uniform(0.0, 1.0,
+                                                size=(T.num_rows, T.num_configs)))
+            for j in jobs:
+                assert effective_throughput(j.id, X, T) == \
+                    ref.effective_throughput(j.id, X.values)
+            assert np.array_equal(equal_share_allocation(T).values, ref.equal_share())
+            # Only the feasible cells carry time, so the budget check runs.
+            X = AllocationMatrix(T, X.values * T.feasible)
+            named = _over_budget(ref, T, X.values)
+            over += named is not None
+            if named is not None:
+                with pytest.raises(ValueError, match=f"^job {named} total time"):
+                    X.validate({j.id: j for j in jobs})
+            # The LP pieces, for every job and for two subsets: the first
+            # half, and every other job backwards.  Rows whose members are
+            # outside a subset give its jobs no cells and fall back to one
+            # worker in the capacity rows.
+            for space_jobs in (jobs, jobs[: max(1, len(jobs) // 2)], jobs[::-2]):
+                space = ProblemSpace(space_jobs, T)
+                for j, row in zip(space_jobs, space.thr_rows):
+                    assert np.array_equal(row, ref.job_coefficients(j.id))
+                    assert space.best[j.id] == ref.max_throughput(j.id)
+                    assert space.equal_norm[j.id] == ref.equal_norm(j.id)
+                assert len(space.thr_rows) == len(space_jobs)
+                lp = space.lp(np.zeros(space.n_cells))
+                ref_lower, ref_upper = ref.cell_bounds()
+                assert np.array_equal(lp.lower, ref_lower)
+                assert np.array_equal(lp.upper, ref_upper)
+                expected = ref.validity_rows(space_jobs)
+                assert len(lp.constraints) == len(expected)
+                for row, rhs, (ref_row, ref_rhs) in zip(lp.constraints, lp.rhs,
+                                                         expected):
+                    assert np.array_equal(row, ref_row) and rhs == ref_rhs
             for threshold in (0.8, 1.0, 1.3):
                 monkeypatch.setattr(hetsched.matrices, "PAIR_KEEP_THRESHOLD",
                                     threshold)
-                assert list(prune_combinations(T_order).rows) == \
-                    ref_order.prune(threshold)
+                assert list(prune_combinations(T).rows) == ref.prune(threshold)
             listed = set()
             for combo in shuffled:
                 if combo.is_pair:
@@ -304,4 +326,20 @@ def test_arrays_match_per_cell_reference(monkeypatch):
         zero += any(cell is not None and 0.0 in cell for row in cells for cell in row)
         placement += cluster.placement_aware
     # `late` counts pairs listed before one of their singletons.
-    assert min(pairs, infeasible, zero, placement, late) >= 50
+    assert min(pairs, infeasible, zero, placement, late, over) >= 50
+
+
+def test_matrix_holds_no_job_by_row_array():
+    """The matrix's arrays grow with its cells, not with jobs x cells: with
+    every pair present, a per-job copy of the cells would be n / 2 times
+    the size of `thr`."""
+    cluster = make_cluster({"V100": 2, "K80": 2}, placement_aware=True)
+    C = len(cluster.configurations)
+    for n in (4, 16, 40):
+        rows = [JobCombination.of(a) for a in range(n)]
+        rows += [JobCombination.of(a, b) for a in range(n) for b in range(a + 1, n)]
+        T = ThroughputMatrix(cluster, rows, np.ones((len(rows), C, 2)),
+                             np.ones((len(rows), C), dtype=bool))
+        T.job_index(0), T.row_index(rows[-1])  # builds the lazy lookups too
+        held = sum(v.nbytes for v in vars(T).values() if isinstance(v, np.ndarray))
+        assert held <= 2 * T.thr.nbytes, (n, held, T.thr.nbytes)

@@ -125,7 +125,7 @@ def enumerate_bottlenecks(jobs, X_prev, T, weights):
         rows = [(space.coeffs[j.id], Relation.GE, thr_prev[j.id])
                 for j in space.jobs]
         for z, j in zip(bits, active):
-            Y = T.max_throughput(j.id)
+            Y = space.best[j.id]
             delta = DELTA_FRACTION * Y
             if z == 1:
                 rows.append((space.coeffs[j.id], Relation.GE,
@@ -143,7 +143,7 @@ def enumerate_bottlenecks(jobs, X_prev, T, weights):
     gain = max_gain(space, thr_prev, [j.id for j in active if j.id not in stuck],
                     GainRows(space))
     for job_id, g in gain.items():
-        delta = DELTA_FRACTION * T.max_throughput(job_id)
+        delta = DELTA_FRACTION * space.best[job_id]
         if g < 0.5 * delta:
             stuck.add(job_id)
     return stuck
@@ -268,7 +268,7 @@ def test_gain_near_slack_falls_back_to_milp(milp_calls):
     X_prev = AllocationMatrix(T, np.array([[1.0 - 0.7e-4], [0.5]]))
     space = ProblemSpace(jobs, T)
     thr_prev = throughputs(jobs, X_prev, T)
-    delta = DELTA_FRACTION * T.max_throughput(0)
+    delta = DELTA_FRACTION * space.best[0]
     assert VERIFY_FRACTION * delta <= max_gain(space, thr_prev, [0],
                                                GainRows(space))[0] < delta
     weights = {0: 1.0, 1: 1.0}
