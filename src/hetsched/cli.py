@@ -248,9 +248,9 @@ def cmd_solve(ctx, policy_text, thr_file, jobs_file):
         else:
             job_docs = jobs_doc
         jobs = [Job(id=int(d["id"]), name=d.get("name", ""),
-                    num_steps=int(d.get("num_steps", 1)),
+                    num_steps=d.get("num_steps", 1),
                     steps_done=float(d.get("steps_done", 0.0)),
-                    scale_factor=int(d.get("scale_factor", 1)),
+                    scale_factor=d.get("scale_factor", 1),
                     weight=float(d.get("weight", 1.0)),
                     entity_id=d.get("entity_id"),
                     slo_seconds=d.get("slo_seconds"),

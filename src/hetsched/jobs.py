@@ -39,10 +39,11 @@ class Job:
                      "isolated_elapsed_time"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"job {self.id}: {name} must be finite")
-        if self.num_steps <= 0:
-            raise ValueError(f"job {self.id}: num_steps must be positive")
-        if self.scale_factor < 1:
-            raise ValueError(f"job {self.id}: scale_factor must be >= 1")
+        for name in ("num_steps", "scale_factor"):
+            v = getattr(self, name)
+            if not (v >= 1 and float(v).is_integer()):
+                raise ValueError(f"job {self.id}: {name} must be a whole number >= 1, "
+                                 f"not {v}")
         if self.weight <= 0:
             raise ValueError(f"job {self.id}: weight must be positive")
         if self.slo_seconds is not None and self.slo_seconds <= 0:

@@ -163,10 +163,6 @@ class LinearProgram:
         self.relations = self.relations + rows.relations
         self.rhs = np.concatenate([self.rhs, rows.rhs])
 
-    def add_constraint(self, coeffs, relation: Relation | str, rhs: float):
-        """Append one row."""
-        self.add_rows([coeffs], [relation], [rhs])
-
     def dump(self) -> str:
         """Plain-text rendering for --dump-lp debugging."""
         lines = [("maximize  " if self.maximize else "minimize  ")

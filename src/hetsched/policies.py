@@ -10,11 +10,10 @@ per decision, and returns a `PolicyResult`; `solve_policy` finds it in
 builds every LP over the cells from row blocks, (coeffs, relations, rhs)
 triples whose coeffs stack the block's rows.  Max-min objectives
 (max-min fairness, min-makespan and the water-filling level) are compiled to
-one epigraph LP by `max_min_lp`; only finish-time fairness is solved by
-bisection over a feasibility LP; the cost policies reduce a
-linear-fractional objective to one LP.  Shortest job first and the SLO
-rates solve no LP: a job alone on the cluster runs on its fastest singleton
-cell (`fastest_cell`).
+one epigraph LP by `max_min_lp`, and finish-time fairness iterates the same
+builder; the cost policies reduce a linear-fractional objective to one LP.
+Shortest job first and the SLO rates solve no LP: a job alone on the
+cluster runs on its fastest singleton cell (`fastest_cell`).
 """
 
 from __future__ import annotations
@@ -27,18 +26,18 @@ import numpy as np
 
 from .cluster import ClusterSpec
 from .jobs import ENTITY_POLICY_NAMES
-from .lp import OPT_TOL, LinearProgram, Relation, solve_lp
+from .lp import OPT_TOL, IterationLimitError, LinearProgram, Relation, solve_lp
 from .matrices import (AllocationMatrix, ThroughputMatrix,
                        equal_share_allocation, effective_throughput,
                        inorder_sum, isolated_allocation, row_workers)
-from .search import RatioUnboundedError, bisect, maximize_ratio
+# bench/tracing.py wraps `bisect` where this module binds it.
+from .search import RatioUnboundedError, bisect, maximize_ratio  # noqa: F401
 
 # SJF switches to a job only when it finishes this many seconds sooner, so
 # exact ties go to the job listed first.
 SJF_TIE_TOL = 1e-12
-# Pad added to both ends of the FTF bisection bracket: the lower end then
-# leaves every job a positive time budget, the upper end is strictly feasible.
-FTF_BRACKET_PAD = 1e-9
+# Finish-time fairness raises IterationLimitError after this many LPs.
+FTF_MAX_ITERS = 50
 # An SLO is unattainable when the rate it needs exceeds the job's best
 # standalone rate by more than this.
 SLO_RATE_TOL = 1e-9
@@ -371,42 +370,43 @@ def min_makespan(space: ProblemSpace) -> PolicyResult:
     return PolicyResult(res.allocation, float(H / res.objective))
 
 
-# ---------------------------------------------------------------------------
-# Bisection policies
-# ---------------------------------------------------------------------------
-
 def finish_time_fairness(space: ProblemSpace) -> PolicyResult:
-    """Minimize the maximum finish-time-fairness ratio rho by bisection; the
-    objective is rho.
+    """Minimize the largest finish-time-fairness ratio by a sequence of
+    max-min LPs; the objective is the returned allocation's ratio.
 
-    The ratio compares each job's projected finish time under the allocation
-    with its finish time under an isolated 1/n share, n the number of jobs.
+    rho_j(X) = (e_j + r_j / thr_j(X)) / d_j for elapsed time e_j, remaining
+    steps r_j and d_j the finish time under an isolated 1/n share.  From the
+    isolated allocation, each step (Crouzeix, Ferland and Schaible, 1985)
+    takes lam and w_j = 1 / (d_j thr_j) at the last allocation, which scores
+    >= 0, solves max_X min_j w_j ((lam d_j - e_j) thr_j(X) - r_j), and stops
+    once rho falls by no more than `OPT_TOL` relative.
     """
-    T = space.T
-    Xiso = isolated_allocation(T, len(space.jobs))
-    denom = {}
-    iso_thr = {}
-    for j in space.jobs:
-        thr = effective_throughput(j.id, Xiso, T)
-        if thr <= 0:
-            raise ZeroThroughputError(f"job {j.id}: isolated throughput is zero")
-        iso_thr[j.id] = thr
-        denom[j.id] = j.isolated_elapsed_time + j.remaining_steps / thr
-
-    def feasible(lam: float):
-        budget = {j.id: lam * denom[j.id] - j.elapsed_time for j in space.jobs}
-        if min(budget.values()) <= 0:
-            return False, None
-        res = solve_lp(space.lp(np.zeros(space.n_cells), [(
-            space.thr_rows, [Relation.GE] * len(space.jobs),
-            [j.remaining_steps / budget[j.id] for j in space.jobs])]))
-        return res.optimal, (space.allocation(res.x) if res.optimal else None)
-
-    lo = max(j.elapsed_time / denom[j.id] for j in space.jobs) + FTF_BRACKET_PAD
-    hi = max((j.elapsed_time + j.remaining_steps / iso_thr[j.id]) / denom[j.id]
-             for j in space.jobs) + FTF_BRACKET_PAD
-    value, X = bisect(feasible, lo, hi)
-    return PolicyResult(X, value)
+    T, ids = space.T, list(space.by_id)
+    e, r, iso_e = np.array([(j.elapsed_time, j.remaining_steps,
+                             j.isolated_elapsed_time) for j in space.jobs]).T
+    X = isolated_allocation(T, len(ids))
+    thr = np.array([effective_throughput(i, X, T) for i in ids])
+    if thr.min() <= 0:
+        raise ZeroThroughputError(
+            f"job {ids[(thr <= 0).argmax()]}: isolated throughput is zero")
+    d = iso_e + r / thr
+    lam = float(((e + r / thr) / d).max())
+    for _ in range(FTF_MAX_ITERS):
+        w = 1.0 / (d * thr)
+        res = solve_lp(max_min_lp(space, dict(zip(ids, (w * (lam * d - e)).tolist())),
+                                  dict(zip(ids, (w * r).tolist()))))
+        if not res.optimal:
+            raise PolicyInfeasibleError(f"finish-time fairness LP returned {res.status}")
+        X_next = space.allocation(res.x)
+        thr_next = np.array([effective_throughput(i, X_next, T) for i in ids])
+        lam_next = float(((e + r / thr_next) / d).max()) if thr_next.min() > 0 else np.inf
+        done = lam - lam_next <= OPT_TOL * lam_next
+        if lam_next < lam:  # else the last allocation stays
+            X, thr, lam = X_next, thr_next, lam_next
+        if done:
+            return PolicyResult(X, lam)
+    raise IterationLimitError(
+        f"finish-time fairness did not converge in {FTF_MAX_ITERS} LPs")
 
 
 # ---------------------------------------------------------------------------

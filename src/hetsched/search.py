@@ -1,5 +1,5 @@
-"""Bisection driver for quasi-convex objectives and the linear-fractional
-reduction (Charnes-Cooper) used by ratio-maximizing policies."""
+"""The linear-fractional reduction (Charnes-Cooper) used by the cost
+policies, and a bisection driver that no policy calls any more."""
 
 from __future__ import annotations
 
@@ -28,6 +28,9 @@ class RatioUnboundedError(ValueError):
 
 def bisect(feasible, lo: float, hi: float):
     """Find the feasibility threshold of a monotone predicate.
+
+    No policy calls it; it stays while `bench/tracing.py` wraps the name
+    where `policies` binds it, and leaves with ROADMAP item 2.
 
     `feasible(v)` returns (bool, witness).  The predicate is infeasible below
     the answer and feasible above; the search returns the smallest feasible

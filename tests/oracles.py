@@ -21,7 +21,9 @@ per job (`reference_max_gain`), bottleneck detection by MILP alone
 (`reference_find_bottlenecks`), water filling's gain and screen LPs each
 from a cold phase 1 (`cold_max_gain`, `cold_screen_feasible`), its
 tightening LP built whole and solved cold (`reference_tighten_lp`), the LP
-that gives one job the whole cluster (`reference_standalone`) and the LP
+that gives one job the whole cluster (`reference_standalone`),
+finish-time fairness by bisection over its feasibility LP
+(`reference_ftf`, with `ftf_rho` to score an allocation) and the LP
 builders adding one row at a time (`reference_space_lp` and the
 `reference_*_lp` builders on top of it, `reference_charnes_cooper`,
 `reference_pinned`), with the
@@ -58,6 +60,7 @@ from hetsched.matrices import (PAIR_KEEP_THRESHOLD, ThroughputMatrix,
 from hetsched.mechanism import Assignment, PlacementError, RoundPlan
 from hetsched.milp import MixedIntegerProgram, solve_milp
 from hetsched.policies import PolicyError, ProblemSpace
+from hetsched.search import bisect
 from hetsched.traces import JobTemplate, colocation_factor
 from hetsched.waterfill import DELTA_FRACTION, TIGHTEN_SLACK
 
@@ -1012,10 +1015,10 @@ def reference_standalone(T, job: Job) -> SolveResult:
     sf = float(job.scale_factor)
     lp = LinearProgram(T.num_configs, T.thr[r, :, 0], maximize=True,
                        upper=np.where(T.feasible[r], np.inf, 0.0))
-    lp.add_constraint(np.ones(T.num_configs), Relation.LE, 1.0)
+    lp.add_rows([np.ones(T.num_configs)], [Relation.LE], [1.0])
     for t in T.cluster.types:
-        lp.add_constraint(np.where(T.type_of == t.id, sf, 0.0), Relation.LE,
-                          float(t.num_workers))
+        lp.add_rows([np.where(T.type_of == t.id, sf, 0.0)],
+                    [Relation.LE], [float(t.num_workers)])
     return solve_lp(lp)
 
 
@@ -1032,7 +1035,7 @@ def _cell_upper(space: ProblemSpace, extra: int = 0) -> np.ndarray:
 
 def _add_validity(lp: LinearProgram, space: ProblemSpace, extra: int = 0):
     for row, rhs in zip(space.validity, space.validity_rhs):
-        lp.add_constraint(np.concatenate([row, np.zeros(extra)]), Relation.LE, rhs)
+        lp.add_rows([np.concatenate([row, np.zeros(extra)])], [Relation.LE], [rhs])
 
 
 def reference_max_gain(space: ProblemSpace, thr_prev: dict, job_id: int) -> float:
@@ -1041,7 +1044,7 @@ def reference_max_gain(space: ProblemSpace, thr_prev: dict, job_id: int) -> floa
     lp = LinearProgram(space.n_cells, space.coeffs[job_id], maximize=True,
                        lower=np.zeros(space.n_cells), upper=_cell_upper(space))
     for j in space.jobs:
-        lp.add_constraint(space.coeffs[j.id], Relation.GE, thr_prev[j.id])
+        lp.add_rows([space.coeffs[j.id]], [Relation.GE], [thr_prev[j.id]])
     _add_validity(lp, space)
     res = solve_lp(lp)
     if not res.optimal:
@@ -1063,8 +1066,8 @@ def reference_bottleneck_lp(space: ProblemSpace, active: list,
     upper[space.n_cells:] = 1.0
     lp = LinearProgram(n, obj, maximize=True, lower=np.zeros(n), upper=upper)
     for j in space.jobs:
-        lp.add_constraint(np.concatenate([space.coeffs[j.id], np.zeros(n_z)]),
-                          Relation.GE, thr_prev[j.id])
+        lp.add_rows([np.concatenate([space.coeffs[j.id], np.zeros(n_z)])],
+                    [Relation.GE], [thr_prev[j.id]])
     for k, j in enumerate(active):
         Y = space.best[j.id]
         delta = DELTA_FRACTION * Y
@@ -1073,10 +1076,10 @@ def reference_bottleneck_lp(space: ProblemSpace, active: list,
         # previous throughput (combined with the carry row above).
         row = np.concatenate([space.coeffs[j.id], np.zeros(n_z)])
         row[z_col] = -(Y + delta)
-        lp.add_constraint(row, Relation.GE, thr_prev[j.id] - Y)
+        lp.add_rows([row], [Relation.GE], [thr_prev[j.id] - Y])
         row = np.concatenate([space.coeffs[j.id], np.zeros(n_z)])
         row[z_col] = -Y
-        lp.add_constraint(row, Relation.LE, thr_prev[j.id])
+        lp.add_rows([row], [Relation.LE], [thr_prev[j.id]])
     _add_validity(lp, space, extra=n_z)
     return lp
 
@@ -1146,7 +1149,7 @@ def cold_screen_feasible(space: ProblemSpace, active: list, thr_prev: dict,
 # The LP builders, one row at a time
 # ---------------------------------------------------------------------------
 # The library stacks each LP's rows in blocks.  These build the same LPs
-# with `add_constraint`, one row at a time, in the same order and with the
+# with `add_rows`, one row at a time, in the same order and with the
 # same float operations, so a test can require the two byte-identical.
 
 def reference_space_lp(space: ProblemSpace, objective, rows=(),
@@ -1163,8 +1166,8 @@ def reference_space_lp(space: ProblemSpace, objective, rows=(),
     validity = [(row, Relation.LE, rhs)
                 for row, rhs in zip(space.validity, space.validity_rhs)]
     for coeffs, rel, rhs in [*rows, *validity]:
-        lp.add_constraint(coeffs if len(coeffs) == n else np.append(coeffs, pad),
-                          rel, rhs)
+        lp.add_rows([coeffs if len(coeffs) == n else np.append(coeffs, pad)],
+                    [rel], [rhs])
     return lp
 
 
@@ -1178,16 +1181,65 @@ def reference_max_min_lp(space: ProblemSpace, scales: dict,
     return reference_space_lp(space, obj, rows, extra_lower=-np.inf)
 
 
-def reference_ftf_probe(space: ProblemSpace, lam: float) -> LinearProgram:
-    """Finish-time fairness's feasibility LP at ratio `lam`."""
+def _ftf_terms(space: ProblemSpace):
+    """Each job's elapsed time, remaining steps, isolated-share rate and
+    isolated finish time, as Python floats in `space.jobs` order."""
     Xiso = isolated_allocation(space.T, len(space.jobs))
-    rows = []
-    for j in space.jobs:
-        iso = effective_throughput(j.id, Xiso, space.T)
-        budget = lam * (j.isolated_elapsed_time + j.remaining_steps / iso) \
-            - j.elapsed_time
-        rows.append((space.coeffs[j.id], Relation.GE, j.remaining_steps / budget))
+    e = [j.elapsed_time for j in space.jobs]
+    r = [j.remaining_steps for j in space.jobs]
+    iso = [effective_throughput(j.id, Xiso, space.T) for j in space.jobs]
+    d = [j.isolated_elapsed_time + rj / t for j, rj, t in zip(space.jobs, r, iso)]
+    return e, r, iso, d
+
+
+def ftf_rho(space: ProblemSpace, X) -> float:
+    """max_j rho_j(X), the finish-time-fairness ratio of allocation X."""
+    e, r, _, d = _ftf_terms(space)
+    thr = [effective_throughput(j.id, X, space.T) for j in space.jobs]
+    return max((ej + rj / t) / dj for ej, rj, t, dj in zip(e, r, thr, d))
+
+
+def reference_ftf_probe(space: ProblemSpace, lam: float) -> LinearProgram:
+    """Finish-time fairness's feasibility LP at ratio `lam`: every job
+    finishes within its time budget lam d_j - e_j."""
+    e, r, _, d = _ftf_terms(space)
+    rows = [(space.coeffs[j.id], Relation.GE, rj / (lam * dj - ej))
+            for j, ej, rj, dj in zip(space.jobs, e, r, d)]
     return reference_space_lp(space, np.zeros(space.n_cells), rows)
+
+
+def reference_ftf(space: ProblemSpace):
+    """Finish-time fairness as the policy once solved it: `search.bisect`
+    over `reference_ftf_probe`, from just above the ratio at which some job's
+    time budget vanishes to just above the isolated allocation's ratio.
+    Returns the bisection's (upper bracket, allocation)."""
+    pad = 1e-9
+    e, r, iso, d = _ftf_terms(space)
+
+    def feasible(lam):
+        if min(lam * dj - ej for ej, dj in zip(e, d)) <= 0:
+            return False, None
+        res = solve_lp(reference_ftf_probe(space, lam))
+        return res.optimal, (space.allocation(res.x) if res.optimal else None)
+
+    lo = max(ej / dj for ej, dj in zip(e, d)) + pad
+    hi = max((ej + rj / t) / dj for ej, rj, t, dj in zip(e, r, iso, d)) + pad
+    return bisect(feasible, lo, hi)
+
+
+def reference_ftf_lp(space: ProblemSpace, X_prev) -> LinearProgram:
+    """The max-min LP finish-time fairness solves after allocation X_prev:
+    lam is X_prev's ratio, and job j's row is weighted by
+    w_j = 1 / (d_j thr_j(X_prev)), with scale w_j (lam d_j - e_j) and floor
+    w_j r_j."""
+    e, r, _, d = _ftf_terms(space)
+    thr = [effective_throughput(j.id, X_prev, space.T) for j in space.jobs]
+    lam = ftf_rho(space, X_prev)
+    w = [1.0 / (dj * t) for dj, t in zip(d, thr)]
+    return reference_max_min_lp(
+        space,
+        {j.id: wj * (lam * dj - ej) for j, wj, dj, ej in zip(space.jobs, w, d, e)},
+        {j.id: wj * rj for j, wj, rj in zip(space.jobs, w, r)})
 
 
 def reference_level_lp(space: ProblemSpace, weights: dict, t_prev: dict,
@@ -1200,8 +1252,8 @@ def reference_level_lp(space: ProblemSpace, weights: dict, t_prev: dict,
         {j.id: t_prev[j.id] / weights[j.id] for j in weighted})
     for j in space.jobs:
         if thr_prev[j.id] > 0:
-            lp.add_constraint(np.append(space.coeffs[j.id], 0.0), Relation.GE,
-                              thr_prev[j.id])
+            lp.add_rows([np.append(space.coeffs[j.id], 0.0)],
+                        [Relation.GE], [thr_prev[j.id]])
     return lp
 
 
@@ -1214,7 +1266,7 @@ def reference_level_pin_lp(space: ProblemSpace, weights: dict, t_prev: dict,
     lp.objective = np.append(np.full(space.n_cells, -1.0), 0.0)
     pin = np.zeros(space.n_cells + 1)
     pin[-1] = 1.0
-    lp.add_constraint(pin, Relation.GE, level - TIGHTEN_SLACK)
+    lp.add_rows([pin], [Relation.GE], [level - TIGHTEN_SLACK])
     return lp
 
 
@@ -1263,18 +1315,18 @@ def reference_charnes_cooper(lp: LinearProgram, den_coeffs) -> LinearProgram:
                        lower=np.concatenate([np.full(n, -np.inf), [0.0]]),
                        upper=np.full(n + 1, np.inf))
     for coeffs, rel, rhs in zip(lp.constraints, lp.relations, lp.rhs):
-        cc.add_constraint(np.concatenate([coeffs, [-rhs]]), rel, 0.0)
+        cc.add_rows([np.concatenate([coeffs, [-rhs]])], [rel], [0.0])
     for i in range(n):
         if np.isfinite(lp.upper[i]):
             row = np.zeros(n + 1)
             row[i], row[n] = 1.0, -lp.upper[i]
-            cc.add_constraint(row, Relation.LE, 0.0)
+            cc.add_rows([row], [Relation.LE], [0.0])
         if np.isfinite(lp.lower[i]):
             row = np.zeros(n + 1)
             row[i], row[n] = 1.0, -lp.lower[i]
-            cc.add_constraint(row, Relation.GE, 0.0)
-    cc.add_constraint(np.concatenate([np.asarray(den_coeffs, dtype=float), [0.0]]),
-                      Relation.EQ, 1.0)
+            cc.add_rows([row], [Relation.GE], [0.0])
+    cc.add_rows([np.concatenate([np.asarray(den_coeffs, dtype=float), [0.0]])],
+                [Relation.EQ], [1.0])
     return cc
 
 
@@ -1286,7 +1338,7 @@ def reference_pinned(lp: LinearProgram, fixed: dict) -> LinearProgram:
         lo[v] = hi[v] = float(val)
     node = LinearProgram(lp.num_vars, lp.objective, lp.maximize, lower=lo, upper=hi)
     for coeffs, rel, rhs in zip(lp.constraints, lp.relations, lp.rhs):
-        node.add_constraint(coeffs, rel, rhs)
+        node.add_rows([coeffs], [rel], [rhs])
     return node
 
 

@@ -1,5 +1,5 @@
 """The LP builders stack their rows in blocks; `tests/oracles.py` builds the
-same LPs one `add_constraint` at a time.  Every builder must give the same
+same LPs one row at a time.  Every builder must give the same
 LP, byte for byte: rows, relations, right-hand sides, bounds, objective and
 sense, on seeded `random_cells` matrices."""
 
@@ -12,13 +12,13 @@ import hetsched.policies
 import hetsched.search
 import hetsched.waterfill as waterfill
 from hetsched.jobs import Job
-from hetsched.lp import SolveResult, Status
-from hetsched.matrices import ThroughputMatrix
+from hetsched.lp import SolveResult, Status, solve_lp
+from hetsched.matrices import ThroughputMatrix, isolated_allocation
 from hetsched.milp import MixedIntegerProgram, _pinned
 from hetsched.policies import ProblemSpace, finish_time_fairness, max_min_lp
 from hetsched.search import maximize_ratio
 from oracles import (random_cells, reference_bottleneck_lp,
-                     reference_charnes_cooper, reference_ftf_probe,
+                     reference_charnes_cooper, reference_ftf_lp,
                      reference_gain_lp, reference_level_lp, reference_max_min_lp,
                      reference_level_pin_lp, reference_pinned,
                      reference_screen_lp, reference_space_lp)
@@ -116,7 +116,7 @@ class _Standardizing:
 
 
 def test_policy_builders_match_row_at_a_time(monkeypatch):
-    floors = carried = 0
+    floors = carried = iterated = 0
     for seed in range(120):
         rng = np.random.default_rng(3000 + seed)
         space = _space(rng)
@@ -132,24 +132,23 @@ def test_policy_builders_match_row_at_a_time(monkeypatch):
                        reference_max_min_lp(space, scales, lows))
         floors += bool(lows)
 
-        # Finish-time fairness: three probes, each checked at its ratio.
-        lams, solve = [], _Solved(Status.INFEASIBLE)
+        # Finish-time fairness: each LP is the max-min LP after the last
+        # allocation, the isolated one first.
+        lps, results = [], []
 
-        def probes(feasible, lo, hi):
-            for lam in (lo, 0.5 * (lo + hi), hi):
-                built = len(solve.seen)
-                feasible(lam)
-                if len(solve.seen) > built:
-                    lams.append(lam)
-            return hi, None
+        def solve(lp):
+            lps.append(lp)
+            results.append(solve_lp(lp))
+            return results[-1]
 
-        monkeypatch.setattr(hetsched.policies, "bisect", probes)
         monkeypatch.setattr(hetsched.policies, "solve_lp", solve)
         finish_time_fairness(space)
         monkeypatch.undo()
-        assert len(lams) == len(solve.seen) == 3
-        for lam, lp in zip(lams, solve.seen):
-            assert_same_lp(lp, reference_ftf_probe(space, lam))
+        allocations = [isolated_allocation(space.T, len(space.jobs))]
+        allocations += [space.allocation(res.x) for res in results[:-1]]
+        for lp, X_prev in zip(lps, allocations):
+            assert_same_lp(lp, reference_ftf_lp(space, X_prev))
+        iterated += len(lps) > 1
 
         # Water filling's level LP, then the same rows plus the pin row under
         # the tightening objective.
@@ -168,7 +167,7 @@ def test_policy_builders_match_row_at_a_time(monkeypatch):
                        reference_level_pin_lp(space, weights, t_prev, thr_prev,
                                               level))
         carried += any(v > 0 for v in thr_prev.values())
-    assert floors >= 80 and carried >= 80
+    assert floors >= 80 and carried >= 80 and iterated >= 80
 
 
 def test_bottleneck_builders_match_row_at_a_time(monkeypatch):

@@ -10,6 +10,7 @@ from click.testing import CliRunner
 
 import hetsched.cli
 import hetsched.lp
+import hetsched.policies
 import hetsched.waterfill
 from hetsched.cli import main
 from hetsched.cluster import make_cluster
@@ -197,6 +198,33 @@ class TestSolve:
         assert res.exit_code == 0, res.output
         assert "# LP: " in res.stderr and "subject to" in res.stderr
 
+    def test_dump_lp_prints_one_max_min_lp_per_ftf_iteration(self, runner,
+                                                             tmp_path, monkeypatch):
+        # Six cells, then lam as x6, maximized and free.
+        thr, jobs = write_three_job_instance(tmp_path)
+        solved = []
+        solve = hetsched.policies.solve_lp
+        monkeypatch.setattr(hetsched.policies, "solve_lp",
+                            lambda lp: solved.append(lp) or solve(lp))
+        res = runner.invoke(main, ["--out", str(tmp_path), "--dump-lp", "solve",
+                                   "--policy", "ftf", "--throughputs", str(thr),
+                                   "--jobs", str(jobs)])
+        assert res.exit_code == 0, res.output
+        lps = res.stderr.split("# LP: ")[1:]
+        assert len(lps) == len(solved) >= 2
+        for text in lps:
+            assert "\nmaximize  +1*x6\n" in text and "\n  -inf <= x6 <= inf" in text
+
+    def test_ftf_iteration_limit_exit_code(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setattr(hetsched.policies, "FTF_MAX_ITERS", 1)
+        thr, jobs = write_three_job_instance(tmp_path)
+        res = runner.invoke(main, ["--out", str(tmp_path), "solve",
+                                   "--policy", "ftf", "--throughputs", str(thr),
+                                   "--jobs", str(jobs)])
+        assert res.exit_code == 3, res.output
+        assert "error:" in res.output and "did not converge in 1 LPs" in res.output
+        assert "Traceback" not in res.output
+
     def test_dump_lp_shows_warm_bottleneck_lps_as_built_cold(self, runner, tmp_path,
                                                             monkeypatch):
         # The gain and screen LPs restart from a basis rather than being
@@ -337,6 +365,20 @@ class TestSolve:
             '"entities": [{"id": 0, "weight": %s}]}' % (job_field, entity_weight))
         res = runner.invoke(main, ["--out", str(tmp_path), "solve",
                                    "--policy", policy, "--throughputs", str(thr),
+                                   "--jobs", str(jobs)])
+        assert res.exit_code == 2, res.output
+        assert "error:" in res.output and named in res.output
+        assert "Traceback" not in res.output
+
+    @pytest.mark.parametrize("job_field, named", [
+        ('"num_steps": 2.5', "num_steps must be a whole number >= 1, not 2.5"),
+        ('"scale_factor": 1.5', "scale_factor must be a whole number >= 1, not 1.5"),
+    ], ids=["fractional-steps", "fractional-scale"])
+    def test_non_whole_number_exit_code(self, runner, tmp_path, job_field, named):
+        thr, jobs = write_three_job_instance(tmp_path)
+        jobs.write_text('[{"id": 0, %s}, {"id": 1}, {"id": 2}]' % job_field)
+        res = runner.invoke(main, ["--out", str(tmp_path), "solve",
+                                   "--policy", "las", "--throughputs", str(thr),
                                    "--jobs", str(jobs)])
         assert res.exit_code == 2, res.output
         assert "error:" in res.output and named in res.output
@@ -559,6 +601,26 @@ class TestSimulate:
         assert res.exit_code == 2, res.output
         assert f"error: trace entry 2: job 1: {named}" in res.output
         assert "Traceback" not in res.output
+
+    @pytest.mark.parametrize("field, value, named", [
+        ("num_steps", 2.5, "num_steps must be a whole number >= 1, not 2.5"),
+        ("num_steps", float("inf"), "num_steps must be a whole number >= 1"),
+        ("num_steps", float("nan"), "num_steps must be a whole number >= 1"),
+        ("scale_factor", 1.5, "scale_factor must be a whole number >= 1, not 1.5"),
+    ], ids=["fractional-steps", "infinite-steps", "nan-steps", "fractional-scale"])
+    def test_non_whole_trace_entry_exit_code(self, runner, tmp_path, field, value,
+                                             named):
+        # JSON's 1e400 reads as infinity.
+        trace = tmp_path / "trace.jsonl"
+        Trace([TraceEntry(0.0, "model-00", 10),
+               dataclasses.replace(TraceEntry(0.0, "model-01", 10), **{field: value})],
+              "static", 0).save(trace)
+        res = runner.invoke(main, ["--out", str(tmp_path), "simulate",
+                                   "--policy", "las", "--trace", str(trace)])
+        assert res.exit_code == 2, res.output
+        assert f"error: trace entry 2: job 1: {named}" in res.output
+        assert "Traceback" not in res.output
+        assert list(tmp_path.glob("metrics_*")) == []
 
     def test_unknown_template_exit_code(self, runner, tmp_path):
         trace = tmp_path / "trace.jsonl"

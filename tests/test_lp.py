@@ -27,8 +27,7 @@ def test_one_variable_box():
 
 def test_infeasible_system():
     lp = LinearProgram(1, [1.0], maximize=True)
-    lp.add_constraint([1.0], "<=", 0.0)
-    lp.add_constraint([1.0], ">=", 1.0)
+    lp.add_rows([[1.0], [1.0]], ["<=", ">="], [0.0, 1.0])
     assert solve_lp(lp).status is Status.INFEASIBLE
 
 
@@ -39,7 +38,7 @@ def test_unbounded():
 
 def test_minimization_and_equality():
     lp = LinearProgram(2, [1.0, 2.0], maximize=False)
-    lp.add_constraint([1.0, 1.0], "=", 4.0)
+    lp.add_rows([[1.0, 1.0]], ["="], [4.0])
     res = solve_lp(lp)
     assert res.optimal
     assert res.objective_value == pytest.approx(4.0, abs=1e-7)
@@ -49,7 +48,7 @@ def test_minimization_and_equality():
 def test_free_variable():
     lp = LinearProgram(1, [1.0], maximize=False,
                        lower=np.array([-np.inf]))
-    lp.add_constraint([1.0], ">=", -3.0)
+    lp.add_rows([[1.0]], [">="], [-3.0])
     res = solve_lp(lp)
     assert res.optimal
     assert res.objective_value == pytest.approx(-3.0, abs=1e-7)
@@ -58,7 +57,7 @@ def test_free_variable():
 def test_fixed_variable_elimination():
     lp = LinearProgram(2, [1.0, 1.0], maximize=True,
                        lower=np.array([0.5, 0.0]), upper=np.array([0.5, 2.0]))
-    lp.add_constraint([1.0, 1.0], "<=", 2.0)
+    lp.add_rows([[1.0, 1.0]], ["<="], [2.0])
     res = solve_lp(lp)
     assert res.optimal
     assert res.x[0] == pytest.approx(0.5)
@@ -68,30 +67,30 @@ def test_fixed_variable_elimination():
 def test_all_fixed_with_equality_row():
     # Phase 1 drops the equality row, which leaves phase 2 nothing to price.
     lp = LinearProgram(1, [1.0], lower=np.array([1.0]), upper=np.array([1.0]))
-    lp.add_constraint([1.0], "=", 1.0)
+    lp.add_rows([[1.0]], ["="], [1.0])
     res = solve_lp(lp)
     assert res.optimal and res.x[0] == 1.0 and res.objective_value == 1.0
     lp = LinearProgram(2, [1.0, 1.0], lower=np.array([1.0, 0.0]),
                        upper=np.array([1.0, np.inf]))
-    lp.add_constraint([1.0, 0.0], "=", 1.0)
+    lp.add_rows([[1.0, 0.0]], ["="], [1.0])
     assert solve_lp(lp).status is Status.UNBOUNDED
     lp = LinearProgram(1, [1.0], lower=np.array([1.0]), upper=np.array([1.0]))
-    lp.add_constraint([1.0], "=", 2.0)
+    lp.add_rows([[1.0]], ["="], [2.0])
     assert solve_lp(lp).status is Status.INFEASIBLE
 
 
 def test_dimension_mismatch():
     lp = LinearProgram(2, [1.0, 1.0])
     with pytest.raises(DimensionError):
-        lp.add_constraint([1.0], "<=", 1.0)
+        lp.add_rows([[1.0]], ["<="], [1.0])
 
 
 def test_degenerate_cycling_guard():
     # Classic Beale-style degeneracy: must terminate at the optimum.
     lp = LinearProgram(4, [-0.75, 150.0, -0.02, 6.0], maximize=False)
-    lp.add_constraint([0.25, -60.0, -1.0 / 25.0, 9.0], "<=", 0.0)
-    lp.add_constraint([0.5, -90.0, -1.0 / 50.0, 3.0], "<=", 0.0)
-    lp.add_constraint([0.0, 0.0, 1.0, 0.0], "<=", 1.0)
+    lp.add_rows([[0.25, -60.0, -1.0 / 25.0, 9.0],
+                 [0.5, -90.0, -1.0 / 50.0, 3.0],
+                 [0.0, 0.0, 1.0, 0.0]], ["<="] * 3, [0.0, 0.0, 1.0])
     res = solve_lp(lp)
     assert res.optimal
     assert res.objective_value == pytest.approx(-0.05, abs=1e-7)
@@ -119,7 +118,7 @@ def test_matches_grid_oracle_on_random_boxes(data):
     rhs = [float(rng.uniform(0.2, 2.0)) for _ in range(n_rows)]
     lp = LinearProgram(n, c, maximize=True, upper=np.ones(n))
     for row, b in zip(rows, rhs):
-        lp.add_constraint(row, "<=", b)
+        lp.add_rows([row], ["<="], [b])
     res = solve_lp(lp)
     assert res.optimal
     best = _grid_best(c, rows, rhs, n)
@@ -140,8 +139,8 @@ def test_solution_feasible_and_consistent(data):
     c = rng.uniform(-1, 1, size=n)
     lp = LinearProgram(n, c, maximize=True, upper=np.ones(n))
     for _ in range(data.draw(st.integers(1, 3))):
-        lp.add_constraint(rng.uniform(0, 1, size=n), Relation.LE,
-                          float(rng.uniform(0.5, 2)))
+        lp.add_rows([rng.uniform(0, 1, size=n)],
+                    [Relation.LE], [float(rng.uniform(0.5, 2))])
     res = solve_lp(lp)
     assert res.optimal
     for coeffs, rel, rhs in zip(lp.constraints, lp.relations, lp.rhs):
@@ -153,7 +152,7 @@ def test_solution_feasible_and_consistent(data):
 
 def test_dump_format():
     lp = LinearProgram(2, [1.0, 0.0], maximize=True, upper=np.array([1.0, 2.0]))
-    lp.add_constraint([1.0, 1.0], "<=", 1.5)
+    lp.add_rows([[1.0, 1.0]], ["<="], [1.5])
     text = lp.dump()
     assert "maximize" in text and "<=" in text and "x0" in text
 
@@ -200,7 +199,7 @@ def _random_lp(rng) -> LinearProgram:
                        lower=lower, upper=upper)
     for row, rel, b in zip(coeffs, rng.choice(["<=", ">=", "="], size=m,
                                               p=[0.55, 0.3, 0.15]), rhs):
-        lp.add_constraint(row, rel, b)
+        lp.add_rows([row], [rel], [b])
     return lp
 
 
@@ -229,22 +228,22 @@ def _bottleneck_relaxation(rng) -> LinearProgram:
     for j in range(jobs):
         row = np.zeros(n)
         row[j * types:(j + 1) * types] = thr[j]
-        lp.add_constraint(row, ">=", prev[j])
+        lp.add_rows([row], [">="], [prev[j]])
         big = row.max() if row.max() > 0 else 1.0
         up = row.copy()
         up[cells + j] = -(big + 0.1 * big)
-        lp.add_constraint(up, ">=", prev[j] - big)
+        lp.add_rows([up], [">="], [prev[j] - big])
         cap = row.copy()
         cap[cells + j] = -big
-        lp.add_constraint(cap, "<=", prev[j])
+        lp.add_rows([cap], ["<="], [prev[j]])
     for j in range(jobs):
         row = np.zeros(n)
         row[j * types:(j + 1) * types] = 1.0
-        lp.add_constraint(row, "<=", 1.0)
+        lp.add_rows([row], ["<="], [1.0])
     for t in range(types):
         row = np.zeros(n)
         row[t:cells:types] = 1.0
-        lp.add_constraint(row, "<=", workers[t])
+        lp.add_rows([row], ["<="], [workers[t]])
     return lp
 
 
@@ -506,9 +505,8 @@ def test_solve_lp_each_runs_phase_one_once(monkeypatch):
 
     monkeypatch.setattr(hetsched.lp, "_simplex", spy)
     lp = LinearProgram(3, np.zeros(3), maximize=True)
-    lp.add_constraint([1.0, 1.0, 1.0], Relation.LE, 4.0)
-    lp.add_constraint([1.0, 2.0, 0.0], Relation.GE, 1.0)
-    lp.add_constraint([0.0, 1.0, -1.0], Relation.EQ, 0.5)
+    lp.add_rows([[1.0, 1.0, 1.0], [1.0, 2.0, 0.0], [0.0, 1.0, -1.0]],
+                [Relation.LE, Relation.GE, Relation.EQ], [4.0, 1.0, 0.5])
     objectives = [np.eye(3)[i] for i in range(3)] + [np.ones(3)]
     each = solve_lp_each(lp, objectives)
     assert all(res.optimal for res in each)
@@ -730,14 +728,13 @@ def test_dual_start_rejects_equality_rows():
     once it drops a dependent equality row; an appended row needs a slack,
     so an equality row is refused there."""
     lp = LinearProgram(2, np.zeros(2))
-    lp.add_constraint([1.0, 1.0], Relation.EQ, 1.0)
-    lp.add_constraint([2.0, 2.0], Relation.EQ, 2.0)
+    lp.add_rows([[1.0, 1.0], [2.0, 2.0]], [Relation.EQ] * 2, [1.0, 2.0])
     prob = hetsched.lp._Standardized(lp)
     assert prob.phase_one() and prob.dropped
     with pytest.raises(ValueError, match="equality"):
         prob.restart([1.0, 2.0])
     lp = LinearProgram(2, np.zeros(2))
-    lp.add_constraint([1.0, 1.0], Relation.LE, 1.0)
+    lp.add_rows([[1.0, 1.0]], [Relation.LE], [1.0])
     prob = hetsched.lp._Standardized(lp)
     assert prob.phase_one()
     with pytest.raises(ValueError, match="equality"):
@@ -746,7 +743,7 @@ def test_dual_start_rejects_equality_rows():
 
 def test_dual_simplex_iteration_limit_is_typed(monkeypatch):
     lp = LinearProgram(2, np.zeros(2))
-    lp.add_constraint([1.0, 1.0], Relation.GE, 1.0)
+    lp.add_rows([[1.0, 1.0]], [Relation.GE], [1.0])
     prob = hetsched.lp._Standardized(lp)
     assert prob.phase_one()
     monkeypatch.setattr(hetsched.lp, "MAX_ITER_BASE", 0)

@@ -30,7 +30,7 @@ def enumerate_oracle(lp: LinearProgram, binaries):
 
 def test_tie_break_lexicographic():
     lp = LinearProgram(2, [1.0, 1.0], maximize=True)
-    lp.add_constraint([1.0, 1.0], "<=", 1.0)
+    lp.add_rows([[1.0, 1.0]], ["<="], [1.0])
     res = solve_milp(MixedIntegerProgram(lp, {0, 1}))
     assert res.objective_value == pytest.approx(1.0)
     assert tuple(round(v) for v in res.x) == (0, 1)
@@ -38,7 +38,7 @@ def test_tie_break_lexicographic():
 
 def test_integral_relaxation_matches_lp():
     lp = LinearProgram(2, [1.0, 2.0], maximize=True, upper=np.ones(2))
-    lp.add_constraint([1.0, 0.0], "<=", 1.0)
+    lp.add_rows([[1.0, 0.0]], ["<="], [1.0])
     lp_res = solve_lp(lp)
     milp_res = solve_milp(MixedIntegerProgram(lp, {0, 1}))
     assert milp_res.objective_value == pytest.approx(lp_res.objective_value)
@@ -46,7 +46,7 @@ def test_integral_relaxation_matches_lp():
 
 def test_infeasible():
     lp = LinearProgram(2, [1.0, 1.0], maximize=True)
-    lp.add_constraint([1.0, 1.0], ">=", 3.0)  # binaries cap the sum at 2
+    lp.add_rows([[1.0, 1.0]], [">="], [3.0])  # binaries cap the sum at 2
     res = solve_milp(MixedIntegerProgram(lp, {0, 1}))
     assert res.status is Status.INFEASIBLE
 
@@ -54,7 +54,7 @@ def test_infeasible():
 def test_mixed_continuous_binary():
     lp = LinearProgram(3, [1.0, 1.0, 0.5], maximize=True,
                        upper=np.array([1.0, 1.0, 2.0]))
-    lp.add_constraint([1.0, 1.0, 1.0], "<=", 2.5)
+    lp.add_rows([[1.0, 1.0, 1.0]], ["<="], [2.5])
     res = solve_milp(MixedIntegerProgram(lp, {0, 1}))
     assert res.objective_value == pytest.approx(2.25)
     assert res.x[2] == pytest.approx(0.5)
@@ -69,8 +69,8 @@ def test_matches_enumeration_on_random_instances():
         c = rng.uniform(-2, 2, size=n)
         lp = LinearProgram(n, c, maximize=True, upper=np.ones(n))
         for _ in range(int(rng.integers(1, 4))):
-            lp.add_constraint(rng.uniform(-1, 2, size=n), "<=",
-                              float(rng.uniform(0.5, 2.5)))
+            lp.add_rows([rng.uniform(-1, 2, size=n)],
+                        ["<="], [float(rng.uniform(0.5, 2.5))])
         binaries = list(range(n_bin))
         res = solve_milp(MixedIntegerProgram(lp, set(binaries)))
         best = enumerate_oracle(lp, binaries)
@@ -87,7 +87,7 @@ def test_node_limit_raises(monkeypatch):
     # The root relaxation is fractional, (1, 0.5), so the search needs more
     # than one node; past the limit it must not return its incumbent.
     lp = LinearProgram(2, [1.0, 1.0], maximize=True)
-    lp.add_constraint([2.0, 2.0], "<=", 3.0)
+    lp.add_rows([[2.0, 2.0]], ["<="], [3.0])
     mip = MixedIntegerProgram(lp, {0, 1})
     assert solve_milp(mip).objective_value == pytest.approx(1.0)
     monkeypatch.setattr(hetsched.milp, "NODE_LIMIT", 1)

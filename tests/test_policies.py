@@ -6,11 +6,12 @@ import pytest
 import hetsched.policies
 from hetsched.cluster import make_cluster
 from hetsched.jobs import Entity, Job, JobCombination
-from hetsched.lp import OPT_TOL
+from hetsched.lp import OPT_TOL, SolveResult, Status, solve_lp
 from hetsched.matrices import (AllocationMatrix, ThroughputMatrix,
                                effective_throughput, equal_share_allocation,
                                isolated_allocation)
-from hetsched.policies import (InfeasibleSloError, PolicyError, PolicySpec,
+from hetsched.policies import (InfeasibleSloError, PolicyError,
+                               PolicyInfeasibleError, PolicySpec,
                                PolicyKind, ProblemSpace, ZeroThroughputError,
                                _runnable, fastest_cell, fifo,
                                finish_time_fairness, max_min_fairness,
@@ -18,8 +19,9 @@ from hetsched.policies import (InfeasibleSloError, PolicyError, PolicySpec,
                                min_makespan, parse_policy, shortest_job_first,
                                solve_policy)
 
-from oracles import (OracleInstance, oracle_ftf, oracle_las, oracle_makespan,
-                     random_cells, reference_standalone)
+from oracles import (OracleInstance, ftf_rho, oracle_ftf, oracle_las,
+                     oracle_makespan, random_cells, random_instance,
+                     reference_ftf, reference_standalone)
 
 
 def singles(cluster, T_rows):
@@ -279,6 +281,64 @@ class TestFtf:
                     for i in range(2)]
             rho = finish_time_fairness(ProblemSpace(jobs, T)).objective
             assert rho == pytest.approx(oracle_ftf(inst), rel=0.01)
+
+    def test_keeps_the_last_allocation_when_an_lp_does_not_lower_rho(
+            self, three_job_instance, monkeypatch):
+        # The second LP's answer starves every job, so its rho is infinite.
+        cluster, T, jobs = three_job_instance
+        space = ProblemSpace(jobs, T)
+        solved = []
+
+        def solve(lp):
+            res = solve_lp(lp) if not solved else SolveResult(
+                Status.OPTIMAL, np.zeros(lp.num_vars), 0.0)
+            solved.append(res)
+            return res
+
+        monkeypatch.setattr(hetsched.policies, "solve_lp", solve)
+        res = finish_time_fairness(space)
+        first = space.allocation(solved[0].x)
+        assert len(solved) == 2
+        assert res.allocation.values.tobytes() == first.values.tobytes()
+        assert res.objective == ftf_rho(space, first) < np.inf
+
+    def test_non_optimal_lp_raises(self, three_job_instance, monkeypatch):
+        cluster, T, jobs = three_job_instance
+        monkeypatch.setattr(hetsched.policies, "solve_lp",
+                            lambda lp: SolveResult(Status.INFEASIBLE))
+        with pytest.raises(PolicyInfeasibleError, match="finish-time fairness"):
+            finish_time_fairness(ProblemSpace(jobs, T))
+
+    def test_small_ratio_matches_grid_oracle(self):
+        # rho* is about 0.011, where a bisection that stops at an absolute
+        # width of 1e-3 can answer 9% high.
+        inst = OracleInstance(T=np.array([[4.0, 1.0], [3.0, 1.0]]),
+                              steps=np.array([1000.0, 1000.0]), weights=np.ones(2),
+                              elapsed=np.zeros(2), iso_elapsed=np.full(2, 40000.0))
+        T = singles(make_cluster({"A": 1, "B": 1}), inst.T.tolist())
+        jobs = [Job(id=i, num_steps=1000, isolated_elapsed_time=40000.0)
+                for i in range(2)]
+        rho = finish_time_fairness(ProblemSpace(jobs, T)).objective
+        assert rho == pytest.approx(oracle_ftf(inst), rel=1e-3)
+
+    def test_at_most_the_bisection(self):
+        # Up to 4 jobs on up to 3 types, half with history; the bisection
+        # (`reference_ftf`) returns the upper end of its last bracket.
+        rng = np.random.default_rng(26)
+        for i in range(600):
+            inst = random_instance(rng, max_jobs=4, max_types=3,
+                                   with_history=(i % 2 == 0))
+            T = singles(make_cluster({chr(65 + t): 1 for t in range(inst.num_types)}),
+                        inst.T.tolist())
+            space = ProblemSpace([
+                Job(id=m, num_steps=int(inst.steps[m]),
+                    elapsed_time=float(inst.elapsed[m]),
+                    isolated_elapsed_time=float(inst.iso_elapsed[m]))
+                for m in range(inst.num_jobs)], T)
+            res = finish_time_fairness(space)
+            res.allocation.validate(space.by_id)
+            assert res.objective == ftf_rho(space, res.allocation)
+            assert res.objective <= reference_ftf(space)[0]
 
 
 class TestCost:
