@@ -199,9 +199,6 @@ class OnlineEstimates:
 
     values: dict = field(default_factory=dict)
 
-    def get(self, key) -> float | None:
-        return self.values.get(key)
-
     def observe(self, key, measured: float):
         if key not in self.values:
             self.values[key] = float(measured)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 
@@ -35,6 +36,13 @@ class Job:
     isolated_elapsed_time: float = 0.0
 
     def __post_init__(self):
+        for name in ("num_steps", "steps_done", "scale_factor", "weight",
+                     "slo_seconds", "arrival_time", "elapsed_time",
+                     "isolated_elapsed_time", "entity_id"):
+            v = getattr(self, name)
+            if not (isinstance(v, numbers.Real)
+                    or v is None and name in ("slo_seconds", "entity_id")):
+                raise ValueError(f"job {self.id}: {name} must be a number, not {v!r}")
         for name in ("weight", "steps_done", "arrival_time", "elapsed_time",
                      "isolated_elapsed_time"):
             if not math.isfinite(getattr(self, name)):

@@ -10,8 +10,9 @@ per decision, and returns a `PolicyResult`; `solve_policy` finds it in
 builds every LP over the cells from row blocks, (coeffs, relations, rhs)
 triples whose coeffs stack the block's rows.  Max-min objectives
 (max-min fairness, min-makespan and the water-filling level) are compiled to
-one epigraph LP by `max_min_lp`, and finish-time fairness iterates the same
-builder; the cost policies reduce a linear-fractional objective to one LP.
+one epigraph LP by `max_min_lp`.  Finish-time fairness iterates the same
+builder, and the cost policies maximize their linear-fractional objective by
+Dinkelbach's iteration over `ProblemSpace.lp`.
 Shortest job first and the SLO rates solve no LP: a job alone on the
 cluster runs on its fastest singleton cell (`fastest_cell`).
 """
@@ -31,13 +32,14 @@ from .matrices import (AllocationMatrix, ThroughputMatrix,
                        equal_share_allocation, effective_throughput,
                        inorder_sum, isolated_allocation, row_workers)
 # bench/tracing.py wraps `bisect` where this module binds it.
-from .search import RatioUnboundedError, bisect, maximize_ratio  # noqa: F401
+from .search import bisect  # noqa: F401
 
 # SJF switches to a job only when it finishes this many seconds sooner, so
 # exact ties go to the job listed first.
 SJF_TIE_TOL = 1e-12
-# Finish-time fairness raises IterationLimitError after this many LPs.
-FTF_MAX_ITERS = 50
+# Finish-time fairness and the cost policies raise IterationLimitError
+# after this many LPs of their parametric iteration.
+MAX_PARAMETRIC_ITERS = 50
 # An SLO is unattainable when the rate it needs exceeds the job's best
 # standalone rate by more than this.
 SLO_RATE_TOL = 1e-9
@@ -391,7 +393,7 @@ def finish_time_fairness(space: ProblemSpace) -> PolicyResult:
             f"job {ids[(thr <= 0).argmax()]}: isolated throughput is zero")
     d = iso_e + r / thr
     lam = float(((e + r / thr) / d).max())
-    for _ in range(FTF_MAX_ITERS):
+    for _ in range(MAX_PARAMETRIC_ITERS):
         w = 1.0 / (d * thr)
         res = solve_lp(max_min_lp(space, dict(zip(ids, (w * (lam * d - e)).tolist())),
                                   dict(zip(ids, (w * r).tolist()))))
@@ -406,7 +408,7 @@ def finish_time_fairness(space: ProblemSpace) -> PolicyResult:
         if done:
             return PolicyResult(X, lam)
     raise IterationLimitError(
-        f"finish-time fairness did not converge in {FTF_MAX_ITERS} LPs")
+        f"finish-time fairness did not converge in {MAX_PARAMETRIC_ITERS} LPs")
 
 
 # ---------------------------------------------------------------------------
@@ -446,35 +448,48 @@ def min_cost_slo(space: ProblemSpace) -> PolicyResult:
 
 def _max_steps_per_dollar(space: ProblemSpace, required: dict,
                           violations: list) -> PolicyResult:
-    """The cost ratio LP over the validity rows, then a row holding the job
-    at each index of `space.jobs` in `required` at or above its rate there.
+    """Maximize steps per dollar, num(X) / den(X), over the validity rows
+    and a row holding the job at each index of `space.jobs` in `required`
+    at or above its rate there; the objective is the result's ratio.
 
     The denominator charges each cell cost_j * scale_factor once per
     combination row, so a colocated pair is billed for one worker set, not
-    two.
+    two.  By Dinkelbach's iteration (1967), each LP from ratio 0 maximizes
+    num - ratio * den over those rows, and its optimum's ratio is the next.
+    It stops once the ratio rises by no more than `OPT_TOL` relative,
+    keeping the last allocation that raised it.  An optimum with steps at no
+    cost leaves the ratio unbounded: the result then maximizes throughput
+    over the zero-cost cells alone, with objective inf.
     """
     T = space.T
-    num = np.zeros(space.n_cells)
-    for j in space.jobs:
-        num += space.coeffs[j.id]
+    num = space.thr_rows.sum(axis=0)
     den = np.outer(space.row_sf, [T.cluster.types[cfg.type_id].cost_per_hour
                                   for cfg in T.configs]).ravel()
     lp = space.lp(num)
     lp.add_rows(space.thr_rows[list(required)], [Relation.GE] * len(required),
                 list(required.values()))
-    try:
-        res = maximize_ratio(lp, den)
-    except RatioUnboundedError:
-        # A zero-cost configuration can absorb all work: fall back to
-        # maximizing throughput over the free cells only.
-        res = solve_lp(replace(lp, upper=np.where(den <= 0, lp.upper, 0.0)))
+    ratio, X = 0.0, None
+    for _ in range(MAX_PARAMETRIC_ITERS):
+        res = solve_lp(replace(lp, objective=num - ratio * den))
         if not res.optimal:
-            raise PolicyInfeasibleError(
-                "cost ratio unbounded but zero-cost restriction unsolvable")
-        return PolicyResult(space.allocation(res.x), float("inf"), violations)
-    if not res.optimal:
-        raise PolicyInfeasibleError(f"cost LP returned {res.status}")
-    return PolicyResult(space.allocation(res.x), res.objective_value, violations)
+            raise PolicyInfeasibleError(f"cost LP returned {res.status}")
+        X_next = space.allocation(res.x)
+        x = X_next.values.ravel()
+        steps, dollars = float(num @ x), float(den @ x)
+        if dollars <= 0 < steps:
+            free = replace(lp, upper=np.where(den <= 0, lp.upper, 0.0))
+            return PolicyResult(_solve("zero-cost", free, space).allocation,
+                                float("inf"), violations)
+        # An optimum that costs nothing and runs nothing has value 0, so no
+        # allocation beats `ratio`.
+        ratio_next = steps / dollars if dollars > 0 else ratio
+        done = ratio_next - ratio <= OPT_TOL * ratio_next
+        if X is None or ratio_next > ratio:
+            X, ratio = X_next, ratio_next
+        if done:
+            return PolicyResult(X, ratio, violations)
+    raise IterationLimitError(
+        f"min cost did not converge in {MAX_PARAMETRIC_ITERS} LPs")
 
 
 # ---------------------------------------------------------------------------

@@ -165,7 +165,10 @@ class Simulation:
         # Job ids are positions in arrival order, as `run` assigns them.
         most = max((t.num_workers for t in config.cluster.types), default=0)
         entries = trace.entries
-        order = sorted(range(len(entries)), key=lambda n: entries[n].arrival_time)
+        try:
+            order = sorted(range(len(entries)), key=lambda n: entries[n].arrival_time)
+        except TypeError:  # an arrival time is no number; `_job_of` names it
+            order = range(len(entries))
         jobs = []
         for i, n in enumerate(order):
             try:

@@ -25,16 +25,16 @@ that gives one job the whole cluster (`reference_standalone`),
 finish-time fairness by bisection over its feasibility LP
 (`reference_ftf`, with `ftf_rho` to score an allocation) and the LP
 builders adding one row at a time (`reference_space_lp` and the
-`reference_*_lp` builders on top of it, `reference_charnes_cooper`,
-`reference_pinned`), with the
-seeded matrices (`random_cells`) on which they are compared.  The round
-mechanism as it was before it compiled each decision is kept too: a ledger
-with one dict entry per combination (`ReferenceLedger`), priorities, round
-planning, placement and settling rebuilt from the matrix every round
-(`reference_priorities`, `reference_plan_round`, `reference_place`,
-`reference_settle_round`), and `reference_mechanism` to bind them in the
-simulator.  It also
-writes throughput-matrix files as the CLI reads them (`matrix_doc`) and
+`reference_*_lp` builders on top of it, `reference_pinned`), with the
+seeded matrices (`random_cells`, priced by `random_costs`) on which they
+are compared.  So is the cost policies' ratio as they once maximized it, by
+the Charnes-Cooper transformation into one LP (`reference_maximize_ratio`).
+The round mechanism as it was before it compiled each decision is kept too:
+a ledger with one dict entry per combination (`ReferenceLedger`),
+priorities, round planning, placement and settling rebuilt from the matrix
+every round (`reference_priorities`, `reference_plan_round`,
+`reference_place`, `reference_settle_round`), and `reference_mechanism` to
+bind them in the simulator.  It also writes throughput-matrix files as the CLI reads them (`matrix_doc`) and
 generates the template catalog the package ships (`make_template_catalog`).
 """
 
@@ -42,12 +42,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import accumulate
 
 import numpy as np
 
-from hetsched.cluster import make_cluster
+from hetsched.cluster import ClusterSpec, make_cluster
 from hetsched.estimator import (DEFAULT_ITERS, DEFAULT_RANK, DEFAULT_REG,
                                 CompletionError)
 from hetsched.jobs import Job, JobCombination
@@ -816,6 +816,17 @@ def random_cells(rng: np.random.Generator):
     return cluster, rows, cells, jobs
 
 
+def random_costs(rng: np.random.Generator, cluster: ClusterSpec) -> ClusterSpec:
+    """`cluster` with each type's cost per hour drawn from [0.5, 4], and in
+    about one draw in five one type free."""
+    costs = [round(float(rng.uniform(0.5, 4.0)), 2) for _ in cluster.types]
+    if rng.random() < 0.2:
+        costs[int(rng.integers(len(costs)))] = 0.0
+    return ClusterSpec(tuple(replace(t, cost_per_hour=c)
+                             for t, c in zip(cluster.types, costs)),
+                       cluster.placement_aware)
+
+
 class CellMatrix:
     """A throughput matrix as nested cells, walked one cell at a time:
     cells[r][c] is a tuple of per-member rates, or None where combination r
@@ -950,7 +961,7 @@ def reference_pair_factor(sim, a, b) -> float:
     """Normalized throughput of state a when colocated with state b in
     simulation `sim`: an online-observed value, else the estimated
     reference factor, else the true colocation factor."""
-    observed = sim.estimates.get((a.job.id, b.job.id))
+    observed = sim.estimates.values.get((a.job.id, b.job.id))
     if observed is not None:
         return observed
     if sim.refs is not None and a.match is not None and b.match is not None:
@@ -1306,28 +1317,62 @@ def reference_screen_lp(space: ProblemSpace, active: list, thr_prev: dict,
                               _carry_triples(space, thr_prev) + extra)
 
 
-def reference_charnes_cooper(lp: LinearProgram, den_coeffs) -> LinearProgram:
-    """`search.maximize_ratio`'s LP over (y, t): each row a'x (rel) b as
-    a'y - b t (rel) 0, each variable's upper row and then its lower row
-    where finite, then den'y = 1."""
+class RatioUnboundedError(ValueError):
+    """The denominator can reach zero with positive numerator: the ratio has
+    no finite maximum."""
+
+
+# A Charnes-Cooper scale t at or below this means the ratio's maximum is
+# approached only in the limit, not attained.
+RATIO_T_TOL = 1e-9
+
+
+def reference_maximize_ratio(lp: LinearProgram, den_coeffs) -> SolveResult:
+    """Maximize lp.objective'x / den'x over the LP's feasible set.
+
+    Uses the Charnes-Cooper substitution y = t*x, den'y = 1,
+    t >= 0, which turns the linear-fractional program into a single LP.  The
+    denominator must stay strictly positive on the feasible set; if it can
+    vanish while the numerator stays positive the LP is unbounded and a
+    RatioUnboundedError is raised.
+    """
     n = lp.num_vars
-    cc = LinearProgram(n + 1, np.concatenate([lp.objective, [0.0]]), maximize=True,
-                       lower=np.concatenate([np.full(n, -np.inf), [0.0]]),
-                       upper=np.full(n + 1, np.inf))
-    for coeffs, rel, rhs in zip(lp.constraints, lp.relations, lp.rhs):
-        cc.add_rows([np.concatenate([coeffs, [-rhs]])], [rel], [0.0])
-    for i in range(n):
-        if np.isfinite(lp.upper[i]):
-            row = np.zeros(n + 1)
-            row[i], row[n] = 1.0, -lp.upper[i]
-            cc.add_rows([row], [Relation.LE], [0.0])
-        if np.isfinite(lp.lower[i]):
-            row = np.zeros(n + 1)
-            row[i], row[n] = 1.0, -lp.lower[i]
-            cc.add_rows([row], [Relation.GE], [0.0])
-    cc.add_rows([np.concatenate([np.asarray(den_coeffs, dtype=float), [0.0]])],
-                [Relation.EQ], [1.0])
-    return cc
+    den_coeffs = np.asarray(den_coeffs, dtype=float)
+    # Variables: y_0..y_{n-1}, t.  Each row a'x (rel) b becomes
+    # a'y - b t (rel) 0.  So that y can be left free, each variable's finite
+    # bounds become rows against t, its upper row y_i - hi_i t <= 0 before its
+    # lower row y_i - lo_i t >= 0.  Last comes den'y = 1.
+    bound = np.column_stack([lp.upper, lp.lower]).ravel()
+    finite = np.isfinite(bound)
+    bound_rows = np.zeros((2 * n, n + 1))
+    bound_rows[np.arange(2 * n), np.arange(2 * n) // 2] = 1.0
+    bound_rows[:, n] = -bound
+    cc = LinearProgram(
+        n + 1, np.append(lp.objective, 0.0), True,
+        np.vstack([np.column_stack([lp.constraints, -lp.rhs]), bound_rows[finite],
+                   np.append(den_coeffs, 0.0)]),
+        [*lp.relations, *itertools.compress([Relation.LE, Relation.GE] * n, finite),
+         Relation.EQ],
+        np.append(np.zeros(len(lp.rhs) + finite.sum()), 1.0),
+        np.append(np.full(n, -np.inf), 0.0), np.full(n + 1, np.inf))
+
+    res = solve_lp(cc)
+    if res.status is Status.UNBOUNDED:
+        raise RatioUnboundedError("denominator can reach zero on the feasible set")
+    if not res.optimal:
+        # Distinguish an empty polytope from a denominator that cannot
+        # reach the normalization plane (identically zero, say).
+        if solve_lp(replace(lp, objective=np.zeros(n), maximize=True)).optimal:
+            raise RatioUnboundedError(
+                "denominator cannot be normalized on the feasible set")
+        return SolveResult(res.status)
+    t = res.x[n]
+    if t <= RATIO_T_TOL:
+        raise RatioUnboundedError("ratio maximized only in the limit (t = 0)")
+    x = res.x[:n] / t
+    x = np.clip(x, lp.lower, lp.upper)
+    value = float(lp.objective @ x) / float(den_coeffs @ x)
+    return SolveResult(Status.OPTIMAL, x, value)
 
 
 def reference_pinned(lp: LinearProgram, fixed: dict) -> LinearProgram:

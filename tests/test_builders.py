@@ -9,19 +9,17 @@ from dataclasses import replace
 import numpy as np
 
 import hetsched.policies
-import hetsched.search
 import hetsched.waterfill as waterfill
 from hetsched.jobs import Job
-from hetsched.lp import SolveResult, Status, solve_lp
+from hetsched.lp import Relation, SolveResult, Status, solve_lp
 from hetsched.matrices import ThroughputMatrix, isolated_allocation
 from hetsched.milp import MixedIntegerProgram, _pinned
-from hetsched.policies import ProblemSpace, finish_time_fairness, max_min_lp
-from hetsched.search import maximize_ratio
-from oracles import (random_cells, reference_bottleneck_lp,
-                     reference_charnes_cooper, reference_ftf_lp,
-                     reference_gain_lp, reference_level_lp, reference_max_min_lp,
-                     reference_level_pin_lp, reference_pinned,
-                     reference_screen_lp, reference_space_lp)
+from hetsched.policies import (PolicyInfeasibleError, ProblemSpace,
+                               finish_time_fairness, max_min_lp)
+from oracles import (random_cells, random_costs, reference_bottleneck_lp,
+                     reference_ftf_lp, reference_gain_lp, reference_level_lp,
+                     reference_max_min_lp, reference_level_pin_lp,
+                     reference_pinned, reference_screen_lp, reference_space_lp)
 
 
 def assert_same_lp(lp, ref):
@@ -221,21 +219,51 @@ def test_bottleneck_builders_match_row_at_a_time(monkeypatch):
     assert screens == 120 and mixed >= 30
 
 
-def test_charnes_cooper_matches_row_at_a_time(monkeypatch):
+def test_cost_lps_match_row_at_a_time(monkeypatch):
+    # Each LP of the cost policies' Dinkelbach iteration is the space's LP
+    # under num - ratio * den, the last allocation's ratio, plus the SLO
+    # rows; the zero-cost fallback is the same LP under num with the paid
+    # cells pinned to 0.
+    iterated = fallbacks = with_slos = 0
     for seed in range(120):
         rng = np.random.default_rng(5000 + seed)
-        space = _space(rng)
-        num = space.thr_rows.sum(axis=0)
-        den = rng.uniform(0.0, 3.0, space.n_cells)
-        lp = space.lp(num)
-        # Some SLO-like rows, and bounds that are finite on both sides.
-        k = int(rng.integers(0, min(2, len(space.jobs)) + 1))
-        lp.add_rows(space.thr_rows[:k], ["<="] * k, rng.uniform(0.0, 2.0, k))
-        lp.lower[space.n_cells // 2:] = rng.uniform(-1.0, 0.0)
-        lp.upper[: space.n_cells // 3] = np.minimum(lp.upper[: space.n_cells // 3],
-                                                    2.0)
-        solve = _Solved(Status.INFEASIBLE)
-        monkeypatch.setattr(hetsched.search, "solve_lp", solve)
-        maximize_ratio(lp, den)
+        cluster, rows, cells, jobs = random_cells(rng)
+        T = ThroughputMatrix.from_cells(random_costs(rng, cluster), rows, cells)
+        space = ProblemSpace(jobs, T)
+        num = sum((space.coeffs[j.id] for j in space.jobs), np.zeros(space.n_cells))
+        costs = [T.cluster.types[cfg.type_id].cost_per_hour for cfg in T.configs]
+        den = np.array([sf * cost for sf in space.row_sf for cost in costs])
+        required = {k: float(rng.uniform(0.0, 0.3)) * space.best[j.id]
+                    for k, j in enumerate(space.jobs) if rng.random() < 0.3}
+
+        lps, results = [], []
+
+        def solve(lp):
+            lps.append(lp)
+            results.append(solve_lp(lp))
+            return results[-1]
+
+        monkeypatch.setattr(hetsched.policies, "solve_lp", solve)
+        try:
+            hetsched.policies._max_steps_per_dollar(space, required, [])
+        except PolicyInfeasibleError:
+            assert not results[-1].optimal
         monkeypatch.undo()
-        assert_same_lp(solve.seen[0], reference_charnes_cooper(lp, den))
+
+        ratio, fallback = 0.0, False
+        for lp, res in zip(lps, results):
+            ref = reference_space_lp(space, num if fallback else num - ratio * den)
+            for k, rate in required.items():
+                ref.add_rows([space.thr_rows[k]], [Relation.GE], [rate])
+            if fallback:
+                ref.upper = np.where(den <= 0, ref.upper, 0.0)
+            assert_same_lp(lp, ref)
+            if res.optimal:
+                x = space.allocation(res.x).values.ravel()
+                steps, dollars = float(num @ x), float(den @ x)
+                fallback = dollars <= 0 < steps
+                ratio = steps / dollars if dollars > 0 else ratio
+        iterated += len(lps) > 2
+        fallbacks += fallback
+        with_slos += bool(required)
+    assert iterated >= 60 and fallbacks >= 15 and with_slos >= 50

@@ -14,7 +14,7 @@ import hetsched.policies
 import hetsched.waterfill
 from hetsched.cli import main
 from hetsched.cluster import make_cluster
-from hetsched.jobs import Job, JobCombination
+from hetsched.jobs import Entity, Job, JobCombination
 from hetsched.matrices import AllocationMatrix, ThroughputMatrix
 from hetsched.simulator import SimConfig
 from hetsched.traces import Trace, TraceEntry
@@ -35,8 +35,8 @@ def load_matrix(path):
     return ThroughputMatrix.from_json(json.loads(path.read_text()))
 
 
-def write_three_job_instance(tmp_path):
-    cluster = make_cluster({"V100": 1, "K80": 1})
+def write_three_job_instance(tmp_path, costs=None):
+    cluster = make_cluster({"V100": 1, "K80": 1}, costs=costs)
     rows = [JobCombination.of(i) for i in range(3)]
     T = ThroughputMatrix.from_cells(cluster, rows,
                                     [[(4.0,), (1.0,)], [(3.0,), (1.0,)], [(2.0,), (1.0,)]])
@@ -216,7 +216,7 @@ class TestSolve:
             assert "\nmaximize  +1*x6\n" in text and "\n  -inf <= x6 <= inf" in text
 
     def test_ftf_iteration_limit_exit_code(self, runner, tmp_path, monkeypatch):
-        monkeypatch.setattr(hetsched.policies, "FTF_MAX_ITERS", 1)
+        monkeypatch.setattr(hetsched.policies, "MAX_PARAMETRIC_ITERS", 1)
         thr, jobs = write_three_job_instance(tmp_path)
         res = runner.invoke(main, ["--out", str(tmp_path), "solve",
                                    "--policy", "ftf", "--throughputs", str(thr),
@@ -224,6 +224,65 @@ class TestSolve:
         assert res.exit_code == 3, res.output
         assert "error:" in res.output and "did not converge in 1 LPs" in res.output
         assert "Traceback" not in res.output
+
+    def test_dump_lp_prints_one_cells_lp_per_cost_iteration(self, runner, tmp_path,
+                                                            monkeypatch):
+        # Six cells and no other variable: every step maximizes
+        # num - ratio * den over the validity rows.
+        thr, jobs = write_three_job_instance(tmp_path, {"V100": 3.0, "K80": 0.5})
+        solved = []
+        solve = hetsched.policies.solve_lp
+        monkeypatch.setattr(hetsched.policies, "solve_lp",
+                            lambda lp: solved.append(lp) or solve(lp))
+        res = runner.invoke(main, ["--out", str(tmp_path), "--dump-lp", "solve",
+                                   "--policy", "cost", "--throughputs", str(thr),
+                                   "--jobs", str(jobs)])
+        assert res.exit_code == 0, res.output
+        lps = res.stderr.split("# LP: ")[1:]
+        assert len(lps) == len(solved) >= 2
+        for text in lps:
+            assert text.startswith("6 variables, 5 constraints\n") and "x6" not in text
+
+    def test_cost_iteration_limit_exit_code(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setattr(hetsched.policies, "MAX_PARAMETRIC_ITERS", 1)
+        thr, jobs = write_three_job_instance(tmp_path, {"V100": 3.0, "K80": 0.5})
+        res = runner.invoke(main, ["--out", str(tmp_path), "solve",
+                                   "--policy", "cost", "--throughputs", str(thr),
+                                   "--jobs", str(jobs)])
+        assert res.exit_code == 3, res.output
+        assert "error:" in res.output and "did not converge in 1 LPs" in res.output
+        assert "Traceback" not in res.output
+
+    def test_cost_slo_pair_instance_is_solved(self, runner, tmp_path):
+        # `reference_maximize_ratio` finds no finite ratio here: phase 1
+        # calls its Charnes-Cooper LP infeasible though the instance is
+        # feasible.  3.674615384615384 is the HiGHS optimum of the same
+        # fractional program.
+        cluster = make_cluster({"V100": 5, "P100": 2, "K80": 5}, placement_aware=True,
+                               costs={"V100": 2.5, "P100": 2.9, "K80": 1.3})
+        rows = [JobCombination.of(i) for i in (4, 8, 9, 3)] + [JobCombination.of(4, 9)]
+        cells = [
+            [(2.477,), (4.241,), (4.634,), (1.036,), (1.337,), (2.158,)],
+            [(4.271,), (2.801,), None, None, (3.484,), (1.507,)],
+            [None, (2.822,), (1.577,), None, (3.523,), (3.561,)],
+            [(1.866,), (0.0,), (3.525,), (3.934,), (0.908,), (0.124,)],
+            [(2.814, 1.691), None, None, (0.712, 4.705), (0.875, 3.902),
+             (3.781, 0.488)]]
+        thr = tmp_path / "thr.json"
+        save_matrix(ThroughputMatrix.from_cells(cluster, rows, cells), thr)
+        jobs = tmp_path / "jobs.json"
+        jobs.write_text(json.dumps([
+            {"id": 4, "num_steps": 8590, "slo_seconds": 28000},
+            {"id": 8, "num_steps": 7258, "scale_factor": 2},
+            {"id": 9, "num_steps": 8901, "slo_seconds": 36600},
+            {"id": 3, "num_steps": 5957, "scale_factor": 4}]))
+        res = runner.invoke(main, ["--out", str(tmp_path), "solve",
+                                   "--policy", "cost_slo+ss", "--throughputs", str(thr),
+                                   "--jobs", str(jobs)])
+        assert res.exit_code == 0, res.output
+        doc = json.loads((tmp_path / "allocation.json").read_text())
+        assert doc["objective"] == pytest.approx(3.674615384615384, rel=1e-9)
+        assert doc["violations"] == []
 
     def test_dump_lp_shows_warm_bottleneck_lps_as_built_cold(self, runner, tmp_path,
                                                             monkeypatch):
@@ -607,16 +666,26 @@ class TestSimulate:
         ("num_steps", float("inf"), "num_steps must be a whole number >= 1"),
         ("num_steps", float("nan"), "num_steps must be a whole number >= 1"),
         ("scale_factor", 1.5, "scale_factor must be a whole number >= 1, not 1.5"),
-    ], ids=["fractional-steps", "infinite-steps", "nan-steps", "fractional-scale"])
+        ("num_steps", "10", "num_steps must be a number, not '10'"),
+        ("arrival_time", "5", "arrival_time must be a number, not '5'"),
+        ("slo_seconds", "5", "slo_seconds must be a number, not '5'"),
+        ("weight", "2", "weight must be a number, not '2'"),
+        ("scale_factor", "1", "scale_factor must be a number, not '1'"),
+        ("entity_id", [0], "entity_id must be a number, not [0]"),
+    ], ids=["fractional-steps", "infinite-steps", "nan-steps", "fractional-scale",
+            "text-steps", "text-arrival", "text-slo", "text-weight", "text-scale",
+            "list-entity"])
     def test_non_whole_trace_entry_exit_code(self, runner, tmp_path, field, value,
                                              named):
-        # JSON's 1e400 reads as infinity.
+        # JSON's 1e400 reads as infinity.  Entity ids are read only by the
+        # hierarchical policy.
         trace = tmp_path / "trace.jsonl"
-        Trace([TraceEntry(0.0, "model-00", 10),
+        Trace([TraceEntry(0.0, "model-00", 10, entity_id=0),
                dataclasses.replace(TraceEntry(0.0, "model-01", 10), **{field: value})],
-              "static", 0).save(trace)
+              "static", 0, [Entity(0)]).save(trace)
+        policy = "hier:fair" if field == "entity_id" else "las"
         res = runner.invoke(main, ["--out", str(tmp_path), "simulate",
-                                   "--policy", "las", "--trace", str(trace)])
+                                   "--policy", policy, "--trace", str(trace)])
         assert res.exit_code == 2, res.output
         assert f"error: trace entry 2: job 1: {named}" in res.output
         assert "Traceback" not in res.output

@@ -244,7 +244,7 @@ class TestOnlineRefinement:
         prev = 2.0
         for _ in range(20):
             est.observe(("a", "b"), 1.0)
-            now = est.get(("a", "b"))
+            now = est.values[("a", "b")]
             assert now <= prev + 1e-12
             prev = now
         assert abs(prev - 1.0) < 0.02
@@ -253,7 +253,7 @@ class TestOnlineRefinement:
         est = OnlineEstimates()
         est.values[("a", "b")] = 2.0
         est.observe(("a", "c"), 5.0)
-        assert est.get(("a", "b")) == 2.0
+        assert est.values[("a", "b")] == 2.0
 
 
 class TestReferenceSetLoading:

@@ -6,7 +6,7 @@ import pytest
 import hetsched.policies
 from hetsched.cluster import make_cluster
 from hetsched.jobs import Entity, Job, JobCombination
-from hetsched.lp import OPT_TOL, SolveResult, Status, solve_lp
+from hetsched.lp import OPT_TOL, Relation, SolveResult, Status, solve_lp
 from hetsched.matrices import (AllocationMatrix, ThroughputMatrix,
                                effective_throughput, equal_share_allocation,
                                isolated_allocation)
@@ -19,9 +19,10 @@ from hetsched.policies import (InfeasibleSloError, PolicyError,
                                min_makespan, parse_policy, shortest_job_first,
                                solve_policy)
 
-from oracles import (OracleInstance, ftf_rho, oracle_ftf, oracle_las,
-                     oracle_makespan, random_cells, random_instance,
-                     reference_ftf, reference_standalone)
+from oracles import (OracleInstance, RatioUnboundedError, ftf_rho, oracle_ftf,
+                     oracle_las, oracle_makespan, random_cells, random_costs,
+                     random_instance, reference_ftf, reference_maximize_ratio,
+                     reference_standalone)
 
 
 def singles(cluster, T_rows):
@@ -386,6 +387,76 @@ class TestCost:
         assert res.objective == float("inf")
         assert res.allocation.values[0, 0] == pytest.approx(1.0, abs=1e-6)
         assert res.allocation.values[0, 1] == pytest.approx(0.0, abs=1e-6)
+
+    def test_rate_below_tolerance_scores_zero(self):
+        # The simplex prices a rate at or below OPT_TOL as 0, so the first
+        # LP's optimum runs nothing and costs nothing: no ratio beats 0.
+        cluster = make_cluster({"V100": 1, "K80": 1},
+                               costs={"V100": 1.0, "K80": 2.0})
+        T = singles(cluster, [[OPT_TOL / 10, 0.0]])
+        res = solve_policy(parse_policy("cost"), [Job(id=0, num_steps=10)],
+                           cluster, T)
+        assert res.objective == 0.0
+
+    def test_matches_charnes_cooper_reference(self):
+        # Seeded `random_cells` instances, about one in five with a free
+        # type, half with SLOs asking a share of each job's best rate.  Where
+        # the Charnes-Cooper LP the policy once solved has an optimum, the
+        # objective matches it; where it found no finite ratio, it is inf.
+        seen = Counter()
+        for seed in range(400):
+            rng = np.random.default_rng(9000 + seed)
+            cluster, rows, cells, jobs = random_cells(rng)
+            T = ThroughputMatrix.from_cells(random_costs(rng, cluster), rows, cells)
+            T_run = _runnable(T, {j.id: j for j in jobs}, True)
+            slo = seed % 2 == 1
+            if slo:
+                best = {j.id: fastest_cell(T_run, j.id)[1] for j in jobs}
+                jobs = [Job(id=j.id, scale_factor=j.scale_factor, num_steps=1000,
+                            slo_seconds=1000 / (float(rng.uniform(0.1, 0.9))
+                                                * best[j.id])
+                            if best[j.id] > 0 and rng.random() < 0.5 else None)
+                        for j in jobs]
+            try:
+                space = ProblemSpace(jobs, T_run)
+            except ZeroThroughputError:
+                continue
+            required = {k: j.remaining_steps / (j.slo_seconds - j.elapsed_time)
+                        for k, j in enumerate(space.jobs) if j.slo_seconds}
+            num = sum((space.coeffs[j.id] for j in space.jobs),
+                      np.zeros(space.n_cells))
+            costs = [T.cluster.types[cfg.type_id].cost_per_hour
+                     for cfg in T_run.configs]
+            den = np.outer(space.row_sf, costs).ravel()
+            lp = space.lp(num)
+            lp.add_rows(space.thr_rows[list(required)],
+                        [Relation.GE] * len(required), list(required.values()))
+            try:
+                ref = reference_maximize_ratio(lp, den)
+            except RatioUnboundedError:
+                ref = None
+            spec = PolicySpec(PolicyKind.MIN_COST_SLO if slo else PolicyKind.MIN_COST,
+                              space_sharing=True)
+            seen["checked"] += 1
+            seen["slo"] += bool(required)
+            if ref is not None and not ref.optimal:
+                with pytest.raises(PolicyInfeasibleError):
+                    solve_policy(spec, jobs, T.cluster, T)
+                seen["infeasible"] += 1
+                continue
+            res = solve_policy(spec, jobs, T.cluster, T)
+            X = res.allocation
+            for k, rate in required.items():
+                assert effective_throughput(space.jobs[k].id, X, X.T) >= rate - 1e-9
+            x = X.values.ravel()
+            if ref is None:
+                assert res.objective == float("inf") and den @ x == 0
+                seen["inf"] += 1
+            else:
+                assert res.objective == pytest.approx(ref.objective_value, rel=1e-9)
+                assert res.objective == float(num @ x) / float(den @ x)
+        assert seen["checked"] >= 300 and seen["slo"] >= 100, seen
+        assert seen["inf"] >= 20 and seen["infeasible"] >= 1, seen
 
 
 class TestMaxThroughput:

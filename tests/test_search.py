@@ -1,10 +1,14 @@
+"""`search.bisect`, and the Charnes-Cooper ratio maximization the cost
+policies once used, which `tests/oracles.py` keeps as the reference they are
+compared against."""
+
 import numpy as np
 import pytest
 
 import hetsched.search
 from hetsched.lp import LinearProgram, Relation
-from hetsched.search import (DEFAULT_REL_TOL, BracketError,
-                             RatioUnboundedError, bisect, maximize_ratio)
+from hetsched.search import DEFAULT_REL_TOL, BracketError, bisect
+from oracles import RatioUnboundedError, reference_maximize_ratio
 
 
 def test_step_predicate():
@@ -33,8 +37,9 @@ def test_bracket_widening_invariance(monkeypatch):
 
 def test_ratio_constant_denominator_reduces_to_lp():
     # x1 is fixed at 1, so the denominator is the constant 1.
-    res = maximize_ratio(LinearProgram(2, [1.0, 0.0], lower=np.array([0.0, 1.0]),
-                                       upper=np.array([1.0, 1.0])), [0.0, 1.0])
+    res = reference_maximize_ratio(
+        LinearProgram(2, [1.0, 0.0], lower=np.array([0.0, 1.0]),
+                      upper=np.array([1.0, 1.0])), [0.0, 1.0])
     assert res.x[0] == pytest.approx(1.0)
     assert res.objective_value == pytest.approx(1.0)
 
@@ -42,16 +47,18 @@ def test_ratio_constant_denominator_reduces_to_lp():
 def test_ratio_two_type_cost_example():
     # Throughputs (4, 1), costs (3.0, 0.5) $/hr, one worker each: everything
     # on the cheap slow type wins at 2.0 steps per dollar.
-    res = maximize_ratio(LinearProgram(2, [4.0, 1.0], constraints=[[1.0, 1.0]],
-                                       relations=[Relation.LE], rhs=[1.0],
-                                       upper=np.array([1.0, 1.0])), [3.0, 0.5])
+    res = reference_maximize_ratio(
+        LinearProgram(2, [4.0, 1.0], constraints=[[1.0, 1.0]],
+                      relations=[Relation.LE], rhs=[1.0],
+                      upper=np.array([1.0, 1.0])), [3.0, 0.5])
     assert res.objective_value == pytest.approx(2.0, abs=1e-6)
     assert res.x[1] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_ratio_zero_denominator_errors():
     with pytest.raises(RatioUnboundedError):
-        maximize_ratio(LinearProgram(1, [1.0], upper=np.array([1.0])), [0.0])
+        reference_maximize_ratio(LinearProgram(1, [1.0], upper=np.array([1.0])),
+                                 [0.0])
 
 
 def test_ratio_matches_grid_search():
@@ -60,7 +67,7 @@ def test_ratio_matches_grid_search():
         c = rng.uniform(0.5, 4.0, size=2)
         d = rng.uniform(0.2, 3.0, size=2)
         # A third variable fixed at 1 carries the denominator's constant 0.1.
-        res = maximize_ratio(
+        res = reference_maximize_ratio(
             LinearProgram(3, np.append(c, 0.0), constraints=[[1.0, 1.0, 0.0]],
                           relations=[Relation.LE], rhs=[1.0], lower=np.array([0.0, 0.0, 1.0]), upper=np.ones(3)),
             np.append(d, 0.1))
