@@ -247,16 +247,17 @@ def cmd_solve(ctx, policy_text, thr_file, jobs_file):
                         for d in jobs_doc.get("entities", [])] or None
         else:
             job_docs = jobs_doc
+        # `Job` checks its numbers, so none is converted here.
         jobs = [Job(id=int(d["id"]), name=d.get("name", ""),
                     num_steps=d.get("num_steps", 1),
-                    steps_done=float(d.get("steps_done", 0.0)),
+                    steps_done=d.get("steps_done", 0.0),
                     scale_factor=d.get("scale_factor", 1),
-                    weight=float(d.get("weight", 1.0)),
+                    weight=d.get("weight", 1.0),
                     entity_id=d.get("entity_id"),
                     slo_seconds=d.get("slo_seconds"),
-                    arrival_time=float(d.get("arrival_time", 0.0)),
-                    elapsed_time=float(d.get("elapsed_time", 0.0)),
-                    isolated_elapsed_time=float(d.get("isolated_elapsed_time", 0.0)))
+                    arrival_time=d.get("arrival_time", 0.0),
+                    elapsed_time=d.get("elapsed_time", 0.0),
+                    isolated_elapsed_time=d.get("isolated_elapsed_time", 0.0))
                 for d in job_docs]
     except KeyError as e:
         _fail(EXIT_USAGE, f"missing key {e} in the throughputs or jobs file")

@@ -40,7 +40,8 @@ class Job:
                      "slo_seconds", "arrival_time", "elapsed_time",
                      "isolated_elapsed_time", "entity_id"):
             v = getattr(self, name)
-            if not (isinstance(v, numbers.Real)
+            # A bool is a numbers.Real, but JSON's true is no number.
+            if not (isinstance(v, numbers.Real) and not isinstance(v, bool)
                     or v is None and name in ("slo_seconds", "entity_id")):
                 raise ValueError(f"job {self.id}: {name} must be a number, not {v!r}")
         for name in ("weight", "steps_done", "arrival_time", "elapsed_time",

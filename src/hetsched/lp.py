@@ -36,8 +36,10 @@ returned bit is the dense kernel's.
 One object, `_Standardized`, holds an LP's rows in standard form and the
 basis its last solve left, for cold and warm solves alike; the LP's own
 rows, its upper-bound rows and appended rows share `standardize_rows`.
-Phase 1 keeps its row-signed tableau and feasible basis; `solve_lp_each`
-runs phase 2 from it once per objective.  Rows solved again and again with new
+Phase 1 keeps its row-signed tableau and feasible basis, and
+`_Standardized.solve_each` runs phase 2 from it once per objective: phase 1
+does not read the objective, so each result is exactly what `solve_lp`
+returns for that objective.  Rows solved again and again with new
 right-hand sides or appended rows restart from the kept basis instead of a
 cold phase 1: a new right-hand side is negated where phase 1 negated the
 row, and appended rows start with their slacks basic.  A zero objective
@@ -193,27 +195,17 @@ class SolveResult:
 
 def solve_lp(lp: LinearProgram) -> SolveResult:
     """Solve the LP; returns an optimal basic feasible solution when one exists."""
-    return solve_lp_each(lp, [lp.objective])[0]
-
-
-def solve_lp_each(lp: LinearProgram, objectives) -> list[SolveResult]:
-    """Solve the LP once per objective, keeping its sense, rows and bounds.
-
-    Entry i is exactly what `solve_lp` returns for the LP with objective
-    `objectives[i]`.  Phase 1 does not read the objective, so it runs once
-    and every objective starts its phase 2 from the same feasible basis.
-    """
-    dump_each(lambda: lp, objectives)
+    dump_each(lambda: lp)
     prob = _Standardized(lp)
     prob.phase_one()
-    return prob.solve_each(objectives)
+    return prob.solve(lp.objective)
 
 
 def dump_each(build, objectives=None) -> None:
     """Feed `debug_sink` the text of the LP that `build()` returns, once per
-    objective in `objectives` (by default its own), as `solve_lp_each`
-    would.  `build` runs only when a sink is set, so a solver that never
-    builds the LinearProgram can still show it."""
+    objective in `objectives` (by default its own).  `build` runs only when
+    a sink is set, so a solver that never builds the LinearProgram can
+    still show it."""
     if debug_sink is None:
         return
     lp = build()
@@ -454,6 +446,25 @@ class _Standardized:
         out.Binv[rows_k, rows_k] = sign
         return out
 
+    def reduced_costs(self, objective) -> tuple:
+        """The reduced costs under `objective` at the basis the state holds,
+        priced as `_simplex` prices them, zero on basic columns: those of
+        the standardized variables, then those of the inequality rows'
+        slacks in row order.  A free variable's two parts price as
+        negatives, so the nonbasic part of a basic free variable prices at
+        exactly zero, and is set to it."""
+        n = self.A.shape[1]
+        c = np.zeros(self.T.shape[1])
+        c[:n] = self.cost(objective)
+        reduced = c - _duals(c[self.basis], self.Binv) @ self.T
+        basic = np.zeros(len(c), dtype=bool)
+        basic[self.basis] = True
+        mirror = np.arange(self.n_main, n)
+        basic[mirror[basic[self.neg_cols]]] = True
+        basic[self.neg_cols[basic[mirror]]] = True
+        reduced[basic] = 0.0
+        return reduced[:n], reduced[n:]
+
     def solve_each(self, objectives) -> list[SolveResult]:
         """Phase 2 per objective from the basis the last phase 1 or restart
         found, as SolveResults over the LP's own variables.  Each starts
@@ -530,15 +541,7 @@ def _simplex(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: np.ndarray,
             Binv[...] = _basis_inverse(A, basis)
             xb[...] = Binv @ b
 
-        # One nonzero basic cost (the level of a max-min LP) makes y a row
-        # of Binv scaled once, as the product sum rounds it.
-        costed = cb.nonzero()[0]
-        if costed.size == 1:
-            k = costed[0]
-            y = Binv[k] * cb[k]
-        else:
-            y = cb @ Binv
-        reduced = c - y @ A
+        reduced = c - _duals(cb, Binv) @ A
         reduced[basis] = 0.0
 
         if bland:
@@ -588,6 +591,17 @@ def _simplex(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: np.ndarray,
     x[basis] = xb
     x[np.abs(x) < ZERO_TOL] = 0.0
     return Status.OPTIMAL, x, basis
+
+
+def _duals(cb: np.ndarray, Binv: np.ndarray) -> np.ndarray:
+    """The duals cb B^-1 of the basic costs `cb`.  One nonzero basic cost
+    (the level of a max-min LP) makes them a row of `Binv` scaled once, as
+    the product sum rounds it."""
+    costed = cb.nonzero()[0]
+    if costed.size == 1:
+        k = costed[0]
+        return Binv[k] * cb[k]
+    return cb @ Binv
 
 
 def _pivot(Binv: np.ndarray, d: np.ndarray, leave: int, buf: np.ndarray):

@@ -9,17 +9,23 @@ rising, so the final allocation is Pareto efficient at every level of the
 hierarchy.  Both entry points run over the `ProblemSpace` their caller
 compiled and return a `PolicyResult` that also records every iteration.
 
-Bottleneck detection is settled with LPs: one gain LP with an objective
-per active job, then one screening LP that asks whether every job able to
-gain on its own can gain at the same time.  A mixed-integer program runs
-only when the screen fails or a gain sits too close to the strictness
-slack to call.
+Bottleneck detection takes up to three steps (`_bottlenecks`).  First the
+level LP's own optimum certifies jobs: a job whose level row's slack prices
+at a large enough reduced cost is tight in every optimum and cannot gain
+its strictness slack (`_certified`; the dual test of max-min fairness,
+Nace and Pioro, IEEE Comm. Surveys & Tutorials 10(4), 2008).  If every
+active job is certified, no LP runs.  Otherwise one screening LP asks
+whether every uncertified job can gain its slack at the same time; if so,
+the certified jobs are the answer.  Only when that screen fails does
+`find_bottlenecks` run: one gain LP with an objective per active job, its
+own screen, and a mixed-integer program when that screen fails too or a
+gain sits too close to the strictness slack to call.
 
 The gain LPs of one decision share their rows, and only the carry rows'
 right-hand sides change from one iteration to the next; the screen is the
 gain LP plus appended rows.  So one `GainRows` per decision keeps the gain
 rows as one `lp._Standardized`, and `GainRows.restart` is the only way to
-a feasible basis of them.  It restarts from the previous iteration's basis
+a feasible basis of them.  It restarts from the last basis it reached
 with a zero-cost dual simplex when it can, and otherwise rebuilds the rows
 cold through phase 1.  Every screen starts from the gain LP's feasible
 basis plus its new rows' slacks, so it never pays for a cold phase 1.
@@ -61,6 +67,10 @@ VERIFY_FRACTION = 0.5
 # Slack under the water level where the tightening LP pins lam, so rounding
 # in the level LP's solution cannot make its own level infeasible.
 TIGHTEN_SLACK = 1e-9
+# The level LP certifies a job a bottleneck when its level row's slack
+# prices at rc_j with rc_j * s_j * Y_j above this bound (`_certified`): then
+# the job can gain at most half of VERIFY_FRACTION * delta_j.
+CERTIFY_BOUND = 2 * TIGHTEN_SLACK / (VERIFY_FRACTION * DELTA_FRACTION)
 
 
 @dataclass
@@ -111,18 +121,21 @@ def _carry_rows(space: ProblemSpace, thr_prev: dict) -> tuple:
             [thr_prev[j.id] for j in space.jobs])
 
 
+def _level_scales(space: ProblemSpace, weights: dict) -> dict:
+    """Each weighted job's level-row scale s_j, in `space.jobs` order."""
+    return {j.id: j.scale_factor / (weights[j.id] * space.equal_norm[j.id])
+            for j in space.jobs if weights[j.id] > 0}
+
+
 def _level_lp(space: ProblemSpace, weights: dict, t_prev: dict,
               thr_prev: dict) -> tuple:
     """Water level of one iteration: the max-min LP raising every weighted
     job's scaled normalized throughput above its previous level, plus carry
     rows that keep any job's raw throughput from dropping.  Returns the LP
     as an `lp._Standardized` at its optimal basis, and the level."""
-    weighted = [j for j in space.jobs if weights[j.id] > 0]
-    lp = max_min_lp(
-        space,
-        {j.id: j.scale_factor / (weights[j.id] * space.equal_norm[j.id])
-         for j in weighted},
-        {j.id: t_prev[j.id] / weights[j.id] for j in weighted})
+    lp = max_min_lp(space, _level_scales(space, weights),
+                    {j.id: t_prev[j.id] / weights[j.id]
+                     for j in space.jobs if weights[j.id] > 0})
     carried = [k for k, j in enumerate(space.jobs) if thr_prev[j.id] > 0]
     lp.add_rows(np.column_stack([space.thr_rows[carried], np.zeros(len(carried))]),
                 [Relation.GE] * len(carried),
@@ -232,6 +245,10 @@ def find_bottlenecks(space: ProblemSpace, thr_prev: dict, active_weights: dict,
     Otherwise (a gain in [VERIFY_FRACTION * delta_j, delta_j), or
     candidates that conflict) the bottleneck MILP decides.  Both LPs start
     from the basis in `gain_rows`, the decision's `GainRows`.
+
+    Water filling calls it only when the level LP's certificate and one
+    screen of the uncertified jobs have not settled the answer
+    (`_bottlenecks`); it always gives the same answer as they would.
     """
     active = [j for j in space.jobs if active_weights.get(j.id, 0.0) > 0]
     delta = {j.id: DELTA_FRACTION * space.best[j.id] for j in active}
@@ -292,6 +309,65 @@ def _milp_bottlenecks(space: ProblemSpace, active: list, thr_prev: dict,
             or gain[j.id] < VERIFY_FRACTION * delta[j.id]}
 
 
+def _certified(space: ProblemSpace, state: _Standardized, weights: dict,
+               level: float) -> set:
+    """The weighted jobs that the level LP, at the optimal basis `state`
+    holds, proves are bottlenecks in `find_bottlenecks`' sense.
+
+    Only lam has a cost, so at the optimum lam* = `level` every point of
+    the level rows has lam = lam* - sum_k rc_k u_k over the nonbasic
+    columns u_k.  Take any allocation X' in which every job keeps its
+    throughput under the tightened allocation X: the gain LP's feasible
+    points.  X meets every level row at lam = lam* - TIGHTEN_SLACK, so X'
+    does too, with job j's level-row slack at least s_j times its gain
+    g_j.  So TIGHTEN_SLACK >= rc_j * s_j * g_j - L, where L bounds what
+    the columns pricing negative add.  Phase 2 stops once no reduced cost
+    is below -OPT_TOL, so such columns exist, at up to OPT_TOL each, and
+    roundoff leaves many dual-degenerate ones near -1e-14.  At that point a
+    cell's time share is at most 1, |lam| is at most |lam*| + TIGHTEN_SLACK
+    and a slack at most its row's |rhs| plus its absolute coefficients
+    times those, so L is the largest of these times the sum of the negative
+    reduced costs' magnitudes.  A job with
+    rc_j * s_j * Y_j > CERTIFY_BOUND * (1 + L / TIGHTEN_SLACK) therefore
+    gains at most half of VERIFY_FRACTION * delta_j: `find_bottlenecks`
+    would hold it whatever its screen or MILP decides, and the other half
+    is room for the rounding in the rows X meets.  The level rows come
+    first in the level LP and are all inequalities, so their slacks'
+    reduced costs lead; it has no upper-bound rows."""
+    cols, slacks = state.reduced_costs(state.lp.objective)
+    lift = -(cols[cols < 0].sum() + slacks[slacks < 0].sum())
+    if lift > 0:
+        lp = state.lp
+        top = np.append(np.ones(space.n_cells), abs(level) + TIGHTEN_SLACK)
+        lift *= max(top.max(), (np.abs(lp.rhs) + np.abs(lp.constraints) @ top).max())
+    bound = CERTIFY_BOUND * (1.0 + lift / TIGHTEN_SLACK)
+    scales = _level_scales(space, weights)
+    return {job_id for (job_id, s), rc in zip(scales.items(),
+                                             slacks[:len(scales)].tolist())
+            if rc * s * space.best[job_id] > bound}
+
+
+def _bottlenecks(space: ProblemSpace, state: _Standardized, level: float,
+                 thr: dict, weights: dict, gain_rows: GainRows) -> set:
+    """`find_bottlenecks`' answer for the tightened throughputs `thr`,
+    settled by the level LP's certificate when it can be.  With C the
+    certified jobs: if C is every weighted job, it is the answer and no LP
+    runs.  Otherwise one screen asks whether every other weighted job can
+    gain its slack at once; if so, the answer is C, by `find_bottlenecks`'
+    own argument (the screen is a joint witness for the others, and no job
+    in C can gain alone).  Only when it fails does `find_bottlenecks` run."""
+    active = [j for j in space.jobs if weights[j.id] > 0]
+    cert = _certified(space, state, weights, level)
+    if len(cert) == len(active):
+        return cert
+    gain_rows.restart(thr)
+    delta = {j.id: DELTA_FRACTION * space.best[j.id] for j in active}
+    if _screen_feasible(space, active, thr, delta,
+                        {j.id for j in active} - cert, gain_rows):
+        return cert
+    return find_bottlenecks(space, thr, weights, gain_rows)
+
+
 def hierarchical_waterfill(space: ProblemSpace, entities) -> WaterfillResult:
     """Water filling over entities, each splitting its weight over its jobs
     by its internal policy."""
@@ -328,7 +404,7 @@ def _fill(space: ProblemSpace, weights_of) -> WaterfillResult:
         thr = dict(zip([j.id for j in jobs],
                        inorder_sum(space.thr_rows * X.values.ravel()).tolist()))
         normalized = {j.id: thr[j.id] / space.equal_norm[j.id] for j in jobs}
-        bottlenecks = find_bottlenecks(space, thr, weights, gain_rows)
+        bottlenecks = _bottlenecks(space, state, level, thr, weights, gain_rows)
         if not bottlenecks:
             # Numerically possible only when every weighted job can still
             # move; freeze them all to guarantee termination.

@@ -19,7 +19,9 @@ simulator's matrix build one pair at a time (`reference_build_matrix`,
 with its pair factors from `reference_pair_factor`), one gain LP
 per job (`reference_max_gain`), bottleneck detection by MILP alone
 (`reference_find_bottlenecks`), water filling's gain and screen LPs each
-from a cold phase 1 (`cold_max_gain`, `cold_screen_feasible`), its
+from a cold phase 1 (`cold_max_gain`, `cold_screen_feasible`), water
+filling with `find_bottlenecks` deciding every iteration
+(`reference_waterfill`), its
 tightening LP built whole and solved cold (`reference_tighten_lp`), the LP
 that gives one job the whole cluster (`reference_standalone`),
 finish-time fairness by bisection over its feasibility LP
@@ -47,13 +49,14 @@ from itertools import accumulate
 
 import numpy as np
 
+import hetsched.lp
 from hetsched.cluster import ClusterSpec, make_cluster
 from hetsched.estimator import (DEFAULT_ITERS, DEFAULT_RANK, DEFAULT_REG,
                                 CompletionError)
 from hetsched.jobs import Job, JobCombination
 from hetsched.lp import (DEGENERATE_LIMIT, FEAS_TOL, OPT_TOL, REFACTOR_EVERY,
-                         LinearProgram, Relation, SolveResult, Status, solve_lp,
-                         solve_lp_each)
+                         LinearProgram, Relation, SolveResult, Status, dump_each,
+                         solve_lp)
 from hetsched.matrices import (PAIR_KEEP_THRESHOLD, ThroughputMatrix,
                                effective_throughput, isolated_allocation,
                                row_workers)
@@ -62,7 +65,9 @@ from hetsched.milp import MixedIntegerProgram, solve_milp
 from hetsched.policies import PolicyError, ProblemSpace
 from hetsched.search import bisect
 from hetsched.traces import JobTemplate, colocation_factor
-from hetsched.waterfill import DELTA_FRACTION, TIGHTEN_SLACK
+from hetsched.waterfill import (DELTA_FRACTION, TIGHTEN_SLACK, GainRows,
+                                WaterfillIteration, WaterfillResult,
+                                assign_job_weights)
 
 GRID = 0.01
 REFINE = 0.001
@@ -1141,9 +1146,13 @@ def _carry(space: ProblemSpace, thr_prev: dict) -> tuple:
 def cold_max_gain(space: ProblemSpace, thr_prev: dict, job_ids,
                   gain_rows) -> dict:
     """Each job's largest gain while every job keeps its previous
-    throughput: one LP with one objective per job, through `solve_lp_each`."""
+    throughput: one LP with one objective per job, from one cold phase 1."""
     lp = space.lp(np.zeros(space.n_cells), [_carry(space, thr_prev)])
-    results = solve_lp_each(lp, [space.coeffs[job_id] for job_id in job_ids])
+    objectives = [space.coeffs[job_id] for job_id in job_ids]
+    dump_each(lambda: lp, objectives)
+    state = hetsched.lp._Standardized(lp)
+    state.phase_one()
+    results = state.solve_each(objectives)
     return {job_id: res.objective_value - thr_prev[job_id] if res.optimal else 0.0
             for job_id, res in zip(job_ids, results)}
 
@@ -1154,6 +1163,44 @@ def cold_screen_feasible(space: ProblemSpace, active: list, thr_prev: dict,
     active job stays at its previous throughput, through `solve_lp`."""
     lp = reference_screen_lp(space, active, thr_prev, delta, cand)
     return solve_lp(lp).optimal
+
+
+def reference_waterfill(space: ProblemSpace, entities=None) -> WaterfillResult:
+    """Water filling as it ran before the level LP certified bottlenecks:
+    `find_bottlenecks` decides every iteration.  Hierarchical over
+    `entities`, or flat max-min fairness when they are None."""
+    import hetsched.waterfill as wf
+
+    def weights_of(done):
+        if entities is not None:
+            return assign_job_weights(entities, space.jobs, done)
+        return {j.id: 0.0 if j.id in done else float(j.weight) for j in space.jobs}
+
+    jobs = space.jobs
+    done: set = set()
+    t_prev = {j.id: 0.0 for j in jobs}
+    thr_prev = {j.id: 0.0 for j in jobs}
+    iterations = []
+    gain_rows = GainRows(space)
+    for _ in range(len(jobs) + 1):
+        weights = weights_of(done)
+        if all(w <= 0 for w in weights.values()):
+            break
+        state, level = wf._level_lp(space, weights, t_prev, thr_prev)
+        X = wf._tighten(space, state, level)
+        thr = {j.id: effective_throughput(j.id, X, space.T) for j in jobs}
+        normalized = {j.id: thr[j.id] / space.equal_norm[j.id] for j in jobs}
+        bottlenecks = (wf.find_bottlenecks(space, thr, weights, gain_rows)
+                       or {j.id for j in jobs if weights[j.id] > 0 and j.id not in done})
+        iterations.append(WaterfillIteration(weights, level, X, normalized,
+                                             bottlenecks))
+        done |= bottlenecks
+        t_prev = {j.id: normalized[j.id] * j.scale_factor for j in jobs}
+        thr_prev = thr
+        if all(j.id in done for j in jobs):
+            break
+    return WaterfillResult(iterations[-1].allocation, iterations[0].level,
+                           iterations=iterations)
 
 
 # ---------------------------------------------------------------------------

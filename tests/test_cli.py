@@ -290,7 +290,12 @@ class TestSolve:
         # built whole, yet --dump-lp prints exactly what the cold path does.
         # The tightening LP is the level LP's rows plus a pin row, solved
         # from the level LP's optimum; each iteration prints both LPs.
+        # Jobs 0 and 1 run only on the K80.  The level LP certifies them but
+        # not job 2, whose screen fails, so the gain LPs run too.
         thr, jobs = write_three_job_instance(tmp_path)
+        save_matrix(ThroughputMatrix.from_cells(
+            make_cluster({"V100": 1, "K80": 1}), [JobCombination.of(i) for i in range(3)],
+            [[None, (1.0,)], [None, (1.0,)], [(1.0,), (2.0,)]]), thr)
         jobs.write_text(json.dumps({
             "jobs": [{"id": i, "num_steps": 1000, "entity_id": i % 2}
                      for i in range(3)],
@@ -432,7 +437,9 @@ class TestSolve:
     @pytest.mark.parametrize("job_field, named", [
         ('"num_steps": 2.5', "num_steps must be a whole number >= 1, not 2.5"),
         ('"scale_factor": 1.5', "scale_factor must be a whole number >= 1, not 1.5"),
-    ], ids=["fractional-steps", "fractional-scale"])
+        ('"weight": true', "weight must be a number, not True"),
+        ('"steps_done": "5"', "steps_done must be a number, not '5'"),
+    ], ids=["fractional-steps", "fractional-scale", "boolean-weight", "text-steps-done"])
     def test_non_whole_number_exit_code(self, runner, tmp_path, job_field, named):
         thr, jobs = write_three_job_instance(tmp_path)
         jobs.write_text('[{"id": 0, %s}, {"id": 1}, {"id": 2}]' % job_field)
@@ -672,9 +679,11 @@ class TestSimulate:
         ("weight", "2", "weight must be a number, not '2'"),
         ("scale_factor", "1", "scale_factor must be a number, not '1'"),
         ("entity_id", [0], "entity_id must be a number, not [0]"),
+        ("num_steps", True, "num_steps must be a number, not True"),
+        ("scale_factor", True, "scale_factor must be a number, not True"),
     ], ids=["fractional-steps", "infinite-steps", "nan-steps", "fractional-scale",
             "text-steps", "text-arrival", "text-slo", "text-weight", "text-scale",
-            "list-entity"])
+            "list-entity", "boolean-steps", "boolean-scale"])
     def test_non_whole_trace_entry_exit_code(self, runner, tmp_path, field, value,
                                              named):
         # JSON's 1e400 reads as infinity.  Entity ids are read only by the

@@ -56,6 +56,15 @@ def test_accelerator_type_validation():
         AcceleratorType(0, "bad", 0.0, 0, 1)
 
 
+@pytest.mark.parametrize("field", ["num_steps", "steps_done", "scale_factor",
+                                   "weight", "slo_seconds", "arrival_time",
+                                   "elapsed_time", "isolated_elapsed_time",
+                                   "entity_id"])
+def test_job_rejects_booleans_as_numbers(field):
+    with pytest.raises(ValueError, match=f"{field} must be a number, not True"):
+        Job(id=0, **{field: True})
+
+
 def test_combination_ordering_and_conflicts():
     pair = JobCombination.of(3, 1)
     assert pair.members == (1, 3)

@@ -11,7 +11,7 @@ from hetsched.cluster import make_cluster
 from hetsched.jobs import Job, JobCombination
 from hetsched.lp import (OPT_TOL, PHASE1_OPT_TOL, DimensionError,
                          IterationLimitError, LinearProgram, Relation, Status,
-                         solve_lp, solve_lp_each)
+                         solve_lp)
 from hetsched.matrices import ThroughputMatrix
 from hetsched.policies import ProblemSpace, max_min_lp
 from oracles import random_cells, reference_solve_lp
@@ -388,7 +388,7 @@ def test_sparse_pivots_bit_identical_on_many_job_max_min_lps():
     # The column update returns early, once per pivot it makes.
     hits = _line_hits({"column": (hetsched.lp._pivot, "return"),
                        "dense": (hetsched.lp._pivot, "Binv -= np.multiply"),
-                       "one_cost": (hetsched.lp._simplex, "y = Binv[k] * cb[k]")},
+                       "one_cost": (hetsched.lp._duals, "return Binv[k] * cb[k]")},
                       lambda: [solve_lp(lp) for lp in lps])
     assert hits["column"] >= 400 and hits["one_cost"] >= 400
     assert hits["dense"] >= 1
@@ -397,7 +397,7 @@ def test_sparse_pivots_bit_identical_on_many_job_max_min_lps():
 
 
 def test_solutions_hold_no_negative_zero(monkeypatch):
-    """Every zero of an `x` that `solve_lp` or `solve_lp_each` returns, and
+    """Every zero of an `x` that `solve_lp` or `_solve_each` returns, and
     of the standardized `x` the simplex returns, is +0.0.  That is what lets
     the sparse pivot update differ from the dense one in the sign of a
     zero: the simplex writes +0.0 over every entry below ZERO_TOL, tiny
@@ -420,7 +420,7 @@ def test_solutions_hold_no_negative_zero(monkeypatch):
     for k, lp in enumerate(lps):
         objectives = [lp.objective] + _random_objectives(
             np.random.default_rng(10_000 + k), lp.num_vars)
-        for res in [solve_lp(lp)] + solve_lp_each(lp, objectives):
+        for res in [solve_lp(lp)] + _solve_each(lp, objectives):
             if res.x is not None:
                 assert not np.signbit(res.x[res.x == 0]).any(), k
                 zeros += int(np.count_nonzero(res.x == 0))
@@ -465,20 +465,34 @@ def _random_objectives(rng, n):
     return objectives
 
 
+def _solve_each(lp, objectives):
+    """One phase 1, then phase 2 once per objective from its feasible basis,
+    as `waterfill.max_gain` solves its gain LPs."""
+    prob = hetsched.lp._Standardized(lp)
+    prob.phase_one()
+    return prob.solve_each(objectives)
+
+
+def _solve_alone(lp, objective):
+    return solve_lp(LinearProgram(
+        lp.num_vars, objective, maximize=lp.maximize, constraints=lp.constraints,
+        relations=lp.relations, rhs=lp.rhs, lower=lp.lower, upper=lp.upper))
+
+
 def test_solve_lp_each_matches_solve_lp():
+    """`_Standardized.solve_each` after one `phase_one` returns, for each
+    objective, exactly what `solve_lp` returns for the LP with that
+    objective: `max_gain` relies on it."""
     statuses = []
     all_fixed = no_rows = mixed = 0
     for seed in range(240):
         lp = _random_lp(np.random.default_rng(seed))
         objectives = _random_objectives(np.random.default_rng(10_000 + seed),
                                         lp.num_vars)
-        each = solve_lp_each(lp, objectives)
+        each = _solve_each(lp, objectives)
         assert len(each) == len(objectives)
         for objective, res in zip(objectives, each):
-            alone = solve_lp(LinearProgram(
-                lp.num_vars, objective, maximize=lp.maximize,
-                constraints=lp.constraints, relations=lp.relations, rhs=lp.rhs,
-                lower=lp.lower, upper=lp.upper))
+            alone = _solve_alone(lp, objective)
             assert res.status == alone.status, seed
             assert res.objective_value == alone.objective_value, seed
             assert (res.x is None) == (alone.x is None), seed
@@ -508,7 +522,7 @@ def test_solve_lp_each_runs_phase_one_once(monkeypatch):
     lp.add_rows([[1.0, 1.0, 1.0], [1.0, 2.0, 0.0], [0.0, 1.0, -1.0]],
                 [Relation.LE, Relation.GE, Relation.EQ], [4.0, 1.0, 0.5])
     objectives = [np.eye(3)[i] for i in range(3)] + [np.ones(3)]
-    each = solve_lp_each(lp, objectives)
+    each = _solve_each(lp, objectives)
     assert all(res.optimal for res in each)
     assert calls.count(PHASE1_OPT_TOL) == 1
     assert len(calls) == 1 + len(objectives)
@@ -524,7 +538,7 @@ def test_solve_lp_each_runs_phase_one_once(monkeypatch):
 def test_solve_lp_each_checks_objective_shape():
     lp = LinearProgram(2, np.zeros(2))
     with pytest.raises(DimensionError):
-        solve_lp_each(lp, [np.ones(2), np.ones(3)])
+        _solve_each(lp, [np.ones(2), np.ones(3)])
 
 
 def _equivalence_set():
@@ -633,7 +647,7 @@ def test_warm_verdicts_match_solve_lp_when_refactorizing(monkeypatch):
 
 def test_phase_one_start_is_solve_lp_each():
     """After `phase_one`, `solve_each` runs phase 2 from solve_lp's own
-    feasible start, so every result is bit-identical to solve_lp_each's; the
+    feasible start, so every result is bit-identical to solve_lp's; the
     basis it keeps is feasible with its exact inverse, so a restart from it
     makes no pivot."""
     kept = 0
@@ -644,7 +658,8 @@ def test_phase_one_start_is_solve_lp_each():
                                         lp.num_vars)
         ds = hetsched.lp._Standardized(lp)
         feasible = ds.phase_one()
-        for res, ref in zip(ds.solve_each(objectives), solve_lp_each(lp, objectives)):
+        for res, ref in zip(ds.solve_each(objectives),
+                            [_solve_alone(lp, objective) for objective in objectives]):
             assert res.status is ref.status
             assert res.objective_value == ref.objective_value
             assert (res.x is None) == (ref.x is None)

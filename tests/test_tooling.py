@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import hetsched.lp
+import hetsched.waterfill
 from hetsched.cluster import make_cluster
 from hetsched.jobs import Entity, EntityPolicy
 from hetsched.policies import parse_policy
@@ -56,7 +57,7 @@ def test_tracer_installs_traces_and_restores():
     assert metrics["policies.calls"] > 0 and metrics["lp.calls"] > 0
 
 
-def test_tracer_sees_water_filling_and_one_compile_per_decision():
+def test_tracer_sees_water_filling_and_one_compile_per_decision(monkeypatch):
     templates = three_templates()
     entities = [Entity(0, 1.0), Entity(1, 2.0, EntityPolicy.FIFO)]
     entries = [TraceEntry(600.0 * k, t.name, 2000, entity_id=k % 2)
@@ -64,12 +65,21 @@ def test_tracer_sees_water_filling_and_one_compile_per_decision():
     trace = Trace(entries, "continuous", 0, entities)
     cfg = SimConfig(cluster=make_cluster({"V100": 1, "K80": 1}),
                     policy=parse_policy("hier:fair"), seed=0)
-    tracer = tracing.Tracer()
-    with tracer.installed():
-        Simulation(cfg, trace, templates).run()
-    count = {}
-    for span in tracer.spans:
-        count[span[0]] = count.get(span[0], 0) + 1
+
+    def traced_run():
+        tracer = tracing.Tracer()
+        with tracer.installed():
+            Simulation(cfg, trace, templates).run()
+        return tracer, Counter(span[0] for span in tracer.spans)
+
+    # The level LP settles every bottleneck check of this trace, so
+    # `find_bottlenecks` runs only with its certificate switched off.
+    _, certified = traced_run()
+    monkeypatch.setattr(hetsched.waterfill, "CERTIFY_BOUND", float("inf"))
+    tracer, count = traced_run()
+    assert certified["waterfill.find_bottlenecks"] < count["waterfill.find_bottlenecks"]
+    assert (certified["waterfill.hierarchical_waterfill"]
+            == count["waterfill.hierarchical_waterfill"])
     for name in ("waterfill.hierarchical_waterfill",
                  "waterfill.find_bottlenecks", "waterfill.max_gain"):
         assert count.get(name, 0) > 0, name
@@ -89,13 +99,14 @@ def test_tracer_lp_sizes_are_those_of_the_largest_lp_solved(policy, monkeypatch)
     # lp.rows_max and lp.vars_max read each traced LP's `constraints` and
     # `num_vars`, so they must stay its row and column counts.
     shapes = []
-    solve_each = hetsched.lp.solve_lp_each
 
-    def spy(lp, objectives):
-        shapes.append(lp.constraints.shape)
-        return solve_each(lp, objectives)
+    class Spy(hetsched.lp._Standardized):
+        def __init__(self, lp):
+            shapes.append(lp.constraints.shape)
+            super().__init__(lp)
 
-    monkeypatch.setattr(hetsched.lp, "solve_lp_each", spy)
+    # `solve_lp` standardizes every LP it solves through this name.
+    monkeypatch.setattr(hetsched.lp, "_Standardized", Spy)
     templates = three_templates()
     trace = Trace([TraceEntry(600.0 * k, t.name, 2000)
                    for k, t in enumerate(templates)], "continuous", 0)

@@ -18,7 +18,8 @@ from hetsched.waterfill import (DELTA_FRACTION, TIGHTEN_SLACK, VERIFY_FRACTION,
                                 single_level_waterfill)
 from oracles import (cold_max_gain, cold_screen_feasible, random_cells,
                      reference_find_bottlenecks, reference_max_gain,
-                     reference_space_lp, reference_tighten_lp)
+                     reference_space_lp, reference_tighten_lp,
+                     reference_waterfill)
 
 
 def singles(cluster, T_rows):
@@ -344,7 +345,36 @@ def test_no_weighted_job_is_a_policy_error():
 def _random_fill_instance(rng):
     """A `random_cells` space whose jobs carry weights, arrival times and
     one of one to three entities, each fair or FIFO with weight 1 to 3."""
-    cluster, rows, cells, jobs = random_cells(rng)
+    return _fill_instance(rng, *random_cells(rng))
+
+
+def _degenerate_fill_instance(rng, kind):
+    """A fill instance built to be degenerate: every job at the same rate on
+    every configuration ("tied"), up to six jobs, some of scale factor 2,
+    on one worker per type ("saturated"), or jobs at rate 0 on every
+    configuration but one ("zero")."""
+    types = ("V100", "P100", "K80")[: int(rng.integers(1, 4))]
+    workers = 1 if kind == "saturated" else int(rng.integers(1, 5))
+    cluster = make_cluster({name: workers for name in types})
+    C = len(cluster.configurations)
+    n = int(rng.integers(3, 7)) if kind == "saturated" else int(rng.integers(2, 6))
+    jobs = [Job(id=i, scale_factor=int(rng.choice([1, 2])) if kind == "saturated" else 1)
+            for i in range(n)]
+    cells = []
+    for _ in jobs:
+        if kind == "tied":
+            row = [(2.0,)] * C
+        elif kind == "saturated":
+            row = [(round(float(rng.uniform(0.5, 4.0)), 1),) for _ in range(C)]
+        else:
+            row = [(0.0,)] * C
+            row[int(rng.integers(C))] = (float(rng.integers(1, 4)),)
+        cells.append(row)
+    return _fill_instance(rng, cluster, [JobCombination.of(j.id) for j in jobs],
+                          cells, jobs)
+
+
+def _fill_instance(rng, cluster, rows, cells, jobs):
     policies = [EntityPolicy.FAIRNESS, EntityPolicy.FIFO]
     entities = [Entity(e, float(rng.integers(1, 4)), policies[int(rng.integers(2))])
                 for e in range(int(rng.integers(1, 4)))]
@@ -454,10 +484,99 @@ def _assert_same_fill(ours, ref):
         assert a.bottlenecks == b.bottlenecks
 
 
+_DEGENERATE = ("tied", "saturated", "zero")
+
+
+def _fill_instances():
+    """(kind, space, entities): 60 seeded instances, then 30 of each
+    degenerate kind."""
+    for seed in range(60):
+        yield ("random", *_random_fill_instance(np.random.default_rng(seed)))
+    for kind in _DEGENERATE:
+        for seed in range(30):
+            yield (kind, *_degenerate_fill_instance(np.random.default_rng(seed), kind))
+
+
+@pytest.fixture
+def paths(monkeypatch):
+    """Records how each iteration of water filling found its bottlenecks:
+    "whole" when the level LP certified every weighted job, "screened" when
+    one screen settled the rest, "fallback" when `find_bottlenecks` ran."""
+    out = []
+    certified = hetsched.waterfill._certified
+    find = hetsched.waterfill.find_bottlenecks
+
+    def spy_certified(space, state, weights, level):
+        cert = certified(space, state, weights, level)
+        whole = len(cert) == sum(w > 0 for w in weights.values())
+        out.append("whole" if whole else "screened")
+        return cert
+
+    def spy_find(*args):
+        out[-1] = "fallback"
+        return find(*args)
+
+    monkeypatch.setattr(hetsched.waterfill, "_certified", spy_certified)
+    monkeypatch.setattr(hetsched.waterfill, "find_bottlenecks", spy_find)
+    return out
+
+
+def test_certified_jobs_are_bottlenecks(monkeypatch):
+    """At every iteration of both fills, on seeded instances and on
+    degenerate ones, every job the level LP certifies lies inside
+    `find_bottlenecks`' answer for that iteration's throughputs."""
+    certified = hetsched.waterfill._certified
+    step = hetsched.waterfill._bottlenecks
+    seen = []
+
+    def spy(space, state, level, thr, weights, gain_rows):
+        cert = certified(space, state, weights, level)
+        ref = find_bottlenecks(space, thr, weights, GainRows(space))
+        assert cert <= ref
+        seen[-1][1] += 1
+        seen[-1][2] += len(cert)
+        seen[-1][3] += len(cert) == sum(w > 0 for w in weights.values())
+        return step(space, state, level, thr, weights, gain_rows)
+
+    monkeypatch.setattr(hetsched.waterfill, "_bottlenecks", spy)
+    for kind, space, entities in _fill_instances():
+        seen.append([kind, 0, 0, 0])
+        for fill, args in _fills(space, entities):
+            fill(*args)
+    # Each kind runs at least `floor` iterations, certifies at least as many
+    # jobs, and certifies every weighted job in a third of that many.
+    for kind in ("random",) + _DEGENERATE:
+        iterations, jobs, whole = np.sum([s[1:] for s in seen if s[0] == kind], axis=0)
+        floor = 300 if kind == "random" else 100
+        assert iterations >= floor and jobs >= floor and whole >= floor // 3, kind
+
+
+def test_fill_matches_reference_loop(paths):
+    """Settling bottlenecks by the certificate and the screen changes no
+    iteration of either fill: weights, level, allocation bytes and
+    bottlenecks all equal those of the loop that runs `find_bottlenecks`
+    at every iteration."""
+    counts = {"whole": 0, "screened": 0, "fallback": 0}
+    for kind, space, entities in _fill_instances():
+        for fill, args, ents in [(hierarchical_waterfill, (space, entities), entities),
+                                 (single_level_waterfill, (space,), None)]:
+            paths.clear()
+            ours = fill(*args)
+            # Read before the reference runs: its `find_bottlenecks` calls
+            # pass through `paths` too.
+            for path in paths:
+                counts[path] += 1
+            _assert_same_fill(ours, reference_waterfill(space, ents))
+    # Each of the three ways to the answer decides a share of the iterations.
+    assert counts["whole"] >= 300 and counts["screened"] >= 150
+    assert counts["fallback"] >= 100
+
+
 @pytest.fixture
 def warm_calls(monkeypatch):
-    """Counts the dual-simplex restarts of the gain rows and of the screens,
-    and the gain restarts whose phase 1 negated a row."""
+    """Counts the dual-simplex restarts of the gain rows, those of the
+    screens and tightening LPs, and the gain restarts whose phase 1 negated
+    a row."""
     calls = {"gain": 0, "screen": 0, "negated": 0}
     restart = hetsched.lp._Standardized.restart
 
@@ -471,23 +590,44 @@ def warm_calls(monkeypatch):
     return calls
 
 
-def test_fill_matches_cold_bottleneck_lps(monkeypatch, warm_calls):
+def test_fill_matches_cold_bottleneck_lps(monkeypatch, warm_calls, paths):
     """Restarting the gain and screen LPs from the last feasible basis
     changes no iteration of either water filling: weights, level, allocation
     bytes and bottlenecks all equal those of the cold path, and so does the
-    text of every LP that --dump-lp would print."""
+    text of every LP that --dump-lp would print.  An iteration certified
+    whole restarts nothing.  Any other restarts the gain rows once for its
+    screen, and a fallback once more for `max_gain`; only a fill's first
+    gain rows are built cold instead.  Each runs its screen, and a fallback
+    at most one more."""
     dumped = []
     monkeypatch.setattr(hetsched.lp, "debug_sink", dumped.append)
-    for seed in range(80):
-        space, entities = _random_fill_instance(np.random.default_rng(seed))
+    gain_rows_restart = GainRows.restart
+    gain_rows_calls = []
+
+    def spy(self, thr_prev):
+        gain_rows_calls.append(thr_prev)
+        return gain_rows_restart(self, thr_prev)
+
+    monkeypatch.setattr(GainRows, "restart", spy)
+    gain = screen = 0
+    for _, space, entities in _fill_instances():
         for fill, args in _fills(space, entities):
-            dumped.clear()
+            dumped.clear(), paths.clear(), gain_rows_calls.clear()
+            before = dict(warm_calls)
             ours = fill(*args)
+            screened, fallback = paths.count("screened"), paths.count("fallback")
+            assert len(gain_rows_calls) == screened + 2 * fallback
+            assert warm_calls["gain"] - before["gain"] == max(len(gain_rows_calls) - 1, 0)
+            # The tightening LP restarts without new right-hand sides too.
+            screens = warm_calls["screen"] - before["screen"] - len(paths)
+            assert screened + fallback <= screens <= screened + 2 * fallback
+            gain += warm_calls["gain"] - before["gain"]
+            screen += screens
             warm_text = list(dumped)
             dumped.clear()
             _assert_same_fill(ours, _cold_fill(monkeypatch, fill, args))
             assert warm_text == dumped
-    assert warm_calls["gain"] >= 100 and warm_calls["screen"] >= 100
+    assert gain >= 100 and screen >= 100
     # A gain restart negates the new carry right-hand sides where phase 1
     # negated the row (a job at zero throughput, whose carry row reads >= 0).
     assert warm_calls["negated"] >= 50
@@ -526,11 +666,14 @@ def test_gain_rows_called_infeasible_fall_back_to_cold(monkeypatch):
     assert cold >= 10
 
 
-def test_gain_rows_standardized_once_and_restarted_warm(monkeypatch, milp_calls):
-    """Within one fill the gain rows are standardized once, and one cold
-    phase 1 runs per iteration, the level LP's, plus the fill's first gain
-    LP: the tightening LP restarts from the level LP's optimum, and every
-    later gain or screen LP from the last feasible basis."""
+def test_gain_rows_standardized_once_and_restarted_warm(monkeypatch, milp_calls,
+                                                       paths):
+    """Within one fill the gain rows are standardized at most once, and one
+    cold phase 1 runs per iteration, the level LP's, plus the gain LP of the
+    first iteration that the level LP does not certify whole: the
+    tightening LP restarts from the level LP's optimum, and every later gain
+    or screen LP from the last feasible basis.  A fill that certifies every
+    iteration whole builds no gain rows."""
     built = []
 
     class CountingStandardized(hetsched.lp._Standardized):
@@ -549,10 +692,10 @@ def test_gain_rows_standardized_once_and_restarted_warm(monkeypatch, milp_calls)
     monkeypatch.setattr(hetsched.lp._Standardized, "phase_one", spy_phase_one)
     # The gain rows reach phase 1 only through `GainRows`.
     assert not hasattr(hetsched.waterfill, "solve_lp_each")
-    checked = later = 0
+    checked = later = no_gain = 0
     for seed in range(40):
         space, entities = _random_fill_instance(np.random.default_rng(seed))
-        built.clear(), entered.clear()
+        built.clear(), entered.clear(), paths.clear()
         before = len(milp_calls)
         result = hierarchical_waterfill(space, entities)
         if len(milp_calls) > before:  # B&B relaxations enter phase 1 too
@@ -561,10 +704,18 @@ def test_gain_rows_standardized_once_and_restarted_warm(monkeypatch, milp_calls)
         later += len(result.iterations) - 1
         # The level LPs carry lam after the cells; the gain LP has the cells.
         levels = [lp for lp in built if lp.num_vars == space.n_cells + 1]
-        assert [lp for lp in built if lp.num_vars == space.n_cells] == [built[1]]
-        assert len(levels) == len(result.iterations) == len(built) - 1
+        gain = [lp for lp in built if lp.num_vars == space.n_cells]
+        first = next((k for k, path in enumerate(paths) if path != "whole"), None)
+        if first is None:
+            assert gain == []
+            no_gain += 1
+        else:
+            # Built right after the level LP of its iteration.
+            assert gain == [built[first + 1]]
+        assert len(levels) == len(result.iterations) == len(paths)
+        assert len(built) == len(levels) + len(gain)
         # One phase 1 per standardized LP: no tightening LP or later gain or
         # screen LP fell back to a cold solve.
         assert len(entered) == len(built)
         assert all(a is b for a, b in zip(entered, built))
-    assert checked >= 20 and later >= 20
+    assert checked >= 20 and later >= 20 and no_gain >= 5
