@@ -25,7 +25,7 @@ from . import __version__
 from .cluster import ClusterSpec, make_cluster
 from .estimator import (DEFAULT_ITERS, DEFAULT_RANK, DEFAULT_REG, MIN_OBSERVED,
                         CompletionError, ReferenceSet, fingerprint_and_match)
-from .jobs import Entity, EntityPolicy, Job
+from .jobs import Entity, EntityPolicy, EntityValueError, Job, is_number, is_whole
 from .lp import IterationLimitError
 from .matrices import MixedPairError, ThroughputMatrix, effective_throughput
 from . import lp
@@ -114,11 +114,22 @@ def _json_file(path):
 
 def _read(path, load=_json_file):
     """Return load(path), by default the file's JSON; an unreadable or
-    malformed file exits with EXIT_IO."""
+    malformed file exits with EXIT_IO, and an entity in it with a bad value
+    with EXIT_USAGE."""
     try:
         return load(path)
+    except EntityValueError as e:
+        _fail(EXIT_USAGE, f"{path}: {e}")
     except (OSError, ValueError, LookupError, TypeError) as e:
         _fail(EXIT_IO, f"{path}: {e}")
+
+
+def _id(doc) -> int:
+    """The whole-number "id" of a job's or an entity's JSON object."""
+    v = doc["id"]
+    if not is_whole(v):
+        raise ValueError(f"id must be a whole number, not {v!r}")
+    return int(v)
 
 
 def _numbers(option: str, text: str, convert=float) -> list:
@@ -222,7 +233,7 @@ def cmd_generate_trace(ctx, mode, num_jobs, lambda_rate, single_worker,
 
 @main.command("solve")
 @click.option("--policy", "policy_text", required=True,
-              help='Policy string, e.g. "las", "las+ss", "makespan", "hier:fair+wf".')
+              help='Policy string, e.g. "las", "las+ss+wf", "makespan", "hier:fair".')
 @click.option("--throughputs", "thr_file", type=click.Path(), required=True,
               help="Throughput matrix JSON.")
 @click.option("--jobs", "jobs_file", type=click.Path(), required=True,
@@ -242,13 +253,13 @@ def cmd_solve(ctx, policy_text, thr_file, jobs_file):
         entities = None
         if isinstance(jobs_doc, dict):
             job_docs = jobs_doc["jobs"]
-            entities = [Entity(int(d["id"]), float(d.get("weight", 1.0)),
+            entities = [Entity(_id(d), d.get("weight", 1.0),
                                EntityPolicy(d.get("policy", "fairness")))
                         for d in jobs_doc.get("entities", [])] or None
         else:
             job_docs = jobs_doc
-        # `Job` checks its numbers, so none is converted here.
-        jobs = [Job(id=int(d["id"]), name=d.get("name", ""),
+        # `Job` and `Entity` check their numbers, so none is converted here.
+        jobs = [Job(id=_id(d), name=d.get("name", ""),
                     num_steps=d.get("num_steps", 1),
                     steps_done=d.get("steps_done", 0.0),
                     scale_factor=d.get("scale_factor", 1),
@@ -464,9 +475,16 @@ def cmd_estimate(ctx, refs_file, meas_file, rank, reg, iters):
     vecs = np.zeros((len(names), refs.size))
     masks = np.zeros((len(names), refs.size), dtype=bool)
     for row, name in enumerate(names):
+        if not isinstance(meas_doc[name], dict):
+            _fail(EXIT_USAGE, f"{name}: measurements must map reference names "
+                              f"to numbers, not {meas_doc[name]!r}")
         for ref_name, value in meas_doc[name].items():
             if ref_name not in index:
                 _fail(EXIT_USAGE, f"{name}: unknown reference {ref_name!r}")
+            # NaN, the infinities and ints too large for a float all fail.
+            if not (is_number(value) and abs(value) <= sys.float_info.max):
+                _fail(EXIT_USAGE, f"{name}: {ref_name} must be a finite number, "
+                                  f"not {value!r}")
             k = index[ref_name]
             vecs[row, k] = float(value)
             masks[row, k] = True

@@ -18,6 +18,20 @@ class EntityPolicy(str, enum.Enum):
 ENTITY_POLICY_NAMES = {"fair": EntityPolicy.FAIRNESS, "fifo": EntityPolicy.FIFO}
 
 
+class EntityValueError(ValueError):
+    """An entity's field holds a value it cannot take."""
+
+
+def is_number(v) -> bool:
+    """Whether `v` is a real number; JSON's true is a bool, not a number."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def is_whole(v) -> bool:
+    """Whether `v` is a number with no fractional part (not NaN or inf)."""
+    return is_number(v) and float(v).is_integer()
+
+
 @dataclass
 class Job:
     """A training job.  Policies treat jobs as read-only snapshots; only the
@@ -40,9 +54,7 @@ class Job:
                      "slo_seconds", "arrival_time", "elapsed_time",
                      "isolated_elapsed_time", "entity_id"):
             v = getattr(self, name)
-            # A bool is a numbers.Real, but JSON's true is no number.
-            if not (isinstance(v, numbers.Real) and not isinstance(v, bool)
-                    or v is None and name in ("slo_seconds", "entity_id")):
+            if not (is_number(v) or v is None and name in ("slo_seconds", "entity_id")):
                 raise ValueError(f"job {self.id}: {name} must be a number, not {v!r}")
         for name in ("weight", "steps_done", "arrival_time", "elapsed_time",
                      "isolated_elapsed_time"):
@@ -50,7 +62,7 @@ class Job:
                 raise ValueError(f"job {self.id}: {name} must be finite")
         for name in ("num_steps", "scale_factor"):
             v = getattr(self, name)
-            if not (v >= 1 and float(v).is_integer()):
+            if not (is_whole(v) and v >= 1):
                 raise ValueError(f"job {self.id}: {name} must be a whole number >= 1, "
                                  f"not {v}")
         if self.weight <= 0:
@@ -74,8 +86,11 @@ class Entity:
     internal_policy: EntityPolicy = EntityPolicy.FAIRNESS
 
     def __post_init__(self):
+        if not is_number(self.weight):
+            raise EntityValueError(f"entity {self.id}: weight must be a number, "
+                                   f"not {self.weight!r}")
         if not (math.isfinite(self.weight) and self.weight > 0):
-            raise ValueError(f"entity {self.id}: weight must be positive and finite")
+            raise EntityValueError(f"entity {self.id}: weight must be positive and finite")
 
 
 @dataclass(frozen=True, order=True)

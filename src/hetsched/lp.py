@@ -34,22 +34,17 @@ and the returned solution has +0.0 in every zero: every pivot and every
 returned bit is the dense kernel's.
 
 One object, `_Standardized`, holds an LP's rows in standard form and the
-basis its last solve left, for cold and warm solves alike; the LP's own
-rows, its upper-bound rows and appended rows share `standardize_rows`.
-Phase 1 keeps its row-signed tableau and feasible basis, and
-`_Standardized.solve_each` runs phase 2 from it once per objective: phase 1
-does not read the objective, so each result is exactly what `solve_lp`
-returns for that objective.  Rows solved again and again with new
-right-hand sides or appended rows restart from the kept basis instead of a
-cold phase 1: a new right-hand side is negated where phase 1 negated the
-row, and appended rows start with their slacks basic.  A zero objective
-makes every basis dual feasible, so a dual simplex under Bland's rule
-reaches a feasible basis paying only for the pivots the change needs
-(Koberstein, PhD thesis, 2005).  Phase 2 then runs the same primal simplex
-from that basis.  A phase 2 may also leave its optimal basis in the state:
-a row appended to an optimum that it already satisfies starts with its
-slack basic and feasible, so phase 2 under a new objective restarts there
-with no phase 1 and no dual pivot.
+basis its last solve left; the LP's own rows, its upper-bound rows and
+appended rows share `standardize_rows`.  It is entered two ways.  A cold
+solve runs phase 1 from the slack basis and then phase 2 (`solve_lp`).  A
+warm one appends rows to a state at a basis it already reached: each new
+row starts with its slack basic, and `restart` moves the basis to a
+feasible one with a zero-cost dual simplex.  A zero objective makes every
+basis dual feasible, so under Bland's rule it pays only for the pivots
+the new rows need (Koberstein, PhD thesis, 2005), and none when the basis
+already satisfies them.  Phase 2 then runs the same primal simplex from
+that basis and leaves its optimum in the state, so the next objective, or
+the next appended rows, start there.
 """
 
 from __future__ import annotations
@@ -201,17 +196,15 @@ def solve_lp(lp: LinearProgram) -> SolveResult:
     return prob.solve(lp.objective)
 
 
-def dump_each(build, objectives=None) -> None:
-    """Feed `debug_sink` the text of the LP that `build()` returns, once per
-    objective in `objectives` (by default its own).  `build` runs only when
-    a sink is set, so a solver that never builds the LinearProgram can
-    still show it."""
+def dump_each(build) -> None:
+    """Feed `debug_sink` the text of the LP that `build()` returns.  `build`
+    runs only when a sink is set, so a solver that never builds the
+    LinearProgram can still show it."""
     if debug_sink is None:
         return
     lp = build()
-    for objective in [lp.objective] if objectives is None else objectives:
-        debug_sink(f"# LP: {lp.num_vars} variables, {len(lp.constraints)} constraints\n"
-                   + replace(lp, objective=_objective(lp, objective)).dump())
+    debug_sink(f"# LP: {lp.num_vars} variables, {len(lp.constraints)} constraints\n"
+               + lp.dump())
 
 
 def _objective(lp: LinearProgram, objective) -> np.ndarray:
@@ -250,10 +243,11 @@ class _Standardized:
     are shifted out; free variables are split into positive/negative parts;
     finite upper bounds become extra rows.  `phase_one` adds a slack column
     per inequality row and negates some rows, keeping the tableau `T`, its
-    right-hand side `b`, the negated rows `flip` and a feasible basis with
-    its inverse and basic values.  `restart`, `append`, `solve_each` and
-    `solve` all start from that state; `solve` leaves it at the optimal
-    basis its phase 2 reaches.
+    right-hand side `b` and a feasible basis with its inverse and basic
+    values.  `append`, `restart` and `solve` all start from that state;
+    `solve` leaves it at the optimal basis its phase 2 reaches.  `lp` is the
+    LP the state was built from and `appended` the row blocks appended to
+    it since, which `as_lp` puts back together.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -276,13 +270,13 @@ class _Standardized:
         ub_vars = self.keep[np.isfinite(lp.upper[self.keep] - self.shift)]
         bounds = np.zeros((len(ub_vars), lp.num_vars))
         bounds[np.arange(len(ub_vars)), ub_vars] = 1.0
-        self.upper_rhs = lp.upper[ub_vars]
-        self.A, self.row_shifts = self.standardize_rows(
+        self.A, (fixed, shift) = self.standardize_rows(
             np.vstack([lp.constraints, bounds]))
-        self.b = self.rhs(lp.rhs)
+        self.b = np.concatenate([lp.rhs, lp.upper[ub_vars]]) - fixed - shift
         rels = lp.relations + [Relation.LE] * len(ub_vars)
         self.le = np.array([rel is Relation.LE for rel in rels], dtype=bool)
         self.ge = np.array([rel is Relation.GE for rel in rels], dtype=bool)
+        self.appended = ()
 
     def standardize_rows(self, coeffs: np.ndarray):
         """Rows over the LP's variables (`coeffs` stacks them) in the
@@ -294,12 +288,6 @@ class _Standardized:
         return (np.hstack([main, -main[:, self.neg_cols]]),
                 (_row_dots(coeffs, fixed_cols, self.fixed_vals[fixed_cols]),
                  _row_dots(coeffs, self.keep, self.shift)))
-
-    def rhs(self, rhs) -> np.ndarray:
-        """The standardized right-hand side when the LP's rows have the
-        right-hand sides `rhs`."""
-        fixed, shift = self.row_shifts
-        return np.concatenate([rhs, self.upper_rhs]) - fixed - shift
 
     def cost(self, objective: np.ndarray) -> np.ndarray:
         """The standardized (minimized) cost vector of an objective."""
@@ -331,7 +319,7 @@ class _Standardized:
         """Whether the rows are feasible, by the cold phase 1, which runs
         only when some row needs an artificial.  It keeps the state
         described in the class docstring, none of which depends on the
-        objective, and sets `dropped` when it drops a dependent row."""
+        objective; a dependent equality row it drops is gone from it."""
         A, b = self.A, self.b
         m, n = A.shape
 
@@ -339,10 +327,10 @@ class _Standardized:
         # and GE; so are GE rows with a zero right-hand side, whose slack
         # then starts basic at 0 and needs no artificial.
         neg = b < 0
-        self.flip = neg | (self.ge & (b == 0))
+        flip = neg | (self.ge & (b == 0))
         b = np.where(neg, -b, b)
-        le = np.where(self.flip, self.ge, self.le)
-        ge = np.where(self.flip, self.le, self.ge)
+        le = np.where(flip, self.ge, self.le)
+        ge = np.where(flip, self.le, self.ge)
 
         # Slack / surplus columns, then artificials where no basic slack
         # exists.  The starting basis (the LE slacks and the artificials) is
@@ -355,13 +343,12 @@ class _Standardized:
         art_cols = np.arange(art_start, total)
         T = np.zeros((m, total))
         T[:, :n] = A
-        T[self.flip, :n] *= -1.0
+        T[flip, :n] *= -1.0
         T[slack_rows, slack_cols] = np.where(le[slack_rows], 1.0, -1.0)
         T[art_rows, art_cols] = 1.0
         basis = np.empty(m, dtype=np.intp)
         basis[slack_rows] = slack_cols
         basis[art_rows] = art_cols
-        self.dropped = False
         if art_rows.size:
             c1 = np.zeros(total)
             c1[art_start:] = 1.0
@@ -391,7 +378,6 @@ class _Standardized:
                 else:
                     keep_rows[i] = False
             if not keep_rows.all():
-                self.dropped = True
                 T, b, basis = T[keep_rows], b[keep_rows], basis[keep_rows]
             T = T[:, :art_start]
             Binv = _basis_inverse(T, basis)
@@ -403,17 +389,9 @@ class _Standardized:
         self.T, self.b, self.basis, self.Binv, self.xb = T, b, basis, Binv, xb
         return True
 
-    def restart(self, rhs=None) -> bool:
+    def restart(self) -> bool:
         """Whether the rows are feasible, by the dual simplex from the basis
-        the state holds, the LP's own rows taking the right-hand sides `rhs`
-        when given (negated where phase 1 negated the row; appended rows
-        keep theirs)."""
-        if rhs is not None:
-            if self.dropped:
-                raise ValueError("phase 1 dropped a dependent equality row, "
-                                 "so new right-hand sides cannot restart")
-            b = self.rhs(np.asarray(rhs, dtype=float))
-            self.b = np.concatenate([np.where(self.flip, -b, b), self.b[len(b):]])
+        the state holds, which it leaves at the feasible basis found."""
         self.feasible, self.basis, self.Binv, self.xb = _dual_simplex(
             self.T, self.b, self.basis, self.Binv, self.Binv @ self.b)
         return self.feasible
@@ -444,7 +422,16 @@ class _Standardized:
         out.Binv[:m, :m] = self.Binv
         out.Binv[m:, :m] = -sign[:, None] * (out.T[m:, self.basis] @ self.Binv)
         out.Binv[rows_k, rows_k] = sign
+        out.appended = self.appended + ((coeffs, rels, rhs),)
         return out
+
+    def as_lp(self, objective) -> LinearProgram:
+        """The LP of the rows the state holds under `objective`: its own
+        LP's rows, then each appended block.  --dump-lp prints it."""
+        lp = replace(self.lp, objective=objective)
+        for rows in self.appended:
+            lp.add_rows(*rows)
+        return lp
 
     def reduced_costs(self, objective) -> tuple:
         """The reduced costs under `objective` at the basis the state holds,
@@ -465,21 +452,12 @@ class _Standardized:
         reduced[basic] = 0.0
         return reduced[:n], reduced[n:]
 
-    def solve_each(self, objectives) -> list[SolveResult]:
-        """Phase 2 per objective from the basis the last phase 1 or restart
-        found, as SolveResults over the LP's own variables.  Each starts
-        from copies of the inverse and basic values, so the state keeps
-        that basis."""
-        return [self._result(_objective(self.lp, objective), keep=False)
-                for objective in objectives]
-
     def solve(self, objective) -> SolveResult:
-        """Phase 2 for one objective, as `solve_each` solves it, leaving the
-        state at the basis it ends on: rows appended afterwards, and the
-        next objective, start from this one's optimum."""
-        return self._result(_objective(self.lp, objective), keep=True)
-
-    def _result(self, objective: np.ndarray, keep: bool) -> SolveResult:
+        """Phase 2 for one objective from the basis the state holds, as a
+        SolveResult over the LP's own variables, leaving the state at the
+        basis it ends on: rows appended afterwards, and the next objective,
+        start from this one's optimum."""
+        objective = _objective(self.lp, objective)
         c = self.cost(objective)
         if not self.feasible:
             return SolveResult(Status.INFEASIBLE)
@@ -489,16 +467,10 @@ class _Standardized:
             n = self.A.shape[1]
             c2 = np.zeros(self.T.shape[1])
             c2[:n] = c
-            # The simplex moves the inverse and basic values it is given to
-            # the basis it returns.
-            if keep:
-                Binv, xb = self.Binv, self.xb
-            else:
-                Binv, xb = self.Binv.copy(), self.xb.copy()
-            status, x_all, basis = _simplex(self.T, self.b, c2, self.basis,
-                                            Binv, xb)
-            if keep:
-                self.basis = basis
+            # The simplex moves the inverse and basic values to the basis
+            # it returns.
+            status, x_all, self.basis = _simplex(self.T, self.b, c2, self.basis,
+                                                 self.Binv, self.xb)
             u = x_all[:n] if status is Status.OPTIMAL else None
         if status is not Status.OPTIMAL:
             return SolveResult(status)

@@ -67,18 +67,17 @@ class PolicySpec:
     """Policy kind plus the options that change a solve.  Placement
     awareness follows from the cluster spec, and entities' internal policies
     come from the trace or the jobs file.  Water filling applies only to
-    max-min fairness, which it switches to water filling, and to the
-    hierarchical policy, which always water-fills."""
+    max-min fairness, which it switches to water filling; the hierarchical
+    policy always water-fills, so on it, as on any other, the flag would
+    change nothing and is refused."""
 
     kind: PolicyKind
     space_sharing: bool = False
     water_filling: bool = False
 
     def __post_init__(self):
-        if self.water_filling and self.kind not in (
-                PolicyKind.MAX_MIN_FAIRNESS, PolicyKind.HIERARCHICAL):
-            raise ValueError(
-                f"+wf applies only to las and hier, not {self.kind.value!r}")
+        if self.water_filling and self.kind is not PolicyKind.MAX_MIN_FAIRNESS:
+            raise ValueError(f"+wf applies only to las, not {self.kind.value!r}")
 
     def label(self) -> str:
         text = self.kind.value
@@ -90,7 +89,7 @@ class PolicySpec:
 
 
 def parse_policy(text: str) -> PolicySpec:
-    """Parse a policy string such as "las", "las+ss", "hier:fair/fifo+wf".
+    """Parse a policy string such as "las", "las+ss+wf", "hier:fair/fifo".
 
     The entity-policy list after "hier:" is checked but selects nothing.
     """

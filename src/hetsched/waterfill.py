@@ -17,34 +17,37 @@ Nace and Pioro, IEEE Comm. Surveys & Tutorials 10(4), 2008).  If every
 active job is certified, no LP runs.  Otherwise one screening LP asks
 whether every uncertified job can gain its slack at the same time; if so,
 the certified jobs are the answer.  Only when that screen fails does
-`find_bottlenecks` run: one gain LP with an objective per active job, its
-own screen, and a mixed-integer program when that screen fails too or a
-gain sits too close to the strictness slack to call.
+`find_bottlenecks` run: one gain LP per active job, its own screen, and a
+mixed-integer program when that screen fails too or a gain sits too close
+to the strictness slack to call.
 
-The gain LPs of one decision share their rows, and only the carry rows'
-right-hand sides change from one iteration to the next; the screen is the
-gain LP plus appended rows.  So one `GainRows` per decision keeps the gain
-rows as one `lp._Standardized`, and `GainRows.restart` is the only way to
-a feasible basis of them.  It restarts from the last basis it reached
-with a zero-cost dual simplex when it can, and otherwise rebuilds the rows
-cold through phase 1.  Every screen starts from the gain LP's feasible
-basis plus its new rows' slacks, so it never pays for a cold phase 1.
+Every LP of an iteration starts from the level LP, whose cold phase 1 is
+the only one the iteration pays for.  The others are rows appended to an
+optimum (`lp._Standardized.append`), moved to a feasible basis by a
+zero-cost dual simplex (`restart`), and solved by phase 2 from there:
 
-Each iteration pays one cold phase 1 of its own, the level LP's.  The
-tightening LP, whose optimal vertex becomes the allocation, is the level
-LP's rows plus one row pinning lam at the level: it is appended to the
-level LP's `lp._Standardized` at its optimum, which already satisfies it,
-and phase 2 under the minimum-total-time objective starts from there.
+- the tightening LP, whose optimal vertex becomes the allocation X, is the
+  level LP's rows plus one row pinning lam at the level, which the level
+  LP's optimum already satisfies;
+- the gain rows are the tightening LP's rows plus a carry row
+  thr_j(X') >= thr_j(X) per job (`_gain_rows`), which X itself satisfies
+  within rounding.  Any X' that keeps every job at its throughput under X
+  meets the level rows, the earlier carry rows and the pin row as X does,
+  with lam unchanged, so these rows allow exactly the gain LP's
+  allocations;
+- each gain LP (`max_gain`) is the gain rows under one job's throughput,
+  solved from the previous gain LP's optimum, and each screen
+  (`_screen_feasible`) is the gain rows plus its own rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .jobs import EntityPolicy
-from .lp import LinearProgram, Relation, _Standardized, dump_each
+from .lp import Relation, _Standardized, dump_each
 from .matrices import AllocationMatrix, inorder_sum
 # bench/tracing.py wraps these two names where this module binds them.
 from .lp import solve_lp  # noqa: F401
@@ -121,6 +124,11 @@ def _carry_rows(space: ProblemSpace, thr_prev: dict) -> tuple:
             [thr_prev[j.id] for j in space.jobs])
 
 
+def _with_lam(rows: np.ndarray) -> np.ndarray:
+    """Rows over the cells as rows over the cells then lam (coefficient 0)."""
+    return np.column_stack([rows, np.zeros(len(rows))])
+
+
 def _level_scales(space: ProblemSpace, weights: dict) -> dict:
     """Each weighted job's level-row scale s_j, in `space.jobs` order."""
     return {j.id: j.scale_factor / (weights[j.id] * space.equal_norm[j.id])
@@ -137,8 +145,7 @@ def _level_lp(space: ProblemSpace, weights: dict, t_prev: dict,
                     {j.id: t_prev[j.id] / weights[j.id]
                      for j in space.jobs if weights[j.id] > 0})
     carried = [k for k, j in enumerate(space.jobs) if thr_prev[j.id] > 0]
-    lp.add_rows(np.column_stack([space.thr_rows[carried], np.zeros(len(carried))]),
-                [Relation.GE] * len(carried),
+    lp.add_rows(_with_lam(space.thr_rows[carried]), [Relation.GE] * len(carried),
                 [thr_prev[space.jobs[k].id] for k in carried])
     dump_each(lambda: lp)
     state = _Standardized(lp)
@@ -149,8 +156,7 @@ def _level_lp(space: ProblemSpace, weights: dict, t_prev: dict,
     return state, res.objective_value
 
 
-def _tighten(space: ProblemSpace, state: _Standardized,
-             level: float) -> AllocationMatrix:
+def _tighten(space: ProblemSpace, state: _Standardized, level: float) -> tuple:
     """Re-solve at the found water level, minimizing total allocated time.
 
     The max-min LP can return a vertex that hands surplus throughput to
@@ -158,72 +164,53 @@ def _tighten(space: ProblemSpace, state: _Standardized,
     every weighted job's level row holds it at the water level and
     bottleneck detection sees the true frontier.  The pin row is appended
     to the level LP's rows at their optimum, which satisfies it with its
-    slack basic, so phase 2 starts there with no phase 1.
+    slack basic, so phase 2 starts there with no phase 1.  Returns the
+    allocation and the tightening LP at its optimal basis.
     """
-    pin = (np.eye(1, space.n_cells + 1, space.n_cells), [Relation.GE],
-           [level - TIGHTEN_SLACK])
     # Maximizing minus the total allocated time minimizes it.
     lean = np.append(np.full(space.n_cells, -1.0), 0.0)
-    dump_each(lambda: _with_rows(state.lp, *pin), [lean])
-    tight = state.append(*pin)
+    tight = state.append(np.eye(1, space.n_cells + 1, space.n_cells), [Relation.GE],
+                         [level - TIGHTEN_SLACK])
+    dump_each(lambda: tight.as_lp(lean))
     # A restart that finds no feasible basis leaves `solve` infeasible.
     tight.restart()
     res = tight.solve(lean)
     if not res.optimal:
         raise PolicyInfeasibleError(f"tightening LP returned {res.status}")
-    return space.allocation(res.x)
+    return space.allocation(res.x), tight
 
 
-def _with_rows(lp: LinearProgram, coeffs, relations, rhs) -> LinearProgram:
-    out = replace(lp)
-    out.add_rows(coeffs, relations, rhs)
-    return out
-
-
-class GainRows:
-    """Bottleneck detection's state within one decision: the gain LP's rows
-    as one `lp._Standardized`, at the basis the last gain LP left."""
-
-    def __init__(self, space: ProblemSpace):
-        self.space = space
-        self.state = None
-
-    def restart(self, thr_prev: dict) -> _Standardized:
-        """The gain rows with carry rows at `thr_prev`, moved to a feasible
-        basis by the dual simplex from the last one.  They are rebuilt cold
-        through phase 1 instead at the decision's first gain LP, after a
-        phase 1 that dropped a row or found no feasible basis, and when the
-        dual simplex calls the rows infeasible (X_prev satisfies them, so
-        only numerics can)."""
-        space, state = self.space, self.state
-        if (state is None or state.dropped or not state.feasible
-                or not state.restart([thr_prev[j.id] for j in space.jobs]
-                                     + space.validity_rhs)):
-            self.state = state = _Standardized(_gain_lp(space, thr_prev))
-            state.phase_one()
-        return state
-
-
-def _gain_lp(space: ProblemSpace, thr_prev: dict):
-    return space.lp(np.zeros(space.n_cells), [_carry_rows(space, thr_prev)])
+def _gain_rows(space: ProblemSpace, tight: _Standardized, thr: dict) -> _Standardized:
+    """The gain rows for the tightened throughputs `thr`: the tightening
+    LP's rows, appended to at its optimum `tight` with the carry rows at
+    `thr`, which that optimum meets within rounding, at the feasible basis
+    the dual simplex reaches from it."""
+    coeffs, rels, rhs = _carry_rows(space, thr)
+    gain_rows = tight.append(_with_lam(coeffs), rels, rhs)
+    if not gain_rows.restart():  # the tightened allocation is a witness
+        raise PolicyError("gain rows infeasible at the tightened allocation")
+    return gain_rows
 
 
 def max_gain(space: ProblemSpace, thr_prev: dict, job_ids,
-             gain_rows: GainRows) -> dict:
+             gain_rows: _Standardized) -> dict:
     """Largest throughput increase available to each of `job_ids` alone
-    while every job keeps at least its previous throughput.  The gain LPs
-    differ only in their objective, so they are solved as one LP with one
-    objective per job; a job whose LP has no optimum gains 0.0.  Phase 2
-    starts from the feasible basis `gain_rows` restarts to."""
-    objectives = [space.coeffs[job_id] for job_id in job_ids]
-    state = gain_rows.restart(thr_prev)
-    dump_each(lambda: _gain_lp(space, thr_prev), objectives)
-    return {job_id: res.objective_value - thr_prev[job_id] if res.optimal else 0.0
-            for job_id, res in zip(job_ids, state.solve_each(objectives))}
+    while every job keeps at least its previous throughput; a job whose LP
+    has no optimum gains 0.0.  The gain LPs differ only in their objective,
+    so each starts from the last one's optimum, the first from the feasible
+    basis `gain_rows` holds (`_gain_rows`), which it leaves at the last
+    optimum."""
+    out = {}
+    for job_id in job_ids:
+        objective = np.append(space.coeffs[job_id], 0.0)
+        dump_each(lambda: gain_rows.as_lp(objective))
+        res = gain_rows.solve(objective)
+        out[job_id] = res.objective_value - thr_prev[job_id] if res.optimal else 0.0
+    return out
 
 
 def find_bottlenecks(space: ProblemSpace, thr_prev: dict, active_weights: dict,
-                     gain_rows: GainRows) -> set:
+                     gain_rows: _Standardized) -> set:
     """Jobs whose effective throughput cannot rise without lowering another's.
 
     `thr_prev` holds every job's effective throughput under the previous
@@ -234,17 +221,18 @@ def find_bottlenecks(space: ProblemSpace, thr_prev: dict, active_weights: dict,
     ties going to the lexicographically smallest choice of flags, and then
     every job whose own gain falls short of VERIFY_FRACTION * delta_j.
 
-    The gain LP (`max_gain`, one objective per active job) names the
-    candidates, the jobs that can gain delta_j alone.  If every other gain
-    is below VERIFY_FRACTION * delta_j, one feasibility LP checks that all
+    The gain LPs (`max_gain`, one per active job) name the candidates,
+    the jobs that can gain delta_j alone.  If every other gain is below
+    VERIFY_FRACTION * delta_j, one feasibility LP checks that all
     candidates can gain delta_j at once while every other active job stays
     capped at its previous throughput.  When it can, the candidates are
     exactly the improvable jobs: no larger set exists, since any job in one
     must gain delta_j alone, and the largest set is unique, so no tie is
     left to break.  With no candidates X_prev itself is the witness.
     Otherwise (a gain in [VERIFY_FRACTION * delta_j, delta_j), or
-    candidates that conflict) the bottleneck MILP decides.  Both LPs start
-    from the basis in `gain_rows`, the decision's `GainRows`.
+    candidates that conflict) the bottleneck MILP decides.  The LPs start
+    from `gain_rows`: the gain rows for `thr_prev` over the level LP's
+    variables, the cells then lam, at a feasible basis (`_gain_rows`).
 
     Water filling calls it only when the level LP's certificate and one
     screen of the uncertified jobs have not settled the answer
@@ -263,19 +251,19 @@ def find_bottlenecks(space: ProblemSpace, thr_prev: dict, active_weights: dict,
 
 
 def _screen_feasible(space: ProblemSpace, active: list, thr_prev: dict,
-                     delta: dict, cand: set, gain_rows: GainRows) -> bool:
+                     delta: dict, cand: set, gain_rows: _Standardized) -> bool:
     """Whether every candidate can gain its slack at once while every other
     active job stays at its previous throughput.  The screen's rows are
-    appended to the gain rows, and the dual simplex starts from the gain
-    LP's basis for `thr_prev` in `gain_rows` plus their slacks."""
+    appended to the gain rows for `thr_prev`, and the dual simplex starts
+    from `gain_rows`' basis plus the new rows' slacks."""
     ids = {j.id for j in active}
-    extra = (space.thr_rows[[k for k, j in enumerate(space.jobs) if j.id in ids]],
-             [Relation.GE if j.id in cand else Relation.LE for j in active],
-             [thr_prev[j.id] + delta[j.id] if j.id in cand else thr_prev[j.id]
-              for j in active])
-    dump_each(lambda: space.lp(np.zeros(space.n_cells),
-                               [_carry_rows(space, thr_prev), extra]))
-    return gain_rows.state.append(*extra).restart()
+    screen = gain_rows.append(
+        _with_lam(space.thr_rows[[k for k, j in enumerate(space.jobs) if j.id in ids]]),
+        [Relation.GE if j.id in cand else Relation.LE for j in active],
+        [thr_prev[j.id] + delta[j.id] if j.id in cand else thr_prev[j.id]
+         for j in active])
+    dump_each(lambda: screen.as_lp(np.zeros(space.n_cells + 1)))
+    return screen.restart()
 
 
 def _milp_bottlenecks(space: ProblemSpace, active: list, thr_prev: dict,
@@ -347,20 +335,22 @@ def _certified(space: ProblemSpace, state: _Standardized, weights: dict,
             if rc * s * space.best[job_id] > bound}
 
 
-def _bottlenecks(space: ProblemSpace, state: _Standardized, level: float,
-                 thr: dict, weights: dict, gain_rows: GainRows) -> set:
+def _bottlenecks(space: ProblemSpace, state: _Standardized, tight: _Standardized,
+                 level: float, thr: dict, weights: dict) -> set:
     """`find_bottlenecks`' answer for the tightened throughputs `thr`,
     settled by the level LP's certificate when it can be.  With C the
     certified jobs: if C is every weighted job, it is the answer and no LP
     runs.  Otherwise one screen asks whether every other weighted job can
     gain its slack at once; if so, the answer is C, by `find_bottlenecks`'
     own argument (the screen is a joint witness for the others, and no job
-    in C can gain alone).  Only when it fails does `find_bottlenecks` run."""
+    in C can gain alone).  Only when it fails does `find_bottlenecks` run.
+    `state` holds the level LP at its optimum and `tight` the tightening
+    LP at its own, where the gain rows start."""
     active = [j for j in space.jobs if weights[j.id] > 0]
     cert = _certified(space, state, weights, level)
     if len(cert) == len(active):
         return cert
-    gain_rows.restart(thr)
+    gain_rows = _gain_rows(space, tight, thr)
     delta = {j.id: DELTA_FRACTION * space.best[j.id] for j in active}
     if _screen_feasible(space, active, thr, delta,
                         {j.id for j in active} - cert, gain_rows):
@@ -392,19 +382,18 @@ def _fill(space: ProblemSpace, weights_of) -> WaterfillResult:
     t_prev = {j.id: 0.0 for j in jobs}
     thr_prev = {j.id: 0.0 for j in jobs}
     iterations = []
-    gain_rows = GainRows(space)
 
     for _ in range(len(jobs) + 1):
         weights = weights_of(done)
         if all(w <= 0 for w in weights.values()):
             break
         state, level = _level_lp(space, weights, t_prev, thr_prev)
-        X = _tighten(space, state, level)
+        X, tight = _tighten(space, state, level)
         # Each job's row summed in order, as effective_throughput sums it.
         thr = dict(zip([j.id for j in jobs],
                        inorder_sum(space.thr_rows * X.values.ravel()).tolist()))
         normalized = {j.id: thr[j.id] / space.equal_norm[j.id] for j in jobs}
-        bottlenecks = _bottlenecks(space, state, level, thr, weights, gain_rows)
+        bottlenecks = _bottlenecks(space, state, tight, level, thr, weights)
         if not bottlenecks:
             # Numerically possible only when every weighted job can still
             # move; freeze them all to guarantee termination.

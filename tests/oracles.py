@@ -18,10 +18,11 @@ the cell-at-a-time throughput-matrix walks (`CellMatrix`), the
 simulator's matrix build one pair at a time (`reference_build_matrix`,
 with its pair factors from `reference_pair_factor`), one gain LP
 per job (`reference_max_gain`), bottleneck detection by MILP alone
-(`reference_find_bottlenecks`), water filling's gain and screen LPs each
-from a cold phase 1 (`cold_max_gain`, `cold_screen_feasible`), water
-filling with `find_bottlenecks` deciding every iteration
-(`reference_waterfill`), its
+(`reference_find_bottlenecks`), the gain rows that bottleneck detection
+takes, built cold where no level LP ran (`gain_state`), water filling's
+gain and screen LPs built whole and solved cold (`cold_max_gain`,
+`cold_screen_feasible`), water filling with `find_bottlenecks` deciding
+every iteration (`reference_waterfill`), its
 tightening LP built whole and solved cold (`reference_tighten_lp`), the LP
 that gives one job the whole cluster (`reference_standalone`),
 finish-time fairness by bisection over its feasibility LP
@@ -55,7 +56,7 @@ from hetsched.estimator import (DEFAULT_ITERS, DEFAULT_RANK, DEFAULT_REG,
                                 CompletionError)
 from hetsched.jobs import Job, JobCombination
 from hetsched.lp import (DEGENERATE_LIMIT, FEAS_TOL, OPT_TOL, REFACTOR_EVERY,
-                         LinearProgram, Relation, SolveResult, Status, dump_each,
+                         LinearProgram, Relation, SolveResult, Status,
                          solve_lp)
 from hetsched.matrices import (PAIR_KEEP_THRESHOLD, ThroughputMatrix,
                                effective_throughput, isolated_allocation,
@@ -65,7 +66,7 @@ from hetsched.milp import MixedIntegerProgram, solve_milp
 from hetsched.policies import PolicyError, ProblemSpace
 from hetsched.search import bisect
 from hetsched.traces import JobTemplate, colocation_factor
-from hetsched.waterfill import (DELTA_FRACTION, TIGHTEN_SLACK, GainRows,
+from hetsched.waterfill import (DELTA_FRACTION, TIGHTEN_SLACK,
                                 WaterfillIteration, WaterfillResult,
                                 assign_job_weights)
 
@@ -1131,38 +1132,48 @@ def reference_find_bottlenecks(jobs, X_prev, T, active_weights: dict) -> set:
 
 
 # ---------------------------------------------------------------------------
-# Water filling's bottleneck LPs, each from a cold phase 1
+# Water filling's bottleneck LPs, built whole and solved cold
 # ---------------------------------------------------------------------------
-# `hetsched.waterfill` restarts its gain and screen LPs from the last
-# feasible basis.  These are the same LPs built whole and solved cold, with
-# the library's signatures (the per-decision `gain_rows` state is ignored),
-# so a test can swap them in and run the same fill on the cold path.
+# `hetsched.waterfill` appends its gain and screen rows to the tightening
+# LP at its optimum.  `gain_state` builds the gain rows cold where no level
+# LP ran; `cold_max_gain` and `cold_screen_feasible` take the library's
+# signatures and solve each LP built whole from the rows it was appended
+# to, so a test can swap them in and run the same fill on the cold path.
 
 def _carry(space: ProblemSpace, thr_prev: dict) -> tuple:
     return (space.thr_rows, [Relation.GE] * len(space.jobs),
             [thr_prev[j.id] for j in space.jobs])
 
 
-def cold_max_gain(space: ProblemSpace, thr_prev: dict, job_ids,
-                  gain_rows) -> dict:
-    """Each job's largest gain while every job keeps its previous
-    throughput: one LP with one objective per job, from one cold phase 1."""
-    lp = space.lp(np.zeros(space.n_cells), [_carry(space, thr_prev)])
-    objectives = [space.coeffs[job_id] for job_id in job_ids]
-    dump_each(lambda: lp, objectives)
+def gain_state(space: ProblemSpace, thr_prev: dict):
+    """The gain rows for `thr_prev` as `find_bottlenecks` and `max_gain`
+    take them, over the level LP's variables (the cells, then lam fixed at
+    0), at the feasible basis of a cold phase 1."""
+    lp = space.lp(np.zeros(space.n_cells + 1), [_carry(space, thr_prev)])
+    lp.upper[-1] = 0.0
     state = hetsched.lp._Standardized(lp)
     state.phase_one()
-    results = state.solve_each(objectives)
-    return {job_id: res.objective_value - thr_prev[job_id] if res.optimal else 0.0
-            for job_id, res in zip(job_ids, results)}
+    return state
+
+
+def cold_max_gain(space: ProblemSpace, thr_prev: dict, job_ids, gain) -> dict:
+    """Each job's largest gain while every job keeps its previous
+    throughput: the rows `gain` holds, built whole under the job's
+    throughput and solved by `solve_lp`."""
+    out = {}
+    for job_id in job_ids:
+        res = solve_lp(gain.as_lp(np.append(space.coeffs[job_id], 0.0)))
+        out[job_id] = res.objective_value - thr_prev[job_id] if res.optimal else 0.0
+    return out
 
 
 def cold_screen_feasible(space: ProblemSpace, active: list, thr_prev: dict,
-                         delta: dict, cand: set, gain_rows) -> bool:
+                         delta: dict, cand: set, gain) -> bool:
     """Whether every candidate can gain its slack at once while every other
-    active job stays at its previous throughput, through `solve_lp`."""
-    lp = reference_screen_lp(space, active, thr_prev, delta, cand)
-    return solve_lp(lp).optimal
+    active job stays at its previous throughput: the rows `gain` holds,
+    then the screen LP's own rows, built whole and solved by `solve_lp`."""
+    return solve_lp(reference_screen_lp(gain.as_lp(np.zeros(space.n_cells + 1)),
+                                        space, active, thr_prev, delta, cand)).optimal
 
 
 def reference_waterfill(space: ProblemSpace, entities=None) -> WaterfillResult:
@@ -1181,16 +1192,15 @@ def reference_waterfill(space: ProblemSpace, entities=None) -> WaterfillResult:
     t_prev = {j.id: 0.0 for j in jobs}
     thr_prev = {j.id: 0.0 for j in jobs}
     iterations = []
-    gain_rows = GainRows(space)
     for _ in range(len(jobs) + 1):
         weights = weights_of(done)
         if all(w <= 0 for w in weights.values()):
             break
         state, level = wf._level_lp(space, weights, t_prev, thr_prev)
-        X = wf._tighten(space, state, level)
+        X, _ = wf._tighten(space, state, level)
         thr = {j.id: effective_throughput(j.id, X, space.T) for j in jobs}
         normalized = {j.id: thr[j.id] / space.equal_norm[j.id] for j in jobs}
-        bottlenecks = (wf.find_bottlenecks(space, thr, weights, gain_rows)
+        bottlenecks = (wf.find_bottlenecks(space, thr, weights, gain_state(space, thr))
                        or {j.id for j in jobs if weights[j.id] > 0 and j.id not in done})
         iterations.append(WaterfillIteration(weights, level, X, normalized,
                                              bottlenecks))
@@ -1346,22 +1356,32 @@ def reference_tighten_lp(space: ProblemSpace, weights: dict, t_prev: dict,
     return reference_space_lp(space, np.ones(space.n_cells), rows, maximize=False)
 
 
-def _carry_triples(space: ProblemSpace, thr_prev: dict) -> list:
-    return [(space.coeffs[j.id], Relation.GE, thr_prev[j.id]) for j in space.jobs]
+def _with_lam_rows(lp: LinearProgram, rows) -> LinearProgram:
+    """`lp` under a zero objective plus the (coeffs over the cells,
+    relation, rhs) triples `rows`, one at a time, lam's coefficient 0."""
+    out = replace(lp, objective=np.zeros(lp.num_vars))
+    for coeffs, rel, rhs in rows:
+        out.add_rows([np.append(coeffs, 0.0)], [rel], [rhs])
+    return out
 
 
-def reference_gain_lp(space: ProblemSpace, thr_prev: dict) -> LinearProgram:
-    return reference_space_lp(space, np.zeros(space.n_cells),
-                              _carry_triples(space, thr_prev))
+def reference_gain_lp(tight: LinearProgram, space: ProblemSpace,
+                      thr: dict) -> LinearProgram:
+    """The gain rows as water filling solves them: the tightening LP
+    `tight`, then a carry row per job keeping it at `thr`."""
+    return _with_lam_rows(tight, [(space.coeffs[j.id], Relation.GE, thr[j.id])
+                                  for j in space.jobs])
 
 
-def reference_screen_lp(space: ProblemSpace, active: list, thr_prev: dict,
-                        delta: dict, cand: set) -> LinearProgram:
-    extra = [(space.coeffs[j.id], Relation.GE, thr_prev[j.id] + delta[j.id])
-             if j.id in cand else (space.coeffs[j.id], Relation.LE, thr_prev[j.id])
-             for j in active]
-    return reference_space_lp(space, np.zeros(space.n_cells),
-                              _carry_triples(space, thr_prev) + extra)
+def reference_screen_lp(gain: LinearProgram, space: ProblemSpace, active: list,
+                        thr_prev: dict, delta: dict, cand: set) -> LinearProgram:
+    """The screen as water filling solves it: the gain rows `gain`, then a
+    row per active job, raising a candidate by its slack and capping any
+    other at its previous throughput."""
+    return _with_lam_rows(gain, [
+        (space.coeffs[j.id], Relation.GE, thr_prev[j.id] + delta[j.id])
+        if j.id in cand else (space.coeffs[j.id], Relation.LE, thr_prev[j.id])
+        for j in active])
 
 
 class RatioUnboundedError(ValueError):

@@ -23,12 +23,12 @@ from hetsched.policies import (ProblemSpace, fifo, finish_time_fairness,
 from hetsched.estimator import complete_matrix
 from hetsched.simulator import EstimatorConfig, SimConfig, Simulation
 from hetsched.traces import generate_trace, load_catalog
-from hetsched.waterfill import (DELTA_FRACTION, GainRows, find_bottlenecks,
-                                max_gain, single_level_waterfill)
+from hetsched.waterfill import (DELTA_FRACTION, find_bottlenecks, max_gain,
+                                single_level_waterfill)
 
 import oracles
-from oracles import (OracleInstance, oracle_cost, oracle_ftf, oracle_las,
-                     oracle_fifo, oracle_makespan, random_instance,
+from oracles import (OracleInstance, gain_state, oracle_cost, oracle_ftf,
+                     oracle_las, oracle_fifo, oracle_makespan, random_instance,
                      reference_space_lp)
 
 
@@ -180,7 +180,7 @@ def _enumerate_bottlenecks(jobs, X_prev, T, weights):
                 best = (cand, bits)
     stuck = {j.id for z, j in zip(best[1], active) if z == 0}
     gain = max_gain(space, thr_prev, [j.id for j in active if j.id not in stuck],
-                    GainRows(space))
+                    gain_state(space, thr_prev))
     for job_id, g in gain.items():
         delta = DELTA_FRACTION * space.best[job_id]
         if g < 0.5 * delta:
@@ -206,8 +206,8 @@ def test_criterion_4_bottleneck_milp_vs_enumeration():
         X_prev = AllocationMatrix(T, X)
         weights = {m: 1.0 for m in range(M)}
         space = ProblemSpace(jobs, T)
-        ours = find_bottlenecks(space, throughputs(jobs, X_prev, T), weights,
-                                GainRows(space))
+        thr_prev = throughputs(jobs, X_prev, T)
+        ours = find_bottlenecks(space, thr_prev, weights, gain_state(space, thr_prev))
         reference = _enumerate_bottlenecks(jobs, X_prev, T, weights)
         assert ours == reference, f"instance {i}: {ours} != {reference}"
     elapsed = time.perf_counter() - t0
@@ -353,8 +353,8 @@ def test_criterion_6d_water_filling_pareto():
         space = ProblemSpace(jobs, T)
         result = single_level_waterfill(space)
         weights = {j.id: j.weight for j in jobs}
-        stuck = find_bottlenecks(space, throughputs(jobs, result.allocation, T),
-                                 weights, GainRows(space))
+        thr = throughputs(jobs, result.allocation, T)
+        stuck = find_bottlenecks(space, thr, weights, gain_state(space, thr))
         assert stuck == {j.id for j in jobs}
     print("\nACCEPTANCE 6d: PASS - water filling terminates Pareto-efficient "
           "(no job improvable) on 500 instances")

@@ -11,7 +11,7 @@ import numpy as np
 import hetsched.policies
 import hetsched.waterfill as waterfill
 from hetsched.jobs import Job
-from hetsched.lp import Relation, SolveResult, Status, solve_lp
+from hetsched.lp import Relation, SolveResult, Status, _Standardized, solve_lp
 from hetsched.matrices import ThroughputMatrix, isolated_allocation
 from hetsched.milp import MixedIntegerProgram, _pinned
 from hetsched.policies import (PolicyInfeasibleError, ProblemSpace,
@@ -73,18 +73,20 @@ class _Solved:
 
 
 class _State:
-    """Stands in for the gain rows' state: records the rows the screen
-    appends and calls them feasible."""
+    """Stands in for an `lp._Standardized` at an optimum of `lp`: keeps the
+    row blocks appended to it, as `as_lp` reads them, and calls every
+    restart feasible."""
 
-    def __init__(self):
-        self.appended = []
+    def __init__(self, lp, appended=()):
+        self.lp, self.appended = lp, appended
 
     def append(self, *rows):
-        self.appended.append(rows)
-        return self
+        return _State(self.lp, self.appended + (rows,))
 
     def restart(self):
         return True
+
+    as_lp = _Standardized.as_lp
 
 
 class _Standardizing:
@@ -101,7 +103,8 @@ class _Standardizing:
 
     def append(self, *rows):
         out = copy.copy(self)
-        out.lp = waterfill._with_rows(self.lp, *rows)
+        out.lp = replace(self.lp)
+        out.lp.add_rows(*rows)
         self.seen.append(out)
         return out
 
@@ -173,30 +176,26 @@ def test_bottleneck_builders_match_row_at_a_time(monkeypatch):
     for seed in range(120):
         rng = np.random.default_rng(4000 + seed)
         space = _space(rng)
-        _, _, thr_prev, _ = _fill_state(rng, space)
-        assert_same_lp(waterfill._gain_lp(space, thr_prev),
-                       reference_gain_lp(space, thr_prev))
+        weights, t_prev, thr_prev, level = _fill_state(rng, space)
+        thr = _fill_state(rng, space)[2]
+        # The gain rows: the tightening LP's rows, then the carry rows at
+        # the tightened throughputs `thr`.
+        tight = reference_level_pin_lp(space, weights, t_prev, thr_prev, level)
+        gain = waterfill._gain_rows(space, _State(tight), thr)
+        zero = np.zeros(tight.num_vars)
+        assert_same_lp(gain.as_lp(zero), reference_gain_lp(tight, space, thr))
 
         active = [j for j in space.jobs if rng.random() < 0.7] or space.jobs[:1]
         delta = {j.id: waterfill.DELTA_FRACTION * space.best[j.id]
                  for j in active}
         cand = {j.id for j in active if rng.random() < 0.5}
-        built, state = [], _State()
-        monkeypatch.setattr(waterfill, "dump_each",
-                            lambda build, objectives=None: built.append(build()))
-        gain_rows = waterfill.GainRows(space)
-        gain_rows.state = state
-        assert waterfill._screen_feasible(space, active, thr_prev, delta, cand,
-                                          gain_rows)
+        built = []
+        monkeypatch.setattr(waterfill, "dump_each", lambda build: built.append(build()))
+        assert waterfill._screen_feasible(space, active, thr, delta, cand, gain)
         monkeypatch.undo()
-        (screen,), ((coeffs, rels, rhs),) = built, state.appended
-        ref = reference_screen_lp(space, active, thr_prev, delta, cand)
-        assert_same_lp(screen, ref)
-        # The appended rows are the screen LP's rows after the carry rows.
-        rows = slice(len(space.jobs), len(space.jobs) + len(active))
-        assert coeffs.tobytes() == ref.constraints[rows].tobytes()
-        assert list(rels) == ref.relations[rows]
-        assert np.asarray(rhs).tobytes() == ref.rhs[rows].tobytes()
+        (screen,) = built
+        assert_same_lp(screen, reference_screen_lp(gain.as_lp(zero), space, active,
+                                                   thr, delta, cand))
         screens += 1
         mixed += 0 < len(cand) < len(active)
 

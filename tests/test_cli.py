@@ -162,7 +162,8 @@ class TestSolve:
                                    "--jobs", str(tmp_path / "nope2.json")])
         assert res.exit_code == 4
 
-    @pytest.mark.parametrize("policy", ["fifo+wf", "makespan+wf", "ftf+wf"])
+    @pytest.mark.parametrize("policy", ["fifo+wf", "makespan+wf", "ftf+wf",
+                                        "hier:fair+wf"])
     def test_water_filling_flag_without_effect_exit_code(self, runner, tmp_path,
                                                          policy):
         thr, jobs = write_three_job_instance(tmp_path)
@@ -170,7 +171,7 @@ class TestSolve:
                                    "--policy", policy, "--throughputs", str(thr),
                                    "--jobs", str(jobs)])
         assert res.exit_code == 2, res.output
-        assert "+wf applies only to las and hier" in res.output
+        assert "+wf applies only to las," in res.output
 
     def test_dump_lp_flag(self, runner, tmp_path):
         thr, jobs = write_three_job_instance(tmp_path)
@@ -286,10 +287,12 @@ class TestSolve:
 
     def test_dump_lp_shows_warm_bottleneck_lps_as_built_cold(self, runner, tmp_path,
                                                             monkeypatch):
-        # The gain and screen LPs restart from a basis rather than being
-        # built whole, yet --dump-lp prints exactly what the cold path does.
         # The tightening LP is the level LP's rows plus a pin row, solved
-        # from the level LP's optimum; each iteration prints both LPs.
+        # from the level LP's optimum; each iteration prints both LPs.  The
+        # gain and screen LPs are rows appended to the tightening LP at its
+        # optimum, and --dump-lp prints them as those rows: the same LPs
+        # built whole and solved cold print the same text and give the
+        # same allocation.
         # Jobs 0 and 1 run only on the K80.  The level LP certifies them but
         # not job 2, whose screen fails, so the gain LPs run too.
         thr, jobs = write_three_job_instance(tmp_path)
@@ -322,6 +325,7 @@ class TestSolve:
                for text in warm.stderr.split("# LP: ")[1:]]
         levels = [k for k, lp in enumerate(lps) if lp[1] == "maximize  +1*x6"]
         assert len(levels) == len(fills[0].iterations) >= 1
+        appended = 0
         for k in levels:
             level, tight = lps[k], lps[k + 1]
             bounds = level.index("bounds")
@@ -332,6 +336,16 @@ class TestSolve:
             assert tight[2:bounds] == level[2:bounds]
             assert tight[bounds].startswith("  +1*x6 >= ")
             assert tight[bounds + 1:] == level[bounds:]
+            # Every gain and screen LP up to the next level LP.
+            later = [lps[i] for i in range(k + 2, len(lps))]
+            later = later[:next((i for i, lp in enumerate(later)
+                                 if lp[1] == "maximize  +1*x6"), len(later))]
+            for lp in later:
+                assert lp[2:bounds + 1] == tight[2:bounds + 1]
+                assert lp.index("bounds") > bounds + 1
+                assert lp[lp.index("bounds"):] == tight[bounds + 1:]
+            appended += len(later)
+        assert appended >= 2
 
     def test_dump_lp_prints_no_lp_for_sjf(self, runner, tmp_path):
         # SJF reads each job's fastest singleton cell and solves no LP.
@@ -384,13 +398,23 @@ class TestSolve:
         assert res.exit_code == 2
         assert "'id'" in res.output and "Traceback" not in res.output
 
-    @pytest.mark.parametrize("jobs_doc", [
-        [{"id": "zero"}],
-        [{"id": None}],
-        {"jobs": [{"id": 0, "entity_id": 0}],
-         "entities": [{"id": 0, "policy": "lottery"}]},
-    ], ids=["non-numeric", "null", "unknown-entity-policy"])
-    def test_bad_value_exit_code(self, runner, tmp_path, jobs_doc):
+    @pytest.mark.parametrize("jobs_doc, named", [
+        ([{"id": "zero"}], "'zero'"),
+        ([{"id": None}], "None"),
+        ({"jobs": [{"id": 0, "entity_id": 0}],
+          "entities": [{"id": 0, "policy": "lottery"}]}, "'lottery'"),
+        ([{"id": 0}, {"id": 1.7}, {"id": 2}], "id must be a whole number, not 1.7"),
+        ([{"id": True}, {"id": 1}, {"id": 2}], "id must be a whole number, not True"),
+        ({"jobs": [{"id": 0, "entity_id": 0}], "entities": [{"id": 0.9}]},
+         "id must be a whole number, not 0.9"),
+        ({"jobs": [{"id": 0, "entity_id": 0}], "entities": [{"id": 0, "weight": True}]},
+         "entity 0: weight must be a number, not True"),
+        ({"jobs": [{"id": 0, "entity_id": 0}], "entities": [{"id": 0, "weight": "2"}]},
+         "entity 0: weight must be a number, not '2'"),
+    ], ids=["non-numeric", "null", "unknown-entity-policy", "fractional-id",
+            "boolean-id", "fractional-entity-id", "boolean-entity-weight",
+            "text-entity-weight"])
+    def test_bad_value_exit_code(self, runner, tmp_path, jobs_doc, named):
         thr, _ = write_three_job_instance(tmp_path)
         jobs = tmp_path / "jobs.json"
         jobs.write_text(json.dumps(jobs_doc))
@@ -400,6 +424,7 @@ class TestSolve:
                                    "--jobs", str(jobs)])
         assert res.exit_code == 2, res.output
         assert "error:" in res.output and "Traceback" not in res.output
+        assert named in res.output
 
     @pytest.mark.parametrize("policy, job_field, entity_weight, named", [
         ("las", '"num_steps": 1e400', "1.0", "bad value"),
@@ -700,6 +725,25 @@ class TestSimulate:
         assert "Traceback" not in res.output
         assert list(tmp_path.glob("metrics_*")) == []
 
+    @pytest.mark.parametrize("weight, named", [
+        ("true", "weight must be a number, not True"),
+        ('"2"', "weight must be a number, not '2'"),
+        ("-1", "weight must be positive and finite"),
+    ], ids=["boolean", "text", "negative"])
+    def test_bad_entity_weight_in_trace_exit_code(self, runner, tmp_path, weight,
+                                                  named):
+        trace = tmp_path / "trace.jsonl"
+        Trace([TraceEntry(0.0, "model-00", 10, entity_id=0)], "static", 0,
+              [Entity(0)]).save(trace)
+        lines = trace.read_text().splitlines()
+        lines[0] = lines[0].replace('"weight": 1.0', f'"weight": {weight}')
+        trace.write_text("\n".join(lines) + "\n")
+        res = runner.invoke(main, ["--out", str(tmp_path), "simulate",
+                                   "--policy", "hier:fair", "--trace", str(trace)])
+        assert res.exit_code == 2, res.output
+        assert f"error: {trace}: entity 0: {named}" in res.output
+        assert "Traceback" not in res.output
+
     def test_unknown_template_exit_code(self, runner, tmp_path):
         trace = tmp_path / "trace.jsonl"
         Trace([TraceEntry(0.0, "nope", 10)], "static", 0).save(trace)
@@ -848,6 +892,28 @@ class TestEstimate:
     def test_malformed_json_exit_code(self, runner, tmp_path):
         res = self._estimate(runner, tmp_path, '{"names": ["r0"', {})
         assert res.exit_code == 4
+
+    @pytest.mark.parametrize("row, named", [
+        ('{"r0": "abc", "r1": 0.5, "r2": 0.6}', "r0 must be a finite number, not 'abc'"),
+        ('{"r0": 0.4, "r1": null, "r2": 0.6}', "r1 must be a finite number, not None"),
+        ('{"r0": 0.4, "r1": true, "r2": 0.6}', "r1 must be a finite number, not True"),
+        ('{"r0": 0.4, "r1": 0.5, "r2": 1e400}', "r2 must be a finite number, not inf"),
+        ('{"r0": 0.4, "r1": 0.5, "r2": NaN}', "r2 must be a finite number, not nan"),
+        ("[0.4, 0.5, 0.6]", "measurements must map reference names to numbers"),
+    ], ids=["text", "null", "boolean", "overflow", "nan", "list"])
+    def test_bad_measurement_exit_code(self, runner, tmp_path, row, named):
+        refs = tmp_path / "refs.json"
+        refs.write_text(json.dumps({"names": ["r0", "r1", "r2"],
+                                    "matrix": np.full((3, 3), 0.5).tolist()}))
+        meas = tmp_path / "meas.json"
+        meas.write_text(f'{{"newjob": {row}}}')
+        res = runner.invoke(main, ["--out", str(tmp_path), "estimate",
+                                   "--references", str(refs),
+                                   "--measurements", str(meas)])
+        assert res.exit_code == 2, res.output
+        assert f"error: newjob: {named}" in res.output
+        assert "Traceback" not in res.output
+        assert not (tmp_path / "estimates.json").exists()
 
     def test_non_finite_reference_throughput_exit_code(self, runner, tmp_path):
         cell = lambda *v: {"g": list(v)}

@@ -466,11 +466,11 @@ def _random_objectives(rng, n):
 
 
 def _solve_each(lp, objectives):
-    """One phase 1, then phase 2 once per objective from its feasible basis,
-    as `waterfill.max_gain` solves its gain LPs."""
+    """One phase 1, then `solve` once per objective, each from the last
+    one's optimum, as `waterfill.max_gain` solves its gain LPs."""
     prob = hetsched.lp._Standardized(lp)
     prob.phase_one()
-    return prob.solve_each(objectives)
+    return [prob.solve(objective) for objective in objectives]
 
 
 def _solve_alone(lp, objective):
@@ -479,63 +479,7 @@ def _solve_alone(lp, objective):
         relations=lp.relations, rhs=lp.rhs, lower=lp.lower, upper=lp.upper))
 
 
-def test_solve_lp_each_matches_solve_lp():
-    """`_Standardized.solve_each` after one `phase_one` returns, for each
-    objective, exactly what `solve_lp` returns for the LP with that
-    objective: `max_gain` relies on it."""
-    statuses = []
-    all_fixed = no_rows = mixed = 0
-    for seed in range(240):
-        lp = _random_lp(np.random.default_rng(seed))
-        objectives = _random_objectives(np.random.default_rng(10_000 + seed),
-                                        lp.num_vars)
-        each = _solve_each(lp, objectives)
-        assert len(each) == len(objectives)
-        for objective, res in zip(objectives, each):
-            alone = _solve_alone(lp, objective)
-            assert res.status == alone.status, seed
-            assert res.objective_value == alone.objective_value, seed
-            assert (res.x is None) == (alone.x is None), seed
-            if alone.x is not None:
-                assert np.array_equal(res.x, alone.x), seed
-            statuses.append(res.status)
-        all_fixed += bool((lp.lower == lp.upper).all())
-        no_rows += hetsched.lp._Standardized(lp).A.shape[0] == 0
-        mixed += len({res.status for res in each}) > 1
-    # Every verdict occurs, as do LPs with no standardized row, LPs whose
-    # variables are all fixed, and LPs whose objectives get different
-    # verdicts from the one shared phase 1.
-    assert {statuses.count(s) >= 10 for s in Status} == {True}
-    assert all_fixed >= 5 and no_rows >= 5 and mixed >= 10
-
-
-def test_solve_lp_each_runs_phase_one_once(monkeypatch):
-    calls = []
-    simplex = hetsched.lp._simplex
-
-    def spy(A, b, c, basis, Binv, xb, opt_tol=hetsched.lp.OPT_TOL):
-        calls.append(opt_tol)
-        return simplex(A, b, c, basis, Binv, xb, opt_tol)
-
-    monkeypatch.setattr(hetsched.lp, "_simplex", spy)
-    lp = LinearProgram(3, np.zeros(3), maximize=True)
-    lp.add_rows([[1.0, 1.0, 1.0], [1.0, 2.0, 0.0], [0.0, 1.0, -1.0]],
-                [Relation.LE, Relation.GE, Relation.EQ], [4.0, 1.0, 0.5])
-    objectives = [np.eye(3)[i] for i in range(3)] + [np.ones(3)]
-    each = _solve_each(lp, objectives)
-    assert all(res.optimal for res in each)
-    assert calls.count(PHASE1_OPT_TOL) == 1
-    assert len(calls) == 1 + len(objectives)
-    # Solved one at a time, every objective pays for its own phase 1.
-    calls.clear()
-    for objective in objectives:
-        solve_lp(LinearProgram(3, objective, maximize=True,
-                               constraints=lp.constraints,
-                               relations=lp.relations, rhs=lp.rhs))
-    assert calls.count(PHASE1_OPT_TOL) == len(objectives)
-
-
-def test_solve_lp_each_checks_objective_shape():
+def test_solve_checks_objective_shape():
     lp = LinearProgram(2, np.zeros(2))
     with pytest.raises(DimensionError):
         _solve_each(lp, [np.ones(2), np.ones(3)])
@@ -566,7 +510,7 @@ def _assert_warm_verdict(ds, feasible, lp):
     ref = solve_lp(lp)
     assert feasible == (ref.status is not Status.INFEASIBLE)
     if feasible:
-        res = ds.solve_each([lp.objective])[0]
+        res = ds.solve(lp.objective)
         assert res.status is ref.status
         if ref.optimal:
             assert abs(res.objective_value - ref.objective_value) <= OPT_TOL
@@ -574,58 +518,40 @@ def _assert_warm_verdict(ds, feasible, lp):
 
 
 def _warm_verdicts():
-    """The warm verdicts on the equivalence set's LPs with no equality row,
-    each checked by `_assert_warm_verdict`, and the number of LPs whose
-    phase 1 negated a row.  An LP's rows start from phase 1 at right-hand
+    """The warm verdicts on the equivalence set's LPs, each checked by
+    `_assert_warm_verdict`.  An LP's rows start from phase 1 at right-hand
     sides that a point of its box meets with equality, so there is always a
-    feasible basis to restart from.  They then restart to the LP's own
-    right-hand sides ("own"), to shifted ones ("rhs"), and with rows
-    appended ("appended").  LPs with an equality row are left out: phase 1
-    may drop a dependent one, and then no new right-hand side can restart."""
-    verdicts = {"own": [], "rhs": [], "appended": []}
-    equality = negated = 0
+    feasible basis to append to; phase 2 under the LP's own objective moves
+    it to an optimum or the last basis before a ray.  Rows are appended
+    there and the state restarted."""
+    verdicts = []
     for k, lp in enumerate(_equivalence_set()):
-        if _has_equality(lp):
-            equality += 1
-            continue
         rng = np.random.default_rng(5000 + k)
         x0 = np.clip(np.random.default_rng(7000 + k).uniform(-2.0, 4.0, lp.num_vars),
                      lp.lower, lp.upper)
-        ds = hetsched.lp._Standardized(_with_rows(
-            lp, lp.constraints, lp.relations,
-            [float(row @ x0) for row in lp.constraints]))
-        assert ds.phase_one() and not ds.dropped
-        negated += bool(ds.flip.any())
-        verdicts["own"].append(_assert_warm_verdict(
-            ds, ds.restart(lp.rhs), lp))
-
-        rhs = [b + float(rng.integers(-2, 3)) for b in lp.rhs]
-        verdicts["rhs"].append(_assert_warm_verdict(
-            ds, ds.restart(rhs), _with_rows(lp, lp.constraints, lp.relations, rhs)))
-
+        at_x0 = [float(row @ x0) for row in lp.constraints]
+        ds = hetsched.lp._Standardized(_with_rows(lp, lp.constraints, lp.relations,
+                                                  at_x0))
+        assert ds.phase_one()
+        ds.solve(lp.objective)
         extra = [(rng.integers(-2, 3, size=lp.num_vars).astype(float),
                   Relation(rng.choice(["<=", ">="])), float(rng.integers(-2, 6)))
                  for _ in range(int(rng.integers(1, 4)))]
         coeffs, rels, extra_rhs = map(list, zip(*extra))
         screen = ds.append(np.array(coeffs), rels, extra_rhs)
-        verdicts["appended"].append(_assert_warm_verdict(
+        verdicts.append(_assert_warm_verdict(
             screen, screen.restart(),
             _with_rows(lp, np.vstack([lp.constraints, coeffs]),
-                       lp.relations + rels, rhs + extra_rhs)))
-    assert equality == 104
-    for kind, seen in verdicts.items():
-        assert len(seen) == 256
-        assert seen.count(True) >= 30 and seen.count(False) >= 30, kind
-    return verdicts, negated
+                       lp.relations + rels, at_x0 + extra_rhs)))
+    assert len(verdicts) == 360
+    assert verdicts.count(True) >= 30 and verdicts.count(False) >= 30
+    return verdicts
 
 
 def test_dual_simplex_verdicts_match_solve_lp():
-    """Restarted from a phase-1 basis after the right-hand sides change, and
-    after appended rows, the zero-cost dual simplex decides feasibility as
-    solve_lp does."""
-    _, negated = _warm_verdicts()
-    # A restart negates a new right-hand side where phase 1 negated the row.
-    assert negated >= 100
+    """Restarted after rows are appended to a phase-2 basis, the zero-cost
+    dual simplex decides feasibility as solve_lp does."""
+    _warm_verdicts()
 
 
 def test_warm_verdicts_match_solve_lp_when_refactorizing(monkeypatch):
@@ -645,38 +571,10 @@ def test_warm_verdicts_match_solve_lp_when_refactorizing(monkeypatch):
     assert callers.count("_simplex") >= 100
 
 
-def test_phase_one_start_is_solve_lp_each():
-    """After `phase_one`, `solve_each` runs phase 2 from solve_lp's own
-    feasible start, so every result is bit-identical to solve_lp's; the
-    basis it keeps is feasible with its exact inverse, so a restart from it
-    makes no pivot."""
-    kept = 0
-    for k, lp in enumerate(_equivalence_set()):
-        if _has_equality(lp):
-            continue
-        objectives = _random_objectives(np.random.default_rng(10_000 + k),
-                                        lp.num_vars)
-        ds = hetsched.lp._Standardized(lp)
-        feasible = ds.phase_one()
-        for res, ref in zip(ds.solve_each(objectives),
-                            [_solve_alone(lp, objective) for objective in objectives]):
-            assert res.status is ref.status
-            assert res.objective_value == ref.objective_value
-            assert (res.x is None) == (ref.x is None)
-            if ref.x is not None:
-                assert np.array_equal(res.x, ref.x)
-        if feasible and len(ds.basis) and not ds.dropped:
-            kept += 1
-            assert np.allclose(ds.Binv @ ds.T[:, ds.basis], np.eye(len(ds.T)))
-            basis = ds.basis.copy()
-            assert ds.restart() and np.array_equal(ds.basis, basis)
-    assert kept >= 100
-
-
 @pytest.mark.parametrize("refactor_every", [hetsched.lp.REFACTOR_EVERY, 2])
 def test_solve_leaves_its_optimal_basis(monkeypatch, refactor_every):
-    """`solve` returns what `solve_each` returns and leaves the state at the
-    basis its phase 2 ends on, with that basis's inverse and basic values,
+    """`solve` after `phase_one` returns what `solve_lp` returns and leaves
+    the state at the basis its phase 2 ends on, with that basis's inverse and basic values,
     also when the inverse is refactorized along the way.  Solving again
     from there makes no pivot, and so does restarting after a row the
     optimum satisfies is appended."""
@@ -689,10 +587,10 @@ def test_solve_leaves_its_optimal_basis(monkeypatch, refactor_every):
                                        lp.num_vars)[-1]
         ds = hetsched.lp._Standardized(lp)
         ds.phase_one()
-        ref = ds.solve_each([objective])[0]
+        ref = _solve_alone(lp, objective)
         res = ds.solve(objective)
         assert res.status is ref.status and res.objective_value == ref.objective_value
-        if not res.optimal or not len(ds.basis) or ds.dropped:
+        if not res.optimal or not len(ds.basis):
             continue
         kept += 1
         assert res.x.tobytes() == ref.x.tobytes()
@@ -739,15 +637,8 @@ def test_appended_rows_standardize_as_built_cold():
 
 
 def test_dual_start_rejects_equality_rows():
-    """New right-hand sides need every row phase 1 saw, so they are refused
-    once it drops a dependent equality row; an appended row needs a slack,
-    so an equality row is refused there."""
-    lp = LinearProgram(2, np.zeros(2))
-    lp.add_rows([[1.0, 1.0], [2.0, 2.0]], [Relation.EQ] * 2, [1.0, 2.0])
-    prob = hetsched.lp._Standardized(lp)
-    assert prob.phase_one() and prob.dropped
-    with pytest.raises(ValueError, match="equality"):
-        prob.restart([1.0, 2.0])
+    """An appended row starts with its slack basic, so an equality row is
+    refused."""
     lp = LinearProgram(2, np.zeros(2))
     lp.add_rows([[1.0, 1.0]], [Relation.LE], [1.0])
     prob = hetsched.lp._Standardized(lp)
@@ -761,7 +652,8 @@ def test_dual_simplex_iteration_limit_is_typed(monkeypatch):
     lp.add_rows([[1.0, 1.0]], [Relation.GE], [1.0])
     prob = hetsched.lp._Standardized(lp)
     assert prob.phase_one()
+    grown = prob.append(np.ones((1, 2)), [Relation.GE], [2.0])
     monkeypatch.setattr(hetsched.lp, "MAX_ITER_BASE", 0)
     monkeypatch.setattr(hetsched.lp, "MAX_ITER_PER_DIM", 0)
     with pytest.raises(IterationLimitError, match="dual simplex iteration limit"):
-        prob.restart([2.0])
+        grown.restart()

@@ -480,8 +480,8 @@ class TestDispatchAndParsing:
         spec = parse_policy("hier:fair/fifo")
         assert spec.kind is PolicyKind.HIERARCHICAL
         assert parse_policy("wlas") == parse_policy("las")
-        assert parse_policy("hier:fair+wf").water_filling
-        for bad in ("hier:fair/bogus", "las:fair", "las+pa", "fifo+wf",
+        for bad in ("hier:fair/bogus", "las:fair", "las+pa", "hier+wf",
+                    "hier:fair+wf", "fifo+wf",
                     "makespan+wf", "ftf+wf", "sjf+wf", "throughput+wf",
                     "cost+wf", "cost_slo+wf"):
             with pytest.raises(ValueError):

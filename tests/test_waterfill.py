@@ -13,10 +13,10 @@ from hetsched.milp import solve_milp
 from hetsched.policies import (EntityError, PolicyError, ProblemSpace,
                                parse_policy, solve_policy)
 from hetsched.waterfill import (DELTA_FRACTION, TIGHTEN_SLACK, VERIFY_FRACTION,
-                                GainRows, assign_job_weights, find_bottlenecks,
+                                assign_job_weights, find_bottlenecks,
                                 hierarchical_waterfill, max_gain,
                                 single_level_waterfill)
-from oracles import (cold_max_gain, cold_screen_feasible, random_cells,
+from oracles import (cold_max_gain, cold_screen_feasible, gain_state, random_cells,
                      reference_find_bottlenecks, reference_max_gain,
                      reference_space_lp, reference_tighten_lp,
                      reference_waterfill)
@@ -35,8 +35,8 @@ def throughputs(jobs, X, T):
 def bottlenecks(jobs, X_prev, T, weights):
     """find_bottlenecks over a fresh space and X_prev's throughputs."""
     space = ProblemSpace(jobs, T)
-    return find_bottlenecks(space, throughputs(jobs, X_prev, T), weights,
-                            GainRows(space))
+    thr_prev = throughputs(jobs, X_prev, T)
+    return find_bottlenecks(space, thr_prev, weights, gain_state(space, thr_prev))
 
 
 @pytest.fixture
@@ -142,7 +142,7 @@ def enumerate_bottlenecks(jobs, X_prev, T, weights):
     stuck = {j.id for z, j in zip(best[1], active) if z == 0}
     # Same tolerance-artifact demotion as find_bottlenecks.
     gain = max_gain(space, thr_prev, [j.id for j in active if j.id not in stuck],
-                    GainRows(space))
+                    gain_state(space, thr_prev))
     for job_id, g in gain.items():
         delta = DELTA_FRACTION * space.best[job_id]
         if g < 0.5 * delta:
@@ -231,19 +231,20 @@ def test_bottlenecks_match_reference(milp_calls):
 
 
 def test_max_gain_matches_per_job_reference():
-    # Same 200 instances as test_bottlenecks_match_reference.
+    # Same 200 instances as test_bottlenecks_match_reference.  Each gain LP
+    # starts from the last one's optimum, so a gain may differ from the
+    # cold per-job LP's in its last bits.
     for seed in range(200):
         rng = np.random.default_rng(seed)
         jobs, X_prev, T, weights = _random_bottleneck_instance(rng)
         space = ProblemSpace(jobs, T)
         thr_prev = throughputs(jobs, X_prev, T)
         ids = [j.id for j in space.jobs]
-        gain = max_gain(space, thr_prev, ids, GainRows(space))
+        gain = max_gain(space, thr_prev, ids, gain_state(space, thr_prev))
         assert list(gain) == ids
         for job_id in ids:
             ref = reference_max_gain(space, thr_prev, job_id)
-            assert np.float64(gain[job_id]).tobytes() == np.float64(ref).tobytes(), \
-                (seed, job_id)
+            assert gain[job_id] == pytest.approx(ref, rel=1e-9, abs=0.0), (seed, job_id)
 
 
 def test_conflicting_candidates_fall_back_to_milp(milp_calls):
@@ -271,7 +272,7 @@ def test_gain_near_slack_falls_back_to_milp(milp_calls):
     thr_prev = throughputs(jobs, X_prev, T)
     delta = DELTA_FRACTION * space.best[0]
     assert VERIFY_FRACTION * delta <= max_gain(space, thr_prev, [0],
-                                               GainRows(space))[0] < delta
+                                               gain_state(space, thr_prev))[0] < delta
     weights = {0: 1.0, 1: 1.0}
     assert bottlenecks(jobs, X_prev, T, weights) == {0}
     assert len(milp_calls) == 1
@@ -294,8 +295,8 @@ def test_pareto_on_termination(four_job_example):
     space = ProblemSpace(jobs, T)
     result = single_level_waterfill(space)
     weights = {j.id: j.weight for j in jobs}
-    stuck = find_bottlenecks(space, throughputs(jobs, result.allocation, T),
-                             weights, GainRows(space))
+    thr = throughputs(jobs, result.allocation, T)
+    stuck = find_bottlenecks(space, thr, weights, gain_state(space, thr))
     assert stuck == {j.id for j in jobs}
 
 
@@ -529,14 +530,14 @@ def test_certified_jobs_are_bottlenecks(monkeypatch):
     step = hetsched.waterfill._bottlenecks
     seen = []
 
-    def spy(space, state, level, thr, weights, gain_rows):
+    def spy(space, state, tight, level, thr, weights):
         cert = certified(space, state, weights, level)
-        ref = find_bottlenecks(space, thr, weights, GainRows(space))
+        ref = find_bottlenecks(space, thr, weights, gain_state(space, thr))
         assert cert <= ref
         seen[-1][1] += 1
         seen[-1][2] += len(cert)
         seen[-1][3] += len(cert) == sum(w > 0 for w in weights.values())
-        return step(space, state, level, thr, weights, gain_rows)
+        return step(space, state, tight, level, thr, weights)
 
     monkeypatch.setattr(hetsched.waterfill, "_bottlenecks", spy)
     for kind, space, entities in _fill_instances():
@@ -572,150 +573,89 @@ def test_fill_matches_reference_loop(paths):
     assert counts["fallback"] >= 100
 
 
-@pytest.fixture
-def warm_calls(monkeypatch):
-    """Counts the dual-simplex restarts of the gain rows, those of the
-    screens and tightening LPs, and the gain restarts whose phase 1 negated
-    a row."""
-    calls = {"gain": 0, "screen": 0, "negated": 0}
-    restart = hetsched.lp._Standardized.restart
-
-    def spy(self, rhs=None):
-        # Only the gain rows restart with new right-hand sides.
-        calls["gain" if rhs is not None else "screen"] += 1
-        calls["negated"] += rhs is not None and bool(self.flip.any())
-        return restart(self, rhs)
-
-    monkeypatch.setattr(hetsched.lp._Standardized, "restart", spy)
-    return calls
-
-
-def test_fill_matches_cold_bottleneck_lps(monkeypatch, warm_calls, paths):
-    """Restarting the gain and screen LPs from the last feasible basis
-    changes no iteration of either water filling: weights, level, allocation
-    bytes and bottlenecks all equal those of the cold path, and so does the
-    text of every LP that --dump-lp would print.  An iteration certified
-    whole restarts nothing.  Any other restarts the gain rows once for its
-    screen, and a fallback once more for `max_gain`; only a fill's first
-    gain rows are built cold instead.  Each runs its screen, and a fallback
-    at most one more."""
+def test_fill_matches_cold_bottleneck_lps(monkeypatch, paths):
+    """Solving the gain and screen LPs from rows appended to the tightening
+    LP's optimum changes no iteration of either water filling: weights,
+    level, allocation bytes and bottlenecks all equal those of the same LPs
+    built whole and solved cold, and so does the text of every LP that
+    --dump-lp prints.  Each gain and screen LP prints as the tightening
+    LP's rows with its own appended."""
     dumped = []
     monkeypatch.setattr(hetsched.lp, "debug_sink", dumped.append)
-    gain_rows_restart = GainRows.restart
-    gain_rows_calls = []
-
-    def spy(self, thr_prev):
-        gain_rows_calls.append(thr_prev)
-        return gain_rows_restart(self, thr_prev)
-
-    monkeypatch.setattr(GainRows, "restart", spy)
     gain = screen = 0
     for _, space, entities in _fill_instances():
         for fill, args in _fills(space, entities):
-            dumped.clear(), paths.clear(), gain_rows_calls.clear()
-            before = dict(warm_calls)
+            dumped.clear(), paths.clear()
             ours = fill(*args)
-            screened, fallback = paths.count("screened"), paths.count("fallback")
-            assert len(gain_rows_calls) == screened + 2 * fallback
-            assert warm_calls["gain"] - before["gain"] == max(len(gain_rows_calls) - 1, 0)
-            # The tightening LP restarts without new right-hand sides too.
-            screens = warm_calls["screen"] - before["screen"] - len(paths)
-            assert screened + fallback <= screens <= screened + 2 * fallback
-            gain += warm_calls["gain"] - before["gain"]
-            screen += screens
             warm_text = list(dumped)
             dumped.clear()
             _assert_same_fill(ours, _cold_fill(monkeypatch, fill, args))
             assert warm_text == dumped
+            # Level, tightening, then each bottleneck LP after its tightening.
+            for text in warm_text:
+                lines = text.splitlines()
+                if lines[1] == f"maximize  +1*x{space.n_cells}":
+                    level = lines
+                elif lines[lines.index("bounds") - 1].startswith(
+                        f"  +1*x{space.n_cells} >= "):
+                    tight = lines
+                else:
+                    rows = tight.index("bounds")
+                    assert lines[2:rows] == tight[2:rows]
+                    assert lines[rows:] != tight[rows:]
+                    assert tight[2:rows - 1] == level[2:level.index("bounds")]
+                    zero = lines[1] == "maximize  0"
+                    screen += zero
+                    gain += not zero
     assert gain >= 100 and screen >= 100
-    # A gain restart negates the new carry right-hand sides where phase 1
-    # negated the row (a job at zero throughput, whose carry row reads >= 0).
-    assert warm_calls["negated"] >= 50
 
 
-
-
-def test_gain_rows_called_infeasible_fall_back_to_cold(monkeypatch):
-    """Should the dual simplex call the gain rows infeasible (X_prev satisfies
-    them, so only roundoff could), that iteration's gain rows are rebuilt
-    cold through phase 1, and the fill is unchanged."""
-    restart = hetsched.lp._Standardized.restart
-    built = []
-
-    def gain_rows_infeasible(self, rhs=None):
-        verdict = restart(self, rhs)
-        return verdict and rhs is None
+def test_one_cold_phase_one_per_iteration(monkeypatch, milp_calls, paths):
+    """Water filling builds exactly one `lp._Standardized` per iteration,
+    the level LP's, so one phase 1 runs per iteration.  Every tightening,
+    screen and gain LP is rows appended to an optimum and restarted."""
+    built, entered, appended, restarted = [], [], [], []
 
     class CountingStandardized(hetsched.lp._Standardized):
         def __init__(self, lp):
-            built.append(lp)
+            built.append(self)
             super().__init__(lp)
 
-    cold = 0
-    for seed in range(20):
-        space, entities = _random_fill_instance(np.random.default_rng(seed))
-        for fill, args in _fills(space, entities):
-            built.clear()
-            with monkeypatch.context() as m:
-                m.setattr(hetsched.lp._Standardized, "restart", gain_rows_infeasible)
-                m.setattr(hetsched.waterfill, "_Standardized", CountingStandardized)
-                ours = fill(*args)
-            # Every build after the fill's first gain LP is a fall back.
-            cold += len(built) - 1
-            _assert_same_fill(ours, _cold_fill(monkeypatch, fill, args))
-    assert cold >= 10
-
-
-def test_gain_rows_standardized_once_and_restarted_warm(monkeypatch, milp_calls,
-                                                       paths):
-    """Within one fill the gain rows are standardized at most once, and one
-    cold phase 1 runs per iteration, the level LP's, plus the gain LP of the
-    first iteration that the level LP does not certify whole: the
-    tightening LP restarts from the level LP's optimum, and every later gain
-    or screen LP from the last feasible basis.  A fill that certifies every
-    iteration whole builds no gain rows."""
-    built = []
-
-    class CountingStandardized(hetsched.lp._Standardized):
-        def __init__(self, lp):
-            built.append(lp)
-            super().__init__(lp)
-
-    entered = []
-    phase_one = hetsched.lp._Standardized.phase_one
+    standardized = hetsched.lp._Standardized
+    phase_one, append, restart = (standardized.phase_one, standardized.append,
+                                  standardized.restart)
 
     def spy_phase_one(self):
-        entered.append(self.lp)
+        entered.append(self)
         return phase_one(self)
 
+    def spy_append(self, *rows):
+        appended.append(append(self, *rows))
+        return appended[-1]
+
+    def spy_restart(self):
+        restarted.append(self)
+        return restart(self)
+
     monkeypatch.setattr(hetsched.waterfill, "_Standardized", CountingStandardized)
-    monkeypatch.setattr(hetsched.lp._Standardized, "phase_one", spy_phase_one)
-    # The gain rows reach phase 1 only through `GainRows`.
-    assert not hasattr(hetsched.waterfill, "solve_lp_each")
-    checked = later = no_gain = 0
-    for seed in range(40):
-        space, entities = _random_fill_instance(np.random.default_rng(seed))
-        built.clear(), entered.clear(), paths.clear()
+    monkeypatch.setattr(standardized, "phase_one", spy_phase_one)
+    monkeypatch.setattr(standardized, "append", spy_append)
+    monkeypatch.setattr(standardized, "restart", spy_restart)
+    checked = bottleneck_lps = 0
+    for kind, space, entities in _fill_instances():
+        built.clear(), entered.clear(), appended.clear(), restarted.clear()
+        paths.clear()
         before = len(milp_calls)
         result = hierarchical_waterfill(space, entities)
         if len(milp_calls) > before:  # B&B relaxations enter phase 1 too
             continue
         checked += 1
-        later += len(result.iterations) - 1
-        # The level LPs carry lam after the cells; the gain LP has the cells.
-        levels = [lp for lp in built if lp.num_vars == space.n_cells + 1]
-        gain = [lp for lp in built if lp.num_vars == space.n_cells]
-        first = next((k for k, path in enumerate(paths) if path != "whole"), None)
-        if first is None:
-            assert gain == []
-            no_gain += 1
-        else:
-            # Built right after the level LP of its iteration.
-            assert gain == [built[first + 1]]
-        assert len(levels) == len(result.iterations) == len(paths)
-        assert len(built) == len(levels) + len(gain)
-        # One phase 1 per standardized LP: no tightening LP or later gain or
-        # screen LP fell back to a cold solve.
-        assert len(entered) == len(built)
-        assert all(a is b for a, b in zip(entered, built))
-    assert checked >= 20 and later >= 20 and no_gain >= 5
+        assert len(built) == len(result.iterations) == len(paths)
+        # The level LPs carry lam after the cells.
+        assert all(state.lp.num_vars == space.n_cells + 1 for state in built)
+        assert [id(s) for s in entered] == [id(s) for s in built]
+        # Each tightening LP, gain-row state and screen restarts once.
+        assert [id(s) for s in restarted] == [id(s) for s in appended]
+        assert len(appended) >= len(built) + 2 * (len(paths) - paths.count("whole"))
+        bottleneck_lps += len(appended) - len(built)
+    assert checked >= 120 and bottleneck_lps >= 200
