@@ -25,7 +25,7 @@ from . import __version__
 from .cluster import ClusterSpec, make_cluster
 from .estimator import (DEFAULT_ITERS, DEFAULT_RANK, DEFAULT_REG, MIN_OBSERVED,
                         CompletionError, ReferenceSet, fingerprint_and_match)
-from .jobs import Entity, EntityPolicy, EntityValueError, Job, is_number, is_whole
+from .jobs import Entity, EntityValueError, Job, is_number, is_whole
 from .lp import IterationLimitError
 from .matrices import MixedPairError, ThroughputMatrix, effective_throughput
 from . import lp
@@ -125,7 +125,7 @@ def _read(path, load=_json_file):
 
 
 def _id(doc) -> int:
-    """The whole-number "id" of a job's or an entity's JSON object."""
+    """The whole-number "id" of a job's JSON object."""
     v = doc["id"]
     if not is_whole(v):
         raise ValueError(f"id must be a whole number, not {v!r}")
@@ -253,8 +253,8 @@ def cmd_solve(ctx, policy_text, thr_file, jobs_file):
         entities = None
         if isinstance(jobs_doc, dict):
             job_docs = jobs_doc["jobs"]
-            entities = [Entity(_id(d), d.get("weight", 1.0),
-                               EntityPolicy(d.get("policy", "fairness")))
+            entities = [Entity(d["id"], d.get("weight", 1.0),
+                               d.get("policy", "fairness"))
                         for d in jobs_doc.get("entities", [])] or None
         else:
             job_docs = jobs_doc

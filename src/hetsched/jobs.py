@@ -81,11 +81,25 @@ class Job:
 
 @dataclass(frozen=True)
 class Entity:
+    """A tenant of the hierarchical policy; `internal_policy` may be given
+    as an `EntityPolicy` value such as "fifo"."""
+
     id: int
     weight: float = 1.0
     internal_policy: EntityPolicy = EntityPolicy.FAIRNESS
 
     def __post_init__(self):
+        if not is_whole(self.id):
+            raise EntityValueError(
+                f"entity id must be a whole number, not {self.id!r}")
+        object.__setattr__(self, "id", int(self.id))
+        try:
+            object.__setattr__(self, "internal_policy",
+                               EntityPolicy(self.internal_policy))
+        except ValueError:
+            raise EntityValueError(
+                f"entity {self.id}: unknown policy {self.internal_policy!r}; "
+                f"known: {', '.join(p.value for p in EntityPolicy)}") from None
         if not is_number(self.weight):
             raise EntityValueError(f"entity {self.id}: weight must be a number, "
                                    f"not {self.weight!r}")

@@ -1,18 +1,20 @@
 """Dense linear-program solver: two-phase revised simplex.
 
-Solves  max/min c'x  subject to  A_i x (<=|>=|=) b_i  and  lo <= x <= hi.
-A `LinearProgram` stacks its rows in one (m, num_vars) array, `constraints`,
-beside their `relations` and right-hand sides `rhs`.  The solver is
-deterministic for a fixed input: Dantzig pricing with lowest-index
-tie-breaking, falling back to Bland's rule after a run of degenerate pivots
-so cycling is impossible.
+Solves  max c'x  subject to  A_i x (<=|>=) b_i  and  lo <= x <= hi,  the
+only LPs the policies build: no equality rows, no minimization (a cost is
+maximized negated), and every variable fixed (lo == hi), nonnegative
+(lo == 0) or free (lo == -inf).  A `LinearProgram` stacks its rows in one
+(m, num_vars) array, `constraints`, beside their `relations` and
+right-hand sides `rhs`.  The solver is deterministic for a fixed input:
+Dantzig pricing with lowest-index tie-breaking, falling back to Bland's
+rule after a run of degenerate pivots so cycling is impossible.
 
 Phase 1 starts from the slack basis.  Rows with a negative right-hand side,
-and ``>=`` rows with a zero one, are negated first, so only ``=`` rows and
-``>=`` rows with a positive right-hand side need an artificial.  When none
-does (the max-min epigraph rows ``s_j thr_j(X) - lam >= 0`` of LAS and
-min-makespan are all of this kind), the slack basis is feasible: phase 1 is
-skipped and phase 2 starts from it with the identity as its inverse.
+and ``>=`` rows with a zero one, are negated first, so only ``>=`` rows
+with a positive right-hand side need an artificial.  When none does (the
+max-min epigraph rows ``s_j thr_j(X) - lam >= 0`` of LAS and min-makespan
+are all of this kind), the slack basis is feasible: phase 1 is skipped and
+phase 2 starts from it with the identity as its inverse.
 
 Pivots and solutions are bit-identical to the reference kernel kept in the
 test suite (``tests/oracles.py``), which applies the same starting rule:
@@ -37,14 +39,14 @@ One object, `_Standardized`, holds an LP's rows in standard form and the
 basis its last solve left; the LP's own rows, its upper-bound rows and
 appended rows share `standardize_rows`.  It is entered two ways.  A cold
 solve runs phase 1 from the slack basis and then phase 2 (`solve_lp`).  A
-warm one appends rows to a state at a basis it already reached: each new
-row starts with its slack basic, and `restart` moves the basis to a
-feasible one with a zero-cost dual simplex.  A zero objective makes every
-basis dual feasible, so under Bland's rule it pays only for the pivots
-the new rows need (Koberstein, PhD thesis, 2005), and none when the basis
-already satisfies them.  Phase 2 then runs the same primal simplex from
-that basis and leaves its optimum in the state, so the next objective, or
-the next appended rows, start there.
+warm one appends rows to a state at a basis it already reached (`append`):
+each new row starts with its slack basic, and a zero-cost dual simplex
+moves the basis to a feasible one.  A zero objective makes every basis
+dual feasible, so under Bland's rule it pays only for the pivots the new
+rows need (Koberstein, PhD thesis, 2005), and none when the basis already
+satisfies them.  Phase 2 then runs the same primal simplex from that basis
+and leaves its optimum in the state, so the next objective, or the next
+appended rows, start there.
 """
 
 from __future__ import annotations
@@ -89,7 +91,6 @@ debug_sink = None
 class Relation(str, enum.Enum):
     LE = "<="
     GE = ">="
-    EQ = "="
 
 
 class Status(enum.Enum):
@@ -109,17 +110,16 @@ class IterationLimitError(RuntimeError):
 
 @dataclass
 class LinearProgram:
-    """max/min objective'x with linear constraints and box bounds.
+    """max objective'x with linear constraints and box bounds.
 
     The rows are stacked: `constraints` is an (m, num_vars) array of their
     coefficients, `relations` their m relations and `rhs` their m
     right-hand sides (no rows by default).  Bounds default to x >= 0 with no
-    upper limit; entries may be +-inf.
+    upper limit; a variable that is not fixed has lower bound 0 or -inf.
     """
 
     num_vars: int
     objective: np.ndarray
-    maximize: bool = True
     constraints: np.ndarray | None = None
     relations: list | None = None
     rhs: np.ndarray | None = None
@@ -150,6 +150,12 @@ class LinearProgram:
                 f"{m} rows over {n} variables need {[(m, n), (m,), (n,), (n,)]}")
         if np.any(self.lower > self.upper + FEAS_TOL):
             raise ValueError("lower bound exceeds upper bound")
+        shifted = (np.isfinite(self.lower) & (self.lower != 0.0)
+                   & ~_fixed(self.lower, self.upper)).nonzero()[0]
+        if shifted.size:
+            i = shifted[0]
+            raise ValueError(f"x{i} has lower bound {self.lower[i]:g}; a variable "
+                             "that is not fixed needs lower bound 0 or -inf")
 
     def add_rows(self, coeffs, relations, rhs):
         """Append the rows `coeffs` stacks over every variable, with their
@@ -162,14 +168,18 @@ class LinearProgram:
 
     def dump(self) -> str:
         """Plain-text rendering for --dump-lp debugging."""
-        lines = [("maximize  " if self.maximize else "minimize  ")
-                 + _linear_str(self.objective), "subject to"]
+        lines = ["maximize  " + _linear_str(self.objective), "subject to"]
         lines += [f"  {_linear_str(row)} {rel.value} {b:g}"
                   for row, rel, b in zip(self.constraints, self.relations, self.rhs)]
         lines.append("bounds")
         for i in range(self.num_vars):
             lines.append(f"  {self.lower[i]:g} <= x{i} <= {self.upper[i]:g}")
         return "\n".join(lines)
+
+
+def _fixed(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Which variables' bounds are close enough to fix them."""
+    return (lower == upper) | (np.abs(upper - lower) < FIXED_TOL)
 
 
 def _linear_str(coeffs) -> str:
@@ -239,61 +249,53 @@ class _Standardized:
     """An LP's rows in standard form,  min c'u, A u = b, u >= 0, and the
     basis a cold or warm solve of them left.
 
-    Fixed variables (lo == hi) are eliminated up front.  Finite lower bounds
-    are shifted out; free variables are split into positive/negative parts;
-    finite upper bounds become extra rows.  `phase_one` adds a slack column
-    per inequality row and negates some rows, keeping the tableau `T`, its
-    right-hand side `b` and a feasible basis with its inverse and basic
-    values.  `append`, `restart` and `solve` all start from that state;
-    `solve` leaves it at the optimal basis its phase 2 reaches.  `lp` is the
-    LP the state was built from and `appended` the row blocks appended to
-    it since, which `as_lp` puts back together.
+    It takes the LPs `LinearProgram` admits.  Fixed variables are
+    eliminated up front; free variables are split into positive/negative
+    parts; finite upper bounds become extra rows; the maximized objective
+    is negated into the cost.  `phase_one` adds a slack column per row and
+    negates some rows, keeping the tableau `T`, its right-hand side `b` and
+    a feasible basis with its inverse and basic values.  `append` and
+    `solve` both start from that state; `solve` leaves it at the optimal
+    basis its phase 2 reaches.  `lp` is the LP the state was built from and
+    `appended` the row blocks appended to it since, which `as_lp` puts back
+    together.
     """
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
-        self.fixed = (lp.lower == lp.upper) | (np.abs(lp.upper - lp.lower) < FIXED_TOL)
+        self.fixed = _fixed(lp.lower, lp.upper)
         self.fixed_vals = np.where(self.fixed, lp.lower, 0.0)
         self.keep = (~self.fixed).nonzero()[0]
 
         # Column layout of the standardized variables: one column per kept
-        # variable (shifted by its finite lower bound), plus a mirror column
-        # for each free variable's negative part.
-        lower = lp.lower[self.keep]
-        finite = np.isfinite(lower)
-        self.shift = np.where(finite, lower, 0.0)
+        # variable, plus a mirror column for each free variable's negative
+        # part.
         self.n_main = len(self.keep)
-        self.neg_cols = (~finite).nonzero()[0]
+        self.neg_cols = (~np.isfinite(lp.lower[self.keep])).nonzero()[0]
 
         # The LP's rows, then an upper-bound row x_i <= hi_i per kept
-        # variable with a finite one (after the shift, u_i <= hi_i - lo_i).
-        ub_vars = self.keep[np.isfinite(lp.upper[self.keep] - self.shift)]
+        # variable with a finite one.
+        ub_vars = self.keep[np.isfinite(lp.upper[self.keep])]
         bounds = np.zeros((len(ub_vars), lp.num_vars))
         bounds[np.arange(len(ub_vars)), ub_vars] = 1.0
-        self.A, (fixed, shift) = self.standardize_rows(
-            np.vstack([lp.constraints, bounds]))
-        self.b = np.concatenate([lp.rhs, lp.upper[ub_vars]]) - fixed - shift
-        rels = lp.relations + [Relation.LE] * len(ub_vars)
-        self.le = np.array([rel is Relation.LE for rel in rels], dtype=bool)
-        self.ge = np.array([rel is Relation.GE for rel in rels], dtype=bool)
+        self.A, fixed = self.standardize_rows(np.vstack([lp.constraints, bounds]))
+        self.b = np.concatenate([lp.rhs, lp.upper[ub_vars]]) - fixed
+        self.ge = np.array([rel is Relation.GE for rel in lp.relations]
+                           + [False] * len(ub_vars), dtype=bool)
         self.appended = ()
 
     def standardize_rows(self, coeffs: np.ndarray):
         """Rows over the LP's variables (`coeffs` stacks them) in the
-        standardized columns, and what the fixed values and the lower-bound
-        shift move each row's right-hand side by: a right-hand side b
-        becomes b - fixed - shift."""
+        standardized columns, and what the fixed values move each row's
+        right-hand side by: a right-hand side b becomes b - fixed."""
         main = coeffs[:, self.keep]
         fixed_cols = self.fixed.nonzero()[0]
         return (np.hstack([main, -main[:, self.neg_cols]]),
-                (_row_dots(coeffs, fixed_cols, self.fixed_vals[fixed_cols]),
-                 _row_dots(coeffs, self.keep, self.shift)))
+                _row_dots(coeffs, fixed_cols, self.fixed_vals[fixed_cols]))
 
     def cost(self, objective: np.ndarray) -> np.ndarray:
         """The standardized (minimized) cost vector of an objective."""
-        c_full = objective[self.keep].astype(float)
-        if self.lp.maximize:
-            c_full = -c_full
+        c_full = -objective[self.keep]
         c = np.zeros(self.A.shape[1])
         c[:self.n_main] = c_full
         c[self.n_main:] = -c_full[self.neg_cols]
@@ -303,14 +305,14 @@ class _Standardized:
         x = self.fixed_vals.copy()
         vals = u[: self.n_main].copy()
         vals[self.neg_cols] -= u[self.n_main:]
-        x[self.keep] = vals + self.shift
+        x[self.keep] = vals
         # Clip roundoff that strays just outside the box.
         return np.clip(x, self.lp.lower, self.lp.upper)
 
     @staticmethod
     def _without_rows(c: np.ndarray):
-        """No constraints: optimum at the (shifted) origin unless some cost
-        is negative with no upper row, which means unbounded."""
+        """No constraints: optimum at the origin unless some cost is
+        negative with no upper row, which means unbounded."""
         if np.any(c < -OPT_TOL):
             return Status.UNBOUNDED, None
         return Status.OPTIMAL, np.zeros(len(c))
@@ -319,7 +321,7 @@ class _Standardized:
         """Whether the rows are feasible, by the cold phase 1, which runs
         only when some row needs an artificial.  It keeps the state
         described in the class docstring, none of which depends on the
-        objective; a dependent equality row it drops is gone from it."""
+        objective."""
         A, b = self.A, self.b
         m, n = A.shape
 
@@ -329,25 +331,22 @@ class _Standardized:
         neg = b < 0
         flip = neg | (self.ge & (b == 0))
         b = np.where(neg, -b, b)
-        le = np.where(flip, self.ge, self.le)
-        ge = np.where(flip, self.le, self.ge)
+        ge = self.ge ^ flip
 
-        # Slack / surplus columns, then artificials where no basic slack
-        # exists.  The starting basis (the LE slacks and the artificials) is
-        # the identity.
-        slack_rows = (le | ge).nonzero()[0]
-        art_rows = (~le).nonzero()[0]
-        art_start = n + len(slack_rows)
+        # A slack column per row (a surplus on GE rows), then an artificial
+        # per GE row.  The starting basis (the LE slacks and the
+        # artificials) is the identity.
+        art_rows = ge.nonzero()[0]
+        art_start = n + m
         total = art_start + len(art_rows)
         slack_cols = np.arange(n, art_start)
         art_cols = np.arange(art_start, total)
         T = np.zeros((m, total))
         T[:, :n] = A
         T[flip, :n] *= -1.0
-        T[slack_rows, slack_cols] = np.where(le[slack_rows], 1.0, -1.0)
+        T[np.arange(m), slack_cols] = np.where(ge, -1.0, 1.0)
         T[art_rows, art_cols] = 1.0
-        basis = np.empty(m, dtype=np.intp)
-        basis[slack_rows] = slack_cols
+        basis = slack_cols.copy()
         basis[art_rows] = art_cols
         if art_rows.size:
             c1 = np.zeros(total)
@@ -362,23 +361,19 @@ class _Standardized:
                 self.feasible = False
                 return False
 
-            # Drive leftover artificials out of the basis; drop dependent rows.
-            keep_rows = np.ones(m, dtype=bool)
+            # Pivot each artificial left basic (at zero) out for the
+            # lowest-index nonbasic column it can take.  One always exists,
+            # so no row is dropped: an artificial e_r basic at position i
+            # has B^-1 e_r = e_i, so row r's slack +-e_r prices at +-1 in
+            # row i and is nonbasic (Chvatal, Linear Programming, 1983).
             Binv = None
             for i in (basis >= art_start).nonzero()[0]:
                 if Binv is None:  # the basis changed since the last inverse
                     Binv = _basis_inverse(T, basis)
-                coeffs = Binv[i] @ T[:, :art_start]
-                entering = np.abs(coeffs) > PIVOT_TOL
+                entering = np.abs(Binv[i] @ T[:, :art_start]) > PIVOT_TOL
                 entering[basis[basis < art_start]] = False
-                j = entering.nonzero()[0]
-                if j.size:
-                    basis[i] = j[0]
-                    Binv = None
-                else:
-                    keep_rows[i] = False
-            if not keep_rows.all():
-                T, b, basis = T[keep_rows], b[keep_rows], basis[keep_rows]
+                basis[i] = entering.argmax()
+                Binv = None
             T = T[:, :art_start]
             Binv = _basis_inverse(T, basis)
             xb = Binv @ b
@@ -389,25 +384,16 @@ class _Standardized:
         self.T, self.b, self.basis, self.Binv, self.xb = T, b, basis, Binv, xb
         return True
 
-    def restart(self) -> bool:
-        """Whether the rows are feasible, by the dual simplex from the basis
-        the state holds, which it leaves at the feasible basis found."""
-        self.feasible, self.basis, self.Binv, self.xb = _dual_simplex(
-            self.T, self.b, self.basis, self.Binv, self.Binv @ self.b)
-        return self.feasible
-
     def append(self, coeffs, relations, rhs) -> "_Standardized":
         """A copy with the rows `coeffs` stacks over the LP's variables
         appended, with their relations and right-hand sides, each with its
-        own slack, whose basis is this one plus the new slacks; `restart`
-        then decides it.  That basis is block lower triangular,
+        own slack, at a feasible basis if one exists; its `feasible` says
+        whether one does.  The dual simplex starts from this basis plus
+        the new slacks.  That basis is block lower triangular,
         [[B, 0], [R, S]] with S = diag(+-1) of the new slacks, so its
         inverse is [[B^-1, 0], [-S R B^-1, S]]."""
         rels = [Relation(rel) for rel in relations]
-        if Relation.EQ in rels:
-            raise ValueError("an equality row has no slack")
-        A, (fixed, shift) = self.standardize_rows(np.asarray(coeffs, dtype=float))
-        b = np.asarray(rhs, dtype=float) - fixed - shift
+        A, fixed = self.standardize_rows(np.asarray(coeffs, dtype=float))
         sign = np.array([1.0 if rel is Relation.LE else -1.0 for rel in rels])
         (m, n), k = self.T.shape, len(rels)
         rows_k, slacks_k = np.arange(m, m + k), np.arange(n, n + k)
@@ -416,12 +402,13 @@ class _Standardized:
         out.T[:m, :n] = self.T
         out.T[m:, :A.shape[1]] = A
         out.T[rows_k, slacks_k] = sign
-        out.b = np.concatenate([self.b, b])
-        out.basis = np.concatenate([self.basis, slacks_k])
-        out.Binv = np.zeros((m + k, m + k))
-        out.Binv[:m, :m] = self.Binv
-        out.Binv[m:, :m] = -sign[:, None] * (out.T[m:, self.basis] @ self.Binv)
-        out.Binv[rows_k, rows_k] = sign
+        out.b = np.concatenate([self.b, np.asarray(rhs, dtype=float) - fixed])
+        Binv = np.zeros((m + k, m + k))
+        Binv[:m, :m] = self.Binv
+        Binv[m:, :m] = -sign[:, None] * (out.T[m:, self.basis] @ self.Binv)
+        Binv[rows_k, rows_k] = sign
+        out.feasible, out.basis, out.Binv, out.xb = _dual_simplex(
+            out.T, out.b, np.concatenate([self.basis, slacks_k]), Binv, Binv @ out.b)
         out.appended = self.appended + ((coeffs, rels, rhs),)
         return out
 

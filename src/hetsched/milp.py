@@ -57,7 +57,6 @@ def _lex_refine(mip: MixedIntegerProgram, best: SolveResult) -> SolveResult:
     lp = mip.base
     binaries = sorted(mip.binary_vars)
     target = best.objective_value
-    sense = 1.0 if lp.maximize else -1.0
     fixed: dict[int, float] = {}
     current = best
     for v in binaries:
@@ -67,7 +66,7 @@ def _lex_refine(mip: MixedIntegerProgram, best: SolveResult) -> SolveResult:
             continue
         sub = _branch_and_bound(MixedIntegerProgram(
             _pinned(lp, {**fixed, v: 0.0}), mip.binary_vars - set(fixed) - {v}))
-        if sub.optimal and sense * (sub.objective_value - target) >= -OBJ_TOL:
+        if sub.optimal and sub.objective_value - target >= -OBJ_TOL:
             fixed[v] = 0.0
             current = sub
         else:
@@ -93,10 +92,8 @@ def _branch_and_bound(mip: MixedIntegerProgram) -> SolveResult:
     if not binaries:
         return solve_lp(lp)
 
-    sense = 1.0 if lp.maximize else -1.0
-
     def better(a: float, b: float) -> bool:
-        return sense * (a - b) > OBJ_TOL
+        return a - b > OBJ_TOL
 
     incumbent: SolveResult | None = None
     incumbent_key: tuple | None = None
@@ -113,7 +110,7 @@ def _branch_and_bound(mip: MixedIntegerProgram) -> SolveResult:
     heap = []
     counter = 0
     if root.optimal:
-        heapq.heappush(heap, (-sense * root.objective_value, counter, {}, root))
+        heapq.heappush(heap, (-root.objective_value, counter, {}, root))
 
     explored = 0
     while heap:
@@ -164,8 +161,8 @@ def _branch_and_bound(mip: MixedIntegerProgram) -> SolveResult:
                     and abs(child.objective_value - incumbent.objective_value) > OBJ_TOL:
                 continue
             counter += 1
-            heapq.heappush(heap, (-sense * child.objective_value, counter,
-                                  child_fixed, child))
+            heapq.heappush(heap, (-child.objective_value, counter, child_fixed,
+                                  child))
 
     if incumbent is None:
         return SolveResult(Status.INFEASIBLE)

@@ -229,7 +229,7 @@ class ProblemSpace:
         blocks = [*rows, (self.validity, [Relation.LE] * len(self.validity),
                           self.validity_rhs)]
         return LinearProgram(
-            n, objective, True,
+            n, objective,
             np.vstack([np.column_stack([c, np.zeros((len(c), n - c.shape[1]))])
                        for c, _, _ in blocks]),
             [rel for _, rels, _ in blocks for rel in rels],

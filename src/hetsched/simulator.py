@@ -47,7 +47,6 @@ class SimConfig:
     policy: PolicySpec
     round_duration: float = 360.0
     recompute_every: int | None = None  # rounds; None = on reset events only
-    work_conserving: bool = True
     agnostic: bool = False
     estimator: EstimatorConfig | None = None
     seed: int = 0
@@ -429,7 +428,7 @@ class Simulation:
                 compiled = allocation
 
             priorities = compute_priorities(decision, ledger)
-            plan = plan_round(priorities, decision, ledger, cfg.work_conserving)
+            plan = plan_round(priorities, decision, ledger)
             place(plan, cfg.cluster)
 
             completions = []

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .jobs import ENTITY_POLICY_NAMES, Entity, EntityPolicy
+from .jobs import ENTITY_POLICY_NAMES, Entity
 
 DURATION_MIN_MINUTES = 10 ** 1.5
 DURATION_MAX_MINUTES = 1e4
@@ -103,7 +103,7 @@ class Trace:
         with open(path) as f:
             lines = [json.loads(line) for line in f if line.strip()]
         header = lines[0]["header"]
-        entities = [Entity(d["id"], d["weight"], EntityPolicy(d["policy"]))
+        entities = [Entity(d["id"], d["weight"], d["policy"])
                     for d in header.get("entities", [])]
         entries = [TraceEntry(**d) for d in lines[1:]]
         return cls(entries, header["mode"], header["seed"], entities)

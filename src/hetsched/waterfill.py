@@ -23,8 +23,8 @@ to the strictness slack to call.
 
 Every LP of an iteration starts from the level LP, whose cold phase 1 is
 the only one the iteration pays for.  The others are rows appended to an
-optimum (`lp._Standardized.append`), moved to a feasible basis by a
-zero-cost dual simplex (`restart`), and solved by phase 2 from there:
+optimum and moved to a feasible basis by a zero-cost dual simplex
+(`lp._Standardized.append`), and solved by phase 2 from there:
 
 - the tightening LP, whose optimal vertex becomes the allocation X, is the
   level LP's rows plus one row pinning lam at the level, which the level
@@ -172,8 +172,7 @@ def _tighten(space: ProblemSpace, state: _Standardized, level: float) -> tuple:
     tight = state.append(np.eye(1, space.n_cells + 1, space.n_cells), [Relation.GE],
                          [level - TIGHTEN_SLACK])
     dump_each(lambda: tight.as_lp(lean))
-    # A restart that finds no feasible basis leaves `solve` infeasible.
-    tight.restart()
+    # Rows with no feasible basis leave `solve` infeasible.
     res = tight.solve(lean)
     if not res.optimal:
         raise PolicyInfeasibleError(f"tightening LP returned {res.status}")
@@ -187,7 +186,7 @@ def _gain_rows(space: ProblemSpace, tight: _Standardized, thr: dict) -> _Standar
     the dual simplex reaches from it."""
     coeffs, rels, rhs = _carry_rows(space, thr)
     gain_rows = tight.append(_with_lam(coeffs), rels, rhs)
-    if not gain_rows.restart():  # the tightened allocation is a witness
+    if not gain_rows.feasible:  # the tightened allocation is a witness
         raise PolicyError("gain rows infeasible at the tightened allocation")
     return gain_rows
 
@@ -263,7 +262,7 @@ def _screen_feasible(space: ProblemSpace, active: list, thr_prev: dict,
         [thr_prev[j.id] + delta[j.id] if j.id in cand else thr_prev[j.id]
          for j in active])
     dump_each(lambda: screen.as_lp(np.zeros(space.n_cells + 1)))
-    return screen.restart()
+    return screen.feasible
 
 
 def _milp_bottlenecks(space: ProblemSpace, active: list, thr_prev: dict,

@@ -597,9 +597,7 @@ class _Standardized:
             A[i, nk:] = -row[self.neg_cols]
         b = np.asarray(rhs, dtype=float)
 
-        c_full = lp.objective[self.keep].astype(float)
-        if lp.maximize:
-            c_full = -c_full
+        c_full = -lp.objective[self.keep].astype(float)
         c = np.zeros(ncols)
         c[:nk] = c_full
         c[nk:] = -c_full[self.neg_cols]
@@ -634,7 +632,7 @@ class _Standardized:
                                  for i, r in enumerate(rels)], dtype=bool)
         A[negate] *= -1.0
         b[neg] = -b[neg]
-        flip = {Relation.LE: Relation.GE, Relation.GE: Relation.LE, Relation.EQ: Relation.EQ}
+        flip = {Relation.LE: Relation.GE, Relation.GE: Relation.LE}
         rels = [flip[r] if negate[i] else r for i, r in enumerate(rels)]
 
         # Slack / surplus columns, then artificials where no basic slack exists.
@@ -643,10 +641,8 @@ class _Standardized:
         for i, rel in enumerate(rels):
             if rel is Relation.LE:
                 slack_cols.append((i, 1.0, True))
-            elif rel is Relation.GE:
-                slack_cols.append((i, -1.0, False))
-                art_rows.append(i)
             else:
+                slack_cols.append((i, -1.0, False))
                 art_rows.append(i)
 
         n_slack = len(slack_cols)
@@ -1030,7 +1026,7 @@ def reference_standalone(T, job: Job) -> SolveResult:
     form."""
     r = T.singleton_row(job.id)
     sf = float(job.scale_factor)
-    lp = LinearProgram(T.num_configs, T.thr[r, :, 0], maximize=True,
+    lp = LinearProgram(T.num_configs, T.thr[r, :, 0],
                        upper=np.where(T.feasible[r], np.inf, 0.0))
     lp.add_rows([np.ones(T.num_configs)], [Relation.LE], [1.0])
     for t in T.cluster.types:
@@ -1058,7 +1054,7 @@ def _add_validity(lp: LinearProgram, space: ProblemSpace, extra: int = 0):
 def reference_max_gain(space: ProblemSpace, thr_prev: dict, job_id: int) -> float:
     """Largest throughput increase available to one job while every job keeps
     at least its previous throughput."""
-    lp = LinearProgram(space.n_cells, space.coeffs[job_id], maximize=True,
+    lp = LinearProgram(space.n_cells, space.coeffs[job_id],
                        lower=np.zeros(space.n_cells), upper=_cell_upper(space))
     for j in space.jobs:
         lp.add_rows([space.coeffs[j.id]], [Relation.GE], [thr_prev[j.id]])
@@ -1081,7 +1077,7 @@ def reference_bottleneck_lp(space: ProblemSpace, active: list,
     obj[space.n_cells:] = 1.0
     upper = _cell_upper(space, extra=n_z)
     upper[space.n_cells:] = 1.0
-    lp = LinearProgram(n, obj, maximize=True, lower=np.zeros(n), upper=upper)
+    lp = LinearProgram(n, obj, lower=np.zeros(n), upper=upper)
     for j in space.jobs:
         lp.add_rows([np.concatenate([space.coeffs[j.id], np.zeros(n_z)])],
                     [Relation.GE], [thr_prev[j.id]])
@@ -1221,7 +1217,7 @@ def reference_waterfill(space: ProblemSpace, entities=None) -> WaterfillResult:
 # same float operations, so a test can require the two byte-identical.
 
 def reference_space_lp(space: ProblemSpace, objective, rows=(),
-                       maximize: bool = True, extra_lower=None) -> LinearProgram:
+                       extra_lower=None) -> LinearProgram:
     """`ProblemSpace.lp` with `rows` a list of (coeffs, relation, rhs)
     triples."""
     n = len(objective)
@@ -1229,7 +1225,7 @@ def reference_space_lp(space: ProblemSpace, objective, rows=(),
     lower = np.zeros(n)
     if extra_lower is not None:
         lower[space.n_cells:] = extra_lower
-    lp = LinearProgram(n, objective, maximize, lower=lower,
+    lp = LinearProgram(n, objective, lower=lower,
                        upper=_cell_upper(space, extra=len(pad)))
     validity = [(row, Relation.LE, rhs)
                 for row, rhs in zip(space.validity, space.validity_rhs)]
@@ -1341,7 +1337,7 @@ def reference_level_pin_lp(space: ProblemSpace, weights: dict, t_prev: dict,
 def reference_tighten_lp(space: ProblemSpace, weights: dict, t_prev: dict,
                          thr_prev: dict, level: float) -> LinearProgram:
     """The tightening LP built whole, as water filling once solved it cold:
-    minimize the total allocated time while each weighted job keeps its
+    maximize minus the total allocated time while each weighted job keeps its
     share of the level and each carried job its previous throughput, both
     less TIGHTEN_SLACK; each job's level row comes before its carry row."""
     rows = []
@@ -1353,7 +1349,7 @@ def reference_tighten_lp(space: ProblemSpace, weights: dict, t_prev: dict,
         if thr_prev[j.id] > 0:
             rows.append((space.coeffs[j.id], Relation.GE,
                          thr_prev[j.id] - TIGHTEN_SLACK))
-    return reference_space_lp(space, np.ones(space.n_cells), rows, maximize=False)
+    return reference_space_lp(space, np.full(space.n_cells, -1.0), rows)
 
 
 def _with_lam_rows(lp: LinearProgram, rows) -> LinearProgram:
@@ -1397,8 +1393,8 @@ RATIO_T_TOL = 1e-9
 def reference_maximize_ratio(lp: LinearProgram, den_coeffs) -> SolveResult:
     """Maximize lp.objective'x / den'x over the LP's feasible set.
 
-    Uses the Charnes-Cooper substitution y = t*x, den'y = 1,
-    t >= 0, which turns the linear-fractional program into a single LP.  The
+    Uses the Charnes-Cooper substitution y = t*x, den'y = 1 (as the two
+    rows den'y <= 1 and den'y >= 1), t >= 0, which turns the linear-fractional program into a single LP.  The
     denominator must stay strictly positive on the feasible set; if it can
     vanish while the numerator stays positive the LP is unbounded and a
     RatioUnboundedError is raised.
@@ -1408,19 +1404,20 @@ def reference_maximize_ratio(lp: LinearProgram, den_coeffs) -> SolveResult:
     # Variables: y_0..y_{n-1}, t.  Each row a'x (rel) b becomes
     # a'y - b t (rel) 0.  So that y can be left free, each variable's finite
     # bounds become rows against t, its upper row y_i - hi_i t <= 0 before its
-    # lower row y_i - lo_i t >= 0.  Last comes den'y = 1.
+    # lower row y_i - lo_i t >= 0.  Last come den'y <= 1 and den'y >= 1.
     bound = np.column_stack([lp.upper, lp.lower]).ravel()
     finite = np.isfinite(bound)
     bound_rows = np.zeros((2 * n, n + 1))
     bound_rows[np.arange(2 * n), np.arange(2 * n) // 2] = 1.0
     bound_rows[:, n] = -bound
+    den_row = np.append(den_coeffs, 0.0)
     cc = LinearProgram(
-        n + 1, np.append(lp.objective, 0.0), True,
+        n + 1, np.append(lp.objective, 0.0),
         np.vstack([np.column_stack([lp.constraints, -lp.rhs]), bound_rows[finite],
-                   np.append(den_coeffs, 0.0)]),
+                   den_row, den_row]),
         [*lp.relations, *itertools.compress([Relation.LE, Relation.GE] * n, finite),
-         Relation.EQ],
-        np.append(np.zeros(len(lp.rhs) + finite.sum()), 1.0),
+         Relation.LE, Relation.GE],
+        np.append(np.zeros(len(lp.rhs) + finite.sum()), [1.0, 1.0]),
         np.append(np.full(n, -np.inf), 0.0), np.full(n + 1, np.inf))
 
     res = solve_lp(cc)
@@ -1429,7 +1426,7 @@ def reference_maximize_ratio(lp: LinearProgram, den_coeffs) -> SolveResult:
     if not res.optimal:
         # Distinguish an empty polytope from a denominator that cannot
         # reach the normalization plane (identically zero, say).
-        if solve_lp(replace(lp, objective=np.zeros(n), maximize=True)).optimal:
+        if solve_lp(replace(lp, objective=np.zeros(n))).optimal:
             raise RatioUnboundedError(
                 "denominator cannot be normalized on the feasible set")
         return SolveResult(res.status)
@@ -1448,7 +1445,7 @@ def reference_pinned(lp: LinearProgram, fixed: dict) -> LinearProgram:
     lo, hi = lp.lower.copy(), lp.upper.copy()
     for v, val in fixed.items():
         lo[v] = hi[v] = float(val)
-    node = LinearProgram(lp.num_vars, lp.objective, lp.maximize, lower=lo, upper=hi)
+    node = LinearProgram(lp.num_vars, lp.objective, lower=lo, upper=hi)
     for coeffs, rel, rhs in zip(lp.constraints, lp.relations, lp.rhs):
         node.add_rows([coeffs], [rel], [rhs])
     return node
@@ -1588,8 +1585,8 @@ def reference_mechanism() -> dict:
         "RoundLedger": ReferenceLedger,
         "CompiledAllocation": lambda X, jobs: (X, jobs),
         "compute_priorities": lambda d, ledger: reference_priorities(d[0], ledger),
-        "plan_round": lambda pr, d, ledger, wc: reference_plan_round(
-            pr, d[1], ledger, d[0].T, wc),
+        "plan_round": lambda pr, d, ledger: reference_plan_round(
+            pr, d[1], ledger, d[0].T),
         "place": reference_place,
         "settle_round": reference_settle_round,
     }

@@ -23,7 +23,7 @@ from oracles import (random_cells, random_costs, reference_bottleneck_lp,
 
 
 def assert_same_lp(lp, ref):
-    assert lp.num_vars == ref.num_vars and lp.maximize == ref.maximize
+    assert lp.num_vars == ref.num_vars
     assert lp.relations == ref.relations
     for name in ("constraints", "rhs", "lower", "upper", "objective"):
         got, want = getattr(lp, name), getattr(ref, name)
@@ -75,16 +75,15 @@ class _Solved:
 class _State:
     """Stands in for an `lp._Standardized` at an optimum of `lp`: keeps the
     row blocks appended to it, as `as_lp` reads them, and calls every
-    restart feasible."""
+    appended state feasible."""
+
+    feasible = True
 
     def __init__(self, lp, appended=()):
         self.lp, self.appended = lp, appended
 
     def append(self, *rows):
         return _State(self.lp, self.appended + (rows,))
-
-    def restart(self):
-        return True
 
     as_lp = _Standardized.as_lp
 
@@ -93,6 +92,8 @@ class _Standardizing:
     """Stands in for `lp._Standardized` in water filling: records each LP it
     is built from, the rows appended to it and the objectives solved, and
     solves every one at zero."""
+
+    feasible = True
 
     def __init__(self, lp, seen):
         self.lp, self.seen = lp, seen
@@ -107,9 +108,6 @@ class _Standardizing:
         out.lp.add_rows(*rows)
         self.seen.append(out)
         return out
-
-    def restart(self):
-        return True
 
     def solve(self, objective):
         self.objective = objective

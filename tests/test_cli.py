@@ -744,6 +744,26 @@ class TestSimulate:
         assert f"error: {trace}: entity 0: {named}" in res.output
         assert "Traceback" not in res.output
 
+    @pytest.mark.parametrize("field, value, named", [
+        ("policy", "lottery", "entity 0: unknown policy 'lottery'"),
+        ("id", 0.5, "entity id must be a whole number, not 0.5"),
+    ], ids=["unknown-policy", "fractional-id"])
+    def test_bad_entity_in_trace_exit_code(self, runner, tmp_path, field, value,
+                                           named):
+        # Both are usage errors, as `solve` reports them, naming the value.
+        trace = tmp_path / "trace.jsonl"
+        Trace([TraceEntry(0.0, "model-00", 10, entity_id=0)], "static", 0,
+              [Entity(0)]).save(trace)
+        header, *entries = trace.read_text().splitlines()
+        doc = json.loads(header)
+        doc["header"]["entities"][0][field] = value
+        trace.write_text("\n".join([json.dumps(doc), *entries]) + "\n")
+        res = runner.invoke(main, ["--out", str(tmp_path), "simulate",
+                                   "--policy", "hier:fair", "--trace", str(trace)])
+        assert res.exit_code == 2, res.output
+        assert f"error: {trace}: {named}" in res.output
+        assert "Traceback" not in res.output
+
     def test_unknown_template_exit_code(self, runner, tmp_path):
         trace = tmp_path / "trace.jsonl"
         Trace([TraceEntry(0.0, "nope", 10)], "static", 0).save(trace)

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 import hetsched.matrices
 from hetsched.cluster import (AcceleratorType, ClusterSpec, Placement,
                               make_cluster)
-from hetsched.jobs import Job, JobCombination
+from hetsched.jobs import (Entity, EntityPolicy, EntityValueError, Job,
+                           JobCombination)
 from hetsched.matrices import (AllocationMatrix, ThroughputMatrix,
                                effective_throughput, equal_share_allocation,
                                isolated_allocation,
@@ -63,6 +64,23 @@ def test_accelerator_type_validation():
 def test_job_rejects_booleans_as_numbers(field):
     with pytest.raises(ValueError, match=f"{field} must be a number, not True"):
         Job(id=0, **{field: True})
+
+
+@pytest.mark.parametrize("kwargs, named", [
+    ({"id": 0.5}, "entity id must be a whole number, not 0.5"),
+    ({"id": True}, "entity id must be a whole number, not True"),
+    ({"id": "0"}, "entity id must be a whole number, not '0'"),
+    ({"id": 3, "internal_policy": "lottery"}, "entity 3: unknown policy 'lottery'"),
+], ids=["fractional-id", "boolean-id", "text-id", "unknown-policy"])
+def test_entity_rejects_bad_id_and_policy(kwargs, named):
+    with pytest.raises(EntityValueError, match=named):
+        Entity(**kwargs)
+
+
+def test_entity_converts_whole_id_and_policy_value():
+    entity = Entity(2.0, 1.0, "fifo")
+    assert entity.id == 2 and type(entity.id) is int
+    assert entity.internal_policy is EntityPolicy.FIFO
 
 
 def test_combination_ordering_and_conflicts():

@@ -18,7 +18,7 @@ from oracles import random_cells, reference_solve_lp
 
 
 def test_one_variable_box():
-    lp = LinearProgram(1, [1.0], maximize=True, upper=np.array([1.0]))
+    lp = LinearProgram(1, [1.0], upper=np.array([1.0]))
     res = solve_lp(lp)
     assert res.optimal
     assert res.objective_value == pytest.approx(1.0, abs=1e-9)
@@ -26,36 +26,26 @@ def test_one_variable_box():
 
 
 def test_infeasible_system():
-    lp = LinearProgram(1, [1.0], maximize=True)
+    lp = LinearProgram(1, [1.0])
     lp.add_rows([[1.0], [1.0]], ["<=", ">="], [0.0, 1.0])
     assert solve_lp(lp).status is Status.INFEASIBLE
 
 
 def test_unbounded():
-    lp = LinearProgram(1, [1.0], maximize=True)
+    lp = LinearProgram(1, [1.0])
     assert solve_lp(lp).status is Status.UNBOUNDED
 
 
-def test_minimization_and_equality():
-    lp = LinearProgram(2, [1.0, 2.0], maximize=False)
-    lp.add_rows([[1.0, 1.0]], ["="], [4.0])
-    res = solve_lp(lp)
-    assert res.optimal
-    assert res.objective_value == pytest.approx(4.0, abs=1e-7)
-    assert res.x[0] == pytest.approx(4.0, abs=1e-7)
-
-
 def test_free_variable():
-    lp = LinearProgram(1, [1.0], maximize=False,
-                       lower=np.array([-np.inf]))
+    lp = LinearProgram(1, [-1.0], lower=np.array([-np.inf]))
     lp.add_rows([[1.0]], [">="], [-3.0])
     res = solve_lp(lp)
     assert res.optimal
-    assert res.objective_value == pytest.approx(-3.0, abs=1e-7)
+    assert res.objective_value == pytest.approx(3.0, abs=1e-7)
 
 
 def test_fixed_variable_elimination():
-    lp = LinearProgram(2, [1.0, 1.0], maximize=True,
+    lp = LinearProgram(2, [1.0, 1.0],
                        lower=np.array([0.5, 0.0]), upper=np.array([0.5, 2.0]))
     lp.add_rows([[1.0, 1.0]], ["<="], [2.0])
     res = solve_lp(lp)
@@ -64,36 +54,35 @@ def test_fixed_variable_elimination():
     assert res.objective_value == pytest.approx(2.0, abs=1e-7)
 
 
-def test_all_fixed_with_equality_row():
-    # Phase 1 drops the equality row, which leaves phase 2 nothing to price.
-    lp = LinearProgram(1, [1.0], lower=np.array([1.0]), upper=np.array([1.0]))
-    lp.add_rows([[1.0]], ["="], [1.0])
-    res = solve_lp(lp)
-    assert res.optimal and res.x[0] == 1.0 and res.objective_value == 1.0
-    lp = LinearProgram(2, [1.0, 1.0], lower=np.array([1.0, 0.0]),
-                       upper=np.array([1.0, np.inf]))
-    lp.add_rows([[1.0, 0.0]], ["="], [1.0])
-    assert solve_lp(lp).status is Status.UNBOUNDED
-    lp = LinearProgram(1, [1.0], lower=np.array([1.0]), upper=np.array([1.0]))
-    lp.add_rows([[1.0]], ["="], [2.0])
-    assert solve_lp(lp).status is Status.INFEASIBLE
-
-
 def test_dimension_mismatch():
     lp = LinearProgram(2, [1.0, 1.0])
     with pytest.raises(DimensionError):
         lp.add_rows([[1.0]], ["<="], [1.0])
 
 
+def test_only_maximization_over_inequalities_and_nonshifted_bounds():
+    """An LP has no equality rows, and a variable that is not fixed has
+    lower bound 0 or -inf."""
+    lp = LinearProgram(2, [1.0, 1.0])
+    with pytest.raises(ValueError, match="'=' is not a valid Relation"):
+        lp.add_rows([[1.0, 1.0]], ["="], [1.0])
+    with pytest.raises(ValueError, match="x1 has lower bound 1"):
+        LinearProgram(2, [1.0, 1.0], lower=np.array([0.0, 1.0]))
+    # Fixed at 1, nonnegative and boxed, and free.
+    lp = LinearProgram(3, [1.0, 1.0, 1.0], lower=np.array([1.0, 0.0, -np.inf]),
+                       upper=np.array([1.0, 2.0, 3.0]))
+    assert solve_lp(lp).x.tolist() == [1.0, 2.0, 3.0]
+
+
 def test_degenerate_cycling_guard():
     # Classic Beale-style degeneracy: must terminate at the optimum.
-    lp = LinearProgram(4, [-0.75, 150.0, -0.02, 6.0], maximize=False)
+    lp = LinearProgram(4, [0.75, -150.0, 0.02, -6.0])
     lp.add_rows([[0.25, -60.0, -1.0 / 25.0, 9.0],
                  [0.5, -90.0, -1.0 / 50.0, 3.0],
                  [0.0, 0.0, 1.0, 0.0]], ["<="] * 3, [0.0, 0.0, 1.0])
     res = solve_lp(lp)
     assert res.optimal
-    assert res.objective_value == pytest.approx(-0.05, abs=1e-7)
+    assert res.objective_value == pytest.approx(0.05, abs=1e-7)
 
 
 def _grid_best(c, rows, rhs, n, step=0.01):
@@ -116,7 +105,7 @@ def test_matches_grid_oracle_on_random_boxes(data):
     n_rows = data.draw(st.integers(0, 3))
     rows = [rng.uniform(0, 2, size=n) for _ in range(n_rows)]
     rhs = [float(rng.uniform(0.2, 2.0)) for _ in range(n_rows)]
-    lp = LinearProgram(n, c, maximize=True, upper=np.ones(n))
+    lp = LinearProgram(n, c, upper=np.ones(n))
     for row, b in zip(rows, rhs):
         lp.add_rows([row], ["<="], [b])
     res = solve_lp(lp)
@@ -137,7 +126,7 @@ def test_solution_feasible_and_consistent(data):
     n = data.draw(st.integers(2, 4))
     rng = np.random.default_rng(data.draw(st.integers(0, 10 ** 6)))
     c = rng.uniform(-1, 1, size=n)
-    lp = LinearProgram(n, c, maximize=True, upper=np.ones(n))
+    lp = LinearProgram(n, c, upper=np.ones(n))
     for _ in range(data.draw(st.integers(1, 3))):
         lp.add_rows([rng.uniform(0, 1, size=n)],
                     [Relation.LE], [float(rng.uniform(0.5, 2))])
@@ -151,7 +140,7 @@ def test_solution_feasible_and_consistent(data):
 
 
 def test_dump_format():
-    lp = LinearProgram(2, [1.0, 0.0], maximize=True, upper=np.array([1.0, 2.0]))
+    lp = LinearProgram(2, [1.0, 0.0], upper=np.array([1.0, 2.0]))
     lp.add_rows([[1.0, 1.0]], ["<="], [1.5])
     text = lp.dump()
     assert "maximize" in text and "<=" in text and "x0" in text
@@ -160,17 +149,18 @@ def test_dump_format():
 def test_iteration_limit_is_typed(monkeypatch):
     monkeypatch.setattr(hetsched.lp, "MAX_ITER_BASE", 1)
     monkeypatch.setattr(hetsched.lp, "MAX_ITER_PER_DIM", 0)
-    lp = LinearProgram(2, [1.0, 1.0], maximize=True, upper=np.array([1.0, 1.0]))
+    lp = LinearProgram(2, [1.0, 1.0], upper=np.array([1.0, 1.0]))
     with pytest.raises(IterationLimitError, match="iteration limit"):
         solve_lp(lp)
     assert issubclass(IterationLimitError, RuntimeError)
 
 
 def _random_lp(rng) -> LinearProgram:
-    """A small LP mixing LE/GE/EQ rows, right-hand sides of both signs and
-    default, boxed, free, fixed and shifted variables.  Half the instances
-    use small integers, whose ties and degenerate vertices exercise the
-    tie-breaking rules."""
+    """A small LP mixing LE/GE rows, right-hand sides of both signs and
+    default, boxed, free and fixed variables.  Half the instances use small
+    integers, whose ties and degenerate vertices exercise the tie-breaking
+    rules; half maximize the negated objective, which is how a cost is
+    minimized."""
     n = int(rng.integers(1, 8))
     m = int(rng.integers(0, 8))
     integer = rng.random() < 0.5
@@ -181,12 +171,12 @@ def _random_lp(rng) -> LinearProgram:
     width = rng.integers(1, 4, size=n).astype(float)
     lower = np.zeros(n)
     upper = np.full(n, np.inf)
-    boxed, free, fixed, shifted = (kind == 1), (kind == 2), (kind == 3), (kind == 4)
-    lower[boxed], upper[boxed] = base[boxed], base[boxed] + width[boxed]
+    # Kinds 0 and 4 are default variables.
+    boxed, free, fixed = (kind == 1), (kind == 2), (kind == 3)
+    upper[boxed] = width[boxed]
     lower[free] = -np.inf
     upper[free & (rng.random(n) < 0.3)] = 4.0
     lower[fixed] = upper[fixed] = base[fixed]
-    lower[shifted] = base[shifted]
     if integer:
         coeffs = rng.integers(-2, 3, size=(m, n)).astype(float)
         rhs = rng.integers(-2, 6, size=m).astype(float)
@@ -195,10 +185,11 @@ def _random_lp(rng) -> LinearProgram:
         coeffs = np.round(rng.uniform(-2.0, 2.0, size=(m, n)), 3)
         rhs = np.round(rng.uniform(-2.0, 5.0, size=m), 3)
         c = np.round(rng.uniform(-3.0, 3.0, size=n), 3)
-    lp = LinearProgram(n, c, maximize=bool(rng.random() < 0.5),
-                       lower=lower, upper=upper)
-    for row, rel, b in zip(coeffs, rng.choice(["<=", ">=", "="], size=m,
-                                              p=[0.55, 0.3, 0.15]), rhs):
+    if rng.random() >= 0.5:
+        c = -c
+    lp = LinearProgram(n, c, lower=lower, upper=upper)
+    for row, rel, b in zip(coeffs, rng.choice(["<=", ">="], size=m, p=[0.6, 0.4]),
+                           rhs):
         lp.add_rows([row], [rel], [b])
     return lp
 
@@ -224,7 +215,7 @@ def _bottleneck_relaxation(rng) -> LinearProgram:
     upper[cells:] = np.where(np.isnan(pin), 1.0, pin)
     obj = np.zeros(n)
     obj[cells:] = 1.0
-    lp = LinearProgram(n, obj, maximize=True, lower=lower, upper=upper)
+    lp = LinearProgram(n, obj, lower=lower, upper=upper)
     for j in range(jobs):
         row = np.zeros(n)
         row[j * types:(j + 1) * types] = thr[j]
@@ -260,12 +251,9 @@ def _assert_same_as_reference(lp):
 
 def _assert_all_fixed_verdict(lp):
     """An LP whose variables are all fixed is optimal at the fixed point
-    exactly when every row holds there.  The reference kernel fails on
-    equality rows here (phase 2 is left with no column), so the verdict is
-    checked directly."""
+    exactly when every row holds there, which is checked directly."""
     x = lp.lower
-    holds = [{Relation.LE: lhs <= rhs + 1e-9, Relation.GE: lhs >= rhs - 1e-9,
-              Relation.EQ: abs(lhs - rhs) <= 1e-9}[rel]
+    holds = [{Relation.LE: lhs <= rhs + 1e-9, Relation.GE: lhs >= rhs - 1e-9}[rel]
              for lhs, rel, rhs in ((float(row @ x), rel, rhs)
                                    for row, rel, rhs in zip(
                                        lp.constraints, lp.relations, lp.rhs))]
@@ -282,13 +270,13 @@ def _assert_all_fixed_verdict(lp):
 def test_bit_identical_to_reference_kernel():
     statuses = []
     multi_term_fixed_rows = 0
-    all_fixed = []
+    all_fixed = 0
     for seed in range(240):
         lp = _random_lp(np.random.default_rng(seed))
         fixed = lp.lower == lp.upper
         if fixed.all():
             statuses.append(_assert_all_fixed_verdict(lp))
-            all_fixed.append(any(rel is Relation.EQ for rel in lp.relations))
+            all_fixed += 1
             continue
         statuses.append(_assert_same_as_reference(lp))
         multi_term_fixed_rows += any(
@@ -298,8 +286,38 @@ def test_bit_identical_to_reference_kernel():
     # right-hand side shift sums several products.
     assert {statuses.count(s) >= 10 for s in Status} == {True}
     assert multi_term_fixed_rows >= 10
-    # All-fixed instances occur, some of them with an equality row.
-    assert len(all_fixed) >= 5 and any(all_fixed)
+    # All-fixed instances occur.
+    assert all_fixed >= 5
+
+
+def _lp_of(objective, coeffs, relations, rhs) -> LinearProgram:
+    lp = LinearProgram(len(objective), objective)
+    lp.add_rows(coeffs, relations, rhs)
+    return lp
+
+
+def test_artificials_left_basic_at_zero_are_driven_out():
+    """Duplicated or implied >= rows at a vertex that other rows pin leave
+    an artificial basic at zero after phase 1.  Each is pivoted out for the
+    lowest-index nonbasic column it can take, so no row is dropped, and the
+    solution is the reference kernel's, bit for bit."""
+    lps = [
+        # x0 + x1 >= 1 twice, under x0 + x1 <= 1.
+        _lp_of([1.0, 2.0], [[1.0, 1.0]] * 3, ["<=", ">=", ">="], [1.0] * 3),
+        # x0 + x1 >= 2, implied by x0 >= 1 and x1 >= 1, under x0 + x1 <= 2.
+        _lp_of([1.0, 1.0], [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 1.0]],
+               [">=", ">=", ">=", "<="], [1.0, 1.0, 2.0, 2.0]),
+        _lp_of([1.0, 1.0, 1.0], [[1.0, 1.0, 1.0]] * 3, [">=", ">=", "<="],
+               [2.0] * 3),
+    ]
+    for lp in lps:
+        prob = hetsched.lp._Standardized(lp)
+        hits = _line_hits({"driven": (hetsched.lp._Standardized.phase_one,
+                                      "basis[i] = entering.argmax()")},
+                          prob.phase_one)
+        assert hits["driven"] >= 1
+        assert prob.feasible and len(prob.basis) == len(prob.A)
+        assert _assert_same_as_reference(lp) is Status.OPTIMAL
 
 
 def test_bit_identical_on_bottleneck_relaxations():
@@ -475,7 +493,7 @@ def _solve_each(lp, objectives):
 
 def _solve_alone(lp, objective):
     return solve_lp(LinearProgram(
-        lp.num_vars, objective, maximize=lp.maximize, constraints=lp.constraints,
+        lp.num_vars, objective, constraints=lp.constraints,
         relations=lp.relations, rhs=lp.rhs, lower=lp.lower, upper=lp.upper))
 
 
@@ -493,13 +511,8 @@ def _equivalence_set():
                for seed in range(120)])
 
 
-def _has_equality(lp) -> bool:
-    return any(rel is Relation.EQ for rel in lp.relations)
-
-
 def _with_rows(lp, coeffs, relations, rhs) -> LinearProgram:
-    return LinearProgram(lp.num_vars, lp.objective, maximize=lp.maximize,
-                         constraints=coeffs, relations=relations, rhs=rhs,
+    return LinearProgram(lp.num_vars, lp.objective, constraints=coeffs, relations=relations, rhs=rhs,
                          lower=lp.lower, upper=lp.upper)
 
 
@@ -523,7 +536,7 @@ def _warm_verdicts():
     sides that a point of its box meets with equality, so there is always a
     feasible basis to append to; phase 2 under the LP's own objective moves
     it to an optimum or the last basis before a ray.  Rows are appended
-    there and the state restarted."""
+    there, which runs the dual simplex."""
     verdicts = []
     for k, lp in enumerate(_equivalence_set()):
         rng = np.random.default_rng(5000 + k)
@@ -540,7 +553,7 @@ def _warm_verdicts():
         coeffs, rels, extra_rhs = map(list, zip(*extra))
         screen = ds.append(np.array(coeffs), rels, extra_rhs)
         verdicts.append(_assert_warm_verdict(
-            screen, screen.restart(),
+            screen, screen.feasible,
             _with_rows(lp, np.vstack([lp.constraints, coeffs]),
                        lp.relations + rels, at_x0 + extra_rhs)))
     assert len(verdicts) == 360
@@ -549,14 +562,14 @@ def _warm_verdicts():
 
 
 def test_dual_simplex_verdicts_match_solve_lp():
-    """Restarted after rows are appended to a phase-2 basis, the zero-cost
-    dual simplex decides feasibility as solve_lp does."""
+    """Run when rows are appended to a phase-2 basis, the zero-cost dual
+    simplex decides feasibility as solve_lp does."""
     _warm_verdicts()
 
 
 def test_warm_verdicts_match_solve_lp_when_refactorizing(monkeypatch):
     """With the basis inverse refactorized every other pivot, both simplex
-    kernels still reach solve_lp's verdicts on the same restarts."""
+    kernels still reach solve_lp's verdicts on the same appended rows."""
     callers = []
     basis_inverse = hetsched.lp._basis_inverse
 
@@ -576,13 +589,11 @@ def test_solve_leaves_its_optimal_basis(monkeypatch, refactor_every):
     """`solve` after `phase_one` returns what `solve_lp` returns and leaves
     the state at the basis its phase 2 ends on, with that basis's inverse and basic values,
     also when the inverse is refactorized along the way.  Solving again
-    from there makes no pivot, and so does restarting after a row the
-    optimum satisfies is appended."""
+    from there makes no pivot, and so does appending a row the optimum
+    satisfies."""
     monkeypatch.setattr(hetsched.lp, "REFACTOR_EVERY", refactor_every)
     kept = 0
     for k, lp in enumerate(_equivalence_set()):
-        if _has_equality(lp):
-            continue
         objective = _random_objectives(np.random.default_rng(10_000 + k),
                                        lp.num_vars)[-1]
         ds = hetsched.lp._Standardized(lp)
@@ -602,7 +613,7 @@ def test_solve_leaves_its_optimal_basis(monkeypatch, refactor_every):
         # x_0 >= its optimal value less a margin holds at the optimum.
         row = np.eye(1, lp.num_vars)
         grown = ds.append(row, [Relation.GE], [res.x[0] - 1e-6])
-        assert grown.restart()
+        assert grown.feasible
         assert np.array_equal(grown.basis[:len(basis)], basis)
     assert kept >= 50
 
@@ -611,8 +622,8 @@ def test_appended_rows_standardize_as_built_cold():
     """Rows appended to a `_Standardized` take the path the LP's own rows
     take, so their standardized coefficients and right-hand sides are bit
     for bit those of the same rows in the LP built cold with them, on LPs
-    with fixed variables and finite nonzero lower bounds."""
-    checked = shifted = 0
+    with fixed variables."""
+    checked = moved = 0
     for seed in range(240):
         rng = np.random.default_rng(seed)
         lp = _random_lp(rng)
@@ -631,20 +642,8 @@ def test_appended_rows_standardize_as_built_cold():
         assert screen.T[m:, :cold.A.shape[1]].tobytes() == cold.A[rows].tobytes()
         assert screen.b[m:].tobytes() == cold.b[rows].tobytes()
         checked += 1
-        moved = np.concatenate([ds.fixed_vals[ds.fixed], ds.shift])
-        shifted += bool(np.count_nonzero(moved)) and lp.num_vars > 1
-    assert checked >= 100 and shifted >= 50
-
-
-def test_dual_start_rejects_equality_rows():
-    """An appended row starts with its slack basic, so an equality row is
-    refused."""
-    lp = LinearProgram(2, np.zeros(2))
-    lp.add_rows([[1.0, 1.0]], [Relation.LE], [1.0])
-    prob = hetsched.lp._Standardized(lp)
-    assert prob.phase_one()
-    with pytest.raises(ValueError, match="equality"):
-        prob.append(np.ones((1, 2)), [Relation.EQ], [0.5])
+        moved += bool(np.count_nonzero(ds.fixed_vals)) and lp.num_vars > 1
+    assert checked >= 100 and moved >= 50
 
 
 def test_dual_simplex_iteration_limit_is_typed(monkeypatch):
@@ -652,8 +651,7 @@ def test_dual_simplex_iteration_limit_is_typed(monkeypatch):
     lp.add_rows([[1.0, 1.0]], [Relation.GE], [1.0])
     prob = hetsched.lp._Standardized(lp)
     assert prob.phase_one()
-    grown = prob.append(np.ones((1, 2)), [Relation.GE], [2.0])
     monkeypatch.setattr(hetsched.lp, "MAX_ITER_BASE", 0)
     monkeypatch.setattr(hetsched.lp, "MAX_ITER_PER_DIM", 0)
     with pytest.raises(IterationLimitError, match="dual simplex iteration limit"):
-        grown.restart()
+        prob.append(np.ones((1, 2)), [Relation.GE], [2.0])

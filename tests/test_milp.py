@@ -22,14 +22,13 @@ def enumerate_oracle(lp: LinearProgram, binaries):
         res = solve_lp(sub)
         if not res.optimal:
             continue
-        sense = 1 if lp.maximize else -1
-        if best is None or sense * (res.objective_value - best[0]) > 1e-9:
+        if best is None or res.objective_value - best[0] > 1e-9:
             best = (res.objective_value, bits, res.x)
     return best
 
 
 def test_tie_break_lexicographic():
-    lp = LinearProgram(2, [1.0, 1.0], maximize=True)
+    lp = LinearProgram(2, [1.0, 1.0])
     lp.add_rows([[1.0, 1.0]], ["<="], [1.0])
     res = solve_milp(MixedIntegerProgram(lp, {0, 1}))
     assert res.objective_value == pytest.approx(1.0)
@@ -37,7 +36,7 @@ def test_tie_break_lexicographic():
 
 
 def test_integral_relaxation_matches_lp():
-    lp = LinearProgram(2, [1.0, 2.0], maximize=True, upper=np.ones(2))
+    lp = LinearProgram(2, [1.0, 2.0], upper=np.ones(2))
     lp.add_rows([[1.0, 0.0]], ["<="], [1.0])
     lp_res = solve_lp(lp)
     milp_res = solve_milp(MixedIntegerProgram(lp, {0, 1}))
@@ -45,14 +44,14 @@ def test_integral_relaxation_matches_lp():
 
 
 def test_infeasible():
-    lp = LinearProgram(2, [1.0, 1.0], maximize=True)
+    lp = LinearProgram(2, [1.0, 1.0])
     lp.add_rows([[1.0, 1.0]], [">="], [3.0])  # binaries cap the sum at 2
     res = solve_milp(MixedIntegerProgram(lp, {0, 1}))
     assert res.status is Status.INFEASIBLE
 
 
 def test_mixed_continuous_binary():
-    lp = LinearProgram(3, [1.0, 1.0, 0.5], maximize=True,
+    lp = LinearProgram(3, [1.0, 1.0, 0.5],
                        upper=np.array([1.0, 1.0, 2.0]))
     lp.add_rows([[1.0, 1.0, 1.0]], ["<="], [2.5])
     res = solve_milp(MixedIntegerProgram(lp, {0, 1}))
@@ -67,7 +66,7 @@ def test_matches_enumeration_on_random_instances():
         n_cont = int(rng.integers(0, 3))
         n = n_bin + n_cont
         c = rng.uniform(-2, 2, size=n)
-        lp = LinearProgram(n, c, maximize=True, upper=np.ones(n))
+        lp = LinearProgram(n, c, upper=np.ones(n))
         for _ in range(int(rng.integers(1, 4))):
             lp.add_rows([rng.uniform(-1, 2, size=n)],
                         ["<="], [float(rng.uniform(0.5, 2.5))])
@@ -86,7 +85,7 @@ def test_matches_enumeration_on_random_instances():
 def test_node_limit_raises(monkeypatch):
     # The root relaxation is fractional, (1, 0.5), so the search needs more
     # than one node; past the limit it must not return its incumbent.
-    lp = LinearProgram(2, [1.0, 1.0], maximize=True)
+    lp = LinearProgram(2, [1.0, 1.0])
     lp.add_rows([[2.0, 2.0]], ["<="], [3.0])
     mip = MixedIntegerProgram(lp, {0, 1})
     assert solve_milp(mip).objective_value == pytest.approx(1.0)

@@ -142,7 +142,7 @@ class TestAllocationFidelity:
         entries = [TraceEntry(0.0, f"ex-{i}", 10 ** 9) for i in range(3)]
         trace = Trace(entries, "static", 0)
         cfg = SimConfig(cluster=cluster, policy=parse_policy("las"), seed=0,
-                        max_rounds=50, work_conserving=False)
+                        max_rounds=50)
         sim = Simulation(cfg, trace, templates)
         rep = sim.run()
         assert rep.rounds == 50
@@ -158,8 +158,7 @@ class TestAllocationFidelity:
         # The simulator's own ledger is not exposed; re-run the mechanism to
         # measure received fractions through the run's round log instead.
         cfg2 = SimConfig(cluster=cluster, policy=parse_policy("las"), seed=0,
-                         max_rounds=50, work_conserving=False,
-                         collect_round_log=True)
+                         max_rounds=50, collect_round_log=True)
         sim2 = Simulation(cfg2, trace, templates)
         sim2.run()
         received = np.zeros((3, 2))
@@ -253,8 +252,7 @@ class TestBaselines:
         entries = [TraceEntry(0.0, f"ex-{i}", 10 ** 9) for i in range(3)]
         trace = Trace(entries, "static", 0)
         cfg = SimConfig(cluster=cluster, policy=parse_policy("las"), seed=0,
-                        agnostic=True, max_rounds=40, collect_round_log=True,
-                        work_conserving=False)
+                        agnostic=True, max_rounds=40, collect_round_log=True)
         sim = Simulation(cfg, trace, templates)
         sim.run()
         counts = np.zeros((3, 2))

@@ -443,8 +443,9 @@ def test_tightened_in_place_meets_the_cold_tightening_lp(level_calls):
                 cold = solve_lp(reference_tighten_lp(space, weights, t_prev,
                                                      thr_prev, level))
                 assert cold.optimal
-                gap = abs(X.values.sum() - cold.objective_value)
-                assert gap <= OPT_TOL * cold.objective_value
+                # The cold LP maximizes minus the total allocated time.
+                gap = abs(X.values.sum() + cold.objective_value)
+                assert gap <= OPT_TOL * -cold.objective_value
                 iterations += 1
                 moved += X.values.tobytes() != space.allocation(cold.x).values.tobytes()
     # Most vertices differ from the cold LP's, so the bounds above carry the test.
@@ -613,8 +614,9 @@ def test_fill_matches_cold_bottleneck_lps(monkeypatch, paths):
 def test_one_cold_phase_one_per_iteration(monkeypatch, milp_calls, paths):
     """Water filling builds exactly one `lp._Standardized` per iteration,
     the level LP's, so one phase 1 runs per iteration.  Every tightening,
-    screen and gain LP is rows appended to an optimum and restarted."""
-    built, entered, appended, restarted = [], [], [], []
+    screen and gain LP is rows appended to an optimum, each append with
+    one dual simplex."""
+    built, entered, appended, dual_runs = [], [], [], []
 
     class CountingStandardized(hetsched.lp._Standardized):
         def __init__(self, lp):
@@ -622,8 +624,8 @@ def test_one_cold_phase_one_per_iteration(monkeypatch, milp_calls, paths):
             super().__init__(lp)
 
     standardized = hetsched.lp._Standardized
-    phase_one, append, restart = (standardized.phase_one, standardized.append,
-                                  standardized.restart)
+    phase_one, append = standardized.phase_one, standardized.append
+    dual_simplex = hetsched.lp._dual_simplex
 
     def spy_phase_one(self):
         entered.append(self)
@@ -633,17 +635,17 @@ def test_one_cold_phase_one_per_iteration(monkeypatch, milp_calls, paths):
         appended.append(append(self, *rows))
         return appended[-1]
 
-    def spy_restart(self):
-        restarted.append(self)
-        return restart(self)
+    def spy_dual_simplex(*args):
+        dual_runs.append(len(appended))
+        return dual_simplex(*args)
 
     monkeypatch.setattr(hetsched.waterfill, "_Standardized", CountingStandardized)
     monkeypatch.setattr(standardized, "phase_one", spy_phase_one)
     monkeypatch.setattr(standardized, "append", spy_append)
-    monkeypatch.setattr(standardized, "restart", spy_restart)
+    monkeypatch.setattr(hetsched.lp, "_dual_simplex", spy_dual_simplex)
     checked = bottleneck_lps = 0
     for kind, space, entities in _fill_instances():
-        built.clear(), entered.clear(), appended.clear(), restarted.clear()
+        built.clear(), entered.clear(), appended.clear(), dual_runs.clear()
         paths.clear()
         before = len(milp_calls)
         result = hierarchical_waterfill(space, entities)
@@ -654,8 +656,9 @@ def test_one_cold_phase_one_per_iteration(monkeypatch, milp_calls, paths):
         # The level LPs carry lam after the cells.
         assert all(state.lp.num_vars == space.n_cells + 1 for state in built)
         assert [id(s) for s in entered] == [id(s) for s in built]
-        # Each tightening LP, gain-row state and screen restarts once.
-        assert [id(s) for s in restarted] == [id(s) for s in appended]
+        # Each tightening LP, gain-row state and screen runs the dual
+        # simplex once, inside its own append.
+        assert dual_runs == list(range(len(appended)))
         assert len(appended) >= len(built) + 2 * (len(paths) - paths.count("whole"))
         bottleneck_lps += len(appended) - len(built)
     assert checked >= 120 and bottleneck_lps >= 200
