@@ -65,6 +65,9 @@ class Job:
             if not (is_whole(v) and v >= 1):
                 raise ValueError(f"job {self.id}: {name} must be a whole number >= 1, "
                                  f"not {v}")
+        if not (self.entity_id is None or is_whole(self.entity_id)):
+            raise ValueError(f"job {self.id}: entity_id must be a whole number, "
+                             f"not {self.entity_id!r}")
         if self.weight <= 0:
             raise ValueError(f"job {self.id}: weight must be positive")
         if self.slo_seconds is not None and self.slo_seconds <= 0:

@@ -13,6 +13,12 @@ conflicting rows, rank in `members` order and feasible columns.  The
 and remaps itself by combination when the matrix changes, so a round is
 one priority pass over arrays, then greedy walks in sorted order over the
 candidate cells and, to fill idle workers, over the rows left.
+
+A plan whose greedy pass took every positive target cell, while the filler
+took nothing, repeats (`repeats`): until the decision changes, every later
+round takes the same cells, so `place` gives the same worker ids, and only
+the order of the assignments can change.  The caller may then keep the
+placed plan and `reorder` it each round instead of planning again.
 """
 
 from __future__ import annotations
@@ -89,15 +95,18 @@ class RoundLedger:
 class CompiledAllocation:
     """Everything the round mechanism reads of one decision, built once
     from its allocation matrix and its jobs (job id -> Job): the allocation
-    and its positive cells, each row's worker count (`row_workers`) and the
-    rows it conflicts with (those sharing a member, itself included), each
-    row's rank in `members` order, which columns it can run on, and each
-    column's accelerator type."""
+    and its positive cells with their count, each row's worker count
+    (`row_workers`) and the rows it conflicts with (those sharing a member,
+    itself included), each row's rank in `members` order, which columns it
+    can run on, and each column's accelerator type."""
 
     def __init__(self, allocation: AllocationMatrix, jobs: dict):
         T = self.T = allocation.T
         self.x = allocation.values
         self.positive = self.x > 0
+        # Counted by a routine the ledger already calls: a new one pages
+        # numpy code into the resident set.
+        self.num_positive = len(np.flatnonzero(self.positive))
         self.unreceived = np.where(self.positive, np.inf, 0.0)
         self.workers = row_workers(T, jobs).tolist()
         rows_of_job: dict[int, list] = {}
@@ -141,6 +150,7 @@ class Assignment:
 class RoundPlan:
     assignments: list
     idle_workers: dict  # type_id -> count
+    greedy: int  # assignments the greedy pass took; the filler took the rest
 
     def to_json(self, T: ThroughputMatrix, round_index: int) -> dict:
         return {
@@ -158,7 +168,7 @@ class RoundPlan:
 
 
 def plan_round(priorities: np.ndarray, decision: CompiledAllocation,
-               ledger: RoundLedger, work_conserving: bool = True) -> RoundPlan:
+               ledger: RoundLedger) -> RoundPlan:
     """Greedy highest-priority-first selection of combinations for one round
     on the decision's cluster.
 
@@ -197,24 +207,54 @@ def plan_round(priorities: np.ndarray, decision: CompiledAllocation,
     for _, _, _, c, r in sorted(cells):
         if eligible[r] and remaining[type_of[c]] >= workers[r]:
             take(r, c)
+    greedy = len(chosen)
 
-    if work_conserving:
-        # Hand leftover workers to unscheduled combinations with feasible
-        # throughput.  The preferred configuration rotates with the round
-        # counter so the filler spreads load across types instead of
-        # systematically favoring one (the target allocation, not the
-        # filler, is what should express type preferences).
-        C = T.num_configs
-        rotation = [(ledger.rounds_total + j) % C for j in range(C)]
-        for _, _, r in sorted(zip(since, rank, range(T.num_rows))):
-            if not eligible[r]:
-                continue
-            for c in rotation:
-                if decision.feasible[r][c] and remaining[type_of[c]] >= workers[r]:
-                    take(r, c)
-                    break
+    # Hand leftover workers to unscheduled combinations with feasible
+    # throughput.  The preferred configuration rotates with the round
+    # counter so the filler spreads load across types instead of
+    # systematically favoring one (the target allocation, not the filler,
+    # is what should express type preferences).
+    C = T.num_configs
+    rotation = [(ledger.rounds_total + j) % C for j in range(C)]
+    for _, _, r in sorted(zip(since, rank, range(T.num_rows))):
+        if not eligible[r]:
+            continue
+        for c in rotation:
+            if decision.feasible[r][c] and remaining[type_of[c]] >= workers[r]:
+                take(r, c)
+                break
 
-    return RoundPlan(chosen, dict(enumerate(remaining)))
+    return RoundPlan(chosen, dict(enumerate(remaining)), greedy)
+
+
+def repeats(plan: RoundPlan, decision: CompiledAllocation) -> bool:
+    """Whether `plan_round` makes `plan`, which it made for `decision`, again
+    in every following round of `decision`: its greedy pass took every
+    positive target cell, and the filler took nothing.
+
+    A take makes its own row ineligible, so no row then has two positive
+    cells.  The positive cells fit together and none conflict, so in any
+    priority order the greedy pass takes them all again; the filler then
+    sees the same eligible rows and free workers, and its rotation only
+    reorders configurations that all failed.  `place` sorts by worker count
+    and members, so the worker ids repeat too.  Only the order changes."""
+    return plan.greedy == len(plan.assignments) == decision.num_positive
+
+
+def reorder(plan: RoundPlan, priorities: np.ndarray,
+            decision: CompiledAllocation) -> RoundPlan:
+    """Sort a repeating plan's assignments as `plan_round`'s greedy pass
+    would: every row in it ran last round, so the rounds-since-scheduled key
+    ties, and a row's rank alone breaks ties in priority (rows are distinct
+    within a plan)."""
+    chosen = plan.assignments
+    minus_priority = (-priorities[[a.row for a in chosen],
+                                  [a.config_index for a in chosen]]).tolist()
+    rank = decision.rank
+    order = sorted(range(len(chosen)),
+                   key=lambda k: (minus_priority[k], rank[chosen[k].row]))
+    plan.assignments = [chosen[k] for k in order]
+    return plan
 
 
 class PlacementError(ValueError):

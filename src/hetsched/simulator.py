@@ -7,6 +7,11 @@ mechanism realizes the solved allocation round by round, charging a fixed
 checkpoint overhead whenever a job's worker set or colocation partner
 changes.  Jobs that finish mid-round record their exact completion time but
 hold their workers until the round ends.
+
+A placed plan that `mechanism.repeats` certifies is kept while its decision
+stands (no re-solve, no periodic cut): later rounds re-sort it by the
+current priorities and skip `plan_round`, `place` and the switch
+bookkeeping, since no job changes its workers or partner.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from .jobs import Job, JobCombination
 from .matrices import (AllocationMatrix, ThroughputMatrix, equal_shares,
                        inorder_sum, prune_combinations)
 from .mechanism import (CompiledAllocation, RoundLedger, compute_priorities,
-                        place, plan_round, settle_round)
+                        place, plan_round, reorder, repeats, settle_round)
 from .policies import PolicyKind, PolicySpec, check_entities, solve_policy
 from .traces import JobTemplate, Trace, TraceEntry, colocation_factor
 
@@ -426,10 +431,15 @@ class Simulation:
                     allocation, {k: st.job for k, st in active.items()})
                 rates = T_exec.thr.tolist()
                 compiled = allocation
+                plan = None
 
             priorities = compute_priorities(decision, ledger)
-            plan = plan_round(priorities, decision, ledger)
-            place(plan, cfg.cluster)
+            repeat = plan is not None and repeats(plan, decision)
+            if repeat:
+                reorder(plan, priorities, decision)
+            else:
+                plan = place(plan_round(priorities, decision, ledger),
+                             cfg.cluster)
 
             completions = []
             this_round = {}
@@ -438,14 +448,16 @@ class Simulation:
                 busy_worker_rounds += a.workers
                 cost_total += (cost_of[a.config_index] * a.workers
                                * cfg.round_duration / 3600.0)
-                members, ids = a.combo.members, tuple(a.worker_ids)
+                members = a.combo.members
                 cell = rates[a.row][a.config_index]
                 for i, m in enumerate(members):
                     st = active[m]
                     partner = members[:i] + members[i + 1:]
-                    this_round[m] = (ids, partner)
-                    switched = last_round.get(m) != this_round[m]
-                    overhead = PREEMPTION_OVERHEAD if switched else 0.0
+                    overhead = 0.0
+                    if not repeat:  # a repeated plan switches no job
+                        this_round[m] = (tuple(a.worker_ids), partner)
+                        if last_round.get(m) != this_round[m]:
+                            overhead = PREEMPTION_OVERHEAD
                     effective = max(cfg.round_duration - overhead, 0.0)
                     thr = cell[i]
                     if self.cfg.estimator is not None and a.combo.is_pair:
@@ -464,7 +476,8 @@ class Simulation:
                         completions.append(m)
                     else:
                         job.steps_done += gained
-            last_round = this_round
+            if not repeat:
+                last_round = this_round
 
             if cfg.collect_round_log:
                 self.round_log.append(plan.to_json(T_exec, round_idx))

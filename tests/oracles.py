@@ -37,7 +37,8 @@ a ledger with one dict entry per combination (`ReferenceLedger`),
 priorities, round planning, placement and settling rebuilt from the matrix
 every round (`reference_priorities`, `reference_plan_round`,
 `reference_place`, `reference_settle_round`), and `reference_mechanism` to
-bind them in the simulator.  It also writes throughput-matrix files as the CLI reads them (`matrix_doc`) and
+bind them in the simulator, where none of its plans repeats.  It also
+writes throughput-matrix files as the CLI reads them (`matrix_doc`) and
 generates the template catalog the package ships (`make_template_catalog`).
 """
 
@@ -1495,8 +1496,7 @@ def reference_priorities(X, ledger: ReferenceLedger) -> np.ndarray:
 
 
 def reference_plan_round(priorities: np.ndarray, jobs: dict,
-                         ledger: ReferenceLedger, T,
-                         work_conserving: bool = True) -> RoundPlan:
+                         ledger: ReferenceLedger, T) -> RoundPlan:
     """Sorts every candidate cell on (priority, rounds since scheduled,
     members, column) as tuples, each round."""
     remaining = {t.id: t.num_workers for t in T.cluster.types}
@@ -1527,14 +1527,14 @@ def reference_plan_round(priorities: np.ndarray, jobs: dict,
     rs, cs = np.nonzero(priorities > 0)
     sweep([(-priorities[r, c], (since[r], T.rows[r].members, c), r, c)
            for r, c in zip(rs.tolist(), cs.tolist())])
+    greedy = len(chosen)
 
-    if work_conserving:
-        C = T.num_configs
-        rs, cs = np.nonzero(T.feasible)
-        sweep([((since[r], T.rows[r].members, (c - ledger.rounds_total) % C), 0, r, c)
-               for r, c in zip(rs.tolist(), cs.tolist()) if eligible[r]])
+    C = T.num_configs
+    rs, cs = np.nonzero(T.feasible)
+    sweep([((since[r], T.rows[r].members, (c - ledger.rounds_total) % C), 0, r, c)
+           for r, c in zip(rs.tolist(), cs.tolist()) if eligible[r]])
 
-    return RoundPlan(chosen, dict(remaining))
+    return RoundPlan(chosen, dict(remaining), greedy)
 
 
 def reference_place(plan: RoundPlan, cluster) -> RoundPlan:
@@ -1580,8 +1580,10 @@ def reference_settle_round(plan: RoundPlan, ledger: ReferenceLedger, T):
 def reference_mechanism() -> dict:
     """Name -> reference for every mechanism name `hetsched.simulator`
     binds, called as the simulator calls them; the compiled decision
-    becomes the bare (allocation, jobs) pair that the references read."""
+    becomes the bare (allocation, jobs) pair that the references read.  No
+    plan repeats, so every round is planned and placed afresh."""
     return {
+        "repeats": lambda plan, d: False,
         "RoundLedger": ReferenceLedger,
         "CompiledAllocation": lambda X, jobs: (X, jobs),
         "compute_priorities": lambda d, ledger: reference_priorities(d[0], ledger),

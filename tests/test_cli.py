@@ -407,13 +407,16 @@ class TestSolve:
         ([{"id": True}, {"id": 1}, {"id": 2}], "id must be a whole number, not True"),
         ({"jobs": [{"id": 0, "entity_id": 0}], "entities": [{"id": 0.9}]},
          "id must be a whole number, not 0.9"),
+        ({"jobs": [{"id": 0, "entity_id": 0.5}, {"id": 1, "entity_id": 0},
+                   {"id": 2, "entity_id": 0}], "entities": [{"id": 0}]},
+         "job 0: entity_id must be a whole number, not 0.5"),
         ({"jobs": [{"id": 0, "entity_id": 0}], "entities": [{"id": 0, "weight": True}]},
          "entity 0: weight must be a number, not True"),
         ({"jobs": [{"id": 0, "entity_id": 0}], "entities": [{"id": 0, "weight": "2"}]},
          "entity 0: weight must be a number, not '2'"),
     ], ids=["non-numeric", "null", "unknown-entity-policy", "fractional-id",
-            "boolean-id", "fractional-entity-id", "boolean-entity-weight",
-            "text-entity-weight"])
+            "boolean-id", "fractional-entity-id", "fractional-job-entity-id",
+            "boolean-entity-weight", "text-entity-weight"])
     def test_bad_value_exit_code(self, runner, tmp_path, jobs_doc, named):
         thr, _ = write_three_job_instance(tmp_path)
         jobs = tmp_path / "jobs.json"
@@ -704,11 +707,12 @@ class TestSimulate:
         ("weight", "2", "weight must be a number, not '2'"),
         ("scale_factor", "1", "scale_factor must be a number, not '1'"),
         ("entity_id", [0], "entity_id must be a number, not [0]"),
+        ("entity_id", 0.5, "entity_id must be a whole number, not 0.5"),
         ("num_steps", True, "num_steps must be a number, not True"),
         ("scale_factor", True, "scale_factor must be a number, not True"),
     ], ids=["fractional-steps", "infinite-steps", "nan-steps", "fractional-scale",
             "text-steps", "text-arrival", "text-slo", "text-weight", "text-scale",
-            "list-entity", "boolean-steps", "boolean-scale"])
+            "list-entity", "fractional-entity", "boolean-steps", "boolean-scale"])
     def test_non_whole_trace_entry_exit_code(self, runner, tmp_path, field, value,
                                              named):
         # JSON's 1e400 reads as infinity.  Entity ids are read only by the

@@ -11,7 +11,7 @@ from hetsched.matrices import AllocationMatrix, ThroughputMatrix
 from hetsched.mechanism import (Assignment, CompiledAllocation,
                                 PlacementError, RoundLedger, RoundPlan,
                                 compute_priorities, place, plan_round,
-                                settle_round)
+                                reorder, repeats, settle_round)
 import oracles
 
 
@@ -21,11 +21,10 @@ def singles(cluster, T_rows):
     return ThroughputMatrix.from_cells(cluster, rows, entries)
 
 
-def first_plan(X, jobs, work_conserving=True) -> RoundPlan:
+def first_plan(X, jobs) -> RoundPlan:
     """The plan of a fresh ledger's first round."""
     decision, ledger = CompiledAllocation(X, jobs), RoundLedger(360.0)
-    return plan_round(compute_priorities(decision, ledger), decision, ledger,
-                      work_conserving=work_conserving)
+    return plan_round(compute_priorities(decision, ledger), decision, ledger)
 
 
 def jobs_scheduled(plan: RoundPlan) -> set:
@@ -34,17 +33,16 @@ def jobs_scheduled(plan: RoundPlan) -> set:
 
 def credit(ledger, T, *rows):
     """Settle one round in which the given rows ran on configuration 0."""
-    settle_round(RoundPlan([Assignment(T.rows[r], r, 0, 1) for r in rows], {}),
-                 ledger, T)
+    settle_round(RoundPlan([Assignment(T.rows[r], r, 0, 1) for r in rows], {},
+                           len(rows)), ledger, T)
 
 
-def empirical_fractions(X, jobs, cluster, T, rounds, work_conserving=True):
+def empirical_fractions(X, jobs, cluster, T, rounds):
     ledger = RoundLedger(360.0)
     decision = CompiledAllocation(X, jobs)
     for _ in range(rounds):
         pr = compute_priorities(decision, ledger)
-        plan = plan_round(pr, decision, ledger,
-                          work_conserving=work_conserving)
+        plan = plan_round(pr, decision, ledger)
         settle_round(plan, ledger, T)
     return ledger.received(T) / (rounds * 360.0)
 
@@ -147,11 +145,13 @@ class TestPlanRound:
         T = singles(cluster, [[1.0], [1.0]])
         X = AllocationMatrix(T, np.array([[1.0], [0.0]]))  # job 1 unallocated
         jobs = {0: Job(id=0, num_steps=10), 1: Job(id=1, num_steps=10)}
-        plan = first_plan(X, jobs, True)
+        plan = first_plan(X, jobs)
         assert jobs_scheduled(plan) == {0, 1}
-        plan2 = first_plan(X, jobs, False)
-        assert jobs_scheduled(plan2) == {0}
-        assert plan2.idle_workers[0] == 1
+        # The greedy pass takes job 0 alone and leaves a worker idle; the
+        # filler hands it to job 1.
+        assert plan.greedy == 1
+        assert plan.assignments[0].combo == JobCombination.of(0)
+        assert plan.idle_workers[0] == 0
 
     def test_no_idle_with_eligible_positive_priority(self, example_allocation):
         T, X, jobs = example_allocation
@@ -159,8 +159,10 @@ class TestPlanRound:
         decision = CompiledAllocation(X, jobs)
         for _ in range(10):
             pr = compute_priorities(decision, ledger)
-            plan = plan_round(pr, decision, ledger, work_conserving=False)
-            # Demand saturates capacity here, so no worker should idle.
+            plan = plan_round(pr, decision, ledger)
+            # Demand saturates capacity here, so the greedy pass alone
+            # leaves no worker idle, and the filler takes nothing.
+            assert plan.greedy == len(plan.assignments)
             assert all(v == 0 for v in plan.idle_workers.values())
             settle_round(plan, ledger, T)
 
@@ -255,7 +257,7 @@ class TestPlacement:
         plan = RoundPlan([Assignment(JobCombination.of(2), 2, k80, 2),
                           Assignment(JobCombination.of(3), 3, 0, 2),
                           Assignment(JobCombination.of(0), 0, k80, 3),
-                          Assignment(JobCombination.of(1), 1, k80, 3)], {})
+                          Assignment(JobCombination.of(1), 1, k80, 3)], {}, 4)
         place(plan, cluster)
         by_job = {a.combo.members[0]: a for a in plan.assignments}
         assert by_job[0].worker_ids == [2, 3, 4]
@@ -268,7 +270,7 @@ class TestPlacement:
     def test_over_capacity_plan_raises(self):
         cluster = make_cluster({"gpu": 4}, workers_per_server={"gpu": 2})
         plan = RoundPlan([Assignment(JobCombination.of(0), 0, 0, 4),
-                          Assignment(JobCombination.of(1), 1, 0, 1)], {})
+                          Assignment(JobCombination.of(1), 1, 0, 1)], {}, 2)
         with pytest.raises(PlacementError, match="only 0 are free"):
             place(plan, cluster)
         assert issubclass(PlacementError, ValueError)
@@ -310,7 +312,7 @@ class TestSettle:
         cluster = make_cluster({"gpu": 1})
         T = singles(cluster, [[1.0]])
         ledger = RoundLedger(360.0)
-        settle_round(RoundPlan([], {0: 1}), ledger, T)
+        settle_round(RoundPlan([], {0: 1}, 0), ledger, T)
         assert ledger.time == {}
         assert ledger.rounds_total == 1
 
@@ -364,29 +366,37 @@ class TestMatchesReference:
     round, with one ledger carried across every change of matrix."""
 
     @staticmethod
-    def run_rounds(rng, X, jobs, ledgers, work_conserving):
+    def run_rounds(rng, X, jobs, ledgers, repeated):
         ledger, ref = ledgers
         T = X.T
         decision = CompiledAllocation(X, jobs)
+        last = None
         for _ in range(int(rng.integers(2, 9))):
             pr = compute_priorities(decision, ledger)
             ref_pr = oracles.reference_priorities(X, ref)
             assert pr.tobytes() == ref_pr.tobytes()
-            plan = place(plan_round(pr, decision, ledger, work_conserving),
-                         T.cluster)
+            plan = place(plan_round(pr, decision, ledger), T.cluster)
             ref_plan = oracles.reference_place(oracles.reference_plan_round(
-                ref_pr, jobs, ref, T, work_conserving), T.cluster)
+                ref_pr, jobs, ref, T), T.cluster)
             assert ([dataclasses.astuple(a) for a in plan.assignments]
                     == [dataclasses.astuple(a) for a in ref_plan.assignments])
             assert plan.idle_workers == ref_plan.idle_workers
+            assert plan.greedy == ref_plan.greedy
+            if last is not None and repeats(last, decision):
+                # A certified plan, re-sorted, is the plan made afresh.
+                again = reorder(last, pr, decision)
+                assert ([dataclasses.astuple(a) for a in again.assignments]
+                        == [dataclasses.astuple(a) for a in plan.assignments])
+                repeated.append(plan.greedy)
             settle_round(plan, ledger, T)
             oracles.reference_settle_round(ref_plan, ref, T)
             assert ledger.received(T).tobytes() == ref.received(T).tobytes()
+            last = plan
         assert _history(ledger) == _history(ref)
 
     def test_random_decisions(self):
         rng = np.random.default_rng(21)
-        readmitted_with_history = 0
+        readmitted_with_history, repeated = 0, []
         for trial in range(60):
             counts = {name: int(rng.integers(1, 9)) for name in "ABC"[:rng.integers(1, 4)]}
             cluster = make_cluster(
@@ -408,7 +418,6 @@ class TestMatchesReference:
                 return [JobCombination.of(j) for j in sorted(ids)] + pairs
 
             arrive(int(rng.integers(3, 8)))
-            wc = bool(rng.integers(2))
             ledgers = (RoundLedger(360.0), oracles.ReferenceLedger(360.0))
             rows = rows_of(jobs)
             pairs = [combo for combo in rows if combo.is_pair]
@@ -416,7 +425,8 @@ class TestMatchesReference:
                 continue
             pruned = pairs[int(rng.integers(len(pairs)))]
             self.run_rounds(rng, _random_allocation(
-                rng, _random_matrix(rng, cluster, jobs, rows)), jobs, ledgers, wc)
+                rng, _random_matrix(rng, cluster, jobs, rows)), jobs, ledgers,
+                repeated)
             # A job outside the pair completes; the re-solve prunes the pair
             # and admits an arrival.
             done = [j for j in jobs if j not in pruned.members][:1]
@@ -427,12 +437,13 @@ class TestMatchesReference:
             arrive(1)
             rows = [combo for combo in rows_of(jobs) if combo != pruned]
             self.run_rounds(rng, _random_allocation(
-                rng, _random_matrix(rng, cluster, jobs, rows)), jobs, ledgers, wc)
+                rng, _random_matrix(rng, cluster, jobs, rows)), jobs, ledgers,
+                repeated)
             # The next re-solve re-admits it, with the history it had.
             readmitted_with_history += pruned.members in ledgers[1].time
             X = _random_allocation(rng, _random_matrix(
                 rng, cluster, jobs, rows_of(jobs)))
-            self.run_rounds(rng, X, jobs, ledgers, wc)
+            self.run_rounds(rng, X, jobs, ledgers, repeated)
             # A completion between periodic re-solves cuts its rows from the
             # matrix and keeps the rest of the allocation.
             gone = int(rng.choice(list(jobs)))
@@ -441,5 +452,7 @@ class TestMatchesReference:
             del jobs[gone]
             keep = np.array([gone not in combo.members for combo in X.rows])
             self.run_rounds(rng, AllocationMatrix(
-                X.T.take(keep), X.values[keep]), jobs, ledgers, wc)
+                X.T.take(keep), X.values[keep]), jobs, ledgers, repeated)
         assert readmitted_with_history >= 30
+        # Certified plans occur, most of them with several assignments.
+        assert len(repeated) >= 20 and sum(g > 1 for g in repeated) >= 12

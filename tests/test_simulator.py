@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 
 import numpy as np
@@ -487,51 +488,106 @@ class TestPolicyMatrix:
 
 
 class TestReferenceMechanism:
-    def test_periodic_space_sharing_run_matches_reference(self, monkeypatch):
-        # Periodic re-solves with pair rows of one- and two-worker jobs:
-        # completions between re-solves cut their rows from the execution
-        # matrix, and the ledger follows every cut.
-        catalog = make_template_catalog(0)
-        rng = np.random.default_rng(0)
-        entries = []
-        for k in range(16):
-            template = catalog[int(rng.integers(len(catalog)))]
-            entries.append(TraceEntry(
-                900.0 * (k // 3), template.name,
-                int(rng.uniform(1.0, 6.0) * 3600 * template.tier_throughputs[2]),
-                scale_factor=1 + k % 2))
-        cluster = make_cluster({"V100": 2, "P100": 2, "K80": 2},
-                               workers_per_server={"V100": 1, "P100": 2, "K80": 2})
-        cfg = SimConfig(cluster=cluster, policy=parse_policy("las+ss"), seed=0,
-                        recompute_every=3, collect_round_log=True)
-        trace = Trace(entries, "continuous", 0)
+    def test_event_driven_space_sharing_run_matches_reference(self, monkeypatch):
+        self.check_against_reference(monkeypatch, None)
 
-        def run():
+    def test_periodic_space_sharing_run_matches_reference(self, monkeypatch):
+        self.check_against_reference(monkeypatch, 3)
+
+    @staticmethod
+    def check_against_reference(monkeypatch, recompute_every):
+        # Seeded traces with pair rows of one- and two-worker jobs, three
+        # arrivals every 2,700 s on 360 s rounds.  The simulator keeps a
+        # certified plan while its decision stands; the reference plans and
+        # places every round.  In periodic mode completions between
+        # re-solves cut their rows from the execution matrix, the ledger
+        # follows every cut, and arrivals wait for the next tick.  On the
+        # smaller cluster some rows split their target over two cells, so a
+        # plan can take one cell in every such row and still not repeat.
+        catalog = make_template_catalog(0)
+        runs = []
+        for workers, seed in itertools.product((3, 4), range(6)):
+            cluster = make_cluster(
+                {"V100": workers, "P100": workers, "K80": workers},
+                workers_per_server={"V100": 1, "P100": 2, "K80": 2})
+            cfg = SimConfig(cluster=cluster, policy=parse_policy("las+ss"),
+                            seed=0, recompute_every=recompute_every,
+                            collect_round_log=True)
+            rng = np.random.default_rng(seed)
+            entries = []
+            for k in range(12):
+                template = catalog[int(rng.integers(len(catalog)))]
+                entries.append(TraceEntry(
+                    2700.0 * (k // 3), template.name,
+                    int(rng.uniform(1.0, 12.0) * 3600
+                        * template.tier_throughputs[2]),
+                    scale_factor=1 + k % 2))
+            runs.append((cfg, Trace(entries, "continuous", 0)))
+
+        def run(cfg, trace):
             sim = Simulation(cfg, trace, catalog)
             report = sim.run()
             return sim.round_log, report
 
-        compiled = []
-        real = simulator.CompiledAllocation
+        compile_, plan_round, reorder = (simulator.CompiledAllocation,
+                                         simulator.plan_round, simulator.reorder)
+        compiled, planned, reordered = [0], set(), []
 
-        def spy(allocation, jobs):
-            compiled.append(allocation.T)
-            return real(allocation, jobs)
+        def compile_spy(allocation, jobs):
+            compiled[0] += 1
+            return compile_(allocation, jobs)
 
-        with monkeypatch.context() as patch:
-            patch.setattr(simulator, "CompiledAllocation", spy)
-            log, report = run()
-        for name, reference in oracles.reference_mechanism().items():
-            monkeypatch.setattr(simulator, name, reference)
-        ref_log, ref_report = run()
-        assert log == ref_log and report.records == ref_report.records
-        assert len(report.records) == len(entries)
-        # Completions cut the matrix between re-solves (each cut compiles
-        # the allocation again), and pairs of both worker counts ran.
-        assert len(compiled) >= report.policy_solves + 3
-        pairs = {len(a["workers"]) for rec in log for a in rec["assignments"]
-                 if len(a["jobs"]) == 2}
+        def plan_spy(priorities, decision, ledger):
+            planned.add(ledger.rounds_total)
+            return plan_round(priorities, decision, ledger)
+
+        def reorder_spy(plan, priorities, decision):
+            before = [a.row for a in plan.assignments]
+            reorder(plan, priorities, decision)
+            reordered.append(before != [a.row for a in plan.assignments])
+            return plan
+
+        repeats = reorders = repeated_arrivals = cuts = 0
+        pairs = set()
+        for cfg, trace in runs:
+            compiled[0] = 0
+            planned.clear()
+            reordered.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(simulator, "CompiledAllocation", compile_spy)
+                patch.setattr(simulator, "plan_round", plan_spy)
+                patch.setattr(simulator, "reorder", reorder_spy)
+                log, report = run(cfg, trace)
+            with monkeypatch.context() as patch:
+                for name, reference in oracles.reference_mechanism().items():
+                    patch.setattr(simulator, name, reference)
+                ref_log, ref_report = run(cfg, trace)
+            assert log == ref_log and report.records == ref_report.records
+            assert repr(summary(report)) == repr(summary(ref_report))
+            assert len(report.records) == len(trace.entries)
+            repeated = set(range(report.rounds)) - planned
+            assert len(repeated) == len(reordered)
+            repeats += len(repeated)
+            reorders += sum(reordered)
+            pairs |= {len(a["workers"]) for rec in log for a in rec["assignments"]
+                      if len(a["jobs"]) == 2}
+            cuts += compiled[0] - report.policy_solves
+            if recompute_every is not None:
+                arrivals = {int(np.ceil(e.arrival_time / cfg.round_duration))
+                            for e in trace.entries}
+                repeated_arrivals += len({r for r in arrivals
+                                          if r % recompute_every} & repeated)
+        # Pairs of both worker counts ran, many rounds repeated the last
+        # plan, and some repeats re-sorted it.
         assert pairs == {1, 2}
+        assert repeats >= 120 and reorders >= 6
+        if recompute_every is None:
+            assert cuts == 0
+        else:
+            # Completions cut the matrix between re-solves (each cut
+            # compiles the allocation again), and arrivals between ticks
+            # left the last plan repeating.
+            assert cuts >= 30 and repeated_arrivals >= 6
 
 
 class TestMatrixBuild:

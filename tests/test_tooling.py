@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import hetsched.lp
+import hetsched.simulator
 import hetsched.waterfill
 from hetsched.cluster import make_cluster
 from hetsched.jobs import Entity, EntityPolicy
@@ -121,22 +122,33 @@ def test_tracer_lp_sizes_are_those_of_the_largest_lp_solved(policy, monkeypatch)
     assert metrics["lp.vars_max"] == max(cols for _, cols in shapes)
 
 
-def test_tracer_sees_each_mechanism_step_once_per_round():
-    # mechanism.round_ms_p50 groups the mechanism spans into rounds, one call
-    # of each step per simulated round.  The second arrival leaves the
-    # cluster idle for a while, and idle time is skipped, not simulated.
+def test_tracer_sees_each_mechanism_step_once_per_round(monkeypatch):
+    # mechanism.round_ms_p50 groups the mechanism spans into rounds, which
+    # start at compute_priorities; it and settle_round run once per
+    # simulated round.  plan_round and place run only on rounds that do not
+    # repeat the last plan.  The second arrival leaves the cluster idle for
+    # a while, and idle time is skipped, not simulated.
     templates = three_templates()
     trace = Trace([TraceEntry(0.0, "t0", 2000), TraceEntry(50000.0, "t1", 2000)],
                   "continuous", 0)
     cfg = SimConfig(cluster=make_cluster({"V100": 1, "K80": 1}),
                     policy=parse_policy("las"), seed=0)
+    planned = []
+    plan_round = hetsched.simulator.plan_round
+
+    def spy(*args):
+        planned.append(args)
+        return plan_round(*args)
+
+    monkeypatch.setattr(hetsched.simulator, "plan_round", spy)
     tracer = tracing.Tracer()
     with tracer.installed():
         report = Simulation(cfg, trace, templates).run()
     count = Counter(span[0] for span in tracer.spans)
-    assert report.rounds > 0
-    for step in ("compute_priorities", "plan_round", "place", "settle_round"):
-        assert count["mechanism." + step] == report.rounds, step
+    assert count["mechanism.compute_priorities"] == report.rounds
+    assert count["mechanism.settle_round"] == report.rounds
+    assert count["mechanism.plan_round"] == count["mechanism.place"] == len(planned)
+    assert 0 < len(planned) < report.rounds
 
 
 def test_tracer_sees_estimator_matches_inside_the_run():
