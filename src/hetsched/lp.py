@@ -1,20 +1,24 @@
-"""Dense linear-program solver: two-phase revised simplex.
+"""Linear-program solver: two-phase revised simplex over sparse rows.
 
 Solves  max c'x  subject to  A_i x (<=|>=) b_i  and  lo <= x <= hi,  the
 only LPs the policies build: no equality rows, no minimization (a cost is
 maximized negated), and every variable fixed (lo == hi), nonnegative
-(lo == 0) or free (lo == -inf).  A `LinearProgram` stacks its rows in one
-(m, num_vars) array, `constraints`, beside their `relations` and
-right-hand sides `rhs`.  The solver is deterministic for a fixed input:
-Dantzig pricing with lowest-index tie-breaking, falling back to Bland's
-rule after a run of degenerate pivots so cycling is impossible.
+(lo == 0) or free (lo == -inf).  A `LinearProgram` keeps its rows in one
+sparse store, `constraints` (a `Rows`: flat (row, column, value) entries,
+every other coefficient +0.0), beside their `relations` and right-hand
+sides `rhs`.  The solver is deterministic for a fixed input: Dantzig
+pricing with lowest-index tie-breaking, falling back to Bland's rule after
+a run of degenerate pivots so cycling is impossible.
 
 Phase 1 starts from the slack basis.  Rows with a negative right-hand side,
 and ``>=`` rows with a zero one, are negated first, so only ``>=`` rows
 with a positive right-hand side need an artificial.  When none does (the
 max-min epigraph rows ``s_j thr_j(X) - lam >= 0`` of LAS and min-makespan
 are all of this kind), the slack basis is feasible: phase 1 is skipped and
-phase 2 starts from it with the identity as its inverse.
+phase 2 starts from it with the identity as its inverse.  The phase-1
+tableau is the only dense copy of the rows: the kept variables' entries are
+scattered straight into it, and each free variable's mirror column is its
+column negated there.
 
 Pivots and solutions are bit-identical to the reference kernel kept in the
 test suite (``tests/oracles.py``), which applies the same starting rule:
@@ -93,6 +97,18 @@ class Relation(str, enum.Enum):
     GE = ">="
 
 
+# Each relation by itself and by its text (a str enum hashes as its text).
+_RELATIONS = {rel.value: rel for rel in Relation}
+
+
+def _relations(rels) -> list:
+    """`rels` as Relation members, each given as one or as its text."""
+    try:
+        return list(map(_RELATIONS.__getitem__, rels))
+    except KeyError as e:
+        raise ValueError(f"{e.args[0]!r} is not a valid Relation") from None
+
+
 class Status(enum.Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
@@ -108,19 +124,70 @@ class IterationLimitError(RuntimeError):
     search its node budget, without reaching a verdict."""
 
 
+class Rows:
+    """LP rows stored sparse: entry k is `val[k]` in row `row[k]`, column
+    `col[k]`, and every coefficient no entry names is +0.0.  No position
+    is named twice.  `shape` is (rows, columns); `len` is the row count."""
+
+    __slots__ = ("row", "col", "val", "shape")
+
+    def __init__(self, row, col, val, shape):
+        self.row, self.col, self.val, self.shape = row, col, val, shape
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    @classmethod
+    def from_dense(cls, coeffs) -> "Rows":
+        """The rows a 2-D array-like stacks: an entry for every coefficient
+        that is not +0.0, so a -0.0 keeps its sign."""
+        a = np.asarray(coeffs, dtype=float)
+        if a.ndim != 2:
+            raise DimensionError(f"rows need a 2-D array, got shape {a.shape}")
+        row, col = ((a != 0.0) | np.signbit(a)).nonzero()
+        return cls(row, col, a[row, col], a.shape)
+
+    @classmethod
+    def stack(cls, blocks, width: int) -> "Rows":
+        """The blocks' rows one after another, over `width` columns; a
+        block over fewer columns has 0 in the others."""
+        if any(b.shape[1] > width for b in blocks):
+            raise DimensionError(f"a row block is wider than {width} columns")
+        rows, m = [], 0
+        for b in blocks:
+            rows.append(b.row + m)
+            m += len(b)
+        return cls(np.concatenate(rows), np.concatenate([b.col for b in blocks]),
+                   np.concatenate([b.val for b in blocks]), (m, width))
+
+    def take(self, ks) -> "Rows":
+        """The rows whose row i is row `ks[i]` of these."""
+        at = np.full(len(self), -1, dtype=np.intp)
+        at[ks] = np.arange(len(ks))
+        row = at[self.row]
+        mine = (row >= 0).nonzero()[0]
+        return Rows(row[mine], self.col[mine], self.val[mine], (len(ks), self.shape[1]))
+
+    def dense(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        out[self.row, self.col] = self.val
+        return out
+
+
 @dataclass
 class LinearProgram:
     """max objective'x with linear constraints and box bounds.
 
-    The rows are stacked: `constraints` is an (m, num_vars) array of their
-    coefficients, `relations` their m relations and `rhs` their m
-    right-hand sides (no rows by default).  Bounds default to x >= 0 with no
-    upper limit; a variable that is not fixed has lower bound 0 or -inf.
+    The rows are stacked: `constraints` holds their coefficients as `Rows`
+    (a 2-D array-like is converted), `relations` their m relations and
+    `rhs` their m right-hand sides (no rows by default).  Bounds default to
+    x >= 0 with no upper limit; a variable that is not fixed has lower
+    bound 0 or -inf.
     """
 
     num_vars: int
     objective: np.ndarray
-    constraints: np.ndarray | None = None
+    constraints: Rows | None = None
     relations: list | None = None
     rhs: np.ndarray | None = None
     lower: np.ndarray | None = None
@@ -129,10 +196,9 @@ class LinearProgram:
     def __post_init__(self):
         n = self.num_vars
         self.objective = _objective(self, self.objective)
-        self.constraints = np.asarray(
-            np.empty((0, n)) if self.constraints is None else self.constraints,
-            dtype=float)
-        self.relations = [Relation(rel) for rel in self.relations or ()]
+        self.constraints = _rows(np.empty((0, n)) if self.constraints is None
+                                 else self.constraints)
+        self.relations = _relations(self.relations or ())
         self.rhs = np.asarray(() if self.rhs is None else self.rhs, dtype=float)
         if self.lower is None:
             self.lower = np.zeros(n)
@@ -158,23 +224,37 @@ class LinearProgram:
                              "that is not fixed needs lower bound 0 or -inf")
 
     def add_rows(self, coeffs, relations, rhs):
-        """Append the rows `coeffs` stacks over every variable, with their
-        relations and right-hand sides."""
-        rows = LinearProgram(self.num_vars, self.objective, constraints=coeffs,
-                             relations=relations, rhs=rhs)  # checks the shapes
-        self.constraints = np.vstack([self.constraints, rows.constraints])
-        self.relations = self.relations + rows.relations
-        self.rhs = np.concatenate([self.rhs, rows.rhs])
+        """Append the rows `coeffs` holds over every variable (`Rows` or a
+        2-D array-like), with their relations and right-hand sides."""
+        rows = _rows(coeffs)
+        relations = _relations(relations)
+        rhs = np.asarray(rhs, dtype=float)
+        k = len(relations)
+        if rows.shape != (k, self.num_vars) or rhs.shape != (k,):
+            raise DimensionError(
+                f"rows of shape {rows.shape} and rhs of shape {rhs.shape} do not "
+                f"make {k} rows over {self.num_vars} variables")
+        self.constraints = Rows.stack([self.constraints, rows], self.num_vars)
+        self.relations = self.relations + relations
+        self.rhs = np.concatenate([self.rhs, rhs])
 
     def dump(self) -> str:
         """Plain-text rendering for --dump-lp debugging."""
-        lines = ["maximize  " + _linear_str(self.objective), "subject to"]
-        lines += [f"  {_linear_str(row)} {rel.value} {b:g}"
-                  for row, rel, b in zip(self.constraints, self.relations, self.rhs)]
+        terms = [[] for _ in self.relations]
+        rows = self.constraints
+        for i, j, c in zip(rows.row.tolist(), rows.col.tolist(), rows.val.tolist()):
+            terms[i].append((j, c))
+        lines = ["maximize  " + _linear_str(enumerate(self.objective)), "subject to"]
+        lines += [f"  {_linear_str(sorted(row))} {rel.value} {b:g}"
+                  for row, rel, b in zip(terms, self.relations, self.rhs)]
         lines.append("bounds")
         for i in range(self.num_vars):
             lines.append(f"  {self.lower[i]:g} <= x{i} <= {self.upper[i]:g}")
         return "\n".join(lines)
+
+
+def _rows(coeffs) -> Rows:
+    return coeffs if isinstance(coeffs, Rows) else Rows.from_dense(coeffs)
 
 
 def _fixed(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
@@ -182,8 +262,10 @@ def _fixed(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     return (lower == upper) | (np.abs(upper - lower) < FIXED_TOL)
 
 
-def _linear_str(coeffs) -> str:
-    terms = [f"{c:+g}*x{i}" for i, c in enumerate(coeffs) if c != 0.0]
+def _linear_str(terms) -> str:
+    """The (index, coefficient) pairs `terms`, in their order, without the
+    zero coefficients."""
+    terms = [f"{c:+g}*x{i}" for i, c in terms if c != 0.0]
     return " ".join(terms) if terms else "0"
 
 
@@ -225,23 +307,29 @@ def _objective(lp: LinearProgram, objective) -> np.ndarray:
     return objective
 
 
-def _row_dots(coeffs: np.ndarray, cols: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """coeffs[:, cols] @ v, entry i bit-identical to the 1-D dot
-    ``coeffs[i, cols] @ v``.
+def _row_dots(rows: Rows, fixed: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Each row's dot with `v` over the columns `fixed` marks (`v` is 0 on
+    the others), entry i bit-identical to the 1-D dot of the row's dense
+    coefficients on those columns with `v` on them.
 
     A row with at most one nonzero product sums exactly in any order, so
     only rows with several go through the 1-D dot, whose summation order
     and fused multiply-adds are BLAS's own.
     """
-    out = np.zeros(len(coeffs))
-    nz = v.nonzero()[0]
-    if nz.size:
-        prod = coeffs[:, cols[nz]] * v[nz]
-        terms = np.count_nonzero(prod, axis=1)
-        one = terms == 1
-        out[one] = prod[one].sum(axis=1)
+    out = np.zeros(len(rows))
+    prod = rows.val * v[rows.col]
+    hit = prod.nonzero()[0]
+    if hit.size:
+        at = rows.row[hit]
+        terms = np.bincount(at, minlength=len(rows))
+        one = terms[at] == 1
+        out[at[one]] = prod[hit[one]]
+        cols = fixed.nonzero()[0]
         for i in (terms > 1).nonzero()[0]:
-            out[i] = coeffs[i, cols] @ v
+            mine = rows.row == i
+            dense = np.zeros(len(v))
+            dense[rows.col[mine]] = rows.val[mine]
+            out[i] = dense[cols] @ v[cols]
     return out
 
 
@@ -252,51 +340,76 @@ class _Standardized:
     It takes the LPs `LinearProgram` admits.  Fixed variables are
     eliminated up front; free variables are split into positive/negative
     parts; finite upper bounds become extra rows; the maximized objective
-    is negated into the cost.  `phase_one` adds a slack column per row and
-    negates some rows, keeping the tableau `T`, its right-hand side `b` and
-    a feasible basis with its inverse and basic values.  `append` and
-    `solve` both start from that state; `solve` leaves it at the optimal
-    basis its phase 2 reaches.  `lp` is the LP the state was built from and
-    `appended` the row blocks appended to it since, which `as_lp` puts back
-    together.
+    is negated into the cost.  `entries` holds the rows' coefficients on
+    the kept variables as (row, column, value) arrays, and `phase_one`
+    scatters them into the tableau `T`, negating some rows, adds each free
+    variable's mirror column and a slack column per row, and keeps `T`,
+    its right-hand side `b` and a feasible basis with its inverse and
+    basic values.  `append` and `solve` both start from that state;
+    `solve` leaves it at the optimal basis its phase 2 reaches.  `lp` is
+    the LP the state was built from and `appended` the row blocks appended
+    to it since, which `as_lp` puts back together.
     """
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
         self.fixed = _fixed(lp.lower, lp.upper)
         self.fixed_vals = np.where(self.fixed, lp.lower, 0.0)
+        self.shifts = bool(self.fixed_vals.any())
         self.keep = (~self.fixed).nonzero()[0]
 
         # Column layout of the standardized variables: one column per kept
-        # variable, plus a mirror column for each free variable's negative
-        # part.
+        # variable (`column` maps a variable to it, -1 when fixed), plus a
+        # mirror column for each free variable's negative part.
         self.n_main = len(self.keep)
         self.neg_cols = (~np.isfinite(lp.lower[self.keep])).nonzero()[0]
+        self.n = self.n_main + len(self.neg_cols)
+        self.column = np.full(lp.num_vars, -1, dtype=np.intp)
+        self.column[self.keep] = np.arange(self.n_main)
 
         # The LP's rows, then an upper-bound row x_i <= hi_i per kept
         # variable with a finite one.
+        rows = lp.constraints
         ub_vars = self.keep[np.isfinite(lp.upper[self.keep])]
-        bounds = np.zeros((len(ub_vars), lp.num_vars))
-        bounds[np.arange(len(ub_vars)), ub_vars] = 1.0
-        self.A, fixed = self.standardize_rows(np.vstack([lp.constraints, bounds]))
+        if ub_vars.size:
+            k = len(ub_vars)
+            rows = Rows.stack([rows, Rows(np.arange(k), ub_vars, np.ones(k),
+                                          (k, lp.num_vars))], lp.num_vars)
+        self.entries, fixed = self.standardize_rows(rows)
         self.b = np.concatenate([lp.rhs, lp.upper[ub_vars]]) - fixed
         self.ge = np.array([rel is Relation.GE for rel in lp.relations]
                            + [False] * len(ub_vars), dtype=bool)
         self.appended = ()
 
-    def standardize_rows(self, coeffs: np.ndarray):
-        """Rows over the LP's variables (`coeffs` stacks them) in the
-        standardized columns, and what the fixed values move each row's
-        right-hand side by: a right-hand side b becomes b - fixed."""
-        main = coeffs[:, self.keep]
-        fixed_cols = self.fixed.nonzero()[0]
-        return (np.hstack([main, -main[:, self.neg_cols]]),
-                _row_dots(coeffs, fixed_cols, self.fixed_vals[fixed_cols]))
+    def standardize_rows(self, rows: Rows):
+        """The (row, column, value) entries of `rows`, rows over the LP's
+        variables, on the kept variables' columns, and what the fixed
+        values move each row's right-hand side by: a right-hand side b
+        becomes b - fixed."""
+        cols = self.column[rows.col]
+        kept = (cols >= 0).nonzero()[0]
+        entries = rows.row[kept], cols[kept], rows.val[kept]
+        if not self.shifts:
+            return entries, np.zeros(len(rows))
+        return entries, _row_dots(rows, self.fixed, self.fixed_vals)
+
+    def _scatter(self, T: np.ndarray, entries, first: int, flip):
+        """Write `entries` into the rows of `T` from row `first` on, then
+        fill those rows' mirror columns: each is its free variable's column
+        negated, -0.0 where that is +0.0.  Where the mask `flip` (over the
+        rows, or None) holds, a row is negated first, its zeros too."""
+        r, c, v = entries
+        if flip is not None:
+            T[flip, :self.n_main] = -0.0
+            v = np.where(flip[r], -v, v)
+        T[r + first if first else r, c] = v
+        if self.neg_cols.size:
+            T[first:, self.n_main:self.n] = -T[first:, self.neg_cols]
 
     def cost(self, objective: np.ndarray) -> np.ndarray:
         """The standardized (minimized) cost vector of an objective."""
         c_full = -objective[self.keep]
-        c = np.zeros(self.A.shape[1])
+        c = np.zeros(self.n)
         c[:self.n_main] = c_full
         c[self.n_main:] = -c_full[self.neg_cols]
         return c
@@ -322,8 +435,8 @@ class _Standardized:
         only when some row needs an artificial.  It keeps the state
         described in the class docstring, none of which depends on the
         objective."""
-        A, b = self.A, self.b
-        m, n = A.shape
+        b, n = self.b, self.n
+        m = len(b)
 
         # Rows with a negative right-hand side are negated, which swaps LE
         # and GE; so are GE rows with a zero right-hand side, whose slack
@@ -342,8 +455,7 @@ class _Standardized:
         slack_cols = np.arange(n, art_start)
         art_cols = np.arange(art_start, total)
         T = np.zeros((m, total))
-        T[:, :n] = A
-        T[flip, :n] *= -1.0
+        self._scatter(T, self.entries, 0, flip)
         T[np.arange(m), slack_cols] = np.where(ge, -1.0, 1.0)
         T[art_rows, art_cols] = 1.0
         basis = slack_cols.copy()
@@ -385,22 +497,26 @@ class _Standardized:
         return True
 
     def append(self, coeffs, relations, rhs) -> "_Standardized":
-        """A copy with the rows `coeffs` stacks over the LP's variables
-        appended, with their relations and right-hand sides, each with its
-        own slack, at a feasible basis if one exists; its `feasible` says
-        whether one does.  The dual simplex starts from this basis plus
-        the new slacks.  That basis is block lower triangular,
-        [[B, 0], [R, S]] with S = diag(+-1) of the new slacks, so its
-        inverse is [[B^-1, 0], [-S R B^-1, S]]."""
-        rels = [Relation(rel) for rel in relations]
-        A, fixed = self.standardize_rows(np.asarray(coeffs, dtype=float))
+        """A copy with the rows `coeffs` holds over the LP's variables
+        (`Rows` or a 2-D array-like) appended, with their relations and
+        right-hand sides, each with its own slack, at a feasible basis if
+        one exists; its `feasible` says whether one does.  The dual simplex
+        starts from this basis plus the new slacks.  That basis is block
+        lower triangular, [[B, 0], [R, S]] with S = diag(+-1) of the new
+        slacks, so its inverse is [[B^-1, 0], [-S R B^-1, S]]."""
+        rows = _rows(coeffs)
+        rels = _relations(relations)
+        if rows.shape != (len(rels), self.lp.num_vars):
+            raise DimensionError(f"rows of shape {rows.shape} do not make "
+                                 f"{len(rels)} rows over {self.lp.num_vars} variables")
+        entries, fixed = self.standardize_rows(rows)
         sign = np.array([1.0 if rel is Relation.LE else -1.0 for rel in rels])
         (m, n), k = self.T.shape, len(rels)
         rows_k, slacks_k = np.arange(m, m + k), np.arange(n, n + k)
         out = copy.copy(self)
         out.T = np.zeros((m + k, n + k))
         out.T[:m, :n] = self.T
-        out.T[m:, :A.shape[1]] = A
+        self._scatter(out.T, entries, m, None)
         out.T[rows_k, slacks_k] = sign
         out.b = np.concatenate([self.b, np.asarray(rhs, dtype=float) - fixed])
         Binv = np.zeros((m + k, m + k))
@@ -409,7 +525,7 @@ class _Standardized:
         Binv[rows_k, rows_k] = sign
         out.feasible, out.basis, out.Binv, out.xb = _dual_simplex(
             out.T, out.b, np.concatenate([self.basis, slacks_k]), Binv, Binv @ out.b)
-        out.appended = self.appended + ((coeffs, rels, rhs),)
+        out.appended = self.appended + ((rows, rels, rhs),)
         return out
 
     def as_lp(self, objective) -> LinearProgram:
@@ -427,7 +543,7 @@ class _Standardized:
         slacks in row order.  A free variable's two parts price as
         negatives, so the nonbasic part of a basic free variable prices at
         exactly zero, and is set to it."""
-        n = self.A.shape[1]
+        n = self.n
         c = np.zeros(self.T.shape[1])
         c[:n] = self.cost(objective)
         reduced = c - _duals(c[self.basis], self.Binv) @ self.T
@@ -451,7 +567,7 @@ class _Standardized:
         if not len(self.basis):
             status, u = self._without_rows(c)
         else:
-            n = self.A.shape[1]
+            n = self.n
             c2 = np.zeros(self.T.shape[1])
             c2[:n] = c
             # The simplex moves the inverse and basic values to the basis

@@ -8,7 +8,8 @@ policy is a function of the `ProblemSpace` that `solve_policy` compiles once
 per decision, and returns a `PolicyResult`; `solve_policy` finds it in
 `POLICIES` by kind (water filling lives in `waterfill`).  `ProblemSpace.lp`
 builds every LP over the cells from row blocks, (coeffs, relations, rhs)
-triples whose coeffs stack the block's rows.  Max-min objectives
+triples whose coeffs are sparse `lp.Rows` made from the space's per-entry
+rates, never a dense job-by-cell array.  Max-min objectives
 (max-min fairness, min-makespan and the water-filling level) are compiled to
 one epigraph LP by `max_min_lp`.  Finish-time fairness iterates the same
 builder, and the cost policies maximize their linear-fractional objective by
@@ -22,15 +23,15 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from .cluster import ClusterSpec
 from .jobs import ENTITY_POLICY_NAMES
-from .lp import OPT_TOL, IterationLimitError, LinearProgram, Relation, solve_lp
-from .matrices import (AllocationMatrix, ThroughputMatrix,
-                       equal_share_allocation, effective_throughput,
-                       inorder_sum, isolated_allocation, row_workers)
+from .lp import OPT_TOL, IterationLimitError, LinearProgram, Relation, Rows, solve_lp
+from .matrices import (AllocationMatrix, ThroughputMatrix, effective_throughput,
+                       equal_shares, isolated_allocation, row_workers)
 # bench/tracing.py wraps `bisect` where this module binds it.
 from .search import bisect  # noqa: F401
 
@@ -172,66 +173,102 @@ class ProblemSpace:
 
     Variables 0..R*C-1 are the allocation cells in row-major order; builders
     may append extra scalar variables (an epigraph bound, binary flags).
-    The cell bounds, the validity rows and each job's rates over the cells
-    (`thr_rows`, stacked in `jobs` order), best rate and equal-share
-    throughput are compiled once per decision from the matrix's arrays, and
-    `lp` builds every LP over the cells from them.  Every job must have rows
-    in the matrix (`check_jobs`).
+    Every job must have rows in the matrix (`check_jobs`).
+
+    The cells are compiled once per decision as flat entries, one per
+    member of each row on each of the row's cells, infeasible ones
+    included: `job` (the member's position in `jobs`), `cell` and `rate`
+    (its steps/second there, 0.0 where infeasible), ordered by row, then
+    member, then configuration, so each job's cells ascend.  A member
+    outside `jobs` has no entry.  Each job's rates over the cells
+    (`rate_rows`, `rates`), its throughput under an allocation
+    (`throughputs`), the validity rows (each job's time budget, 1.0 on its
+    entries' cells, then each type's worker capacity) and the equal-share
+    throughputs all come from them, and `lp` builds every LP over the cells
+    from `lp.Rows` blocks.  No array is indexed by job and cell together.
     """
 
     def __init__(self, jobs, T: ThroughputMatrix):
         self.T = T
         self.jobs = list(jobs)
         self.by_id = {j.id: j for j in self.jobs}
+        self.position = {j.id: k for k, j in enumerate(self.jobs)}
         R, C, n = T.num_rows, T.num_configs, len(self.jobs)
         self.n_cells = R * C
         # Each row's first and last member's position in `jobs`, n for a job
-        # outside the space; the scatters below drop their row n.
+        # outside the space and for a singleton's second slot.
         pos = np.full(len(T.job_ids), n, dtype=np.intp)
         pos[[T.job_index(j.id) for j in self.jobs]] = np.arange(n)
-        first, last = pos[T.ends].T
-        r = np.arange(R)
-        thr_rows = np.zeros((n + 1, R, C))
-        thr_rows[first, r] = T.thr[:, :, 0]
-        thr_rows[last[T.is_pair], r[T.is_pair]] = T.thr[T.is_pair, :, 1]
-        self.thr_rows = thr_rows[:n].reshape(n, self.n_cells)
-        self.coeffs = {j.id: row for j, row in zip(self.jobs, self.thr_rows)}
-        norms = inorder_sum(self.thr_rows * equal_share_allocation(T).values.ravel())
+        self.members = pos[T.ends]
+        self.members[~T.is_pair, 1] = n
+        r, slot = (self.members < n).nonzero()
+        self.job = self.members[r, slot].repeat(C)
+        self.cell = ((r * C)[:, None] + np.arange(C)).ravel()
+        self.rate = T.thr[r, :, slot].ravel()
+        # Only singleton rows have an equal share.
+        single = ~T.is_pair[r]
+        shares = np.where(single[:, None], equal_shares(T.cluster), 0.0).ravel()
+        norms = np.bincount(self.job, self.rate * shares, n)
         self.equal_norm = {}
         for j, norm in zip(self.jobs, norms.tolist()):
             if norm <= 0:
                 raise ZeroThroughputError(
                     f"job {j.id} has zero throughput on every configuration")
             self.equal_norm[j.id] = norm
-        self.best = dict(zip(self.by_id, self.thr_rows.max(axis=1).tolist()))
 
         self.row_sf = row_workers(T, self.by_id).astype(float)
         self._upper = np.where(T.feasible.ravel(), np.inf, 0.0)
-        # Per-job time budgets, then per-type worker capacity.
-        member = np.zeros((n + 1, R), dtype=bool)
-        member[first, r] = member[last, r] = True
-        budget = np.repeat(member[:n], C, axis=1).astype(float)
+        # Per-job time budgets, then per-type worker capacity, over every cell.
         types = T.cluster.types
-        capacity = np.where(T.type_of == np.arange(len(types))[:, None, None],
-                            self.row_sf[:, None], 0.0)
-        self.validity = np.vstack([budget, capacity.reshape(len(types), self.n_cells)])
+        self.validity = Rows(
+            np.concatenate([self.job, n + T.type_of[np.arange(self.n_cells) % C]]),
+            np.concatenate([self.cell, np.arange(self.n_cells)]),
+            np.concatenate([np.ones(len(self.job)), np.repeat(self.row_sf, C)]),
+            (n + len(types), self.n_cells))
         self.validity_rhs = [1.0] * n + [float(t.num_workers) for t in types]
+
+    @cached_property
+    def best(self) -> dict:
+        """Each job's best rate over its cells, 0.0 when it has none."""
+        top = [0.0] * (len(self.jobs) + 1)
+        for k, rate in zip(self.members.ravel().tolist(),
+                           self.T.thr.max(axis=1).ravel().tolist()):
+            if rate > top[k]:
+                top[k] = rate
+        return dict(zip(self.by_id, top))
+
+    def throughputs(self, x: np.ndarray) -> np.ndarray:
+        """Each job's throughput when the cells hold the time shares `x`,
+        in `jobs` order.  A job's entries are added onto 0.0 as its cells
+        ascend, so the sum is the one `effective_throughput` adds: every
+        term that one has and this one lacks is a +0.0."""
+        return np.bincount(self.job, self.rate * x[self.cell], len(self.jobs))
+
+    def rates(self, job_id) -> np.ndarray:
+        """The job's rate on every cell, 0.0 off its rows."""
+        mine = self.job == self.position[job_id]
+        out = np.zeros(self.n_cells)
+        out[self.cell[mine]] = self.rate[mine]
+        return out
+
+    def rate_rows(self, width: int) -> Rows:
+        """Row k holds the rates of the job at position k of `jobs` on its
+        cells, over `width` columns."""
+        return Rows(self.job, self.cell, self.rate, (len(self.jobs), width))
 
     def lp(self, objective, rows=()) -> LinearProgram:
         """The LP maximizing `objective` over the cells and the
         `len(objective) - n_cells` extra variables, all nonnegative and the
         cells pinned to 0 where infeasible, under the row blocks in `rows`
         and then the per-job time budget and per-type worker capacity rows.
-        A block is a (coeffs, relations, rhs) triple: coeffs stacks its rows
-        over the cells alone (the extra variables' entries are 0) or over
-        every variable."""
+        A block is a (coeffs, relations, rhs) triple whose coeffs are
+        `Rows` over the cells alone (the extra variables' entries are 0) or
+        over every variable."""
         n = len(objective)
         blocks = [*rows, (self.validity, [Relation.LE] * len(self.validity),
                           self.validity_rhs)]
         return LinearProgram(
-            n, objective,
-            np.vstack([np.column_stack([c, np.zeros((len(c), n - c.shape[1]))])
-                       for c, _, _ in blocks]),
+            n, objective, Rows.stack([c for c, _, _ in blocks], n),
             [rel for _, rels, _ in blocks for rel in rels],
             np.concatenate([rhs for _, _, rhs in blocks]),
             upper=np.append(self._upper, np.full(n - self.n_cells, np.inf)))
@@ -280,26 +317,35 @@ def max_min_lp(space: ProblemSpace, scales: dict,
     """Epigraph LP: maximize lam subject to
     scales[j] * thr_j(X) - lam >= floors[j] for every job in `scales` (in
     `space.jobs` order), then the validity rows.  Variable `space.n_cells`
-    is lam; floors default to zero."""
-    obj = np.zeros(space.n_cells + 1)
+    is lam; floors default to zero.  The scales are positive, so a level
+    row's coefficient is +0.0 wherever its job has no rate."""
+    n = space.n_cells
+    obj = np.zeros(n + 1)
     obj[-1] = 1.0
     ks = [k for k, j in enumerate(space.jobs) if j.id in scales]
     ids = [space.jobs[k].id for k in ks]
-    scaled = np.array([scales[i] for i in ids]).reshape(-1, 1) * space.thr_rows[ks]
-    lp = space.lp(obj, [(np.column_stack([scaled, np.full(len(ks), -1.0)]),
-                         [Relation.GE] * len(ks),
+    level, m = space.rate_rows(n), len(ks)
+    if m < len(space.jobs):
+        level = level.take(ks)
+    lp = space.lp(obj, [(Rows(np.concatenate([level.row, np.arange(m)]),
+                              np.concatenate([level.col, np.full(m, n)]),
+                              np.concatenate([np.array([scales[i] for i in ids])[level.row]
+                                              * level.val, np.full(m, -1.0)]),
+                              (m, n + 1)),
+                         [Relation.GE] * m,
                          [floors[i] if floors else 0.0 for i in ids])])
     lp.lower[-1] = -np.inf  # lam is free
     return lp
 
 
 def _weighted_sum_lp(space: ProblemSpace, weights: dict) -> LinearProgram:
-    """Maximize sum_j weights[j] * thr_j(X), accumulated in `weights`
-    order, over valid allocations."""
-    obj = np.zeros(space.n_cells)
-    for job_id, w in weights.items():
-        obj += w * space.coeffs[job_id]
-    return space.lp(obj)
+    """Maximize sum_j weights[j] * thr_j(X) over valid allocations.  A cell
+    has at most two members, so its objective coefficient is the same
+    whichever order their terms are added in."""
+    w = np.zeros(len(space.jobs))
+    w[[space.position[job_id] for job_id in weights]] = list(weights.values())
+    return space.lp(np.bincount(space.cell, w[space.job] * space.rate,
+                                space.n_cells))
 
 
 def _solve(label: str, lp: LinearProgram, space: ProblemSpace) -> PolicyResult:
@@ -461,11 +507,12 @@ def _max_steps_per_dollar(space: ProblemSpace, required: dict,
     over the zero-cost cells alone, with objective inf.
     """
     T = space.T
-    num = space.thr_rows.sum(axis=0)
+    num = np.bincount(space.cell, space.rate, space.n_cells)
     den = np.outer(space.row_sf, [T.cluster.types[cfg.type_id].cost_per_hour
                                   for cfg in T.configs]).ravel()
     lp = space.lp(num)
-    lp.add_rows(space.thr_rows[list(required)], [Relation.GE] * len(required),
+    lp.add_rows(space.rate_rows(space.n_cells).take(list(required)),
+                [Relation.GE] * len(required),
                 list(required.values()))
     ratio, X = 0.0, None
     for _ in range(MAX_PARAMETRIC_ITERS):

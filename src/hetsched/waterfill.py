@@ -47,8 +47,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .jobs import EntityPolicy
-from .lp import Relation, _Standardized, dump_each
-from .matrices import AllocationMatrix, inorder_sum
+from .lp import Relation, Rows, _Standardized, dump_each
+from .matrices import AllocationMatrix
 # bench/tracing.py wraps these two names where this module binds them.
 from .lp import solve_lp  # noqa: F401
 from .matrices import effective_throughput  # noqa: F401
@@ -118,15 +118,11 @@ def assign_job_weights(entities, jobs, done: set) -> dict:
     return weights
 
 
-def _carry_rows(space: ProblemSpace, thr_prev: dict) -> tuple:
-    """The row block keeping every job's throughput at or above `thr_prev`."""
-    return (space.thr_rows, [Relation.GE] * len(space.jobs),
+def _carry_rows(space: ProblemSpace, thr_prev: dict, width: int) -> tuple:
+    """The row block keeping every job's throughput at or above `thr_prev`,
+    over `width` columns."""
+    return (space.rate_rows(width), [Relation.GE] * len(space.jobs),
             [thr_prev[j.id] for j in space.jobs])
-
-
-def _with_lam(rows: np.ndarray) -> np.ndarray:
-    """Rows over the cells as rows over the cells then lam (coefficient 0)."""
-    return np.column_stack([rows, np.zeros(len(rows))])
 
 
 def _level_scales(space: ProblemSpace, weights: dict) -> dict:
@@ -145,7 +141,8 @@ def _level_lp(space: ProblemSpace, weights: dict, t_prev: dict,
                     {j.id: t_prev[j.id] / weights[j.id]
                      for j in space.jobs if weights[j.id] > 0})
     carried = [k for k, j in enumerate(space.jobs) if thr_prev[j.id] > 0]
-    lp.add_rows(_with_lam(space.thr_rows[carried]), [Relation.GE] * len(carried),
+    lp.add_rows(space.rate_rows(lp.num_vars).take(carried),
+                [Relation.GE] * len(carried),
                 [thr_prev[space.jobs[k].id] for k in carried])
     dump_each(lambda: lp)
     state = _Standardized(lp)
@@ -169,8 +166,9 @@ def _tighten(space: ProblemSpace, state: _Standardized, level: float) -> tuple:
     """
     # Maximizing minus the total allocated time minimizes it.
     lean = np.append(np.full(space.n_cells, -1.0), 0.0)
-    tight = state.append(np.eye(1, space.n_cells + 1, space.n_cells), [Relation.GE],
-                         [level - TIGHTEN_SLACK])
+    n = space.n_cells
+    pin = Rows(np.zeros(1, dtype=np.intp), np.full(1, n), np.ones(1), (1, n + 1))
+    tight = state.append(pin, [Relation.GE], [level - TIGHTEN_SLACK])
     dump_each(lambda: tight.as_lp(lean))
     # Rows with no feasible basis leave `solve` infeasible.
     res = tight.solve(lean)
@@ -184,8 +182,7 @@ def _gain_rows(space: ProblemSpace, tight: _Standardized, thr: dict) -> _Standar
     LP's rows, appended to at its optimum `tight` with the carry rows at
     `thr`, which that optimum meets within rounding, at the feasible basis
     the dual simplex reaches from it."""
-    coeffs, rels, rhs = _carry_rows(space, thr)
-    gain_rows = tight.append(_with_lam(coeffs), rels, rhs)
+    gain_rows = tight.append(*_carry_rows(space, thr, space.n_cells + 1))
     if not gain_rows.feasible:  # the tightened allocation is a witness
         raise PolicyError("gain rows infeasible at the tightened allocation")
     return gain_rows
@@ -201,7 +198,7 @@ def max_gain(space: ProblemSpace, thr_prev: dict, job_ids,
     optimum."""
     out = {}
     for job_id in job_ids:
-        objective = np.append(space.coeffs[job_id], 0.0)
+        objective = np.append(space.rates(job_id), 0.0)
         dump_each(lambda: gain_rows.as_lp(objective))
         res = gain_rows.solve(objective)
         out[job_id] = res.objective_value - thr_prev[job_id] if res.optimal else 0.0
@@ -255,9 +252,8 @@ def _screen_feasible(space: ProblemSpace, active: list, thr_prev: dict,
     active job stays at its previous throughput.  The screen's rows are
     appended to the gain rows for `thr_prev`, and the dual simplex starts
     from `gain_rows`' basis plus the new rows' slacks."""
-    ids = {j.id for j in active}
     screen = gain_rows.append(
-        _with_lam(space.thr_rows[[k for k, j in enumerate(space.jobs) if j.id in ids]]),
+        space.rate_rows(space.n_cells + 1).take([space.position[j.id] for j in active]),
         [Relation.GE if j.id in cand else Relation.LE for j in active],
         [thr_prev[j.id] + delta[j.id] if j.id in cand else thr_prev[j.id]
          for j in active])
@@ -277,17 +273,20 @@ def _milp_bottlenecks(space: ProblemSpace, active: list, thr_prev: dict,
     obj = np.zeros(n)
     obj[space.n_cells:] = 1.0
     # Per active job: z=1 forces a strict improvement of delta; z=0 caps the
-    # job at its previous throughput (combined with its carry row).
-    flags = np.zeros((2 * n_z, n))
-    rels, rhs = [Relation.GE, Relation.LE] * n_z, []
-    for k, j in enumerate(active):
-        Y = space.best[j.id]
-        flags[2 * k:2 * k + 2, :space.n_cells] = space.coeffs[j.id]
-        flags[2 * k, space.n_cells + k] = -(Y + delta[j.id])
-        flags[2 * k + 1, space.n_cells + k] = -Y
-        rhs += [thr_prev[j.id] - Y, thr_prev[j.id]]
+    # job at its previous throughput (combined with its carry row).  Rows
+    # 2k and 2k + 1 hold job k's rates and its flag's coefficient.
+    rates = space.rate_rows(n).take([space.position[j.id] for j in active])
+    Y = np.array([space.best[j.id] for j in active])
+    d = np.array([delta[j.id] for j in active])
+    k = np.arange(n_z)
+    flags = Rows(np.concatenate([2 * rates.row, 2 * rates.row + 1, 2 * k, 2 * k + 1]),
+                 np.concatenate([rates.col, rates.col, space.n_cells + k,
+                                 space.n_cells + k]),
+                 np.concatenate([rates.val, rates.val, -(Y + d), -Y]), (2 * n_z, n))
+    rels = [Relation.GE, Relation.LE] * n_z
+    rhs = [v for j in active for v in (thr_prev[j.id] - space.best[j.id], thr_prev[j.id])]
     # MixedIntegerProgram bounds the flags to [0, 1].
-    lp = space.lp(obj, [_carry_rows(space, thr_prev), (flags, rels, rhs)])
+    lp = space.lp(obj, [_carry_rows(space, thr_prev, n), (flags, rels, rhs)])
     res = solve_milp(MixedIntegerProgram(lp, set(range(space.n_cells, n))))
     if not res.optimal:  # X_prev is a witness, so only the solver can fail here
         raise PolicyError(f"bottleneck MILP not solved: {res.status.value}")
@@ -326,7 +325,9 @@ def _certified(space: ProblemSpace, state: _Standardized, weights: dict,
     if lift > 0:
         lp = state.lp
         top = np.append(np.ones(space.n_cells), abs(level) + TIGHTEN_SLACK)
-        lift *= max(top.max(), (np.abs(lp.rhs) + np.abs(lp.constraints) @ top).max())
+        # The rows made dense, so BLAS sums each row as it always has.
+        rows = np.abs(lp.constraints.dense())
+        lift *= max(top.max(), (np.abs(lp.rhs) + rows @ top).max())
     bound = CERTIFY_BOUND * (1.0 + lift / TIGHTEN_SLACK)
     scales = _level_scales(space, weights)
     return {job_id for (job_id, s), rc in zip(scales.items(),
@@ -388,9 +389,8 @@ def _fill(space: ProblemSpace, weights_of) -> WaterfillResult:
             break
         state, level = _level_lp(space, weights, t_prev, thr_prev)
         X, tight = _tighten(space, state, level)
-        # Each job's row summed in order, as effective_throughput sums it.
         thr = dict(zip([j.id for j in jobs],
-                       inorder_sum(space.thr_rows * X.values.ravel()).tolist()))
+                       space.throughputs(X.values.ravel()).tolist()))
         normalized = {j.id: thr[j.id] / space.equal_norm[j.id] for j in jobs}
         bottlenecks = _bottlenecks(space, state, tight, level, thr, weights)
         if not bottlenecks:

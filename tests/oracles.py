@@ -14,7 +14,10 @@ The module also keeps the first, plainer versions of library kernels as
 references that the optimized ones must match: row-at-a-time ALS
 (`reference_complete_matrix`), ALS one matrix per call
 (`restart_batched_complete_matrix`), the two-phase simplex (`reference_solve_lp`),
-the cell-at-a-time throughput-matrix walks (`CellMatrix`), the
+the dense standardization whose tableau the library's sparse scatter must
+match byte for byte (`DenseStandardized`), the cell-at-a-time
+throughput-matrix walks (`CellMatrix`, which also gives a space's dense
+rate rows, `space_coeffs`, and validity rows, `space_cells`), the
 simulator's matrix build one pair at a time (`reference_build_matrix`,
 with its pair factors from `reference_pair_factor`), one gain LP
 per job (`reference_max_gain`), bottleneck detection by MILP alone
@@ -575,7 +578,7 @@ class _Standardized:
         rows = []
         rhs = []
         rels = []
-        for coeffs, rel, b in zip(lp.constraints, lp.relations, lp.rhs):
+        for coeffs, rel, b in zip(lp.constraints.dense(), lp.relations, lp.rhs):
             ck = coeffs[self.keep]
             rows.append(ck)
             rhs.append(b - float(coeffs[self.fixed] @ self.fixed_vals[self.fixed])
@@ -782,6 +785,46 @@ def _simplex(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list,
     x[basis] = xb
     x[np.abs(x) < 1e-11] = 0.0
     return Status.OPTIMAL, x, basis
+
+
+# -- dense standardization ---------------------------------------------------
+# `hetsched.lp._Standardized` as it standardized rows before they went
+# sparse: every row block made a dense array over the standardized columns
+# (the kept variables, then each free variable's mirror), and the tableau
+# was copied from it.  The library scatters its sparse entries instead and
+# must leave the same bytes, zero signs included.
+
+def _dense_row_dots(coeffs: np.ndarray, cols: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """coeffs[:, cols] @ v, entry i bit-identical to the 1-D dot
+    ``coeffs[i, cols] @ v``: rows with at most one nonzero product are
+    summed, the others go through the 1-D dot."""
+    out = np.zeros(len(coeffs))
+    nz = v.nonzero()[0]
+    if nz.size:
+        prod = coeffs[:, cols[nz]] * v[nz]
+        terms = np.count_nonzero(prod, axis=1)
+        one = terms == 1
+        out[one] = prod[one].sum(axis=1)
+        for i in (terms > 1).nonzero()[0]:
+            out[i] = coeffs[i, cols] @ v
+    return out
+
+
+class DenseStandardized(hetsched.lp._Standardized):
+    """`hetsched.lp._Standardized` with each row block standardized into a
+    dense array `A` and copied into the tableau whole."""
+
+    def standardize_rows(self, rows):
+        coeffs = rows.dense()
+        main = coeffs[:, self.keep]
+        fixed_cols = self.fixed.nonzero()[0]
+        return (np.hstack([main, -main[:, self.neg_cols]]),
+                _dense_row_dots(coeffs, fixed_cols, self.fixed_vals[fixed_cols]))
+
+    def _scatter(self, T, A, first, flip):
+        T[first:, :A.shape[1]] = A
+        if flip is not None:
+            T[flip, :A.shape[1]] *= -1.0
 
 
 # ---------------------------------------------------------------------------
@@ -1047,18 +1090,30 @@ def _cell_upper(space: ProblemSpace, extra: int = 0) -> np.ndarray:
                            np.full(extra, np.inf)])
 
 
+def space_cells(space: ProblemSpace) -> CellMatrix:
+    """The space's matrix as nested cells, walked one cell at a time."""
+    return CellMatrix(space.T.cluster, space.T.rows, space.T.entries)
+
+
+def space_coeffs(space: ProblemSpace) -> dict:
+    """Each of the space's jobs' rates on every cell, as a dense row."""
+    cells = space_cells(space)
+    return {j.id: cells.job_coefficients(j.id) for j in space.jobs}
+
+
 def _add_validity(lp: LinearProgram, space: ProblemSpace, extra: int = 0):
-    for row, rhs in zip(space.validity, space.validity_rhs):
+    for row, rhs in space_cells(space).validity_rows(space.jobs):
         lp.add_rows([np.concatenate([row, np.zeros(extra)])], [Relation.LE], [rhs])
 
 
 def reference_max_gain(space: ProblemSpace, thr_prev: dict, job_id: int) -> float:
     """Largest throughput increase available to one job while every job keeps
     at least its previous throughput."""
-    lp = LinearProgram(space.n_cells, space.coeffs[job_id],
+    coeffs = space_coeffs(space)
+    lp = LinearProgram(space.n_cells, coeffs[job_id],
                        lower=np.zeros(space.n_cells), upper=_cell_upper(space))
     for j in space.jobs:
-        lp.add_rows([space.coeffs[j.id]], [Relation.GE], [thr_prev[j.id]])
+        lp.add_rows([coeffs[j.id]], [Relation.GE], [thr_prev[j.id]])
     _add_validity(lp, space)
     res = solve_lp(lp)
     if not res.optimal:
@@ -1072,6 +1127,7 @@ def reference_bottleneck_lp(space: ProblemSpace, active: list,
     per active job after the cells, maximizing the flags' sum, under the
     carry rows, then each active job's big-M rows, then the validity
     rows."""
+    coeffs = space_coeffs(space)
     n_z = len(active)
     n = space.n_cells + n_z
     obj = np.zeros(n)
@@ -1080,7 +1136,7 @@ def reference_bottleneck_lp(space: ProblemSpace, active: list,
     upper[space.n_cells:] = 1.0
     lp = LinearProgram(n, obj, lower=np.zeros(n), upper=upper)
     for j in space.jobs:
-        lp.add_rows([np.concatenate([space.coeffs[j.id], np.zeros(n_z)])],
+        lp.add_rows([np.concatenate([coeffs[j.id], np.zeros(n_z)])],
                     [Relation.GE], [thr_prev[j.id]])
     for k, j in enumerate(active):
         Y = space.best[j.id]
@@ -1088,10 +1144,10 @@ def reference_bottleneck_lp(space: ProblemSpace, active: list,
         z_col = space.n_cells + k
         # z=1 forces a strict improvement of delta; z=0 caps the job at its
         # previous throughput (combined with the carry row above).
-        row = np.concatenate([space.coeffs[j.id], np.zeros(n_z)])
+        row = np.concatenate([coeffs[j.id], np.zeros(n_z)])
         row[z_col] = -(Y + delta)
         lp.add_rows([row], [Relation.GE], [thr_prev[j.id] - Y])
-        row = np.concatenate([space.coeffs[j.id], np.zeros(n_z)])
+        row = np.concatenate([coeffs[j.id], np.zeros(n_z)])
         row[z_col] = -Y
         lp.add_rows([row], [Relation.LE], [thr_prev[j.id]])
     _add_validity(lp, space, extra=n_z)
@@ -1138,7 +1194,7 @@ def reference_find_bottlenecks(jobs, X_prev, T, active_weights: dict) -> set:
 # to, so a test can swap them in and run the same fill on the cold path.
 
 def _carry(space: ProblemSpace, thr_prev: dict) -> tuple:
-    return (space.thr_rows, [Relation.GE] * len(space.jobs),
+    return (space.rate_rows(space.n_cells), [Relation.GE] * len(space.jobs),
             [thr_prev[j.id] for j in space.jobs])
 
 
@@ -1157,9 +1213,10 @@ def cold_max_gain(space: ProblemSpace, thr_prev: dict, job_ids, gain) -> dict:
     """Each job's largest gain while every job keeps its previous
     throughput: the rows `gain` holds, built whole under the job's
     throughput and solved by `solve_lp`."""
+    coeffs = space_coeffs(space)
     out = {}
     for job_id in job_ids:
-        res = solve_lp(gain.as_lp(np.append(space.coeffs[job_id], 0.0)))
+        res = solve_lp(gain.as_lp(np.append(coeffs[job_id], 0.0)))
         out[job_id] = res.objective_value - thr_prev[job_id] if res.optimal else 0.0
     return out
 
@@ -1229,7 +1286,7 @@ def reference_space_lp(space: ProblemSpace, objective, rows=(),
     lp = LinearProgram(n, objective, lower=lower,
                        upper=_cell_upper(space, extra=len(pad)))
     validity = [(row, Relation.LE, rhs)
-                for row, rhs in zip(space.validity, space.validity_rhs)]
+                for row, rhs in space_cells(space).validity_rows(space.jobs)]
     for coeffs, rel, rhs in [*rows, *validity]:
         lp.add_rows([coeffs if len(coeffs) == n else np.append(coeffs, pad)],
                     [rel], [rhs])
@@ -1238,9 +1295,10 @@ def reference_space_lp(space: ProblemSpace, objective, rows=(),
 
 def reference_max_min_lp(space: ProblemSpace, scales: dict,
                          floors: dict | None = None) -> LinearProgram:
+    coeffs = space_coeffs(space)
     obj = np.zeros(space.n_cells + 1)
     obj[-1] = 1.0
-    rows = [(np.append(scales[j.id] * space.coeffs[j.id], -1.0), Relation.GE,
+    rows = [(np.append(scales[j.id] * coeffs[j.id], -1.0), Relation.GE,
              floors[j.id] if floors else 0.0)
             for j in space.jobs if j.id in scales]
     return reference_space_lp(space, obj, rows, extra_lower=-np.inf)
@@ -1268,7 +1326,8 @@ def reference_ftf_probe(space: ProblemSpace, lam: float) -> LinearProgram:
     """Finish-time fairness's feasibility LP at ratio `lam`: every job
     finishes within its time budget lam d_j - e_j."""
     e, r, _, d = _ftf_terms(space)
-    rows = [(space.coeffs[j.id], Relation.GE, rj / (lam * dj - ej))
+    coeffs = space_coeffs(space)
+    rows = [(coeffs[j.id], Relation.GE, rj / (lam * dj - ej))
             for j, ej, rj, dj in zip(space.jobs, e, r, d)]
     return reference_space_lp(space, np.zeros(space.n_cells), rows)
 
@@ -1315,9 +1374,10 @@ def reference_level_lp(space: ProblemSpace, weights: dict, t_prev: dict,
         {j.id: j.scale_factor / (weights[j.id] * space.equal_norm[j.id])
          for j in weighted},
         {j.id: t_prev[j.id] / weights[j.id] for j in weighted})
+    coeffs = space_coeffs(space)
     for j in space.jobs:
         if thr_prev[j.id] > 0:
-            lp.add_rows([np.append(space.coeffs[j.id], 0.0)],
+            lp.add_rows([np.append(coeffs[j.id], 0.0)],
                         [Relation.GE], [thr_prev[j.id]])
     return lp
 
@@ -1341,14 +1401,15 @@ def reference_tighten_lp(space: ProblemSpace, weights: dict, t_prev: dict,
     maximize minus the total allocated time while each weighted job keeps its
     share of the level and each carried job its previous throughput, both
     less TIGHTEN_SLACK; each job's level row comes before its carry row."""
+    coeffs = space_coeffs(space)
     rows = []
     for j in space.jobs:
         w = weights[j.id]
         if w > 0:
-            rows.append((j.scale_factor / space.equal_norm[j.id] * space.coeffs[j.id],
+            rows.append((j.scale_factor / space.equal_norm[j.id] * coeffs[j.id],
                          Relation.GE, t_prev[j.id] + w * level - TIGHTEN_SLACK))
         if thr_prev[j.id] > 0:
-            rows.append((space.coeffs[j.id], Relation.GE,
+            rows.append((coeffs[j.id], Relation.GE,
                          thr_prev[j.id] - TIGHTEN_SLACK))
     return reference_space_lp(space, np.full(space.n_cells, -1.0), rows)
 
@@ -1366,7 +1427,8 @@ def reference_gain_lp(tight: LinearProgram, space: ProblemSpace,
                       thr: dict) -> LinearProgram:
     """The gain rows as water filling solves them: the tightening LP
     `tight`, then a carry row per job keeping it at `thr`."""
-    return _with_lam_rows(tight, [(space.coeffs[j.id], Relation.GE, thr[j.id])
+    coeffs = space_coeffs(space)
+    return _with_lam_rows(tight, [(coeffs[j.id], Relation.GE, thr[j.id])
                                   for j in space.jobs])
 
 
@@ -1375,9 +1437,10 @@ def reference_screen_lp(gain: LinearProgram, space: ProblemSpace, active: list,
     """The screen as water filling solves it: the gain rows `gain`, then a
     row per active job, raising a candidate by its slack and capping any
     other at its previous throughput."""
+    coeffs = space_coeffs(space)
     return _with_lam_rows(gain, [
-        (space.coeffs[j.id], Relation.GE, thr_prev[j.id] + delta[j.id])
-        if j.id in cand else (space.coeffs[j.id], Relation.LE, thr_prev[j.id])
+        (coeffs[j.id], Relation.GE, thr_prev[j.id] + delta[j.id])
+        if j.id in cand else (coeffs[j.id], Relation.LE, thr_prev[j.id])
         for j in active])
 
 
@@ -1414,7 +1477,7 @@ def reference_maximize_ratio(lp: LinearProgram, den_coeffs) -> SolveResult:
     den_row = np.append(den_coeffs, 0.0)
     cc = LinearProgram(
         n + 1, np.append(lp.objective, 0.0),
-        np.vstack([np.column_stack([lp.constraints, -lp.rhs]), bound_rows[finite],
+        np.vstack([np.column_stack([lp.constraints.dense(), -lp.rhs]), bound_rows[finite],
                    den_row, den_row]),
         [*lp.relations, *itertools.compress([Relation.LE, Relation.GE] * n, finite),
          Relation.LE, Relation.GE],
@@ -1447,7 +1510,7 @@ def reference_pinned(lp: LinearProgram, fixed: dict) -> LinearProgram:
     for v, val in fixed.items():
         lo[v] = hi[v] = float(val)
     node = LinearProgram(lp.num_vars, lp.objective, lower=lo, upper=hi)
-    for coeffs, rel, rhs in zip(lp.constraints, lp.relations, lp.rhs):
+    for coeffs, rel, rhs in zip(lp.constraints.dense(), lp.relations, lp.rhs):
         node.add_rows([coeffs], [rel], [rhs])
     return node
 

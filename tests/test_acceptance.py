@@ -163,15 +163,15 @@ def _enumerate_bottlenecks(jobs, X_prev, T, weights):
     thr_prev = {j.id: effective_throughput(j.id, X_prev, T) for j in space.jobs}
     best = None
     for bits in itertools.product((0, 1), repeat=len(active)):
-        rows = [(space.coeffs[j.id], Relation.GE, thr_prev[j.id])
+        rows = [(space.rates(j.id), Relation.GE, thr_prev[j.id])
                 for j in space.jobs]
         for z, j in zip(bits, active):
             Y = space.best[j.id]
             if z == 1:
-                rows.append((space.coeffs[j.id], Relation.GE,
+                rows.append((space.rates(j.id), Relation.GE,
                              thr_prev[j.id] + DELTA_FRACTION * Y))
             else:
-                rows.append((space.coeffs[j.id], Relation.LE,
+                rows.append((space.rates(j.id), Relation.LE,
                              thr_prev[j.id]))
         lp = reference_space_lp(space, np.zeros(space.n_cells), rows)
         if solve_lp(lp).status is Status.OPTIMAL:

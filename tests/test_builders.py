@@ -4,29 +4,38 @@ LP, byte for byte: rows, relations, right-hand sides, bounds, objective and
 sense, on seeded `random_cells` matrices."""
 
 import copy
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 
+import hetsched.lp
 import hetsched.policies
 import hetsched.waterfill as waterfill
 from hetsched.jobs import Job
 from hetsched.lp import Relation, SolveResult, Status, _Standardized, solve_lp
 from hetsched.matrices import ThroughputMatrix, isolated_allocation
 from hetsched.milp import MixedIntegerProgram, _pinned
-from hetsched.policies import (PolicyInfeasibleError, ProblemSpace,
-                               finish_time_fairness, max_min_lp)
-from oracles import (random_cells, random_costs, reference_bottleneck_lp,
+from hetsched.policies import (PolicyError, PolicyInfeasibleError, ProblemSpace,
+                               finish_time_fairness, max_min_fairness, max_min_lp,
+                               min_cost_slo)
+from oracles import (DenseStandardized, random_cells, random_costs,
+                     reference_bottleneck_lp,
                      reference_ftf_lp, reference_gain_lp, reference_level_lp,
                      reference_max_min_lp, reference_level_pin_lp,
-                     reference_pinned, reference_screen_lp, reference_space_lp)
+                     reference_pinned, reference_screen_lp, reference_space_lp,
+                     space_coeffs)
 
 
 def assert_same_lp(lp, ref):
+    """Same LP, byte for byte; the sparse rows are compared made dense."""
     assert lp.num_vars == ref.num_vars
     assert lp.relations == ref.relations
+    assert lp.constraints.shape == ref.constraints.shape
     for name in ("constraints", "rhs", "lower", "upper", "objective"):
         got, want = getattr(lp, name), getattr(ref, name)
+        if name == "constraints":
+            got, want = got.dense(), want.dense()
         assert got.shape == want.shape and got.dtype == want.dtype, name
         assert got.tobytes() == want.tobytes(), name
 
@@ -227,7 +236,8 @@ def test_cost_lps_match_row_at_a_time(monkeypatch):
         cluster, rows, cells, jobs = random_cells(rng)
         T = ThroughputMatrix.from_cells(random_costs(rng, cluster), rows, cells)
         space = ProblemSpace(jobs, T)
-        num = sum((space.coeffs[j.id] for j in space.jobs), np.zeros(space.n_cells))
+        coeffs = space_coeffs(space)
+        num = sum((coeffs[j.id] for j in space.jobs), np.zeros(space.n_cells))
         costs = [T.cluster.types[cfg.type_id].cost_per_hour for cfg in T.configs]
         den = np.array([sf * cost for sf in space.row_sf for cost in costs])
         required = {k: float(rng.uniform(0.0, 0.3)) * space.best[j.id]
@@ -251,7 +261,7 @@ def test_cost_lps_match_row_at_a_time(monkeypatch):
         for lp, res in zip(lps, results):
             ref = reference_space_lp(space, num if fallback else num - ratio * den)
             for k, rate in required.items():
-                ref.add_rows([space.thr_rows[k]], [Relation.GE], [rate])
+                ref.add_rows([coeffs[space.jobs[k].id]], [Relation.GE], [rate])
             if fallback:
                 ref.upper = np.where(den <= 0, ref.upper, 0.0)
             assert_same_lp(lp, ref)
@@ -264,3 +274,78 @@ def test_cost_lps_match_row_at_a_time(monkeypatch):
         fallbacks += fallback
         with_slos += bool(required)
     assert iterated >= 60 and fallbacks >= 15 and with_slos >= 50
+
+
+def _states(monkeypatch, run, standardized):
+    """Run `run()` with `standardized` as every solver's `_Standardized`,
+    recording what each phase 1 and each append leaves, byte for byte (the
+    verdict and, when feasible, T, b, basis, Binv and xb), and which kinds
+    of rows each phase 1 saw."""
+    seen, kinds = [], []
+    phase_one, append = _Standardized.phase_one, _Standardized.append
+
+    def record(state):
+        seen.append((state.feasible,) + (tuple(
+            getattr(state, name).tobytes() for name in ("T", "b", "basis", "Binv", "xb"))
+            if state.feasible else ()))
+
+    def traced_phase_one(self):
+        ok = phase_one(self)
+        record(self)
+        kinds.append({"fixed": bool(self.fixed.any()), "pinned": self.shifts,
+                      "free": bool(self.neg_cols.size),
+                      "bounded": len(self.b) > len(self.lp.rhs)})
+        return ok
+
+    def traced_append(self, *rows):
+        out = append(self, *rows)
+        record(out)
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(_Standardized, "phase_one", traced_phase_one)
+        m.setattr(_Standardized, "append", traced_append)
+        m.setattr(hetsched.lp, "_Standardized", standardized)
+        m.setattr(waterfill, "_Standardized", standardized)
+        try:
+            run()
+        except PolicyError as e:
+            seen.append(type(e))
+    return seen, kinds
+
+
+def test_tableaus_match_dense_standardization(monkeypatch):
+    """Every tableau the policies build, by phase 1 or by appending rows,
+    is byte for byte the one the dense standardization
+    (`oracles.DenseStandardized`) builds, zero signs included.  The seeded
+    spaces cover singleton and pair rows, infeasible (fixed) cells, the
+    free lam of the max-min LPs, the flags' finite upper bounds and the
+    binaries that branch and bound pins, and water filling's appended pin,
+    carry and screen rows."""
+    covered = Counter()
+    for seed in range(60):
+        rng = np.random.default_rng(6000 + seed)
+        space = _space(rng)
+        cluster, rows, cells, jobs = random_cells(rng)
+        T = ThroughputMatrix.from_cells(random_costs(rng, cluster), rows, cells)
+        cost_jobs = [Job(id=j.id, scale_factor=j.scale_factor, num_steps=1000,
+                         slo_seconds=float(rng.uniform(200.0, 5000.0))
+                         if rng.random() < 0.5 else None) for j in jobs]
+        weights, _, thr_prev, _ = _fill_state(rng, space)
+        active = [j for j in space.jobs if weights[j.id] > 0]
+        delta = {j.id: waterfill.DELTA_FRACTION * space.best[j.id] for j in active}
+        runs = [lambda: max_min_fairness(space),
+                lambda: waterfill.single_level_waterfill(space),
+                lambda: min_cost_slo(ProblemSpace(cost_jobs, T)),
+                lambda: waterfill._milp_bottlenecks(space, active, thr_prev, delta,
+                                                    {j.id: 0.0 for j in active})]
+        for run in runs:
+            got, kinds = _states(monkeypatch, run, _Standardized)
+            want, _ = _states(monkeypatch, run, DenseStandardized)
+            assert got == want
+            covered["appended"] += len(got) > len(kinds)
+            covered["pairs"] += bool(space.T.is_pair.any())
+            for kind in kinds:
+                covered.update(k for k, v in kind.items() if v)
+    assert min(covered[k] for k in ("appended", "pairs", "fixed", "pinned", "free",
+                                    "bounded")) >= 20, covered

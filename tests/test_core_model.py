@@ -324,19 +324,25 @@ def test_arrays_match_per_cell_reference(monkeypatch):
             # worker in the capacity rows.
             for space_jobs in (jobs, jobs[: max(1, len(jobs) // 2)], jobs[::-2]):
                 space = ProblemSpace(space_jobs, T)
-                for j, row in zip(space_jobs, space.thr_rows):
-                    assert np.array_equal(row, ref.job_coefficients(j.id))
+                X = rng.uniform(0.0, 1.0, size=(T.num_rows, T.num_configs))
+                thr = space.throughputs(X.ravel())
+                for k, j in enumerate(space_jobs):
+                    rates = ref.job_coefficients(j.id)
+                    assert space.rates(j.id).tobytes() == rates.tobytes()
+                    assert space.rate_rows(space.n_cells).take([k]).dense()[0].tobytes() \
+                        == rates.tobytes()
                     assert space.best[j.id] == ref.max_throughput(j.id)
                     assert space.equal_norm[j.id] == ref.equal_norm(j.id)
-                assert len(space.thr_rows) == len(space_jobs)
+                    assert thr[k] == ref.effective_throughput(j.id, X)
+                assert len(space.rate_rows(space.n_cells)) == len(space_jobs)
                 lp = space.lp(np.zeros(space.n_cells))
                 ref_lower, ref_upper = ref.cell_bounds()
                 assert np.array_equal(lp.lower, ref_lower)
                 assert np.array_equal(lp.upper, ref_upper)
                 expected = ref.validity_rows(space_jobs)
                 assert len(lp.constraints) == len(expected)
-                for row, rhs, (ref_row, ref_rhs) in zip(lp.constraints, lp.rhs,
-                                                         expected):
+                for row, rhs, (ref_row, ref_rhs) in zip(lp.constraints.dense(),
+                                                         lp.rhs, expected):
                     assert np.array_equal(row, ref_row) and rhs == ref_rhs
             for threshold in (0.8, 1.0, 1.3):
                 monkeypatch.setattr(hetsched.matrices, "PAIR_KEEP_THRESHOLD",
@@ -370,3 +376,21 @@ def test_matrix_holds_no_job_by_row_array():
         T.job_index(0), T.row_index(rows[-1])  # builds the lazy lookups too
         held = sum(v.nbytes for v in vars(T).values() if isinstance(v, np.ndarray))
         assert held <= 2 * T.thr.nbytes, (n, held, T.thr.nbytes)
+
+
+def test_problem_space_holds_no_job_by_cell_array():
+    """A space's arrays grow with the matrix's cells, not with jobs x cells:
+    with every pair present, one dense row of rates per job would be n / 2
+    times the size of `thr`."""
+    cluster = make_cluster({"V100": 2, "K80": 2}, placement_aware=True)
+    C = len(cluster.configurations)
+    for n in (4, 16, 40):
+        rows = [JobCombination.of(a) for a in range(n)]
+        rows += [JobCombination.of(a, b) for a in range(n) for b in range(a + 1, n)]
+        T = ThroughputMatrix(cluster, rows, np.ones((len(rows), C, 2)),
+                             np.ones((len(rows), C), dtype=bool))
+        space = ProblemSpace([Job(id=a) for a in range(n)], T)
+        held = sum(v.nbytes for v in vars(space).values() if isinstance(v, np.ndarray))
+        held += sum(a.nbytes for a in (space.validity.row, space.validity.col,
+                                       space.validity.val))
+        assert held <= 10 * T.thr.nbytes, (n, held, T.thr.nbytes)

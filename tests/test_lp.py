@@ -14,7 +14,7 @@ from hetsched.lp import (OPT_TOL, PHASE1_OPT_TOL, DimensionError,
                          solve_lp)
 from hetsched.matrices import ThroughputMatrix
 from hetsched.policies import ProblemSpace, max_min_lp
-from oracles import random_cells, reference_solve_lp
+from oracles import DenseStandardized, random_cells, reference_solve_lp
 
 
 def test_one_variable_box():
@@ -132,7 +132,7 @@ def test_solution_feasible_and_consistent(data):
                     [Relation.LE], [float(rng.uniform(0.5, 2))])
     res = solve_lp(lp)
     assert res.optimal
-    for coeffs, rel, rhs in zip(lp.constraints, lp.relations, lp.rhs):
+    for coeffs, rel, rhs in zip(lp.constraints.dense(), lp.relations, lp.rhs):
         lhs = float(coeffs @ res.x)
         assert lhs <= rhs + 1e-7
     assert np.all(res.x >= -1e-9) and np.all(res.x <= 1 + 1e-9)
@@ -256,7 +256,7 @@ def _assert_all_fixed_verdict(lp):
     holds = [{Relation.LE: lhs <= rhs + 1e-9, Relation.GE: lhs >= rhs - 1e-9}[rel]
              for lhs, rel, rhs in ((float(row @ x), rel, rhs)
                                    for row, rel, rhs in zip(
-                                       lp.constraints, lp.relations, lp.rhs))]
+                                       lp.constraints.dense(), lp.relations, lp.rhs))]
     res = solve_lp(lp)
     if all(holds):
         assert res.optimal
@@ -281,7 +281,7 @@ def test_bit_identical_to_reference_kernel():
         statuses.append(_assert_same_as_reference(lp))
         multi_term_fixed_rows += any(
             np.count_nonzero(row[fixed] * lp.lower[fixed]) > 1
-            for row in lp.constraints)
+            for row in lp.constraints.dense())
     # The instances cover every verdict and the fixed-variable rows whose
     # right-hand side shift sums several products.
     assert {statuses.count(s) >= 10 for s in Status} == {True}
@@ -316,7 +316,7 @@ def test_artificials_left_basic_at_zero_are_driven_out():
                                       "basis[i] = entering.argmax()")},
                           prob.phase_one)
         assert hits["driven"] >= 1
-        assert prob.feasible and len(prob.basis) == len(prob.A)
+        assert prob.feasible and len(prob.basis) == len(prob.b)
         assert _assert_same_as_reference(lp) is Status.OPTIMAL
 
 
@@ -401,7 +401,7 @@ def test_sparse_pivots_bit_identical_on_many_job_max_min_lps():
     on most pivots.  Both shortcuts return the reference kernel's bytes."""
     lps = [lp for seed in range(8)
            for lp in _max_min_lps(np.random.default_rng(3000 + seed), _many_jobs)]
-    rows = [len(hetsched.lp._Standardized(lp).A) for lp in lps]
+    rows = [len(hetsched.lp._Standardized(lp).b) for lp in lps]
     assert min(rows) >= hetsched.lp.SPARSE_PIVOT_ROWS
     # The column update returns early, once per pivot it makes.
     hits = _line_hits({"column": (hetsched.lp._pivot, "return"),
@@ -542,7 +542,7 @@ def _warm_verdicts():
         rng = np.random.default_rng(5000 + k)
         x0 = np.clip(np.random.default_rng(7000 + k).uniform(-2.0, 4.0, lp.num_vars),
                      lp.lower, lp.upper)
-        at_x0 = [float(row @ x0) for row in lp.constraints]
+        at_x0 = [float(row @ x0) for row in lp.constraints.dense()]
         ds = hetsched.lp._Standardized(_with_rows(lp, lp.constraints, lp.relations,
                                                   at_x0))
         assert ds.phase_one()
@@ -554,7 +554,7 @@ def _warm_verdicts():
         screen = ds.append(np.array(coeffs), rels, extra_rhs)
         verdicts.append(_assert_warm_verdict(
             screen, screen.feasible,
-            _with_rows(lp, np.vstack([lp.constraints, coeffs]),
+            _with_rows(lp, np.vstack([lp.constraints.dense(), coeffs]),
                        lp.relations + rels, at_x0 + extra_rhs)))
     assert len(verdicts) == 360
     assert verdicts.count(True) >= 30 and verdicts.count(False) >= 30
@@ -636,14 +636,57 @@ def test_appended_rows_standardize_as_built_cold():
         rhs = np.round(rng.uniform(-2.0, 5.0, size=k), 3)
         screen = ds.append(coeffs, rels, rhs)
         cold = hetsched.lp._Standardized(_with_rows(
-            lp, np.vstack([lp.constraints, coeffs]), lp.relations + rels,
+            lp, np.vstack([lp.constraints.dense(), coeffs]), lp.relations + rels,
             np.concatenate([lp.rhs, rhs])))
+        # The cold LP's rows in the standardized columns, before any flip.
+        A = np.zeros((len(cold.b), cold.n))
+        cold._scatter(A, cold.entries, 0, None)
         m, rows = len(ds.T), slice(len(lp.rhs), len(lp.rhs) + k)
-        assert screen.T[m:, :cold.A.shape[1]].tobytes() == cold.A[rows].tobytes()
+        assert screen.T[m:, :cold.n].tobytes() == A[rows].tobytes()
         assert screen.b[m:].tobytes() == cold.b[rows].tobytes()
         checked += 1
         moved += bool(np.count_nonzero(ds.fixed_vals)) and lp.num_vars > 1
     assert checked >= 100 and moved >= 50
+
+
+def state_bytes(state) -> tuple:
+    """What phase 1 or an append leaves: the verdict and, when feasible, the
+    tableau, right-hand side, basis, basis inverse and basic values, byte
+    for byte."""
+    if not state.feasible:
+        return (False,)
+    return (True,) + tuple(getattr(state, name).tobytes()
+                           for name in ("T", "b", "basis", "Binv", "xb"))
+
+
+def test_tableaus_match_dense_standardization():
+    """Scattering sparse rows into the tableau leaves the bytes of the dense
+    standardization (`oracles.DenseStandardized`), zero signs included,
+    after phase 1 and after an appended block: on LPs with fixed variables
+    whose values move several products of a row, free variables with and
+    without upper bounds, rows of both signs, and -0.0 coefficients."""
+    moved = mirrored = bounded = appended = 0
+    for k, lp in enumerate(_equivalence_set()):
+        got, want = hetsched.lp._Standardized(lp), DenseStandardized(lp)
+        got.phase_one()
+        want.phase_one()
+        assert state_bytes(got) == state_bytes(want)
+        moved += got.shifts
+        mirrored += bool(got.neg_cols.size)
+        bounded += len(got.b) > len(lp.rhs)
+        if not got.feasible:
+            continue
+        assert got.solve(lp.objective).status is want.solve(lp.objective).status
+        rng = np.random.default_rng(9000 + k)
+        coeffs = rng.integers(-2, 3, size=(int(rng.integers(1, 4)), lp.num_vars))
+        coeffs = np.where(coeffs == 0, rng.choice([0.0, -0.0], size=coeffs.shape),
+                          coeffs)
+        rels = [Relation(rng.choice(["<=", ">="])) for _ in coeffs]
+        rhs = rng.integers(-2, 6, size=len(coeffs)).astype(float)
+        got, want = got.append(coeffs, rels, rhs), want.append(coeffs, rels, rhs)
+        assert state_bytes(got) == state_bytes(want)
+        appended += 1
+    assert min(moved, mirrored, bounded, appended) >= 30
 
 
 def test_dual_simplex_iteration_limit_is_typed(monkeypatch):

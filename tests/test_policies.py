@@ -423,13 +423,13 @@ class TestCost:
                 continue
             required = {k: j.remaining_steps / (j.slo_seconds - j.elapsed_time)
                         for k, j in enumerate(space.jobs) if j.slo_seconds}
-            num = sum((space.coeffs[j.id] for j in space.jobs),
+            num = sum((space.rates(j.id) for j in space.jobs),
                       np.zeros(space.n_cells))
             costs = [T.cluster.types[cfg.type_id].cost_per_hour
                      for cfg in T_run.configs]
             den = np.outer(space.row_sf, costs).ravel()
             lp = space.lp(num)
-            lp.add_rows(space.thr_rows[list(required)],
+            lp.add_rows(space.rate_rows(space.n_cells).take(list(required)),
                         [Relation.GE] * len(required), list(required.values()))
             try:
                 ref = reference_maximize_ratio(lp, den)

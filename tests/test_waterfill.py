@@ -123,16 +123,16 @@ def enumerate_bottlenecks(jobs, X_prev, T, weights):
     thr_prev = {j.id: effective_throughput(j.id, X_prev, T) for j in space.jobs}
     best = None
     for bits in itertools.product((0, 1), repeat=len(active)):
-        rows = [(space.coeffs[j.id], Relation.GE, thr_prev[j.id])
+        rows = [(space.rates(j.id), Relation.GE, thr_prev[j.id])
                 for j in space.jobs]
         for z, j in zip(bits, active):
             Y = space.best[j.id]
             delta = DELTA_FRACTION * Y
             if z == 1:
-                rows.append((space.coeffs[j.id], Relation.GE,
+                rows.append((space.rates(j.id), Relation.GE,
                              thr_prev[j.id] + delta))
             else:
-                rows.append((space.coeffs[j.id], Relation.LE,
+                rows.append((space.rates(j.id), Relation.LE,
                              thr_prev[j.id]))
         lp = reference_space_lp(space, np.zeros(space.n_cells), rows)
         if solve_lp(lp).status is Status.OPTIMAL:
@@ -202,11 +202,12 @@ def _random_bottleneck_instance(rng):
         x = single_level_waterfill(space).allocation.values.ravel()
         slack = rng.uniform(0.0, 3.0) * DELTA_FRACTION
     rhs = np.array(space.validity_rhs)
-    for row, cap in zip(space.validity, rhs):
+    validity = space.validity.dense()
+    for row, cap in zip(validity, rhs):
         used = row @ x
         if used > cap:
             x[row > 0] *= cap / used
-    x *= (1.0 - slack) / np.max(space.validity @ x / rhs)
+    x *= (1.0 - slack) / np.max(validity @ x / rhs)
     weights = {j.id: float(rng.choice([0.0, 1.0, 2.0])) for j in jobs}
     weights[jobs[int(rng.integers(len(jobs)))].id] = 1.0
     return jobs, AllocationMatrix(T, x.reshape(T.num_rows, T.num_configs)), T, weights
