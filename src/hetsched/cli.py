@@ -16,6 +16,7 @@ import json
 import sys
 import time
 from contextlib import contextmanager
+from dataclasses import fields
 from pathlib import Path
 
 import click
@@ -43,6 +44,11 @@ EXIT_IO = 4
 ERROR_EXITS = ((EntityError, EXIT_USAGE), (JobListError, EXIT_USAGE),
                (MixedPairError, EXIT_USAGE), (PolicyError, EXIT_INFEASIBLE),
                (IterationLimitError, EXIT_INFEASIBLE))
+
+# The keys a jobs file's jobs and entities may hold besides "id": a job's
+# are its field names, and an entity's map to the field each sets.
+JOB_KEYS = [f.name for f in fields(Job) if f.name != "id"]
+ENTITY_KEYS = {"weight": "weight", "policy": "internal_policy"}
 
 DEFAULT_COSTS = {"V100": 3.0, "P100": 1.5, "K80": 0.5}
 DEFAULT_SERVERS = {"V100": 4, "P100": 4, "K80": 8}
@@ -80,9 +86,7 @@ class Manifest:
 
     def write(self) -> Path:
         path = self.out_dir / "manifest.json"
-        with open(path, "w") as f:
-            json.dump(self.doc, f, indent=2, sort_keys=True)
-            f.write("\n")
+        _dump_json(path, self.doc)
         return path
 
 
@@ -204,7 +208,7 @@ def cmd_generate_trace(ctx, mode, num_jobs, lambda_rate, single_worker,
                        max_scale_factor, duration_mean_minutes, slo_factors,
                        num_entities, entity_policy, catalog_file):
     """Write a workload trace as JSON lines."""
-    templates = load_catalog(catalog_file)
+    templates = _read(catalog_file, load_catalog) if catalog_file else load_catalog()
     factors = tuple(_numbers("--slo-factors", slo_factors)) if slo_factors else None
     try:
         trace = generate_trace(mode, num_jobs, templates, seed=ctx.obj["seed"],
@@ -253,22 +257,14 @@ def cmd_solve(ctx, policy_text, thr_file, jobs_file):
         entities = None
         if isinstance(jobs_doc, dict):
             job_docs = jobs_doc["jobs"]
-            entities = [Entity(d["id"], d.get("weight", 1.0),
-                               d.get("policy", "fairness"))
+            entities = [Entity(d["id"], **{field: d[key]
+                                           for key, field in ENTITY_KEYS.items() if key in d})
                         for d in jobs_doc.get("entities", [])] or None
         else:
             job_docs = jobs_doc
-        # `Job` and `Entity` check their numbers, so none is converted here.
-        jobs = [Job(id=_id(d), name=d.get("name", ""),
-                    num_steps=d.get("num_steps", 1),
-                    steps_done=d.get("steps_done", 0.0),
-                    scale_factor=d.get("scale_factor", 1),
-                    weight=d.get("weight", 1.0),
-                    entity_id=d.get("entity_id"),
-                    slo_seconds=d.get("slo_seconds"),
-                    arrival_time=d.get("arrival_time", 0.0),
-                    elapsed_time=d.get("elapsed_time", 0.0),
-                    isolated_elapsed_time=d.get("isolated_elapsed_time", 0.0))
+        # `Job` and `Entity` check their numbers and hold the defaults of
+        # the keys a file leaves out, so only the keys given are passed.
+        jobs = [Job(id=_id(d), **{key: d[key] for key in JOB_KEYS if key in d})
                 for d in job_docs]
     except KeyError as e:
         _fail(EXIT_USAGE, f"missing key {e} in the throughputs or jobs file")
@@ -349,7 +345,7 @@ def cmd_simulate(ctx, policy_text, trace_file, num_jobs, lambdas, mode, seeds,
     if trace_file is not None and lambdas:
         raise click.UsageError("--lambda sweeps generate traces; drop --trace")
     given_trace = _read(trace_file, Trace.load) if trace_file else None
-    templates = load_catalog(catalog_file)
+    templates = _read(catalog_file, load_catalog) if catalog_file else load_catalog()
     traces = {}
     for lam in lambda_list:
         for seed in seed_list:
@@ -465,12 +461,15 @@ def cmd_estimate(ctx, refs_file, meas_file, rank, reg, iters):
         else:
             refs = ReferenceSet(refs_doc["names"],
                                 np.array(refs_doc["matrix"], dtype=float))
-    except (KeyError, ValueError) as e:
+    except (KeyError, ValueError, TypeError) as e:
         _fail(EXIT_USAGE, f"{refs_file}: bad reference set ({type(e).__name__}: {e})")
     index = {ref_name: k for k, ref_name in enumerate(refs.names)}
     out = {"hyperparameters": {"rank": rank, "reg": reg, "iters": iters,
                                "seed": ctx.obj["seed"]},
            "matches": {}, "completed_rows": {}}
+    if not isinstance(meas_doc, dict):
+        _fail(EXIT_USAGE, f"{meas_file}: measurements must map reference names to "
+                          f"numbers under each job's name, not {meas_doc!r}")
     names = sorted(meas_doc)
     vecs = np.zeros((len(names), refs.size))
     masks = np.zeros((len(names), refs.size), dtype=bool)

@@ -3,12 +3,13 @@
 Solves  max c'x  subject to  A_i x (<=|>=) b_i  and  lo <= x <= hi,  the
 only LPs the policies build: no equality rows, no minimization (a cost is
 maximized negated), and every variable fixed (lo == hi), nonnegative
-(lo == 0) or free (lo == -inf).  A `LinearProgram` keeps its rows in one
-sparse store, `constraints` (a `Rows`: flat (row, column, value) entries,
-every other coefficient +0.0), beside their `relations` and right-hand
-sides `rhs`.  The solver is deterministic for a fixed input: Dantzig
-pricing with lowest-index tie-breaking, falling back to Bland's rule after
-a run of degenerate pivots so cycling is impossible.
+(lo == 0) or free (lo == -inf).  A `LinearProgram` is plain data that
+keeps its rows in one sparse store, `constraints` (a `Rows`: flat (row,
+column, value) entries, every other coefficient +0.0), beside their
+`relations` and right-hand sides `rhs`; the `_Standardized` that every
+solve builds checks it once.  The solver is deterministic for a fixed
+input: Dantzig pricing with lowest-index tie-breaking, falling back to
+Bland's rule after a run of degenerate pivots so cycling is impossible.
 
 Phase 1 starts from the slack basis.  Rows with a negative right-hand side,
 and ``>=`` rows with a zero one, are negated first, so only ``>=`` rows
@@ -97,14 +98,15 @@ class Relation(str, enum.Enum):
     GE = ">="
 
 
-# Each relation by itself and by its text (a str enum hashes as its text).
-_RELATIONS = {rel.value: rel for rel in Relation}
+# Whether each relation is >=.
+_IS_GE = {Relation.LE: False, Relation.GE: True}
 
 
-def _relations(rels) -> list:
-    """`rels` as Relation members, each given as one or as its text."""
+def _ge(relations) -> list:
+    """Whether each of `relations` is >=; a relation other than <= and >=
+    raises ValueError."""
     try:
-        return list(map(_RELATIONS.__getitem__, rels))
+        return list(map(_IS_GE.__getitem__, relations))
     except KeyError as e:
         raise ValueError(f"{e.args[0]!r} is not a valid Relation") from None
 
@@ -138,16 +140,6 @@ class Rows:
         return self.shape[0]
 
     @classmethod
-    def from_dense(cls, coeffs) -> "Rows":
-        """The rows a 2-D array-like stacks: an entry for every coefficient
-        that is not +0.0, so a -0.0 keeps its sign."""
-        a = np.asarray(coeffs, dtype=float)
-        if a.ndim != 2:
-            raise DimensionError(f"rows need a 2-D array, got shape {a.shape}")
-        row, col = ((a != 0.0) | np.signbit(a)).nonzero()
-        return cls(row, col, a[row, col], a.shape)
-
-    @classmethod
     def stack(cls, blocks, width: int) -> "Rows":
         """The blocks' rows one after another, over `width` columns; a
         block over fewer columns has 0 in the others."""
@@ -176,58 +168,26 @@ class Rows:
 
 @dataclass
 class LinearProgram:
-    """max objective'x with linear constraints and box bounds.
-
-    The rows are stacked: `constraints` holds their coefficients as `Rows`
-    (a 2-D array-like is converted), `relations` their m relations and
-    `rhs` their m right-hand sides (no rows by default).  Bounds default to
-    x >= 0 with no upper limit; a variable that is not fixed has lower
-    bound 0 or -inf.
+    """max objective'x with linear constraints and box bounds, as plain
+    data: `constraints` holds the m stacked rows' coefficients as `Rows`
+    over `num_vars` columns, `relations` their m `Relation`s and `rhs`
+    their m right-hand sides; `lower` and `upper` bound each variable, and
+    a variable that is not fixed has lower bound 0 or -inf.  Nothing is
+    checked or converted here: `_Standardized`, which every solve builds,
+    checks the shapes, relations and bounds once per LP.
     """
 
     num_vars: int
     objective: np.ndarray
-    constraints: Rows | None = None
-    relations: list | None = None
-    rhs: np.ndarray | None = None
-    lower: np.ndarray | None = None
-    upper: np.ndarray | None = None
+    constraints: Rows
+    relations: list
+    rhs: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
 
-    def __post_init__(self):
-        n = self.num_vars
-        self.objective = _objective(self, self.objective)
-        self.constraints = _rows(np.empty((0, n)) if self.constraints is None
-                                 else self.constraints)
-        self.relations = _relations(self.relations or ())
-        self.rhs = np.asarray(() if self.rhs is None else self.rhs, dtype=float)
-        if self.lower is None:
-            self.lower = np.zeros(n)
-        else:
-            self.lower = np.asarray(self.lower, dtype=float)
-        if self.upper is None:
-            self.upper = np.full(n, np.inf)
-        else:
-            self.upper = np.asarray(self.upper, dtype=float)
-        m = len(self.relations)
-        shapes = [a.shape for a in (self.constraints, self.rhs, self.lower, self.upper)]
-        if shapes != [(m, n), (m,), (n,), (n,)]:
-            raise DimensionError(
-                f"constraints, rhs, lower and upper have shapes {shapes}, but "
-                f"{m} rows over {n} variables need {[(m, n), (m,), (n,), (n,)]}")
-        if np.any(self.lower > self.upper + FEAS_TOL):
-            raise ValueError("lower bound exceeds upper bound")
-        shifted = (np.isfinite(self.lower) & (self.lower != 0.0)
-                   & ~_fixed(self.lower, self.upper)).nonzero()[0]
-        if shifted.size:
-            i = shifted[0]
-            raise ValueError(f"x{i} has lower bound {self.lower[i]:g}; a variable "
-                             "that is not fixed needs lower bound 0 or -inf")
-
-    def add_rows(self, coeffs, relations, rhs):
-        """Append the rows `coeffs` holds over every variable (`Rows` or a
-        2-D array-like), with their relations and right-hand sides."""
-        rows = _rows(coeffs)
-        relations = _relations(relations)
+    def add_rows(self, rows: Rows, relations: list, rhs):
+        """Append `rows`, rows over every variable, with their relations
+        and right-hand sides."""
         rhs = np.asarray(rhs, dtype=float)
         k = len(relations)
         if rows.shape != (k, self.num_vars) or rhs.shape != (k,):
@@ -251,10 +211,6 @@ class LinearProgram:
         for i in range(self.num_vars):
             lines.append(f"  {self.lower[i]:g} <= x{i} <= {self.upper[i]:g}")
         return "\n".join(lines)
-
-
-def _rows(coeffs) -> Rows:
-    return coeffs if isinstance(coeffs, Rows) else Rows.from_dense(coeffs)
 
 
 def _fixed(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
@@ -299,14 +255,6 @@ def dump_each(build) -> None:
                + lp.dump())
 
 
-def _objective(lp: LinearProgram, objective) -> np.ndarray:
-    objective = np.asarray(objective, dtype=float)
-    if objective.shape != (lp.num_vars,):
-        raise DimensionError(
-            f"objective has shape {objective.shape}, expected ({lp.num_vars},)")
-    return objective
-
-
 def _row_dots(rows: Rows, fixed: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Each row's dot with `v` over the columns `fixed` marks (`v` is 0 on
     the others), entry i bit-identical to the 1-D dot of the row's dense
@@ -337,23 +285,38 @@ class _Standardized:
     """An LP's rows in standard form,  min c'u, A u = b, u >= 0, and the
     basis a cold or warm solve of them left.
 
-    It takes the LPs `LinearProgram` admits.  Fixed variables are
-    eliminated up front; free variables are split into positive/negative
-    parts; finite upper bounds become extra rows; the maximized objective
-    is negated into the cost.  `entries` holds the rows' coefficients on
-    the kept variables as (row, column, value) arrays, and `phase_one`
-    scatters them into the tableau `T`, negating some rows, adds each free
-    variable's mirror column and a slack column per row, and keeps `T`,
-    its right-hand side `b` and a feasible basis with its inverse and
-    basic values.  `append` and `solve` both start from that state;
-    `solve` leaves it at the optimal basis its phase 2 reaches.  `lp` is
-    the LP the state was built from and `appended` the row blocks appended
-    to it since, which `as_lp` puts back together.
+    Building one checks the LP, once: its shapes (DimensionError), its
+    relations, lower <= upper and the lower-bound rule (ValueError).  Fixed
+    variables are eliminated up front; free variables are split into
+    positive/negative parts; finite upper bounds become extra rows; the
+    maximized objective is negated into the cost.  `entries` holds the
+    rows' coefficients on the kept variables as (row, column, value)
+    arrays, and `phase_one` scatters them into the tableau `T`, negating
+    some rows, adds each free variable's mirror column and a slack column
+    per row, and keeps `T`, its right-hand side `b` and a feasible basis
+    with its inverse and basic values.  `append` and `solve` both start
+    from that state; `solve` leaves it at the optimal basis its phase 2
+    reaches.  `lp` is the LP the state was built from and `appended` the
+    row blocks appended to it since, which `as_lp` puts back together.
     """
 
     def __init__(self, lp: LinearProgram):
+        n, ge = lp.num_vars, _ge(lp.relations)
+        m = len(ge)
+        shapes = [a.shape for a in (lp.constraints, lp.rhs, lp.lower, lp.upper)]
+        if shapes != [(m, n), (m,), (n,), (n,)]:
+            raise DimensionError(
+                f"constraints, rhs, lower and upper have shapes {shapes}, but "
+                f"{m} rows over {n} variables need {[(m, n), (m,), (n,), (n,)]}")
+        if np.any(lp.lower > lp.upper + FEAS_TOL):
+            raise ValueError("lower bound exceeds upper bound")
         self.lp = lp
         self.fixed = _fixed(lp.lower, lp.upper)
+        shifted = (np.isfinite(lp.lower) & (lp.lower != 0.0) & ~self.fixed).nonzero()[0]
+        if shifted.size:
+            i = shifted[0]
+            raise ValueError(f"x{i} has lower bound {lp.lower[i]:g}; a variable "
+                             "that is not fixed needs lower bound 0 or -inf")
         self.fixed_vals = np.where(self.fixed, lp.lower, 0.0)
         self.shifts = bool(self.fixed_vals.any())
         self.keep = (~self.fixed).nonzero()[0]
@@ -377,8 +340,7 @@ class _Standardized:
                                           (k, lp.num_vars))], lp.num_vars)
         self.entries, fixed = self.standardize_rows(rows)
         self.b = np.concatenate([lp.rhs, lp.upper[ub_vars]]) - fixed
-        self.ge = np.array([rel is Relation.GE for rel in lp.relations]
-                           + [False] * len(ub_vars), dtype=bool)
+        self.ge = np.array(ge + [False] * len(ub_vars), dtype=bool)
         self.appended = ()
 
     def standardize_rows(self, rows: Rows):
@@ -496,22 +458,21 @@ class _Standardized:
         self.T, self.b, self.basis, self.Binv, self.xb = T, b, basis, Binv, xb
         return True
 
-    def append(self, coeffs, relations, rhs) -> "_Standardized":
-        """A copy with the rows `coeffs` holds over the LP's variables
-        (`Rows` or a 2-D array-like) appended, with their relations and
-        right-hand sides, each with its own slack, at a feasible basis if
-        one exists; its `feasible` says whether one does.  The dual simplex
-        starts from this basis plus the new slacks.  That basis is block
-        lower triangular, [[B, 0], [R, S]] with S = diag(+-1) of the new
-        slacks, so its inverse is [[B^-1, 0], [-S R B^-1, S]]."""
-        rows = _rows(coeffs)
-        rels = _relations(relations)
-        if rows.shape != (len(rels), self.lp.num_vars):
+    def append(self, rows: Rows, relations: list, rhs) -> "_Standardized":
+        """A copy with `rows`, rows over the LP's variables, appended with
+        their relations and right-hand sides, each with its own slack, at
+        a feasible basis if one exists; its `feasible` says whether one
+        does.  The dual simplex starts from this basis plus the new
+        slacks.  That basis is block lower triangular, [[B, 0], [R, S]]
+        with S = diag(+-1) of the new slacks, so its inverse is
+        [[B^-1, 0], [-S R B^-1, S]]."""
+        ge = _ge(relations)
+        if rows.shape != (len(ge), self.lp.num_vars):
             raise DimensionError(f"rows of shape {rows.shape} do not make "
-                                 f"{len(rels)} rows over {self.lp.num_vars} variables")
+                                 f"{len(ge)} rows over {self.lp.num_vars} variables")
         entries, fixed = self.standardize_rows(rows)
-        sign = np.array([1.0 if rel is Relation.LE else -1.0 for rel in rels])
-        (m, n), k = self.T.shape, len(rels)
+        sign = np.array([-1.0 if g else 1.0 for g in ge])
+        (m, n), k = self.T.shape, len(ge)
         rows_k, slacks_k = np.arange(m, m + k), np.arange(n, n + k)
         out = copy.copy(self)
         out.T = np.zeros((m + k, n + k))
@@ -525,7 +486,7 @@ class _Standardized:
         Binv[rows_k, rows_k] = sign
         out.feasible, out.basis, out.Binv, out.xb = _dual_simplex(
             out.T, out.b, np.concatenate([self.basis, slacks_k]), Binv, Binv @ out.b)
-        out.appended = self.appended + ((rows, rels, rhs),)
+        out.appended = self.appended + ((rows, relations, rhs),)
         return out
 
     def as_lp(self, objective) -> LinearProgram:
@@ -560,7 +521,10 @@ class _Standardized:
         SolveResult over the LP's own variables, leaving the state at the
         basis it ends on: rows appended afterwards, and the next objective,
         start from this one's optimum."""
-        objective = _objective(self.lp, objective)
+        objective = np.asarray(objective, dtype=float)
+        if objective.shape != (self.lp.num_vars,):
+            raise DimensionError(f"objective has shape {objective.shape}, "
+                                 f"expected ({self.lp.num_vars},)")
         c = self.cost(objective)
         if not self.feasible:
             return SolveResult(Status.INFEASIBLE)

@@ -166,8 +166,13 @@ class ThroughputMatrix:
         cluster = ClusterSpec.from_json(doc)
         keys = [cfg.key(cluster) for cfg in cluster.configurations]
         rows = [JobCombination(tuple(rdoc["members"])) for rdoc in doc["rows"]]
-        cells = [[rdoc["throughputs"].get(key) for key in keys]
-                 for rdoc in doc["rows"]]
+        cells = []
+        for rdoc in doc["rows"]:
+            thr = rdoc["throughputs"]
+            if not isinstance(thr, dict):
+                raise TypeError(f"throughputs must map configurations to cells, "
+                                f"not {thr!r}")
+            cells.append([thr.get(key) for key in keys])
         return cls.from_cells(cluster, rows, cells)
 
 

@@ -9,7 +9,7 @@ reproducible across runs.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -24,38 +24,32 @@ OBJ_TOL = 1e-9
 NODE_LIMIT = 200_000
 
 
-@dataclass
-class MixedIntegerProgram:
-    base: LinearProgram
-    binary_vars: set
-
-    def __post_init__(self):
-        self.binary_vars = set(int(v) for v in self.binary_vars)
-        for v in self.binary_vars:
-            if not (0 <= v < self.base.num_vars):
-                raise ValueError(f"binary var {v} out of range")
-            # Binary variables live in [0,1]; tighten whatever was given.
-            self.base.lower[v] = max(self.base.lower[v], 0.0)
-            self.base.upper[v] = min(self.base.upper[v], 1.0)
-
-
-def solve_milp(mip: MixedIntegerProgram) -> SolveResult:
-    """Globally optimal solve over the binary assignments.
+def solve_milp(lp: LinearProgram, binaries) -> SolveResult:
+    """Globally optimal solve of `lp` over the assignments of the variables
+    `binaries` to 0 or 1.  Each binary's bounds are tightened to [0, 1] on
+    a copy; `lp` is left as it is.
 
     The returned binary vector is the lexicographically smallest one
     attaining the optimum, found by re-solving with a prefix of binaries
     pinned to zero wherever that preserves the objective.  Raises
     IterationLimitError when a search passes NODE_LIMIT nodes.
     """
-    result = _branch_and_bound(mip)
+    binaries = {int(v) for v in binaries}
+    lower, upper = lp.lower.copy(), lp.upper.copy()
+    for v in binaries:
+        if not 0 <= v < lp.num_vars:
+            raise ValueError(f"binary var {v} out of range")
+        lower[v] = max(lower[v], 0.0)
+        upper[v] = min(upper[v], 1.0)
+    lp = replace(lp, lower=lower, upper=upper)
+    result = _branch_and_bound(lp, binaries)
     if not result.optimal:
         return result
-    return _lex_refine(mip, result)
+    return _lex_refine(lp, binaries, result)
 
 
-def _lex_refine(mip: MixedIntegerProgram, best: SolveResult) -> SolveResult:
-    lp = mip.base
-    binaries = sorted(mip.binary_vars)
+def _lex_refine(lp: LinearProgram, binary_vars: set, best: SolveResult) -> SolveResult:
+    binaries = sorted(binary_vars)
     target = best.objective_value
     fixed: dict[int, float] = {}
     current = best
@@ -64,16 +58,15 @@ def _lex_refine(mip: MixedIntegerProgram, best: SolveResult) -> SolveResult:
                 int(round(current.x[u])) == fixed[u] for u in fixed):
             fixed[v] = 0.0
             continue
-        sub = _branch_and_bound(MixedIntegerProgram(
-            _pinned(lp, {**fixed, v: 0.0}), mip.binary_vars - set(fixed) - {v}))
+        sub = _branch_and_bound(_pinned(lp, {**fixed, v: 0.0}),
+                                binary_vars - set(fixed) - {v})
         if sub.optimal and sub.objective_value - target >= -OBJ_TOL:
             fixed[v] = 0.0
             current = sub
         else:
             fixed[v] = 1.0
     if any(int(round(current.x[u])) != fixed[u] for u in fixed):
-        current = _branch_and_bound(
-            MixedIntegerProgram(_pinned(lp, fixed), mip.binary_vars - set(fixed)))
+        current = _branch_and_bound(_pinned(lp, fixed), binary_vars - set(fixed))
     return current
 
 
@@ -86,9 +79,8 @@ def _pinned(lp: LinearProgram, fixed: dict) -> LinearProgram:
     return replace(lp, lower=lo, upper=hi)
 
 
-def _branch_and_bound(mip: MixedIntegerProgram) -> SolveResult:
-    lp = mip.base
-    binaries = sorted(mip.binary_vars)
+def _branch_and_bound(lp: LinearProgram, binary_vars: set) -> SolveResult:
+    binaries = sorted(binary_vars)
     if not binaries:
         return solve_lp(lp)
 

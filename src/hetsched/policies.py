@@ -270,8 +270,8 @@ class ProblemSpace:
         return LinearProgram(
             n, objective, Rows.stack([c for c, _, _ in blocks], n),
             [rel for _, rels, _ in blocks for rel in rels],
-            np.concatenate([rhs for _, _, rhs in blocks]),
-            upper=np.append(self._upper, np.full(n - self.n_cells, np.inf)))
+            np.concatenate([rhs for _, _, rhs in blocks]), np.zeros(n),
+            np.append(self._upper, np.full(n - self.n_cells, np.inf)))
 
     def allocation(self, x: np.ndarray) -> AllocationMatrix:
         values = np.clip(x[: self.n_cells], 0.0, 1.0)

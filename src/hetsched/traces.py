@@ -103,6 +103,8 @@ class Trace:
         with open(path) as f:
             lines = [json.loads(line) for line in f if line.strip()]
         header = lines[0]["header"]
+        if not isinstance(header, dict):
+            raise TypeError(f"the header must be a JSON object, not {header!r}")
         entities = [Entity(d["id"], d["weight"], d["policy"])
                     for d in header.get("entities", [])]
         entries = [TraceEntry(**d) for d in lines[1:]]

@@ -52,7 +52,7 @@ from .matrices import AllocationMatrix
 # bench/tracing.py wraps these two names where this module binds them.
 from .lp import solve_lp  # noqa: F401
 from .matrices import effective_throughput  # noqa: F401
-from .milp import MixedIntegerProgram, solve_milp
+from .milp import solve_milp
 from .policies import (PolicyError, PolicyInfeasibleError, PolicyResult,
                        ProblemSpace, check_entities, max_min_lp)
 
@@ -285,9 +285,9 @@ def _milp_bottlenecks(space: ProblemSpace, active: list, thr_prev: dict,
                  np.concatenate([rates.val, rates.val, -(Y + d), -Y]), (2 * n_z, n))
     rels = [Relation.GE, Relation.LE] * n_z
     rhs = [v for j in active for v in (thr_prev[j.id] - space.best[j.id], thr_prev[j.id])]
-    # MixedIntegerProgram bounds the flags to [0, 1].
+    # solve_milp bounds the flags to [0, 1].
     lp = space.lp(obj, [_carry_rows(space, thr_prev, n), (flags, rels, rhs)])
-    res = solve_milp(MixedIntegerProgram(lp, set(range(space.n_cells, n))))
+    res = solve_milp(lp, range(space.n_cells, n))
     if not res.optimal:  # X_prev is a witness, so only the solver can fail here
         raise PolicyError(f"bottleneck MILP not solved: {res.status.value}")
     return {j.id for k, j in enumerate(active)

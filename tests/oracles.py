@@ -41,8 +41,10 @@ priorities, round planning, placement and settling rebuilt from the matrix
 every round (`reference_priorities`, `reference_plan_round`,
 `reference_place`, `reference_settle_round`), and `reference_mechanism` to
 bind them in the simulator, where none of its plans repeats.  It also
-writes throughput-matrix files as the CLI reads them (`matrix_doc`) and
-generates the template catalog the package ships (`make_template_catalog`).
+writes throughput-matrix files as the CLI reads them (`matrix_doc`),
+generates the template catalog the package ships (`make_template_catalog`)
+and builds LPs from the dense rows, relation text and default bounds that
+tests write (`lp_of`, with `rows_of` for a block of rows).
 """
 
 from __future__ import annotations
@@ -60,13 +62,13 @@ from hetsched.estimator import (DEFAULT_ITERS, DEFAULT_RANK, DEFAULT_REG,
                                 CompletionError)
 from hetsched.jobs import Job, JobCombination
 from hetsched.lp import (DEGENERATE_LIMIT, FEAS_TOL, OPT_TOL, REFACTOR_EVERY,
-                         LinearProgram, Relation, SolveResult, Status,
+                         LinearProgram, Relation, Rows, SolveResult, Status,
                          solve_lp)
 from hetsched.matrices import (PAIR_KEEP_THRESHOLD, ThroughputMatrix,
                                effective_throughput, isolated_allocation,
                                row_workers)
 from hetsched.mechanism import Assignment, PlacementError, RoundPlan
-from hetsched.milp import MixedIntegerProgram, solve_milp
+from hetsched.milp import solve_milp
 from hetsched.policies import PolicyError, ProblemSpace
 from hetsched.search import bisect
 from hetsched.traces import JobTemplate, colocation_factor
@@ -528,6 +530,36 @@ def restart_batched_complete_matrix(partial: np.ndarray, mask: np.ndarray, rank:
     if return_history:
         return completed, history[:, best].tolist()
     return completed
+
+
+# -- LPs as tests write them -------------------------------------------------
+# A `LinearProgram` is plain data: `Rows`, `Relation` members and float
+# arrays, every field given.  Tests write rows dense, relations as text and
+# bounds by default; `lp_of` and `rows_of` turn that into the plain data
+# and convert nothing else, so every check still happens in the library.
+
+def rows_of(coeffs, relations, rhs) -> tuple:
+    """The (rows, relations, rhs) block that `LinearProgram.add_rows` and
+    `lp._Standardized.append` take: `coeffs` a 2-D array-like, each entry
+    that is not +0.0 kept (a -0.0 keeps its sign), `relations` `Relation`
+    members or their text, `rhs` any 1-D array-like."""
+    a = np.asarray(coeffs, dtype=float)
+    row, col = ((a != 0.0) | np.signbit(a)).nonzero()
+    return (Rows(row, col, a[row, col], a.shape), [Relation(r) for r in relations],
+            np.asarray(rhs, dtype=float))
+
+
+def lp_of(num_vars, objective, constraints=None, relations=(), rhs=(),
+          lower=None, upper=None) -> LinearProgram:
+    """A `LinearProgram` over `num_vars` variables: the rows as `rows_of`
+    takes them (none by default), and bounds x >= 0 with no upper limit
+    unless `lower` or `upper` is given."""
+    if constraints is None:
+        constraints = np.empty((0, num_vars))
+    return LinearProgram(
+        num_vars, np.asarray(objective, dtype=float), *rows_of(constraints, relations, rhs),
+        np.zeros(num_vars) if lower is None else np.asarray(lower, dtype=float),
+        np.full(num_vars, np.inf) if upper is None else np.asarray(upper, dtype=float))
 
 
 # -- reference LP kernel -----------------------------------------------------
@@ -1070,12 +1102,12 @@ def reference_standalone(T, job: Job) -> SolveResult:
     form."""
     r = T.singleton_row(job.id)
     sf = float(job.scale_factor)
-    lp = LinearProgram(T.num_configs, T.thr[r, :, 0],
-                       upper=np.where(T.feasible[r], np.inf, 0.0))
-    lp.add_rows([np.ones(T.num_configs)], [Relation.LE], [1.0])
+    lp = lp_of(T.num_configs, T.thr[r, :, 0],
+               upper=np.where(T.feasible[r], np.inf, 0.0))
+    lp.add_rows(*rows_of([np.ones(T.num_configs)], [Relation.LE], [1.0]))
     for t in T.cluster.types:
-        lp.add_rows([np.where(T.type_of == t.id, sf, 0.0)],
-                    [Relation.LE], [float(t.num_workers)])
+        lp.add_rows(*rows_of([np.where(T.type_of == t.id, sf, 0.0)],
+                             [Relation.LE], [float(t.num_workers)]))
     return solve_lp(lp)
 
 
@@ -1103,17 +1135,18 @@ def space_coeffs(space: ProblemSpace) -> dict:
 
 def _add_validity(lp: LinearProgram, space: ProblemSpace, extra: int = 0):
     for row, rhs in space_cells(space).validity_rows(space.jobs):
-        lp.add_rows([np.concatenate([row, np.zeros(extra)])], [Relation.LE], [rhs])
+        lp.add_rows(*rows_of([np.concatenate([row, np.zeros(extra)])], [Relation.LE],
+                             [rhs]))
 
 
 def reference_max_gain(space: ProblemSpace, thr_prev: dict, job_id: int) -> float:
     """Largest throughput increase available to one job while every job keeps
     at least its previous throughput."""
     coeffs = space_coeffs(space)
-    lp = LinearProgram(space.n_cells, coeffs[job_id],
-                       lower=np.zeros(space.n_cells), upper=_cell_upper(space))
+    lp = lp_of(space.n_cells, coeffs[job_id],
+               lower=np.zeros(space.n_cells), upper=_cell_upper(space))
     for j in space.jobs:
-        lp.add_rows([coeffs[j.id]], [Relation.GE], [thr_prev[j.id]])
+        lp.add_rows(*rows_of([coeffs[j.id]], [Relation.GE], [thr_prev[j.id]]))
     _add_validity(lp, space)
     res = solve_lp(lp)
     if not res.optimal:
@@ -1134,10 +1167,10 @@ def reference_bottleneck_lp(space: ProblemSpace, active: list,
     obj[space.n_cells:] = 1.0
     upper = _cell_upper(space, extra=n_z)
     upper[space.n_cells:] = 1.0
-    lp = LinearProgram(n, obj, lower=np.zeros(n), upper=upper)
+    lp = lp_of(n, obj, lower=np.zeros(n), upper=upper)
     for j in space.jobs:
-        lp.add_rows([np.concatenate([coeffs[j.id], np.zeros(n_z)])],
-                    [Relation.GE], [thr_prev[j.id]])
+        lp.add_rows(*rows_of([np.concatenate([coeffs[j.id], np.zeros(n_z)])],
+                             [Relation.GE], [thr_prev[j.id]]))
     for k, j in enumerate(active):
         Y = space.best[j.id]
         delta = DELTA_FRACTION * Y
@@ -1146,10 +1179,10 @@ def reference_bottleneck_lp(space: ProblemSpace, active: list,
         # previous throughput (combined with the carry row above).
         row = np.concatenate([coeffs[j.id], np.zeros(n_z)])
         row[z_col] = -(Y + delta)
-        lp.add_rows([row], [Relation.GE], [thr_prev[j.id] - Y])
+        lp.add_rows(*rows_of([row], [Relation.GE], [thr_prev[j.id] - Y]))
         row = np.concatenate([coeffs[j.id], np.zeros(n_z)])
         row[z_col] = -Y
-        lp.add_rows([row], [Relation.LE], [thr_prev[j.id]])
+        lp.add_rows(*rows_of([row], [Relation.LE], [thr_prev[j.id]]))
     _add_validity(lp, space, extra=n_z)
     return lp
 
@@ -1170,7 +1203,7 @@ def reference_find_bottlenecks(jobs, X_prev, T, active_weights: dict) -> set:
     thr_prev = {j.id: effective_throughput(j.id, X_prev, T) for j in space.jobs}
     lp = reference_bottleneck_lp(space, active, thr_prev)
     n = lp.num_vars
-    res = solve_milp(MixedIntegerProgram(lp, set(range(space.n_cells, n))))
+    res = solve_milp(lp, range(space.n_cells, n))
     if not res.optimal:  # X_prev is a witness, so only the solver can fail here
         raise PolicyError(f"bottleneck MILP not solved: {res.status.value}")
     stuck = {j.id for k, j in enumerate(active)
@@ -1283,13 +1316,13 @@ def reference_space_lp(space: ProblemSpace, objective, rows=(),
     lower = np.zeros(n)
     if extra_lower is not None:
         lower[space.n_cells:] = extra_lower
-    lp = LinearProgram(n, objective, lower=lower,
-                       upper=_cell_upper(space, extra=len(pad)))
+    lp = lp_of(n, objective, lower=lower,
+               upper=_cell_upper(space, extra=len(pad)))
     validity = [(row, Relation.LE, rhs)
                 for row, rhs in space_cells(space).validity_rows(space.jobs)]
     for coeffs, rel, rhs in [*rows, *validity]:
-        lp.add_rows([coeffs if len(coeffs) == n else np.append(coeffs, pad)],
-                    [rel], [rhs])
+        lp.add_rows(*rows_of([coeffs if len(coeffs) == n else np.append(coeffs, pad)],
+                             [rel], [rhs]))
     return lp
 
 
@@ -1377,8 +1410,8 @@ def reference_level_lp(space: ProblemSpace, weights: dict, t_prev: dict,
     coeffs = space_coeffs(space)
     for j in space.jobs:
         if thr_prev[j.id] > 0:
-            lp.add_rows([np.append(coeffs[j.id], 0.0)],
-                        [Relation.GE], [thr_prev[j.id]])
+            lp.add_rows(*rows_of([np.append(coeffs[j.id], 0.0)],
+                                 [Relation.GE], [thr_prev[j.id]]))
     return lp
 
 
@@ -1391,7 +1424,7 @@ def reference_level_pin_lp(space: ProblemSpace, weights: dict, t_prev: dict,
     lp.objective = np.append(np.full(space.n_cells, -1.0), 0.0)
     pin = np.zeros(space.n_cells + 1)
     pin[-1] = 1.0
-    lp.add_rows([pin], [Relation.GE], [level - TIGHTEN_SLACK])
+    lp.add_rows(*rows_of([pin], [Relation.GE], [level - TIGHTEN_SLACK]))
     return lp
 
 
@@ -1419,7 +1452,7 @@ def _with_lam_rows(lp: LinearProgram, rows) -> LinearProgram:
     relation, rhs) triples `rows`, one at a time, lam's coefficient 0."""
     out = replace(lp, objective=np.zeros(lp.num_vars))
     for coeffs, rel, rhs in rows:
-        out.add_rows([np.append(coeffs, 0.0)], [rel], [rhs])
+        out.add_rows(*rows_of([np.append(coeffs, 0.0)], [rel], [rhs]))
     return out
 
 
@@ -1475,7 +1508,7 @@ def reference_maximize_ratio(lp: LinearProgram, den_coeffs) -> SolveResult:
     bound_rows[np.arange(2 * n), np.arange(2 * n) // 2] = 1.0
     bound_rows[:, n] = -bound
     den_row = np.append(den_coeffs, 0.0)
-    cc = LinearProgram(
+    cc = lp_of(
         n + 1, np.append(lp.objective, 0.0),
         np.vstack([np.column_stack([lp.constraints.dense(), -lp.rhs]), bound_rows[finite],
                    den_row, den_row]),
@@ -1509,9 +1542,9 @@ def reference_pinned(lp: LinearProgram, fixed: dict) -> LinearProgram:
     lo, hi = lp.lower.copy(), lp.upper.copy()
     for v, val in fixed.items():
         lo[v] = hi[v] = float(val)
-    node = LinearProgram(lp.num_vars, lp.objective, lower=lo, upper=hi)
+    node = lp_of(lp.num_vars, lp.objective, lower=lo, upper=hi)
     for coeffs, rel, rhs in zip(lp.constraints.dense(), lp.relations, lp.rhs):
-        node.add_rows([coeffs], [rel], [rhs])
+        node.add_rows(*rows_of([coeffs], [rel], [rhs]))
     return node
 
 

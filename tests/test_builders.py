@@ -10,12 +10,13 @@ from dataclasses import replace
 import numpy as np
 
 import hetsched.lp
+import hetsched.milp
 import hetsched.policies
 import hetsched.waterfill as waterfill
 from hetsched.jobs import Job
 from hetsched.lp import Relation, SolveResult, Status, _Standardized, solve_lp
 from hetsched.matrices import ThroughputMatrix, isolated_allocation
-from hetsched.milp import MixedIntegerProgram, _pinned
+from hetsched.milp import _pinned
 from hetsched.policies import (PolicyError, PolicyInfeasibleError, ProblemSpace,
                                finish_time_fairness, max_min_fairness, max_min_lp,
                                min_cost_slo)
@@ -24,7 +25,7 @@ from oracles import (DenseStandardized, random_cells, random_costs,
                      reference_ftf_lp, reference_gain_lp, reference_level_lp,
                      reference_max_min_lp, reference_level_pin_lp,
                      reference_pinned, reference_screen_lp, reference_space_lp,
-                     space_coeffs)
+                     rows_of, space_coeffs)
 
 
 def assert_same_lp(lp, ref):
@@ -65,20 +66,17 @@ def _fill_state(rng, space):
     return weights, t_prev, thr_prev, float(rng.uniform(0.0, 1.0))
 
 
-class _Solved:
-    """Stands in for a solver: records what it is given and reports an
-    optimum at zero, or the status it was built with."""
+class _Searched:
+    """Stands in for `milp._branch_and_bound`: records each LP and set of
+    binaries it is given and reports an optimum at zero, which leaves
+    `solve_milp` no binary to refine."""
 
-    def __init__(self, status=Status.OPTIMAL):
-        self.status, self.seen = status, []
+    def __init__(self):
+        self.seen = []
 
-    def __call__(self, problem):
-        self.seen.append(problem)
-        if self.status is not Status.OPTIMAL:
-            return SolveResult(self.status)
-        n = (problem.base if isinstance(problem, MixedIntegerProgram)
-             else problem).num_vars
-        return SolveResult(Status.OPTIMAL, np.zeros(n), 0.0)
+    def __call__(self, lp, binaries):
+        self.seen.append((lp, binaries))
+        return SolveResult(Status.OPTIMAL, np.zeros(lp.num_vars), 0.0)
 
 
 class _State:
@@ -206,22 +204,23 @@ def test_bottleneck_builders_match_row_at_a_time(monkeypatch):
         screens += 1
         mixed += 0 < len(cand) < len(active)
 
-        # The bottleneck MILP, and a branch-and-bound node of it.
-        solve = _Solved()
-        monkeypatch.setattr(waterfill, "solve_milp", solve)
+        # The bottleneck MILP as the search gets it, its flags bounded to
+        # [0, 1], and a branch-and-bound node of it.
+        search = _Searched()
+        monkeypatch.setattr(hetsched.milp, "_branch_and_bound", search)
         waterfill._milp_bottlenecks(space, active, thr_prev, delta,
                                     {j.id: 0.0 for j in active})
         monkeypatch.undo()
-        (mip,) = solve.seen
+        ((lp, binaries),) = search.seen
         ref = reference_bottleneck_lp(space, active, thr_prev)
-        assert_same_lp(mip.base, ref)
-        assert mip.binary_vars == set(range(space.n_cells, ref.num_vars))
-        fixed = {v: float(rng.integers(0, 2)) for v in sorted(mip.binary_vars)
+        assert_same_lp(lp, ref)
+        assert binaries == set(range(space.n_cells, ref.num_vars))
+        fixed = {v: float(rng.integers(0, 2)) for v in sorted(binaries)
                  if rng.random() < 0.5}
-        node = _pinned(mip.base, fixed)
+        node = _pinned(lp, fixed)
         assert_same_lp(node, reference_pinned(ref, fixed))
-        assert node.constraints is mip.base.constraints
-        assert node.rhs is mip.base.rhs
+        assert node.constraints is lp.constraints
+        assert node.rhs is lp.rhs
     assert screens == 120 and mixed >= 30
 
 
@@ -261,7 +260,7 @@ def test_cost_lps_match_row_at_a_time(monkeypatch):
         for lp, res in zip(lps, results):
             ref = reference_space_lp(space, num if fallback else num - ratio * den)
             for k, rate in required.items():
-                ref.add_rows([coeffs[space.jobs[k].id]], [Relation.GE], [rate])
+                ref.add_rows(*rows_of([coeffs[space.jobs[k].id]], [Relation.GE], [rate]))
             if fallback:
                 ref.upper = np.where(den <= 0, ref.upper, 0.0)
             assert_same_lp(lp, ref)

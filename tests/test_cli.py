@@ -519,6 +519,17 @@ class TestSolve:
         assert "error:" in res.output and named in res.output
         assert "Traceback" not in res.output
 
+    def test_throughputs_not_a_mapping_exit_code(self, runner, tmp_path):
+        thr, jobs = write_three_job_instance(tmp_path)
+        doc = json.loads(thr.read_text())
+        doc["rows"][0]["throughputs"] = [1.0]
+        thr.write_text(json.dumps(doc))
+        res = runner.invoke(main, ["--out", str(tmp_path), "solve", "--policy", "las",
+                                   "--throughputs", str(thr), "--jobs", str(jobs)])
+        assert res.exit_code == 2, res.output
+        assert "error: bad value" in res.output and "not [1.0]" in res.output
+        assert "Traceback" not in res.output
+
     @pytest.mark.parametrize("value", ["NaN", "Infinity"])
     def test_non_finite_throughput_exit_code(self, runner, tmp_path, value):
         thr, jobs = write_three_job_instance(tmp_path)
@@ -599,8 +610,9 @@ class TestSolve:
 
 
 class TestSimulate:
-    @pytest.mark.parametrize("content", [None, "not json\n", "{}\n"],
-                             ids=["missing", "malformed", "no-header"])
+    @pytest.mark.parametrize("content", [None, "not json\n", "{}\n",
+                                         '{"header": []}\n'],
+                             ids=["missing", "malformed", "no-header", "list-header"])
     def test_bad_trace_exit_code(self, runner, tmp_path, content):
         trace = tmp_path / "trace.jsonl"
         if content is not None:
@@ -609,6 +621,23 @@ class TestSimulate:
                                    "--policy", "las", "--trace", str(trace)])
         assert res.exit_code == 4, res.output
         assert "trace.jsonl" in res.output
+        assert "Traceback" not in res.output
+
+    @pytest.mark.parametrize("command", [
+        ["generate-trace", "--mode", "static", "--jobs", "3"],
+        ["simulate", "--policy", "las", "--mode", "static", "--jobs", "2"],
+    ], ids=["generate-trace", "simulate"])
+    @pytest.mark.parametrize("content", [None, '{"templates": [5]}'],
+                             ids=["missing", "non-object-template"])
+    def test_bad_catalog_exit_code(self, runner, tmp_path, command, content):
+        catalog = tmp_path / "catalog.json"
+        if content is not None:
+            catalog.write_text(content)
+        res = runner.invoke(main, ["--out", str(tmp_path), *command,
+                                   "--catalog", str(catalog)])
+        assert res.exit_code == 4, res.output
+        assert f"error: {catalog}" in res.output
+        assert "Traceback" not in res.output
 
     def test_water_filling_flag_without_effect_exit_code(self, runner, tmp_path):
         res = runner.invoke(main, ["--out", str(tmp_path), "simulate",
@@ -956,6 +985,24 @@ class TestEstimate:
                              {"newjob": {"r0": 0.5, "r9": 0.4}})
         assert res.exit_code == 2
         assert "'r9'" in res.output and "Traceback" not in res.output
+
+    @pytest.mark.parametrize("refs_doc, named", [
+        ({"names": 5, "matrix": 1}, "TypeError"),
+        ({"types": [{"name": "g", "num_workers": 1}],
+          "rows": [{"members": [0], "throughputs": [1.0]}]}, "not [1.0]"),
+    ], ids=["non-list-names", "throughputs-not-a-mapping"])
+    def test_bad_reference_set_type_exit_code(self, runner, tmp_path, refs_doc, named):
+        res = self._estimate(runner, tmp_path, refs_doc, {"newjob": {"r0": 0.5}})
+        assert res.exit_code == 2, res.output
+        assert "bad reference set" in res.output and named in res.output
+        assert "Traceback" not in res.output
+
+    def test_measurements_not_a_mapping_exit_code(self, runner, tmp_path):
+        res = self._estimate(runner, tmp_path,
+                             {"names": ["r0", "r1"], "matrix": np.eye(2).tolist()}, [5])
+        assert res.exit_code == 2, res.output
+        assert "measurements must map reference names to numbers" in res.output
+        assert "Traceback" not in res.output
 
     def test_missing_names_exit_code(self, runner, tmp_path):
         res = self._estimate(runner, tmp_path, {"matrix": np.eye(2).tolist()},

@@ -1,5 +1,6 @@
 import inspect
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,18 +8,19 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
 import hetsched.lp
+import hetsched.waterfill
 from hetsched.cluster import make_cluster
 from hetsched.jobs import Job, JobCombination
 from hetsched.lp import (OPT_TOL, PHASE1_OPT_TOL, DimensionError,
                          IterationLimitError, LinearProgram, Relation, Status,
                          solve_lp)
 from hetsched.matrices import ThroughputMatrix
-from hetsched.policies import ProblemSpace, max_min_lp
-from oracles import DenseStandardized, random_cells, reference_solve_lp
+from hetsched.policies import ProblemSpace, max_min_lp, parse_policy, solve_policy
+from oracles import DenseStandardized, lp_of, random_cells, reference_solve_lp, rows_of
 
 
 def test_one_variable_box():
-    lp = LinearProgram(1, [1.0], upper=np.array([1.0]))
+    lp = lp_of(1, [1.0], upper=np.array([1.0]))
     res = solve_lp(lp)
     assert res.optimal
     assert res.objective_value == pytest.approx(1.0, abs=1e-9)
@@ -26,28 +28,28 @@ def test_one_variable_box():
 
 
 def test_infeasible_system():
-    lp = LinearProgram(1, [1.0])
-    lp.add_rows([[1.0], [1.0]], ["<=", ">="], [0.0, 1.0])
+    lp = lp_of(1, [1.0])
+    lp.add_rows(*rows_of([[1.0], [1.0]], ["<=", ">="], [0.0, 1.0]))
     assert solve_lp(lp).status is Status.INFEASIBLE
 
 
 def test_unbounded():
-    lp = LinearProgram(1, [1.0])
+    lp = lp_of(1, [1.0])
     assert solve_lp(lp).status is Status.UNBOUNDED
 
 
 def test_free_variable():
-    lp = LinearProgram(1, [-1.0], lower=np.array([-np.inf]))
-    lp.add_rows([[1.0]], [">="], [-3.0])
+    lp = lp_of(1, [-1.0], lower=np.array([-np.inf]))
+    lp.add_rows(*rows_of([[1.0]], [">="], [-3.0]))
     res = solve_lp(lp)
     assert res.optimal
     assert res.objective_value == pytest.approx(3.0, abs=1e-7)
 
 
 def test_fixed_variable_elimination():
-    lp = LinearProgram(2, [1.0, 1.0],
-                       lower=np.array([0.5, 0.0]), upper=np.array([0.5, 2.0]))
-    lp.add_rows([[1.0, 1.0]], ["<="], [2.0])
+    lp = lp_of(2, [1.0, 1.0],
+               lower=np.array([0.5, 0.0]), upper=np.array([0.5, 2.0]))
+    lp.add_rows(*rows_of([[1.0, 1.0]], ["<="], [2.0]))
     res = solve_lp(lp)
     assert res.optimal
     assert res.x[0] == pytest.approx(0.5)
@@ -55,31 +57,38 @@ def test_fixed_variable_elimination():
 
 
 def test_dimension_mismatch():
-    lp = LinearProgram(2, [1.0, 1.0])
+    lp = lp_of(2, [1.0, 1.0])
     with pytest.raises(DimensionError):
-        lp.add_rows([[1.0]], ["<="], [1.0])
+        lp.add_rows(*rows_of([[1.0]], ["<="], [1.0]))
+    # The solve checks the shapes of an LP's fields against each other.
+    lp.rhs = np.ones(1)
+    with pytest.raises(DimensionError, match="constraints, rhs, lower and upper"):
+        solve_lp(lp)
 
 
 def test_only_maximization_over_inequalities_and_nonshifted_bounds():
     """An LP has no equality rows, and a variable that is not fixed has
-    lower bound 0 or -inf."""
-    lp = LinearProgram(2, [1.0, 1.0])
+    lower bound 0 or -inf.  The solve checks both."""
+    lp = lp_of(2, [1.0, 1.0], [[1.0, 1.0]], ["<="], [1.0])
+    lp.relations = ["="]
     with pytest.raises(ValueError, match="'=' is not a valid Relation"):
-        lp.add_rows([[1.0, 1.0]], ["="], [1.0])
+        solve_lp(lp)
     with pytest.raises(ValueError, match="x1 has lower bound 1"):
-        LinearProgram(2, [1.0, 1.0], lower=np.array([0.0, 1.0]))
+        solve_lp(lp_of(2, [1.0, 1.0], lower=np.array([0.0, 1.0])))
+    with pytest.raises(ValueError, match="lower bound exceeds upper bound"):
+        solve_lp(lp_of(1, [1.0], lower=np.array([2.0]), upper=np.array([1.0])))
     # Fixed at 1, nonnegative and boxed, and free.
-    lp = LinearProgram(3, [1.0, 1.0, 1.0], lower=np.array([1.0, 0.0, -np.inf]),
-                       upper=np.array([1.0, 2.0, 3.0]))
+    lp = lp_of(3, [1.0, 1.0, 1.0], lower=np.array([1.0, 0.0, -np.inf]),
+               upper=np.array([1.0, 2.0, 3.0]))
     assert solve_lp(lp).x.tolist() == [1.0, 2.0, 3.0]
 
 
 def test_degenerate_cycling_guard():
     # Classic Beale-style degeneracy: must terminate at the optimum.
-    lp = LinearProgram(4, [0.75, -150.0, 0.02, -6.0])
-    lp.add_rows([[0.25, -60.0, -1.0 / 25.0, 9.0],
-                 [0.5, -90.0, -1.0 / 50.0, 3.0],
-                 [0.0, 0.0, 1.0, 0.0]], ["<="] * 3, [0.0, 0.0, 1.0])
+    lp = lp_of(4, [0.75, -150.0, 0.02, -6.0])
+    lp.add_rows(*rows_of([[0.25, -60.0, -1.0 / 25.0, 9.0],
+                          [0.5, -90.0, -1.0 / 50.0, 3.0],
+                          [0.0, 0.0, 1.0, 0.0]], ["<="] * 3, [0.0, 0.0, 1.0]))
     res = solve_lp(lp)
     assert res.optimal
     assert res.objective_value == pytest.approx(0.05, abs=1e-7)
@@ -105,9 +114,9 @@ def test_matches_grid_oracle_on_random_boxes(data):
     n_rows = data.draw(st.integers(0, 3))
     rows = [rng.uniform(0, 2, size=n) for _ in range(n_rows)]
     rhs = [float(rng.uniform(0.2, 2.0)) for _ in range(n_rows)]
-    lp = LinearProgram(n, c, upper=np.ones(n))
+    lp = lp_of(n, c, upper=np.ones(n))
     for row, b in zip(rows, rhs):
-        lp.add_rows([row], ["<="], [b])
+        lp.add_rows(*rows_of([row], ["<="], [b]))
     res = solve_lp(lp)
     assert res.optimal
     best = _grid_best(c, rows, rhs, n)
@@ -126,10 +135,10 @@ def test_solution_feasible_and_consistent(data):
     n = data.draw(st.integers(2, 4))
     rng = np.random.default_rng(data.draw(st.integers(0, 10 ** 6)))
     c = rng.uniform(-1, 1, size=n)
-    lp = LinearProgram(n, c, upper=np.ones(n))
+    lp = lp_of(n, c, upper=np.ones(n))
     for _ in range(data.draw(st.integers(1, 3))):
-        lp.add_rows([rng.uniform(0, 1, size=n)],
-                    [Relation.LE], [float(rng.uniform(0.5, 2))])
+        lp.add_rows(*rows_of([rng.uniform(0, 1, size=n)],
+                             [Relation.LE], [float(rng.uniform(0.5, 2))]))
     res = solve_lp(lp)
     assert res.optimal
     for coeffs, rel, rhs in zip(lp.constraints.dense(), lp.relations, lp.rhs):
@@ -140,8 +149,8 @@ def test_solution_feasible_and_consistent(data):
 
 
 def test_dump_format():
-    lp = LinearProgram(2, [1.0, 0.0], upper=np.array([1.0, 2.0]))
-    lp.add_rows([[1.0, 1.0]], ["<="], [1.5])
+    lp = lp_of(2, [1.0, 0.0], upper=np.array([1.0, 2.0]))
+    lp.add_rows(*rows_of([[1.0, 1.0]], ["<="], [1.5]))
     text = lp.dump()
     assert "maximize" in text and "<=" in text and "x0" in text
 
@@ -149,7 +158,7 @@ def test_dump_format():
 def test_iteration_limit_is_typed(monkeypatch):
     monkeypatch.setattr(hetsched.lp, "MAX_ITER_BASE", 1)
     monkeypatch.setattr(hetsched.lp, "MAX_ITER_PER_DIM", 0)
-    lp = LinearProgram(2, [1.0, 1.0], upper=np.array([1.0, 1.0]))
+    lp = lp_of(2, [1.0, 1.0], upper=np.array([1.0, 1.0]))
     with pytest.raises(IterationLimitError, match="iteration limit"):
         solve_lp(lp)
     assert issubclass(IterationLimitError, RuntimeError)
@@ -187,10 +196,10 @@ def _random_lp(rng) -> LinearProgram:
         c = np.round(rng.uniform(-3.0, 3.0, size=n), 3)
     if rng.random() >= 0.5:
         c = -c
-    lp = LinearProgram(n, c, lower=lower, upper=upper)
+    lp = lp_of(n, c, lower=lower, upper=upper)
     for row, rel, b in zip(coeffs, rng.choice(["<=", ">="], size=m, p=[0.6, 0.4]),
                            rhs):
-        lp.add_rows([row], [rel], [b])
+        lp.add_rows(*rows_of([row], [rel], [b]))
     return lp
 
 
@@ -215,26 +224,26 @@ def _bottleneck_relaxation(rng) -> LinearProgram:
     upper[cells:] = np.where(np.isnan(pin), 1.0, pin)
     obj = np.zeros(n)
     obj[cells:] = 1.0
-    lp = LinearProgram(n, obj, lower=lower, upper=upper)
+    lp = lp_of(n, obj, lower=lower, upper=upper)
     for j in range(jobs):
         row = np.zeros(n)
         row[j * types:(j + 1) * types] = thr[j]
-        lp.add_rows([row], [">="], [prev[j]])
+        lp.add_rows(*rows_of([row], [">="], [prev[j]]))
         big = row.max() if row.max() > 0 else 1.0
         up = row.copy()
         up[cells + j] = -(big + 0.1 * big)
-        lp.add_rows([up], [">="], [prev[j] - big])
+        lp.add_rows(*rows_of([up], [">="], [prev[j] - big]))
         cap = row.copy()
         cap[cells + j] = -big
-        lp.add_rows([cap], ["<="], [prev[j]])
+        lp.add_rows(*rows_of([cap], ["<="], [prev[j]]))
     for j in range(jobs):
         row = np.zeros(n)
         row[j * types:(j + 1) * types] = 1.0
-        lp.add_rows([row], ["<="], [1.0])
+        lp.add_rows(*rows_of([row], ["<="], [1.0]))
     for t in range(types):
         row = np.zeros(n)
         row[t:cells:types] = 1.0
-        lp.add_rows([row], ["<="], [workers[t]])
+        lp.add_rows(*rows_of([row], ["<="], [workers[t]]))
     return lp
 
 
@@ -291,8 +300,8 @@ def test_bit_identical_to_reference_kernel():
 
 
 def _lp_of(objective, coeffs, relations, rhs) -> LinearProgram:
-    lp = LinearProgram(len(objective), objective)
-    lp.add_rows(coeffs, relations, rhs)
+    lp = lp_of(len(objective), objective)
+    lp.add_rows(*rows_of(coeffs, relations, rhs))
     return lp
 
 
@@ -492,13 +501,11 @@ def _solve_each(lp, objectives):
 
 
 def _solve_alone(lp, objective):
-    return solve_lp(LinearProgram(
-        lp.num_vars, objective, constraints=lp.constraints,
-        relations=lp.relations, rhs=lp.rhs, lower=lp.lower, upper=lp.upper))
+    return solve_lp(replace(lp, objective=np.asarray(objective, dtype=float)))
 
 
 def test_solve_checks_objective_shape():
-    lp = LinearProgram(2, np.zeros(2))
+    lp = lp_of(2, np.zeros(2))
     with pytest.raises(DimensionError):
         _solve_each(lp, [np.ones(2), np.ones(3)])
 
@@ -512,8 +519,7 @@ def _equivalence_set():
 
 
 def _with_rows(lp, coeffs, relations, rhs) -> LinearProgram:
-    return LinearProgram(lp.num_vars, lp.objective, constraints=coeffs, relations=relations, rhs=rhs,
-                         lower=lp.lower, upper=lp.upper)
+    return lp_of(lp.num_vars, lp.objective, coeffs, relations, rhs, lp.lower, lp.upper)
 
 
 def _assert_warm_verdict(ds, feasible, lp):
@@ -543,15 +549,14 @@ def _warm_verdicts():
         x0 = np.clip(np.random.default_rng(7000 + k).uniform(-2.0, 4.0, lp.num_vars),
                      lp.lower, lp.upper)
         at_x0 = [float(row @ x0) for row in lp.constraints.dense()]
-        ds = hetsched.lp._Standardized(_with_rows(lp, lp.constraints, lp.relations,
-                                                  at_x0))
+        ds = hetsched.lp._Standardized(replace(lp, rhs=np.array(at_x0)))
         assert ds.phase_one()
         ds.solve(lp.objective)
         extra = [(rng.integers(-2, 3, size=lp.num_vars).astype(float),
                   Relation(rng.choice(["<=", ">="])), float(rng.integers(-2, 6)))
                  for _ in range(int(rng.integers(1, 4)))]
         coeffs, rels, extra_rhs = map(list, zip(*extra))
-        screen = ds.append(np.array(coeffs), rels, extra_rhs)
+        screen = ds.append(*rows_of(coeffs, rels, extra_rhs))
         verdicts.append(_assert_warm_verdict(
             screen, screen.feasible,
             _with_rows(lp, np.vstack([lp.constraints.dense(), coeffs]),
@@ -612,7 +617,7 @@ def test_solve_leaves_its_optimal_basis(monkeypatch, refactor_every):
         assert np.array_equal(ds.basis, basis)
         # x_0 >= its optimal value less a margin holds at the optimum.
         row = np.eye(1, lp.num_vars)
-        grown = ds.append(row, [Relation.GE], [res.x[0] - 1e-6])
+        grown = ds.append(*rows_of(row, [Relation.GE], [res.x[0] - 1e-6]))
         assert grown.feasible
         assert np.array_equal(grown.basis[:len(basis)], basis)
     assert kept >= 50
@@ -634,7 +639,7 @@ def test_appended_rows_standardize_as_built_cold():
         coeffs = np.round(rng.uniform(-2.0, 2.0, size=(k, lp.num_vars)), 3)
         rels = [Relation.LE if rng.random() < 0.6 else Relation.GE for _ in range(k)]
         rhs = np.round(rng.uniform(-2.0, 5.0, size=k), 3)
-        screen = ds.append(coeffs, rels, rhs)
+        screen = ds.append(*rows_of(coeffs, rels, rhs))
         cold = hetsched.lp._Standardized(_with_rows(
             lp, np.vstack([lp.constraints.dense(), coeffs]), lp.relations + rels,
             np.concatenate([lp.rhs, rhs])))
@@ -683,18 +688,62 @@ def test_tableaus_match_dense_standardization():
                           coeffs)
         rels = [Relation(rng.choice(["<=", ">="])) for _ in coeffs]
         rhs = rng.integers(-2, 6, size=len(coeffs)).astype(float)
-        got, want = got.append(coeffs, rels, rhs), want.append(coeffs, rels, rhs)
+        block = rows_of(coeffs, rels, rhs)
+        got, want = got.append(*block), want.append(*block)
         assert state_bytes(got) == state_bytes(want)
         appended += 1
     assert min(moved, mirrored, bounded, appended) >= 30
 
 
 def test_dual_simplex_iteration_limit_is_typed(monkeypatch):
-    lp = LinearProgram(2, np.zeros(2))
-    lp.add_rows([[1.0, 1.0]], [Relation.GE], [1.0])
+    lp = lp_of(2, np.zeros(2))
+    lp.add_rows(*rows_of([[1.0, 1.0]], [Relation.GE], [1.0]))
     prob = hetsched.lp._Standardized(lp)
     assert prob.phase_one()
     monkeypatch.setattr(hetsched.lp, "MAX_ITER_BASE", 0)
     monkeypatch.setattr(hetsched.lp, "MAX_ITER_PER_DIM", 0)
     with pytest.raises(IterationLimitError, match="dual simplex iteration limit"):
-        prob.append(np.ones((1, 2)), [Relation.GE], [2.0])
+        prob.append(*rows_of(np.ones((1, 2)), [Relation.GE], [2.0]))
+
+
+def test_each_lp_is_checked_once(monkeypatch):
+    """A policy's LP is plain data that the `_Standardized` built for it
+    checks once: `_fixed` runs once per build, and nowhere else, on LAS,
+    min-makespan, the cost policies, finish-time fairness, las+wf and a
+    water-filling run whose bottlenecks the MILP decides.  For that run no
+    job is certified and a gain of zero is too close to call, so every
+    iteration's bottleneck check reaches the MILP."""
+    calls = {"fixed": 0, "built": 0, "milp": 0}
+    fixed, init = hetsched.lp._fixed, hetsched.lp._Standardized.__init__
+    milp = hetsched.waterfill._milp_bottlenecks
+
+    def counted(name, fn):
+        def spy(*args):
+            calls[name] += 1
+            return fn(*args)
+        return spy
+
+    monkeypatch.setattr(hetsched.lp, "_fixed", counted("fixed", fixed))
+    monkeypatch.setattr(hetsched.lp._Standardized, "__init__", counted("built", init))
+    monkeypatch.setattr(hetsched.waterfill, "_milp_bottlenecks", counted("milp", milp))
+    cluster = make_cluster({"V100": 1, "K80": 1}, costs={"V100": 3.0, "K80": 0.5})
+    T = ThroughputMatrix.from_cells(cluster, [JobCombination.of(i) for i in range(3)],
+                                    [[(4.0,), (1.0,)], [(3.0,), (1.0,)],
+                                     [(2.0,), (1.0,)]])
+    jobs = [Job(id=0, num_steps=1000, weight=2.0),
+            Job(id=1, num_steps=500, slo_seconds=5000.0, elapsed_time=30.0),
+            Job(id=2, num_steps=800, elapsed_time=10.0)]
+    runs = [lambda policy=policy: solve_policy(parse_policy(policy), jobs, cluster, T)
+            for policy in ("las", "makespan", "cost", "cost_slo", "ftf", "las+wf")]
+
+    def milp_fill():
+        with monkeypatch.context() as m:
+            m.setattr(hetsched.waterfill, "CERTIFY_BOUND", np.inf)
+            m.setattr(hetsched.waterfill, "VERIFY_FRACTION", -1.0)
+            hetsched.waterfill.single_level_waterfill(ProblemSpace(jobs, T))
+        assert calls["milp"] >= 1
+
+    for run in runs + [milp_fill]:
+        calls.update(fixed=0, built=0)
+        run()
+        assert calls["fixed"] == calls["built"] > 0

@@ -44,9 +44,9 @@ def milp_calls(monkeypatch):
     """Records every bottleneck MILP that water filling solves."""
     calls = []
 
-    def spy(mip, *args, **kwargs):
-        calls.append(mip)
-        return solve_milp(mip, *args, **kwargs)
+    def spy(lp, *args, **kwargs):
+        calls.append(lp)
+        return solve_milp(lp, *args, **kwargs)
 
     monkeypatch.setattr(hetsched.waterfill, "solve_milp", spy)
     return calls
