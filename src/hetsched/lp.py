@@ -103,12 +103,13 @@ _IS_GE = {Relation.LE: False, Relation.GE: True}
 
 
 def _ge(relations) -> list:
-    """Whether each of `relations` is >=; a relation other than <= and >=
-    raises ValueError."""
-    try:
-        return list(map(_IS_GE.__getitem__, relations))
-    except KeyError as e:
-        raise ValueError(f"{e.args[0]!r} is not a valid Relation") from None
+    """Whether each of `relations` is >=.  Anything but a `Relation`
+    member raises ValueError, text such as "<=" included: it compares
+    equal to `Relation.LE` but has no `value` for `dump`."""
+    if not {Relation}.issuperset(map(type, relations)):
+        bad = next(rel for rel in relations if type(rel) is not Relation)
+        raise ValueError(f"{bad!r} is not a valid Relation")
+    return list(map(_IS_GE.__getitem__, relations))
 
 
 class Status(enum.Enum):

@@ -11,9 +11,10 @@ builds every LP over the cells from row blocks, (coeffs, relations, rhs)
 triples whose coeffs are sparse `lp.Rows` made from the space's per-entry
 rates, never a dense job-by-cell array.  Max-min objectives
 (max-min fairness, min-makespan and the water-filling level) are compiled to
-one epigraph LP by `max_min_lp`.  Finish-time fairness iterates the same
-builder, and the cost policies maximize their linear-fractional objective by
-Dinkelbach's iteration over `ProblemSpace.lp`.
+one epigraph LP by `max_min_lp`; LAS builds it over classes of jobs alike
+(`ProblemSpace.classes`).  Finish-time fairness iterates the same
+builder, and the cost policies maximize their linear-fractional objective
+by Dinkelbach's iteration over `ProblemSpace.lp`.
 Shortest job first and the SLO rates solve no LP: a job alone on the
 cluster runs on its fastest singleton cell (`fastest_cell`).
 """
@@ -186,6 +187,10 @@ class ProblemSpace:
     entries' cells, then each type's worker capacity) and the equal-share
     throughputs all come from them, and `lp` builds every LP over the cells
     from `lp.Rows` blocks.  No array is indexed by job and cell together.
+
+    When T has no pair rows, `classes` splits the jobs into classes of
+    jobs alike and gives the space LAS solves over: one budget and one
+    level row per class (`ClassSpace`).
     """
 
     def __init__(self, jobs, T: ThroughputMatrix):
@@ -218,14 +223,45 @@ class ProblemSpace:
 
         self.row_sf = row_workers(T, self.by_id).astype(float)
         self._upper = np.where(T.feasible.ravel(), np.inf, 0.0)
-        # Per-job time budgets, then per-type worker capacity, over every cell.
-        types = T.cluster.types
-        self.validity = Rows(
-            np.concatenate([self.job, n + T.type_of[np.arange(self.n_cells) % C]]),
-            np.concatenate([self.cell, np.arange(self.n_cells)]),
-            np.concatenate([np.ones(len(self.job)), np.repeat(self.row_sf, C)]),
-            (n + len(types), self.n_cells))
-        self.validity_rhs = [1.0] * n + [float(t.num_workers) for t in types]
+
+    @cached_property
+    def validity(self) -> Rows:
+        """Each job's time budget, 1.0 on its entries' cells, then each
+        type's worker capacity, a cell's coefficient its row's `row_sf`
+        (no entry where that is 0, as on a `ClassSpace`'s other members)."""
+        n, C = len(self.jobs), self.T.num_configs
+        workers = np.repeat(self.row_sf, C)
+        cells = workers.nonzero()[0]
+        return Rows(np.concatenate([self.job, n + self.T.type_of[cells % C]]),
+                    np.concatenate([self.cell, cells]),
+                    np.concatenate([np.ones(len(self.job)), workers[cells]]),
+                    (n + len(self.T.cluster.types), self.n_cells))
+
+    @property
+    def validity_rhs(self) -> list:
+        """The validity rows' right-hand sides."""
+        return [1.0] * len(self.jobs) + [float(t.num_workers) for t in self.T.cluster.types]
+
+    def classes(self) -> "ProblemSpace":
+        """This space over its classes of jobs alike (a `ClassSpace`), or
+        the space itself when no two jobs are alike.  Jobs are alike when
+        T has no pair rows and they have the same rate row, feasible row,
+        scale factor and weight, and so the same LAS scale; a matrix with
+        pair rows leaves every job its own class.  Not cached: a space that
+        held itself would be freed only by the cyclic garbage collector."""
+        n = len(self.jobs)
+        if self.T.is_pair.any() or not n:
+            return self
+        # Each job's row, its only one, in `jobs` order (outsiders sort last).
+        rows = self.members[:, 0].argsort(kind="stable")[:n]
+        # A cell's rate, or -1.0 where infeasible.
+        cells = np.where(self.T.feasible[rows], self.T.thr[rows, :, 0], -1.0).tobytes()
+        w, first = len(cells) // n, {}
+        rep = [first.setdefault((cells[k * w:(k + 1) * w], j.scale_factor, j.weight), k)
+               for k, j in enumerate(self.jobs)]
+        if len(first) == n:
+            return self
+        return ClassSpace(self, rows, np.array(rep))
 
     @cached_property
     def best(self) -> dict:
@@ -277,6 +313,51 @@ class ProblemSpace:
         values = np.clip(x[: self.n_cells], 0.0, 1.0)
         return AllocationMatrix(self.T, values.reshape(self.T.num_rows,
                                                        self.T.num_configs))
+
+
+class ClassSpace(ProblemSpace):
+    """A space over classes of jobs alike (`ProblemSpace.classes`), compiled
+    from the job space's entries.  Its `jobs` are each class's first
+    member, in the job space's order, with that member's entries, so a
+    class has one time budget and one row in every per-job block.  The
+    other members are outside it: their cells are pinned to 0 and carry no
+    coefficient.  `row_sf` is each row's worker count times its class's
+    size, so a first member's capacity coefficients count every member,
+    and `allocation` gives every member its class's row.  The variables
+    are still every cell of T."""
+
+    def __init__(self, space: ProblemSpace, rows: np.ndarray, rep: np.ndarray):
+        """`rows` holds each job's row and `rep` the position of its
+        class's first member, both in `space.jobs` order."""
+        n, C = len(space.jobs), space.T.num_configs
+        first = (rep == np.arange(n)).nonzero()[0]
+        m = len(first)
+        self.T, self.n_cells = space.T, space.n_cells
+        self.jobs = [space.jobs[k] for k in first.tolist()]
+        self.by_id = {j.id: j for j in self.jobs}
+        self.position = {j.id: k for k, j in enumerate(self.jobs)}
+        self.equal_norm = space.equal_norm
+        # A job's position here, m for the other members and outsiders.
+        at = np.full(n + 1, m)
+        at[first] = np.arange(m)
+        self.members = at[space.members]
+        job = at[space.job]
+        mine = (job < m).nonzero()[0]
+        self.job, self.cell, self.rate = job[mine], space.cell[mine], space.rate[mine]
+        # Each row's member count: its class's size on a first member's
+        # row, 0 on the other members' rows, 1 on an outsider's.
+        size = np.bincount(rep, minlength=n + 1)
+        size[n] = 1
+        count = size[space.members[:, 0]]
+        self.row_sf = space.row_sf * count
+        self._upper = np.where(np.repeat(count > 0, C), space._upper, 0.0)
+        # The row of x each row of the allocation is read from.
+        self.source = np.arange(space.T.num_rows)
+        self.source[rows] = rows[rep]
+
+    def allocation(self, x: np.ndarray) -> AllocationMatrix:
+        """Every member's row holds its class's first member's row of x."""
+        return AllocationMatrix(self.T, super().allocation(x).values[self.source])
 
 
 def fastest_cell(T: ThroughputMatrix, job_id: int) -> tuple[int | None, float]:
@@ -358,10 +439,22 @@ def _solve(label: str, lp: LinearProgram, space: ProblemSpace) -> PolicyResult:
 
 def max_min_fairness(space: ProblemSpace) -> PolicyResult:
     """Weighted max-min fairness over normalized effective throughputs,
-    each scaled by the job's worker count over its weight."""
-    return _solve("max-min fairness", max_min_lp(space, {
+    each scaled by the job's worker count over its weight.
+
+    The epigraph LP is built over the space's classes of jobs alike
+    (`ProblemSpace.classes`): one level row and one time budget per class,
+    in the order of the classes' first members, with each first member's
+    capacity coefficients multiplied by its class's size, and every member
+    gets its class's allocation row.  Averaging any optimum over the
+    members of each class gives an optimum that treats them alike, so the
+    optimum is the job LP's (the LP symmetry reduction of Bödi, Herr and
+    Joswig, Math. Programming 2013).  A class of one adds exactly the job
+    LP's rows and coefficients, so with no two jobs alike the LP is the
+    job LP."""
+    classes = space.classes()
+    return _solve("max-min fairness", max_min_lp(classes, {
         j.id: j.scale_factor / (j.weight * space.equal_norm[j.id])
-        for j in space.jobs}), space)
+        for j in classes.jobs}), classes)
 
 
 def fifo(space: ProblemSpace) -> PolicyResult:

@@ -31,7 +31,8 @@ that gives one job the whole cluster (`reference_standalone`),
 finish-time fairness by bisection over its feasibility LP
 (`reference_ftf`, with `ftf_rho` to score an allocation) and the LP
 builders adding one row at a time (`reference_space_lp` and the
-`reference_*_lp` builders on top of it, `reference_pinned`), with the
+`reference_*_lp` builders on top of it, `reference_pinned`; LAS's LP
+with one row per job is `reference_las_lp`), with the
 seeded matrices (`random_cells`, priced by `random_costs`) on which they
 are compared.  So is the cost policies' ratio as they once maximized it, by
 the Charnes-Cooper transformation into one LP (`reference_maximize_ratio`).
@@ -1335,6 +1336,14 @@ def reference_max_min_lp(space: ProblemSpace, scales: dict,
              floors[j.id] if floors else 0.0)
             for j in space.jobs if j.id in scales]
     return reference_space_lp(space, obj, rows, extra_lower=-np.inf)
+
+
+def reference_las_lp(space: ProblemSpace) -> LinearProgram:
+    """LAS's epigraph LP with one level row and one time budget per job, as
+    it was built before LAS solved over classes of jobs alike."""
+    return reference_max_min_lp(space, {
+        j.id: j.scale_factor / (j.weight * space.equal_norm[j.id])
+        for j in space.jobs})
 
 
 def _ftf_terms(space: ProblemSpace):

@@ -17,12 +17,13 @@ from hetsched.jobs import Job
 from hetsched.lp import Relation, SolveResult, Status, _Standardized, solve_lp
 from hetsched.matrices import ThroughputMatrix, isolated_allocation
 from hetsched.milp import _pinned
-from hetsched.policies import (PolicyError, PolicyInfeasibleError, ProblemSpace,
-                               finish_time_fairness, max_min_fairness, max_min_lp,
-                               min_cost_slo)
+from hetsched.policies import (ClassSpace, PolicyError, PolicyInfeasibleError,
+                               ProblemSpace, finish_time_fairness,
+                               max_min_fairness, max_min_lp, min_cost_slo)
 from oracles import (DenseStandardized, random_cells, random_costs,
                      reference_bottleneck_lp,
-                     reference_ftf_lp, reference_gain_lp, reference_level_lp,
+                     reference_ftf_lp, reference_gain_lp, reference_las_lp,
+                     reference_level_lp,
                      reference_max_min_lp, reference_level_pin_lp,
                      reference_pinned, reference_screen_lp, reference_space_lp,
                      rows_of, space_coeffs)
@@ -348,3 +349,36 @@ def test_tableaus_match_dense_standardization(monkeypatch):
                 covered.update(k for k, v in kind.items() if v)
     assert min(covered[k] for k in ("appended", "pairs", "fixed", "pinned", "free",
                                     "bounded")) >= 20, covered
+
+
+def test_las_without_alike_jobs_solves_the_job_lp(monkeypatch):
+    """With no two jobs alike, LAS over classes is LAS over jobs: the LP it
+    solves is the one-row-per-job LP byte for byte, and so is every
+    tableau (T, b, basis, Binv and xb) and the allocation.  A `ClassSpace`
+    built with every job its own class compiles that same LP, since a
+    class of one keeps its job's rows and coefficients (times 1.0)."""
+    pairs = 0
+    for seed in range(60):
+        rng = np.random.default_rng(7000 + seed)
+        space = _space(rng)
+        pairs += bool(space.T.is_pair.any())
+        T = space.T.take(~space.T.is_pair)
+        for space in (space, ProblemSpace(space.jobs, T)):
+            assert space.classes() is space
+            scales = {j.id: j.scale_factor / (j.weight * space.equal_norm[j.id])
+                      for j in space.jobs}
+            job_lp = max_min_lp(space, scales)
+            assert_same_lp(job_lp, reference_las_lp(space))
+            got, _ = _states(monkeypatch, lambda: max_min_fairness(space), _Standardized)
+            want, _ = _states(monkeypatch, lambda: solve_lp(job_lp), _Standardized)
+            assert got == want
+            res = max_min_fairness(space)
+            assert res.allocation.values.tobytes() == \
+                space.allocation(solve_lp(job_lp).x).values.tobytes()
+        rows = np.array([T.singleton_row(j.id) for j in space.jobs])
+        one_each = ClassSpace(space, rows, np.arange(len(space.jobs)))
+        assert_same_lp(max_min_lp(one_each, scales), job_lp)
+        x = solve_lp(job_lp).x
+        assert one_each.allocation(x).values.tobytes() == \
+            space.allocation(x).values.tobytes()
+    assert pairs >= 20

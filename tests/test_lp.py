@@ -83,6 +83,21 @@ def test_only_maximization_over_inequalities_and_nonshifted_bounds():
     assert solve_lp(lp).x.tolist() == [1.0, 2.0, 3.0]
 
 
+def test_relation_given_as_text_is_refused():
+    """Text such as "<=" compares equal to its `Relation` member, but
+    `dump` cannot print it, so a solve refuses it, in an LP's own rows and
+    in rows appended to a state alike."""
+    lp = lp_of(2, [1.0, 1.0], [[1.0, 1.0]], ["<="], [1.0])
+    lp.relations = ["<="]
+    with pytest.raises(ValueError, match="'<=' is not a valid Relation"):
+        solve_lp(lp)
+    state = hetsched.lp._Standardized(lp_of(2, [1.0, 1.0], [[1.0, 1.0]], ["<="], [1.0]))
+    assert state.phase_one()
+    rows, _, rhs = rows_of([[1.0, 0.0]], [">="], [0.5])
+    with pytest.raises(ValueError, match="'>=' is not a valid Relation"):
+        state.append(rows, [">="], rhs)
+
+
 def test_degenerate_cycling_guard():
     # Classic Beale-style degeneracy: must terminate at the optimum.
     lp = lp_of(4, [0.75, -150.0, 0.02, -6.0])

@@ -21,8 +21,8 @@ from hetsched.policies import (InfeasibleSloError, PolicyError,
 
 from oracles import (OracleInstance, RatioUnboundedError, ftf_rho, oracle_ftf,
                      oracle_las, oracle_makespan, random_cells, random_costs,
-                     random_instance, reference_ftf, reference_maximize_ratio,
-                     reference_standalone)
+                     random_instance, reference_ftf, reference_las_lp,
+                     reference_maximize_ratio, reference_standalone)
 
 
 def singles(cluster, T_rows):
@@ -75,6 +75,89 @@ class TestLas:
         T = ThroughputMatrix.from_cells(cluster, rows, [[(0.0,)]])
         with pytest.raises(ZeroThroughputError):
             max_min_fairness(ProblemSpace([Job(id=0, num_steps=10)], T))
+
+    def test_classes_of_identical_jobs_keep_the_job_lp_optimum(self):
+        """Criterion-3 instances with each job repeated one to four times,
+        shuffled, and some copies given another weight.  LAS solves over
+        the classes of jobs alike, and its optimum is the one-row-per-job
+        LP's; every member gets its class's allocation row, byte for byte;
+        the allocation is valid; and on a stated floor of instances a class
+        of several members has time on a type whose capacity row binds, so
+        the class size in that row decides the optimum."""
+        rng = np.random.default_rng(3400)
+        binding = 0
+        for _ in range(120):
+            inst = random_instance(rng, max_jobs=3, max_types=2)
+            src = rng.permutation(np.repeat(np.arange(inst.num_jobs),
+                                            rng.integers(1, 5, inst.num_jobs)))
+            weights = inst.weights[src] * np.where(rng.random(len(src)) < 0.15, 2.0, 1.0)
+            cluster = make_cluster({chr(65 + t): 1 for t in range(inst.num_types)})
+            T = singles(cluster, inst.T[src].tolist())
+            jobs = [Job(id=k, num_steps=int(inst.steps[s]), weight=float(w))
+                    for k, (s, w) in enumerate(zip(src.tolist(), weights.tolist()))]
+            space = ProblemSpace(jobs, T)
+            classes = {}
+            for k, key in enumerate(zip(src.tolist(), weights.tolist())):
+                classes.setdefault(key, []).append(k)
+            assert [j.id for j in space.classes().jobs] == [ks[0] for ks in classes.values()]
+
+            res = max_min_fairness(space)
+            ref = solve_lp(reference_las_lp(space))
+            assert abs(res.objective - ref.objective_value) <= OPT_TOL
+            X = res.allocation
+            X.validate(space.by_id)
+            for ks in classes.values():
+                assert len({X.values[k].tobytes() for k in ks}) == 1
+            tight = X.values.sum(axis=0) >= 1.0 - 1e-9  # one worker per type
+            binding += any((X.values[ks[0]] > 1e-9)[tight].any()
+                           for ks in classes.values() if len(ks) > 1)
+        assert binding >= 80, binding
+
+    def test_paper_scale_static_decisions(self, monkeypatch):
+        """Static seed-7 decisions on the CLI's 108-worker cluster: at 2,048
+        jobs the LP has one level row and one budget per class plus the
+        three capacity rows, and at 200 jobs its optimum is the job LP's."""
+        lps = []
+
+        def solve(lp):
+            lps.append(lp)
+            return solve_lp(lp)
+
+        monkeypatch.setattr(hetsched.policies, "solve_lp", solve)
+        cluster, jobs, T = _static_decision(2048)
+        res = solve_policy(parse_policy("las"), jobs, cluster, T)
+        alike = {(T.thr[T.singleton_row(j.id), :, 0].tobytes(),
+                  T.feasible[T.singleton_row(j.id)].tobytes(), j.scale_factor, j.weight)
+                 for j in jobs}
+        (lp,) = lps
+        assert len(cluster.types) == 3 and len(alike) < 2048 // 10
+        assert len(lp.constraints) == 2 * len(alike) + 3
+        assert res.objective == lp.objective @ solve_lp(lp).x
+
+        cluster, jobs, T = _static_decision(200)
+        space = ProblemSpace(jobs, T)
+        res = max_min_fairness(space)
+        assert abs(res.objective - solve_lp(reference_las_lp(space)).objective_value) <= OPT_TOL
+
+
+def _static_decision(n: int):
+    """The cluster, jobs and matrix of the first decision of a static
+    seed-7 trace of n jobs on the CLI's default 108-worker cluster, every
+    job active and none started."""
+    from hetsched import cli
+    from hetsched.simulator import SimConfig, Simulation, _ActiveJob, _job_of
+    from hetsched.traces import generate_trace, load_catalog
+
+    catalog = load_catalog()
+    cluster = make_cluster(cli.DEFAULT_CLUSTER, costs=cli.DEFAULT_COSTS,
+                           workers_per_server=cli.DEFAULT_SERVERS)
+    trace = generate_trace("static", n, catalog, seed=7)
+    sim = Simulation(SimConfig(cluster=cluster, policy=parse_policy("las"), seed=7),
+                     trace, catalog)
+    jobs = [_job_of(e, k) for k, e in enumerate(trace.entries)]
+    states = [_ActiveJob(j, sim.templates[j.name], sim._rates(j, sim.templates[j.name]))
+              for j in jobs]
+    return cluster, jobs, sim.build_matrix(states)[0]
 
 
 class TestFifo:
