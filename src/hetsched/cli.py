@@ -21,6 +21,7 @@ from pathlib import Path
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import __version__
 from .cluster import ClusterSpec, make_cluster
@@ -144,6 +145,15 @@ def _numbers(option: str, text: str, convert=float) -> list:
         _fail(EXIT_USAGE, f"{option} takes comma-separated numbers, not {text!r}")
 
 
+def _once_each(option: str, names: list):
+    """Exit with EXIT_USAGE when two values of a sweep share the name their
+    output files carry, since the later run would overwrite the earlier."""
+    repeated = [name for k, name in enumerate(names) if name in names[:k]]
+    if repeated:
+        _fail(EXIT_USAGE, f"{option} repeats {repeated[0]}; each value names "
+                          "its own output files")
+
+
 def _load_cluster(cluster_file, preset_counts=None) -> ClusterSpec:
     if cluster_file is None:
         return make_cluster(preset_counts or DEFAULT_CLUSTER,
@@ -159,7 +169,8 @@ def _load_cluster(cluster_file, preset_counts=None) -> ClusterSpec:
 
 
 @click.group()
-@click.option("--seed", default=0, show_default=True, help="Base RNG seed.")
+@click.option("--seed", default=0, type=click.IntRange(min=0), show_default=True,
+              help="Base RNG seed.")
 @click.option("--round-duration", default=None, type=float,
               help="Scheduling round length in seconds (default: preset's).")
 @click.option("--cluster", "cluster_file", type=click.Path(), default=None,
@@ -341,9 +352,22 @@ def cmd_simulate(ctx, policy_text, trace_file, num_jobs, lambdas, mode, seeds,
     if trace_file is None and num_jobs is None:
         raise click.UsageError("need --trace or --jobs")
     seed_list = _numbers("--seeds", seeds, int) if seeds else [ctx.obj["seed"]]
+    if min(seed_list) < 0:
+        _fail(EXIT_USAGE, f"--seeds takes non-negative seeds, not {min(seed_list)}")
+    _once_each("--seeds", [str(seed) for seed in seed_list])
     lambda_list = _numbers("--lambda", lambdas) if lambdas else [None]
-    if trace_file is not None and lambdas:
+    _once_each("--lambda", [f"{lam:g}" for lam in lambda_list if lam is not None])
+    given = {name for name in ("lambdas", "num_jobs", "mode", "profile_fraction")
+             if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT}
+    if trace_file is not None and "lambdas" in given:
         raise click.UsageError("--lambda sweeps generate traces; drop --trace")
+    if trace_file is not None and "num_jobs" in given:
+        raise click.UsageError("--jobs sizes generated traces; drop --trace")
+    if trace_file is not None and "mode" in given:
+        raise click.UsageError("--mode shapes generated traces; drop --trace")
+    if not references and "profile_fraction" in given:
+        raise click.UsageError("--profile-fraction sets the estimator's "
+                               "measurements; add --references")
     given_trace = _read(trace_file, Trace.load) if trace_file else None
     templates = _read(catalog_file, load_catalog) if catalog_file else load_catalog()
     traces = {}

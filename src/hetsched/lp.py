@@ -239,21 +239,9 @@ class SolveResult:
 
 def solve_lp(lp: LinearProgram) -> SolveResult:
     """Solve the LP; returns an optimal basic feasible solution when one exists."""
-    dump_each(lambda: lp)
     prob = _Standardized(lp)
     prob.phase_one()
     return prob.solve(lp.objective)
-
-
-def dump_each(build) -> None:
-    """Feed `debug_sink` the text of the LP that `build()` returns.  `build`
-    runs only when a sink is set, so a solver that never builds the
-    LinearProgram can still show it."""
-    if debug_sink is None:
-        return
-    lp = build()
-    debug_sink(f"# LP: {lp.num_vars} variables, {len(lp.constraints)} constraints\n"
-               + lp.dump())
 
 
 def _row_dots(rows: Rows, fixed: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -498,6 +486,13 @@ class _Standardized:
             lp.add_rows(*rows)
         return lp
 
+    def dump(self, objective) -> None:
+        """Feed `debug_sink` the text of `as_lp(objective)`, when a sink is set."""
+        if debug_sink is not None:
+            lp = self.as_lp(objective)
+            debug_sink(f"# LP: {lp.num_vars} variables, {len(lp.constraints)} "
+                       "constraints\n" + lp.dump())
+
     def reduced_costs(self, objective) -> tuple:
         """The reduced costs under `objective` at the basis the state holds,
         priced as `_simplex` prices them, zero on basic columns: those of
@@ -527,6 +522,7 @@ class _Standardized:
             raise DimensionError(f"objective has shape {objective.shape}, "
                                  f"expected ({self.lp.num_vars},)")
         c = self.cost(objective)
+        self.dump(objective)
         if not self.feasible:
             return SolveResult(Status.INFEASIBLE)
         if not len(self.basis):

@@ -154,12 +154,17 @@ class Simulation:
         if config.recompute_every is not None and config.recompute_every < 1:
             raise ValueError("recompute interval must be at least one round, "
                              f"not {config.recompute_every}")
+        if config.seed < 0:
+            raise ValueError(f"seed must be non-negative, not {config.seed}")
         est = config.estimator
         if est is not None and len(est.reference_names) < 2:
             raise ValueError("the estimator needs at least two reference templates")
         if est is not None and not 0 <= est.profile_fraction <= 1:
             raise ValueError(f"profile fraction must lie in [0, 1], not "
                              f"{est.profile_fraction}")
+        if est is not None and not config.policy.space_sharing:
+            raise ValueError("the estimator only sets pair rates; it needs a "
+                             "space-sharing (+ss) policy")
         self.cfg = config
         self.trace = trace
         self.templates = {t.name: t for t in templates}
@@ -216,16 +221,17 @@ class Simulation:
             for cfg in self.cfg.cluster.configurations])
 
     def build_matrix(self, states: list) -> tuple:
-        """(T_policy, T_exec) over `states`, given in job-id order.
+        """(T_policy, thr_exec) over `states`, given in job-id order.
 
         The rows are the singletons in `states` order, then (with space
         sharing) each pair of equal scale factor in `np.triu_indices` order,
-        so a matrix's `job_ids` is the states' order and a pair row's `ends`
-        index `states`.  The policy matrix holds the pair factors the
+        so the matrix's `job_ids` is the states' order and a pair row's
+        `ends` index `states`.  The policy matrix holds the pair factors the
         scheduler believes (per direction, an online-observed value, else
-        `refs.R` at the matches or else `coloc`) and is pruned on them; the
-        execution matrix holds its rows at their true `coloc` factors (it is
-        T_policy itself without the estimator).
+        `refs.R` at the matches or else `coloc`) and is pruned on them.
+        `thr_exec` is the rate array the jobs run at: T_policy's rows at
+        their true `coloc` factors, laid out as `T_policy.thr` (it is that
+        array itself without the estimator).
         """
         cluster = self.cfg.cluster
         workers = np.array([cluster.types[cfg.type_id].num_workers
@@ -237,17 +243,16 @@ class Simulation:
         singles = [st.combo for st in states]
         if not self.cfg.policy.space_sharing:
             T = ThroughputMatrix(cluster, singles, single_thr, feasible)
-            return T, T
+            return T, T.thr
 
         def factors(table, index, pairs):  # table[a, b], table[b, a] per pair
             a, b = index[pairs].T
             return np.stack([table[a, b], table[b, a]], axis=1)
 
-        def matrix(rows, pairs, pair_factors) -> ThroughputMatrix:
-            thr = rate[pairs].transpose(0, 2, 1) * pair_factors[:, None, :]
-            return ThroughputMatrix(
-                cluster, rows, np.concatenate([single_thr, thr]),
-                np.concatenate([feasible, feasible[pairs].all(axis=1)]))
+        def thr(pairs, pair_factors) -> np.ndarray:
+            # `rate` is 0.0 where a row is infeasible, as a matrix stores it.
+            return np.concatenate([single_thr, rate[pairs].transpose(0, 2, 1)
+                                   * pair_factors[:, None, :]])
 
         i, j = np.triu_indices(len(states), 1)
         same = sf[i] == sf[j]
@@ -270,11 +275,13 @@ class Simulation:
             seen = np.array([[observed.get((a, b)), observed.get((b, a))]
                              for a, b in keys], dtype=float)
             believed = np.where(np.isnan(seen), believed, seen)
-        T_policy = prune_combinations(matrix(singles + rows, pairs, believed))
+        T_policy = prune_combinations(ThroughputMatrix(
+            cluster, singles + rows, thr(pairs, believed),
+            np.concatenate([feasible, feasible[pairs].all(axis=1)])))
         if self.refs is None:
-            return T_policy, T_policy
+            return T_policy, T_policy.thr
         kept = T_policy.ends[T_policy.is_pair]
-        return T_policy, matrix(T_policy.rows, kept, factors(self.coloc, kind, kept))
+        return T_policy, thr(kept, factors(self.coloc, kind, kept))
 
     def _spread_agnostic(self, X: AllocationMatrix) -> AllocationMatrix:
         """Rebalance each row's time uniformly over its feasible cells,
@@ -356,7 +363,6 @@ class Simulation:
         round_idx = 0
         need_resolve = True
         allocation: AllocationMatrix | None = None
-        T_exec: ThroughputMatrix | None = None
         compiled: AllocationMatrix | None = None  # the allocation `decision` holds
         cost_of = [cfg.cluster.types[c.type_id].cost_per_hour
                    for c in cfg.cluster.configurations]
@@ -405,9 +411,9 @@ class Simulation:
                 resolve_now = need_resolve or allocation is None
             if resolve_now:
                 states = [active[k] for k in sorted(active)]
-                T_policy, T_exec = self.build_matrix(states)
+                T_policy, thr_exec = self.build_matrix(states)
                 if cfg.agnostic:
-                    T_policy = self._agnostic_matrix(T_exec)
+                    T_policy = self._agnostic_matrix(T_policy)
                 snapshot = []
                 for st in states:
                     j = st.job
@@ -421,15 +427,15 @@ class Simulation:
                 solves += 1
                 if cfg.agnostic:
                     result.allocation = self._spread_agnostic(result.allocation)
-                allocation = AllocationMatrix(T_exec, result.allocation.values)
+                allocation = result.allocation  # over T_policy: no row dropped
                 need_resolve = False
 
             if compiled is not allocation:
                 # A new decision, or a periodic cut of one: compile it once,
-                # with T_exec's rates as nested lists for the lookups below.
+                # with `thr_exec` as nested lists for the lookups below.
                 decision = CompiledAllocation(
                     allocation, {k: st.job for k, st in active.items()})
-                rates = T_exec.thr.tolist()
+                rates = thr_exec.tolist()
                 compiled = allocation
                 plan = None
 
@@ -480,9 +486,9 @@ class Simulation:
                 last_round = this_round
 
             if cfg.collect_round_log:
-                self.round_log.append(plan.to_json(T_exec, round_idx))
+                self.round_log.append(plan.to_json(allocation.T, round_idx))
 
-            settle_round(plan, ledger, T_exec)
+            settle_round(plan, ledger, allocation.T)
             now += cfg.round_duration
             round_idx += 1
 
@@ -501,12 +507,12 @@ class Simulation:
                 if cfg.recompute_every is not None and allocation is not None:
                     # Periodic mode keeps the stale allocation but must stop
                     # scheduling departed jobs: drop their rows.
-                    gone = np.isin(T_exec.job_ids, completions)
-                    keep = ~gone[T_exec.ends].any(axis=1)
+                    T = allocation.T
+                    keep = ~np.isin(T.job_ids, completions)[T.ends].any(axis=1)
                     if keep.any():
-                        T_exec = T_exec.take(keep)
-                        allocation = AllocationMatrix(T_exec,
+                        allocation = AllocationMatrix(T.take(keep),
                                                       allocation.values[keep])
+                        thr_exec = thr_exec[keep]
                     else:
                         allocation = None
 

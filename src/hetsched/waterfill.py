@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .jobs import EntityPolicy
-from .lp import Relation, Rows, _Standardized, dump_each
+from .lp import Relation, Rows, _Standardized
 from .matrices import AllocationMatrix
 # bench/tracing.py wraps these two names where this module binds them.
 from .lp import solve_lp  # noqa: F401
@@ -144,7 +144,6 @@ def _level_lp(space: ProblemSpace, weights: dict, t_prev: dict,
     lp.add_rows(space.rate_rows(lp.num_vars).take(carried),
                 [Relation.GE] * len(carried),
                 [thr_prev[space.jobs[k].id] for k in carried])
-    dump_each(lambda: lp)
     state = _Standardized(lp)
     state.phase_one()
     res = state.solve(lp.objective)
@@ -169,7 +168,6 @@ def _tighten(space: ProblemSpace, state: _Standardized, level: float) -> tuple:
     n = space.n_cells
     pin = Rows(np.zeros(1, dtype=np.intp), np.full(1, n), np.ones(1), (1, n + 1))
     tight = state.append(pin, [Relation.GE], [level - TIGHTEN_SLACK])
-    dump_each(lambda: tight.as_lp(lean))
     # Rows with no feasible basis leave `solve` infeasible.
     res = tight.solve(lean)
     if not res.optimal:
@@ -199,7 +197,6 @@ def max_gain(space: ProblemSpace, thr_prev: dict, job_ids,
     out = {}
     for job_id in job_ids:
         objective = np.append(space.rates(job_id), 0.0)
-        dump_each(lambda: gain_rows.as_lp(objective))
         res = gain_rows.solve(objective)
         out[job_id] = res.objective_value - thr_prev[job_id] if res.optimal else 0.0
     return out
@@ -257,7 +254,7 @@ def _screen_feasible(space: ProblemSpace, active: list, thr_prev: dict,
         [Relation.GE if j.id in cand else Relation.LE for j in active],
         [thr_prev[j.id] + delta[j.id] if j.id in cand else thr_prev[j.id]
          for j in active])
-    dump_each(lambda: screen.as_lp(np.zeros(space.n_cells + 1)))
+    screen.dump(np.zeros(space.n_cells + 1))
     return screen.feasible
 
 

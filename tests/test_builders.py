@@ -82,8 +82,8 @@ class _Searched:
 
 class _State:
     """Stands in for an `lp._Standardized` at an optimum of `lp`: keeps the
-    row blocks appended to it, as `as_lp` reads them, and calls every
-    appended state feasible."""
+    row blocks appended to it, as `as_lp` reads them, calls every appended
+    state feasible and dumps through `_Standardized.dump`."""
 
     feasible = True
 
@@ -94,6 +94,9 @@ class _State:
         return _State(self.lp, self.appended + (rows,))
 
     as_lp = _Standardized.as_lp
+
+    def dump(self, objective):
+        _Standardized.dump(self, objective)
 
 
 class _Standardizing:
@@ -196,7 +199,8 @@ def test_bottleneck_builders_match_row_at_a_time(monkeypatch):
                  for j in active}
         cand = {j.id for j in active if rng.random() < 0.5}
         built = []
-        monkeypatch.setattr(waterfill, "dump_each", lambda build: built.append(build()))
+        monkeypatch.setattr(_Standardized, "dump",
+                            lambda state, objective: built.append(state.as_lp(objective)))
         assert waterfill._screen_feasible(space, active, thr, delta, cand, gain)
         monkeypatch.undo()
         (screen,) = built

@@ -855,6 +855,35 @@ class TestSimulate:
         assert "error:" in res.output and named in res.output
         assert "Traceback" not in res.output
 
+    @pytest.mark.parametrize("args, named", [
+        (["--seed", "-3", *SIMULATE, "--lambda", "0.01"], "'--seed'"),
+        (["--seed", "-3", *GENERATE], "'--seed'"),
+        (["simulate", "--policy", "las+ss", "--trace", "TRACE", "--seeds", "-1",
+          "--references", "8"], "error: --seeds takes non-negative seeds, not -1"),
+        (SIMULATE + ["--lambda", "0.01", "--seeds", "3,1,3"], "error: --seeds repeats 3"),
+        (SIMULATE + ["--lambda", "0.01,0.02,0.010"], "error: --lambda repeats 0.01"),
+        (["simulate", "--policy", "las", "--trace", "TRACE", "--jobs", "2"],
+         "--jobs sizes generated traces; drop --trace"),
+        (["simulate", "--policy", "las", "--trace", "TRACE", "--mode", "continuous"],
+         "--mode shapes generated traces; drop --trace"),
+        (SIMULATE + ["--lambda", "0.01", "--profile-fraction", "0.5"],
+         "--profile-fraction sets the estimator's measurements; add --references"),
+        (SIMULATE + ["--lambda", "0.01", "--references", "8"],
+         "error: the estimator only sets pair rates"),
+    ], ids=["seed-negative", "seed-negative-generate", "seeds-negative",
+            "seeds-repeated", "lambda-repeated", "jobs-with-trace",
+            "mode-with-trace", "profile-fraction-alone", "references-without-ss"])
+    def test_rejected_before_any_run(self, runner, tmp_path, args, named):
+        # Each would crash, overwrite an output, or set something no run reads.
+        trace = tmp_path / "given.jsonl"
+        Trace([TraceEntry(0.0, "model-00", 10), TraceEntry(0.0, "model-01", 10)],
+              "static", 0).save(trace)
+        args = [str(trace) if a == "TRACE" else a for a in args]
+        res = runner.invoke(main, ["--out", str(tmp_path), *args])
+        assert res.exit_code == 2, res.output
+        assert named in res.output and "Traceback" not in res.output
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["given.jsonl"]
+
     def test_baseline_flag_adds_rows(self, runner, tmp_path):
         res = runner.invoke(main, ["--out", str(tmp_path), "simulate",
                                    "--policy", "las", "--jobs", "6",

@@ -8,7 +8,8 @@ import pytest
 import hetsched.simulator as simulator
 from hetsched.cluster import make_cluster
 from hetsched.jobs import Entity, EntityPolicy
-from hetsched.matrices import effective_throughput, equal_share_allocation
+from hetsched.matrices import (ThroughputMatrix, effective_throughput,
+                               equal_share_allocation)
 from hetsched.policies import EntityError, parse_policy
 from hetsched.simulator import (EstimatorConfig, MetricsReport, SimConfig,
                                 Simulation,
@@ -107,6 +108,26 @@ class TestSingleJob:
                         policy=parse_policy("las"), seed=0)
         with pytest.raises(ValueError, match="trace entry 2: job 0: slo_seconds"):
             Simulation(cfg, trace, [flat_template()])
+
+    def test_negative_seed_rejected_up_front(self):
+        cfg = SimConfig(cluster=make_cluster({"gpu": 1}),
+                        policy=parse_policy("las"), seed=-1)
+        with pytest.raises(ValueError, match="seed must be non-negative, not -1"):
+            Simulation(cfg, Trace([TraceEntry(0.0, "flat", 10)], "static", 0),
+                       [flat_template()])
+
+    def test_estimator_without_space_sharing_rejected_up_front(self):
+        # The estimator only sets pair rates, which a policy without +ss
+        # never reads.
+        templates = [flat_template(f"flat-{k}") for k in range(2)]
+        cfg = SimConfig(cluster=make_cluster({"gpu": 1}),
+                        policy=parse_policy("las"), seed=0,
+                        estimator=EstimatorConfig(["flat-0", "flat-1"]))
+        trace = Trace([TraceEntry(0.0, "flat-0", 10)], "static", 0)
+        with pytest.raises(ValueError, match=r"space-sharing \(\+ss\) policy"):
+            Simulation(cfg, trace, templates)
+        Simulation(dataclasses.replace(cfg, policy=parse_policy("las+ss")),
+                   trace, templates)
 
     def test_hierarchical_policy_needs_listed_entities(self):
         cfg = SimConfig(cluster=make_cluster({"gpu": 1}),
@@ -500,7 +521,7 @@ class TestReferenceMechanism:
         # arrivals every 2,700 s on 360 s rounds.  The simulator keeps a
         # certified plan while its decision stands; the reference plans and
         # places every round.  In periodic mode completions between
-        # re-solves cut their rows from the execution matrix, the ledger
+        # re-solves cut their rows from the decision's matrix, the ledger
         # follows every cut, and arrivals wait for the next tick.  On the
         # smaller cluster some rows split their target over two cells, so a
         # plan can take one cell in every such row and still not repeat.
@@ -601,11 +622,10 @@ class TestMatrixBuild:
         "periodic": ("las+ss", True, {"estimator": True, "recompute_every": 3}),
     }
 
-    @pytest.mark.parametrize("case", list(CASES))
-    def test_matches_per_pair_reference(self, monkeypatch, case):
-        # Both matrices of every decision equal, byte for byte, those of the
-        # per-pair build with its per-direction factor precedence.
-        policy, mixed, fields = self.CASES[case]
+    @staticmethod
+    def config(policy, mixed, fields) -> tuple:
+        """(SimConfig, trace, catalog) of a 14-job run on six workers; an
+        `estimator` field set true matches against eight references."""
         fields = dict(fields)
         catalog = make_template_catalog(0)
         rng = np.random.default_rng(5)
@@ -621,24 +641,107 @@ class TestMatrixBuild:
                 reference_names=[t.name for t in catalog[:8]])
         cfg = SimConfig(cluster=make_cluster({"V100": 2, "P100": 2, "K80": 2}),
                         policy=parse_policy(policy), seed=1, **fields)
+        return cfg, Trace(entries, "continuous", 0), catalog
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_matches_per_pair_reference(self, monkeypatch, case):
+        # The policy matrix and the execution rates of every decision equal,
+        # byte for byte, the two matrices of the per-pair build with its
+        # per-direction factor precedence.
+        cfg, trace, catalog = self.config(*self.CASES[case])
         real = Simulation.build_matrix
         overridden = []
 
         def spy(self, states):
-            got = real(self, states)
+            T, thr_exec = real(self, states)
             want = oracles.reference_build_matrix(self, states)
-            assert (got[0] is got[1]) == (want[0] is want[1])
-            for T, ref in zip(got, want):
+            assert (thr_exec is T.thr) == (want[0] is want[1])
+            for ref in want:
                 assert T.rows == ref.rows
-                assert T.thr.tobytes() == ref.thr.tobytes()
                 assert T.feasible.tobytes() == ref.feasible.tobytes()
+            assert T.thr.tobytes() == want[0].thr.tobytes()
+            assert thr_exec.shape == want[1].thr.shape
+            assert thr_exec.tobytes() == want[1].thr.tobytes()
             overridden.append(any((a.job.id, b.job.id) in self.estimates.values
                                   for a in states for b in states))
-            return got
+            return T, thr_exec
 
         monkeypatch.setattr(Simulation, "build_matrix", spy)
-        report = Simulation(cfg, Trace(entries, "continuous", 0), catalog).run()
-        assert len(report.records) == len(entries) and len(overridden) > 5
+        report = Simulation(cfg, trace, catalog).run()
+        assert len(report.records) == len(trace.entries) and len(overridden) > 5
         if cfg.estimator is not None:
             # Online observations override some factors, but not all.
             assert any(overridden) and not all(overridden)
+
+    @pytest.mark.parametrize("case, builds", [("estimated", 2), ("oracle", 2),
+                                              ("las", 1)])
+    def test_one_matrix_per_decision(self, monkeypatch, case, builds):
+        # A decision builds the policy matrix and, with space sharing, the
+        # all-pairs matrix `prune_combinations` cuts it from.  The
+        # estimator's true rates come as an array, with no matrix of their
+        # own.
+        cfg, trace, catalog = self.config(*self.CASES[case])
+        built = []
+        init = ThroughputMatrix.__init__
+
+        def spy(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(ThroughputMatrix, "__init__", spy)
+        report = Simulation(cfg, trace, catalog).run()
+        assert report.policy_solves > 5
+        assert len(built) == builds * report.policy_solves
+
+    @pytest.mark.parametrize("fields", [{}, {"agnostic": True},
+                                        {"recompute_every": 3}],
+                             ids=["plain", "agnostic", "periodic"])
+    def test_rounds_run_the_policys_allocation(self, monkeypatch, fields):
+        # Each decision compiles the very allocation `solve_policy` returned
+        # (spread, on the agnostic variant), over the matrix the policy
+        # solved: the decision's policy matrix, or its agnostic view.  A
+        # periodic cut compiles that allocation's surviving rows.
+        cfg, trace, catalog = self.config("las+ss", True,
+                                          {"estimator": True, **fields})
+        events = []
+        build, solve, compile_ = (Simulation.build_matrix, simulator.solve_policy,
+                                  simulator.CompiledAllocation)
+
+        def build_spy(self, states):
+            events.append(("build", *build(self, states)))
+            return events[-1][1:]
+
+        def solve_spy(spec, jobs, cluster, T, **kwargs):
+            events.append(("solve", T, solve(spec, jobs, cluster, T, **kwargs)))
+            return events[-1][2]
+
+        def compile_spy(allocation, jobs):
+            events.append(("compile", allocation))
+            return compile_(allocation, jobs)
+
+        monkeypatch.setattr(Simulation, "build_matrix", build_spy)
+        monkeypatch.setattr(simulator, "solve_policy", solve_spy)
+        monkeypatch.setattr(simulator, "CompiledAllocation", compile_spy)
+        report = Simulation(cfg, trace, catalog).run()
+        kinds = [event[0] for event in events]
+        assert kinds[:3] == ["build", "solve", "compile"]
+        solved = cuts = 0
+        for k, event in enumerate(events):
+            if event[0] == "solve":
+                T_policy, (_, T, result) = events[k - 1][1], event
+                if "agnostic" in fields:
+                    assert T.rows is T_policy.rows
+                    assert np.array_equal(T.feasible, T_policy.feasible)
+                else:
+                    assert T is T_policy
+                assert events[k + 1][1] is result.allocation
+                assert result.allocation.T is T
+                solved += 1
+            elif event[0] == "compile" and kinds[k - 1] != "solve":
+                X = event[1]
+                assert "recompute_every" in fields and set(X.rows) < set(T.rows)
+                kept = [T.row_index(combo) for combo in X.rows]
+                assert np.array_equal(X.values, result.allocation.values[kept])
+                cuts += 1
+        assert solved == report.policy_solves > 5
+        assert (cuts > 0) == ("recompute_every" in fields)
