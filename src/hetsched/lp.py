@@ -42,14 +42,23 @@ returned bit is the dense kernel's.
 
 One object, `_Standardized`, holds an LP's rows in standard form and the
 basis its last solve left; the LP's own rows, its upper-bound rows and
-appended rows share `standardize_rows`.  It is entered two ways.  A cold
-solve runs phase 1 from the slack basis and then phase 2 (`solve_lp`).  A
-warm one appends rows to a state at a basis it already reached (`append`):
-each new row starts with its slack basic, and a zero-cost dual simplex
-moves the basis to a feasible one.  A zero objective makes every basis
-dual feasible, so under Bland's rule it pays only for the pivots the new
-rows need (Koberstein, PhD thesis, 2005), and none when the basis already
-satisfies them.  Phase 2 then runs the same primal simplex from that basis
+appended rows share `standardize_rows`.  It is entered three ways, and
+--dump-lp prints each LP once, before its phase 1, crash or phase 2:
+
+- `phase_one` runs phase 1 from the slack basis; `solve_lp` follows it with
+  phase 2.
+- `start_at(x)` crashes a basis whose basic solution is a known vertex x of
+  the rows, with no phase 1, and reports False when x is not one, so the
+  caller falls back on `phase_one`.  Water filling's level LPs start there
+  from the previous iteration's allocation.
+- `append` adds rows to a state at a basis it already reached: each new row
+  starts with its slack basic, and a zero-cost dual simplex moves the basis
+  to a feasible one.  A zero objective makes every basis dual feasible, so
+  under Bland's rule it pays only for the pivots the new rows need
+  (Koberstein, PhD thesis, 2005), and none when the basis already satisfies
+  them.
+
+Phase 2 (`solve`) then runs the same primal simplex from the state's basis
 and leaves its optimum in the state, so the next objective, or the next
 appended rows, start there.
 """
@@ -76,6 +85,9 @@ ROUNDOFF_TOL = 1e-12
 ZERO_TOL = 1e-11
 # Smallest pivot that may drive a leftover artificial out of the basis.
 PIVOT_TOL = 1e-9
+# `start_at` pivots onto the first open row whose pivot is at least this
+# fraction of the largest one (threshold partial pivoting).
+CRASH_PIVOT_RATIO = 0.1
 # Bounds closer than this fix the variable.
 FIXED_TOL = 1e-15
 # Consecutive degenerate pivots tolerated before switching to Bland's rule.
@@ -280,13 +292,14 @@ class _Standardized:
     positive/negative parts; finite upper bounds become extra rows; the
     maximized objective is negated into the cost.  `entries` holds the
     rows' coefficients on the kept variables as (row, column, value)
-    arrays, and `phase_one` scatters them into the tableau `T`, negating
-    some rows, adds each free variable's mirror column and a slack column
-    per row, and keeps `T`, its right-hand side `b` and a feasible basis
-    with its inverse and basic values.  `append` and `solve` both start
-    from that state; `solve` leaves it at the optimal basis its phase 2
-    reaches.  `lp` is the LP the state was built from and `appended` the
-    row blocks appended to it since, which `as_lp` puts back together.
+    arrays, and a cold entry (`phase_one` or `start_at`) scatters them
+    into the tableau `T`, negating some rows, adds each free variable's
+    mirror column and a slack column per row, and keeps `T`, its
+    right-hand side `b` and a feasible basis with its inverse and basic
+    values.  `append` and `solve` both start from that state; `solve`
+    leaves it at the optimal basis its phase 2 reaches.  `lp` is the LP
+    the state was built from and `appended` the row blocks appended to it
+    since, which `as_lp` puts back together.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -331,6 +344,8 @@ class _Standardized:
         self.b = np.concatenate([lp.rhs, lp.upper[ub_vars]]) - fixed
         self.ge = np.array(ge + [False] * len(ub_vars), dtype=bool)
         self.appended = ()
+        # The objective the LP was printed under by its cold entry.
+        self.shown = None
 
     def standardize_rows(self, rows: Rows):
         """The (row, column, value) entries of `rows`, rows over the LP's
@@ -381,70 +396,146 @@ class _Standardized:
             return Status.UNBOUNDED, None
         return Status.OPTIMAL, np.zeros(len(c))
 
-    def phase_one(self) -> bool:
-        """Whether the rows are feasible, by the cold phase 1, which runs
-        only when some row needs an artificial.  It keeps the state
-        described in the class docstring, none of which depends on the
-        objective."""
+    def _tableau(self, artificials: bool) -> tuple:
+        """The rows as a cold entry starts them: (T, b, ge).  Rows with a
+        negative right-hand side are negated, which swaps LE and GE; so are
+        GE rows with a zero right-hand side, whose slack then starts basic
+        at 0.  `ge` marks the rows that are >= after that and `b` is their
+        right-hand side, nonnegative.  T holds the standardized columns,
+        then a slack column per row (a surplus on GE rows), then, with
+        `artificials`, an identity column per GE row."""
         b, n = self.b, self.n
         m = len(b)
-
-        # Rows with a negative right-hand side are negated, which swaps LE
-        # and GE; so are GE rows with a zero right-hand side, whose slack
-        # then starts basic at 0 and needs no artificial.
         neg = b < 0
         flip = neg | (self.ge & (b == 0))
-        b = np.where(neg, -b, b)
         ge = self.ge ^ flip
-
-        # A slack column per row (a surplus on GE rows), then an artificial
-        # per GE row.  The starting basis (the LE slacks and the
-        # artificials) is the identity.
         art_rows = ge.nonzero()[0]
-        art_start = n + m
-        total = art_start + len(art_rows)
-        slack_cols = np.arange(n, art_start)
-        art_cols = np.arange(art_start, total)
-        T = np.zeros((m, total))
+        T = np.zeros((m, n + m + (len(art_rows) if artificials else 0)))
         self._scatter(T, self.entries, 0, flip)
-        T[np.arange(m), slack_cols] = np.where(ge, -1.0, 1.0)
-        T[art_rows, art_cols] = 1.0
-        basis = slack_cols.copy()
-        basis[art_rows] = art_cols
-        if art_rows.size:
-            c1 = np.zeros(total)
-            c1[art_start:] = 1.0
-            status, x_all, basis = _simplex(T, b, c1, basis, np.eye(m), b.copy(),
-                                            PHASE1_OPT_TOL)
-            # Absolute residual threshold: scaling it by the rhs magnitude
-            # would make the verdict depend on how the caller formulated the
-            # rows (a big-M variant of the same system would pass where the
-            # direct form fails).
-            if status is not Status.OPTIMAL or float(c1 @ x_all) > FEAS_TOL:
-                self.feasible = False
-                return False
+        T[np.arange(m), np.arange(n, n + m)] = np.where(ge, -1.0, 1.0)
+        if artificials:
+            T[art_rows, np.arange(n + m, T.shape[1])] = 1.0
+        return T, np.where(neg, -b, b), ge
 
-            # Pivot each artificial left basic (at zero) out for the
-            # lowest-index nonbasic column it can take.  One always exists,
-            # so no row is dropped: an artificial e_r basic at position i
-            # has B^-1 e_r = e_i, so row r's slack +-e_r prices at +-1 in
-            # row i and is nonbasic (Chvatal, Linear Programming, 1983).
-            Binv = None
-            for i in (basis >= art_start).nonzero()[0]:
-                if Binv is None:  # the basis changed since the last inverse
-                    Binv = _basis_inverse(T, basis)
-                entering = np.abs(Binv[i] @ T[:, :art_start]) > PIVOT_TOL
-                entering[basis[basis < art_start]] = False
-                basis[i] = entering.argmax()
-                Binv = None
-            T = T[:, :art_start]
-            Binv = _basis_inverse(T, basis)
-            xb = Binv @ b
-        else:
-            # The slack basis is feasible: no phase 1.
-            Binv, xb = np.eye(m), b.copy()
+    def _enter(self, T, b, basis, Binv, xb) -> None:
+        """Keep a cold entry's tableau and feasible basis."""
         self.feasible = True
         self.T, self.b, self.basis, self.Binv, self.xb = T, b, basis, Binv, xb
+
+    def _show(self) -> None:
+        """Print the LP the state was built from once, before its first
+        cold entry; `solve` prints it again only under another objective."""
+        if self.shown is None:
+            self.shown = self.lp.objective
+            self.dump(self.shown)
+
+    def phase_one(self) -> bool:
+        """Whether the rows are feasible, by the cold phase 1, which runs
+        only when some row needs an artificial: a >= row with a positive
+        right-hand side.  It keeps the state described in the class
+        docstring, none of which depends on the objective."""
+        self._show()
+        # The starting basis, the LE slacks and the artificials, is the
+        # identity.
+        T, b, ge = self._tableau(True)
+        m = len(b)
+        art_start = self.n + m
+        basis = np.arange(self.n, art_start)
+        basis[ge] = np.arange(art_start, T.shape[1])
+        if art_start == T.shape[1]:
+            # The slack basis is feasible: no phase 1.
+            self._enter(T, b, basis, np.eye(m), b.copy())
+            return True
+        c1 = np.zeros(T.shape[1])
+        c1[art_start:] = 1.0
+        status, x_all, basis = _simplex(T, b, c1, basis, np.eye(m), b.copy(),
+                                        PHASE1_OPT_TOL)
+        # Absolute residual threshold: scaling it by the rhs magnitude
+        # would make the verdict depend on how the caller formulated the
+        # rows (a big-M variant of the same system would pass where the
+        # direct form fails).
+        if status is not Status.OPTIMAL or float(c1 @ x_all) > FEAS_TOL:
+            self.feasible = False
+            return False
+
+        # Pivot each artificial left basic (at zero) out for the
+        # lowest-index nonbasic column it can take.  One always exists,
+        # so no row is dropped: an artificial e_r basic at position i
+        # has B^-1 e_r = e_i, so row r's slack +-e_r prices at +-1 in
+        # row i and is nonbasic (Chvatal, Linear Programming, 1983).
+        Binv = None
+        for i in (basis >= art_start).nonzero()[0]:
+            if Binv is None:  # the basis changed since the last inverse
+                Binv = _basis_inverse(T, basis)
+            entering = np.abs(Binv[i] @ T[:, :art_start]) > PIVOT_TOL
+            entering[basis[basis < art_start]] = False
+            basis[i] = entering.argmax()
+            Binv = None
+        T = T[:, :art_start]
+        Binv = _basis_inverse(T, basis)
+        self._enter(T, b, basis, Binv, Binv @ b)
+        return True
+
+    def start_at(self, x) -> bool:
+        """Enter at a basis whose basic solution is `x`, a point over the
+        LP's variables, with no phase 1; False, leaving the state as it
+        was, when `x` is not a vertex of the rows.  The caller then runs
+        `phase_one`.
+
+        The tableau is `phase_one`'s without artificials.  From the slack
+        basis each column positive at `x` is pivoted in, in column order,
+        onto an open row: one tight at `x` (its slack within ROUNDOFF_TOL
+        of zero) whose slack is still basic.  Of those it takes the first
+        in row order whose |d| is at least CRASH_PIVOT_RATIO times the
+        largest, the threshold partial pivoting of sparse LU (Duff, Erisman
+        and Reid, Direct Methods for Sparse Matrices, 1986), so a max-min
+        LP's level rows, which come first, leave before the rows they
+        share a job's rates with; the crash bases of Bixby (Oper. Res.
+        50(1), 2002) start the same way.  Every other column is zero at
+        `x`, so the basic solution is `x`, up to the rounding that put the
+        tight rows' slacks at zero.  The crash fails when `x` is off a
+        fixed variable's value or below a zero lower bound, when no open
+        row has a pivot of at least PIVOT_TOL (the positive columns are
+        dependent on the tight rows: `x` is not a vertex) or when a basic
+        value ends below -ROUNDOFF_TOL (`x` breaks a row)."""
+        self._show()
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.lp.num_vars,):
+            raise DimensionError(f"start point has shape {x.shape}, "
+                                 f"expected ({self.lp.num_vars},)")
+        if np.any(x[self.fixed] != self.fixed_vals[self.fixed]):
+            return False
+        n, m = self.n, len(self.b)
+        vals = x[self.keep]
+        free = vals[self.neg_cols]
+        u = np.zeros(n)
+        u[:self.n_main] = vals
+        u[self.neg_cols] = np.maximum(free, 0.0)
+        u[self.n_main:] = np.maximum(-free, 0.0)
+        if np.any(u < -ROUNDOFF_TOL):
+            return False
+        T, b, ge = self._tableau(False)
+        sign = np.where(ge, -1.0, 1.0)
+        slack = sign * (b - T[:, :n] @ u)
+        # The rows whose slack may leave the basis.
+        open_rows = np.abs(slack) <= ROUNDOFF_TOL
+        basis = np.arange(n, n + m)
+        Binv = np.diag(sign)
+        buf = np.empty(m)
+        for col in (u > 0).nonzero()[0]:
+            d = Binv @ T[:, col]
+            size = np.where(open_rows, np.abs(d), 0.0)
+            top = size.max(initial=0.0)
+            if top < PIVOT_TOL:
+                return False
+            leave = (size >= CRASH_PIVOT_RATIO * top).argmax()
+            _pivot(Binv, d, leave, buf)
+            basis[leave] = col
+            open_rows[leave] = False
+        xb = Binv @ b
+        if np.any(xb < -ROUNDOFF_TOL):
+            return False
+        self._enter(T, b, basis, Binv, xb)
         return True
 
     def append(self, rows: Rows, relations: list, rhs) -> "_Standardized":
@@ -476,6 +567,7 @@ class _Standardized:
         out.feasible, out.basis, out.Binv, out.xb = _dual_simplex(
             out.T, out.b, np.concatenate([self.basis, slacks_k]), Binv, Binv @ out.b)
         out.appended = self.appended + ((rows, relations, rhs),)
+        out.shown = None
         return out
 
     def as_lp(self, objective) -> LinearProgram:
@@ -516,13 +608,16 @@ class _Standardized:
         """Phase 2 for one objective from the basis the state holds, as a
         SolveResult over the LP's own variables, leaving the state at the
         basis it ends on: rows appended afterwards, and the next objective,
-        start from this one's optimum."""
+        start from this one's optimum.  --dump-lp prints the LP first,
+        unless it is the one the cold entry printed."""
+        shown = objective is self.shown
         objective = np.asarray(objective, dtype=float)
         if objective.shape != (self.lp.num_vars,):
             raise DimensionError(f"objective has shape {objective.shape}, "
                                  f"expected ({self.lp.num_vars},)")
+        if not shown:
+            self.dump(objective)
         c = self.cost(objective)
-        self.dump(objective)
         if not self.feasible:
             return SolveResult(Status.INFEASIBLE)
         if not len(self.basis):

@@ -21,10 +21,14 @@ the certified jobs are the answer.  Only when that screen fails does
 mixed-integer program when that screen fails too or a gain sits too close
 to the strictness slack to call.
 
-Every LP of an iteration starts from the level LP, whose cold phase 1 is
-the only one the iteration pays for.  The others are rows appended to an
-optimum and moved to a feasible basis by a zero-cost dual simplex
-(`lp._Standardized.append`), and solved by phase 2 from there:
+Every LP of an iteration starts from the level LP, and no level LP after
+the first pays for a phase 1: phase 2 starts at a basis crashed at the
+previous iteration's allocation, which meets every row of the next level
+LP (`_level_lp`, `lp._Standardized.start_at`).  The first level LP's rows
+all hold at the slack basis, so a fill runs a phase 1 only where a crash
+fails.  The other LPs are rows appended to an optimum and moved to a
+feasible basis by a zero-cost dual simplex (`lp._Standardized.append`),
+and solved by phase 2 from there:
 
 - the tightening LP, whose optimal vertex becomes the allocation X, is the
   level LP's rows plus one row pinning lam at the level, which the level
@@ -132,11 +136,20 @@ def _level_scales(space: ProblemSpace, weights: dict) -> dict:
 
 
 def _level_lp(space: ProblemSpace, weights: dict, t_prev: dict,
-              thr_prev: dict) -> tuple:
+              thr_prev: dict, X_prev: AllocationMatrix | None) -> tuple:
     """Water level of one iteration: the max-min LP raising every weighted
     job's scaled normalized throughput above its previous level, plus carry
     rows that keep any job's raw throughput from dropping.  Returns the LP
-    as an `lp._Standardized` at its optimal basis, and the level."""
+    as an `lp._Standardized` at its optimal basis, and the level.
+
+    `X_prev` is the previous iteration's allocation, None at the first.
+    With lam = 0 it meets every row: each weighted job's floor is its
+    scaled throughput under X_prev and each carry row's right-hand side its
+    throughput.  It is a vertex of these rows, since every rate row the
+    previous tightening LP held tight is a carry row here, so phase 2
+    starts from a basis crashed at it (`lp._Standardized.start_at`), with
+    a cold phase 1 only if the crash fails.  The first iteration's rows
+    all hold at the slack basis."""
     lp = max_min_lp(space, _level_scales(space, weights),
                     {j.id: t_prev[j.id] / weights[j.id]
                      for j in space.jobs if weights[j.id] > 0})
@@ -145,7 +158,8 @@ def _level_lp(space: ProblemSpace, weights: dict, t_prev: dict,
                 [Relation.GE] * len(carried),
                 [thr_prev[space.jobs[k].id] for k in carried])
     state = _Standardized(lp)
-    state.phase_one()
+    if X_prev is None or not state.start_at(np.append(X_prev.values.ravel(), 0.0)):
+        state.phase_one()
     res = state.solve(lp.objective)
     if not res.optimal:
         raise PolicyInfeasibleError(f"water-filling LP returned {res.status}")
@@ -379,12 +393,13 @@ def _fill(space: ProblemSpace, weights_of) -> WaterfillResult:
     t_prev = {j.id: 0.0 for j in jobs}
     thr_prev = {j.id: 0.0 for j in jobs}
     iterations = []
+    X = None
 
     for _ in range(len(jobs) + 1):
         weights = weights_of(done)
         if all(w <= 0 for w in weights.values()):
             break
-        state, level = _level_lp(space, weights, t_prev, thr_prev)
+        state, level = _level_lp(space, weights, t_prev, thr_prev, X)
         X, tight = _tighten(space, state, level)
         thr = dict(zip([j.id for j in jobs],
                        space.throughputs(X.values.ravel()).tolist()))

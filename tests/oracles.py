@@ -1266,8 +1266,10 @@ def cold_screen_feasible(space: ProblemSpace, active: list, thr_prev: dict,
 
 def reference_waterfill(space: ProblemSpace, entities=None) -> WaterfillResult:
     """Water filling as it ran before the level LP certified bottlenecks:
-    `find_bottlenecks` decides every iteration.  Hierarchical over
-    `entities`, or flat max-min fairness when they are None."""
+    `find_bottlenecks` decides every iteration.  Each level LP starts at
+    the previous iteration's allocation, as the library's does.
+    Hierarchical over `entities`, or flat max-min fairness when they are
+    None."""
     import hetsched.waterfill as wf
 
     def weights_of(done):
@@ -1280,11 +1282,12 @@ def reference_waterfill(space: ProblemSpace, entities=None) -> WaterfillResult:
     t_prev = {j.id: 0.0 for j in jobs}
     thr_prev = {j.id: 0.0 for j in jobs}
     iterations = []
+    X = None
     for _ in range(len(jobs) + 1):
         weights = weights_of(done)
         if all(w <= 0 for w in weights.values()):
             break
-        state, level = wf._level_lp(space, weights, t_prev, thr_prev)
+        state, level = wf._level_lp(space, weights, t_prev, thr_prev, X)
         X, _ = wf._tighten(space, state, level)
         thr = {j.id: effective_throughput(j.id, X, space.T) for j in jobs}
         normalized = {j.id: thr[j.id] / space.equal_norm[j.id] for j in jobs}

@@ -166,7 +166,7 @@ def test_policy_builders_match_row_at_a_time(monkeypatch):
         seen = []
         monkeypatch.setattr(waterfill, "_Standardized",
                             lambda lp: _Standardizing(lp, seen))
-        state, _ = waterfill._level_lp(space, weights, t_prev, thr_prev)
+        state, _ = waterfill._level_lp(space, weights, t_prev, thr_prev, None)
         waterfill._tighten(space, state, level)
         monkeypatch.undo()
         level_lp, tighten = seen

@@ -368,6 +368,21 @@ class TestSolve:
         assert "error:" in res.output and "iteration limit" in res.output
         assert "Traceback" not in res.output
 
+    @pytest.mark.parametrize("policy", ["ftf", "las"])
+    def test_dump_lp_prints_an_lp_whose_phase_one_fails(self, runner, tmp_path,
+                                                         monkeypatch, policy):
+        # With no pivot budget the first LP's phase 1 (FTF's floors need
+        # artificials) or phase 2 (LAS starts at the slack basis) stops the
+        # run, and the LP it stopped on is printed once, before it.
+        monkeypatch.setattr(hetsched.lp, "MAX_ITER_BASE", 0)
+        monkeypatch.setattr(hetsched.lp, "MAX_ITER_PER_DIM", 0)
+        res = runner.invoke(main, ["--out", str(tmp_path), "--dump-lp", "simulate",
+                                   "--policy", policy, "--jobs", "3",
+                                   "--lambda", "0.01"])
+        assert res.exit_code == 3, res.output
+        assert "iteration limit" in res.output and "Traceback" not in res.output
+        assert res.stderr.count("# LP: ") == 1 and "subject to" in res.stderr
+
     def test_dump_lp_scoped_to_its_invocation(self, runner, tmp_path):
         thr, jobs = write_three_job_instance(tmp_path)
         args = ["--out", str(tmp_path), "solve", "--policy", "las",

@@ -11,7 +11,7 @@ import hetsched.lp
 import hetsched.waterfill
 from hetsched.cluster import make_cluster
 from hetsched.jobs import Job, JobCombination
-from hetsched.lp import (OPT_TOL, PHASE1_OPT_TOL, DimensionError,
+from hetsched.lp import (FEAS_TOL, OPT_TOL, PHASE1_OPT_TOL, DimensionError,
                          IterationLimitError, LinearProgram, Relation, Status,
                          solve_lp)
 from hetsched.matrices import ThroughputMatrix
@@ -762,3 +762,101 @@ def test_each_lp_is_checked_once(monkeypatch):
         calls.update(fixed=0, built=0)
         run()
         assert calls["fixed"] == calls["built"] > 0
+
+
+def _crashed_point(prob):
+    """The LP variables' values at the basic solution a state holds."""
+    u = np.zeros(prob.T.shape[1])
+    u[prob.basis] = prob.xb
+    return prob.recover(u[:prob.n])
+
+
+def _assert_cold_path_solves(prob, lp, dumped):
+    """After a failed crash the state still takes `phase_one` and phase 2,
+    which give `solve_lp`'s result bit for bit, and the LP that the crash
+    printed is not printed again."""
+    assert len(dumped) == 1
+    prob.phase_one()
+    res = prob.solve(lp.objective)
+    assert len(dumped) == 1
+    ref = solve_lp(lp)
+    assert res.status is ref.status
+    assert not res.optimal or res.x.tobytes() == ref.x.tobytes()
+
+
+def test_start_at_a_vertex_reproduces_it(monkeypatch):
+    """A basis crashed at a vertex of a max-min LP (its optimum under the
+    LP's own or a random objective) holds its own inverse, its basic
+    solution is the vertex within FEAS_TOL, and phase 2 from it reaches
+    `solve_lp`'s optimum within OPT_TOL.  The LP prints once, before the
+    crash."""
+    dumped = []
+    monkeypatch.setattr(hetsched.lp, "debug_sink", dumped.append)
+    crashed = moved = 0
+    for seed in range(40):
+        rng = np.random.default_rng(12_000 + seed)
+        for lp in _max_min_lps(rng):
+            ref = solve_lp(lp)
+            for objective in [lp.objective] + _random_objectives(rng, lp.num_vars):
+                vertex = _solve_alone(lp, objective)
+                if not vertex.optimal:
+                    continue
+                dumped.clear()
+                prob = hetsched.lp._Standardized(lp)
+                assert prob.start_at(vertex.x)
+                m = len(prob.b)
+                assert np.abs(prob.Binv @ prob.T[:, prob.basis] - np.eye(m)).max() <= 1e-9
+                assert np.abs(_crashed_point(prob) - vertex.x).max() <= FEAS_TOL
+                res = prob.solve(lp.objective)
+                assert res.optimal
+                assert abs(res.objective_value - ref.objective_value) <= OPT_TOL
+                assert len(dumped) == 1
+                crashed += 1
+                moved += bool(np.any(vertex.x != ref.x))
+    assert crashed >= 150 and moved >= 50
+
+
+def test_start_at_refuses_points_that_are_not_vertices(monkeypatch):
+    """The crash returns False, and the cold path still solves, at points
+    that are not vertices of the rows: the midpoint of two distinct
+    vertices, a vertex that breaks a row it leaves slack (the row's
+    right-hand side moved past it), a vertex with a cell below its zero
+    lower bound, and one off a pinned cell's value."""
+    dumped = []
+    monkeypatch.setattr(hetsched.lp, "debug_sink", dumped.append)
+    refused = dict.fromkeys(("midpoint", "broken row", "negative", "pinned"), 0)
+    for seed in range(40):
+        rng = np.random.default_rng(13_000 + seed)
+        for lp in _max_min_lps(rng):
+            a = solve_lp(lp).x
+            cases = []
+            for objective in _random_objectives(rng, lp.num_vars):
+                b = _solve_alone(lp, objective)
+                if b.optimal and np.abs(a - b.x).max() > 1e-3:
+                    cases.append(("midpoint", lp, (a + b.x) / 2))
+                    break
+            rows = lp.constraints.dense()
+            slack = np.where([rel is Relation.GE for rel in lp.relations],
+                             rows @ a - lp.rhs, lp.rhs - rows @ a)
+            i = int(slack.argmax())
+            if slack[i] > 1e-3:
+                rhs = lp.rhs.copy()
+                rhs[i] += 2 * slack[i] if lp.relations[i] is Relation.GE else -2 * slack[i]
+                cases.append(("broken row", replace(lp, rhs=rhs), a))
+            nonnegative = (lp.lower == 0) & (lp.upper > 0)
+            if nonnegative.any():
+                x = a.copy()
+                x[nonnegative.argmax()] = -0.5
+                cases.append(("negative", lp, x))
+            pinned = (lp.lower == lp.upper).nonzero()[0]
+            if pinned.size:
+                x = a.copy()
+                x[pinned[0]] = 0.5
+                cases.append(("pinned", lp, x))
+            for name, case_lp, x in cases:
+                dumped.clear()
+                prob = hetsched.lp._Standardized(case_lp)
+                assert not prob.start_at(x), name
+                _assert_cold_path_solves(prob, case_lp, dumped)
+                refused[name] += 1
+    assert min(refused.values()) >= 40, refused

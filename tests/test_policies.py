@@ -3,6 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import hetsched.lp
 import hetsched.policies
 from hetsched.cluster import make_cluster
 from hetsched.jobs import Entity, Job, JobCombination
@@ -124,7 +125,7 @@ class TestLas:
             return solve_lp(lp)
 
         monkeypatch.setattr(hetsched.policies, "solve_lp", solve)
-        cluster, jobs, T = _static_decision(2048)
+        cluster, jobs, T, _ = _static_decision(2048)
         res = solve_policy(parse_policy("las"), jobs, cluster, T)
         alike = {(T.thr[T.singleton_row(j.id), :, 0].tobytes(),
                   T.feasible[T.singleton_row(j.id)].tobytes(), j.scale_factor, j.weight)
@@ -134,16 +135,43 @@ class TestLas:
         assert len(lp.constraints) == 2 * len(alike) + 3
         assert res.objective == lp.objective @ solve_lp(lp).x
 
-        cluster, jobs, T = _static_decision(200)
+        cluster, jobs, T, _ = _static_decision(200)
         space = ProblemSpace(jobs, T)
         res = max_min_fairness(space)
         assert abs(res.objective - solve_lp(reference_las_lp(space)).objective_value) <= OPT_TOL
 
 
-def _static_decision(n: int):
-    """The cluster, jobs and matrix of the first decision of a static
-    seed-7 trace of n jobs on the CLI's default 108-worker cluster, every
-    job active and none started."""
+def test_warm_level_lps_halve_a_paper_scale_hierarchical_decision(monkeypatch):
+    """A static seed-7 `hier:fair` decision over 50 jobs of 3 entities on
+    the 108-worker cluster makes fewer than half the pivots (the crashes'
+    included) that it makes when every level LP runs a cold phase 1, and
+    returns the same objective."""
+    cluster, jobs, T, entities = _static_decision(50, entities=3)
+    pivots = [0]
+    pivot = hetsched.lp._pivot
+
+    def counted(*args):
+        pivots[0] += 1
+        return pivot(*args)
+
+    def decide():
+        pivots[0] = 0
+        res = solve_policy(parse_policy("hier:fair"), jobs, cluster, T, entities)
+        return res, pivots[0]
+
+    monkeypatch.setattr(hetsched.lp, "_pivot", counted)
+    warm, warm_pivots = decide()
+    monkeypatch.setattr(hetsched.lp._Standardized, "start_at", lambda self, x: False)
+    cold, cold_pivots = decide()
+    assert len(warm.iterations) == len(cold.iterations) > 30
+    assert warm.objective == cold.objective
+    assert warm_pivots < cold_pivots / 2, (warm_pivots, cold_pivots)
+
+
+def _static_decision(n: int, entities: int = 0):
+    """The cluster, jobs, matrix and entities of the first decision of a
+    static seed-7 trace of n jobs, spread over `entities` entities, on the
+    CLI's default 108-worker cluster, every job active and none started."""
     from hetsched import cli
     from hetsched.simulator import SimConfig, Simulation, _ActiveJob, _job_of
     from hetsched.traces import generate_trace, load_catalog
@@ -151,13 +179,13 @@ def _static_decision(n: int):
     catalog = load_catalog()
     cluster = make_cluster(cli.DEFAULT_CLUSTER, costs=cli.DEFAULT_COSTS,
                            workers_per_server=cli.DEFAULT_SERVERS)
-    trace = generate_trace("static", n, catalog, seed=7)
+    trace = generate_trace("static", n, catalog, seed=7, num_entities=entities)
     sim = Simulation(SimConfig(cluster=cluster, policy=parse_policy("las"), seed=7),
                      trace, catalog)
     jobs = [_job_of(e, k) for k, e in enumerate(trace.entries)]
     states = [_ActiveJob(j, sim.templates[j.name], sim._rates(j, sim.templates[j.name]))
               for j in jobs]
-    return cluster, jobs, sim.build_matrix(states)[0]
+    return cluster, jobs, sim.build_matrix(states)[0], trace.entities
 
 
 class TestFifo:

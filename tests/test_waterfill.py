@@ -407,8 +407,8 @@ def level_calls(monkeypatch):
     calls = []
     level_lp = hetsched.waterfill._level_lp
 
-    def spy(space, weights, t_prev, thr_prev):
-        out = level_lp(space, weights, t_prev, thr_prev)
+    def spy(space, weights, t_prev, thr_prev, X_prev):
+        out = level_lp(space, weights, t_prev, thr_prev, X_prev)
         calls.append((weights, t_prev, thr_prev, out[1]))
         return out
 
@@ -612,12 +612,54 @@ def test_fill_matches_cold_bottleneck_lps(monkeypatch, paths):
     assert gain >= 100 and screen >= 100
 
 
-def test_one_cold_phase_one_per_iteration(monkeypatch, milp_calls, paths):
+def test_warm_level_lps_reach_the_cold_optimum(monkeypatch):
+    """Every level LP that starts at a basis crashed at the previous
+    allocation reaches the optimum of the same LP solved cold by
+    `solve_lp`, within OPT_TOL, on both fills of every instance.  Each kind
+    of instance starts a floor of level LPs warm; the failed crashes, which
+    fall back on phase 1, are reported and kept rare."""
+    crashed, levels = [], []
+    start_at = hetsched.lp._Standardized.start_at
+    level_lp = hetsched.waterfill._level_lp
+
+    def spy_start_at(self, x):
+        crashed.append((self, start_at(self, x)))
+        return crashed[-1][1]
+
+    def spy_level_lp(*args):
+        levels.append(level_lp(*args))
+        return levels[-1]
+
+    monkeypatch.setattr(hetsched.lp._Standardized, "start_at", spy_start_at)
+    monkeypatch.setattr(hetsched.waterfill, "_level_lp", spy_level_lp)
+    warm = dict.fromkeys(("random",) + _DEGENERATE, 0)
+    fallbacks = 0
+    for kind, space, entities in _fill_instances():
+        for fill, args in _fills(space, entities):
+            crashed.clear(), levels.clear()
+            fill(*args)
+            started = {id(state) for state, ok in crashed if ok}
+            fallbacks += len(crashed) - len(started)
+            for state, level in levels:
+                if id(state) not in started:
+                    continue
+                cold = solve_lp(state.lp)
+                assert cold.optimal
+                assert abs(level - cold.objective_value) <= OPT_TOL * max(
+                    1.0, abs(cold.objective_value))
+                warm[kind] += 1
+    total = sum(warm.values())
+    assert warm["random"] >= 150 and min(warm.values()) >= 40, warm
+    assert fallbacks <= total // 20, f"{fallbacks} of {total} crashes failed"
+
+
+def test_one_cold_phase_one_per_fill(monkeypatch, milp_calls, paths):
     """Water filling builds exactly one `lp._Standardized` per iteration,
-    the level LP's, so one phase 1 runs per iteration.  Every tightening,
-    screen and gain LP is rows appended to an optimum, each append with
-    one dual simplex."""
-    built, entered, appended, dual_runs = [], [], [], []
+    the level LP's.  The first enters by phase 1 and every later one by a
+    crash at the last allocation (`start_at`), so a fill runs one phase 1
+    plus one per failed crash.  Every tightening, screen and gain LP is rows
+    appended to an optimum, each append with one dual simplex."""
+    built, entered, crashed, appended, dual_runs = [], [], [], [], []
 
     class CountingStandardized(hetsched.lp._Standardized):
         def __init__(self, lp):
@@ -625,12 +667,17 @@ def test_one_cold_phase_one_per_iteration(monkeypatch, milp_calls, paths):
             super().__init__(lp)
 
     standardized = hetsched.lp._Standardized
-    phase_one, append = standardized.phase_one, standardized.append
+    phase_one, start_at = standardized.phase_one, standardized.start_at
+    append = standardized.append
     dual_simplex = hetsched.lp._dual_simplex
 
     def spy_phase_one(self):
         entered.append(self)
         return phase_one(self)
+
+    def spy_start_at(self, x):
+        crashed.append((self, start_at(self, x)))
+        return crashed[-1][1]
 
     def spy_append(self, *rows):
         appended.append(append(self, *rows))
@@ -642,12 +689,13 @@ def test_one_cold_phase_one_per_iteration(monkeypatch, milp_calls, paths):
 
     monkeypatch.setattr(hetsched.waterfill, "_Standardized", CountingStandardized)
     monkeypatch.setattr(standardized, "phase_one", spy_phase_one)
+    monkeypatch.setattr(standardized, "start_at", spy_start_at)
     monkeypatch.setattr(standardized, "append", spy_append)
     monkeypatch.setattr(hetsched.lp, "_dual_simplex", spy_dual_simplex)
-    checked = bottleneck_lps = 0
+    checked = bottleneck_lps = warm = fallbacks = 0
     for kind, space, entities in _fill_instances():
-        built.clear(), entered.clear(), appended.clear(), dual_runs.clear()
-        paths.clear()
+        built.clear(), entered.clear(), crashed.clear(), appended.clear()
+        dual_runs.clear(), paths.clear()
         before = len(milp_calls)
         result = hierarchical_waterfill(space, entities)
         if len(milp_calls) > before:  # B&B relaxations enter phase 1 too
@@ -656,10 +704,15 @@ def test_one_cold_phase_one_per_iteration(monkeypatch, milp_calls, paths):
         assert len(built) == len(result.iterations) == len(paths)
         # The level LPs carry lam after the cells.
         assert all(state.lp.num_vars == space.n_cells + 1 for state in built)
-        assert [id(s) for s in entered] == [id(s) for s in built]
+        assert [id(s) for s, _ in crashed] == [id(s) for s in built[1:]]
+        failed = [s for s, ok in crashed if not ok]
+        assert [id(s) for s in entered] == [id(s) for s in built[:1] + failed]
+        warm += len(crashed) - len(failed)
+        fallbacks += len(failed)
         # Each tightening LP, gain-row state and screen runs the dual
         # simplex once, inside its own append.
         assert dual_runs == list(range(len(appended)))
         assert len(appended) >= len(built) + 2 * (len(paths) - paths.count("whole"))
         bottleneck_lps += len(appended) - len(built)
     assert checked >= 120 and bottleneck_lps >= 200
+    assert warm >= 200 and fallbacks <= warm // 20, (warm, fallbacks)
