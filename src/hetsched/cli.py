@@ -59,7 +59,6 @@ CLUSTER_PRESETS = {
     "simulated": ({"V100": 36, "P100": 36, "K80": 36}, 360.0),
     "physical": ({"V100": 8, "P100": 16, "K80": 24}, 1200.0),
 }
-DEFAULT_CLUSTER = CLUSTER_PRESETS["simulated"][0]
 
 
 def _sha256(path: Path) -> str:
@@ -154,10 +153,9 @@ def _once_each(option: str, names: list):
                           "its own output files")
 
 
-def _load_cluster(cluster_file, preset_counts=None) -> ClusterSpec:
+def _load_cluster(cluster_file, preset_counts) -> ClusterSpec:
     if cluster_file is None:
-        return make_cluster(preset_counts or DEFAULT_CLUSTER,
-                            costs=DEFAULT_COSTS,
+        return make_cluster(preset_counts, costs=DEFAULT_COSTS,
                             workers_per_server=DEFAULT_SERVERS)
     doc = _read(cluster_file)
     try:

@@ -7,6 +7,13 @@ import enum
 from dataclasses import dataclass
 from itertools import accumulate
 
+from .jobs import is_number, is_whole
+
+# A cluster file's per-type numbers, with the kind of JSON number each is.
+TYPE_NUMBERS = (("cost_per_hour", is_number, "a number"),
+                ("num_workers", is_whole, "a whole number"),
+                ("workers_per_server", is_whole, "a whole number"))
+
 
 class Placement(str, enum.Enum):
     SOLE = "sole"
@@ -25,8 +32,8 @@ class AcceleratorType:
     def __post_init__(self):
         if self.num_workers < 1 or self.workers_per_server < 1:
             raise ValueError(f"{self.name}: worker counts must be >= 1")
-        if self.cost_per_hour < 0:
-            raise ValueError(f"{self.name}: cost_per_hour must be >= 0")
+        if not 0 <= self.cost_per_hour < float("inf"):
+            raise ValueError(f"{self.name}: cost_per_hour must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -75,12 +82,20 @@ class ClusterSpec:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ClusterSpec":
+        """Raises ValueError on a number or flag of the wrong JSON kind."""
+        for i, d in enumerate(doc["types"]):
+            for key, ok, kind in TYPE_NUMBERS:
+                if key in d and not ok(d[key]):
+                    raise ValueError(f"type {i}: {key} must be {kind}, not {d[key]!r}")
+        aware = doc.get("placement_aware", False)
+        if not isinstance(aware, bool):
+            raise ValueError(f"placement_aware must be true or false, not {aware!r}")
         types = tuple(
             AcceleratorType(i, d["name"], float(d.get("cost_per_hour", 0.0)),
                             int(d["num_workers"]),
                             int(d.get("workers_per_server", 1)))
             for i, d in enumerate(doc["types"]))
-        return cls(types, bool(doc.get("placement_aware", False)))
+        return cls(types, aware)
 
 
 def make_cluster(counts: dict, placement_aware: bool = False,

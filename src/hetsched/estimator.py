@@ -31,9 +31,8 @@ class CompletionError(ValueError):
     pass
 
 
-def complete_matrix(partial: np.ndarray, mask: np.ndarray, rank: int = DEFAULT_RANK,
-                    reg: float = DEFAULT_REG, iters: int = DEFAULT_ITERS,
-                    seed=0) -> np.ndarray:
+def complete_matrix(partial: np.ndarray, mask: np.ndarray, rank: int, reg: float,
+                    iters: int, seed) -> np.ndarray:
     """Alternating least squares low-rank completion of an (n, p) matrix, or
     of each matrix of an (m, n, p) stack with one seed per matrix.
 

@@ -172,29 +172,31 @@ class ThroughputMatrix:
             if not isinstance(thr, dict):
                 raise TypeError(f"throughputs must map configurations to cells, "
                                 f"not {thr!r}")
+            unknown = sorted(thr.keys() - set(keys))
+            if unknown:
+                raise ValueError(f"row {rdoc['members']}: unknown configurations {unknown}")
             cells.append([thr.get(key) for key in keys])
         return cls.from_cells(cluster, rows, cells)
 
 
 class AllocationMatrix:
-    """Fractions of wall-clock time per (combination, configuration)."""
+    """Fractions of wall-clock time per (combination, configuration), and
+    each row's worker count (`row_workers`) for validation and the mechanism."""
 
-    def __init__(self, T: ThroughputMatrix, values: np.ndarray):
+    def __init__(self, T: ThroughputMatrix, values: np.ndarray, workers: np.ndarray):
         values = np.asarray(values, dtype=float)
-        if values.shape != (T.num_rows, T.num_configs):
-            raise MatrixShapeError(
-                f"allocation shape {values.shape} != {(T.num_rows, T.num_configs)}")
+        workers = np.asarray(workers)
+        if values.shape != (T.num_rows, T.num_configs) or workers.shape != (T.num_rows,):
+            raise MatrixShapeError(f"allocation shape {values.shape} and worker counts "
+                                   f"{workers.shape} do not match {T.num_rows} rows")
         self.T = T
         self.rows = T.rows
         self.configs = T.configs
         self.values = values
+        self.workers = workers
 
-    def validate(self, jobs: dict):
-        """Raise if any allocation-matrix invariant is violated.
-
-        jobs maps job id -> Job (scale factors are needed for the worker
-        capacity check, which sums every configuration of a type).
-        """
+    def validate(self):
+        """Raise if any invariant fails; worker capacity sums over each type."""
         T = self.T
         if np.any(self.values < -EPS) or np.any(self.values > 1 + EPS):
             raise ValueError("allocation entries must lie in [0, 1]")
@@ -211,7 +213,7 @@ class AllocationMatrix:
             raise ValueError(f"job {T.job_ids[over.argmax()]} total time "
                              "fraction exceeds 1")
         types = T.cluster.types
-        used = np.bincount(T.type_of, weights=row_workers(T, jobs) @ self.values,
+        used = np.bincount(T.type_of, weights=self.workers @ self.values,
                            minlength=len(types))
         for t in types:
             if used[t.id] > t.num_workers + EPS:
@@ -262,23 +264,6 @@ def equal_shares(cluster: ClusterSpec) -> np.ndarray:
     type_of = np.array([cfg.type_id for cfg in cluster.configurations])
     workers = np.array([cluster.types[t].num_workers for t in type_of])
     return workers / cluster.total_workers / np.bincount(type_of)[type_of]
-
-
-def equal_share_allocation(T: ThroughputMatrix) -> AllocationMatrix:
-    """Every singleton row receives its `equal_shares`, so each row sums to
-    one and no feasible placement is left unrepresented."""
-    values = np.zeros((T.num_rows, T.num_configs))
-    values[~T.is_pair] = equal_shares(T.cluster)
-    return AllocationMatrix(T, values)
-
-
-def isolated_allocation(T: ThroughputMatrix, n: int) -> AllocationMatrix:
-    """1/n of the equal share: each of n users gets a 1/n time slice."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    X = equal_share_allocation(T)
-    X.values /= n
-    return X
 
 
 def prune_combinations(T: ThroughputMatrix) -> ThroughputMatrix:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .cluster import ClusterSpec
 from .jobs import JobCombination
-from .matrices import AllocationMatrix, ThroughputMatrix, row_workers
+from .matrices import AllocationMatrix, ThroughputMatrix
 
 
 class RoundLedger:
@@ -94,13 +94,13 @@ class RoundLedger:
 
 class CompiledAllocation:
     """Everything the round mechanism reads of one decision, built once
-    from its allocation matrix and its jobs (job id -> Job): the allocation
-    and its positive cells with their count, each row's worker count
-    (`row_workers`) and the rows it conflicts with (those sharing a member,
-    itself included), each row's rank in `members` order, which columns it
-    can run on, and each column's accelerator type."""
+    from its allocation matrix: the allocation and its positive cells with
+    their count, each row's worker count (the allocation's `workers`) and
+    the rows it conflicts with (those sharing a member, itself included),
+    each row's rank in `members` order, which columns it can run on, and
+    each column's accelerator type."""
 
-    def __init__(self, allocation: AllocationMatrix, jobs: dict):
+    def __init__(self, allocation: AllocationMatrix):
         T = self.T = allocation.T
         self.x = allocation.values
         self.positive = self.x > 0
@@ -108,7 +108,7 @@ class CompiledAllocation:
         # numpy code into the resident set.
         self.num_positive = len(np.flatnonzero(self.positive))
         self.unreceived = np.where(self.positive, np.inf, 0.0)
-        self.workers = row_workers(T, jobs).tolist()
+        self.workers = allocation.workers.tolist()
         rows_of_job: dict[int, list] = {}
         for r, combo in enumerate(T.rows):
             for m in combo.members:

@@ -31,9 +31,9 @@ import numpy as np
 from .cluster import ClusterSpec
 from .jobs import ENTITY_POLICY_NAMES
 from .lp import OPT_TOL, IterationLimitError, LinearProgram, Relation, Rows, solve_lp
-from .matrices import (AllocationMatrix, ThroughputMatrix, effective_throughput,
-                       equal_shares, isolated_allocation, row_workers)
-# bench/tracing.py wraps `bisect` where this module binds it.
+from .matrices import AllocationMatrix, ThroughputMatrix, equal_shares, row_workers
+# bench/tracing.py wraps these two names where this module binds them.
+from .matrices import effective_throughput  # noqa: F401
 from .search import bisect  # noqa: F401
 
 # SJF switches to a job only when it finishes this many seconds sooner, so
@@ -187,6 +187,8 @@ class ProblemSpace:
     entries' cells, then each type's worker capacity) and the equal-share
     throughputs all come from them, and `lp` builds every LP over the cells
     from `lp.Rows` blocks.  No array is indexed by job and cell together.
+    Each row's worker count (`row_workers`) is computed here, once per
+    decision: `workers`, which its allocations carry, and `row_sf` in floats.
 
     When T has no pair rows, `classes` splits the jobs into classes of
     jobs alike and gives the space LAS solves over: one budget and one
@@ -197,6 +199,8 @@ class ProblemSpace:
         self.T = T
         self.jobs = list(jobs)
         self.by_id = {j.id: j for j in self.jobs}
+        self.workers = row_workers(T, self.by_id)
+        self.row_sf = self.workers.astype(float)
         self.position = {j.id: k for k, j in enumerate(self.jobs)}
         R, C, n = T.num_rows, T.num_configs, len(self.jobs)
         self.n_cells = R * C
@@ -221,7 +225,6 @@ class ProblemSpace:
                     f"job {j.id} has zero throughput on every configuration")
             self.equal_norm[j.id] = norm
 
-        self.row_sf = row_workers(T, self.by_id).astype(float)
         self._upper = np.where(T.feasible.ravel(), np.inf, 0.0)
 
     @cached_property
@@ -309,10 +312,12 @@ class ProblemSpace:
             np.concatenate([rhs for _, _, rhs in blocks]), np.zeros(n),
             np.append(self._upper, np.full(n - self.n_cells, np.inf)))
 
+    # The row of x each row of an allocation is read from.
+    source = slice(None)
+
     def allocation(self, x: np.ndarray) -> AllocationMatrix:
-        values = np.clip(x[: self.n_cells], 0.0, 1.0)
-        return AllocationMatrix(self.T, values.reshape(self.T.num_rows,
-                                                       self.T.num_configs))
+        values = np.clip(x[: self.n_cells], 0.0, 1.0).reshape(self.T.feasible.shape)
+        return AllocationMatrix(self.T, values[self.source], self.workers)
 
 
 class ClassSpace(ProblemSpace):
@@ -322,9 +327,9 @@ class ClassSpace(ProblemSpace):
     class has one time budget and one row in every per-job block.  The
     other members are outside it: their cells are pinned to 0 and carry no
     coefficient.  `row_sf` is each row's worker count times its class's
-    size, so a first member's capacity coefficients count every member,
-    and `allocation` gives every member its class's row.  The variables
-    are still every cell of T."""
+    size, so a first member's capacity coefficients count every member;
+    `source` gives every member its class's row, and `workers` is the job
+    space's.  The variables are still every cell of T."""
 
     def __init__(self, space: ProblemSpace, rows: np.ndarray, rep: np.ndarray):
         """`rows` holds each job's row and `rep` the position of its
@@ -332,7 +337,7 @@ class ClassSpace(ProblemSpace):
         n, C = len(space.jobs), space.T.num_configs
         first = (rep == np.arange(n)).nonzero()[0]
         m = len(first)
-        self.T, self.n_cells = space.T, space.n_cells
+        self.T, self.n_cells, self.workers = space.T, space.n_cells, space.workers
         self.jobs = [space.jobs[k] for k in first.tolist()]
         self.by_id = {j.id: j for j in self.jobs}
         self.position = {j.id: k for k, j in enumerate(self.jobs)}
@@ -351,13 +356,9 @@ class ClassSpace(ProblemSpace):
         count = size[space.members[:, 0]]
         self.row_sf = space.row_sf * count
         self._upper = np.where(np.repeat(count > 0, C), space._upper, 0.0)
-        # The row of x each row of the allocation is read from.
+        # Every member's row of an allocation is its class's first member's.
         self.source = np.arange(space.T.num_rows)
         self.source[rows] = rows[rep]
-
-    def allocation(self, x: np.ndarray) -> AllocationMatrix:
-        """Every member's row holds its class's first member's row of x."""
-        return AllocationMatrix(self.T, super().allocation(x).values[self.source])
 
 
 def fastest_cell(T: ThroughputMatrix, job_id: int) -> tuple[int | None, float]:
@@ -366,8 +367,8 @@ def fastest_cell(T: ThroughputMatrix, job_id: int) -> tuple[int | None, float]:
     row-major allocation cells.
 
     This is the optimum of the LP that gives the job the whole cluster.  In
-    a runnable matrix (`_runnable`) every feasible cell fits its row's
-    workers, so no capacity row binds and only the job's time budget does.
+    the matrix a solve runs on, every feasible cell fits its row's workers,
+    so no capacity row binds and only the job's time budget does.
     A best rate at or below `OPT_TOL` counts as 0 with no cell, as the
     simplex's pricing would.
     """
@@ -515,17 +516,19 @@ def finish_time_fairness(space: ProblemSpace) -> PolicyResult:
     max-min LPs; the objective is the returned allocation's ratio.
 
     rho_j(X) = (e_j + r_j / thr_j(X)) / d_j for elapsed time e_j, remaining
-    steps r_j and d_j the finish time under an isolated 1/n share.  From the
-    isolated allocation, each step (Crouzeix, Ferland and Schaible, 1985)
-    takes lam and w_j = 1 / (d_j thr_j) at the last allocation, which scores
-    >= 0, solves max_X min_j w_j ((lam d_j - e_j) thr_j(X) - r_j), and stops
-    once rho falls by no more than `OPT_TOL` relative.
+    steps r_j and d_j the finish time under an isolated 1/n share of every
+    singleton row's `equal_shares`.  From that isolated allocation, each step
+    (Crouzeix, Ferland and Schaible, 1985) takes lam and w_j = 1 / (d_j thr_j)
+    at the last allocation, which scores >= 0, solves
+    max_X min_j w_j ((lam d_j - e_j) thr_j(X) - r_j), and stops once rho
+    falls by no more than `OPT_TOL` relative.
     """
     T, ids = space.T, list(space.by_id)
     e, r, iso_e = np.array([(j.elapsed_time, j.remaining_steps,
                              j.isolated_elapsed_time) for j in space.jobs]).T
-    X = isolated_allocation(T, len(ids))
-    thr = np.array([effective_throughput(i, X, T) for i in ids])
+    X = space.allocation(np.where(T.is_pair[:, None], 0.0,
+                                  equal_shares(T.cluster) / len(ids)).ravel())
+    thr = space.throughputs(X.values.ravel())
     if thr.min() <= 0:
         raise ZeroThroughputError(
             f"job {ids[(thr <= 0).argmax()]}: isolated throughput is zero")
@@ -538,7 +541,7 @@ def finish_time_fairness(space: ProblemSpace) -> PolicyResult:
         if not res.optimal:
             raise PolicyInfeasibleError(f"finish-time fairness LP returned {res.status}")
         X_next = space.allocation(res.x)
-        thr_next = np.array([effective_throughput(i, X_next, T) for i in ids])
+        thr_next = space.throughputs(X_next.values.ravel())
         lam_next = float(((e + r / thr_next) / d).max()) if thr_next.min() > 0 else np.inf
         done = lam - lam_next <= OPT_TOL * lam_next
         if lam_next < lam:  # else the last allocation stays
@@ -649,28 +652,21 @@ POLICIES = {
 
 
 def _runnable(T: ThroughputMatrix, jobs: dict,
-             space_sharing: bool) -> ThroughputMatrix:
-    """T without what cannot run: rows with a finished member (`jobs` maps
-    job id -> Job), pair rows unless space sharing, and cells whose type has
-    fewer workers than the row needs.  T itself when nothing is dropped."""
+              space_sharing: bool) -> ThroughputMatrix:
+    """T, or T without the rows that cannot run: those with a finished
+    member (`jobs` maps job id -> Job), and pair rows unless space sharing."""
     finished = np.array([job_id in jobs and jobs[job_id].finished
                          for job_id in T.job_ids], dtype=bool)
     keep = ~finished[T.ends].any(axis=1) & (space_sharing | ~T.is_pair)
-    if not keep.all():
-        T = T.take(keep)
-    workers = np.array([t.num_workers for t in T.cluster.types])
-    fits = row_workers(T, jobs)[:, None] <= workers[T.type_of]
-    if (fits | ~T.feasible).all():
-        return T
-    return ThroughputMatrix(T.cluster, T.rows, T.thr, T.feasible & fits)
+    return T if keep.all() else T.take(keep)
 
 
 def solve_policy(spec: PolicySpec, jobs, cluster: ClusterSpec,
                  T: ThroughputMatrix, entities=None) -> PolicyResult:
     """Check the jobs against T (`check_jobs`), compile the unfinished
-    jobs' ProblemSpace once over what of T can run (`_runnable`), solve the
-    spec's policy over it and return a validated allocation over that
-    matrix.
+    jobs' ProblemSpace over what of T can run (`_runnable`'s rows, less the
+    cells whose type has fewer workers than their row needs), solve the
+    spec's policy over it and return a validated allocation over that matrix.
 
     `cluster` is not read (`T.cluster` is the cluster); it stays in the
     signature for callers that pass the arguments by position.
@@ -683,11 +679,17 @@ def solve_policy(spec: PolicySpec, jobs, cluster: ClusterSpec,
     if not jobs:
         raise PolicyError("no active jobs")
     space = ProblemSpace(jobs, _runnable(T, by_id, spec.space_sharing))
+    T = space.T
+    capacity = np.array([t.num_workers for t in T.cluster.types])
+    fits = space.workers[:, None] <= capacity[T.type_of]
+    if not (fits | ~T.feasible).all():
+        space = ProblemSpace(jobs, ThroughputMatrix(T.cluster, T.rows, T.thr,
+                                                    T.feasible & fits))
     if spec.kind is PolicyKind.HIERARCHICAL:
         out = waterfill.hierarchical_waterfill(space, entities)
     elif spec.water_filling:
         out = waterfill.single_level_waterfill(space)
     else:
         out = POLICIES[spec.kind](space)
-    out.allocation.validate(space.by_id)
+    out.allocation.validate()
     return out

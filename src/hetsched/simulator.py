@@ -305,7 +305,7 @@ class Simulation:
         values = np.zeros_like(X.values)
         values[live] = (total[live, None] * weights[live]
                         / weights[live].sum(axis=1)[:, None])
-        return AllocationMatrix(T, values)
+        return AllocationMatrix(T, values, X.workers)
 
     def _agnostic_matrix(self, T: ThroughputMatrix) -> ThroughputMatrix:
         """Rank-1 view for heterogeneity-agnostic baselines: each job's worst
@@ -433,8 +433,7 @@ class Simulation:
             if compiled is not allocation:
                 # A new decision, or a periodic cut of one: compile it once,
                 # with `thr_exec` as nested lists for the lookups below.
-                decision = CompiledAllocation(
-                    allocation, {k: st.job for k, st in active.items()})
+                decision = CompiledAllocation(allocation)
                 rates = thr_exec.tolist()
                 compiled = allocation
                 plan = None
@@ -511,7 +510,8 @@ class Simulation:
                     keep = ~np.isin(T.job_ids, completions)[T.ends].any(axis=1)
                     if keep.any():
                         allocation = AllocationMatrix(T.take(keep),
-                                                      allocation.values[keep])
+                                                      allocation.values[keep],
+                                                      allocation.workers[keep])
                         thr_exec = thr_exec[keep]
                     else:
                         allocation = None

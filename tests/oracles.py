@@ -29,7 +29,9 @@ every iteration (`reference_waterfill`), its
 tightening LP built whole and solved cold (`reference_tighten_lp`), the LP
 that gives one job the whole cluster (`reference_standalone`),
 finish-time fairness by bisection over its feasibility LP
-(`reference_ftf`, with `ftf_rho` to score an allocation) and the LP
+(`reference_ftf`, with `ftf_rho` to score an allocation) and as it
+iterated before it read `ProblemSpace.throughputs`
+(`reference_finish_time_fairness`), the LP
 builders adding one row at a time (`reference_space_lp` and the
 `reference_*_lp` builders on top of it, `reference_pinned`; LAS's LP
 with one row per job is `reference_las_lp`), with the
@@ -42,7 +44,10 @@ priorities, round planning, placement and settling rebuilt from the matrix
 every round (`reference_priorities`, `reference_plan_round`,
 `reference_place`, `reference_settle_round`), and `reference_mechanism` to
 bind them in the simulator, where none of its plans repeats.  It also
-writes throughput-matrix files as the CLI reads them (`matrix_doc`),
+builds reference allocations (`allocation`, `equal_share_allocation`,
+`isolated_allocation`), cuts a matrix to what a solve can run
+(`runnable`), writes throughput-matrix files as the CLI reads them
+(`matrix_doc`),
 generates the template catalog the package ships (`make_template_catalog`)
 and builds LPs from the dense rows, relation text and default bounds that
 tests write (`lp_of`, with `rows_of` for a block of rows).
@@ -63,14 +68,16 @@ from hetsched.estimator import (DEFAULT_ITERS, DEFAULT_RANK, DEFAULT_REG,
                                 CompletionError)
 from hetsched.jobs import Job, JobCombination
 from hetsched.lp import (DEGENERATE_LIMIT, FEAS_TOL, OPT_TOL, REFACTOR_EVERY,
-                         LinearProgram, Relation, Rows, SolveResult, Status,
-                         solve_lp)
-from hetsched.matrices import (PAIR_KEEP_THRESHOLD, ThroughputMatrix,
-                               effective_throughput, isolated_allocation,
-                               row_workers)
+                         IterationLimitError, LinearProgram, Relation, Rows,
+                         SolveResult, Status, solve_lp)
+from hetsched.matrices import (PAIR_KEEP_THRESHOLD, AllocationMatrix,
+                               ThroughputMatrix, effective_throughput,
+                               equal_shares, row_workers)
 from hetsched.mechanism import Assignment, PlacementError, RoundPlan
 from hetsched.milp import solve_milp
-from hetsched.policies import PolicyError, ProblemSpace
+from hetsched.policies import (MAX_PARAMETRIC_ITERS, PolicyError,
+                               PolicyInfeasibleError, PolicyResult,
+                               ProblemSpace, ZeroThroughputError, max_min_lp)
 from hetsched.search import bisect
 from hetsched.traces import JobTemplate, colocation_factor
 from hetsched.waterfill import (DELTA_FRACTION, TIGHTEN_SLACK,
@@ -128,6 +135,39 @@ def random_instance(rng: np.random.Generator, max_jobs: int = 3,
     iso_elapsed = elapsed.copy()
     costs = rng.uniform(0.2, 4.0, size=J) if with_costs else np.zeros(J)
     return OracleInstance(T, steps, weights, elapsed, iso_elapsed, costs)
+
+
+def allocation(T: ThroughputMatrix, values, jobs=None) -> AllocationMatrix:
+    """An allocation over T whose rows carry their `row_workers` under
+    `jobs` (job id -> Job), one worker each when no jobs are given."""
+    return AllocationMatrix(T, values, row_workers(T, jobs or {}))
+
+
+def isolated_allocation(T: ThroughputMatrix, n: int) -> AllocationMatrix:
+    """1/n of every singleton row's `equal_shares`: each of n users' time
+    slice.  Rows carry one worker each."""
+    values = np.zeros((T.num_rows, T.num_configs))
+    values[~T.is_pair] = equal_shares(T.cluster)
+    values /= n
+    return allocation(T, values)
+
+
+def equal_share_allocation(T: ThroughputMatrix) -> AllocationMatrix:
+    """Every singleton row receives its `equal_shares`, so each row sums to
+    one.  Rows carry one worker each."""
+    return isolated_allocation(T, 1)
+
+
+def runnable(T: ThroughputMatrix, jobs: dict, space_sharing: bool) -> ThroughputMatrix:
+    """T without what a solve cannot run: rows with a finished member
+    (`jobs` maps job id -> Job), pair rows unless space sharing, and cells
+    whose type has fewer workers than the row needs."""
+    finished = np.array([job_id in jobs and jobs[job_id].finished
+                         for job_id in T.job_ids], dtype=bool)
+    T = T.take(~finished[T.ends].any(axis=1) & (space_sharing | ~T.is_pair))
+    capacity = np.array([t.num_workers for t in T.cluster.types])
+    fits = row_workers(T, jobs)[:, None] <= capacity[T.type_of]
+    return ThroughputMatrix(T.cluster, T.rows, T.thr, T.feasible & fits)
 
 
 # ---------------------------------------------------------------------------
@@ -1367,6 +1407,37 @@ def ftf_rho(space: ProblemSpace, X) -> float:
     return max((ej + rj / t) / dj for ej, rj, t, dj in zip(e, r, thr, d))
 
 
+def reference_finish_time_fairness(space: ProblemSpace) -> PolicyResult:
+    """Finish-time fairness as it iterated with each job's throughput from
+    `effective_throughput`, one job at a time."""
+    T, ids = space.T, list(space.by_id)
+    e, r, iso_e = np.array([(j.elapsed_time, j.remaining_steps,
+                             j.isolated_elapsed_time) for j in space.jobs]).T
+    X = isolated_allocation(T, len(ids))
+    thr = np.array([effective_throughput(i, X, T) for i in ids])
+    if thr.min() <= 0:
+        raise ZeroThroughputError(
+            f"job {ids[(thr <= 0).argmax()]}: isolated throughput is zero")
+    d = iso_e + r / thr
+    lam = float(((e + r / thr) / d).max())
+    for _ in range(MAX_PARAMETRIC_ITERS):
+        w = 1.0 / (d * thr)
+        res = solve_lp(max_min_lp(space, dict(zip(ids, (w * (lam * d - e)).tolist())),
+                                  dict(zip(ids, (w * r).tolist()))))
+        if not res.optimal:
+            raise PolicyInfeasibleError(f"finish-time fairness LP returned {res.status}")
+        X_next = space.allocation(res.x)
+        thr_next = np.array([effective_throughput(i, X_next, T) for i in ids])
+        lam_next = float(((e + r / thr_next) / d).max()) if thr_next.min() > 0 else np.inf
+        done = lam - lam_next <= OPT_TOL * lam_next
+        if lam_next < lam:
+            X, thr, lam = X_next, thr_next, lam_next
+        if done:
+            return PolicyResult(X, lam)
+    raise IterationLimitError(
+        f"finish-time fairness did not converge in {MAX_PARAMETRIC_ITERS} LPs")
+
+
 def reference_ftf_probe(space: ProblemSpace, lam: float) -> LinearProgram:
     """Finish-time fairness's feasibility LP at ratio `lam`: every job
     finishes within its time budget lam d_j - e_j."""
@@ -1603,12 +1674,13 @@ def reference_priorities(X, ledger: ReferenceLedger) -> np.ndarray:
     return values
 
 
-def reference_plan_round(priorities: np.ndarray, jobs: dict,
-                         ledger: ReferenceLedger, T) -> RoundPlan:
-    """Sorts every candidate cell on (priority, rounds since scheduled,
-    members, column) as tuples, each round."""
+def reference_plan_round(priorities: np.ndarray, X,
+                         ledger: ReferenceLedger) -> RoundPlan:
+    """Sorts every candidate cell of allocation X on (priority, rounds since
+    scheduled, members, column) as tuples, each round."""
+    T = X.T
     remaining = {t.id: t.num_workers for t in T.cluster.types}
-    workers = row_workers(T, jobs).tolist()
+    workers = X.workers.tolist()
     eligible = [True] * T.num_rows
     since = [ledger.rounds_since_scheduled(combo) for combo in T.rows]
     rows_of_job: dict[int, list] = {}
@@ -1688,15 +1760,14 @@ def reference_settle_round(plan: RoundPlan, ledger: ReferenceLedger, T):
 def reference_mechanism() -> dict:
     """Name -> reference for every mechanism name `hetsched.simulator`
     binds, called as the simulator calls them; the compiled decision
-    becomes the bare (allocation, jobs) pair that the references read.  No
-    plan repeats, so every round is planned and placed afresh."""
+    becomes the bare allocation that the references read.  No plan
+    repeats, so every round is planned and placed afresh."""
     return {
         "repeats": lambda plan, d: False,
         "RoundLedger": ReferenceLedger,
-        "CompiledAllocation": lambda X, jobs: (X, jobs),
-        "compute_priorities": lambda d, ledger: reference_priorities(d[0], ledger),
-        "plan_round": lambda pr, d, ledger: reference_plan_round(
-            pr, d[1], ledger, d[0].T),
+        "CompiledAllocation": lambda X: X,
+        "compute_priorities": reference_priorities,
+        "plan_round": reference_plan_round,
         "place": reference_place,
         "settle_round": reference_settle_round,
     }

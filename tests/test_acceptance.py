@@ -12,22 +12,21 @@ import pytest
 
 from hetsched.cluster import make_cluster
 from hetsched.jobs import Entity, EntityPolicy, Job, JobCombination
-from hetsched.matrices import (AllocationMatrix, ThroughputMatrix,
-                               effective_throughput, equal_share_allocation,
-                               isolated_allocation)
+from hetsched.matrices import ThroughputMatrix, effective_throughput
 from hetsched.mechanism import (CompiledAllocation, RoundLedger,
                                 compute_priorities, plan_round, settle_round)
 from hetsched.policies import (ProblemSpace, fifo, finish_time_fairness,
                                max_min_fairness, min_cost, min_makespan,
                                parse_policy, solve_policy)
-from hetsched.estimator import complete_matrix
+from hetsched.estimator import DEFAULT_ITERS, complete_matrix
 from hetsched.simulator import EstimatorConfig, SimConfig, Simulation
 from hetsched.traces import generate_trace, load_catalog
 from hetsched.waterfill import (DELTA_FRACTION, find_bottlenecks, max_gain,
                                 single_level_waterfill)
 
 import oracles
-from oracles import (OracleInstance, gain_state, oracle_cost, oracle_ftf,
+from oracles import (OracleInstance, allocation, equal_share_allocation,
+                     gain_state, isolated_allocation, oracle_cost, oracle_ftf,
                      oracle_las, oracle_fifo, oracle_makespan, random_instance,
                      reference_space_lp)
 
@@ -203,7 +202,7 @@ def test_criterion_4_bottleneck_milp_vs_enumeration():
         caps = np.array([t.num_workers for t in cluster.types], dtype=float)
         X *= np.minimum(1.0, caps / np.maximum(X.sum(axis=0), 1e-9))
         X /= np.maximum(X.sum(axis=1, keepdims=True), 1.0)
-        X_prev = AllocationMatrix(T, X)
+        X_prev = allocation(T, X)
         weights = {m: 1.0 for m in range(M)}
         space = ProblemSpace(jobs, T)
         thr_prev = throughputs(jobs, X_prev, T)
@@ -219,13 +218,13 @@ def test_criterion_4_bottleneck_milp_vs_enumeration():
 def test_criterion_5_mechanism_fidelity():
     cluster = make_cluster({"V100": 1, "P100": 1, "K80": 1})
     T = singles(cluster, [[4.0, 2.0, 1.0]] * 3)
-    X = AllocationMatrix(T, np.array([[0.6, 0.4, 0.0],
-                                      [0.2, 0.6, 0.2],
-                                      [0.2, 0.0, 0.8]]))
     jobs = {i: Job(id=i, num_steps=10 ** 9) for i in range(3)}
+    X = allocation(T, np.array([[0.6, 0.4, 0.0],
+                                [0.2, 0.6, 0.2],
+                                [0.2, 0.0, 0.8]]), jobs)
 
     def error_after(rounds):
-        ledger, decision = RoundLedger(360.0), CompiledAllocation(X, jobs)
+        ledger, decision = RoundLedger(360.0), CompiledAllocation(X)
         for _ in range(rounds):
             pr = compute_priorities(decision, ledger)
             plan = plan_round(pr, decision, ledger)
@@ -447,7 +446,7 @@ def test_criterion_8_estimator():
             mask = rng.random((9, 9)) < 0.55
             mask[np.arange(9), np.arange(9)] = True
             completed = complete_matrix(truth, mask, rank=rank, reg=1e-4,
-                                        seed=trial)
+                                        iters=DEFAULT_ITERS, seed=trial)
             held = ~mask
             rmse = float(np.sqrt(np.mean((completed[held] - truth[held]) ** 2)))
             worst = max(worst, rmse / truth.mean())

@@ -15,12 +15,13 @@ import hetsched.policies
 import hetsched.waterfill as waterfill
 from hetsched.jobs import Job
 from hetsched.lp import Relation, SolveResult, Status, _Standardized, solve_lp
-from hetsched.matrices import ThroughputMatrix, isolated_allocation
+from hetsched.matrices import ThroughputMatrix
 from hetsched.milp import _pinned
 from hetsched.policies import (ClassSpace, PolicyError, PolicyInfeasibleError,
                                ProblemSpace, finish_time_fairness,
                                max_min_fairness, max_min_lp, min_cost_slo)
-from oracles import (DenseStandardized, random_cells, random_costs,
+from oracles import (DenseStandardized, isolated_allocation, random_cells,
+                     random_costs,
                      reference_bottleneck_lp,
                      reference_ftf_lp, reference_gain_lp, reference_las_lp,
                      reference_level_lp,

@@ -15,10 +15,10 @@ import hetsched.waterfill
 from hetsched.cli import main
 from hetsched.cluster import make_cluster
 from hetsched.jobs import Entity, Job, JobCombination
-from hetsched.matrices import AllocationMatrix, ThroughputMatrix
+from hetsched.matrices import ThroughputMatrix
 from hetsched.simulator import SimConfig
 from hetsched.traces import Trace, TraceEntry
-from oracles import cold_max_gain, cold_screen_feasible, matrix_doc
+from oracles import allocation, cold_max_gain, cold_screen_feasible, matrix_doc
 
 
 @pytest.fixture
@@ -109,6 +109,32 @@ def test_bad_option_exit_code(runner, tmp_path, args, named):
     assert not (tmp_path / "trace.jsonl").exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "solve"])
+@pytest.mark.parametrize("field, value, named", [
+    ("num_workers", 2.7, "type 0: num_workers must be a whole number, not 2.7"),
+    ("workers_per_server", True,
+     "type 0: workers_per_server must be a whole number, not True"),
+    ("cost_per_hour", "3", "type 0: cost_per_hour must be a number, not '3'"),
+    ("cost_per_hour", float("nan"), "V100: cost_per_hour must be finite and >= 0"),
+    ("placement_aware", "false", "placement_aware must be true or false, not 'false'"),
+], ids=["fractional-workers", "boolean-servers", "text-cost", "nan-cost", "text-flag"])
+def test_bad_cluster_value_exit_code(runner, tmp_path, command, field, value, named):
+    # A cluster given by `simulate --cluster` or inside `solve --throughputs`
+    # takes JSON numbers, whole ones for worker counts, and a JSON boolean.
+    thr, jobs = write_three_job_instance(tmp_path)
+    doc = json.loads(thr.read_text())
+    target = doc if field == "placement_aware" else doc["types"][0]
+    target[field] = value
+    thr.write_text(json.dumps(doc))
+    args = (["--cluster", str(thr), "simulate", "--policy", "las", "--jobs", "2",
+             "--lambda", "0.01"] if command == "simulate" else
+            ["solve", "--policy", "las", "--throughputs", str(thr), "--jobs", str(jobs)])
+    res = runner.invoke(main, ["--out", str(tmp_path), *args])
+    assert res.exit_code == 2, res.output
+    assert "error: " in res.output and named in res.output
+    assert "Traceback" not in res.output
+
+
 class TestSolve:
     def test_three_job_worked_example(self, runner, tmp_path):
         thr, jobs = write_three_job_instance(tmp_path)
@@ -124,8 +150,7 @@ class TestSolve:
         for r, row in enumerate(doc["allocation"]["rows"]):
             for c, cfg in enumerate(T.configs):
                 vals[r, c] = row["fractions"][cfg.key(T.cluster)]
-        X = AllocationMatrix(T, vals)
-        X.validate({i: Job(id=i) for i in range(3)})
+        allocation(T, vals, {i: Job(id=i) for i in range(3)}).validate()
 
     def test_makespan_single_job(self, runner, tmp_path):
         cluster = make_cluster({"gpu": 1})
@@ -543,6 +568,19 @@ class TestSolve:
                                    "--throughputs", str(thr), "--jobs", str(jobs)])
         assert res.exit_code == 2, res.output
         assert "error: bad value" in res.output and "not [1.0]" in res.output
+        assert "Traceback" not in res.output
+
+    def test_unknown_configuration_exit_code(self, runner, tmp_path):
+        # A misspelt configuration would leave its cell infeasible unseen.
+        thr, jobs = write_three_job_instance(tmp_path)
+        doc = json.loads(thr.read_text())
+        doc["rows"][0]["throughputs"] = {"V100": 2.0, "K8O": 1.0}
+        thr.write_text(json.dumps(doc))
+        res = runner.invoke(main, ["--out", str(tmp_path), "solve", "--policy", "las",
+                                   "--throughputs", str(thr), "--jobs", str(jobs)])
+        assert res.exit_code == 2, res.output
+        assert "error: bad value" in res.output
+        assert "unknown configurations ['K8O']" in res.output
         assert "Traceback" not in res.output
 
     @pytest.mark.parametrize("value", ["NaN", "Infinity"])
@@ -1029,6 +1067,17 @@ class TestEstimate:
                              {"newjob": {"r0": 0.5, "r9": 0.4}})
         assert res.exit_code == 2
         assert "'r9'" in res.output and "Traceback" not in res.output
+
+    def test_unknown_configuration_exit_code(self, runner, tmp_path):
+        refs = {"types": [{"name": "g", "num_workers": 1}],
+                "rows": [{"members": [0], "throughputs": {"g": [1.0]}},
+                         {"members": [1], "throughputs": {"g": [1.0], "h": [2.0]}},
+                         {"members": [0, 1], "throughputs": {"g": [0.5, 0.6]}}]}
+        res = self._estimate(runner, tmp_path, refs, {"newjob": {"job-0": 0.5}})
+        assert res.exit_code == 2, res.output
+        assert "bad reference set" in res.output
+        assert "unknown configurations ['h']" in res.output
+        assert "Traceback" not in res.output
 
     @pytest.mark.parametrize("refs_doc, named", [
         ({"names": 5, "matrix": 1}, "TypeError"),

@@ -10,12 +10,12 @@ from hetsched.cluster import (AcceleratorType, ClusterSpec, Placement,
                               make_cluster)
 from hetsched.jobs import (Entity, EntityPolicy, EntityValueError, Job,
                            JobCombination)
-from hetsched.matrices import (AllocationMatrix, ThroughputMatrix,
-                               effective_throughput, equal_share_allocation,
-                               isolated_allocation,
+from hetsched.matrices import (AllocationMatrix, MatrixShapeError,
+                               ThroughputMatrix, effective_throughput,
                                prune_combinations)
 from hetsched.policies import ProblemSpace
-from oracles import CellMatrix, matrix_doc, random_cells
+from oracles import (CellMatrix, allocation, equal_share_allocation,
+                     isolated_allocation, matrix_doc, random_cells)
 
 
 @pytest.fixture
@@ -95,13 +95,13 @@ def test_combination_ordering_and_conflicts():
 
 def test_effective_throughput_worked_example(two_type_cluster):
     T = build_matrix(two_type_cluster, [JobCombination.of(0)], [[(4.0,), (1.0,)]])
-    X = AllocationMatrix(T, np.array([[0.45, 0.0]]))
+    X = allocation(T, np.array([[0.45, 0.0]]))
     assert effective_throughput(0, X, T) == pytest.approx(1.8)
 
 
 def test_effective_throughput_zero_row(two_type_cluster):
     T = build_matrix(two_type_cluster, [JobCombination.of(0)], [[(4.0,), (1.0,)]])
-    X = AllocationMatrix(T, np.zeros((1, 2)))
+    X = allocation(T, np.zeros((1, 2)))
     assert effective_throughput(0, X, T) == 0.0
 
 
@@ -109,7 +109,7 @@ def test_effective_throughput_pair_row(two_type_cluster):
     rows = [JobCombination.of(0), JobCombination.of(1), JobCombination.of(0, 1)]
     entries = [[(4.0,), (1.0,)], [(3.0,), (1.0,)], [(2.0, 1.5), None]]
     T = build_matrix(two_type_cluster, rows, entries)
-    X = AllocationMatrix(T, np.array([[0, 0], [0, 0], [0.5, 0.0]]))
+    X = allocation(T, np.array([[0, 0], [0, 0], [0.5, 0.0]]))
     assert effective_throughput(0, X, T) == pytest.approx(1.0)
     assert effective_throughput(1, X, T) == pytest.approx(0.75)
 
@@ -126,8 +126,8 @@ def test_effective_throughput_linear_in_allocation(seed):
     T = build_matrix(cluster, rows, entries)
     vals = rng.uniform(0, 0.3, size=(3, 2))
     vals[2, 1] = 0.0
-    X1 = AllocationMatrix(T, vals)
-    X2 = AllocationMatrix(T, 2 * vals)
+    X1 = allocation(T, vals)
+    X2 = allocation(T, 2 * vals)
     for job in (0, 1):
         assert effective_throughput(job, X2, T) == pytest.approx(
             2 * effective_throughput(job, X1, T), rel=1e-9)
@@ -214,25 +214,34 @@ def test_allocation_invariants_validate(two_type_cluster):
     rows = [JobCombination.of(0), JobCombination.of(1)]
     T = build_matrix(two_type_cluster, rows, [[(4.0,), (1.0,)]] * 2)
     jobs = {0: Job(id=0), 1: Job(id=1)}
-    AllocationMatrix(T, np.array([[0.5, 0.5], [0.5, 0.5]])).validate(jobs)
+    allocation(T, np.array([[0.5, 0.5], [0.5, 0.5]]), jobs).validate()
     with pytest.raises(ValueError):
-        AllocationMatrix(T, np.array([[0.9, 0.3], [0.0, 0.0]])).validate(jobs)
+        allocation(T, np.array([[0.9, 0.3], [0.0, 0.0]]), jobs).validate()
     with pytest.raises(ValueError):
-        AllocationMatrix(T, np.array([[0.9, 0.0], [0.9, 0.0]])).validate(jobs)
+        allocation(T, np.array([[0.9, 0.0], [0.9, 0.0]]), jobs).validate()
+
+
+def test_allocation_checks_worker_counts_shape(two_type_cluster):
+    rows = [JobCombination.of(0), JobCombination.of(1)]
+    T = build_matrix(two_type_cluster, rows, [[(4.0,), (1.0,)]] * 2)
+    AllocationMatrix(T, np.zeros((2, 2)), np.array([1, 2]))
+    for workers in (np.array([1]), np.ones((2, 1), dtype=int)):
+        with pytest.raises(MatrixShapeError, match="worker counts"):
+            AllocationMatrix(T, np.zeros((2, 2)), workers)
 
 
 def test_allocation_rejects_infeasible_cells(two_type_cluster):
     T = build_matrix(two_type_cluster, [JobCombination.of(0)], [[(4.0,), None]])
     jobs = {0: Job(id=0)}
     with pytest.raises(ValueError):
-        AllocationMatrix(T, np.array([[0.0, 0.5]])).validate(jobs)
+        allocation(T, np.array([[0.0, 0.5]]), jobs).validate()
 
 
 def test_scale_factor_capacity(two_type_cluster):
     T = build_matrix(two_type_cluster, [JobCombination.of(0)], [[(4.0,), (1.0,)]])
     jobs = {0: Job(id=0, scale_factor=2)}
     with pytest.raises(ValueError):
-        AllocationMatrix(T, np.array([[0.9, 0.0]])).validate(jobs)
+        allocation(T, np.array([[0.9, 0.0]]), jobs).validate()
 
 
 def test_capacity_checked_per_accelerator_type():
@@ -243,8 +252,8 @@ def test_capacity_checked_per_accelerator_type():
     T = build_matrix(cluster, rows, [[(2.0,), (1.0,)]] * 2)
     jobs = {0: Job(id=0, scale_factor=2), 1: Job(id=1, scale_factor=2)}
     with pytest.raises(ValueError, match="V100 oversubscribed"):
-        AllocationMatrix(T, np.array([[1.0, 0.0], [0.0, 1.0]])).validate(jobs)
-    AllocationMatrix(T, np.array([[0.5, 0.0], [0.0, 0.5]])).validate(jobs)
+        allocation(T, np.array([[1.0, 0.0], [0.0, 1.0]]), jobs).validate()
+    allocation(T, np.array([[0.5, 0.0], [0.0, 0.5]]), jobs).validate()
 
 
 def test_matrix_json_round_trip(tmp_path):
@@ -275,7 +284,7 @@ def test_matrix_json_round_trip(tmp_path):
 def test_effective_throughput_unknown_job(two_type_cluster):
     from hetsched.matrices import UnknownJobError
     T = build_matrix(two_type_cluster, [JobCombination.of(0)], [[(4.0,), (1.0,)]])
-    X = AllocationMatrix(T, np.zeros((1, 2)))
+    X = allocation(T, np.zeros((1, 2)))
     with pytest.raises(UnknownJobError):
         effective_throughput(99, X, T)
 
@@ -305,19 +314,19 @@ def test_arrays_match_per_cell_reference(monkeypatch):
             shuffled_cells = [cells[r] for r in order]
             T = ThroughputMatrix.from_cells(cluster, shuffled, shuffled_cells)
             ref = CellMatrix(cluster, shuffled, shuffled_cells)
-            X = AllocationMatrix(T, rng.uniform(0.0, 1.0,
-                                                size=(T.num_rows, T.num_configs)))
+            X = allocation(T, rng.uniform(0.0, 1.0,
+                                          size=(T.num_rows, T.num_configs)))
             for j in jobs:
                 assert effective_throughput(j.id, X, T) == \
                     ref.effective_throughput(j.id, X.values)
             assert np.array_equal(equal_share_allocation(T).values, ref.equal_share())
             # Only the feasible cells carry time, so the budget check runs.
-            X = AllocationMatrix(T, X.values * T.feasible)
+            X = allocation(T, X.values * T.feasible, {j.id: j for j in jobs})
             named = _over_budget(ref, T, X.values)
             over += named is not None
             if named is not None:
                 with pytest.raises(ValueError, match=f"^job {named} total time"):
-                    X.validate({j.id: j for j in jobs})
+                    X.validate()
             # The LP pieces, for every job and for two subsets: the first
             # half, and every other job backwards.  Rows whose members are
             # outside a subset give its jobs no cells and fall back to one

@@ -21,7 +21,8 @@ class TestCompleteMatrix:
         M = low_rank(rng, 8, 8, 1)
         mask = rng.random((8, 8)) < 0.5
         mask[np.arange(8), np.arange(8)] = True  # every row/col observed
-        out = complete_matrix(M, mask, rank=1, reg=1e-4, seed=1)
+        out = complete_matrix(M, mask, rank=1, reg=1e-4, iters=DEFAULT_ITERS,
+                              seed=1)
         held = ~mask
         rmse = np.sqrt(np.mean((out[held] - M[held]) ** 2))
         assert rmse < 0.05 * M.mean()
@@ -31,7 +32,8 @@ class TestCompleteMatrix:
         M = low_rank(rng, 10, 10, 2)
         mask = rng.random((10, 10)) < 0.6
         mask[np.arange(10), np.arange(10)] = True
-        out = complete_matrix(M, mask, rank=2, reg=1e-4, seed=1)
+        out = complete_matrix(M, mask, rank=2, reg=1e-4, iters=DEFAULT_ITERS,
+                              seed=1)
         held = ~mask
         rmse = np.sqrt(np.mean((out[held] - M[held]) ** 2))
         assert rmse < 0.1 * M.mean()
@@ -39,7 +41,8 @@ class TestCompleteMatrix:
     def test_fully_observed_returned_unchanged(self):
         rng = np.random.default_rng(1)
         M = rng.random((5, 5))
-        out = complete_matrix(M, np.ones_like(M, dtype=bool), rank=2)
+        out = complete_matrix(M, np.ones_like(M, dtype=bool), rank=2,
+                              reg=DEFAULT_REG, iters=DEFAULT_ITERS, seed=0)
         assert np.array_equal(out, M)
 
     def test_observed_cells_preserved_exactly(self):
@@ -47,7 +50,8 @@ class TestCompleteMatrix:
         M = low_rank(rng, 6, 6, 1)
         mask = rng.random((6, 6)) < 0.7
         mask[np.arange(6), np.arange(6)] = True
-        out = complete_matrix(M, mask, rank=1)
+        out = complete_matrix(M, mask, rank=1, reg=DEFAULT_REG,
+                              iters=DEFAULT_ITERS, seed=0)
         assert np.max(np.abs(out[mask] - M[mask])) < 1e-12
 
     def test_objective_nonincreasing(self):
@@ -64,15 +68,16 @@ class TestCompleteMatrix:
         mask = np.ones((3, 3), dtype=bool)
         mask[1, :] = False
         with pytest.raises(CompletionError):
-            complete_matrix(M, mask, rank=1)
+            complete_matrix(M, mask, rank=1, reg=DEFAULT_REG, iters=DEFAULT_ITERS,
+                            seed=0)
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(7)
         M = low_rank(rng, 6, 6, 2)
         mask = rng.random((6, 6)) < 0.5
         mask[np.arange(6), np.arange(6)] = True
-        a = complete_matrix(M, mask, rank=2, seed=42)
-        b = complete_matrix(M, mask, rank=2, seed=42)
+        a = complete_matrix(M, mask, rank=2, reg=DEFAULT_REG, iters=DEFAULT_ITERS, seed=42)
+        b = complete_matrix(M, mask, rank=2, reg=DEFAULT_REG, iters=DEFAULT_ITERS, seed=42)
         assert np.array_equal(a, b)
 
 
@@ -167,7 +172,8 @@ class TestBatchedAlsMatchesPerRowReference:
             want, _ = reference_complete_matrix(
                 stacked, mask, rank=DEFAULT_RANK, reg=DEFAULT_REG,
                 iters=DEFAULT_ITERS, seed=seed, restarts=RESTARTS)
-            got = complete_matrix(stacked, mask, seed=seed)
+            got = complete_matrix(stacked, mask, rank=DEFAULT_RANK, reg=DEFAULT_REG,
+                                  iters=DEFAULT_ITERS, seed=seed)
             assert np.max(np.abs(got - want)) <= 1e-10, seed
             match, _ = match_one(meas, observed, refs, seed=seed)
             want_match = int(np.argmin(np.linalg.norm(refs.R - want[-1], axis=1)))
@@ -225,12 +231,14 @@ class TestStackedAlsIsBitIdentical:
             mask[:, np.arange(n), rng.integers(0, p, size=n)] = True
             mask[:, rng.integers(0, n, size=p), np.arange(p)] = True
             seeds = rng.integers(0, 1000, size=m).tolist()
-            got = complete_matrix(partial, mask, rank=rank, seed=seeds)
+            got = complete_matrix(partial, mask, rank=rank, reg=DEFAULT_REG,
+                                  iters=DEFAULT_ITERS, seed=seeds)
             for i, seed in enumerate(seeds):
                 want = restart_batched_complete_matrix(partial[i], mask[i],
                                                        rank=rank, seed=seed)
                 assert np.array_equal(got[i], want), (k, i)
-                alone = complete_matrix(partial[i], mask[i], rank=rank, seed=seed)
+                alone = complete_matrix(partial[i], mask[i], rank=rank, reg=DEFAULT_REG,
+                                        iters=DEFAULT_ITERS, seed=seed)
                 assert np.array_equal(alone, want), (k, i)
                 checked += 1
             leads.add(lead)

@@ -13,6 +13,7 @@ from hetsched.mechanism import (Assignment, CompiledAllocation,
                                 compute_priorities, place, plan_round,
                                 reorder, repeats, settle_round)
 import oracles
+from oracles import allocation
 
 
 def singles(cluster, T_rows):
@@ -21,9 +22,9 @@ def singles(cluster, T_rows):
     return ThroughputMatrix.from_cells(cluster, rows, entries)
 
 
-def first_plan(X, jobs) -> RoundPlan:
+def first_plan(X) -> RoundPlan:
     """The plan of a fresh ledger's first round."""
-    decision, ledger = CompiledAllocation(X, jobs), RoundLedger(360.0)
+    decision, ledger = CompiledAllocation(X), RoundLedger(360.0)
     return plan_round(compute_priorities(decision, ledger), decision, ledger)
 
 
@@ -37,9 +38,9 @@ def credit(ledger, T, *rows):
                            len(rows)), ledger, T)
 
 
-def empirical_fractions(X, jobs, cluster, T, rounds):
+def empirical_fractions(X, cluster, T, rounds):
     ledger = RoundLedger(360.0)
-    decision = CompiledAllocation(X, jobs)
+    decision = CompiledAllocation(X)
     for _ in range(rounds):
         pr = compute_priorities(decision, ledger)
         plan = plan_round(pr, decision, ledger)
@@ -55,21 +56,21 @@ def three_type_cluster():
 @pytest.fixture
 def example_allocation(three_type_cluster):
     T = singles(three_type_cluster, [[4.0, 2.0, 1.0]] * 3)
-    X = AllocationMatrix(T, np.array([[0.6, 0.4, 0.0],
-                                      [0.2, 0.6, 0.2],
-                                      [0.2, 0.0, 0.8]]))
     jobs = {i: Job(id=i, num_steps=10 ** 9) for i in range(3)}
-    return T, X, jobs
+    X = allocation(T, np.array([[0.6, 0.4, 0.0],
+                                [0.2, 0.6, 0.2],
+                                [0.2, 0.0, 0.8]]), jobs)
+    return T, X
 
 
 class TestPriorities:
     def test_ratio_convention(self):
         cluster = make_cluster({"gpu": 1})
         T = singles(cluster, [[1.0], [1.0], [1.0]])
-        X = AllocationMatrix(T, np.array([[0.6], [0.4], [0.0]]))
+        X = allocation(T, np.array([[0.6], [0.4], [0.0]]))
         ledger = RoundLedger(360.0)
         credit(ledger, T, 0, 1)
-        pr = compute_priorities(CompiledAllocation(X, {}), ledger)
+        pr = compute_priorities(CompiledAllocation(X), ledger)
         # f = 0.5 each for rows 0/1: priorities X/f.
         assert pr[0, 0] == pytest.approx(1.2)
         assert pr[1, 0] == pytest.approx(0.8)
@@ -78,19 +79,19 @@ class TestPriorities:
     def test_never_ran_is_infinite(self):
         cluster = make_cluster({"gpu": 1})
         T = singles(cluster, [[1.0], [1.0]])
-        X = AllocationMatrix(T, np.array([[0.4], [0.6]]))
+        X = allocation(T, np.array([[0.4], [0.6]]))
         ledger = RoundLedger(360.0)
         credit(ledger, T, 0)
         credit(ledger, T, 0)
-        pr = compute_priorities(CompiledAllocation(X, {}), ledger)
+        pr = compute_priorities(CompiledAllocation(X), ledger)
         assert pr[1, 0] == math.inf
         assert pr[0, 0] == pytest.approx(0.4)  # f = 1.0
 
     def test_fresh_ledger_all_infinite(self):
         cluster = make_cluster({"gpu": 1})
         T = singles(cluster, [[1.0]])
-        X = AllocationMatrix(T, np.array([[0.5]]))
-        pr = compute_priorities(CompiledAllocation(X, {}), RoundLedger(360.0))
+        X = allocation(T, np.array([[0.5]]))
+        pr = compute_priorities(CompiledAllocation(X), RoundLedger(360.0))
         assert pr[0, 0] == math.inf
 
 
@@ -99,10 +100,10 @@ class TestPlanRound:
         cluster = make_cluster({"gpu": 1})
         rows = [JobCombination.of(0), JobCombination.of(0, 1)]
         T = ThroughputMatrix.from_cells(cluster, rows, [[(1.0,)], [(0.6, 0.6)]])
-        X = AllocationMatrix(T, np.array([[0.4], [0.2]]))
         jobs = {0: Job(id=0, num_steps=10), 1: Job(id=1, num_steps=10)}
+        X = allocation(T, np.array([[0.4], [0.2]]), jobs)
         ledger = RoundLedger(360.0)
-        decision = CompiledAllocation(X, jobs)
+        decision = CompiledAllocation(X)
         credit(ledger, T, 0, 1)
         pr = compute_priorities(decision, ledger)
         plan = plan_round(pr, decision, ledger)
@@ -113,9 +114,9 @@ class TestPlanRound:
         rows = [JobCombination.of(0), JobCombination.of(1),
                 JobCombination.of(0, 1)]
         T = ThroughputMatrix.from_cells(cluster, rows, [[(1.0,)], [(1.0,)], [(0.9, 0.9)]])
-        X = AllocationMatrix(T, np.array([[0.5], [0.5], [0.5]]))
         jobs = {0: Job(id=0, num_steps=10), 1: Job(id=1, num_steps=10)}
-        plan = first_plan(X, jobs)
+        X = allocation(T, np.array([[0.5], [0.5], [0.5]]), jobs)
+        plan = first_plan(X)
         seen = [m for a in plan.assignments for m in a.combo.members]
         assert len(seen) == len(set(seen))
 
@@ -123,11 +124,11 @@ class TestPlanRound:
         cluster = make_cluster({"gpu": 8})
         rows = [JobCombination.of(0), JobCombination.of(1)]
         T = ThroughputMatrix.from_cells(cluster, rows, [[(8.0,)], [(4.0,)]])
-        X = AllocationMatrix(T, np.array([[0.5], [0.5]]))
         jobs = {0: Job(id=0, num_steps=10 ** 9, scale_factor=8),
                 1: Job(id=1, num_steps=10 ** 9, scale_factor=4)}
+        X = allocation(T, np.array([[0.5], [0.5]]), jobs)
         ledger = RoundLedger(360.0)
-        decision = CompiledAllocation(X, jobs)
+        decision = CompiledAllocation(X)
         scheduled = []
         for _ in range(4):
             pr = compute_priorities(decision, ledger)
@@ -143,9 +144,9 @@ class TestPlanRound:
     def test_work_conserving_fills_idle(self):
         cluster = make_cluster({"gpu": 2})
         T = singles(cluster, [[1.0], [1.0]])
-        X = AllocationMatrix(T, np.array([[1.0], [0.0]]))  # job 1 unallocated
         jobs = {0: Job(id=0, num_steps=10), 1: Job(id=1, num_steps=10)}
-        plan = first_plan(X, jobs)
+        X = allocation(T, np.array([[1.0], [0.0]]), jobs)  # job 1 unallocated
+        plan = first_plan(X)
         assert jobs_scheduled(plan) == {0, 1}
         # The greedy pass takes job 0 alone and leaves a worker idle; the
         # filler hands it to job 1.
@@ -154,9 +155,9 @@ class TestPlanRound:
         assert plan.idle_workers[0] == 0
 
     def test_no_idle_with_eligible_positive_priority(self, example_allocation):
-        T, X, jobs = example_allocation
+        T, X = example_allocation
         ledger = RoundLedger(360.0)
-        decision = CompiledAllocation(X, jobs)
+        decision = CompiledAllocation(X)
         for _ in range(10):
             pr = compute_priorities(decision, ledger)
             plan = plan_round(pr, decision, ledger)
@@ -169,11 +170,11 @@ class TestPlanRound:
 
 class TestConvergence:
     def test_worked_example_fractions(self, example_allocation):
-        T, X, jobs = example_allocation
+        T, X = example_allocation
         cluster = T.cluster
         errs = {}
         for rounds in (10, 20, 50, 200):
-            F = empirical_fractions(X, jobs, cluster, T, rounds)
+            F = empirical_fractions(X, cluster, T, rounds)
             errs[rounds] = np.abs(F - X.values).max()
         assert errs[20] <= 0.10
         assert errs[200] <= 0.03
@@ -190,8 +191,8 @@ class TestConvergence:
                 V /= V.sum(axis=0, keepdims=True)
                 rows_sum = V.sum(axis=1, keepdims=True)
                 V = np.where(rows_sum > 1, V / rows_sum, V)
-            X = AllocationMatrix(T, V)
-            errs = [np.abs(empirical_fractions(X, jobs, cluster, T, R) - V).max()
+            X = allocation(T, V, jobs)
+            errs = [np.abs(empirical_fractions(X, cluster, T, R) - V).max()
                     for R in (10, 50, 200)]
             assert errs[2] < errs[1] < errs[0]
             assert errs[2] <= 0.02
@@ -207,9 +208,9 @@ class TestConvergence:
                 V /= V.sum(axis=0, keepdims=True)
                 rows_sum = V.sum(axis=1, keepdims=True)
                 V = np.where(rows_sum > 1, V / rows_sum, V)
-            X = AllocationMatrix(T, V)
+            X = allocation(T, V, jobs)
             ledger = RoundLedger(360.0)
-            decision = CompiledAllocation(X, jobs)
+            decision = CompiledAllocation(X)
             last_run = {i: -1 for i in jobs}
             max_gap = {i: 0 for i in jobs}
             R = 120
@@ -231,8 +232,8 @@ class TestPlacement:
         rows = [JobCombination.of(0)]
         T = ThroughputMatrix.from_cells(cluster, rows, [[(8.0,)]])
         jobs = {0: Job(id=0, num_steps=10, scale_factor=8)}
-        X = AllocationMatrix(T, np.array([[0.5]]))
-        plan = first_plan(X, jobs)
+        X = allocation(T, np.array([[0.5]]), jobs)
+        plan = first_plan(X)
         place(plan, cluster)
         a = plan.assignments[0]
         assert a.consolidated
@@ -244,8 +245,8 @@ class TestPlacement:
         rows = [JobCombination.of(0)]
         T = ThroughputMatrix.from_cells(cluster, rows, [[(4.0,)]])
         jobs = {0: Job(id=0, num_steps=10, scale_factor=4)}
-        X = AllocationMatrix(T, np.array([[0.5]]))
-        plan = first_plan(X, jobs)
+        X = allocation(T, np.array([[0.5]]), jobs)
+        plan = first_plan(X)
         place(plan, cluster)
         assert not plan.assignments[0].consolidated
         assert plan.assignments[0].worker_ids == [0, 1, 2, 3]
@@ -283,8 +284,8 @@ class TestPlacement:
                 1: Job(id=1, num_steps=10, scale_factor=2),
                 2: Job(id=2, num_steps=10, scale_factor=1),
                 3: Job(id=3, num_steps=10, scale_factor=1)}
-        X = AllocationMatrix(T, np.array([[0.5]] * 4))
-        plan = first_plan(X, jobs)
+        X = allocation(T, np.array([[0.5]] * 4), jobs)
+        plan = first_plan(X)
         place(plan, cluster)
         by_job = {a.combo.members[0]: a for a in plan.assignments}
         assert set(by_job[0].worker_ids) == {0, 1, 2, 3}
@@ -297,10 +298,10 @@ class TestSettle:
     def test_elapsed_credited(self):
         cluster = make_cluster({"gpu": 1})
         T = singles(cluster, [[1.0]])
-        X = AllocationMatrix(T, np.array([[1.0]]))
         jobs = {0: Job(id=0, num_steps=10)}
+        X = allocation(T, np.array([[1.0]]), jobs)
         ledger = RoundLedger(360.0)
-        decision = CompiledAllocation(X, jobs)
+        decision = CompiledAllocation(X)
         plan = plan_round(compute_priorities(decision, ledger), decision, ledger)
         settle_round(plan, ledger, T)
         assert ledger.received(T)[0, 0] == 360.0
@@ -317,10 +318,10 @@ class TestSettle:
         assert ledger.rounds_total == 1
 
     def test_round_log_json(self, example_allocation):
-        T, X, jobs = example_allocation
+        T, X = example_allocation
         cluster = T.cluster
         ledger = RoundLedger(360.0)
-        decision = CompiledAllocation(X, jobs)
+        decision = CompiledAllocation(X)
         pr = compute_priorities(decision, ledger)
         plan = plan_round(pr, decision, ledger)
         place(plan, cluster)
@@ -341,10 +342,10 @@ def _random_matrix(rng, cluster, jobs, rows) -> ThroughputMatrix:
     return ThroughputMatrix(cluster, rows, thr, feasible)
 
 
-def _random_allocation(rng, T) -> AllocationMatrix:
+def _random_allocation(rng, T, jobs) -> AllocationMatrix:
     """Targets from a few values, so that priorities tie."""
     x = rng.choice([0.0, 0.0, 0.2, 0.4, 0.5], size=T.feasible.shape)
-    return AllocationMatrix(T, np.where(T.feasible, x, 0.0))
+    return allocation(T, np.where(T.feasible, x, 0.0), jobs)
 
 
 def _history(ledger) -> dict:
@@ -366,10 +367,10 @@ class TestMatchesReference:
     round, with one ledger carried across every change of matrix."""
 
     @staticmethod
-    def run_rounds(rng, X, jobs, ledgers, repeated):
+    def run_rounds(rng, X, ledgers, repeated):
         ledger, ref = ledgers
         T = X.T
-        decision = CompiledAllocation(X, jobs)
+        decision = CompiledAllocation(X)
         last = None
         for _ in range(int(rng.integers(2, 9))):
             pr = compute_priorities(decision, ledger)
@@ -377,7 +378,7 @@ class TestMatchesReference:
             assert pr.tobytes() == ref_pr.tobytes()
             plan = place(plan_round(pr, decision, ledger), T.cluster)
             ref_plan = oracles.reference_place(oracles.reference_plan_round(
-                ref_pr, jobs, ref, T), T.cluster)
+                ref_pr, X, ref), T.cluster)
             assert ([dataclasses.astuple(a) for a in plan.assignments]
                     == [dataclasses.astuple(a) for a in ref_plan.assignments])
             assert plan.idle_workers == ref_plan.idle_workers
@@ -425,7 +426,7 @@ class TestMatchesReference:
                 continue
             pruned = pairs[int(rng.integers(len(pairs)))]
             self.run_rounds(rng, _random_allocation(
-                rng, _random_matrix(rng, cluster, jobs, rows)), jobs, ledgers,
+                rng, _random_matrix(rng, cluster, jobs, rows), jobs), ledgers,
                 repeated)
             # A job outside the pair completes; the re-solve prunes the pair
             # and admits an arrival.
@@ -437,13 +438,13 @@ class TestMatchesReference:
             arrive(1)
             rows = [combo for combo in rows_of(jobs) if combo != pruned]
             self.run_rounds(rng, _random_allocation(
-                rng, _random_matrix(rng, cluster, jobs, rows)), jobs, ledgers,
+                rng, _random_matrix(rng, cluster, jobs, rows), jobs), ledgers,
                 repeated)
             # The next re-solve re-admits it, with the history it had.
             readmitted_with_history += pruned.members in ledgers[1].time
             X = _random_allocation(rng, _random_matrix(
-                rng, cluster, jobs, rows_of(jobs)))
-            self.run_rounds(rng, X, jobs, ledgers, repeated)
+                rng, cluster, jobs, rows_of(jobs)), jobs)
+            self.run_rounds(rng, X, ledgers, repeated)
             # A completion between periodic re-solves cuts its rows from the
             # matrix and keeps the rest of the allocation.
             gone = int(rng.choice(list(jobs)))
@@ -452,7 +453,8 @@ class TestMatchesReference:
             del jobs[gone]
             keep = np.array([gone not in combo.members for combo in X.rows])
             self.run_rounds(rng, AllocationMatrix(
-                X.T.take(keep), X.values[keep]), jobs, ledgers, repeated)
+                X.T.take(keep), X.values[keep], X.workers[keep]), ledgers,
+                repeated)
         assert readmitted_with_history >= 30
         # Certified plans occur, most of them with several assignments.
         assert len(repeated) >= 20 and sum(g > 1 for g in repeated) >= 12

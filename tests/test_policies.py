@@ -7,23 +7,23 @@ import hetsched.lp
 import hetsched.policies
 from hetsched.cluster import make_cluster
 from hetsched.jobs import Entity, Job, JobCombination
-from hetsched.lp import OPT_TOL, Relation, SolveResult, Status, solve_lp
-from hetsched.matrices import (AllocationMatrix, ThroughputMatrix,
-                               effective_throughput, equal_share_allocation,
-                               isolated_allocation)
+from hetsched.lp import (OPT_TOL, IterationLimitError, Relation, SolveResult,
+                         Status, solve_lp)
+from hetsched.matrices import ThroughputMatrix, effective_throughput
 from hetsched.policies import (InfeasibleSloError, PolicyError,
                                PolicyInfeasibleError, PolicySpec,
                                PolicyKind, ProblemSpace, ZeroThroughputError,
-                               _runnable, fastest_cell, fifo,
+                               fastest_cell, fifo,
                                finish_time_fairness, max_min_fairness,
                                max_total_throughput, min_cost, min_cost_slo,
                                min_makespan, parse_policy, shortest_job_first,
                                solve_policy)
 
-from oracles import (OracleInstance, RatioUnboundedError, ftf_rho, oracle_ftf,
-                     oracle_las, oracle_makespan, random_cells, random_costs,
-                     random_instance, reference_ftf, reference_las_lp,
-                     reference_maximize_ratio, reference_standalone)
+from oracles import (OracleInstance, RatioUnboundedError, equal_share_allocation,
+                     ftf_rho, oracle_ftf, oracle_las, oracle_makespan,
+                     random_cells, random_costs, random_instance, reference_ftf,
+                     reference_finish_time_fairness, reference_las_lp,
+                     reference_maximize_ratio, reference_standalone, runnable)
 
 
 def singles(cluster, T_rows):
@@ -106,7 +106,7 @@ class TestLas:
             ref = solve_lp(reference_las_lp(space))
             assert abs(res.objective - ref.objective_value) <= OPT_TOL
             X = res.allocation
-            X.validate(space.by_id)
+            X.validate()
             for ks in classes.values():
                 assert len({X.values[k].tobytes() for k in ks}) == 1
             tight = X.values.sum(axis=0) >= 1.0 - 1e-9  # one worker per type
@@ -177,7 +177,7 @@ def _static_decision(n: int, entities: int = 0):
     from hetsched.traces import generate_trace, load_catalog
 
     catalog = load_catalog()
-    cluster = make_cluster(cli.DEFAULT_CLUSTER, costs=cli.DEFAULT_COSTS,
+    cluster = make_cluster(cli.CLUSTER_PRESETS["simulated"][0], costs=cli.DEFAULT_COSTS,
                            workers_per_server=cli.DEFAULT_SERVERS)
     trace = generate_trace("static", n, catalog, seed=7, num_entities=entities)
     sim = Simulation(SimConfig(cluster=cluster, policy=parse_policy("las"), seed=7),
@@ -282,7 +282,7 @@ class TestFastestCell:
 
     @staticmethod
     def runnable_instance(rng):
-        """A `random_cells` matrix through `_runnable`, some singleton rows
+        """A `random_cells` matrix through `runnable`, some singleton rows
         given a tie for their best rate and some only rates near `OPT_TOL`."""
         cluster, rows, cells, jobs = random_cells(rng)
         for r, combo in enumerate(rows):
@@ -297,7 +297,7 @@ class TestFastestCell:
                             for _ in cells[r]]
         T = ThroughputMatrix.from_cells(cluster, rows, cells)
         by_id = {j.id: j for j in jobs}
-        return _runnable(T, by_id, space_sharing=bool(rng.random() < 0.5)), jobs
+        return runnable(T, by_id, space_sharing=bool(rng.random() < 0.5)), jobs
 
     def test_matches_the_standalone_lp_bit_for_bit(self):
         rng = np.random.default_rng(2020)
@@ -448,9 +448,41 @@ class TestFtf:
                     isolated_elapsed_time=float(inst.iso_elapsed[m]))
                 for m in range(inst.num_jobs)], T)
             res = finish_time_fairness(space)
-            res.allocation.validate(space.by_id)
+            res.allocation.validate()
             assert res.objective == ftf_rho(space, res.allocation)
             assert res.objective <= reference_ftf(space)[0]
+
+
+    def test_matches_the_effective_throughput_loop_bit_for_bit(self):
+        # `random_cells` instances, pair rows included, half with history:
+        # the same allocation bytes and objective, or the same error, as the
+        # loop that read each job's throughput from `effective_throughput`.
+        rng = np.random.default_rng(37)
+        seen = Counter()
+        for _ in range(240):
+            cluster, rows, cells, jobs = random_cells(rng)
+            T = ThroughputMatrix.from_cells(cluster, rows, cells)
+            history = rng.random() < 0.5
+            jobs = [Job(id=j.id, scale_factor=j.scale_factor,
+                        num_steps=int(rng.integers(100, 5000)),
+                        elapsed_time=float(rng.uniform(0, 2000)) if history else 0.0,
+                        isolated_elapsed_time=float(rng.uniform(0, 2000))
+                        if history else 0.0)
+                    for j in jobs]
+            space = ProblemSpace(jobs, T)
+            outcomes = []
+            for policy in (finish_time_fairness, reference_finish_time_fairness):
+                try:
+                    res = policy(space)
+                except (PolicyError, IterationLimitError) as e:
+                    outcomes.append((type(e), str(e)))
+                else:
+                    outcomes.append((res.allocation.values.tobytes(),
+                                     np.float64(res.objective).tobytes()))
+            assert outcomes[0] == outcomes[1]
+            seen["solved" if isinstance(outcomes[0][0], bytes) else "raised"] += 1
+            seen["pairs"] += bool(T.is_pair.any())
+        assert seen["solved"] >= 200 and seen["pairs"] >= 100, seen
 
 
 class TestCost:
@@ -519,7 +551,7 @@ class TestCost:
             rng = np.random.default_rng(9000 + seed)
             cluster, rows, cells, jobs = random_cells(rng)
             T = ThroughputMatrix.from_cells(random_costs(rng, cluster), rows, cells)
-            T_run = _runnable(T, {j.id: j for j in jobs}, True)
+            T_run = runnable(T, {j.id: j for j in jobs}, True)
             slo = seed % 2 == 1
             if slo:
                 best = {j.id: fastest_cell(T_run, j.id)[1] for j in jobs}

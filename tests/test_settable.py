@@ -7,7 +7,7 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hetsched"
-CEILING = 63
+CEILING = 58
 
 
 def settable_values(source: str) -> int:

@@ -1,22 +1,24 @@
 import dataclasses
 import itertools
 import json
+import sys
 
 import numpy as np
 import pytest
 
+import hetsched.matrices
+import hetsched.policies
 import hetsched.simulator as simulator
 from hetsched.cluster import make_cluster
 from hetsched.jobs import Entity, EntityPolicy
-from hetsched.matrices import (ThroughputMatrix, effective_throughput,
-                               equal_share_allocation)
+from hetsched.matrices import ThroughputMatrix, effective_throughput
 from hetsched.policies import EntityError, parse_policy
 from hetsched.simulator import (EstimatorConfig, MetricsReport, SimConfig,
                                 Simulation,
                                 steady_state_filter)
 from hetsched.traces import JobTemplate, Trace, TraceEntry
 import oracles
-from oracles import make_template_catalog
+from oracles import equal_share_allocation, make_template_catalog
 
 
 def flat_template(name="flat", thr=1.0):
@@ -554,9 +556,9 @@ class TestReferenceMechanism:
                                          simulator.plan_round, simulator.reorder)
         compiled, planned, reordered = [0], set(), []
 
-        def compile_spy(allocation, jobs):
+        def compile_spy(allocation):
             compiled[0] += 1
-            return compile_(allocation, jobs)
+            return compile_(allocation)
 
         def plan_spy(priorities, decision, ledger):
             planned.add(ledger.rounds_total)
@@ -696,6 +698,42 @@ class TestMatrixBuild:
     @pytest.mark.parametrize("fields", [{}, {"agnostic": True},
                                         {"recompute_every": 3}],
                              ids=["plain", "agnostic", "periodic"])
+    def test_one_row_workers_pass_per_decision(self, monkeypatch, fields):
+        # LAS re-solved at every arrival and completion, with mixed scale
+        # factors: each decision computes its rows' worker counts once, in
+        # its `ProblemSpace`.  Validation, the agnostic spread, a periodic
+        # cut and the compiled mechanism read them from the allocation.
+        cfg, trace, catalog = self.config("las", True, fields)
+        real = hetsched.matrices.row_workers
+        calls, per_solve = [0], []
+
+        def count(*args):
+            calls[0] += 1
+            return real(*args)
+
+        bound = [module for name, module in sorted(sys.modules.items())
+                 if name.startswith("hetsched")
+                 and getattr(module, "row_workers", None) is real]
+        assert hetsched.matrices in bound and hetsched.policies in bound
+        for module in bound:
+            monkeypatch.setattr(module, "row_workers", count)
+        solve = simulator.solve_policy
+
+        def solve_spy(*args, **kwargs):
+            before = calls[0]
+            result = solve(*args, **kwargs)
+            per_solve.append(calls[0] - before)
+            return result
+
+        monkeypatch.setattr(simulator, "solve_policy", solve_spy)
+        report = Simulation(cfg, trace, catalog).run()
+        assert report.policy_solves > 5
+        assert per_solve == [1] * report.policy_solves
+        assert calls[0] == report.policy_solves
+
+    @pytest.mark.parametrize("fields", [{}, {"agnostic": True},
+                                        {"recompute_every": 3}],
+                             ids=["plain", "agnostic", "periodic"])
     def test_rounds_run_the_policys_allocation(self, monkeypatch, fields):
         # Each decision compiles the very allocation `solve_policy` returned
         # (spread, on the agnostic variant), over the matrix the policy
@@ -715,9 +753,9 @@ class TestMatrixBuild:
             events.append(("solve", T, solve(spec, jobs, cluster, T, **kwargs)))
             return events[-1][2]
 
-        def compile_spy(allocation, jobs):
+        def compile_spy(allocation):
             events.append(("compile", allocation))
-            return compile_(allocation, jobs)
+            return compile_(allocation)
 
         monkeypatch.setattr(Simulation, "build_matrix", build_spy)
         monkeypatch.setattr(simulator, "solve_policy", solve_spy)
@@ -742,6 +780,7 @@ class TestMatrixBuild:
                 assert "recompute_every" in fields and set(X.rows) < set(T.rows)
                 kept = [T.row_index(combo) for combo in X.rows]
                 assert np.array_equal(X.values, result.allocation.values[kept])
+                assert np.array_equal(X.workers, result.allocation.workers[kept])
                 cuts += 1
         assert solved == report.policy_solves > 5
         assert (cuts > 0) == ("recompute_every" in fields)

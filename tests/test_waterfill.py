@@ -8,7 +8,7 @@ import hetsched.waterfill
 from hetsched.cluster import make_cluster
 from hetsched.jobs import Entity, EntityPolicy, Job, JobCombination
 from hetsched.lp import FEAS_TOL, OPT_TOL, Relation, Status, solve_lp
-from hetsched.matrices import AllocationMatrix, ThroughputMatrix, effective_throughput
+from hetsched.matrices import ThroughputMatrix, effective_throughput
 from hetsched.milp import solve_milp
 from hetsched.policies import (EntityError, PolicyError, ProblemSpace,
                                parse_policy, solve_policy)
@@ -16,8 +16,8 @@ from hetsched.waterfill import (DELTA_FRACTION, TIGHTEN_SLACK, VERIFY_FRACTION,
                                 assign_job_weights, find_bottlenecks,
                                 hierarchical_waterfill, max_gain,
                                 single_level_waterfill)
-from oracles import (cold_max_gain, cold_screen_feasible, gain_state, random_cells,
-                     reference_find_bottlenecks, reference_max_gain,
+from oracles import (allocation, cold_max_gain, cold_screen_feasible, gain_state,
+                     random_cells, reference_find_bottlenecks, reference_max_gain,
                      reference_space_lp, reference_tighten_lp,
                      reference_waterfill)
 
@@ -152,7 +152,7 @@ def enumerate_bottlenecks(jobs, X_prev, T, weights):
 
 def test_bottlenecks_worked_example(four_job_example):
     cluster, T, jobs = four_job_example
-    X_prev = AllocationMatrix(T, np.array([[1.0], [1 / 3], [1 / 3], [1 / 3]]))
+    X_prev = allocation(T, np.array([[1.0], [1 / 3], [1 / 3], [1 / 3]]))
     weights = {j.id: j.weight for j in jobs}
     assert bottlenecks(jobs, X_prev, T, weights) == {0}
 
@@ -161,7 +161,7 @@ def test_bottlenecks_saturated_cluster_all_stuck():
     cluster = make_cluster({"gpu": 2})
     T = singles(cluster, [[1.0], [1.0]])
     jobs = [Job(id=0, num_steps=10), Job(id=1, num_steps=10)]
-    X_prev = AllocationMatrix(T, np.array([[1.0], [1.0]]))
+    X_prev = allocation(T, np.array([[1.0], [1.0]]))
     weights = {0: 1.0, 1: 1.0}
     assert bottlenecks(jobs, X_prev, T, weights) == {0, 1}
 
@@ -179,7 +179,7 @@ def test_bottlenecks_match_enumeration_random():
         X = rng.uniform(0, 1, size=(M, J))
         X /= np.maximum(X.sum(axis=0, keepdims=True), 1.0)  # columns <= 1
         X /= np.maximum(X.sum(axis=1, keepdims=True), 1.0)  # rows <= 1
-        X_prev = AllocationMatrix(T, X)
+        X_prev = allocation(T, X)
         weights = {i: 1.0 for i in range(M)}
         ours = bottlenecks(jobs, X_prev, T, weights)
         oracle = enumerate_bottlenecks(jobs, X_prev, T, weights)
@@ -210,7 +210,7 @@ def _random_bottleneck_instance(rng):
     x *= (1.0 - slack) / np.max(validity @ x / rhs)
     weights = {j.id: float(rng.choice([0.0, 1.0, 2.0])) for j in jobs}
     weights[jobs[int(rng.integers(len(jobs)))].id] = 1.0
-    return jobs, AllocationMatrix(T, x.reshape(T.num_rows, T.num_configs)), T, weights
+    return jobs, allocation(T, x.reshape(T.num_rows, T.num_configs)), T, weights
 
 
 def test_bottlenecks_match_reference(milp_calls):
@@ -255,7 +255,7 @@ def test_conflicting_candidates_fall_back_to_milp(milp_calls):
     cluster = make_cluster({"gpu": 1})
     T = singles(cluster, [[1.0], [1.0]])
     jobs = [Job(id=0, num_steps=10), Job(id=1, num_steps=10)]
-    X_prev = AllocationMatrix(T, np.array([[0.499925], [0.499925]]))
+    X_prev = allocation(T, np.array([[0.499925], [0.499925]]))
     weights = {0: 1.0, 1: 1.0}
     assert bottlenecks(jobs, X_prev, T, weights) == {0}
     assert len(milp_calls) == 1
@@ -268,7 +268,7 @@ def test_gain_near_slack_falls_back_to_milp(milp_calls):
     cluster = make_cluster({"gpu": 2})
     T = singles(cluster, [[1.0], [1.0]])
     jobs = [Job(id=0, num_steps=10), Job(id=1, num_steps=10)]
-    X_prev = AllocationMatrix(T, np.array([[1.0 - 0.7e-4], [0.5]]))
+    X_prev = allocation(T, np.array([[1.0 - 0.7e-4], [0.5]]))
     space = ProblemSpace(jobs, T)
     thr_prev = throughputs(jobs, X_prev, T)
     delta = DELTA_FRACTION * space.best[0]
