@@ -16,15 +16,16 @@ and ``>=`` rows with a zero one, are negated first, so only ``>=`` rows
 with a positive right-hand side need an artificial.  When none does (the
 max-min epigraph rows ``s_j thr_j(X) - lam >= 0`` of LAS and min-makespan
 are all of this kind), the slack basis is feasible: phase 1 is skipped and
-phase 2 starts from it with the identity as its inverse.  The phase-1
-tableau is the only dense copy of the rows: the kept variables' entries are
-scattered straight into it, and each free variable's mirror column is its
-column negated there.
+phase 2 starts from it with the identity as its inverse.  `solve_lp` starts
+such a max-min LP nearer its optimum still, at a crash basis (`crash`).
+The phase-1 tableau is the only dense copy of the rows: the kept
+variables' entries are scattered straight into it, and each free
+variable's mirror column is its column negated there.
 
 Pivots and solutions are bit-identical to the reference kernel kept in the
-test suite (``tests/oracles.py``), which applies the same starting rule:
-only the bookkeeping around the floating-point operations that decide a
-pivot differs from it.
+test suite (``tests/oracles.py``), which applies the same starting rules,
+the crash basis included: only the bookkeeping around the floating-point
+operations that decide a pivot differs from it.
 
 Pivots skip work on exact zeros without changing a rounding (the
 hyper-sparsity of Hall and McKinnon, Comput. Optim. Appl. 32, 2005).  On a
@@ -42,11 +43,16 @@ returned bit is the dense kernel's.
 
 One object, `_Standardized`, holds an LP's rows in standard form and the
 basis its last solve left; the LP's own rows, its upper-bound rows and
-appended rows share `standardize_rows`.  It is entered three ways, and
+appended rows share `standardize_rows`.  It is entered four ways, and
 --dump-lp prints each LP once, before its phase 1, crash or phase 2:
 
-- `phase_one` runs phase 1 from the slack basis; `solve_lp` follows it with
-  phase 2.
+- `phase_one` runs phase 1 from the slack basis.
+- `crash(objective)` writes down, with no phase 1 and no pivot, the basis
+  of a max-min LP that phase 2 from the slack basis would reach through
+  one degenerate pivot per level row: lam and one column per level row,
+  triangular, so its inverse has a closed form.  It reports False on any
+  other LP.  `solve_lp` tries it, falls back on `phase_one`, and follows
+  either with phase 2.
 - `start_at(x)` crashes a basis whose basic solution is a known vertex x of
   the rows, with no phase 1, and reports False when x is not one, so the
   caller falls back on `phase_one`.  Water filling's level LPs start there
@@ -252,7 +258,8 @@ class SolveResult:
 def solve_lp(lp: LinearProgram) -> SolveResult:
     """Solve the LP; returns an optimal basic feasible solution when one exists."""
     prob = _Standardized(lp)
-    prob.phase_one()
+    if not prob.crash(lp.objective):
+        prob.phase_one()
     return prob.solve(lp.objective)
 
 
@@ -292,11 +299,11 @@ class _Standardized:
     positive/negative parts; finite upper bounds become extra rows; the
     maximized objective is negated into the cost.  `entries` holds the
     rows' coefficients on the kept variables as (row, column, value)
-    arrays, and a cold entry (`phase_one` or `start_at`) scatters them
-    into the tableau `T`, negating some rows, adds each free variable's
-    mirror column and a slack column per row, and keeps `T`, its
-    right-hand side `b` and a feasible basis with its inverse and basic
-    values.  `append` and `solve` both start from that state; `solve`
+    arrays, and a cold entry (`phase_one`, `crash` or `start_at`)
+    scatters them into the tableau `T`, negating some rows, adds each free
+    variable's mirror column and a slack column per row, and keeps `T`,
+    its right-hand side `b` and a feasible basis with its inverse and
+    basic values.  `append` and `solve` both start from that state; `solve`
     leaves it at the optimal basis its phase 2 reaches.  `lp` is the LP
     the state was built from and `appended` the row blocks appended to it
     since, which `as_lp` puts back together.
@@ -532,6 +539,72 @@ class _Standardized:
             _pivot(Binv, d, leave, buf)
             basis[leave] = col
             open_rows[leave] = False
+        xb = Binv @ b
+        if np.any(xb < -ROUNDOFF_TOL):
+            return False
+        self._enter(T, b, basis, Binv, xb)
+        return True
+
+    def crash(self, objective) -> bool:
+        """Enter at a crash basis written down in one step (Bixby, ORSA J.
+        Computing 4(3), 1992), with no phase 1; False, leaving the state as
+        it was, unless `objective` has one nonzero coefficient, positive and
+        on a variable that is not fixed (the level lam of a max-min LP), no
+        row needs an artificial, and some rows with a zero right-hand side
+        touch lam's column (S, the level rows).  The caller then runs
+        `phase_one`.
+
+        lam replaces the slack of the first row of S, r0, and each other
+        row of S takes the largest-magnitude column with no other nonzero
+        in S, if any, as the primal simplex would by one degenerate pivot
+        per row.  The basis is triangular on S and the identity elsewhere
+        but for the basic columns' entries, so B^-1 has a closed form, with
+        d0 = T[r0, lam], l = T[r, lam] and a a basic column's entry on its
+        own row r: row r0 is 1/d0 at r0, row r of S is 1/a at r and
+        -(l/d0)/a at r0, and a row outside S is minus its basic entries
+        times those rows, summed in S order at r0.  The basic columns of S
+        start at 0 and every other slack at its right-hand side."""
+        self._show()
+        objective = np.asarray(objective, dtype=float)
+        if objective.shape != (self.lp.num_vars,):
+            raise DimensionError(f"objective has shape {objective.shape}, "
+                                 f"expected ({self.lp.num_vars},)")
+        costed = objective.nonzero()[0]
+        # A row needs an artificial when, signed to a nonnegative
+        # right-hand side, it is a >= row with a positive one.
+        if (costed.size != 1 or not objective[costed[0]] > 0 or self.fixed[costed[0]]
+                or np.any(np.where(self.ge, self.b > 0, self.b < 0))):
+            return False
+        T, b, _ = self._tableau(False)
+        lam = self.column[costed[0]]
+        S = ((b == 0) & (T[:, lam] != 0)).nonzero()[0]
+        if not S.size:
+            return False
+        n, m = self.n, len(b)
+        # Each row of S but r0 takes its largest-magnitude column among
+        # the structural ones with no other nonzero in S, the lowest on
+        # ties; lam's own column is nonzero on every row of S.
+        block = T[S, :n]
+        size = np.where(np.count_nonzero(block, axis=0) == 1, np.abs(block[1:]), 0.0)
+        best = size.argmax(axis=1)
+        has = size[np.arange(S.size - 1), best] > 0
+        basis = np.arange(n, n + m)
+        basis[S[0]] = lam
+        basis[S[1:][has]] = best[has]
+        cols = basis[S]
+        B = T[:, cols]
+        inv = 1.0 / B[S, np.arange(S.size)]
+        first = -(B[S, 0] * inv[0]) * inv
+        first[0] = inv[0]
+        Binv = np.eye(m)
+        Binv[S, S] = inv
+        Binv[S, S[0]] = first
+        rest = np.ones(m, dtype=bool)
+        rest[S] = False
+        N = rest.nonzero()[0]
+        below = B[N]
+        Binv[N[:, None], S] = -below * inv
+        Binv[N, S[0]] = -np.add.accumulate(below * first, axis=1)[:, -1]
         xb = Binv @ b
         if np.any(xb < -ROUNDOFF_TOL):
             return False

@@ -26,7 +26,7 @@ from itertools import compress
 import numpy as np
 
 from .cluster import ClusterSpec
-from .jobs import JobCombination
+from .jobs import JobCombination, is_whole
 
 EPS = 1e-6
 # A pair row is kept only when its members' summed normalized throughput
@@ -165,16 +165,21 @@ class ThroughputMatrix:
     def from_json(cls, doc: dict) -> "ThroughputMatrix":
         cluster = ClusterSpec.from_json(doc)
         keys = [cfg.key(cluster) for cfg in cluster.configurations]
-        rows = [JobCombination(tuple(rdoc["members"])) for rdoc in doc["rows"]]
-        cells = []
+        rows, cells = [], []
         for rdoc in doc["rows"]:
+            members = rdoc["members"]
+            bad = [v for v in members if not is_whole(v)]
+            if bad:
+                raise ValueError(f"row {members}: member {bad[0]!r} is not a "
+                                 "whole number")
+            rows.append(JobCombination(tuple(members)))
             thr = rdoc["throughputs"]
             if not isinstance(thr, dict):
                 raise TypeError(f"throughputs must map configurations to cells, "
                                 f"not {thr!r}")
             unknown = sorted(thr.keys() - set(keys))
             if unknown:
-                raise ValueError(f"row {rdoc['members']}: unknown configurations {unknown}")
+                raise ValueError(f"row {members}: unknown configurations {unknown}")
             cells.append([thr.get(key) for key in keys])
         return cls.from_cells(cluster, rows, cells)
 

@@ -13,7 +13,9 @@ a linear-fractional optimum lies at a vertex of the allocation polytope.
 The module also keeps the first, plainer versions of library kernels as
 references that the optimized ones must match: row-at-a-time ALS
 (`reference_complete_matrix`), ALS one matrix per call
-(`restart_batched_complete_matrix`), the two-phase simplex (`reference_solve_lp`),
+(`restart_batched_complete_matrix`), the two-phase simplex from the crash
+basis of a max-min LP (`reference_solve_lp`) or from the slack basis
+(`reference_cold_solve_lp`),
 the dense standardization whose tableau the library's sparse scatter must
 match byte for byte (`DenseStandardized`), the cell-at-a-time
 throughput-matrix walks (`CellMatrix`, which also gives a space's dense
@@ -606,13 +608,27 @@ def lp_of(num_vars, objective, constraints=None, relations=(), rhs=(),
 # -- reference LP kernel -----------------------------------------------------
 # The two-phase revised simplex as hetsched.lp first wrote it: one Python
 # pass per constraint row to standardize, a fresh basis inverse for phase 1,
-# and per-pivot temporaries.  hetsched.lp must pivot exactly like it and
+# and per-pivot temporaries, plus the crash basis of a max-min LP written
+# densely, entry by entry.  hetsched.lp must pivot exactly like it and
 # return bit-identical solutions.
 
 def reference_solve_lp(lp: LinearProgram) -> SolveResult:
-    """Solve the LP; returns an optimal basic feasible solution when one exists."""
+    """Solve the LP; returns an optimal basic feasible solution when one
+    exists.  Phase 2 starts from the crash basis when the LP has one
+    (`_Standardized._crash`), as `hetsched.lp.solve_lp` does."""
+    return _reference_solve(lp, True)
+
+
+def reference_cold_solve_lp(lp: LinearProgram) -> SolveResult:
+    """`reference_solve_lp` without the crash: phase 2 starts from the
+    slack basis when no row needs an artificial, as
+    `hetsched.lp._Standardized.phase_one` leaves it."""
+    return _reference_solve(lp, False)
+
+
+def _reference_solve(lp: LinearProgram, crash: bool) -> SolveResult:
     prob = _Standardized(lp)
-    status, x_std = prob.solve()
+    status, x_std = prob.solve(crash)
     if status is not Status.OPTIMAL:
         return SolveResult(status)
     x = prob.recover(x_std)
@@ -690,7 +706,7 @@ class _Standardized:
         # Clip roundoff that strays just outside the box.
         return np.clip(x, self.lp.lower, self.lp.upper)
 
-    def solve(self):
+    def solve(self, crash: bool):
         A, b, rels = self.A, self.b, list(self.rels)
         m, n = A.shape
         if m == 0:
@@ -772,13 +788,64 @@ class _Standardized:
                 b = b[keep_rows]
                 basis = [bv for bv, k in zip(basis, keep_rows) if k]
 
+        Binv = None
+        if crash and not art_rows:
+            basis, Binv = self._crash(T, b, basis)
         T2 = T[:, :art_start]
         c2 = np.zeros(art_start)
         c2[:n] = self.c
-        status, x_all, basis = _simplex(T2, b, c2, basis)
+        status, x_all, basis = _simplex(T2, b, c2, basis, Binv)
         if status is not Status.OPTIMAL:
             return status, None
         return Status.OPTIMAL, x_all[:n]
+
+    def _crash(self, T, b, basis):
+        """The starting basis and its inverse when every row's slack is
+        basic: the slack basis and None (the simplex inverts it), unless the
+        objective has one nonzero coefficient, positive and on a kept
+        variable lam, and some rows with a zero right-hand side have a
+        nonzero in lam's column.  Of those rows S, the first takes lam and
+        each other one the largest-magnitude column, lowest on ties, that
+        is nonzero on no other row of S.  The basis B is then lower
+        triangular with S ordered first, and its inverse is written down
+        by forward substitution."""
+        costed = np.flatnonzero(self.lp.objective)
+        if len(costed) != 1 or not self.lp.objective[costed[0]] > 0 \
+                or self.fixed[costed[0]]:
+            return basis, None
+        lam = int(np.searchsorted(self.keep, costed[0]))
+        m, n = len(b), self.A.shape[1]
+        S = [i for i in range(m) if b[i] == 0 and T[i, lam] != 0]
+        if not S:
+            return basis, None
+        basis = list(basis)
+        basis[S[0]] = lam
+        for i in S[1:]:
+            best, size = None, 0.0
+            for j in range(n):
+                if j != lam and T[i, j] != 0 and abs(T[i, j]) > size and all(
+                        T[k, j] == 0 for k in S if k != i):
+                    best, size = j, abs(T[i, j])
+            if best is not None:
+                basis[i] = best
+        B = T[:, basis]
+        r0 = S[0]
+        Binv = np.eye(m)
+        for i in S:
+            Binv[i, i] = 1.0 / B[i, i]
+        for i in S[1:]:
+            Binv[i, r0] = -(B[i, r0] * Binv[r0, r0]) * Binv[i, i]
+        for i in range(m):
+            if i in S:
+                continue
+            for k in S[1:]:
+                Binv[i, k] = -B[i, k] * Binv[k, k]
+            # B[i, S] @ Binv[S, r0], summed in S order.
+            total = B[i, S[0]] * Binv[S[0], r0]
+            for k in S[1:]:
+                total = total + B[i, k] * Binv[k, r0]
+            Binv[i, r0] = -total
+        return basis, Binv
 
 
 def _basis_inverse(A: np.ndarray, basis) -> np.ndarray:
@@ -786,15 +853,16 @@ def _basis_inverse(A: np.ndarray, basis) -> np.ndarray:
 
 
 def _simplex(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list,
-             opt_tol: float = OPT_TOL):
-    """Revised simplex (min c'x, Ax=b, x>=0) from a starting basis.
+             Binv=None, opt_tol: float = OPT_TOL):
+    """Revised simplex (min c'x, Ax=b, x>=0) from a starting basis, and
+    its inverse when `Binv` gives it.
 
     Returns (status, x, basis).  The basis inverse is maintained with
     rank-one pivot updates and refactorized periodically.
     """
     m, n = A.shape
     basis = list(basis)
-    Binv = _basis_inverse(A, basis)
+    Binv = _basis_inverse(A, basis) if Binv is None else Binv
     xb = Binv @ b
     # Roundoff guard: phase-1 starting bases are exactly feasible.
     xb[np.abs(xb) < 1e-12] = 0.0

@@ -570,6 +570,21 @@ class TestSolve:
         assert "error: bad value" in res.output and "not [1.0]" in res.output
         assert "Traceback" not in res.output
 
+    @pytest.mark.parametrize("member", [1.5, True, "1"], ids=["fraction", "boolean", "text"])
+    def test_non_whole_row_member_exit_code(self, runner, tmp_path, member):
+        # int() would read 1.5 or true as job 1 and fail later on a job
+        # the file never named.
+        thr, jobs = write_three_job_instance(tmp_path)
+        doc = json.loads(thr.read_text())
+        doc["rows"][1]["members"] = [member]
+        thr.write_text(json.dumps(doc))
+        res = runner.invoke(main, ["--out", str(tmp_path), "solve", "--policy", "las",
+                                   "--throughputs", str(thr), "--jobs", str(jobs)])
+        assert res.exit_code == 2, res.output
+        assert "error: bad value" in res.output
+        assert f"member {member!r} is not a whole number" in res.output
+        assert "Traceback" not in res.output
+
     def test_unknown_configuration_exit_code(self, runner, tmp_path):
         # A misspelt configuration would leave its cell infeasible unseen.
         thr, jobs = write_three_job_instance(tmp_path)
@@ -1047,6 +1062,17 @@ class TestEstimate:
                                    "--measurements", str(meas)])
         assert res.exit_code == 2, res.output
         assert f"error: newjob: {named}" in res.output
+        assert "Traceback" not in res.output
+        assert not (tmp_path / "estimates.json").exists()
+
+    def test_non_whole_reference_member_exit_code(self, runner, tmp_path):
+        cell = lambda *v: {"g": list(v)}
+        refs = {"types": [{"name": "g", "num_workers": 1}],
+                "rows": [{"members": [0], "throughputs": cell(1.0)},
+                         {"members": [1.5], "throughputs": cell(1.0)}]}
+        res = self._estimate(runner, tmp_path, refs, {"newjob": {"job-0": 0.5}})
+        assert res.exit_code == 2, res.output
+        assert "member 1.5 is not a whole number" in res.output
         assert "Traceback" not in res.output
         assert not (tmp_path / "estimates.json").exists()
 

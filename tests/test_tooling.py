@@ -95,10 +95,12 @@ def test_tracer_sees_water_filling_and_one_compile_per_decision(monkeypatch):
             assert gain_calls.get(i, 0) <= 1, i
 
 
-@pytest.mark.parametrize("policy", ["las+ss", "makespan", "cost"])
+@pytest.mark.parametrize("policy", ["las", "las+ss", "makespan", "cost"])
 def test_tracer_lp_sizes_are_those_of_the_largest_lp_solved(policy, monkeypatch):
     # lp.rows_max and lp.vars_max read each traced LP's `constraints` and
-    # `num_vars`, so they must stay its row and column counts.
+    # `num_vars`, so they must stay its row and column counts.  LAS and
+    # makespan LPs start from the crash basis inside `solve_lp`, so they
+    # are still booked as `lp.solve_lp` spans.
     shapes = []
 
     class Spy(hetsched.lp._Standardized):
